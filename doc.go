@@ -54,9 +54,10 @@
 // root snapshot plus the current reclamation epoch and traverses the tree
 // version committed when it started, while writers copy-on-write their
 // path and publish a new root with one atomic pointer store. Pages freed at
-// epoch E are recycled only once no reader pins an epoch <= E, so a long
-// ForEach never blocks — and is never torn by — concurrent mutations.
-// SnapshotEpoch reports the monotone count of published commits.
+// epoch E are recycled only once the epoch has moved past E and no reader
+// pins an epoch <= E, so a long ForEach never blocks — and is never torn
+// by — concurrent mutations. SnapshotEpoch reports the monotone count of
+// published commits.
 //
 // Durability of individual mutations on a file-backed tree comes from a
 // group-commit write-ahead log (<path>.wal): each Insert/Delete appends one
@@ -111,6 +112,28 @@
 // index (ForEach streams the vectors out); indexes written before the
 // columnar format decode unchanged, and mutations rewrite touched leaves in
 // the tree's configured format page by page.
+//
+// # Query processing
+//
+// Every query is one best-first traversal (§5.2): subtrees wait in a queue
+// ordered by their hull bound ˆN(q), leaf objects are scored exactly, and
+// probability-reporting queries (k-MLIQ, TIQ) keep a certified interval
+// around the Bayes denominator — the exact sum of everything scored plus the
+// n·ˇN / n·ˆN sum bounds of everything still queued (§5.2.2). All four
+// drivers (tree and sharded-cursor k-MLIQ and TIQ) stop on one kernel: the
+// interval is folded into two log-space bounds once per expansion, threshold
+// tests are comparisons against them (ld − lnLow ≥ ln θ, with the exact
+// exp-space form only within 1e-9 nats of the boundary, so no answer
+// depends on the representation), and the width of every reported interval
+// is certified by one test at the densest scored object.
+//
+// TIQ admits a scored object into its candidate set only if it can still
+// reach θ against the lower denominator bound of the last stop test. That
+// bound only grows, so an object below θ against any earlier value of it
+// stays below θ for good: refusing it is as final as Figure 5's "delete
+// unnecessary candidates" step, and a stale bound is merely conservative (it
+// admits a few objects the next prune removes). The candidate set therefore
+// holds the survivors, not every scored object.
 //
 // # Context-aware queries and statistics
 //

@@ -5,6 +5,7 @@ import (
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
+	"github.com/gauss-tree/gausstree/internal/pqueue"
 )
 
 // activeNode is one unexplored subtree in the best-first priority queue.
@@ -20,38 +21,57 @@ type activeNode struct {
 // scaledAccum maintains Σ exp(xᵢ) over a dynamic multiset of log-space terms
 // with O(1) add and remove, staying accurate across the enormous dynamic
 // range of multi-dimensional Gaussian densities by carrying an explicit
-// log-space reference exponent. Floating-point drift from removals is
-// repaired by periodic rebuilds (see denomTracker).
+// log-space reference exponent. A removal that cancels the sum down to
+// rounding residue — losing every term the removed one had absorbed — marks
+// the accumulator cancelled; the owner rebuilds it from the live terms (see
+// denomTracker.maybeRebuild).
 type scaledAccum struct {
-	ref float64 // log-space reference; contributions are exp(x − ref)
-	sum float64 // Σ exp(xᵢ − ref)
+	ref       float64 // log-space reference; contributions are exp(x − ref)
+	sum       float64 // Σ exp(xᵢ − ref)
+	peak      float64 // largest sum a removal has met since the last reset
+	cancelled bool    // a removal left under cancelRatio of peak
 }
+
+// cancelRatio is the share of its peak below which a sum that has seen
+// removals is taken for rounding residue: terms were rounded to 2⁻⁵³·peak
+// when added, so under 2⁻²⁰·peak at most 33 bits are left. On DS2 3-MLIQ:
+// 5.5 rebuilds a query, 1e-9 nats worst drift (2⁻³⁰: 4.5 rebuilds, 1e-6).
+const cancelRatio = 1.0 / (1 << 20)
 
 func (a *scaledAccum) add(x float64) {
 	if math.IsInf(x, -1) {
 		return
 	}
 	if a.sum <= 0 {
-		a.ref = x
-		a.sum = 1
+		a.ref, a.sum, a.peak = x, 1, 0
 		return
 	}
-	if x-a.ref > 600 {
+	switch d := x - a.ref; {
+	case d > 600:
 		// Rescale so the new dominant term cannot overflow.
-		a.sum = a.sum*math.Exp(a.ref-x) + 1
-		a.ref = x
-		return
+		f := math.Exp(-d)
+		a.sum, a.peak, a.ref = a.sum*f+1, a.peak*f, x
+	case d < -40 && a.sum >= 1:
+		// e^d < 2⁻⁵⁷ ≤ half an ulp of the sum: adding it would round straight
+		// back to the same bits, so the Exp is skipped.
+	default:
+		a.sum += math.Exp(d)
 	}
-	a.sum += math.Exp(x - a.ref)
 }
 
 func (a *scaledAccum) remove(x float64) {
 	if math.IsInf(x, -1) || a.sum <= 0 {
 		return
 	}
+	if a.sum > a.peak {
+		a.peak = a.sum // sums only grow between removals: this is the true peak
+	}
 	a.sum -= math.Exp(x - a.ref)
-	if a.sum < 0 {
-		a.sum = 0
+	if a.sum < a.peak*cancelRatio {
+		a.cancelled = true
+		if a.sum < 0 {
+			a.sum = 0
+		}
 	}
 }
 
@@ -68,114 +88,168 @@ func (a *scaledAccum) reset() { *a = scaledAccum{} }
 // Σ_w p(q|w) during a best-first traversal: the exact log-sum of all scored
 // leaf objects plus, per §5.2.2, the floor/hull sum bounds of every subtree
 // still waiting in the priority queue. Bounds are updated whenever a node is
-// pushed or popped; every rebuildEvery mutations the accumulators are
-// recomputed from the queue to cancel floating-point drift.
+// pushed or popped. Stop tests read the interval through fold, which is
+// memoised: however many tests an expansion runs, the five accumulators are
+// folded into log space once.
 type denomTracker struct {
-	exact     scaledAccum // Σ p(q|v) over individually scored objects
-	floorPQ   scaledAccum // Σ n·ˇN over queued subtrees
-	hullPQ    scaledAccum // Σ n·ˆN over queued subtrees
-	mutations int
+	exact   scaledAccum // Σ p(q|v) over individually scored objects
+	floorPQ scaledAccum // Σ n·ˇN over queued subtrees
+	hullPQ  scaledAccum // Σ n·ˆN over queued subtrees
+	maxLd   float64     // densest scored object (meaningful once exact is non-empty)
 
 	// floorRes/hullRes hold the per-vector floor/hull sums of quantized
 	// leaves the traversal skipped for good (their hulls proved they cannot
 	// affect the result set). Unlike the queue bounds they are permanent:
-	// the leaves will never be explored, so their mass survives queue
-	// exhaustion (clearQueueBounds) and widens the certified interval
-	// honestly. Add-only, so they carry no cancellation drift.
+	// their mass survives queue exhaustion (clearQueueBounds) and widens
+	// the certified interval honestly. Add-only: no cancellation drift.
 	floorRes scaledAccum
 	hullRes  scaledAccum
+
+	// memo is the last fold; folded says no mutation has happened since.
+	// Every mutating method must clear folded.
+	memo   denomBounds
+	folded bool
 }
 
-const rebuildEvery = 256
+// denomBounds is the tracker's state folded into log space: the three
+// additive components (see DenomParts) and the certified denominator
+// interval [exp(logLow), exp(logHigh)] they imply.
+type denomBounds struct {
+	parts           DenomParts
+	logLow, logHigh float64
+}
 
-func (d *denomTracker) addExact(logDensity float64) { d.exact.add(logDensity) }
+func (d *denomTracker) addExact(logDensity float64) {
+	if d.exact.sum <= 0 || logDensity > d.maxLd {
+		d.maxLd = logDensity
+	}
+	d.exact.add(logDensity)
+	d.folded = false
+}
 
 // addResidual registers one skipped quantized-leaf vector's certified
 // density bounds [ˇ, ˆ] with the permanent residue.
 func (d *denomTracker) addResidual(logFloor, logHull float64) {
 	d.floorRes.add(logFloor)
 	d.hullRes.add(logHull)
+	d.folded = false
 }
 
 func (d *denomTracker) push(a activeNode) {
 	d.floorPQ.add(a.logFloorN)
 	d.hullPQ.add(a.logHullN)
-	d.mutations++
+	d.folded = false
 }
 
 func (d *denomTracker) pop(a activeNode) {
 	d.floorPQ.remove(a.logFloorN)
 	d.hullPQ.remove(a.logHullN)
-	d.mutations++
+	d.folded = false
 }
 
 // clearQueueBounds zeroes the floor/hull accumulators. Called when the
 // active queue has drained: the true sums over zero subtrees are exactly
-// zero, but the O(1)-remove accumulators retain cancellation residue that
-// would otherwise survive as phantom denominator mass (wide enough, at
-// double precision, to block accuracy certification forever).
+// zero, but the O(1)-remove accumulators may retain residue that would
+// otherwise survive as phantom denominator mass.
 func (d *denomTracker) clearQueueBounds() {
 	d.floorPQ.reset()
 	d.hullPQ.reset()
-	d.mutations = 0
+	d.folded = false
 }
 
-// maybeRebuild recomputes the queue-bound accumulators from the live queue
-// contents when enough mutations have accumulated.
-func (d *denomTracker) maybeRebuild(items func(func(activeNode, float64))) {
-	if d.mutations < rebuildEvery {
+// maybeRebuild recomputes a queue-bound accumulator from the live queue when
+// a pop cancelled it (see scaledAccum): best-first pops the dominant hull
+// first, and the certified upper bound must not sink below the mass still
+// queued. The traversal calls it after every expansion, before the next
+// stop test.
+func (d *denomTracker) maybeRebuild(active *pqueue.Queue[activeNode]) {
+	floor, hull := d.floorPQ.cancelled, d.hullPQ.cancelled
+	if !floor && !hull {
 		return
 	}
-	d.mutations = 0
-	d.floorPQ.reset()
-	d.hullPQ.reset()
-	items(func(a activeNode, _ float64) {
-		d.floorPQ.add(a.logFloorN)
-		d.hullPQ.add(a.logHullN)
-	})
-}
-
-// parts exports the tracker's three log-space components for cross-tree
-// denominator merging (see DenomParts). The permanent residue of skipped
-// quantized leaves folds into the floor/hull parts, so cross-shard merges
-// stay sound without knowing about quantization.
-func (d *denomTracker) parts() DenomParts {
-	return DenomParts{
-		LogExact: d.exact.log(),
-		LogFloor: logAddExp(d.floorPQ.log(), d.floorRes.log()),
-		LogHull:  logAddExp(d.hullPQ.log(), d.hullRes.log()),
+	if floor {
+		d.floorPQ.reset()
 	}
+	if hull {
+		d.hullPQ.reset()
+	}
+	active.Items(func(a activeNode, _ float64) {
+		if floor {
+			d.floorPQ.add(a.logFloorN)
+		}
+		if hull {
+			d.hullPQ.add(a.logHullN)
+		}
+	})
+	d.folded = false
 }
 
-// logLow returns the log of the certified lower denominator bound.
-func (d *denomTracker) logLow() float64 {
-	return logAddExp(d.exact.log(), logAddExp(d.floorPQ.log(), d.floorRes.log()))
+// fold returns the tracker's current bounds, folding the accumulators only
+// if something changed since the last call. The residue of skipped quantized
+// leaves folds into the floor/hull parts, so cross-shard merges stay sound
+// without knowing about quantization. An interval inverted by drift is
+// reordered, as probInterval reorders what it reports.
+func (d *denomTracker) fold() *denomBounds {
+	if !d.folded {
+		p := DenomParts{
+			LogExact: d.exact.log(),
+			LogFloor: logAddExp(d.floorPQ.log(), d.floorRes.log()),
+			LogHull:  logAddExp(d.hullPQ.log(), d.hullRes.log()),
+		}
+		lo, hi := p.LogLow(), p.LogHigh()
+		if hi < lo {
+			lo, hi = hi, lo
+		}
+		d.memo, d.folded = denomBounds{parts: p, logLow: lo, logHigh: hi}, true
+	}
+	return &d.memo
 }
 
-// logHigh returns the log of the certified upper denominator bound.
-func (d *denomTracker) logHigh() float64 {
-	return logAddExp(d.exact.log(), logAddExp(d.hullPQ.log(), d.hullRes.log()))
+// tooWide reports whether some reported probability interval may be wider
+// than accuracy (≤ 0: nothing to certify). The unclamped width
+// e^ld·(1/low − 1/high) is monotone in the density and clamping only shrinks
+// reported intervals, so one test at the densest scored object, maxLd,
+// certifies every candidate's width.
+func (b *denomBounds) tooWide(maxLd, accuracy float64) bool {
+	return accuracy > 0 && math.Exp(maxLd-b.logLow)-math.Exp(maxLd-b.logHigh) > accuracy
 }
 
-// probInterval converts a candidate's log density into its certified
-// probability interval [ld/denomHigh, ld/denomLow], clamped to [0,1].
-func (d *denomTracker) probInterval(logDensity float64) (lo, hi float64) {
-	lo = clamp01(math.Exp(logDensity - d.logHigh()))
-	hi = clamp01(math.Exp(logDensity - d.logLow()))
+// probInterval is the certified probability interval [e^ld/high, e^ld/low]
+// of a log density against a log-space denominator interval, clamped to
+// [0,1].
+func probInterval(logDensity, logLow, logHigh float64) (lo, hi float64) {
+	lo = clamp01(math.Exp(logDensity - logHigh))
+	hi = clamp01(math.Exp(logDensity - logLow))
 	if hi < lo { // defensive: drift could invert a razor-thin interval
 		lo, hi = hi, lo
 	}
 	return lo, hi
 }
 
-// probWidthBound returns an upper bound on the width of the reported
-// probability interval for a candidate with the given log density: the
-// unclamped width e^ld·(1/low − 1/high). It is monotone in the density and
-// clamping only shrinks reported intervals, so evaluating it at the densest
-// surviving candidate certifies every candidate's width in O(1) — no
-// per-candidate sweep per expansion.
-func (d *denomTracker) probWidthBound(logDensity float64) float64 {
-	return math.Exp(logDensity-d.logLow()) - math.Exp(logDensity-d.logHigh())
+// threshold is a TIQ probability threshold θ prepared for log-space tests.
+type threshold struct {
+	p, log float64 // θ and ln θ (−Inf for θ = 0)
+}
+
+// thresholdBand is how close, in nats, a log-space threshold test may come
+// to the boundary before reaches falls back to the exact form; rounding in
+// ld, the folded bound and ln θ moves the difference by ~1e-13 at most.
+const thresholdBand = 1e-9
+
+// reaches reports clamp01(exp(ld − logDenom)) ≥ θ: whether a log density
+// reaches the threshold against a log-space denominator bound. Subtractions
+// decide it; the exact form runs only within thresholdBand of the boundary
+// and for the NaN of −Inf − −Inf (clamp01 then reports the conservative 1),
+// so log space changes no answer. Against logDenom = −Inf all reaches.
+func (th threshold) reaches(ld, logDenom float64) bool {
+	x := ld - logDenom
+	switch d := x - th.log; {
+	case d > thresholdBand:
+		return true
+	case d < -thresholdBand:
+		return false
+	}
+	return clamp01(math.Exp(x)) >= th.p
 }
 
 func clamp01(x float64) float64 {

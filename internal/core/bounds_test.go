@@ -148,7 +148,7 @@ func TestDenomTrackerIntervalContainsExact(t *testing.T) {
 		d.push(sim.a)
 	}
 	check := func(step int) {
-		lo, hi := d.logLow(), d.logHigh()
+		lo, hi := d.fold().logLow, d.fold().logHigh
 		if trueDenom < lo-1e-9 || trueDenom > hi+1e-9 {
 			t.Fatalf("step %d: true denominator %v outside [%v,%v]", step, trueDenom, lo, hi)
 		}
@@ -162,8 +162,8 @@ func TestDenomTrackerIntervalContainsExact(t *testing.T) {
 		check(i)
 	}
 	// Fully drained: the interval must collapse onto the exact value.
-	if math.Abs(d.logLow()-trueDenom) > 1e-6 || math.Abs(d.logHigh()-trueDenom) > 1e-6 {
-		t.Errorf("drained interval [%v,%v] should equal %v", d.logLow(), d.logHigh(), trueDenom)
+	if b := d.fold(); math.Abs(b.logLow-trueDenom) > 1e-6 || math.Abs(b.logHigh-trueDenom) > 1e-6 {
+		t.Errorf("drained interval [%v,%v] should equal %v", b.logLow, b.logHigh, trueDenom)
 	}
 }
 
@@ -171,12 +171,12 @@ func TestProbIntervalClamping(t *testing.T) {
 	var d denomTracker
 	// Empty tracker: denominator unknown (log 0) → interval must be [?,1]
 	// without NaN leakage.
-	lo, hi := d.probInterval(-3)
+	lo, hi := probInterval(-3, d.fold().logLow, d.fold().logHigh)
 	if math.IsNaN(lo) || math.IsNaN(hi) || hi > 1 || lo < 0 {
 		t.Errorf("interval [%v,%v] malformed", lo, hi)
 	}
 	d.addExact(math.Log(0.5))
-	lo, hi = d.probInterval(math.Log(0.25))
+	lo, hi = probInterval(math.Log(0.25), d.fold().logLow, d.fold().logHigh)
 	if math.Abs(lo-0.5) > 1e-12 || math.Abs(hi-0.5) > 1e-12 {
 		t.Errorf("exact interval = [%v,%v], want 0.5", lo, hi)
 	}

@@ -2,7 +2,6 @@ package core
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"sort"
 
@@ -78,15 +77,9 @@ func (p DenomParts) LogGap() float64 {
 }
 
 // ProbInterval converts a candidate's joint log density into the certified
-// probability interval implied by this denominator interval, clamped to
-// [0,1].
+// probability interval implied by this denominator interval (see probInterval).
 func (p DenomParts) ProbInterval(logDensity float64) (lo, hi float64) {
-	lo = clamp01(math.Exp(logDensity - p.LogHigh()))
-	hi = clamp01(math.Exp(logDensity - p.LogLow()))
-	if hi < lo { // defensive: drift could invert a razor-thin interval
-		lo, hi = hi, lo
-	}
-	return lo, hi
+	return probInterval(logDensity, p.LogLow(), p.LogHigh())
 }
 
 // Candidate is one result candidate of a paused cursor: a database object
@@ -176,10 +169,7 @@ func (c *KMLIQCursor) Refine(accuracy, maxLogUnexplored float64) error {
 	c.refines++
 	sp := c.tr.traceBegin()
 	c.err = c.tr.run(func() bool {
-		if !mliqDone(c.top, c.tr, accuracy) {
-			return false
-		}
-		return c.tr.denom.parts().LogHull <= maxLogUnexplored
+		return mliqDone(c.top, c.tr, accuracy) && c.tr.denom.fold().parts.LogHull <= maxLogUnexplored
 	})
 	c.tr.traceEnd(sp, "kmliq_refine", c.shard, c.refines)
 	return c.err
@@ -197,7 +187,7 @@ func (c *KMLIQCursor) Candidates() []Candidate {
 }
 
 // DenomParts returns the tree's current certified denominator components.
-func (c *KMLIQCursor) DenomParts() DenomParts { return c.tr.denom.parts() }
+func (c *KMLIQCursor) DenomParts() DenomParts { return c.tr.denom.fold().parts }
 
 // Exhausted reports whether the traversal has explored the whole tree (the
 // denominator contribution is then exact and Refine can tighten no further).
@@ -209,13 +199,11 @@ func (c *KMLIQCursor) Stats() query.Stats { return c.tr.finish(c.top.Len()) }
 // TIQCursor is a resumable threshold identification traversal over one
 // tree. It retains every candidate that could still reach the threshold
 // against the combined (local + external) denominator lower bound; the
-// global in/out decisions belong to the coordinator, which resumes the
-// cursor until the merged interval decides every candidate.
+// in/out decisions belong to the coordinator and its merged interval.
 type TIQCursor struct {
-	tr         *traversal
-	candidates *pqueue.Queue[pfv.Vector]
-	logTheta   float64 // ln pTheta; −Inf for pTheta = 0
-	err        error
+	tr  *traversal
+	col *tiqCollector
+	err error
 	// shard / refines: trace span attribution, as on KMLIQCursor.
 	shard   int
 	refines int
@@ -224,17 +212,11 @@ type TIQCursor struct {
 // NewTIQCursor starts a resumable TIQ traversal. No pages are read until the
 // first Refine.
 func (t *Tree) NewTIQCursor(ctx context.Context, q pfv.Vector, pTheta float64) (*TIQCursor, error) {
-	if q.Dim() != t.dim {
-		return nil, fmt.Errorf("%w: query dimension %d, tree dimension %d", ErrDimension, q.Dim(), t.dim)
+	col, err := t.newTIQCollector(q, pTheta)
+	if err != nil {
+		return nil, err
 	}
-	if pTheta < 0 || pTheta > 1 {
-		return nil, fmt.Errorf("%w: threshold %v outside [0,1]", ErrInvalidArg, pTheta)
-	}
-	candidates := acquireCandidates()
-	tr := t.newTraversal(ctx, q, true, func(v pfv.Vector, ld float64) {
-		candidates.Push(v, ld)
-	})
-	return &TIQCursor{tr: tr, candidates: candidates, logTheta: math.Log(pTheta), shard: -1}, nil
+	return &TIQCursor{tr: t.newTraversal(ctx, q, true, col.offer), col: col, shard: -1}, nil
 }
 
 // TraceShard labels the cursor's trace spans with the shard index it
@@ -249,35 +231,21 @@ func (c *TIQCursor) Close() {
 	}
 	c.tr.release()
 	c.tr = nil
-	releaseCandidates(c.candidates)
-	c.candidates = nil
-}
-
-// qualifies reports whether a log density could still reach the threshold
-// against the combined denominator lower bound: exp(ld−low) ≥ pθ. With no
-// lower bound established (low = −Inf) the best case is unbounded and
-// everything qualifies, mirroring clamp01's conservative handling.
-func (c *TIQCursor) qualifies(ld, logLow float64) bool {
-	if math.IsInf(c.logTheta, -1) || math.IsInf(logLow, -1) {
-		return true
-	}
-	return ld-logLow >= c.logTheta
+	c.col.release()
+	c.col = nil
 }
 
 // Refine resumes the traversal until no unexplored subtree can hold an
 // object that still reaches the threshold against the combined denominator
-// lower bound, and the unexplored hull mass is at most
-// exp(maxLogUnexplored) (+Inf skips the condition, giving the natural
-// stand-alone TIQ exploration cost on the first round).
+// lower bound, and the unexplored hull mass is at most exp(maxLogUnexplored)
+// (+Inf skips the condition: the stand-alone TIQ cost on the first round).
 //
 // logExternalLow is the certified log lower bound of every OTHER shard's
 // denominator contribution (−Inf when unknown). Because per-shard lower
 // bounds only grow, a bound taken from a previous merge round is still
 // valid, and feeding it back both prunes candidates and disqualifies
-// subtrees earlier than a tree-local TIQ could — the denominator mass of the
-// other shards works for this shard's pruning. Dropped candidates are final:
-// the combined lower bound is monotone, so a candidate below the threshold
-// against it can never qualify later.
+// subtrees earlier than a tree-local TIQ could. The combined bound is
+// monotone too, so dropped candidates are final (see tiqCollector).
 func (c *TIQCursor) Refine(maxLogUnexplored, logExternalLow float64) error {
 	if c.err != nil {
 		return c.err
@@ -286,36 +254,17 @@ func (c *TIQCursor) Refine(maxLogUnexplored, logExternalLow float64) error {
 	sp := c.tr.traceBegin()
 	defer func() { c.tr.traceEnd(sp, "tiq_refine", c.shard, c.refines) }()
 	c.err = c.tr.run(func() bool {
-		low := logAddExp(c.tr.denom.parts().LogLow(), logExternalLow)
-		c.prune(low)
-		if _, topPrio, ok := c.tr.active.Peek(); ok {
-			if c.qualifies(topPrio, low) {
-				return false // an unexplored subtree could still qualify
-			}
-		}
-		return c.tr.denom.parts().LogHull <= maxLogUnexplored
+		b := c.tr.denom.fold()
+		return c.col.settled(c.tr, logAddExp(b.logLow, logExternalLow)) && b.parts.LogHull <= maxLogUnexplored
 	})
 	return c.err
-}
-
-// prune drops candidates whose best-case probability against the combined
-// lower bound is already below the threshold (Figure 5's "delete unnecessary
-// candidates" loop, with the other shards' mass included).
-func (c *TIQCursor) prune(logLow float64) {
-	for c.candidates.Len() > 0 {
-		_, ld, _ := c.candidates.Peek()
-		if c.qualifies(ld, logLow) {
-			return
-		}
-		c.candidates.Pop()
-	}
 }
 
 // Candidates returns the surviving candidates, best first. The cursor
 // remains usable — the candidate set is copied, not drained.
 func (c *TIQCursor) Candidates() []Candidate {
-	out := make([]Candidate, 0, c.candidates.Len())
-	c.candidates.Items(func(v pfv.Vector, ld float64) {
+	out := make([]Candidate, 0, c.col.candidates.Len())
+	c.col.candidates.Items(func(v pfv.Vector, ld float64) {
 		out = append(out, Candidate{Vector: v, LogDensity: ld})
 	})
 	SortCandidates(out)
@@ -323,15 +272,14 @@ func (c *TIQCursor) Candidates() []Candidate {
 }
 
 // Prune applies the threshold filter against an up-to-date combined
-// denominator lower bound supplied by the coordinator (local LogLow already
-// merged with the other shards' bounds by the caller).
-func (c *TIQCursor) Prune(logCombinedLow float64) { c.prune(logCombinedLow) }
+// denominator lower bound (local LogLow merged with the other shards').
+func (c *TIQCursor) Prune(logCombinedLow float64) { c.col.prune(logCombinedLow) }
 
 // DenomParts returns the tree's current certified denominator components.
-func (c *TIQCursor) DenomParts() DenomParts { return c.tr.denom.parts() }
+func (c *TIQCursor) DenomParts() DenomParts { return c.tr.denom.fold().parts }
 
 // Exhausted reports whether the traversal has explored the whole tree.
 func (c *TIQCursor) Exhausted() bool { return c.tr.started && c.tr.active.Len() == 0 }
 
 // Stats returns the query statistics accumulated over all Refine calls.
-func (c *TIQCursor) Stats() query.Stats { return c.tr.finish(c.candidates.Len()) }
+func (c *TIQCursor) Stats() query.Stats { return c.tr.finish(c.col.candidates.Len()) }

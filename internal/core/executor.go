@@ -163,7 +163,7 @@ func (tr *traversal) run(done func() bool) error {
 			return err
 		}
 		if tr.trackDenom {
-			tr.denom.maybeRebuild(tr.active.Items)
+			tr.denom.maybeRebuild(tr.active)
 		}
 	}
 	if tr.trackDenom && tr.active.Len() == 0 {

@@ -15,10 +15,9 @@ import (
 func (t *Tree) Name() string { return "gauss-tree" }
 
 // Per-query collector pools: the top-k heap of the MLIQ algorithms and the
-// candidate min-queue of TIQ are acquired per query and returned with their
-// backing arrays intact, so steady-state queries collect candidates without
-// allocating. Releases clear every element (the queues zero their entries)
-// so pooled state never retains result vectors.
+// candidate min-queue of TIQ (tiqCollector) keep their backing arrays across
+// queries, so steady-state queries collect candidates without allocating.
+// Releases clear every element: pooled state never retains result vectors.
 var (
 	topkPool = sync.Pool{
 		New: func() any { return pqueue.NewTopK[pfv.Vector](1) },
@@ -39,17 +38,6 @@ func releaseTopK(top *pqueue.TopK[pfv.Vector]) {
 	topkPool.Put(top)
 }
 
-func acquireCandidates() *pqueue.Queue[pfv.Vector] {
-	q := candidatesPool.Get().(*pqueue.Queue[pfv.Vector])
-	q.Clear()
-	return q
-}
-
-func releaseCandidates(q *pqueue.Queue[pfv.Vector]) {
-	q.Clear()
-	candidatesPool.Put(q)
-}
-
 // KMLIQRanked answers a k-most-likely identification query without
 // computing the actual probability values — the basic algorithm of §5.2.1
 // (paper Figure 4). It performs a best-first traversal ordered by the node
@@ -62,12 +50,12 @@ func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Re
 		return nil, query.Stats{}, err
 	}
 	top := acquireTopK(k)
+	defer releaseTopK(top)
 	tr := t.newTraversal(ctx, q, false, func(v pfv.Vector, ld float64) {
 		top.Offer(v, ld)
 	})
+	defer tr.release()
 	if tr.snap.count == 0 {
-		tr.release()
-		releaseTopK(top)
 		return []query.Result{}, query.Stats{}, nil
 	}
 	// Once the heap is full its bound is the monotone admission threshold:
@@ -88,10 +76,7 @@ func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Re
 	err := tr.run(done)
 	tr.traceEnd(sp, "kmliq_ranked", -1, -1)
 	if err != nil {
-		st := tr.finish(top.Len())
-		tr.release()
-		releaseTopK(top)
-		return nil, st, err
+		return nil, tr.finish(top.Len()), err
 	}
 
 	out := make([]query.Result, 0, top.Len())
@@ -104,10 +89,7 @@ func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Re
 			ProbHigh:    math.NaN(),
 		})
 	}
-	st := tr.finish(len(out))
-	tr.release()
-	releaseTopK(top)
-	return out, st, nil
+	return out, tr.finish(len(out)), nil
 }
 
 // KMLIQ answers a k-most-likely identification query including the actual
@@ -123,34 +105,31 @@ func (t *Tree) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64)
 		return nil, query.Stats{}, err
 	}
 	top := acquireTopK(k)
+	defer releaseTopK(top)
 	tr := t.newTraversal(ctx, q, true, func(v pfv.Vector, ld float64) {
 		top.Offer(v, ld)
 	})
+	defer tr.release()
 	if tr.snap.count == 0 {
-		tr.release()
-		releaseTopK(top)
 		return []query.Result{}, query.Stats{}, nil
 	}
 	// Quantized leaves whose best certified hull cannot beat the full heap's
 	// bound keep their exact sidecars unread; their [floor, hull] sums join
 	// the permanent denominator residue instead (see expandQuantLeaf). No
-	// screenBound here: the denominator needs every explored leaf's exact
-	// densities.
+	// screenBound: the denominator needs every explored leaf's densities.
 	tr.leafThreshold = top.Bound
 	sp := tr.traceBegin()
 	err := tr.run(func() bool { return mliqDone(top, tr, accuracy) })
 	tr.traceEnd(sp, "kmliq", -1, -1)
 	if err != nil {
-		st := tr.finish(top.Len())
-		tr.release()
-		releaseTopK(top)
-		return nil, st, err
+		return nil, tr.finish(top.Len()), err
 	}
 
 	out := make([]query.Result, 0, top.Len())
+	b := tr.denom.fold()
 	for _, v := range top.Sorted() {
 		ld := tr.eval.LogDensity(v)
-		lo, hi := tr.denom.probInterval(ld)
+		lo, hi := probInterval(ld, b.logLow, b.logHigh)
 		out = append(out, query.Result{
 			Vector:      v,
 			LogDensity:  ld,
@@ -160,10 +139,7 @@ func (t *Tree) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64)
 		})
 	}
 	query.SortByProbability(out)
-	st := tr.finish(len(out))
-	tr.release()
-	releaseTopK(top)
-	return out, st, nil
+	return out, tr.finish(len(out)), nil
 }
 
 // mliqDone evaluates the two-part §5.2.2 stop condition against the
@@ -179,25 +155,9 @@ func mliqDone(top *pqueue.TopK[pfv.Vector], tr *traversal, accuracy float64) boo
 			return false
 		}
 	}
-	if accuracy <= 0 {
-		return true
-	}
-	// The denominator bounds are identical for every candidate, so their
-	// log-space folds are hoisted out of the per-item loop; the per-item body
-	// reproduces probInterval exactly.
-	tight := true
-	logLow, logHigh := denom.logLow(), denom.logHigh()
-	top.Items(func(_ pfv.Vector, ld float64) {
-		lo := clamp01(math.Exp(ld - logHigh))
-		hi := clamp01(math.Exp(ld - logLow))
-		if hi < lo {
-			lo, hi = hi, lo
-		}
-		if hi-lo > accuracy {
-			tight = false
-		}
-	})
-	return tight
+	// The densest scored object is always among the k best, and its width
+	// bound dominates every candidate's.
+	return !denom.fold().tooWide(denom.maxLd, accuracy)
 }
 
 func (t *Tree) checkQuery(q pfv.Vector, k int) error {

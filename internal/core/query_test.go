@@ -397,3 +397,70 @@ func TestResultsSortedAndWellFormed(t *testing.T) {
 	}
 	_ = query.IDs(res)
 }
+
+// TestTIQBoundaryThresholds sets the threshold to a candidate's reported
+// ProbLow, ProbHigh and midpoint, and to the floating-point neighbours of
+// each: the log-space threshold tests must decide these exactly as the scan
+// engine's exp-space comparison does — the cases thresholdBand's fallback to
+// the exact form exists for. Only an object whose scan posterior sits within
+// summation round-off of the threshold may differ (the two engines add the
+// denominator in different orders).
+func TestTIQBoundaryThresholds(t *testing.T) {
+	rng := rand.New(rand.NewSource(61))
+	vs := clusteredVectors(rng, 600, 3, 5)
+	tr, sf := buildPair(t, vs, 3, 1024, Config{})
+	ctx := context.Background()
+	thresholds := 0
+	for trial := 0; trial < 12; trial++ {
+		q := reobserved(rng, vs[rng.Intn(len(vs))])
+		first, _, err := tr.TIQ(ctx, q, 0.01, 0.05) // loose accuracy: intervals with real width
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(first) > 4 {
+			first = first[:4]
+		}
+		want, _, err := sf.TIQ(ctx, q, 0, 0) // every posterior, to tell round-off ties apart
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range first {
+			for _, base := range []float64{r.ProbLow, r.ProbHigh, (r.ProbLow + r.ProbHigh) / 2} {
+				for _, pTheta := range []float64{base, math.Nextafter(base, 0), math.Nextafter(base, 1)} {
+					if pTheta <= 0 || pTheta > 1 {
+						continue
+					}
+					thresholds++
+					for _, accuracy := range []float64{0, 1e-6} {
+						got, _, err := tr.TIQ(ctx, q, pTheta, accuracy)
+						if err != nil {
+							t.Fatal(err)
+						}
+						in := map[uint64]query.Result{}
+						for _, g := range got {
+							in[g.Vector.ID] = g
+							if g.ProbHigh < pTheta {
+								t.Errorf("trial %d Pθ=%v: id %d reported with upper bound %v", trial, pTheta, g.Vector.ID, g.ProbHigh)
+							}
+						}
+						for _, w := range want {
+							p := w.Probability
+							if g, ok := in[w.Vector.ID]; ok && (g.ProbLow-1e-12 > p || p > g.ProbHigh+1e-12) {
+								t.Errorf("trial %d Pθ=%v: id %d true p=%v outside [%v,%v]", trial, pTheta, w.Vector.ID, p, g.ProbLow, g.ProbHigh)
+							}
+							if math.Abs(p-pTheta) <= 1e-12 {
+								continue
+							}
+							if _, ok := in[w.Vector.ID]; ok != (p >= pTheta) {
+								t.Errorf("trial %d Pθ=%v accuracy %v: id %d (p=%v) reported=%v", trial, pTheta, accuracy, w.Vector.ID, p, ok)
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+	if thresholds < 100 {
+		t.Fatalf("only %d boundary thresholds exercised", thresholds)
+	}
+}

@@ -6,95 +6,116 @@ import (
 	"math"
 
 	"github.com/gauss-tree/gausstree/internal/pfv"
+	"github.com/gauss-tree/gausstree/internal/pqueue"
 	"github.com/gauss-tree/gausstree/internal/query"
 )
 
-// TIQ answers a threshold identification query (§5.2.3, paper Figure 5):
-// it returns every database object whose Bayesian identification probability
-// P(v|q) reaches pTheta. The best-first traversal maintains a candidate set
-// ordered by joint density plus certified denominator bounds; a candidate is
-// discarded as soon as its best-case probability (against the lower
-// denominator bound) falls below the threshold, and the traversal stops when
-// no unexplored subtree can still contribute a qualifying object and every
-// remaining candidate is certified above the threshold. If accuracy > 0 the
-// traversal additionally continues until each reported probability is
-// certified within that absolute accuracy.
-func (t *Tree) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) ([]query.Result, query.Stats, error) {
+// tiqCollector is the threshold-query policy over the certified-stop kernel
+// (bounds.go), shared by Tree.TIQ and the sharded engine's TIQCursor: a
+// candidate set ordered by log density (cheap removal of the weakest) behind
+// an admission filter, plus Figure 5's prune loop and subtree test.
+//
+// A scored vector is admitted only if it still reaches θ against admitLow,
+// the denominator lower bound of the last stop test. That bound only grows,
+// so a vector below θ against any earlier value of it can never qualify:
+// refusing it is as final as pruning it, and a stale admitLow merely admits
+// a few the next prune removes. The set holds survivors, not every vector.
+type tiqCollector struct {
+	th         threshold
+	candidates *pqueue.Queue[pfv.Vector]
+	admitLow   float64
+}
+
+func (t *Tree) newTIQCollector(q pfv.Vector, pTheta float64) (*tiqCollector, error) {
 	if q.Dim() != t.dim {
-		return nil, query.Stats{}, fmt.Errorf("%w: query dimension %d, tree dimension %d", ErrDimension, q.Dim(), t.dim)
+		return nil, fmt.Errorf("%w: query dimension %d, tree dimension %d", ErrDimension, q.Dim(), t.dim)
 	}
 	if pTheta < 0 || pTheta > 1 {
-		return nil, query.Stats{}, fmt.Errorf("%w: threshold %v outside [0,1]", ErrInvalidArg, pTheta)
+		return nil, fmt.Errorf("%w: threshold %v outside [0,1]", ErrInvalidArg, pTheta)
 	}
-	candidates := acquireCandidates() // ordered by log density: cheap removal of the weakest
-	maxLd := math.Inf(-1)             // densest candidate seen; prune never outlives it (min-pop)
-	tr := t.newTraversal(ctx, q, true, func(v pfv.Vector, ld float64) {
-		candidates.Push(v, ld)
-		if ld > maxLd {
-			maxLd = ld
+	return &tiqCollector{
+		th:         threshold{p: pTheta, log: math.Log(pTheta)},
+		candidates: candidatesPool.Get().(*pqueue.Queue[pfv.Vector]),
+		admitLow:   math.Inf(-1),
+	}, nil
+}
+
+// release returns the candidate queue cleared: no pooled result vectors.
+func (c *tiqCollector) release() {
+	c.candidates.Clear()
+	candidatesPool.Put(c.candidates)
+}
+
+func (c *tiqCollector) offer(v pfv.Vector, ld float64) {
+	if c.th.reaches(ld, c.admitLow) {
+		c.candidates.Push(v, ld)
+	}
+}
+
+// prune drops candidates whose best-case probability against the lower
+// denominator bound logLow is already below the threshold (Figure 5's
+// "delete unnecessary candidates" loop); logLow becomes the admission bound.
+func (c *tiqCollector) prune(logLow float64) {
+	c.admitLow = logLow
+	for c.candidates.Len() > 0 {
+		if _, ld, _ := c.candidates.Peek(); c.th.reaches(ld, logLow) {
+			return
 		}
-	})
+		c.candidates.Pop()
+	}
+}
+
+// settled prunes against logLow and reports whether no unexplored subtree
+// of tr could still hold an object that reaches the threshold.
+func (c *tiqCollector) settled(tr *traversal, logLow float64) bool {
+	c.prune(logLow)
+	_, topPrio, ok := tr.active.Peek()
+	return !ok || !c.th.reaches(topPrio, logLow)
+}
+
+// TIQ answers a threshold identification query (§5.2.3, paper Figure 5):
+// it returns every database object whose Bayesian identification probability
+// P(v|q) reaches pTheta. A candidate is discarded (or never admitted, see
+// tiqCollector) as soon as its best-case probability against the certified
+// denominator bounds falls below the threshold, and the traversal stops when
+// no unexplored subtree can still contribute a qualifying object and every
+// remaining candidate is certified above the threshold — and, if
+// accuracy > 0, within that absolute accuracy.
+func (t *Tree) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) ([]query.Result, query.Stats, error) {
+	c, err := t.newTIQCollector(q, pTheta)
+	if err != nil {
+		return nil, query.Stats{}, err
+	}
+	defer c.release()
+	tr := t.newTraversal(ctx, q, true, c.offer)
+	defer tr.release()
 	if tr.snap.count == 0 {
-		tr.release()
-		releaseCandidates(candidates)
 		return []query.Result{}, query.Stats{}, nil
 	}
-
-	prune := func() {
-		// Drop candidates whose best-case probability is already below the
-		// threshold; the lower denominator bound only grows, so discarding
-		// is final (Figure 5's "delete unnecessary candidates" loop).
-		for candidates.Len() > 0 {
-			_, ld, _ := candidates.Peek()
-			if _, hi := tr.denom.probInterval(ld); hi >= pTheta {
-				return
-			}
-			candidates.Pop()
+	sp := tr.traceBegin()
+	err = tr.run(func() bool {
+		b := tr.denom.fold()
+		if !c.settled(tr, b.logLow) {
+			return false
 		}
-	}
-	done := func() bool {
-		prune()
-		if _, topPrio, ok := tr.active.Peek(); ok {
-			if _, hi := tr.denom.probInterval(topPrio); hi >= pTheta {
-				return false // an unexplored subtree could still qualify
-			}
-		}
-		if candidates.Len() > 0 {
-			_, minLd, _ := candidates.Peek()
-			if lo, _ := tr.denom.probInterval(minLd); lo < pTheta {
-				return false // weakest candidate not yet certified
-			}
-			if accuracy > 0 && tr.denom.probWidthBound(maxLd) > accuracy {
-				// Every reported probability must be certified within the
-				// requested accuracy. The unclamped width bound at the
-				// densest candidate dominates every survivor's reported
-				// width (widths are monotone in density against the shared
-				// denominator, and clamping only shrinks them), so this
-				// single O(1) check certifies the whole candidate set —
-				// including the lower-ranked candidates the previous
-				// clamped maxLd check could miss.
-				return false
-			}
+		if _, minLd, ok := c.candidates.Peek(); ok {
+			// The weakest must be certified, and every width within accuracy.
+			return c.th.reaches(minLd, b.logHigh) && !b.tooWide(tr.denom.maxLd, accuracy)
 		}
 		return true
-	}
-
-	sp := tr.traceBegin()
-	err := tr.run(done)
+	})
 	tr.traceEnd(sp, "tiq", -1, -1)
 	if err != nil {
-		st := tr.finish(candidates.Len())
-		tr.release()
-		releaseCandidates(candidates)
-		return nil, st, err
+		return nil, tr.finish(c.candidates.Len()), err
 	}
 
-	var out []query.Result
-	candidates.Items(func(v pfv.Vector, ld float64) {
-		lo, hi := tr.denom.probInterval(ld)
-		if hi < pTheta {
-			return // not certified; prune() may simply not have run since the bound moved
-		}
+	// An exhausted traversal ends without a last stop test: prune against
+	// the final (exact) denominator.
+	b := tr.denom.fold()
+	c.prune(b.logLow)
+	out := make([]query.Result, 0, c.candidates.Len())
+	c.candidates.Items(func(v pfv.Vector, ld float64) {
+		lo, hi := probInterval(ld, b.logLow, b.logHigh)
 		out = append(out, query.Result{
 			Vector:      v,
 			LogDensity:  ld,
@@ -104,8 +125,5 @@ func (t *Tree) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy f
 		})
 	})
 	query.SortByProbability(out)
-	st := tr.finish(candidates.Len())
-	tr.release()
-	releaseCandidates(candidates)
-	return query.NonNil(out), st, nil
+	return out, tr.finish(len(out)), nil
 }

@@ -130,9 +130,43 @@ func TestFreeDeferredNotReusedBeforeCommit(t *testing.T) {
 	if err := m.CommitMeta(nil); err != nil {
 		t.Fatal(err)
 	}
+	m.AdvanceEpoch() // the writer publishes what it committed
 	c, _ := m.Allocate()
 	if c != a {
-		t.Errorf("after commit the deferred page should be reused: got %d, want %d", c, a)
+		t.Errorf("after commit and publish the deferred page should be reused: got %d, want %d", c, a)
+	}
+}
+
+// TestCommitDoesNotReclaimPublishedPages: a commit lands BEFORE the writer
+// publishes the committed state, so the pages the mutation freed are still
+// part of the published snapshot, and a reader may pin the current epoch and
+// load that snapshot at any time until AdvanceEpoch. The commit must not
+// hand them to the allocator even when no reader is pinned at that instant
+// (it did; the next mutation then overwrote pages under such a reader).
+func TestCommitDoesNotReclaimPublishedPages(t *testing.T) {
+	m := newMemManager(t, 64)
+	a, _ := m.Allocate()
+	m.Write(a, []byte("published"))
+	if err := m.CommitMeta(nil); err != nil {
+		t.Fatal(err)
+	}
+	m.AdvanceEpoch() // page a is part of the published snapshot
+
+	m.FreeDeferred(a) // a mutation supersedes it ...
+	if err := m.CommitMeta(nil); err != nil {
+		t.Fatal(err) // ... and commits, with no reader pinned
+	}
+	pin := m.PinEpoch() // a reader arrives before the publish and loads the old snapshot
+	if b, _ := m.Allocate(); b == a {
+		t.Fatal("page of the published snapshot reclaimed by the commit")
+	}
+	m.AdvanceEpoch()
+	if b, _ := m.Allocate(); b == a {
+		t.Fatal("page reclaimed under a reader pinned at its epoch")
+	}
+	m.UnpinEpoch(pin)
+	if b, _ := m.Allocate(); b != a {
+		t.Errorf("after publish and unpin the page should be reused: got %d, want %d", b, a)
 	}
 }
 
@@ -355,6 +389,7 @@ func TestCommitMetaConcurrentAllocatorTraffic(t *testing.T) {
 	if err := m.CommitMeta(nil); err != nil {
 		t.Fatal(err)
 	}
+	m.AdvanceEpoch() // the writer publishes what it committed
 
 	// After the commit: allocations must yield `a` (promoted) and then
 	// fresh pages — never `mid` again, and not `b` (still pending).
@@ -378,6 +413,7 @@ func TestCommitMetaConcurrentAllocatorTraffic(t *testing.T) {
 	if err := m.CommitMeta(nil); err != nil {
 		t.Fatal(err)
 	}
+	m.AdvanceEpoch()
 	found := false
 	for i := 0; i < 8; i++ {
 		if id, _ := m.Allocate(); id == b {

@@ -12,7 +12,8 @@ package pagefile
 // enters a limbo list stamped with the last epoch that referenced it, and
 // only re-enters the allocator once
 //
-//   - no reader pin at or below that epoch remains (snapshot safety), and
+//   - the publish epoch has moved past that epoch and no reader pin at or
+//     below it remains (snapshot safety), and
 //   - the page was either allocated after the last commit ("fresh", so the
 //     committed state provably never referenced it) or a commit has landed
 //     since the free (crash safety, the classic shadow-paging condition).
@@ -155,16 +156,24 @@ func (m *Manager) minPinLocked() uint64 {
 // reclaimLocked removes every limbo entry that is safe to reuse and returns
 // the page ids. Caller holds epochMu; the returned pages must then be
 // handed to recycle outside epochMu.
+//
+// An entry stamped with the CURRENT epoch is never safe, pinned readers or
+// not: CommitMeta stamps the frees of a mutation that is committed but not
+// yet published, the published snapshot still references those pages, and a
+// reader can pin the current epoch and load that snapshot at any moment
+// until AdvanceEpoch moves on; the next mutation would overwrite the pages
+// under it (TestCommitDoesNotReclaimPublishedPages).
 func (m *Manager) reclaimLocked() []PageID {
 	if len(m.limbo) == 0 {
 		return nil
 	}
-	minPin := m.minPinLocked()
+	// No pin at or below horizon−1 exists or can still be taken.
+	horizon := min(m.minPinLocked(), m.curEpoch)
 	seq := m.metaSeq.Load()
 	var freed []PageID
 	kept := m.limbo[:0]
 	for _, p := range m.limbo {
-		if minPin > p.epoch && (p.fresh || seq > p.seq) {
+		if horizon > p.epoch && (p.fresh || seq > p.seq) {
 			freed = append(freed, p.id)
 		} else {
 			kept = append(kept, p)

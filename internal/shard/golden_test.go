@@ -1,0 +1,191 @@
+package shard
+
+import (
+	"bufio"
+	"context"
+	"flag"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"os"
+	"strings"
+	"testing"
+
+	"github.com/gauss-tree/gausstree/internal/dataset"
+	"github.com/gauss-tree/gausstree/internal/pagefile"
+	"github.com/gauss-tree/gausstree/internal/pfv"
+	"github.com/gauss-tree/gausstree/internal/query"
+)
+
+// The answer-identity golden pins what the certified-stop kernel
+// (internal/core/bounds.go) must not change: for every engine entry point —
+// the unsharded tree, a 1-shard and a 4-shard engine — the id lists, the
+// traversal counters and the certified intervals of TIQ and k-MLIQ on the
+// paper's data set 2. testdata/certified_stop_golden.txt is a table written
+// by `go test ./internal/shard -run TestCertifiedStopGolden -update-golden`.
+//
+// The committed table was written by the parent of the kernel change with
+// one thing added: the accumulator fix that rebuilds the queue bounds when a
+// pop cancels them. That fix moves the certified bounds (they were wrong
+// before it), and with them a few stop decisions per hundred queries; the
+// kernel itself — log-space tests, memoised fold, admission filter — must
+// reproduce the table to the bit in ids and counters and to 1e-12 per
+// interval endpoint.
+var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/certified_stop_golden.txt from this build")
+
+const (
+	goldenFile     = "testdata/certified_stop_golden.txt"
+	goldenN        = 20000
+	goldenQueries  = 400
+	goldenBlock    = 100 // queries per table row
+	goldenAccuracy = 1e-6
+)
+
+type goldenOp struct {
+	name    string
+	param   float64
+	queries int // leading pool queries the op runs over
+}
+
+// TIQ(0) answers with all 20 000 objects, 25 ms a query: it runs over the
+// first 25 queries of each seed, every other op over all 400.
+var goldenOps = []goldenOp{
+	{"tiq", 0, 25}, {"tiq", 0.05, goldenQueries}, {"tiq", 0.5, goldenQueries}, {"tiq", 0.8, goldenQueries}, {"tiq", 1, goldenQueries},
+	{"kmliq", 1, goldenQueries}, {"kmliq", 3, goldenQueries}, {"kmliq", 10, goldenQueries},
+}
+
+// goldenRow aggregates one block of queries: exact counters, a hash over the
+// per-query id lists and counters, and the interval endpoints summed in
+// result order (equal summands give equal sums, so the sums differ by at
+// most the summed endpoint differences).
+type goldenRow struct {
+	pages, nodes, scored uint64
+	hash                 uint64
+	results              int
+	sumLo, sumHi         float64
+}
+
+func (r goldenRow) String() string {
+	return fmt.Sprintf("%d %d %d %016x %d %.17g %.17g", r.pages, r.nodes, r.scored, r.hash, r.results, r.sumLo, r.sumHi)
+}
+
+func goldenKey(engine string, seed int64, op goldenOp, block int) string {
+	return fmt.Sprintf("%s seed=%d %s(%v) block=%d", engine, seed, op.name, op.param, block)
+}
+
+func TestCertifiedStopGolden(t *testing.T) {
+	if testing.Short() && !*updateGolden {
+		t.Skip("runs 25 000 queries")
+	}
+	p := dataset.DefaultSyntheticParams()
+	p.N = goldenN
+	ds, err := dataset.Synthetic(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	single, engines := buildEngines(t, ds.Vectors, ds.Dim, pagefile.DefaultPageSize, 1, 4)
+	entry := []struct {
+		name string
+		e    query.Engine
+	}{{"tree", single}, {"shards-1", engines[0]}, {"shards-4", engines[1]}}
+
+	got := map[string]goldenRow{}
+	var order []string
+	ctx := context.Background()
+	for _, seed := range []int64{1, 2, 3} {
+		qs, err := dataset.MakeQueries(ds, dataset.QueryParams{Count: goldenQueries, Sigma: p.Sigma, Seed: seed})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, en := range entry {
+			for _, op := range goldenOps {
+				for block := 0; block*goldenBlock < op.queries; block++ {
+					var row goldenRow
+					h := fnv.New64a()
+					for _, q := range qs[block*goldenBlock : min((block+1)*goldenBlock, op.queries)] {
+						res, st, err := goldenQuery(ctx, en.e, q.Vector, op)
+						if err != nil {
+							t.Fatal(err)
+						}
+						row.pages += st.PageAccesses
+						row.nodes += uint64(st.NodesVisited)
+						row.scored += uint64(st.VectorsScored)
+						fmt.Fprintf(h, "%d/%d/%d:", st.PageAccesses, st.NodesVisited, st.VectorsScored)
+						for _, r := range res {
+							fmt.Fprintf(h, "%d,", r.Vector.ID)
+							row.sumLo += r.ProbLow
+							row.sumHi += r.ProbHigh
+						}
+						row.results += len(res)
+					}
+					row.hash = h.Sum64()
+					key := goldenKey(en.name, seed, op, block)
+					got[key] = row
+					order = append(order, key)
+				}
+			}
+		}
+	}
+
+	if *updateGolden {
+		var b strings.Builder
+		b.WriteString("# engine seed op block | pages nodes scored hash(ids+counters per query) results sumProbLow sumProbHigh\n")
+		for _, key := range order {
+			fmt.Fprintf(&b, "%s | %s\n", key, got[key])
+		}
+		if err := os.MkdirAll("testdata", 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(goldenFile, []byte(b.String()), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		return
+	}
+
+	f, err := os.Open(goldenFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	seen := 0
+	sc := bufio.NewScanner(f)
+	for sc.Scan() {
+		line := sc.Text()
+		if strings.HasPrefix(line, "#") {
+			continue
+		}
+		key, val, ok := strings.Cut(line, " | ")
+		if !ok {
+			t.Fatalf("malformed golden line %q", line)
+		}
+		var want goldenRow
+		if _, err := fmt.Sscanf(val, "%d %d %d %x %d %g %g", &want.pages, &want.nodes, &want.scored, &want.hash, &want.results, &want.sumLo, &want.sumHi); err != nil {
+			t.Fatalf("golden line %q: %v", line, err)
+		}
+		have, ok := got[key]
+		if !ok {
+			t.Errorf("golden row %q was not produced", key)
+			continue
+		}
+		seen++
+		tol := 1e-12 * math.Max(1, float64(want.results))
+		if have.pages != want.pages || have.nodes != want.nodes || have.scored != want.scored ||
+			have.hash != want.hash || have.results != want.results ||
+			math.Abs(have.sumLo-want.sumLo) > tol || math.Abs(have.sumHi-want.sumHi) > tol {
+			t.Errorf("%s:\n  have %v\n  want %v", key, have, want)
+		}
+	}
+	if err := sc.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if seen != len(got) {
+		t.Errorf("golden table has %d of the %d rows this build produces", seen, len(got))
+	}
+}
+
+func goldenQuery(ctx context.Context, e query.Engine, q pfv.Vector, op goldenOp) ([]query.Result, query.Stats, error) {
+	if op.name == "tiq" {
+		return e.TIQ(ctx, q, op.param, goldenAccuracy)
+	}
+	return e.KMLIQ(ctx, q, int(op.param), goldenAccuracy)
+}
