@@ -13,7 +13,8 @@
 //	gaussbench -exp fig7ds1 -json out.json  # machine-readable results
 //
 // Experiments: fig1, fig6a, fig6b, fig7ds1, fig7ds2, headline, ablations,
-// reopen, shards, serve, hot, ingest, obs, chaos.
+// ingest, chaos. Throughput, latency, reopen and shard-scaling numbers are
+// the business of the benchmark of record (./benchmark).
 // With -json the collected per-backend measurements (page accesses, wall
 // times, recall, and heap allocations per query — the -benchmem equivalents)
 // are additionally written as JSON ("-" for stdout), so perf trajectories
@@ -25,7 +26,6 @@ import (
 	"encoding/json"
 	"flag"
 	"fmt"
-	"io"
 	"math"
 	"math/rand"
 	"net"
@@ -44,23 +44,20 @@ import (
 	"github.com/gauss-tree/gausstree/internal/dataset"
 	"github.com/gauss-tree/gausstree/internal/eval"
 	"github.com/gauss-tree/gausstree/internal/gaussian"
-	"github.com/gauss-tree/gausstree/internal/obs"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/server"
-	"github.com/gauss-tree/gausstree/internal/shard"
 )
 
 func main() {
 	var (
-		exps     = flag.String("exp", "all", "comma-separated experiments: fig1,fig6a,fig6b,fig7ds1,fig7ds2,headline,ablations,reopen,shards,serve,hot,ingest,obs,chaos,all")
+		exps     = flag.String("exp", "all", "comma-separated experiments: fig1,fig6a,fig6b,fig7ds1,fig7ds2,headline,ablations,ingest,chaos,all")
 		quick    = flag.Bool("quick", false, "reduced data sizes (for smoke testing)")
 		n1       = flag.Int("n1", 10987, "data set 1 size (paper: 10987)")
 		n2       = flag.Int("n2", 100000, "data set 2 size (paper: 100000)")
 		q1       = flag.Int("q1", 100, "data set 1 query count (paper: 100)")
 		q2       = flag.Int("q2", 500, "data set 2 query count (paper: 500)")
 		pageSz   = flag.Int("pagesize", pagefile.DefaultPageSize, "page size in bytes")
-		seek     = flag.Duration("seek", 0, "override cost-model seek time (0 = default)")
 		seed1    = flag.Int64("seed1", 1, "data set 1 seed")
 		seed2    = flag.Int64("seed2", 2, "data set 2 seed")
 		jsonPath = flag.String("json", "", "write collected results as JSON to this file (\"-\" for stdout)")
@@ -75,7 +72,6 @@ func main() {
 	if *quick {
 		*n1, *n2, *q1, *q2 = 3000, 10000, 40, 60
 	}
-	_ = seek // the default model is used; kept for operator experiments
 
 	want := map[string]bool{}
 	for _, e := range strings.Split(*exps, ",") {
@@ -122,23 +118,8 @@ func main() {
 	if run("ablations") {
 		b.ablations()
 	}
-	if run("reopen") {
-		b.reopen()
-	}
-	if run("shards") {
-		b.shards()
-	}
-	if run("serve") {
-		b.serve()
-	}
-	if run("hot") {
-		b.hot()
-	}
 	if run("ingest") {
 		b.ingest()
-	}
-	if run("obs") {
-		b.obsExp()
 	}
 	if run("chaos") {
 		b.chaosExp()
@@ -164,59 +145,6 @@ type ablationRow struct {
 	Variant   string   `json:",omitempty"`
 	PagesPerQ float64  // mean logical page accesses per query
 	Recall    *float64 `json:",omitempty"` // recall@1; nil when not measured
-}
-
-// reopenReport measures the durable engine's build-once/query-forever path
-// on data set 1: cold Open latency, the page-access cost of the first
-// (cold-cache) k-MLIQ query, and the steady mean over the full query set.
-type reopenReport struct {
-	Vectors         int
-	IndexBytes      int64
-	BuildMillis     float64
-	OpenMillis      float64
-	FirstQueryPages uint64
-	PagesPerQuery   float64
-}
-
-// shardScalingRow is one shard-count × query-type cell of the sharded
-// fan-out scaling experiment: wall-clock over the whole query set, mean
-// aggregated page accesses across all shards, the mean number of
-// cross-shard denominator merge rounds, and mean heap allocations per query.
-type shardScalingRow struct {
-	Shards      int
-	Query       string
-	WallMillis  float64
-	PagesPerQ   float64
-	MergeRounds float64
-	AllocsPerQ  float64
-	BytesPerQ   float64
-}
-
-// serveRow is one concurrency level of the network-serving experiment:
-// throughput and latency percentiles of k-MLIQ requests issued by N
-// concurrent clients against a loopback gaussd, plus whole-process heap
-// allocations per request (client + server side — both live in this
-// process, so the figure is the end-to-end allocation cost of one request).
-type serveRow struct {
-	Clients    int
-	Requests   int
-	RPS        float64
-	P50Millis  float64
-	P99Millis  float64
-	AllocsPerQ float64
-	BytesPerQ  float64
-}
-
-// hotRow is one query kind of the hot read-path experiment: the index is
-// fully cached, so the numbers are the pure in-memory cost per query — the
-// -benchmem equivalent of BenchmarkKMLIQHot inside gaussbench.
-type hotRow struct {
-	Query      string
-	LeafFormat string
-	NsPerQ     float64
-	PagesPerQ  float64
-	AllocsPerQ float64
-	BytesPerQ  float64
 }
 
 // ingestReport measures the non-blocking write path on a durable index: a
@@ -250,28 +178,6 @@ type ingestReport struct {
 	MergedShare              float64
 }
 
-// measureAllocs runs f and returns the heap allocation count and byte delta
-// it caused (whole process; run quiesced experiments only).
-func measureAllocs(f func()) (allocs, bytes uint64) {
-	var m0, m1 runtime.MemStats
-	runtime.ReadMemStats(&m0)
-	f()
-	runtime.ReadMemStats(&m1)
-	return m1.Mallocs - m0.Mallocs, m1.TotalAlloc - m0.TotalAlloc
-}
-
-// obsRow is one variant of the observability-overhead experiment: the hot
-// k-MLIQ path with metrics/tracing progressively enabled. OverheadPct is
-// ns/query relative to the baseline variant; the unsampled budget is <=2%.
-type obsRow struct {
-	Variant     string
-	NsPerQ      float64
-	PagesPerQ   float64
-	AllocsPerQ  float64
-	BytesPerQ   float64
-	OverheadPct float64
-}
-
 // chaosReport summarizes the fault-storm experiment: a loopback gaussd with
 // the supervisor and scrubber armed serves concurrent traffic while bounded
 // fault schedules repeatedly break its storage. The headline figures are the
@@ -296,18 +202,13 @@ type chaosReport struct {
 // benchOutput is the machine-readable result set emitted by -json. Build
 // records what produced the numbers, so BENCH snapshots are attributable.
 type benchOutput struct {
-	Params       benchParams
-	Build        buildinfo.Info
-	Fig6         []*eval.Fig6Report `json:",omitempty"`
-	Fig7         []*eval.Fig7Report `json:",omitempty"`
-	Ablations    []ablationRow      `json:",omitempty"`
-	Reopen       *reopenReport      `json:",omitempty"`
-	ShardScaling []shardScalingRow  `json:",omitempty"`
-	Serve        []serveRow         `json:",omitempty"`
-	Hot          []hotRow           `json:",omitempty"`
-	Ingest       *ingestReport      `json:",omitempty"`
-	Obs          []obsRow           `json:",omitempty"`
-	Chaos        *chaosReport       `json:",omitempty"`
+	Params    benchParams
+	Build     buildinfo.Info
+	Fig6      []*eval.Fig6Report `json:",omitempty"`
+	Fig7      []*eval.Fig7Report `json:",omitempty"`
+	Ablations []ablationRow      `json:",omitempty"`
+	Ingest    *ingestReport      `json:",omitempty"`
+	Chaos     *chaosReport       `json:",omitempty"`
 }
 
 type bench struct {
@@ -546,399 +447,6 @@ func (b *bench) ablateEngines() {
 			PagesPerQ: pages, Recall: &recall,
 		})
 	}
-	fmt.Println()
-}
-
-// reopen measures the durable storage engine: build the DS1 index into a
-// page file once, close it, then cold-open it and query — the restart path
-// a production deployment takes.
-func (b *bench) reopen() {
-	b.loadDS1()
-	fmt.Println("=== Reopen: durable index, cold Open + k-MLIQ (DS1) ===")
-	dir, err := os.MkdirTemp("", "gaussbench-reopen")
-	check(err)
-	defer os.RemoveAll(dir)
-	path := dir + "/ds1.gtree"
-
-	start := time.Now()
-	tr, err := gausstree.New(b.ds1.Dim, gausstree.Options{Path: path, PageSize: b.pageSize})
-	check(err)
-	check(tr.BulkLoad(b.ds1.Vectors))
-	check(tr.Close())
-	buildTime := time.Since(start)
-	info, err := os.Stat(path)
-	check(err)
-
-	start = time.Now()
-	re, err := gausstree.Open(path)
-	check(err)
-	defer re.Close()
-	openTime := time.Since(start)
-
-	ctx := context.Background()
-	var first, total uint64
-	for i, q := range b.qs1 {
-		_, st, err := re.KMLIQContext(ctx, q.Vector, 1)
-		check(err)
-		if i == 0 {
-			first = st.PageAccesses
-		}
-		total += st.PageAccesses
-	}
-	rep := &reopenReport{
-		Vectors:         len(b.ds1.Vectors),
-		IndexBytes:      info.Size(),
-		BuildMillis:     float64(buildTime.Microseconds()) / 1e3,
-		OpenMillis:      float64(openTime.Microseconds()) / 1e3,
-		FirstQueryPages: first,
-		PagesPerQuery:   float64(total) / float64(len(b.qs1)),
-	}
-	fmt.Printf("%-28s %12d\n", "vectors", rep.Vectors)
-	fmt.Printf("%-28s %12d\n", "index bytes", rep.IndexBytes)
-	fmt.Printf("%-28s %12.1f\n", "build+close ms", rep.BuildMillis)
-	fmt.Printf("%-28s %12.3f\n", "cold Open ms", rep.OpenMillis)
-	fmt.Printf("%-28s %12d\n", "first query pages", rep.FirstQueryPages)
-	fmt.Printf("%-28s %12.1f\n", "pages/query (all)", rep.PagesPerQuery)
-	fmt.Println()
-	b.out.Reopen = rep
-}
-
-// shards measures the sharded engine's scale-out behavior: the same DS2
-// subset and query set against 1/2/4/8-shard in-memory engines, reporting
-// wall-clock over the full query set, mean aggregated page accesses (the
-// sum over all shards — the fan-out does more total work than one tree, the
-// wall-clock shows what the parallelism buys back), and the mean number of
-// cross-shard denominator merge rounds per query.
-func (b *bench) shards() {
-	ds, qs := b.subset(min(b.n2, 20000), 200)
-	ctx := context.Background()
-	fmt.Println("=== Shards: sharded Gauss-tree fan-out scaling (DS2 subset) ===")
-	fmt.Printf("%-8s %-10s %12s %14s %8s %10s\n", "shards", "query", "wall ms", "pages/query", "rounds", "allocs/q")
-	for _, n := range []int{1, 2, 4, 8} {
-		trees := make([]*core.Tree, n)
-		for i := range trees {
-			mgr, err := pagefile.NewManager(pagefile.NewMemBackend(b.pageSize), b.pageSize)
-			check(err)
-			trees[i], err = core.New(mgr, ds.Dim, core.Config{})
-			check(err)
-		}
-		eng, err := shard.New(trees, shard.HashByID())
-		check(err)
-		check(eng.BulkLoad(ds.Vectors))
-		type qt struct {
-			name string
-			run  func(q pfv.Vector) (shard.Stats, error)
-		}
-		for _, kind := range []qt{
-			{"3-MLIQ", func(q pfv.Vector) (shard.Stats, error) {
-				_, st, err := eng.KMLIQDetail(ctx, q, 3, 1e-4)
-				return st, err
-			}},
-			{"TIQ(0.8)", func(q pfv.Vector) (shard.Stats, error) {
-				_, st, err := eng.TIQDetail(ctx, q, 0.8, 1e-4)
-				return st, err
-			}},
-		} {
-			var pages uint64
-			var wall time.Duration
-			rounds := 0
-			// The timed window lives inside the closure so the
-			// stop-the-world ReadMemStats bracketing never pollutes the
-			// wall-clock metric tracked across revisions.
-			allocs, bytes := measureAllocs(func() {
-				start := time.Now()
-				for _, q := range qs {
-					st, err := kind.run(q.Vector)
-					check(err)
-					pages += st.PageAccesses
-					rounds += st.MergeRounds
-				}
-				wall = time.Since(start)
-			})
-			row := shardScalingRow{
-				Shards:      n,
-				Query:       kind.name,
-				WallMillis:  float64(wall.Microseconds()) / 1e3,
-				PagesPerQ:   float64(pages) / float64(len(qs)),
-				MergeRounds: float64(rounds) / float64(len(qs)),
-				AllocsPerQ:  float64(allocs) / float64(len(qs)),
-				BytesPerQ:   float64(bytes) / float64(len(qs)),
-			}
-			fmt.Printf("%-8d %-10s %12.1f %14.1f %8.2f %10.0f\n", row.Shards, row.Query, row.WallMillis, row.PagesPerQ, row.MergeRounds, row.AllocsPerQ)
-			b.out.ShardScaling = append(b.out.ShardScaling, row)
-		}
-	}
-	fmt.Println()
-}
-
-// serve measures the network serving layer: a loopback gaussd (the real
-// internal/server daemon over a real TCP listener) answering 3-MLIQ
-// requests from 1, 8 and 64 concurrent pooled clients, reporting
-// requests/sec and p50/p99 latency per concurrency level. The gap between
-// this and the in-process numbers is the HTTP/JSON + admission-control tax;
-// the scaling across levels is what the bounded-concurrency executor buys.
-func (b *bench) serve() {
-	ds, qs := b.subset(min(b.n2, 20000), 200)
-	fmt.Println("=== Serve: loopback gaussd throughput/latency (DS2 subset) ===")
-
-	tr, err := gausstree.New(ds.Dim, gausstree.Options{PageSize: b.pageSize})
-	check(err)
-	check(tr.BulkLoad(ds.Vectors))
-	srv := server.New(server.TreeIndex(tr), server.Config{MaxInflight: 128, MaxQueue: 256})
-	l, err := net.Listen("tcp", "127.0.0.1:0")
-	check(err)
-	go srv.Serve(l)
-
-	cl, err := client.New(l.Addr().String())
-	check(err)
-	defer cl.Close()
-	ctx := context.Background()
-	// Warm the connection pool and the page cache.
-	for i := 0; i < 16; i++ {
-		_, _, err := cl.KMLIQ(ctx, qs[i%len(qs)].Vector, 3)
-		check(err)
-	}
-
-	fmt.Printf("%-8s %10s %12s %12s %12s %10s\n", "clients", "requests", "req/s", "p50 ms", "p99 ms", "allocs/q")
-	for _, clients := range []int{1, 8, 64} {
-		total := 96 * clients
-		if total > 1536 {
-			total = 1536
-		}
-		lat := make([]time.Duration, total)
-		var next atomic.Int64
-		var wall time.Duration
-		allocs, bytes := measureAllocs(func() {
-			start := time.Now()
-			var wg sync.WaitGroup
-			for w := 0; w < clients; w++ {
-				wg.Add(1)
-				go func() {
-					defer wg.Done()
-					for {
-						i := int(next.Add(1)) - 1
-						if i >= total {
-							return
-						}
-						t0 := time.Now()
-						_, _, err := cl.KMLIQ(ctx, qs[i%len(qs)].Vector, 3)
-						check(err)
-						lat[i] = time.Since(t0)
-					}
-				}()
-			}
-			wg.Wait()
-			wall = time.Since(start)
-		})
-		sort.Slice(lat, func(i, j int) bool { return lat[i] < lat[j] })
-		row := serveRow{
-			Clients:    clients,
-			Requests:   total,
-			RPS:        float64(total) / wall.Seconds(),
-			P50Millis:  float64(lat[total/2].Microseconds()) / 1e3,
-			P99Millis:  float64(lat[total*99/100].Microseconds()) / 1e3,
-			AllocsPerQ: float64(allocs) / float64(total),
-			BytesPerQ:  float64(bytes) / float64(total),
-		}
-		fmt.Printf("%-8d %10d %12.0f %12.3f %12.3f %10.0f\n", row.Clients, row.Requests, row.RPS, row.P50Millis, row.P99Millis, row.AllocsPerQ)
-		b.out.Serve = append(b.out.Serve, row)
-	}
-	fmt.Println()
-	sctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	check(srv.Shutdown(sctx))
-}
-
-// hot measures the pure in-memory read path: the DS2-subset index is fully
-// cached (buffer cache and decoded-node cache warmed by a full pass over the
-// query set), so ns/query, allocs/query and bytes/query are the CPU cost of
-// the hot path itself — gaussbench's counterpart of BenchmarkKMLIQHot, the
-// number the sharded buffer cache, decoded-node cache and pooled traversal
-// state optimize.
-func (b *bench) hot() {
-	ds, qs := b.subset(min(b.n2, 20000), 200)
-	e, err := eval.Build(ds, eval.Setup{PageSize: b.pageSize, LeafFormat: b.leafFormat})
-	check(err)
-	ctx := context.Background()
-	fmt.Println("=== Hot: fully cached read path (DS2 subset) ===")
-	fmt.Printf("%-14s %12s %14s %10s %10s\n", "query", "ns/query", "pages/query", "allocs/q", "bytes/q")
-
-	type qt struct {
-		name string
-		run  func(q pfv.Vector) (uint64, error)
-	}
-	kinds := []qt{
-		{"3-MLIQ-ranked", func(q pfv.Vector) (uint64, error) {
-			_, st, err := e.Tree.KMLIQRanked(ctx, q, 3)
-			return st.PageAccesses, err
-		}},
-		{"3-MLIQ", func(q pfv.Vector) (uint64, error) {
-			_, st, err := e.Tree.KMLIQ(ctx, q, 3, 1e-4)
-			return st.PageAccesses, err
-		}},
-		{"TIQ(0.8)", func(q pfv.Vector) (uint64, error) {
-			_, st, err := e.Tree.TIQ(ctx, q, 0.8, 1e-4)
-			return st.PageAccesses, err
-		}},
-	}
-	const passes = 3
-	for _, kind := range kinds {
-		// Warm both cache layers with one full pass.
-		for _, q := range qs {
-			if _, err := kind.run(q.Vector); err != nil {
-				check(err)
-			}
-		}
-		runtime.GC()
-		var pages uint64
-		var wall time.Duration
-		allocs, bytes := measureAllocs(func() {
-			start := time.Now()
-			for p := 0; p < passes; p++ {
-				for _, q := range qs {
-					pg, err := kind.run(q.Vector)
-					check(err)
-					pages += pg
-				}
-			}
-			wall = time.Since(start)
-		})
-		n := float64(passes * len(qs))
-		row := hotRow{
-			Query:      kind.name,
-			LeafFormat: e.Tree.LeafFormat().String(),
-			NsPerQ:     float64(wall.Nanoseconds()) / n,
-			PagesPerQ:  float64(pages) / n,
-			AllocsPerQ: float64(allocs) / n,
-			BytesPerQ:  float64(bytes) / n,
-		}
-		fmt.Printf("%-14s %12.0f %14.1f %10.1f %10.0f\n", row.Query, row.NsPerQ, row.PagesPerQ, row.AllocsPerQ, row.BytesPerQ)
-		b.out.Hot = append(b.out.Hot, row)
-	}
-	fmt.Println()
-}
-
-// obsExp measures what the observability layer costs the hot k-MLIQ path,
-// in four variants over the same fully cached index:
-//
-//   - baseline: no registry, no trace in the context — the production
-//     fast path, whose only instrumentation residue is one nil check per
-//     traversal (this is what the <=2% budget is judged against);
-//   - metrics: a registry exporting the pagefile counters through Func
-//     collectors while a scraper renders it every few milliseconds — the
-//     collectors run at scrape time, so per-query cost should not move;
-//   - trace_1pct: 1% of queries carry a pooled trace (gaussd's suggested
-//     -trace-sample for production);
-//   - trace_all: every query traced, the worst case.
-func (b *bench) obsExp() {
-	ds, qs := b.subset(min(b.n2, 20000), 200)
-	e, err := eval.Build(ds, eval.Setup{PageSize: b.pageSize, LeafFormat: b.leafFormat})
-	check(err)
-	ctx := context.Background()
-	fmt.Println("=== Obs: metrics and tracing overhead on the hot k-MLIQ path ===")
-	fmt.Printf("%-12s %12s %14s %10s %10s %10s\n", "variant", "ns/query", "pages/query", "allocs/q", "bytes/q", "overhead")
-
-	kmliq := func(c context.Context, q pfv.Vector) (uint64, error) {
-		_, st, err := e.Tree.KMLIQ(c, q, 3, 1e-4)
-		return st.PageAccesses, err
-	}
-	const passes = 3
-	measure := func(perQ func(q pfv.Vector) (uint64, error)) obsRow {
-		for _, q := range qs { // warm both cache layers
-			_, err := perQ(q.Vector)
-			check(err)
-		}
-		runtime.GC()
-		var pages uint64
-		var wall time.Duration
-		allocs, bytes := measureAllocs(func() {
-			start := time.Now()
-			for p := 0; p < passes; p++ {
-				for _, q := range qs {
-					pg, err := perQ(q.Vector)
-					check(err)
-					pages += pg
-				}
-			}
-			wall = time.Since(start)
-		})
-		n := float64(passes * len(qs))
-		return obsRow{
-			NsPerQ:     float64(wall.Nanoseconds()) / n,
-			PagesPerQ:  float64(pages) / n,
-			AllocsPerQ: float64(allocs) / n,
-			BytesPerQ:  float64(bytes) / n,
-		}
-	}
-
-	// metrics variant: the index counters exported exactly like gaussd's
-	// /metrics, with a concurrent scraper applying realistic scrape load.
-	mgr := e.Tree.Manager()
-	reg := obs.NewRegistry()
-	reg.CounterFunc("gausstree_pagefile_logical_reads_total", "Page reads requested of the page manager.",
-		func() float64 { return float64(mgr.Stats().LogicalReads) })
-	reg.CounterFunc("gausstree_pagefile_cache_hits_total", "Page reads served from the page cache.",
-		func() float64 { return float64(mgr.Stats().CacheHits) })
-	reg.CounterFunc("gausstree_pagefile_physical_reads_total", "Page reads that went to the backing file.",
-		func() float64 { return float64(mgr.Stats().PhysicalReads) })
-	reg.GaugeFunc("gausstree_snapshot_epoch", "Published snapshot epoch.",
-		func() float64 { return float64(mgr.Epoch()) })
-	traced := func(smp *obs.Sampler) func(q pfv.Vector) (uint64, error) {
-		return func(q pfv.Vector) (uint64, error) {
-			c := ctx
-			var tr *obs.Trace
-			if smp.Sample() {
-				tr = obs.NewTrace("")
-				c = obs.WithTrace(ctx, tr)
-			}
-			pg, err := kmliq(c, q)
-			tr.Release()
-			return pg, err
-		}
-	}
-
-	variants := []struct {
-		name    string
-		scraped bool
-		perQ    func(q pfv.Vector) (uint64, error)
-	}{
-		{"baseline", false, func(q pfv.Vector) (uint64, error) { return kmliq(ctx, q) }},
-		{"metrics", true, func(q pfv.Vector) (uint64, error) { return kmliq(ctx, q) }},
-		{"trace_1pct", true, traced(obs.NewSampler(0.01))},
-		{"trace_all", true, traced(obs.NewSampler(1))},
-	}
-	var baseNs float64
-	for _, v := range variants {
-		stop := make(chan struct{})
-		var wg sync.WaitGroup
-		if v.scraped {
-			wg.Add(1)
-			go func() {
-				defer wg.Done()
-				for {
-					select {
-					case <-stop:
-						return
-					case <-time.After(5 * time.Millisecond):
-						check(reg.WritePrometheus(io.Discard))
-					}
-				}
-			}()
-		}
-		row := measure(v.perQ)
-		close(stop)
-		wg.Wait()
-		row.Variant = v.name
-		if v.name == "baseline" {
-			baseNs = row.NsPerQ
-		} else {
-			row.OverheadPct = (row.NsPerQ - baseNs) / baseNs * 100
-		}
-		fmt.Printf("%-12s %12.0f %14.1f %10.1f %10.0f %9.1f%%\n",
-			row.Variant, row.NsPerQ, row.PagesPerQ, row.AllocsPerQ, row.BytesPerQ, row.OverheadPct)
-		b.out.Obs = append(b.out.Obs, row)
-	}
-	fmt.Println("budget: metrics-on, tracing unsampled must stay within +2% ns/query of baseline")
 	fmt.Println()
 }
 

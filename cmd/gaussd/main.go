@@ -21,7 +21,6 @@
 //	-readonly      refuse /v1/insert and /v1/delete
 //	-commit-latency  group-commit window for the write-ahead log (default 2ms)
 //	-cache-mb      buffer cache budget in MB (default 50)
-//	-cache-shards  buffer-cache shard count (0 = automatic)
 //	-ops-addr      loopback-only operations listener serving GET /metrics
 //	               (Prometheus text exposition) and /debug/pprof/
 //	               (e.g. 127.0.0.1:6060)
@@ -36,8 +35,6 @@
 //	-chaos         enable runtime fault injection, armed via POST /debug/fault
 //	               on the ops listener (requires -ops-addr; off by default and
 //	               completely absent from the hot path until armed)
-//	-pprof         deprecated alias for -ops-addr (the profiling listener
-//	               grew /metrics and became the operations listener)
 //
 // A storage fault — injected or real — degrades the daemon instead of
 // killing it: reads keep serving the last committed snapshot, mutations
@@ -77,9 +74,7 @@ func main() {
 		readonly = flag.Bool("readonly", false, "refuse mutations (safe for horizontal read replicas)")
 		commitLt = flag.Duration("commit-latency", 0, "group-commit window: inserts wait at most this long to share one WAL fsync (0 = default 2ms; longer = fewer fsyncs, higher ack latency)")
 		cacheMB  = flag.Int("cache-mb", 50, "buffer cache budget in MB")
-		shards   = flag.Int("cache-shards", 0, "buffer-cache shard count, rounded up to a power of two (0 = automatic)")
 		opsAddr  = flag.String("ops-addr", "", "expose GET /metrics and /debug/pprof/ on this loopback-only address (e.g. 127.0.0.1:6060 or :6060); empty = disabled")
-		pprofAt  = flag.String("pprof", "", "deprecated alias for -ops-addr")
 		traceSmp = flag.Float64("trace-sample", 0, "fraction of requests traced end to end, in [0,1] (0 = off); sampled traces go to -slow-query-log")
 		slowMS   = flag.Int64("slow-query-ms", 0, "log any request at least this slow as a completed trace, regardless of -trace-sample (0 = off)")
 		slowLog  = flag.String("slow-query-log", "", "file receiving trace and slow-query JSON lines, appended (empty = stderr)")
@@ -128,10 +123,6 @@ func main() {
 		os.Exit(2)
 	}
 	ops := *opsAddr
-	if ops == "" && *pprofAt != "" {
-		fmt.Fprintln(os.Stderr, "gaussd: -pprof is deprecated, use -ops-addr (same address, now also serving /metrics)")
-		ops = *pprofAt
-	}
 	// Chaos without an ops listener would be unarmable dead weight, and the
 	// ops listener is what keeps the fault surface loopback-only.
 	var injector *gausstree.FaultInjector
@@ -145,7 +136,7 @@ func main() {
 
 	// opts is shared with the supervisor's reopen closure below, so a healed
 	// index comes back with the same cache, commit and fault-layer shape.
-	opts := gausstree.Options{CacheBytes: *cacheMB << 20, CacheShards: *shards, CommitLatency: *commitLt, Fault: injector}
+	opts := gausstree.Options{CacheBytes: *cacheMB << 20, CommitLatency: *commitLt, Fault: injector}
 	idx, err := openIndex(*index, opts)
 	fail(err)
 	if got := idx.LeafFormat(); wantLeaf != "" && got != wantLeaf {

@@ -1,7 +1,7 @@
 // Command gausslint is the project's static-analysis multichecker: it runs
 // the internal/analysis suite (epochorder, lockorder, poolreset, errwrap,
-// ctxflow, waldurable, obsregister, plus the stock copylock/lostcancel/
-// nilness/unusedwrite passes) over Go packages.
+// ctxflow, waldurable, obsregister, plus the stock nilness/unusedwrite
+// passes) over Go packages.
 //
 // Two modes:
 //

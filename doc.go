@@ -153,22 +153,23 @@
 //
 // # Sharding
 //
-// NewSharded partitions the index across n independent Gauss-trees (one
-// durable page file each under Options.Path, reattached with OpenSharded)
-// and fans every query out to all shards concurrently. Because the Bayes
-// denominator of P(v|q) sums over the entire database, the shard layer
-// merges per-shard denominator intervals — exact log-density sums plus the
-// §5.2.2 floor/hull sum bounds of unexplored subtrees — by log-sum-exp
-// into one global interval before any probability is reported, so sharded
-// results carry exactly the certification a single tree over all the data
-// would produce:
+// The §5.2.2 sum bounds are additive over disjoint partitions, so an index
+// is any number of Gauss-trees and a single tree is the one-partition case.
+// Tree and Sharded share one implementation of everything but the file
+// layout and the query driver: New keeps one page file, NewSharded n of
+// them under the directory Options.Path (reattached with OpenSharded), and
+// Sharded's queries fan out to all shards concurrently, merging per-shard
+// denominator intervals by log-sum-exp into one global interval before any
+// probability is reported — exactly the certification a single tree over
+// all the data would produce:
 //
 //	idx, _ := gausstree.NewSharded(3, 4, gausstree.Options{Path: "idx-dir"})
 //	idx.BulkLoad(vectors)
 //	matches, stats, _ := idx.KMLIQContext(ctx, q, 5)  // stats.PerShard, stats.MergeRounds
 //
 // Options.Partition picks the mutation-routing policy (hash-by-id default,
-// round-robin option); it is persisted in the shard manifest.
+// round-robin option); it is persisted in the shard manifest. Gauges and
+// counters (SnapshotEpoch, Stats, WALStats, Scrub) are sums over shards.
 //
 // # Serving over the network
 //
@@ -266,21 +267,12 @@
 // the paper's efficiency metrics are unaffected.
 //
 // Tuning: Options.CacheBytes sets the buffer cache budget (default 50 MB,
-// the paper's setup; gaussd -cache-mb) and Options.CacheShards the shard
-// count (default automatic; gaussd -cache-shards). gaussd -ops-addr
-// exposes net/http/pprof (with /metrics; -pprof remains as a deprecated
-// alias) on a separate loopback-only listener for profiling the serving
-// hot path in place. BENCH_PR5.json records the measured
-// before/after of the caching design (≈ 3× fewer allocations and ≈ 35% less
-// CPU per cached query) and BENCH_PR6.json the columnar-leaf overhaul on
-// top of it (≈ 2.5× less CPU per cached k-MLIQ at bit-identical ranked page
-// accesses: product-form density and bound evaluation with one logarithm
-// per vector instead of one per dimension, plus screened child pruning).
-// BENCH_PR7.json records the write-path numbers (group-commit WAL ≈ 7.6×
-// the serialized insert rate; concurrent-reader p99 1.36× idle during a
-// sustained burst) alongside a hot-path snapshot showing snapshot pinning
-// cost the read path nothing; scripts/bench-snapshot.sh regenerates such
-// snapshots and diffs them.
+// the paper's setup; gaussd -cache-mb); the cache's shard count follows
+// from it. gaussd -ops-addr exposes net/http/pprof beside /metrics on a
+// loopback-only listener for profiling the serving hot path in place. The
+// benchmark of record (BENCHMARK.json, ./benchmark) holds the measured
+// numbers per workload and per layer; benchmark/README.md maps the earlier
+// per-PR snapshots onto it.
 //
 // # Architecture
 //
@@ -289,7 +281,7 @@
 //
 //	pfv       probabilistic feature vectors and Lemma-1 densities
 //	pagefile  paged storage, buffer cache, I/O accounting (per-query
-//	          Counter), durable file format, meta commits, fault injection
+//	          Counter), durable file format, meta commits
 //	core      the Gauss-tree itself over pagefile (shadow-paged mutations)
 //	scan/vafile/xtree  competitor backends on the same substrate
 //	query     the Engine interface all four backends implement,
@@ -297,14 +289,15 @@
 //	shard     the sharded engine: partitioners, concurrent fan-out,
 //	          cross-shard Bayes-denominator merging over N core trees
 //	eval      the experiment harness driving engines uniformly
-//	fault     runtime fault injection: armable per-op schedules wrapping
-//	          the pagefile backend and the WAL
+//	fault     the one fault-injection layer, from crash tests to gaussd
+//	          -chaos: armable per-op schedules over pagefile backend and WAL
 //	wire      the HTTP/JSON wire format shared by daemon and client
 //	server    the gaussd serving layer: endpoints, admission control,
 //	          deadlines, batch execution, graceful drain, the degraded-
 //	          mode supervisor and the background scrubber
 //
-// This package is the public façade over core (Tree) and shard (Sharded);
-// the client package is the public façade over the wire format. It is safe
-// for concurrent use: readers proceed in parallel, writers are exclusive.
+// This package is the public façade: one index over core trees, routed by
+// shard, under the names Tree and Sharded; the client package is the public
+// façade over the wire format. It is safe for concurrent use: readers
+// proceed in parallel, writers are exclusive.
 package gausstree

@@ -26,6 +26,23 @@ func TestInvalidOptionsSentinel(t *testing.T) {
 	}); !errors.Is(err, gausstree.ErrInvalidOptions) {
 		t.Errorf("New(TTL<0) = %v; want errors.Is ErrInvalidOptions", err)
 	}
+	// Merge-ingest is single-tree only; a sharded index must say so instead
+	// of silently dropping the option.
+	ingest := gausstree.Options{Ingest: &gausstree.IngestOptions{MergeDistance: 2}}
+	if _, err := gausstree.NewSharded(2, 2, ingest); !errors.Is(err, gausstree.ErrInvalidOptions) {
+		t.Errorf("NewSharded(Ingest) = %v; want errors.Is ErrInvalidOptions", err)
+	}
+	dir := t.TempDir()
+	s, err := gausstree.NewSharded(2, 2, gausstree.Options{Path: dir})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := gausstree.OpenSharded(dir, ingest); !errors.Is(err, gausstree.ErrInvalidOptions) {
+		t.Errorf("OpenSharded(Ingest) = %v; want errors.Is ErrInvalidOptions", err)
+	}
 }
 
 // TestInsertContextCancellation exercises the context-aware insert path the

@@ -2,18 +2,14 @@ package gausstree
 
 import (
 	"context"
-	"errors"
-	"sync"
-	"sync/atomic"
 	"time"
 
 	"github.com/gauss-tree/gausstree/internal/core"
-	"github.com/gauss-tree/gausstree/internal/fault"
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/query"
-	"github.com/gauss-tree/gausstree/internal/wal"
+	"github.com/gauss-tree/gausstree/internal/shard"
 )
 
 // Vector is a probabilistic feature vector: an object id plus per-dimension
@@ -97,12 +93,6 @@ type Options struct {
 	PageSize int
 	// CacheBytes is the buffer cache budget (default 50 MB).
 	CacheBytes int
-	// CacheShards is the number of buffer-cache shards (rounded up to a
-	// power of two). The default of 0 selects automatically: enough shards
-	// (up to 16) that concurrent hot reads do not contend, but never so
-	// many that tiny caches lose LRU fidelity. Raise it for very high
-	// query concurrency on large caches.
-	CacheShards int
 	// Combiner is the σ-combination rule (default CombineAdditive). It is
 	// persisted in the index meta record; Open restores the combiner the
 	// tree was built with and ignores this field.
@@ -134,7 +124,7 @@ type Options struct {
 	// a new vector first probes for a near-duplicate stored Gaussian and,
 	// within IngestOptions.MergeDistance, merges into it (moment-matched)
 	// instead of growing the tree. See IngestOptions. Unsharded trees
-	// only; Sharded ignores it.
+	// only; NewSharded and OpenSharded reject it.
 	Ingest *IngestOptions
 	// Fault, when non-nil, interposes the runtime fault-injection layer
 	// between the index and its storage: every page read/write/sync, meta
@@ -146,7 +136,12 @@ type Options struct {
 	Fault *FaultInjector
 }
 
-func (o *Options) fillDefaults() {
+// resolveOptions returns the caller's optional Options with defaults filled.
+func resolveOptions(opts []Options) Options {
+	var o Options
+	if len(opts) > 0 {
+		o = opts[0]
+	}
 	if o.PageSize <= 0 {
 		o.PageSize = pagefile.DefaultPageSize
 	}
@@ -156,17 +151,7 @@ func (o *Options) fillDefaults() {
 	if o.Accuracy == 0 {
 		o.Accuracy = 1e-6
 	}
-}
-
-// treeState bundles the engine, its page manager and (file-backed only) its
-// write-ahead log. It is published through an atomic pointer so that readers
-// never take a lock: queries load the state, pin the engine's current root
-// snapshot and run entirely against immutable pages, concurrently with any
-// writer.
-type treeState struct {
-	tree *core.Tree
-	mgr  *pagefile.Manager
-	wal  *wal.Log // nil for memory-backed trees
+	return o
 }
 
 // Tree is a Gauss-tree index over probabilistic feature vectors. It is safe
@@ -174,72 +159,26 @@ type treeState struct {
 // writes: every query runs against a pinned commit-consistent snapshot
 // while mutations proceed (see "Write path & snapshots" in the package
 // documentation).
+//
+// A Tree is the one-partition layout of the index implementation it shares
+// with Sharded: one page file plus "<path>.wal". Its queries run the
+// stand-alone drivers of the paper's algorithm on that one tree.
 type Tree struct {
-	mu   sync.Mutex // serializes mutations and Close; never held by reads
-	st   atomic.Pointer[treeState]
-	opts Options
-	ing  *ingester // non-nil in merge-ingest mode (Options.Ingest)
+	index
+	tree *core.Tree // the only unit's tree, for the stand-alone query drivers
 }
-
-// ErrClosed is returned by operations on a closed tree.
-var ErrClosed = errors.New("gausstree: tree is closed")
 
 // New creates an empty Gauss-tree for vectors of the given dimension. With
 // Options.Path the index lives in a durable page file; a path that already
 // holds an index is rejected so New can never clobber persisted data —
 // reattach existing indexes with Open.
 func New(dim int, opts ...Options) (*Tree, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	o.fillDefaults()
-
-	var backend pagefile.Backend
-	if o.Path != "" {
-		fb, err := pagefile.CreateFile(o.Path, o.PageSize)
-		if err != nil {
-			return nil, err
-		}
-		backend = fb
-	} else {
-		backend = pagefile.NewMemBackend(o.PageSize)
-	}
-	backend = fault.WrapBackend(backend, o.Fault)
-	mgr, err := pagefile.NewManager(backend, o.PageSize, pagefile.WithCacheBytes(o.CacheBytes), pagefile.WithCacheShards(o.CacheShards))
+	o := resolveOptions(opts)
+	u, err := createUnit(treeFiles(o.Path), dim, o.CacheBytes, o)
 	if err != nil {
-		backend.Close()
 		return nil, err
 	}
-	tr, err := core.New(mgr, dim, core.Config{Combiner: o.Combiner, LeafFormat: o.LeafFormat})
-	if err != nil {
-		mgr.Close()
-		return nil, err
-	}
-	var l *wal.Log
-	if o.Path != "" {
-		l, err = wal.Create(o.Path+".wal", dim, wal.Options{Interval: o.CommitLatency, Fault: walFault(o.Fault)})
-		if err == nil {
-			err = tr.SetWAL(l)
-		}
-		if err != nil {
-			if l != nil {
-				l.Close()
-			}
-			mgr.Close()
-			return nil, err
-		}
-	}
-	t := &Tree{opts: o}
-	t.st.Store(&treeState{tree: tr, mgr: mgr, wal: l})
-	if o.Ingest != nil {
-		t.ing, err = newIngester(*o.Ingest)
-		if err != nil {
-			t.Close()
-			return nil, err
-		}
-	}
-	return t, nil
+	return newTree(u, o)
 }
 
 // Open reattaches a Gauss-tree previously persisted at path. Everything the
@@ -257,206 +196,46 @@ func New(dim int, opts ...Options) (*Tree, error) {
 // point therefore reopens to a commit-consistent tree containing every
 // acknowledged mutation.
 func Open(path string, opts ...Options) (*Tree, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
+	o := resolveOptions(opts)
 	o.Path = path
-	o.fillDefaults()
+	u, err := openUnit(treeFiles(path), o.CacheBytes, o)
+	if err != nil {
+		return nil, err
+	}
+	return newTree(u, o)
+}
 
-	fb, err := pagefile.OpenFile(path)
-	if err != nil {
-		return nil, err
+// treeFiles is the single-tree layout: the page file at path and its
+// write-ahead log beside it; an empty path is a memory-backed tree.
+func treeFiles(path string) unitFiles {
+	if path == "" {
+		return unitFiles{}
 	}
-	o.PageSize = fb.PageSize()
-	mgr, err := pagefile.NewManager(fault.WrapBackend(fb, o.Fault), fb.PageSize(), pagefile.WithCacheBytes(o.CacheBytes), pagefile.WithCacheShards(o.CacheShards))
-	if err != nil {
-		fb.Close()
-		return nil, err
-	}
-	tr, err := core.Open(mgr)
-	if err != nil {
-		mgr.Close()
-		return nil, err
-	}
-	l, tail, err := wal.Open(path+".wal", tr.Dim(), tr.AppliedLSN(), wal.Options{Interval: o.CommitLatency, Fault: walFault(o.Fault)})
-	if err == nil {
-		if err = tr.ApplyWALTail(tail); err == nil {
-			// SetWAL truncates the log: the replayed tail is now folded into
-			// the committed meta record.
-			err = tr.SetWAL(l)
-		}
-	}
-	if err != nil {
-		if l != nil {
-			l.Close()
-		}
-		mgr.Close()
-		return nil, err
-	}
-	t := &Tree{opts: o}
-	t.st.Store(&treeState{tree: tr, mgr: mgr, wal: l})
+	return unitFiles{page: path, wal: path + ".wal"}
+}
+
+func newTree(u unit, o Options) (*Tree, error) {
+	t := &Tree{tree: u.tree}
+	var err error
 	if o.Ingest != nil {
-		t.ing, err = newIngester(*o.Ingest)
-		if err == nil {
-			err = t.ing.seed(tr)
-		}
-		if err != nil {
-			t.Close()
-			return nil, err
-		}
+		t.ing, err = newIngester(*o.Ingest, u.tree)
+	}
+	if err == nil {
+		err = t.start([]unit{u}, shard.HashByID(), o)
+	}
+	if err != nil {
+		u.release()
+		return nil, err
 	}
 	return t, nil
 }
 
-// state returns the live engine state or ErrClosed. It is the lock-free
-// entry point of every read operation.
-func (t *Tree) state() (*treeState, error) {
-	st := t.st.Load()
-	if st == nil {
-		return nil, ErrClosed
-	}
-	return st, nil
-}
-
-// Dim returns the feature dimensionality of the index (0 after Close).
-func (t *Tree) Dim() int {
-	st := t.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.tree.Dim()
-}
-
-// Len returns the number of stored vectors as of the current published
-// snapshot (0 after Close).
-func (t *Tree) Len() int {
-	st := t.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.tree.Len()
-}
-
 // Height returns the tree height (1 = the root is a leaf; 0 after Close).
 func (t *Tree) Height() int {
-	st := t.st.Load()
-	if st == nil {
+	if t.st.Load() == nil {
 		return 0
 	}
-	return st.tree.Height()
-}
-
-// LeafFormat returns the leaf storage format the index writes.
-func (t *Tree) LeafFormat() LeafFormat {
-	st := t.st.Load()
-	if st == nil {
-		return LeafExact
-	}
-	return st.tree.LeafFormat()
-}
-
-// SnapshotEpoch returns the reclamation epoch of the currently published
-// root snapshot. It advances by one per committed mutation; monitoring it
-// (gaussd exposes it via /v1/stats) shows write progress without touching
-// any lock.
-func (t *Tree) SnapshotEpoch() uint64 {
-	st := t.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.tree.SnapshotEpoch()
-}
-
-// PinnedReaders returns the number of outstanding snapshot-reader epoch
-// pins — queries (and unclosed cursors) currently blocking page
-// reclamation. Exposed by gaussd as the gausstree_pinned_readers gauge.
-func (t *Tree) PinnedReaders() int {
-	st := t.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.mgr.PinnedReaders()
-}
-
-// OldestPinnedEpoch returns the reclamation epoch of the longest-running
-// pinned reader, or the current epoch when no reader is pinned. The gap to
-// SnapshotEpoch measures how far page reclamation lags behind publishing —
-// a stuck or leaked cursor shows up as a growing gap.
-func (t *Tree) OldestPinnedEpoch() uint64 {
-	st := t.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.mgr.OldestPin()
-}
-
-// LimboPages returns the number of freed pages awaiting epoch-safe
-// reclamation.
-func (t *Tree) LimboPages() int {
-	st := t.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.mgr.LimboPages()
-}
-
-// WALStats reports write-ahead-log counters of a file-backed tree: total
-// fsyncs, total appended records, their ratio (the mean group-commit batch
-// size — the central metric of the group-commit write path), and the
-// highest appended and durable LSNs (their gap is the group-commit window
-// still awaiting fsync). ok is false for memory-backed or closed trees.
-func (t *Tree) WALStats() (ws WALStats, ok bool) {
-	st := t.st.Load()
-	if st == nil || st.wal == nil {
-		return WALStats{}, false
-	}
-	s := st.wal.Stats()
-	return WALStats{
-		Fsyncs:        s.Fsyncs,
-		Records:       s.Records,
-		MeanGroupSize: s.MeanGroupSize(),
-		AppendedLSN:   s.AppendedLSN,
-		DurableLSN:    s.DurableLSN,
-	}, true
-}
-
-// WALStats are cumulative write-ahead-log counters; see Tree.WALStats.
-type WALStats struct {
-	// Fsyncs is the number of log fsyncs issued.
-	Fsyncs uint64
-	// Records is the number of logical records appended.
-	Records uint64
-	// MeanGroupSize is Records per fsync: how many mutations each
-	// group commit amortized (0 before the first fsync).
-	MeanGroupSize float64
-	// AppendedLSN is the log sequence number of the last appended record;
-	// AppendedLSN − DurableLSN is the durability lag of the group-commit
-	// window.
-	AppendedLSN uint64
-	// DurableLSN is the highest log sequence number known fsynced.
-	DurableLSN uint64
-}
-
-// Insert adds a probabilistic feature vector to the index. Duplicate ids are
-// permitted (several observations of the same object may coexist); Delete
-// removes one matching copy.
-//
-// Durability: on a file-backed tree Insert returns once its record is
-// fsynced in the write-ahead log — concurrent mutations share that fsync
-// (group commit, see Options.CommitLatency) — and the tree pages
-// themselves are checkpointed periodically, on Sync and on Close. On a
-// memory-backed tree in-memory commit is immediate. If a mutation fails
-// mid-flight (an I/O error, not input validation), the tree refuses all
-// further mutations to protect the committed state; Close it and reattach
-// with Open to recover every acknowledged mutation. This applies to
-// Insert, InsertAll, BulkLoad and Delete alike.
-//
-// In merge-ingest mode (Options.Ingest) Insert may instead fold v into an
-// existing near-duplicate stored Gaussian; see IngestOptions.
-func (t *Tree) Insert(v Vector) error {
-	//lint:ignore ctxflow Insert is the documented context-free compat API; InsertContext is the bounded form.
-	return t.InsertContext(context.Background(), v)
+	return t.tree.Height()
 }
 
 // InsertContext is Insert with a context bounding the merge-ingest
@@ -466,118 +245,7 @@ func (t *Tree) Insert(v Vector) error {
 // is not consulted — the mutation itself is not cancellable once started,
 // because aborting a half-applied page write would corrupt the tree.
 func (t *Tree) InsertContext(ctx context.Context, v Vector) error {
-	t.mu.Lock()
-	st := t.st.Load()
-	if st == nil {
-		t.mu.Unlock()
-		return ErrClosed
-	}
-	if err := checkMutationVector(v, st.tree.Dim()); err != nil {
-		t.mu.Unlock()
-		return err
-	}
-	var err error
-	if t.ing != nil {
-		err = t.ing.insert(ctx, st.tree, v)
-	} else {
-		err = st.tree.Insert(v)
-	}
-	t.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return t.waitDurable(st)
-}
-
-// waitDurable awaits the group-commit fsync of st's last mutation and, when
-// the wait reveals a dead write-ahead log, poisons the tree right away
-// under the writer lock. The core would poison it anyway on the next
-// mutation (whose log append sees the sticky failure), but poisoning here
-// makes the public contract uniform: every mutation after the first one
-// that hits a storage fault fails wrapping ErrPoisoned, whether the fault
-// surfaced at append time or only at the group fsync.
-func (t *Tree) waitDurable(st *treeState) error {
-	err := st.tree.WaitDurable()
-	if err != nil && errors.Is(err, wal.ErrFailed) {
-		t.mu.Lock()
-		st.tree.Poison(err)
-		t.mu.Unlock()
-	}
-	return err
-}
-
-// InsertAll adds a batch of vectors and returns how many of them are
-// durably applied. On success that is len(vs). On error the batch may have
-// been applied partially: the returned count is the length of the prefix
-// vs[:n] that is both applied and durable — a crash and reopen after
-// InsertAll returns (n, err) recovers a tree containing exactly vs[:n] of
-// this batch (plus everything committed before it). The remaining vectors
-// were not applied and may be retried.
-//
-// InsertAll always inserts verbatim; merge-ingest mode (Options.Ingest)
-// only affects Insert.
-func (t *Tree) InsertAll(vs []Vector) (int, error) {
-	t.mu.Lock()
-	st := t.st.Load()
-	if st == nil {
-		t.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if err := checkMutationVectors(vs, st.tree.Dim()); err != nil {
-		t.mu.Unlock()
-		return 0, err
-	}
-	n, err := st.tree.InsertAll(vs)
-	t.mu.Unlock()
-	return n, err
-}
-
-// BulkLoad builds the index from a vector set in one pass (the tree must be
-// empty). Bulk-loaded trees have near-full pages and are both faster to
-// build and faster to query than insertion-built ones. BulkLoad commits a
-// full checkpoint: it is durable on return without writing the WAL.
-func (t *Tree) BulkLoad(vs []Vector) error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.st.Load()
-	if st == nil {
-		return ErrClosed
-	}
-	if err := checkMutationVectors(vs, st.tree.Dim()); err != nil {
-		return err
-	}
-	if err := st.tree.BulkLoad(vs); err != nil {
-		return err
-	}
-	if t.ing != nil {
-		return t.ing.seed(st.tree)
-	}
-	return nil
-}
-
-// Delete removes one stored copy of the exact vector (id, means and sigmas
-// must all match) and reports whether one was found. Like Insert it is
-// acknowledged once its WAL record is durable.
-func (t *Tree) Delete(v Vector) (bool, error) {
-	t.mu.Lock()
-	st := t.st.Load()
-	if st == nil {
-		t.mu.Unlock()
-		return false, ErrClosed
-	}
-	if err := checkMutationVector(v, st.tree.Dim()); err != nil {
-		t.mu.Unlock()
-		return false, err
-	}
-	found, err := st.tree.Delete(v)
-	if found && err == nil && t.ing != nil {
-		t.ing.forget(v.ID)
-	}
-	t.mu.Unlock()
-	if !found || err != nil {
-		return found, err
-	}
-	return true, t.waitDurable(st)
+	return t.insert(ctx, v)
 }
 
 // KMostLikely answers a k-most-likely identification query (the paper's
@@ -598,14 +266,10 @@ func (t *Tree) KMostLikely(q Vector, k int) ([]Match, error) {
 // query pins the snapshot published by the last committed mutation and
 // never takes the tree lock.
 func (t *Tree) KMLIQContext(ctx context.Context, q Vector, k int) ([]Match, QueryStats, error) {
-	st, err := t.state()
-	if err != nil {
+	if _, err := t.kQuery(q, k); err != nil {
 		return nil, QueryStats{}, err
 	}
-	if err := errors.Join(checkQueryVector(q, st.tree.Dim()), checkK(k)); err != nil {
-		return nil, QueryStats{}, err
-	}
-	res, stats, err := st.tree.KMLIQ(ctx, q, k, t.opts.Accuracy)
+	res, stats, err := t.tree.KMLIQ(ctx, q, k, t.opts.Accuracy)
 	return toMatches(res), stats, err
 }
 
@@ -622,14 +286,10 @@ func (t *Tree) KMostLikelyRanked(q Vector, k int) ([]Match, error) {
 // KMLIQRankedContext is KMostLikelyRanked with cancellation and per-query
 // statistics.
 func (t *Tree) KMLIQRankedContext(ctx context.Context, q Vector, k int) ([]Match, QueryStats, error) {
-	st, err := t.state()
-	if err != nil {
+	if _, err := t.kQuery(q, k); err != nil {
 		return nil, QueryStats{}, err
 	}
-	if err := errors.Join(checkQueryVector(q, st.tree.Dim()), checkK(k)); err != nil {
-		return nil, QueryStats{}, err
-	}
-	res, stats, err := st.tree.KMLIQRanked(ctx, q, k)
+	res, stats, err := t.tree.KMLIQRanked(ctx, q, k)
 	return toMatches(res), stats, err
 }
 
@@ -645,124 +305,11 @@ func (t *Tree) Threshold(q Vector, pTheta float64) ([]Match, error) {
 
 // TIQContext is Threshold with cancellation and per-query statistics.
 func (t *Tree) TIQContext(ctx context.Context, q Vector, pTheta float64) ([]Match, QueryStats, error) {
-	st, err := t.state()
-	if err != nil {
+	if _, err := t.thetaQuery(q, pTheta); err != nil {
 		return nil, QueryStats{}, err
 	}
-	if err := errors.Join(checkQueryVector(q, st.tree.Dim()), checkPTheta(pTheta)); err != nil {
-		return nil, QueryStats{}, err
-	}
-	res, stats, err := st.tree.TIQ(ctx, q, pTheta, t.opts.Accuracy)
+	res, stats, err := t.tree.TIQ(ctx, q, pTheta, t.opts.Accuracy)
 	return toMatches(res), stats, err
-}
-
-// Stats reports the I/O counters of the underlying page manager. Like every
-// other operation it reports ErrClosed after Close.
-func (t *Tree) Stats() (pagefile.Stats, error) {
-	st, err := t.state()
-	if err != nil {
-		return pagefile.Stats{}, err
-	}
-	return st.mgr.Stats(), nil
-}
-
-// ResetStats zeroes the I/O counters. It reports ErrClosed after Close.
-func (t *Tree) ResetStats() error {
-	st, err := t.state()
-	if err != nil {
-		return err
-	}
-	st.mgr.ResetStats()
-	return nil
-}
-
-// CheckInvariants verifies the structural invariants of the index against
-// the current published snapshot; intended for tests and debugging. It runs
-// concurrently with writers without blocking them.
-func (t *Tree) CheckInvariants() error {
-	st, err := t.state()
-	if err != nil {
-		return err
-	}
-	return st.tree.CheckInvariants()
-}
-
-// ForEach visits every stored vector of one commit-consistent snapshot.
-func (t *Tree) ForEach(fn func(Vector) error) error {
-	st, err := t.state()
-	if err != nil {
-		return err
-	}
-	return st.tree.ForEach(fn)
-}
-
-// Sync is an explicit durability barrier: it checkpoints the write-ahead
-// log into the tree's committed meta record (truncating the log) and
-// flushes the page file. Mutations are already durable when they return —
-// Sync only bounds the recovery replay work and frees log space.
-func (t *Tree) Sync() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.st.Load()
-	if st == nil {
-		return ErrClosed
-	}
-	if err := st.tree.Checkpoint(); err != nil {
-		return err
-	}
-	return st.mgr.Sync()
-}
-
-// Quarantine makes the tree permanently write-inert without closing it:
-// the engine is poisoned (mutations and checkpoints refuse wrapping
-// ErrPoisoned, keeping any earlier poisoning cause) and the write-ahead
-// log is failed, so neither can ever again write to or truncate the
-// underlying files. Reads keep serving the last published snapshot.
-//
-// It exists for live recovery: before reopening the same files under a
-// fresh index (Open replays the WAL), the serving layer quarantines the
-// old instance so the two can safely coexist until the old one is Closed.
-// Quarantining a closed tree is a no-op.
-func (t *Tree) Quarantine(cause error) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.st.Load()
-	if st == nil {
-		return
-	}
-	st.tree.Poison(cause)
-	if st.wal != nil {
-		st.wal.Fail(cause)
-	}
-}
-
-// Close checkpoints the write-ahead log, flushes the underlying storage to
-// disk and releases it. The tree is unusable afterwards; a file-backed
-// index can be reattached with Open. Queries still in flight when Close is
-// called fail with a storage-closed error — drain readers first if that
-// matters (gaussd does).
-func (t *Tree) Close() error {
-	t.mu.Lock()
-	defer t.mu.Unlock()
-	st := t.st.Swap(nil)
-	if st == nil {
-		return nil
-	}
-	var errs []error
-	if st.wal != nil {
-		// Fold the log tail into the meta record so the next Open skips
-		// replay. A checkpoint failure is not data loss — every
-		// acknowledged mutation is already fsynced in the log and will be
-		// replayed — so it does not fail Close.
-		st.tree.Checkpoint()
-		if err := st.wal.Close(); err != nil {
-			errs = append(errs, err)
-		}
-	}
-	if err := st.mgr.Close(); err != nil {
-		errs = append(errs, err)
-	}
-	return errors.Join(errs...)
 }
 
 // Posterior computes the exact identification probabilities P(vᵢ|q) of a

@@ -56,63 +56,79 @@ type ingestEntry struct {
 	seen   time.Time
 }
 
-// ingester implements merge-or-insert. All its state is guarded by the
-// owning Tree's writer mutex — every method is called with it held.
+// ingester implements merge-or-insert over the one tree of a Tree (the
+// probe and the in-place replace are single-tree operations). All its
+// state is guarded by the owning index's writer mutex — every method is
+// called with it held.
 type ingester struct {
 	opts    IngestOptions
+	tr      *core.Tree
 	entries map[uint64]*ingestEntry
 	stats   IngestStats
 }
 
-func newIngester(opts IngestOptions) (*ingester, error) {
+// newIngester validates opts and seeds the bookkeeping from what tr
+// already stores (nothing on New, the persisted objects on Open).
+func newIngester(opts IngestOptions, tr *core.Tree) (*ingester, error) {
 	if !(opts.MergeDistance > 0) || math.IsInf(opts.MergeDistance, 0) {
 		return nil, fmt.Errorf("%w: IngestOptions.MergeDistance must be a positive finite number, got %v", ErrInvalidOptions, opts.MergeDistance)
 	}
 	if opts.TTL < 0 {
 		return nil, fmt.Errorf("%w: IngestOptions.TTL must be >= 0, got %v", ErrInvalidOptions, opts.TTL)
 	}
-	return &ingester{opts: opts, entries: make(map[uint64]*ingestEntry)}, nil
+	g := &ingester{opts: opts, tr: tr}
+	return g, g.seed()
 }
 
 // seed rebuilds the bookkeeping from the stored vectors (after Open or
 // BulkLoad). Pre-existing objects start with weight 1 — their merge history
 // is not persisted — and a fresh TTL clock.
-func (g *ingester) seed(tr *core.Tree) error {
-	now := time.Now()
-	g.entries = make(map[uint64]*ingestEntry, tr.Len())
-	return tr.ForEach(func(v pfv.Vector) error {
-		g.entries[v.ID] = &ingestEntry{vec: v, weight: 1, seen: now}
+func (g *ingester) seed() error {
+	g.entries = make(map[uint64]*ingestEntry, g.tr.Len())
+	return g.tr.ForEach(func(v pfv.Vector) error {
+		g.track(v)
 		return nil
 	})
+}
+
+// track registers a vector stored verbatim (seed, InsertAll, a fresh
+// insert) as an object of weight 1 observed now, so TTL decay covers it.
+func (g *ingester) track(v Vector) {
+	g.entries[v.ID] = &ingestEntry{vec: v, weight: 1, seen: time.Now()}
 }
 
 // insert merges v into its most likely stored near-duplicate or inserts it.
 // The context bounds the near-duplicate probe (a k=1 likelihood query); the
 // mutation itself is not cancellable once it starts.
-func (g *ingester) insert(ctx context.Context, tr *core.Tree, v Vector) error {
-	res, _, err := tr.KMLIQRanked(ctx, v, 1)
+func (g *ingester) insert(ctx context.Context, v Vector) error {
+	res, _, err := g.tr.KMLIQRanked(ctx, v, 1)
 	if err != nil {
 		return err
 	}
 	if len(res) == 1 {
 		stored := res[0].Vector
 		if normMahalanobisSq(stored, v) <= g.opts.MergeDistance*g.opts.MergeDistance {
-			return g.merge(tr, stored, v)
+			return g.merge(stored, v)
 		}
 	}
-	if err := tr.Insert(v); err != nil {
+	return g.store(v)
+}
+
+// store inserts v as a new object. Merge-ingest treats ids as object
+// identities: a re-used id rebinds the bookkeeping to the latest stored
+// copy.
+func (g *ingester) store(v Vector) error {
+	if err := g.tr.Insert(v); err != nil {
 		return err
 	}
-	// Merge-ingest treats ids as object identities: a re-used id rebinds
-	// the bookkeeping to the latest stored copy.
-	g.entries[v.ID] = &ingestEntry{vec: v, weight: 1, seen: time.Now()}
+	g.track(v)
 	g.stats.Inserted++
 	return nil
 }
 
 // merge folds observation obs into the stored Gaussian and replaces it
 // in-place in the tree (one logged, snapshot-published mutation).
-func (g *ingester) merge(tr *core.Tree, stored, obs Vector) error {
+func (g *ingester) merge(stored, obs Vector) error {
 	e := g.entries[stored.ID]
 	if e == nil {
 		// Stored object predates this ingester's view (shouldn't happen
@@ -124,19 +140,14 @@ func (g *ingester) merge(tr *core.Tree, stored, obs Vector) error {
 	if err != nil {
 		return err
 	}
-	ok, err := tr.Replace(stored, merged)
+	ok, err := g.tr.Replace(stored, merged)
 	if err != nil {
 		return err
 	}
 	if !ok {
 		// The probed vector is gone (stale bookkeeping); store the
 		// observation as a fresh object instead.
-		if err := tr.Insert(obs); err != nil {
-			return err
-		}
-		g.entries[obs.ID] = &ingestEntry{vec: obs, weight: 1, seen: time.Now()}
-		g.stats.Inserted++
-		return nil
+		return g.store(obs)
 	}
 	e.vec = merged
 	e.weight++
@@ -199,52 +210,56 @@ func mergeGaussians(stored, obs Vector, w float64) (Vector, error) {
 	return pfv.New(stored.ID, mean, sigma)
 }
 
+// sweep deletes every object last observed before cutoff and returns how
+// many stored copies went with them.
+func (g *ingester) sweep(cutoff time.Time) (int, error) {
+	removed := 0
+	for id, e := range g.entries {
+		if !e.seen.Before(cutoff) {
+			continue
+		}
+		found, err := g.tr.Delete(e.vec)
+		if err != nil {
+			return removed, err
+		}
+		delete(g.entries, id)
+		if found {
+			removed++
+			g.stats.Swept++
+		}
+	}
+	return removed, nil
+}
+
 // SweepExpired removes every stored object whose last observation is older
 // than IngestOptions.TTL and returns how many were removed. It is a no-op
 // (0, nil) when the tree is not in merge-ingest mode or TTL is 0. Like all
 // mutations it runs under the writer lock without blocking readers, and
 // returns once the deletions are durable.
 func (t *Tree) SweepExpired() (int, error) {
-	t.mu.Lock()
+	t.index.mu.Lock()
 	st := t.st.Load()
 	if st == nil {
-		t.mu.Unlock()
+		t.index.mu.Unlock()
 		return 0, ErrClosed
 	}
 	if t.ing == nil || t.ing.opts.TTL <= 0 {
-		t.mu.Unlock()
+		t.index.mu.Unlock()
 		return 0, nil
 	}
-	cutoff := time.Now().Add(-t.ing.opts.TTL)
-	removed := 0
-	var err error
-	for id, e := range t.ing.entries {
-		if !e.seen.Before(cutoff) {
-			continue
-		}
-		var found bool
-		found, err = st.tree.Delete(e.vec)
-		if err != nil {
-			break
-		}
-		delete(t.ing.entries, id)
-		if found {
-			removed++
-			t.ing.stats.Swept++
-		}
-	}
-	t.mu.Unlock()
+	removed, err := t.ing.sweep(time.Now().Add(-t.ing.opts.TTL))
+	t.index.mu.Unlock()
 	if err != nil {
 		return removed, err
 	}
-	return removed, st.tree.WaitDurable()
+	return removed, t.waitDurable(st)
 }
 
 // IngestStats reports the cumulative merge-ingest counters; ok is false
 // when the tree is not in merge-ingest mode.
 func (t *Tree) IngestStats() (stats IngestStats, ok bool) {
-	t.mu.Lock()
-	defer t.mu.Unlock()
+	t.index.mu.Lock()
+	defer t.index.mu.Unlock()
 	if t.ing == nil {
 		return IngestStats{}, false
 	}

@@ -1,6 +1,7 @@
 package gausstree_test
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"path/filepath"
@@ -146,6 +147,69 @@ func TestIngestTTLSweep(t *testing.T) {
 	}
 	if got := tree.Len(); got != 2 {
 		t.Fatalf("Len = %d after re-observation, want 2", got)
+	}
+}
+
+// TestIngestTTLCoversInsertAll: a batch stored verbatim by InsertAll is
+// tracked for TTL decay exactly like BulkLoad-ed or reopened objects.
+func TestIngestTTLCoversInsertAll(t *testing.T) {
+	tree, err := gausstree.New(2, gausstree.Options{
+		PageSize: 1024,
+		Ingest:   &gausstree.IngestOptions{MergeDistance: 2, TTL: 40 * time.Millisecond},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	batch := []gausstree.Vector{
+		gausstree.MustVector(1, []float64{0, 0}, []float64{0.5, 0.5}),
+		gausstree.MustVector(2, []float64{100, 0}, []float64{0.5, 0.5}),
+		gausstree.MustVector(3, []float64{0, 100}, []float64{0.5, 0.5}),
+	}
+	if n, err := tree.InsertAll(batch); err != nil || n != len(batch) {
+		t.Fatalf("InsertAll = (%d, %v)", n, err)
+	}
+	time.Sleep(60 * time.Millisecond)
+	removed, err := tree.SweepExpired()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if removed != len(batch) || tree.Len() != 0 {
+		t.Fatalf("swept %d, Len %d; want the whole expired batch gone", removed, tree.Len())
+	}
+}
+
+// TestSweepExpiredPoisonsOnDeadWAL: a sweep whose group commit hits a dead
+// write-ahead log ends like every other mutation — the tree is poisoned
+// right away, so the next mutation fails wrapping ErrPoisoned.
+func TestSweepExpiredPoisonsOnDeadWAL(t *testing.T) {
+	inj := gausstree.NewFaultInjector()
+	tree, err := gausstree.New(2, gausstree.Options{
+		Path:     filepath.Join(t.TempDir(), "sweep.gtree"),
+		PageSize: 1024,
+		Ingest:   &gausstree.IngestOptions{MergeDistance: 2, TTL: 20 * time.Millisecond},
+		Fault:    inj,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	if err := tree.Insert(gausstree.MustVector(1, []float64{0, 0}, []float64{0.5, 0.5})); err != nil {
+		t.Fatal(err)
+	}
+	time.Sleep(40 * time.Millisecond)
+	if err := inj.Arm(gausstree.FaultSchedule{Ops: map[gausstree.FaultOp]gausstree.FaultRule{
+		gausstree.FaultOpWALSync: {Prob: 1},
+	}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := tree.SweepExpired(); !errors.Is(err, gausstree.ErrInjected) {
+		t.Fatalf("SweepExpired over a failing fsync = %v; want the injected fault", err)
+	}
+	inj.Disarm()
+	err = tree.Insert(gausstree.MustVector(2, []float64{100, 100}, []float64{0.5, 0.5}))
+	if !errors.Is(err, gausstree.ErrPoisoned) {
+		t.Fatalf("Insert after the failed sweep = %v; want errors.Is ErrPoisoned", err)
 	}
 }
 

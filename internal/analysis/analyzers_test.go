@@ -37,14 +37,6 @@ func TestWALDurable(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.WALDurable, "waldurable")
 }
 
-func TestLostCancel(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.LostCancel, "lostcancel")
-}
-
-func TestCopyLock(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.CopyLock, "copylock")
-}
-
 func TestNilness(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.Nilness, "nilness")
 }
@@ -68,7 +60,7 @@ func TestByName(t *testing.T) {
 	if _, err := analysis.ByName("nosuch"); err == nil {
 		t.Fatal("ByName accepted an unknown analyzer name")
 	}
-	if all, err := analysis.ByName(""); err != nil || len(all) != 11 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full suite of 11", len(all), err)
+	if all, err := analysis.ByName(""); err != nil || len(all) != 9 {
+		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full suite of 9", len(all), err)
 	}
 }

@@ -22,7 +22,7 @@
 //     paths. A load before the pin can observe a snapshot whose pages the
 //     reclaimer already recycled.
 //   - lockorder: lock acquisitions must follow the documented rank order
-//     Tree.mu/Sharded.mu < Manager.ioMu < Manager.epochMu < Manager.allocMu
+//     index.mu < Manager.ioMu < Manager.epochMu < Manager.allocMu
 //     < shard locks. Shard locks are terminal: nothing may be acquired —
 //     and no pagefile I/O performed — while one is held. Cross-package
 //     calls into pagefile.Manager are resolved through a built-in summary
@@ -41,8 +41,8 @@
 //     pair) requires a preceding WAL append or meta commit on every path —
 //     durability before visibility.
 //
-// Four ports of stock vet/x-tools passes ride along under the same driver:
-// nilness, lostcancel, copylock and unusedwrite.
+// Two ports of stock x-tools passes that neither go vet nor staticcheck
+// runs ride along under the same driver: nilness and unusedwrite.
 //
 // # Running
 //

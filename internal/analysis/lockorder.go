@@ -31,8 +31,7 @@ var LockOrder = &Analyzer{
 // fields not in this table are untracked (local scratch locks, the WAL's
 // internal mutex, server admission state).
 var lockRanks = map[string]int{
-	"Tree.mu":           0, // public facade writer lock (root package)
-	"Sharded.mu":        0, // sharded facade writer lock
+	"index.mu":          0, // facade writer lock (root package; Tree and Sharded embed index)
 	"Manager.ioMu":      1,
 	"Manager.epochMu":   2,
 	"Manager.allocMu":   3,

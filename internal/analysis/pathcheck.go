@@ -4,9 +4,8 @@ import (
 	"go/ast"
 )
 
-// Release-on-all-paths checking, shared by epochorder (an epoch pin must be
-// unpinned on every return path) and lostcancel (a context cancel func must
-// be called on every return path). The walker is a small lexical abstract
+// Release-on-all-paths checking for epochorder (an epoch pin must be
+// unpinned on every return path). The walker is a small lexical abstract
 // interpreter over statement lists: it tracks a single boolean
 // held/released state, merges branches conservatively (released only when
 // every fall-through branch released), and treats loop bodies as possibly

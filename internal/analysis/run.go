@@ -20,9 +20,7 @@ func All() []*Analyzer {
 		PoolReset,
 		WALDurable,
 		// Stock x/tools passes reimplemented on the stdlib (the module is
-		// zero-dependency), covering what staticcheck does not:
-		CopyLock,
-		LostCancel,
+		// zero-dependency), covering what go vet and staticcheck do not:
 		Nilness,
 		UnusedWrite,
 	}

@@ -11,7 +11,7 @@ import (
 
 type nodeCacheShard struct{ mu sync.Mutex }
 
-type Tree struct {
+type index struct {
 	mu sync.Mutex
 }
 
@@ -22,7 +22,7 @@ type engine struct {
 
 // good: outermost facade lock, then Manager I/O, then a shard lock — ranks
 // strictly increase.
-func (e *engine) goodOrder(t *Tree) error {
+func (e *engine) goodOrder(t *index) error {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	if _, err := e.mgr.Read(1); err != nil {
@@ -53,9 +53,9 @@ func (e *engine) nestedShards() {
 
 // bad: the facade writer lock is outermost and may not be taken under a
 // shard lock.
-func (e *engine) badNesting(t *Tree) {
+func (e *engine) badNesting(t *index) {
 	e.shards[0].mu.Lock()
-	t.mu.Lock() // want "acquiring Tree.mu"
+	t.mu.Lock() // want "acquiring index.mu"
 	t.mu.Unlock()
 	e.shards[0].mu.Unlock()
 }

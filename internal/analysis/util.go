@@ -78,41 +78,6 @@ func isNamed(t types.Type, pkgPath, name string) bool {
 	return obj.Name() == name && obj.Pkg() != nil && obj.Pkg().Path() == pkgPath
 }
 
-// containsLockType reports whether a value of type t directly embeds
-// synchronization state that must not be copied (sync.Mutex, RWMutex,
-// WaitGroup, Once, Cond, Pool, Map — or any array/struct containing one).
-func containsLockType(t types.Type) bool {
-	return containsLock(t, 0)
-}
-
-func containsLock(t types.Type, depth int) bool {
-	if t == nil || depth > 10 {
-		return false
-	}
-	t = types.Unalias(t)
-	if n, ok := t.(*types.Named); ok {
-		obj := n.Obj()
-		if obj.Pkg() != nil && obj.Pkg().Path() == "sync" {
-			switch obj.Name() {
-			case "Mutex", "RWMutex", "WaitGroup", "Once", "Cond", "Pool", "Map":
-				return true
-			}
-		}
-		return containsLock(n.Underlying(), depth+1)
-	}
-	switch u := t.(type) {
-	case *types.Struct:
-		for i := 0; i < u.NumFields(); i++ {
-			if containsLock(u.Field(i).Type(), depth+1) {
-				return true
-			}
-		}
-	case *types.Array:
-		return containsLock(u.Elem(), depth+1)
-	}
-	return false
-}
-
 // retainsReferences reports whether a value of type t can keep other heap
 // objects alive: pointers, interfaces, funcs, maps, channels, and slices or
 // structs containing such. Slices of pure scalars ([]float64, []byte) are
@@ -145,19 +110,4 @@ func retains(t types.Type, depth int) bool {
 		return retains(u.Elem(), depth+1)
 	}
 	return false
-}
-
-// usesIdent reports whether the object obj is referenced anywhere inside n.
-func usesIdent(info *types.Info, n ast.Node, obj types.Object) bool {
-	found := false
-	ast.Inspect(n, func(n ast.Node) bool {
-		if found {
-			return false
-		}
-		if id, ok := n.(*ast.Ident); ok && info.Uses[id] == obj {
-			found = true
-		}
-		return !found
-	})
-	return found
 }

@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gauss-tree/gausstree/internal/fault"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/query"
@@ -322,8 +323,8 @@ func TestMutationInvalidationConformance(t *testing.T) {
 // not from the orphaned in-memory edits.
 func TestFailedMutationDropsDecodedCache(t *testing.T) {
 	inner := pagefile.NewMemBackend(2048)
-	fb := pagefile.NewFaultBackend(inner, -1)
-	mgr, err := pagefile.NewManager(fb, 2048)
+	inj := fault.New()
+	mgr, err := pagefile.NewManager(fault.WrapBackend(inner, inj), 2048)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,14 +353,14 @@ func TestFailedMutationDropsDecodedCache(t *testing.T) {
 
 	// One write succeeds (the rewritten leaf), the next (its parent) fails:
 	// the cached leaf and parent have been edited in place by then.
-	fb.SetWriteBudget(1)
+	writeBudget(t, inj, 1, false)
 	if err := tr.Insert(randomVec(rng, 99999, 3)); err == nil {
 		t.Fatal("insert with exhausted write budget should fail")
 	}
 	if err := tr.Insert(randomVec(rng, 99998, 3)); err == nil {
 		t.Fatal("poisoned tree must refuse further mutations")
 	}
-	fb.SetWriteBudget(-1)
+	inj.Disarm()
 
 	// Reference: the committed state, re-decoded by an independent manager
 	// over the same backend.

@@ -7,10 +7,37 @@ import (
 	"path/filepath"
 	"testing"
 
+	"github.com/gauss-tree/gausstree/internal/fault"
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
+
+// writeBudget arms inj so that the next allow page writes succeed and every
+// later one fails (torn: leaving a half-applied page behind). Rule.After
+// means "past the first n", so an immediate failure is Prob 1 instead.
+func writeBudget(t testing.TB, inj *fault.Injector, allow int, torn bool) {
+	t.Helper()
+	rule := fault.Rule{After: allow, Torn: torn}
+	if allow == 0 {
+		rule = fault.Rule{Prob: 1, Torn: torn}
+	}
+	armFault(t, inj, fault.OpPageWrite, rule)
+}
+
+// failMeta arms inj to fail every meta write while page writes pass: a
+// mutation's data pages land but its commit is lost.
+func failMeta(t testing.TB, inj *fault.Injector) {
+	t.Helper()
+	armFault(t, inj, fault.OpMetaWrite, fault.Rule{Prob: 1})
+}
+
+func armFault(t testing.TB, inj *fault.Injector, op fault.Op, rule fault.Rule) {
+	t.Helper()
+	if err := inj.Arm(fault.Schedule{Seed: 1, Ops: map[fault.Op]fault.Rule{op: rule}}); err != nil {
+		t.Fatal(err)
+	}
+}
 
 // openFileTree reattaches the committed tree at path, as a restarted
 // process would.
@@ -156,8 +183,8 @@ func TestFailedMutationPoisonsTree(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := pagefile.NewFaultBackend(fb, -1)
-	mgr, err := pagefile.NewManager(faulty, 1024)
+	inj := fault.New()
+	mgr, err := pagefile.NewManager(fault.WrapBackend(fb, inj), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -178,18 +205,18 @@ func TestFailedMutationPoisonsTree(t *testing.T) {
 	}
 
 	// A mid-mutation failure must poison every further mutation.
-	faulty.SetWriteBudget(0)
-	if err := tr.Insert(pfv.MustNew(4, []float64{7, 8}, []float64{0.3, 0.3})); !errors.Is(err, pagefile.ErrInjected) {
+	writeBudget(t, inj, 0, false)
+	if err := tr.Insert(pfv.MustNew(4, []float64{7, 8}, []float64{0.3, 0.3})); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("faulted insert error = %v", err)
 	}
-	faulty.SetWriteBudget(-1) // the fault is gone, the poison must remain
-	if err := tr.Insert(good); !errors.Is(err, pagefile.ErrInjected) {
+	inj.Disarm() // the fault is gone, the poison must remain
+	if err := tr.Insert(good); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("insert on poisoned tree = %v, want the poisoning error", err)
 	}
-	if _, err := tr.Delete(good); !errors.Is(err, pagefile.ErrInjected) {
+	if _, err := tr.Delete(good); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("delete on poisoned tree = %v, want the poisoning error", err)
 	}
-	if _, err := tr.InsertAll([]pfv.Vector{good}); !errors.Is(err, pagefile.ErrInjected) {
+	if _, err := tr.InsertAll([]pfv.Vector{good}); !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("batch on poisoned tree = %v, want the poisoning error", err)
 	}
 	mgr.Close()
@@ -225,7 +252,7 @@ func TestOpenWithoutIndex(t *testing.T) {
 	}
 }
 
-// crashWorld builds a file-backed tree behind a FaultBackend, runs inserts
+// crashWorld builds a file-backed tree behind the fault layer, runs inserts
 // until the injected fault fires, simulates the crash by discarding the
 // process state, and returns the path plus how many inserts fully committed.
 func crashWorld(t *testing.T, torn bool, budget int) (path string, committed int, vs []pfv.Vector) {
@@ -235,9 +262,9 @@ func crashWorld(t *testing.T, torn bool, budget int) (path string, committed int
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := pagefile.NewFaultBackend(fb, budget)
-	faulty.Torn(torn)
-	mgr, err := pagefile.NewManager(faulty, 1024)
+	inj := fault.New()
+	writeBudget(t, inj, budget, torn)
+	mgr, err := pagefile.NewManager(fault.WrapBackend(fb, inj), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,7 +276,7 @@ func crashWorld(t *testing.T, torn bool, budget int) (path string, committed int
 	vs = clusteredVectors(rng, 500, 3, 5)
 	for _, v := range vs {
 		if err := tr.Insert(v); err != nil {
-			if !errors.Is(err, pagefile.ErrInjected) {
+			if !errors.Is(err, fault.ErrInjected) {
 				t.Fatalf("insert failed with %v, want injected fault", err)
 			}
 			break
@@ -319,8 +346,8 @@ func TestCrashMidDeleteUnderflowRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := pagefile.NewFaultBackend(fb, -1)
-	mgr, err := pagefile.NewManager(faulty, 1024)
+	inj := fault.New()
+	mgr, err := pagefile.NewManager(fault.WrapBackend(fb, inj), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -352,13 +379,13 @@ func TestCrashMidDeleteUnderflowRecovers(t *testing.T) {
 	// that underflows.
 	deleted := 0
 	for _, c := range clones {
-		faulty.FailMeta(true)
+		failMeta(t, inj)
 		_, err := tr.Delete(c)
-		faulty.FailMeta(false)
+		inj.Disarm()
 		if err == nil {
 			t.Fatal("every delete should fail at its meta commit")
 		}
-		if !errors.Is(err, pagefile.ErrInjected) {
+		if !errors.Is(err, fault.ErrInjected) {
 			t.Fatalf("delete error = %v, want injected fault", err)
 		}
 		// "Crash" and recover: the failed delete must have left the
@@ -382,8 +409,7 @@ func TestCrashMidDeleteUnderflowRecovers(t *testing.T) {
 			t.Fatal(err)
 		}
 		fb = fb2
-		faulty = pagefile.NewFaultBackend(fb, -1)
-		if mgr, err = pagefile.NewManager(faulty, 1024); err != nil {
+		if mgr, err = pagefile.NewManager(fault.WrapBackend(fb, inj), 1024); err != nil {
 			t.Fatal(err)
 		}
 		if tr, err = Open(mgr); err != nil {
@@ -408,8 +434,8 @@ func TestCrashDuringMetaCommitRecovers(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	faulty := pagefile.NewFaultBackend(fb, -1)
-	mgr, err := pagefile.NewManager(faulty, 1024)
+	inj := fault.New()
+	mgr, err := pagefile.NewManager(fault.WrapBackend(fb, inj), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,9 +451,9 @@ func TestCrashDuringMetaCommitRecovers(t *testing.T) {
 		}
 	}
 	// Arm the fault: every page write still succeeds, only the commit fails.
-	faulty.FailMeta(true)
+	failMeta(t, inj)
 	err = tr.Insert(vs[50])
-	if !errors.Is(err, pagefile.ErrInjected) {
+	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("insert error = %v, want injected fault", err)
 	}
 	fb.Close()

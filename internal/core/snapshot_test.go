@@ -8,6 +8,7 @@ import (
 	"testing"
 	"time"
 
+	"github.com/gauss-tree/gausstree/internal/fault"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/wal"
@@ -141,8 +142,9 @@ func TestInsertAllDurablePrefix(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fault := pagefile.NewFaultBackend(fb, 200)
-	mgr, err := pagefile.NewManager(fault, 1024)
+	inj := fault.New()
+	writeBudget(t, inj, 200, false)
+	mgr, err := pagefile.NewManager(fault.WrapBackend(fb, inj), 1024)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -161,7 +163,7 @@ func TestInsertAllDurablePrefix(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	vs := clusteredVectors(rng, 1000, 2, 4)
 	n, err := tr.InsertAll(vs)
-	if !errors.Is(err, pagefile.ErrInjected) {
+	if !errors.Is(err, fault.ErrInjected) {
 		t.Fatalf("err = %v, want ErrInjected", err)
 	}
 	if n <= 0 || n >= len(vs) {

@@ -139,7 +139,8 @@ func DefaultHistogramParams() HistogramParams {
 		Clusters:      150,
 		Concentration: 40,
 		// Calibrated against the paper's Figure 6 operating point for data
-		// set 1 (3-NN recall ≈ 42%, 3-MLIQ recall ≈ 98%); see cmd/tune.
+		// set 1 (3-NN recall ≈ 42%, 3-MLIQ recall ≈ 98%); gaussbench -exp
+		// fig6a measures it.
 		Sigma: SigmaModel{
 			BaseMin:              0.002,
 			BaseMax:              0.015,
@@ -208,7 +209,8 @@ func DefaultSyntheticParams() SyntheticParams {
 		Clusters:      50,
 		ClusterSpread: 3,
 		// Calibrated against the paper's Figure 6 operating point for data
-		// set 2 (3-NN recall ≈ 61%, 3-MLIQ recall ≈ 99%); see cmd/tune.
+		// set 2 (3-NN recall ≈ 61%, 3-MLIQ recall ≈ 99%); gaussbench -exp
+		// fig6b measures it.
 		Sigma: SigmaModel{
 			BaseMin:              0.05,
 			BaseMax:              1.2,

@@ -1,9 +1,9 @@
 // Package fault is the runtime chaos layer: an Injector that wraps a live
 // pagefile.Backend and hooks into the write-ahead log's committer so I/O
 // errors, fsync failures, torn writes and added latency can be injected
-// into a *running* daemon on a schedule — the generalization of the
-// test-only pagefile.FaultBackend from deterministic crash tests to
-// probabilistic, armable-in-production fault injection.
+// into a *running* daemon on a schedule. The deterministic crash tests use
+// the same layer (Rule.After is their write budget), so there is one fault
+// injector from unit test to production chaos.
 //
 // The layer is built to cost nothing when idle: a disarmed Injector is one
 // atomic load per I/O, and an index opened without Options.Fault is never

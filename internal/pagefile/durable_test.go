@@ -426,61 +426,6 @@ func TestCommitMetaConcurrentAllocatorTraffic(t *testing.T) {
 	}
 }
 
-func TestFaultBackendBudget(t *testing.T) {
-	fb := NewFaultBackend(NewMemBackend(64), 2)
-	m, err := NewManager(fb, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	a, _ := m.Allocate()
-	b, _ := m.Allocate()
-	c, _ := m.Allocate()
-	if err := m.Write(a, []byte("1")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(b, []byte("2")); err != nil {
-		t.Fatal(err)
-	}
-	if err := m.Write(c, []byte("3")); !errors.Is(err, ErrInjected) {
-		t.Errorf("third write error = %v, want ErrInjected", err)
-	}
-	// Meta writes still pass until FailMeta is armed.
-	if err := m.CommitMeta(nil); err != nil {
-		t.Fatal(err)
-	}
-	fb.FailMeta(true)
-	if err := m.CommitMeta(nil); !errors.Is(err, ErrInjected) {
-		t.Errorf("meta write error = %v, want ErrInjected", err)
-	}
-	pageFails, metaFails := fb.Faults()
-	if pageFails != 1 || metaFails != 1 {
-		t.Errorf("faults = %d/%d, want 1/1", pageFails, metaFails)
-	}
-}
-
-func TestFaultBackendTornWrite(t *testing.T) {
-	inner := NewMemBackend(64)
-	fb := NewFaultBackend(inner, 0)
-	fb.Torn(true)
-	m, err := NewManager(fb, 64)
-	if err != nil {
-		t.Fatal(err)
-	}
-	id, _ := m.Allocate()
-	data := bytes.Repeat([]byte("z"), 64)
-	if err := m.Write(id, data); !errors.Is(err, ErrInjected) {
-		t.Fatalf("write error = %v, want ErrInjected", err)
-	}
-	// The tear must have half-applied at the inner backend.
-	got := make([]byte, 64)
-	if err := inner.ReadPage(id, got); err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got[:32], data[:32]) || got[40] != 0 {
-		t.Error("torn write should leave first half new, second half zero")
-	}
-}
-
 // TestMetaFreelistOverflowTruncates: a freelist too large for one meta slot
 // is truncated in the persisted copy (pages leak) but the commit succeeds.
 func TestMetaFreelistOverflowTruncates(t *testing.T) {

@@ -130,8 +130,7 @@ type CostModel struct {
 // implementation evaluates densities roughly an order of magnitude faster
 // than the 2006 system, so the modeled disk is scaled by the same factor —
 // the reproduction target is the relative CPU/IO economics of the paper's
-// "overall time" metric, not 2006 wall-clock numbers. Experiments that want
-// literal 2006 hardware can pass WithCostModel{8ms, 200µs}.
+// "overall time" metric, not 2006 wall-clock numbers.
 func DefaultCostModel() CostModel {
 	return CostModel{SeekTime: 500 * time.Microsecond, TransferTime: 12500 * time.Nanosecond}
 }
@@ -252,11 +251,6 @@ func WithCacheBytes(n int) Option {
 // exactly like a global LRU.
 func WithCacheShards(n int) Option {
 	return func(m *Manager) { m.shardHint = n }
-}
-
-// WithCostModel overrides the disk cost model used by IOTime.
-func WithCostModel(cm CostModel) Option {
-	return func(m *Manager) { m.costModel = cm }
 }
 
 // NewManager wraps a backend with a buffer cache. pageSize must be positive.

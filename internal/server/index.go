@@ -8,8 +8,8 @@ import (
 	"github.com/gauss-tree/gausstree/internal/query"
 )
 
-// Index is the uniform index surface the daemon serves. Both public index
-// types satisfy it through the TreeIndex and ShardedIndex adapters, so every
+// Index is the uniform index surface the daemon serves. TreeIndex and
+// ShardedIndex wrap either public index type in the one adapter, so every
 // handler, the admission controller and the batch executor are written once,
 // engine-agnostically — exactly how the query.Engine interface already
 // unifies the in-process backends one layer below.
@@ -17,15 +17,12 @@ import (
 // The query methods certify probabilities to the index's configured
 // Options.Accuracy; the serving layer adds deadlines on top via ctx.
 type Index interface {
+	shared
 	// Kind names the backend ("tree" or "sharded") for /v1/stats.
 	Kind() string
 	// LeafFormat names the on-page leaf encoding ("exact", "float32",
 	// "grid8", "legacy-row") for /v1/stats.
 	LeafFormat() string
-	// Dim returns the feature dimensionality of the index.
-	Dim() int
-	// Len returns the number of stored vectors.
-	Len() int
 	// KMLIQ answers a k-most-likely identification query with certified
 	// probabilities.
 	KMLIQ(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error)
@@ -33,6 +30,25 @@ type Index interface {
 	KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error)
 	// TIQ answers a threshold identification query.
 	TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error)
+	// IOStats reports the page manager's I/O counters.
+	IOStats() (pagefile.Stats, error)
+	// IngestStats reports the online merge-ingest counters; ok is false
+	// when the backend has no ingest accelerator (sharded indexes).
+	IngestStats() (is gausstree.IngestStats, ok bool)
+	// Scrub verifies every reachable page and the write-ahead log's durable
+	// prefix against bit rot and structural damage, rate-limited to
+	// pagesPerSecond (0 = unthrottled); see gausstree.Tree.Scrub.
+	Scrub(ctx context.Context, pagesPerSecond int) (gausstree.ScrubReport, error)
+}
+
+// shared is the part of Index that Tree and Sharded provide under the same
+// names and signatures (one implementation in the root package, promoted
+// into both), so the adapter passes it through by embedding.
+type shared interface {
+	// Dim returns the feature dimensionality of the index.
+	Dim() int
+	// Len returns the number of stored vectors.
+	Len() int
 	// Insert durably adds one vector (non-blocking for concurrent reads:
 	// acknowledged once its WAL record is group-committed).
 	Insert(v gausstree.Vector) error
@@ -41,8 +57,6 @@ type Index interface {
 	InsertAll(vs []gausstree.Vector) (int, error)
 	// Delete removes one exactly-matching stored copy.
 	Delete(v gausstree.Vector) (bool, error)
-	// IOStats reports the page manager's I/O counters.
-	IOStats() (pagefile.Stats, error)
 	// WALStats reports the group-commit write-ahead-log counters; ok is
 	// false for memory-backed indexes (no WAL).
 	WALStats() (ws gausstree.WALStats, ok bool)
@@ -58,13 +72,6 @@ type Index interface {
 	OldestPinnedEpoch() uint64
 	// LimboPages is the number of freed pages awaiting epoch reclamation.
 	LimboPages() int
-	// IngestStats reports the online merge-ingest counters; ok is false
-	// when the backend has no ingest accelerator (sharded indexes).
-	IngestStats() (is gausstree.IngestStats, ok bool)
-	// Scrub verifies every reachable page and the write-ahead log's durable
-	// prefix against bit rot and structural damage, rate-limited to
-	// pagesPerSecond (0 = unthrottled); see gausstree.Tree.Scrub.
-	Scrub(ctx context.Context, pagesPerSecond int) (gausstree.ScrubReport, error)
 	// Quarantine makes the index permanently write-inert without closing it
 	// (reads keep serving the last committed snapshot), so a fresh index can
 	// be opened over the same files; see gausstree.Tree.Quarantine.
@@ -75,82 +82,74 @@ type Index interface {
 	Close() error
 }
 
+// facade is shared plus the methods both public types have but Index
+// spells differently.
+type facade interface {
+	shared
+	LeafFormat() gausstree.LeafFormat
+	Stats() (pagefile.Stats, error)
+	Scrub(ctx context.Context, opts gausstree.ScrubOptions) (gausstree.ScrubReport, error)
+}
+
+// queryFunc is one identification query with its second argument (k or
+// pTheta) left open.
+type queryFunc[A any] func(ctx context.Context, q gausstree.Vector, arg A) ([]gausstree.Match, gausstree.QueryStats, error)
+
+// adapter is the one Index implementation. The query fields hold the public
+// type's own methods: Tree's stand-alone drivers, or Sharded's coordinator
+// with its statistics collapsed.
+type adapter struct {
+	facade
+	kind          string
+	kmliq, ranked queryFunc[int]
+	tiq           queryFunc[float64]
+	ingest        func() (gausstree.IngestStats, bool)
+}
+
+func (a adapter) Kind() string       { return a.kind }
+func (a adapter) LeafFormat() string { return a.facade.LeafFormat().String() }
+func (a adapter) KMLIQ(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
+	return a.kmliq(ctx, q, k)
+}
+func (a adapter) KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
+	return a.ranked(ctx, q, k)
+}
+func (a adapter) TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error) {
+	return a.tiq(ctx, q, pTheta)
+}
+func (a adapter) IOStats() (pagefile.Stats, error)           { return a.Stats() }
+func (a adapter) IngestStats() (gausstree.IngestStats, bool) { return a.ingest() }
+func (a adapter) Scrub(ctx context.Context, pps int) (gausstree.ScrubReport, error) {
+	return a.facade.Scrub(ctx, gausstree.ScrubOptions{PagesPerSecond: pps})
+}
+
 // TreeIndex adapts an unsharded Gauss-tree to the serving surface.
-func TreeIndex(t *gausstree.Tree) Index { return treeIndex{t} }
-
-type treeIndex struct{ t *gausstree.Tree }
-
-func (i treeIndex) Kind() string       { return "tree" }
-func (i treeIndex) LeafFormat() string { return i.t.LeafFormat().String() }
-func (i treeIndex) Dim() int           { return i.t.Dim() }
-func (i treeIndex) Len() int           { return i.t.Len() }
-func (i treeIndex) KMLIQ(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
-	return i.t.KMLIQContext(ctx, q, k)
+func TreeIndex(t *gausstree.Tree) Index {
+	return adapter{
+		facade: t, kind: "tree",
+		kmliq: t.KMLIQContext, ranked: t.KMLIQRankedContext, tiq: t.TIQContext,
+		ingest: t.IngestStats,
+	}
 }
-func (i treeIndex) KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
-	return i.t.KMLIQRankedContext(ctx, q, k)
-}
-func (i treeIndex) TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error) {
-	return i.t.TIQContext(ctx, q, pTheta)
-}
-func (i treeIndex) Insert(v gausstree.Vector) error              { return i.t.Insert(v) }
-func (i treeIndex) InsertAll(vs []gausstree.Vector) (int, error) { return i.t.InsertAll(vs) }
-func (i treeIndex) Delete(v gausstree.Vector) (bool, error)      { return i.t.Delete(v) }
-func (i treeIndex) IOStats() (pagefile.Stats, error)             { return i.t.Stats() }
-func (i treeIndex) WALStats() (gausstree.WALStats, bool)         { return i.t.WALStats() }
-func (i treeIndex) SnapshotEpoch() uint64                        { return i.t.SnapshotEpoch() }
-func (i treeIndex) PinnedReaders() int                           { return i.t.PinnedReaders() }
-func (i treeIndex) OldestPinnedEpoch() uint64                    { return i.t.OldestPinnedEpoch() }
-func (i treeIndex) LimboPages() int                              { return i.t.LimboPages() }
-func (i treeIndex) IngestStats() (gausstree.IngestStats, bool)   { return i.t.IngestStats() }
-func (i treeIndex) Scrub(ctx context.Context, pps int) (gausstree.ScrubReport, error) {
-	return i.t.Scrub(ctx, gausstree.ScrubOptions{PagesPerSecond: pps})
-}
-func (i treeIndex) Quarantine(cause error) { i.t.Quarantine(cause) }
-func (i treeIndex) Sync() error            { return i.t.Sync() }
-func (i treeIndex) Close() error           { return i.t.Close() }
 
 // ShardedIndex adapts a sharded Gauss-tree to the serving surface; the
 // per-shard statistic breakdown is collapsed into the aggregate QueryStats
 // (the wire format reports the aggregate).
-func ShardedIndex(s *gausstree.Sharded) Index { return shardedIndex{s} }
+func ShardedIndex(s *gausstree.Sharded) Index {
+	return adapter{
+		facade: s, kind: "sharded",
+		kmliq: aggregate(s.KMLIQContext), ranked: aggregate(s.KMLIQRankedContext), tiq: aggregate(s.TIQContext),
+		ingest: func() (gausstree.IngestStats, bool) { return gausstree.IngestStats{}, false },
+	}
+}
 
-type shardedIndex struct{ s *gausstree.Sharded }
-
-func (i shardedIndex) Kind() string       { return "sharded" }
-func (i shardedIndex) LeafFormat() string { return i.s.LeafFormat().String() }
-func (i shardedIndex) Dim() int           { return i.s.Dim() }
-func (i shardedIndex) Len() int           { return i.s.Len() }
-func (i shardedIndex) KMLIQ(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
-	ms, st, err := i.s.KMLIQContext(ctx, q, k)
-	return ms, st.Stats, err
+// aggregate drops the per-shard breakdown of a Sharded query's statistics.
+func aggregate[A any](f func(context.Context, gausstree.Vector, A) ([]gausstree.Match, gausstree.ShardedQueryStats, error)) queryFunc[A] {
+	return func(ctx context.Context, q gausstree.Vector, arg A) ([]gausstree.Match, gausstree.QueryStats, error) {
+		ms, st, err := f(ctx, q, arg)
+		return ms, st.Stats, err
+	}
 }
-func (i shardedIndex) KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]gausstree.Match, gausstree.QueryStats, error) {
-	ms, st, err := i.s.KMLIQRankedContext(ctx, q, k)
-	return ms, st.Stats, err
-}
-func (i shardedIndex) TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error) {
-	ms, st, err := i.s.TIQContext(ctx, q, pTheta)
-	return ms, st.Stats, err
-}
-func (i shardedIndex) Insert(v gausstree.Vector) error              { return i.s.Insert(v) }
-func (i shardedIndex) InsertAll(vs []gausstree.Vector) (int, error) { return i.s.InsertAll(vs) }
-func (i shardedIndex) Delete(v gausstree.Vector) (bool, error)      { return i.s.Delete(v) }
-func (i shardedIndex) IOStats() (pagefile.Stats, error)             { return i.s.Stats() }
-func (i shardedIndex) WALStats() (gausstree.WALStats, bool)         { return i.s.WALStats() }
-func (i shardedIndex) SnapshotEpoch() uint64                        { return i.s.SnapshotEpoch() }
-func (i shardedIndex) PinnedReaders() int                           { return i.s.PinnedReaders() }
-func (i shardedIndex) OldestPinnedEpoch() uint64                    { return i.s.OldestPinnedEpoch() }
-func (i shardedIndex) LimboPages() int                              { return i.s.LimboPages() }
-func (i shardedIndex) IngestStats() (gausstree.IngestStats, bool) {
-	return gausstree.IngestStats{}, false
-}
-func (i shardedIndex) Scrub(ctx context.Context, pps int) (gausstree.ScrubReport, error) {
-	return i.s.Scrub(ctx, gausstree.ScrubOptions{PagesPerSecond: pps})
-}
-func (i shardedIndex) Quarantine(cause error) { i.s.Quarantine(cause) }
-func (i shardedIndex) Sync() error            { return i.s.Sync() }
-func (i shardedIndex) Close() error           { return i.s.Close() }
 
 // indexEngine adapts the serving surface back onto query.Engine, which lets
 // the batch endpoint reuse query.BatchExecutor's worker pool unchanged. The

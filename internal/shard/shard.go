@@ -102,12 +102,6 @@ func (e *Engine) Name() string { return e.name }
 // NumShards returns the number of shards.
 func (e *Engine) NumShards() int { return len(e.trees) }
 
-// Partitioner returns the mutation-routing policy.
-func (e *Engine) Partitioner() Partitioner { return e.part }
-
-// Tree returns the i-th shard's tree (for per-shard inspection).
-func (e *Engine) Tree(i int) *core.Tree { return e.trees[i] }
-
 // Dim returns the feature dimensionality.
 func (e *Engine) Dim() int { return e.trees[0].Dim() }
 

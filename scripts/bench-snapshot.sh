@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
 # bench-snapshot.sh — run the hot read-path benchmarks with allocation
-# reporting and emit the results as JSON, so perf trajectories can be
-# recorded in BENCH_*.json files and compared across revisions.
+# reporting and emit the results as JSON, one artifact per revision. The
+# benchmark of record with its baseline and bounds is ./benchmark
+# (BENCHMARK.json); this script only snapshots `go test -bench` output.
 #
 # Usage:
-#   scripts/bench-snapshot.sh [out.json] [bench regex] [count] [baseline.json] [benchtime]
+#   scripts/bench-snapshot.sh [out.json] [bench regex] [count] [benchtime]
 #
 # Defaults: out.json = "-" (stdout), regex covers the hot-path benchmarks
 # (KMLIQHot, TIQHot, ReadNodeHot), count = 1, benchtime = the go test
@@ -14,22 +15,13 @@
 #     "metrics": {"ns/op": ..., "B/op": ..., "allocs/op": ..., ...}}]}
 # with every reported metric (including custom ones like pages/query)
 # captured generically.
-#
-# When a baseline file is given (e.g. the committed BENCH_PR5.json), the
-# fresh snapshot is additionally diffed against it: a markdown delta table
-# is printed to stdout (ready for a CI job summary). Baselines may be either
-# a flat snapshot or a {"before": ..., "after": ...} trajectory file, in
-# which case the "after" section is the reference. The diff is informative
-# only — it never fails the run (benchmark numbers from shared CI runners
-# are not gating material; see BENCH_PR6.json for curated comparisons).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:--}"
 REGEX="${2:-KMLIQHot|TIQHot|ReadNodeHot}"
 COUNT="${3:-1}"
-BASELINE="${4:-}"
-BENCHTIME="${5:-}"
+BENCHTIME="${4:-}"
 
 RAW="$(mktemp)"
 SNAP="$(mktemp)"
@@ -67,50 +59,4 @@ if [ "$OUT" = "-" ]; then
 else
 	cp "$SNAP" "$OUT"
 	echo "bench-snapshot: wrote $OUT" >&2
-fi
-
-if [ -n "$BASELINE" ]; then
-	if [ ! -f "$BASELINE" ]; then
-		echo "bench-snapshot: baseline $BASELINE not found, skipping diff" >&2
-	elif ! command -v python3 >/dev/null; then
-		echo "bench-snapshot: python3 not available, skipping diff" >&2
-	else
-		python3 - "$BASELINE" "$SNAP" <<'PYEOF'
-import json, sys
-
-with open(sys.argv[1]) as f:
-    base = json.load(f)
-with open(sys.argv[2]) as f:
-    cur = json.load(f)
-# Trajectory files carry {before, after}; diff against "after".
-if "benchmarks" not in base and "after" in base:
-    base = base["after"]
-
-def index(snap):
-    return {b["name"]: b.get("metrics", {}) for b in snap.get("benchmarks", [])}
-
-bidx, cidx = index(base), index(cur)
-metrics = ["ns/op", "pages/query", "B/op", "allocs/op"]
-print(f"### Hot-path benchmark delta vs `{sys.argv[1]}`\n")
-print("| benchmark | metric | baseline | current | delta |")
-print("|---|---|---:|---:|---:|")
-for name in sorted(set(bidx) | set(cidx)):
-    b, c = bidx.get(name), cidx.get(name)
-    for m in metrics:
-        if b is None or c is None or m not in b and m not in c:
-            continue
-        bv, cv = (b or {}).get(m), (c or {}).get(m)
-        if bv is None or cv is None:
-            continue
-        delta = "n/a" if bv == 0 else f"{(cv - bv) / bv * 100:+.1f}%"
-        print(f"| {name} | {m} | {bv} | {cv} | {delta} |")
-    if b is None:
-        print(f"| {name} | — | (absent) | present | new |")
-    elif c is None:
-        print(f"| {name} | — | present | (absent) | gone |")
-print()
-print("_Informative only: shared-runner numbers fluctuate; curated same-machine")
-print("comparisons live in the committed BENCH_*.json files._")
-PYEOF
-	fi
 fi

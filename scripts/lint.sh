@@ -1,9 +1,10 @@
 #!/usr/bin/env bash
 # Run the project's static-analysis gate exactly as CI does: build the
 # gausslint multichecker from this checkout and run it over the whole module
-# through `go vet -vettool`, so the stock vet passes and the six project
-# analyzers (epochorder, lockorder, poolreset, errwrap, ctxflow, waldurable —
-# plus nilness, lostcancel, copylock and unusedwrite) all gate together.
+# through `go vet -vettool`, so the stock vet passes (copylocks, lostcancel
+# among them) and the project analyzers (epochorder, lockorder, poolreset,
+# errwrap, ctxflow, waldurable, obsregister — plus nilness and unusedwrite)
+# all gate together.
 # Any finding exits non-zero. Suppressions require a
 # `//lint:ignore <analyzers> <reason>` directive; see internal/analysis/doc.go.
 set -euo pipefail

@@ -46,58 +46,43 @@ type ScrubReport struct {
 //
 // The walk pins a snapshot exactly like a query: it runs concurrently with
 // mutations, takes no tree lock and charges nothing to the I/O counters.
-// gaussd runs Scrub periodically in the background (-scrub-interval) and
-// enters degraded mode when it fails.
-func (t *Tree) Scrub(ctx context.Context, opts ScrubOptions) (ScrubReport, error) {
-	st, err := t.state()
-	if err != nil {
-		return ScrubReport{}, err
-	}
-	start := time.Now()
-	rep, err := st.tree.Scrub(ctx, newScrubThrottle(ctx, opts.PagesPerSecond))
-	out := ScrubReport{Pages: rep.Pages, Elapsed: time.Since(start)}
-	if err != nil {
-		return out, scrubErr(err)
-	}
-	if st.wal != nil {
-		n, werr := st.wal.CheckIntegrity()
-		out.WALRecords = n
-		out.Elapsed = time.Since(start)
-		if werr != nil {
-			return out, scrubWALErr(werr)
-		}
-	}
-	return out, nil
-}
-
-// Scrub verifies every shard in turn (one snapshot per shard) under one
-// shared rate limit; see Tree.Scrub.
-func (s *Sharded) Scrub(ctx context.Context, opts ScrubOptions) (ScrubReport, error) {
-	st, err := s.state()
+// Shards are verified in turn, one snapshot each, under one shared rate
+// limit. gaussd runs Scrub periodically in the background
+// (-scrub-interval) and enters degraded mode when it fails.
+func (x *index) Scrub(ctx context.Context, opts ScrubOptions) (ScrubReport, error) {
+	st, err := x.state()
 	if err != nil {
 		return ScrubReport{}, err
 	}
 	start := time.Now()
 	throttle := newScrubThrottle(ctx, opts.PagesPerSecond)
 	var out ScrubReport
-	for i := 0; i < st.eng.NumShards(); i++ {
-		rep, err := st.eng.Tree(i).Scrub(ctx, throttle)
-		out.Pages += rep.Pages
-		if err != nil {
-			out.Elapsed = time.Since(start)
-			return out, fmt.Errorf("shard %d: %w", i, scrubErr(err))
-		}
-		if st.wals[i] != nil {
-			n, werr := st.wals[i].CheckIntegrity()
-			out.WALRecords += n
-			if werr != nil {
-				out.Elapsed = time.Since(start)
-				return out, fmt.Errorf("shard %d: %w", i, scrubWALErr(werr))
-			}
+	for _, u := range st.units {
+		if err = u.scrub(ctx, throttle, &out); err != nil {
+			err = u.wrap(err)
+			break
 		}
 	}
 	out.Elapsed = time.Since(start)
-	return out, nil
+	return out, err
+}
+
+// scrub verifies one unit — its pages, then its log — adding to rep.
+func (u unit) scrub(ctx context.Context, throttle func() error, rep *ScrubReport) error {
+	r, err := u.tree.Scrub(ctx, throttle)
+	rep.Pages += r.Pages
+	if err != nil {
+		return scrubErr(err)
+	}
+	if u.wal == nil {
+		return nil
+	}
+	n, err := u.wal.CheckIntegrity()
+	rep.WALRecords += n
+	if err != nil {
+		return scrubWALErr(err)
+	}
+	return nil
 }
 
 // scrubErr maps a core scrub error onto the public error surface: a page

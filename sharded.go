@@ -3,18 +3,11 @@ package gausstree
 import (
 	"context"
 	"encoding/json"
-	"errors"
 	"fmt"
 	"os"
 	"path/filepath"
-	"sync"
-	"sync/atomic"
 
-	"github.com/gauss-tree/gausstree/internal/core"
-	"github.com/gauss-tree/gausstree/internal/fault"
-	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/shard"
-	"github.com/gauss-tree/gausstree/internal/wal"
 )
 
 // PartitionPolicy selects how a sharded tree routes vectors to shards.
@@ -55,20 +48,20 @@ type shardedManifest struct {
 
 const shardedManifestName = "shards.json"
 
-// shardFileName returns the page-file name of one shard.
-func shardFileName(i int) string { return fmt.Sprintf("shard-%04d.gtree", i) }
-
-// shardWALName returns the write-ahead-log file name of one shard.
-func shardWALName(i int) string { return fmt.Sprintf("shard-%04d.wal", i) }
-
-// shardedState bundles the fan-out engine with every shard's page manager
-// and WAL; like the unsharded treeState it is published through an atomic
-// pointer so reads never take a lock.
-type shardedState struct {
-	eng  *shard.Engine
-	mgrs []*pagefile.Manager
-	wals []*wal.Log // per shard; nil entries for memory-backed shards
+// shardFiles is the sharded layout: shard i's page file and write-ahead
+// log inside dir; an empty dir is a memory-backed shard.
+func shardFiles(dir string, i int) unitFiles {
+	f := unitFiles{label: fmt.Sprintf("shard %d: ", i)}
+	if dir != "" {
+		f.page = filepath.Join(dir, fmt.Sprintf("shard-%04d.gtree", i))
+		f.wal = filepath.Join(dir, fmt.Sprintf("shard-%04d.wal", i))
+	}
+	return f
 }
+
+// errShardedIngest rejects Options.Ingest on a sharded index: the
+// near-duplicate probe and the in-place replace run on one tree.
+var errShardedIngest = fmt.Errorf("%w: Options.Ingest is supported by New and Open only, not by sharded indexes", ErrInvalidOptions)
 
 // Sharded is a Gauss-tree partitioned across n independent shards, each its
 // own core tree (and, when durable, its own page file plus write-ahead
@@ -78,11 +71,11 @@ type shardedState struct {
 // data would report. It is safe for concurrent use by multiple goroutines;
 // as with Tree, queries run against pinned per-shard snapshots and never
 // block on mutations.
+//
+// A Sharded is the n-partition layout of the index implementation it shares
+// with Tree: a directory of per-shard files plus the shards.json manifest.
 type Sharded struct {
-	mu   sync.Mutex // serializes mutations and Close; never held by reads
-	st   atomic.Pointer[shardedState]
-	opts Options
-	dir  string
+	index
 }
 
 // NewSharded creates an empty sharded Gauss-tree with n shards for vectors
@@ -90,20 +83,18 @@ type Sharded struct {
 // holding one durable page file and WAL per shard plus a manifest; a
 // directory that already holds a sharded index is rejected (reattach with
 // OpenSharded). Options.Partition selects the mutation-routing policy.
-// Options.Ingest is ignored — merge-ingest mode is unsharded-only.
+// Options.Ingest is rejected — merge-ingest mode is unsharded-only.
 func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
-	o.fillDefaults()
+	o := resolveOptions(opts)
 	if n <= 0 {
 		return nil, fmt.Errorf("%w: shard count must be positive, got %d", ErrInvalidOptions, n)
 	}
+	if o.Ingest != nil {
+		return nil, errShardedIngest
+	}
 
-	var dir string
-	if o.Path != "" {
-		dir = o.Path
+	dir := o.Path
+	if dir != "" {
 		if _, err := os.Stat(filepath.Join(dir, shardedManifestName)); err == nil {
 			return nil, fmt.Errorf("gausstree: %s already holds a sharded index (use OpenSharded)", dir)
 		}
@@ -130,71 +121,34 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 		}
 	}
 
-	trees := make([]*core.Tree, n)
-	mgrs := make([]*pagefile.Manager, n)
-	wals := make([]*wal.Log, n)
+	units := make([]unit, 0, n)
 	fail := func(err error) (*Sharded, error) {
-		for _, l := range wals {
-			if l != nil {
-				l.Close()
-			}
-		}
-		for _, m := range mgrs {
-			if m != nil {
-				m.Close()
-			}
-		}
+		releaseUnits(units)
 		if dir != "" {
 			// Remove the partial layout so a retry starts clean instead of
 			// tripping over committed shard files (every file here was
 			// created by this call — debris was reclaimed above).
 			for i := 0; i < n; i++ {
-				os.Remove(filepath.Join(dir, shardFileName(i)))
-				os.Remove(filepath.Join(dir, shardWALName(i)))
+				f := shardFiles(dir, i)
+				os.Remove(f.page)
+				os.Remove(f.wal)
 			}
 		}
 		return nil, err
 	}
 	for i := 0; i < n; i++ {
-		var backend pagefile.Backend
-		if dir != "" {
-			fb, err := pagefile.CreateFile(filepath.Join(dir, shardFileName(i)), o.PageSize)
-			if err != nil {
-				return fail(err)
-			}
-			backend = fb
-		} else {
-			backend = pagefile.NewMemBackend(o.PageSize)
-		}
-		// All shards share the one injector, so a schedule's counters and
-		// fault caps aggregate across the whole index.
-		backend = fault.WrapBackend(backend, o.Fault)
-		mgr, err := pagefile.NewManager(backend, o.PageSize, pagefile.WithCacheBytes(o.CacheBytes/n), pagefile.WithCacheShards(o.CacheShards))
+		u, err := createUnit(shardFiles(dir, i), dim, o.CacheBytes/n, o)
 		if err != nil {
-			backend.Close()
 			return fail(err)
 		}
-		mgrs[i] = mgr
-		if trees[i], err = core.New(mgr, dim, core.Config{Combiner: o.Combiner, LeafFormat: o.LeafFormat}); err != nil {
-			return fail(err)
-		}
-		if dir != "" {
-			l, err := wal.Create(filepath.Join(dir, shardWALName(i)), dim, wal.Options{Interval: o.CommitLatency, Fault: walFault(o.Fault)})
-			if err != nil {
-				return fail(err)
-			}
-			wals[i] = l
-			if err := trees[i].SetWAL(l); err != nil {
-				return fail(err)
-			}
-		}
+		units = append(units, u)
 	}
 	part, err := shard.ByName(o.Partition.name(), 0)
 	if err != nil {
 		return fail(err)
 	}
-	eng, err := shard.New(trees, part)
-	if err != nil {
+	s := &Sharded{}
+	if err := s.start(units, part, o); err != nil {
 		return fail(err)
 	}
 	if dir != "" {
@@ -215,8 +169,6 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 			return fail(err)
 		}
 	}
-	s := &Sharded{opts: o, dir: dir}
-	s.st.Store(&shardedState{eng: eng, mgrs: mgrs, wals: wals})
 	return s, nil
 }
 
@@ -225,14 +177,14 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 // shard's page file restores its own page size, σ-combiner and tree
 // geometry. Recovery is crash-safe per shard exactly as with Open: each
 // shard replays its own write-ahead-log tail over its last committed
-// checkpoint. Options may tune the cache budget and probability accuracy.
+// checkpoint. Options may tune the cache budget and probability accuracy;
+// Options.Ingest is rejected as by NewSharded.
 func OpenSharded(dir string, opts ...Options) (*Sharded, error) {
-	var o Options
-	if len(opts) > 0 {
-		o = opts[0]
-	}
+	o := resolveOptions(opts)
 	o.Path = dir
-	o.fillDefaults()
+	if o.Ingest != nil {
+		return nil, errShardedIngest
+	}
 
 	raw, err := os.ReadFile(filepath.Join(dir, shardedManifestName))
 	if err != nil {
@@ -249,49 +201,19 @@ func OpenSharded(dir string, opts ...Options) (*Sharded, error) {
 		return nil, fmt.Errorf("gausstree: sharded manifest names %d shards", m.Shards)
 	}
 
-	trees := make([]*core.Tree, m.Shards)
-	mgrs := make([]*pagefile.Manager, m.Shards)
-	wals := make([]*wal.Log, m.Shards)
+	units := make([]unit, 0, m.Shards)
 	fail := func(err error) (*Sharded, error) {
-		for _, l := range wals {
-			if l != nil {
-				l.Close()
-			}
-		}
-		for _, mg := range mgrs {
-			if mg != nil {
-				mg.Close()
-			}
-		}
+		releaseUnits(units)
 		return nil, err
 	}
 	total := 0
 	for i := 0; i < m.Shards; i++ {
-		fb, err := pagefile.OpenFile(filepath.Join(dir, shardFileName(i)))
+		u, err := openUnit(shardFiles(dir, i), o.CacheBytes/m.Shards, o)
 		if err != nil {
 			return fail(err)
 		}
-		mgr, err := pagefile.NewManager(fault.WrapBackend(fb, o.Fault), fb.PageSize(), pagefile.WithCacheBytes(o.CacheBytes/m.Shards), pagefile.WithCacheShards(o.CacheShards))
-		if err != nil {
-			fb.Close()
-			return fail(err)
-		}
-		mgrs[i] = mgr
-		if trees[i], err = core.Open(mgr); err != nil {
-			return fail(err)
-		}
-		l, tail, err := wal.Open(filepath.Join(dir, shardWALName(i)), trees[i].Dim(), trees[i].AppliedLSN(), wal.Options{Interval: o.CommitLatency, Fault: walFault(o.Fault)})
-		if err != nil {
-			return fail(err)
-		}
-		wals[i] = l
-		if err := trees[i].ApplyWALTail(tail); err != nil {
-			return fail(err)
-		}
-		if err := trees[i].SetWAL(l); err != nil {
-			return fail(err)
-		}
-		total += trees[i].Len()
+		units = append(units, u)
+		total += u.tree.Len()
 	}
 	// Stateful partitioners (round-robin) resume their rotation from the
 	// stored vector count.
@@ -299,259 +221,16 @@ func OpenSharded(dir string, opts ...Options) (*Sharded, error) {
 	if err != nil {
 		return fail(err)
 	}
-	eng, err := shard.New(trees, part)
-	if err != nil {
+	s := &Sharded{}
+	if err := s.start(units, part, o); err != nil {
 		return fail(err)
 	}
-	s := &Sharded{opts: o, dir: dir}
-	s.st.Store(&shardedState{eng: eng, mgrs: mgrs, wals: wals})
 	return s, nil
-}
-
-// state returns the live engine state or ErrClosed (lock-free).
-func (s *Sharded) state() (*shardedState, error) {
-	st := s.st.Load()
-	if st == nil {
-		return nil, ErrClosed
-	}
-	return st, nil
-}
-
-// waitDurable awaits WAL durability of the last mutation on every shard
-// (instant for shards whose log is already flushed, and for memory-backed
-// shards). Called after releasing the writer lock so concurrent mutations
-// can join the same group commits. A shard whose log died during the wait
-// is poisoned right away — under the writer lock, matching Tree.waitDurable
-// — so every later mutation uniformly fails wrapping ErrPoisoned.
-func (s *Sharded) waitDurable(st *shardedState) error {
-	var errs []error
-	var dead map[int]error
-	for i := 0; i < st.eng.NumShards(); i++ {
-		if err := st.eng.Tree(i).WaitDurable(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-			if errors.Is(err, wal.ErrFailed) {
-				if dead == nil {
-					dead = make(map[int]error)
-				}
-				dead[i] = err
-			}
-		}
-	}
-	if dead != nil {
-		s.mu.Lock()
-		for i, err := range dead {
-			st.eng.Tree(i).Poison(err)
-		}
-		s.mu.Unlock()
-	}
-	return errors.Join(errs...)
 }
 
 // NumShards returns the number of shards (0 after Close).
 func (s *Sharded) NumShards() int {
-	st := s.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.eng.NumShards()
-}
-
-// Dim returns the feature dimensionality of the index (0 after Close).
-func (s *Sharded) Dim() int {
-	st := s.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.eng.Dim()
-}
-
-// Len returns the total number of stored vectors across all shards.
-func (s *Sharded) Len() int {
-	st := s.st.Load()
-	if st == nil {
-		return 0
-	}
-	return st.eng.Len()
-}
-
-// LeafFormat returns the leaf storage format the shards write (restored
-// from the shard files on OpenSharded).
-func (s *Sharded) LeafFormat() LeafFormat {
-	st := s.st.Load()
-	if st == nil {
-		return LeafExact
-	}
-	return st.eng.Tree(0).LeafFormat()
-}
-
-// SnapshotEpoch returns the sum of the per-shard snapshot epochs: a
-// monotone counter of committed mutations across the whole index (see
-// Tree.SnapshotEpoch).
-func (s *Sharded) SnapshotEpoch() uint64 {
-	st := s.st.Load()
-	if st == nil {
-		return 0
-	}
-	var sum uint64
-	for i := 0; i < st.eng.NumShards(); i++ {
-		sum += st.eng.Tree(i).SnapshotEpoch()
-	}
-	return sum
-}
-
-// WALStats reports the summed write-ahead-log counters of all shards
-// (AppendedLSN and DurableLSN are the highest per-shard values — LSN
-// sequences are per shard). ok is false for memory-backed or closed
-// indexes.
-func (s *Sharded) WALStats() (ws WALStats, ok bool) {
-	st := s.st.Load()
-	if st == nil {
-		return WALStats{}, false
-	}
-	for _, l := range st.wals {
-		if l == nil {
-			continue
-		}
-		ok = true
-		w := l.Stats()
-		ws.Fsyncs += w.Fsyncs
-		ws.Records += w.Records
-		if w.AppendedLSN > ws.AppendedLSN {
-			ws.AppendedLSN = w.AppendedLSN
-		}
-		if w.DurableLSN > ws.DurableLSN {
-			ws.DurableLSN = w.DurableLSN
-		}
-	}
-	if ws.Fsyncs > 0 {
-		ws.MeanGroupSize = float64(ws.Records) / float64(ws.Fsyncs)
-	}
-	return ws, ok
-}
-
-// PinnedReaders returns the number of outstanding snapshot-reader epoch
-// pins summed over all shards.
-func (s *Sharded) PinnedReaders() int {
-	st := s.st.Load()
-	if st == nil {
-		return 0
-	}
-	n := 0
-	for i := 0; i < st.eng.NumShards(); i++ {
-		n += st.eng.Tree(i).Manager().PinnedReaders()
-	}
-	return n
-}
-
-// OldestPinnedEpoch returns the summed oldest pinned reader epochs of all
-// shards, mirroring SnapshotEpoch's summed convention: the difference
-// SnapshotEpoch()−OldestPinnedEpoch() is the total reclamation lag across
-// shards (0 when no reader lags anywhere).
-func (s *Sharded) OldestPinnedEpoch() uint64 {
-	st := s.st.Load()
-	if st == nil {
-		return 0
-	}
-	var sum uint64
-	for i := 0; i < st.eng.NumShards(); i++ {
-		sum += st.eng.Tree(i).Manager().OldestPin()
-	}
-	return sum
-}
-
-// LimboPages returns the number of freed pages awaiting reclamation summed
-// over all shards.
-func (s *Sharded) LimboPages() int {
-	st := s.st.Load()
-	if st == nil {
-		return 0
-	}
-	n := 0
-	for i := 0; i < st.eng.NumShards(); i++ {
-		n += st.eng.Tree(i).Manager().LimboPages()
-	}
-	return n
-}
-
-// Insert adds a vector to the shard its partition policy selects. Like
-// Tree.Insert it returns once the mutation's WAL record is durable (group
-// commit) on file-backed indexes.
-func (s *Sharded) Insert(v Vector) error {
-	s.mu.Lock()
-	st := s.st.Load()
-	if st == nil {
-		s.mu.Unlock()
-		return ErrClosed
-	}
-	if err := checkMutationVector(v, st.eng.Dim()); err != nil {
-		s.mu.Unlock()
-		return err
-	}
-	err := st.eng.Insert(v)
-	s.mu.Unlock()
-	if err != nil {
-		return err
-	}
-	return s.waitDurable(st)
-}
-
-// InsertAll adds a batch, loading the per-shard groups concurrently, and
-// returns how many vectors are durably applied. Unlike Tree.InsertAll the
-// durable set on error is a per-shard union, not a prefix of vs: each
-// shard applies its own group in order, so retrying the whole batch after
-// an error may re-insert some vectors (duplicates are permitted and can be
-// Deleted). On success the count is len(vs) and the whole batch is durable.
-func (s *Sharded) InsertAll(vs []Vector) (int, error) {
-	s.mu.Lock()
-	st := s.st.Load()
-	if st == nil {
-		s.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if err := checkMutationVectors(vs, st.eng.Dim()); err != nil {
-		s.mu.Unlock()
-		return 0, err
-	}
-	n, err := st.eng.InsertAll(vs)
-	s.mu.Unlock()
-	return n, err
-}
-
-// BulkLoad partitions the vector set and bulk-loads all shards concurrently
-// (every shard must be empty). Like Tree.BulkLoad it commits a full
-// checkpoint per shard and is durable on return.
-func (s *Sharded) BulkLoad(vs []Vector) error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.st.Load()
-	if st == nil {
-		return ErrClosed
-	}
-	if err := checkMutationVectors(vs, st.eng.Dim()); err != nil {
-		return err
-	}
-	return st.eng.BulkLoad(vs)
-}
-
-// Delete removes one stored copy of the exact vector and reports whether one
-// was found. Hash-partitioned trees probe one shard; round-robin probes all.
-func (s *Sharded) Delete(v Vector) (bool, error) {
-	s.mu.Lock()
-	st := s.st.Load()
-	if st == nil {
-		s.mu.Unlock()
-		return false, ErrClosed
-	}
-	if err := checkMutationVector(v, st.eng.Dim()); err != nil {
-		s.mu.Unlock()
-		return false, err
-	}
-	found, err := st.eng.Delete(v)
-	s.mu.Unlock()
-	if !found || err != nil {
-		return found, err
-	}
-	return true, s.waitDurable(st)
+	return len(s.units())
 }
 
 // KMostLikely answers a k-most-likely identification query across all
@@ -568,11 +247,8 @@ func (s *Sharded) KMostLikely(q Vector, k int) ([]Match, error) {
 // Like every query it runs lock-free against pinned per-shard snapshots,
 // concurrently with mutations.
 func (s *Sharded) KMLIQContext(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
-	st, err := s.state()
+	st, err := s.kQuery(q, k)
 	if err != nil {
-		return nil, ShardedQueryStats{}, err
-	}
-	if err := errors.Join(checkQueryVector(q, st.eng.Dim()), checkK(k)); err != nil {
 		return nil, ShardedQueryStats{}, err
 	}
 	res, qs, err := st.eng.KMLIQDetail(ctx, q, k, s.opts.Accuracy)
@@ -591,11 +267,8 @@ func (s *Sharded) KMostLikelyRanked(q Vector, k int) ([]Match, error) {
 // KMLIQRankedContext is KMostLikelyRanked with cancellation and per-shard
 // statistics.
 func (s *Sharded) KMLIQRankedContext(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
-	st, err := s.state()
+	st, err := s.kQuery(q, k)
 	if err != nil {
-		return nil, ShardedQueryStats{}, err
-	}
-	if err := errors.Join(checkQueryVector(q, st.eng.Dim()), checkK(k)); err != nil {
 		return nil, ShardedQueryStats{}, err
 	}
 	res, qs, err := st.eng.KMLIQRankedDetail(ctx, q, k)
@@ -613,131 +286,10 @@ func (s *Sharded) Threshold(q Vector, pTheta float64) ([]Match, error) {
 
 // TIQContext is Threshold with cancellation and per-shard statistics.
 func (s *Sharded) TIQContext(ctx context.Context, q Vector, pTheta float64) ([]Match, ShardedQueryStats, error) {
-	st, err := s.state()
+	st, err := s.thetaQuery(q, pTheta)
 	if err != nil {
-		return nil, ShardedQueryStats{}, err
-	}
-	if err := errors.Join(checkQueryVector(q, st.eng.Dim()), checkPTheta(pTheta)); err != nil {
 		return nil, ShardedQueryStats{}, err
 	}
 	res, qs, err := st.eng.TIQDetail(ctx, q, pTheta, s.opts.Accuracy)
 	return toMatches(res), qs, err
-}
-
-// ForEach visits every stored vector, shard by shard; each shard
-// contributes one commit-consistent snapshot.
-func (s *Sharded) ForEach(fn func(Vector) error) error {
-	st, err := s.state()
-	if err != nil {
-		return err
-	}
-	return st.eng.ForEach(fn)
-}
-
-// CheckInvariants verifies the structural invariants of every shard.
-func (s *Sharded) CheckInvariants() error {
-	st, err := s.state()
-	if err != nil {
-		return err
-	}
-	for i := 0; i < st.eng.NumShards(); i++ {
-		if err := st.eng.Tree(i).CheckInvariants(); err != nil {
-			return fmt.Errorf("shard %d: %w", i, err)
-		}
-	}
-	return nil
-}
-
-// Stats reports the summed I/O counters of all shard page managers.
-func (s *Sharded) Stats() (pagefile.Stats, error) {
-	st, err := s.state()
-	if err != nil {
-		return pagefile.Stats{}, err
-	}
-	var sum pagefile.Stats
-	for _, m := range st.mgrs {
-		sum = sum.Add(m.Stats())
-	}
-	return sum, nil
-}
-
-// ResetStats zeroes the I/O counters of every shard.
-func (s *Sharded) ResetStats() error {
-	st, err := s.state()
-	if err != nil {
-		return err
-	}
-	for _, m := range st.mgrs {
-		m.ResetStats()
-	}
-	return nil
-}
-
-// Sync is an explicit durability barrier: it checkpoints every shard's
-// write-ahead log into its committed meta record and flushes the page
-// files. Mutations are already durable when they return.
-func (s *Sharded) Sync() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.st.Load()
-	if st == nil {
-		return ErrClosed
-	}
-	var errs []error
-	for i := 0; i < st.eng.NumShards(); i++ {
-		if err := st.eng.Tree(i).Checkpoint(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-			continue
-		}
-		if err := st.mgrs[i].Sync(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	return errors.Join(errs...)
-}
-
-// Quarantine makes every shard permanently write-inert without closing it;
-// see Tree.Quarantine. Reads keep serving the last published per-shard
-// snapshots until Close.
-func (s *Sharded) Quarantine(cause error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.st.Load()
-	if st == nil {
-		return
-	}
-	for i := 0; i < st.eng.NumShards(); i++ {
-		st.eng.Tree(i).Poison(cause)
-		if st.wals[i] != nil {
-			st.wals[i].Fail(cause)
-		}
-	}
-}
-
-// Close checkpoints every shard's write-ahead log, flushes and releases
-// every shard. The tree is unusable afterwards; a durable sharded index can
-// be reattached with OpenSharded. As with Tree.Close, queries still in
-// flight fail with a storage-closed error.
-func (s *Sharded) Close() error {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	st := s.st.Swap(nil)
-	if st == nil {
-		return nil
-	}
-	var errs []error
-	for i := 0; i < st.eng.NumShards(); i++ {
-		if st.wals[i] != nil {
-			// Checkpoint failure is not data loss (acknowledged mutations
-			// are fsynced in the log and will be replayed); see Tree.Close.
-			st.eng.Tree(i).Checkpoint()
-			if err := st.wals[i].Close(); err != nil {
-				errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-			}
-		}
-		if err := st.mgrs[i].Close(); err != nil {
-			errs = append(errs, fmt.Errorf("shard %d: %w", i, err))
-		}
-	}
-	return errors.Join(errs...)
 }
