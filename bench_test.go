@@ -372,10 +372,10 @@ func BenchmarkReopen(b *testing.B) {
 }
 
 // BenchmarkKMLIQHot measures the pure in-memory k-MLIQ path: the index is
-// fully cached (buffer cache and decoded-node cache warmed by a full pass
-// over the query set), so ns/op and allocs/op are the CPU cost of the hot
-// read path itself — the quantity the sharded buffer cache, decoded-node
-// cache and allocation-free traversal of PR 5 optimize. pages/query stays
+// fully cached (every page's cache entry holds its decoded node after a full
+// pass over the query set), so ns/op and allocs/op are the CPU cost of the
+// hot read path itself — the quantity the sharded page cache, its decoded
+// entries and the allocation-free traversal optimize. pages/query stays
 // reported to prove the traversal itself is unchanged.
 func BenchmarkKMLIQHot(b *testing.B) {
 	w := benchDS2(b)

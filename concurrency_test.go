@@ -15,7 +15,7 @@ import (
 // TestParallelInsertQueryHammer drives one public Tree with concurrent
 // writers (Insert) and readers (KMLIQContext, TIQContext) simultaneously.
 // Run under -race this exercises the mutex-guarded page manager, the
-// reader-shared decoded-node cache and the atomic per-query counters.
+// reader-shared decoded page-cache entries and the atomic per-query counters.
 func TestParallelInsertQueryHammer(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	base := randomWorld(rng, 400, 3)

@@ -252,23 +252,24 @@
 // # Performance
 //
 // The hot read path — a query against a fully cached index — is lock-light,
-// decode-free and allocation-free in steady state. Two sharded cache layers
-// stack under every query: the pagefile buffer cache (page bytes by id,
-// per-shard LRU with one short lock per hit, atomic closed/allocation
-// checks, the allocator under its own small lock so NumPages/Stats never
-// contend with reads) and the core decoded-node cache (immutable parsed
-// nodes by page id, generation-invalidated by the copy-on-write mutation
-// path, with ln(count) precomputed per routing entry for the §5.2.2 sum
-// bounds). Per-query traversal state — the best-first queue, top-k heap,
-// denominator accumulators, page counter and a precomputed density
-// evaluator — is pooled and reset between queries, so a cache-hit k-MLIQ
-// performs a handful of allocations regardless of how many nodes it visits.
-// Page-access statistics are charged on every logical read either way, so
-// the paper's efficiency metrics are unaffected.
+// decode-free and allocation-free in steady state. One sharded cache sits
+// under every query: the pagefile page cache, whose entry for a tree page
+// holds the immutable decoded node in place of the page's bytes (per-shard
+// LRU with one short lock per hit; the copy-on-write mutation path replaces
+// or drops an entry exactly where it replaces or drops the bytes). A first
+// touch is a backend read, a CRC check and one decode — a leaf into one
+// backing array, an inner node with ln(count) precomputed per routing entry
+// for the §5.2.2 sum bounds. Per-query traversal state — the best-first
+// queue, top-k heap, denominator accumulators, page counter and a
+// precomputed density evaluator — is pooled and reset between queries, so a
+// cache-hit k-MLIQ performs a handful of allocations regardless of how many
+// nodes it visits, plus one per returned vector (results are copies the
+// caller owns). Page-access statistics are charged on every logical read
+// either way, so the paper's efficiency metrics are unaffected.
 //
-// Tuning: Options.CacheBytes sets the buffer cache budget (default 50 MB,
-// the paper's setup; gaussd -cache-mb); the cache's shard count follows
-// from it. gaussd -ops-addr exposes net/http/pprof beside /metrics on a
+// Tuning: Options.CacheBytes sets the page cache budget (default 50 MB, the
+// paper's setup; gaussd -cache-mb) — decoded nodes included, one page each;
+// the cache's shard count follows from it. gaussd -ops-addr exposes net/http/pprof beside /metrics on a
 // loopback-only listener for profiling the serving hot path in place. The
 // benchmark of record (BENCHMARK.json, ./benchmark) holds the measured
 // numbers per workload and per layer; benchmark/README.md maps the earlier

@@ -91,7 +91,9 @@ type Options struct {
 	// reattached with Open the page size always comes from the file header
 	// and this field is ignored.
 	PageSize int
-	// CacheBytes is the buffer cache budget (default 50 MB).
+	// CacheBytes is the page cache budget (default 50 MB). It bounds the
+	// decoded nodes the index keeps as well: a cached page is held as its
+	// decoded node in place of its bytes, one page of the budget either way.
 	CacheBytes int
 	// Combiner is the σ-combination rule (default CombineAdditive). It is
 	// persisted in the index meta record; Open restores the combiner the

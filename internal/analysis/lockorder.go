@@ -31,12 +31,11 @@ var LockOrder = &Analyzer{
 // fields not in this table are untracked (local scratch locks, the WAL's
 // internal mutex, server admission state).
 var lockRanks = map[string]int{
-	"index.mu":          0, // facade writer lock (root package; Tree and Sharded embed index)
-	"Manager.ioMu":      1,
-	"Manager.epochMu":   2,
-	"Manager.allocMu":   3,
-	"cacheShard.mu":     4, // pagefile buffer-cache shard — terminal
-	"nodeCacheShard.mu": 4, // core decoded-node cache shard — terminal
+	"index.mu":        0, // facade writer lock (root package; Tree and Sharded embed index)
+	"Manager.ioMu":    1,
+	"Manager.epochMu": 2,
+	"Manager.allocMu": 3,
+	"cacheShard.mu":   4, // pagefile buffer-cache shard — terminal
 }
 
 const lockOrderDoc = "ioMu < epochMu < allocMu < shard"
@@ -52,9 +51,10 @@ var managerLockUse = map[string]funcEffects{
 	"FreeDeferred":  {acquires: []string{"Manager.allocMu", "Manager.epochMu", "cacheShard.mu"}},
 	"Read":          {acquires: []string{"Manager.ioMu", "cacheShard.mu"}, doesIO: true},
 	"ReadCounted":   {acquires: []string{"Manager.ioMu", "cacheShard.mu"}, doesIO: true},
-	"ReadInto":      {acquires: []string{"Manager.ioMu", "cacheShard.mu"}, doesIO: true},
+	"ReadDecoded":   {acquires: []string{"Manager.ioMu", "cacheShard.mu"}, doesIO: true},
 	"VerifyPage":    {acquires: []string{"Manager.ioMu"}, doesIO: true},
 	"Write":         {acquires: []string{"Manager.ioMu", "cacheShard.mu"}, doesIO: true},
+	"WriteDecoded":  {acquires: []string{"Manager.ioMu", "cacheShard.mu"}, doesIO: true},
 	"CommitMeta":    {acquires: []string{"Manager.ioMu", "Manager.epochMu", "Manager.allocMu", "cacheShard.mu"}, doesIO: true},
 	"Sync":          {acquires: []string{"Manager.ioMu"}, doesIO: true},
 	"Close":         {acquires: []string{"Manager.ioMu"}, doesIO: true},

@@ -9,7 +9,7 @@ import (
 	"pagefile"
 )
 
-type nodeCacheShard struct{ mu sync.Mutex }
+type cacheShard struct{ mu sync.Mutex }
 
 type index struct {
 	mu sync.Mutex
@@ -17,7 +17,7 @@ type index struct {
 
 type engine struct {
 	mgr    *pagefile.Manager
-	shards [4]nodeCacheShard
+	shards [4]cacheShard
 }
 
 // good: outermost facade lock, then Manager I/O, then a shard lock — ranks
@@ -34,19 +34,19 @@ func (e *engine) goodOrder(t *index) error {
 }
 
 // bad: shard locks are terminal — no pagefile I/O may run under one. The
-// summarized Read also acquires ioMu and a cache shard, both rank
-// violations of their own.
+// summarized Read also acquires ioMu, a rank violation of its own, and a
+// cache shard lock, which is the lock already held.
 func (e *engine) readUnderShard(id int) ([]byte, error) {
 	s := &e.shards[0]
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	return e.mgr.Read(id) // want "performs pagefile I/O while shard lock nodeCacheShard.mu is held" "call acquires Manager.ioMu" "call acquires cacheShard.mu"
+	return e.mgr.Read(id) // want "performs pagefile I/O while shard lock cacheShard.mu is held" "call acquires Manager.ioMu" "call re-acquires cacheShard.mu"
 }
 
 // bad: shard locks never nest, not even two shards of the same cache.
 func (e *engine) nestedShards() {
 	e.shards[0].mu.Lock()
-	e.shards[1].mu.Lock() // want "nodeCacheShard.mu acquired while already held"
+	e.shards[1].mu.Lock() // want "cacheShard.mu acquired while already held"
 	e.shards[1].mu.Unlock()
 	e.shards[0].mu.Unlock()
 }

@@ -63,6 +63,22 @@ func BoxOfVectors(vs []pfv.Vector) ParamBox {
 	return b
 }
 
+// BoxOfColumns returns the minimum bounding box of a non-empty columnar
+// batch; it equals BoxOfVectors of the same vectors.
+func BoxOfColumns(c *pfv.Columns) ParamBox {
+	if c.Len() == 0 {
+		panic("core: BoxOfColumns of empty batch")
+	}
+	b := NewParamBox(c.Dim())
+	for i, col := range c.Mean {
+		for _, m := range col {
+			b.Mu[i] = b.Mu[i].Extend(m)
+		}
+		b.Sigma[i] = gaussian.Interval{Lo: c.SigmaMin[i], Hi: c.SigmaMax[i]}
+	}
+	return b
+}
+
 // Dim returns the feature dimensionality of the box.
 func (b ParamBox) Dim() int { return len(b.Mu) }
 

@@ -1,8 +1,9 @@
 package core
 
 import (
+	"cmp"
 	"fmt"
-	"sort"
+	"slices"
 
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
@@ -38,11 +39,15 @@ func (t *Tree) BulkLoad(vs []pfv.Vector) error {
 
 func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 	work := append([]pfv.Vector(nil), vs...)
+	// Sort scratch shared by every partition step (they run one at a time).
+	keys := make([]float64, len(work))
+	order := make([]int, len(work))
+	sorted := make([]pfv.Vector, len(work))
 
 	// Recursively partition into k near-full leaf runs: splitting by target
 	// leaf count (instead of plain medians) keeps every leaf at ~n/k ≈ full
 	// capacity rather than the ~62% a pure halving recursion converges to.
-	var leaves []*node
+	var level []childEntry
 	var partition func(part []pfv.Vector, k int) error
 	partition = func(part []pfv.Vector, k int) error {
 		if k <= 1 || len(part) <= t.capLeaf {
@@ -50,21 +55,19 @@ func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 			if err != nil {
 				return err
 			}
-			leaf := &node{id: id, leaf: true, vectors: append([]pfv.Vector(nil), part...)}
-			if err := t.writeNode(leaf); err != nil {
+			leaf := &node{id: id, leaf: true, vectors: part}
+			if err := t.persistNode(leaf); err != nil {
 				return err
 			}
-			leaves = append(leaves, leaf)
+			level = append(level, childEntry{page: id, count: len(part), box: leaf.computeBox(t.dim)})
 			return nil
 		}
-		axis := t.bestBulkAxis(part)
-		dim, isSigma := axis/2, axis%2 == 1
-		sort.SliceStable(part, func(a, b int) bool {
-			if isSigma {
-				return part[a].Sigma[dim] < part[b].Sigma[dim]
-			}
-			return part[a].Mean[dim] < part[b].Mean[dim]
-		})
+		axis := t.bestBulkAxis(part, keys, order)
+		keyOrder(axisKeys(part, axis, keys), order[:len(part)])
+		for i, j := range order[:len(part)] {
+			sorted[i] = part[j]
+		}
+		copy(part, sorted)
 		k1 := k / 2
 		splitAt := len(part) * k1 / k
 		if err := partition(part[:splitAt], k1); err != nil {
@@ -78,10 +81,6 @@ func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 	}
 
 	// Assemble upper levels from consecutive runs.
-	level := make([]childEntry, len(leaves))
-	for i, leaf := range leaves {
-		level[i] = childEntry{page: leaf.id, count: len(leaf.vectors), box: leaf.computeBox(t.dim)}
-	}
 	height := 1
 	for len(level) > 1 {
 		groups := chunkEntries(level, t.capInner, t.minInner)
@@ -92,7 +91,7 @@ func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 				return err
 			}
 			n := &node{id: id, children: g}
-			if err := t.writeNode(n); err != nil {
+			if err := t.persistNode(n); err != nil {
 				return err
 			}
 			next = append(next, childEntry{page: id, count: n.subtreeCount(), box: n.computeBox(t.dim)})
@@ -119,10 +118,39 @@ func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 	return nil
 }
 
+// axisKeys fills keys[:len(vs)] with the vectors' coordinate along a split
+// axis (2·dim for μ, 2·dim+1 for σ) and returns that prefix.
+func axisKeys(vs []pfv.Vector, axis int, keys []float64) []float64 {
+	for i, v := range vs {
+		keys[i] = v.Mean[axis/2]
+		if axis%2 == 1 {
+			keys[i] = v.Sigma[axis/2]
+		}
+	}
+	return keys[:len(vs)]
+}
+
+// keyOrder fills order with the stable ascending order of keys: the index of
+// the i-th smallest key at position i, equal keys in index order. The index
+// tie-break makes the order unique, so an unstable sort finds it — without
+// sort.SliceStable's reflection-based swapper.
+func keyOrder(keys []float64, order []int) {
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return a - b
+	})
+}
+
 // bestBulkAxis picks the split axis for a partition by evaluating the
 // configured split objective on a sample, exactly like the online median
-// split but subsampled for speed.
-func (t *Tree) bestBulkAxis(part []pfv.Vector) int {
+// split but subsampled for speed. keys and order are scratch at least as
+// long as the sample.
+func (t *Tree) bestBulkAxis(part []pfv.Vector, keys []float64, order []int) int {
 	const sampleCap = 512
 	sample := part
 	if len(part) > sampleCap {
@@ -132,21 +160,11 @@ func (t *Tree) bestBulkAxis(part []pfv.Vector) int {
 			sample = append(sample, part[i])
 		}
 	}
-	keys := make([]float64, len(sample))
-	order := make([]int, len(sample))
+	order = order[:len(sample)]
 	probe := &node{leaf: true, vectors: sample}
 	bestAxis, bestCost := 0, 0.0
 	for axis := 0; axis < 2*t.dim; axis++ {
-		dim, isSigma := axis/2, axis%2 == 1
-		for i := range sample {
-			if isSigma {
-				keys[i] = sample[i].Sigma[dim]
-			} else {
-				keys[i] = sample[i].Mean[dim]
-			}
-			order[i] = i
-		}
-		sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+		keyOrder(axisKeys(sample, axis, keys), order)
 		cost := t.splitCost(probe, order)
 		if axis == 0 || cost < bestCost {
 			bestAxis, bestCost = axis, cost

@@ -83,8 +83,9 @@ func (p DenomParts) ProbInterval(logDensity float64) (lo, hi float64) {
 }
 
 // Candidate is one result candidate of a paused cursor: a database object
-// with its exact joint log density ln p(q|v). Probabilities are deliberately
-// absent — they require the merged global denominator.
+// (a copy the caller owns) with its exact joint log density ln p(q|v).
+// Probabilities are deliberately absent — they require the merged global
+// denominator.
 type Candidate struct {
 	Vector     pfv.Vector
 	LogDensity float64
@@ -110,7 +111,7 @@ func SortCandidates(cs []Candidate) {
 // the paused state for cross-tree merging.
 type KMLIQCursor struct {
 	tr  *traversal
-	top *pqueue.TopK[pfv.Vector]
+	top *pqueue.TopK[vecRef]
 	err error
 	// shard labels this cursor's trace spans (-1 when standalone); refines
 	// numbers Refine calls from 1 so spans line up with merge rounds.
@@ -125,8 +126,8 @@ func (t *Tree) NewKMLIQCursor(ctx context.Context, q pfv.Vector, k int) (*KMLIQC
 		return nil, err
 	}
 	top := acquireTopK(k)
-	tr := t.newTraversal(ctx, q, true, func(v pfv.Vector, ld float64) {
-		top.Offer(v, ld)
+	tr := t.newTraversal(ctx, q, true, func(r vecRef, ld float64) {
+		top.Offer(r, ld)
 	})
 	return &KMLIQCursor{tr: tr, top: top, shard: -1}, nil
 }
@@ -179,8 +180,8 @@ func (c *KMLIQCursor) Refine(accuracy, maxLogUnexplored float64) error {
 // usable — the candidate heap is copied, not drained.
 func (c *KMLIQCursor) Candidates() []Candidate {
 	out := make([]Candidate, 0, c.top.Len())
-	c.top.Items(func(v pfv.Vector, ld float64) {
-		out = append(out, Candidate{Vector: v, LogDensity: ld})
+	c.top.Items(func(r vecRef, ld float64) {
+		out = append(out, Candidate{Vector: r.vector(), LogDensity: ld})
 	})
 	SortCandidates(out)
 	return out
@@ -264,8 +265,8 @@ func (c *TIQCursor) Refine(maxLogUnexplored, logExternalLow float64) error {
 // remains usable — the candidate set is copied, not drained.
 func (c *TIQCursor) Candidates() []Candidate {
 	out := make([]Candidate, 0, c.col.candidates.Len())
-	c.col.candidates.Items(func(v pfv.Vector, ld float64) {
-		out = append(out, Candidate{Vector: v, LogDensity: ld})
+	c.col.candidates.Items(func(r vecRef, ld float64) {
+		out = append(out, Candidate{Vector: r.vector(), LogDensity: ld})
 	})
 	SortCandidates(out)
 	return out

@@ -45,8 +45,8 @@ func (t *Tree) delete(v pfv.Vector) (bool, error) {
 	if err != nil || !found {
 		return false, err
 	}
-	// Clone the descent before mutating: the path nodes came from the
-	// shared decoded-node cache, and snapshot readers may be traversing
+	// Clone the descent before mutating: the path nodes are the page
+	// cache's shared decoded forms, and snapshot readers may be traversing
 	// them right now.
 	clonePath(path)
 
@@ -125,7 +125,7 @@ func (t *Tree) delete(v pfv.Vector) (bool, error) {
 		root = &node{id: rootID, leaf: true}
 		t.root = rootID
 		t.height = 1
-		if err := t.writeNode(root); err != nil {
+		if err := t.persistNode(root); err != nil {
 			return false, err
 		}
 	}
@@ -161,16 +161,11 @@ func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
 	var dfs func(n *node, path []pathStep) ([]pathStep, bool, error)
 	dfs = func(n *node, path []pathStep) ([]pathStep, bool, error) {
 		if n.leaf {
-			vs, err := t.leafExactVectors(n)
-			if err != nil {
+			cols, err := t.exactColumns(n)
+			if err != nil || cols.Index(v) < 0 {
 				return nil, false, err
 			}
-			for _, w := range vs {
-				if w.Equal(v) {
-					return append(path, pathStep{node: n, childIdx: -1}), true, nil
-				}
-			}
-			return nil, false, nil
+			return append(path, pathStep{node: n, childIdx: -1}), true, nil
 		}
 		for i, c := range n.children {
 			if !c.box.ContainsVector(v) {
@@ -191,14 +186,17 @@ func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
 }
 
 // collectVectors gathers every pfv stored in the (already loaded) node's
-// subtree.
+// subtree; n may be one of the writer's own nodes.
 func (t *Tree) collectVectors(n *node) ([]pfv.Vector, error) {
+	if n.vectors != nil {
+		return append([]pfv.Vector(nil), n.vectors...), nil
+	}
 	if n.leaf {
-		vs, err := t.leafExactVectors(n)
+		cols, err := t.exactColumns(n)
 		if err != nil {
 			return nil, err
 		}
-		return append([]pfv.Vector(nil), vs...), nil
+		return cols.Vectors(), nil
 	}
 	var out []pfv.Vector
 	for _, c := range n.children {

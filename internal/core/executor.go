@@ -50,7 +50,7 @@ type traversal struct {
 	// construction; nil (the common case) makes every span call a no-op.
 	trace *obs.Trace
 	// onVector receives every exactly scored leaf object.
-	onVector func(v pfv.Vector, ld float64)
+	onVector func(r vecRef, ld float64)
 
 	// screenBound, when set on a non-denominator traversal, returns the
 	// current top-k admission bound (ok=false while the heap is not full —
@@ -79,13 +79,25 @@ type traversal struct {
 	dimBuf []float64
 }
 
+// vecRef names a stored vector by its position in a decoded leaf's columns.
+// The traversal hands its collectors these: holding one copies nothing (it
+// pins the leaf's columns while the query keeps it), and a row-major vector
+// is built only for what a query returns.
+type vecRef struct {
+	cols *pfv.Columns
+	j    int
+}
+
+// vector returns a fresh copy: no query result aliases the page cache.
+func (r vecRef) vector() pfv.Vector { return r.cols.Vector(r.j) }
+
 var traversalPool = sync.Pool{
 	New: func() any {
 		return &traversal{active: pqueue.NewMax[activeNode]()}
 	},
 }
 
-func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, onVector func(pfv.Vector, float64)) *traversal {
+func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, onVector func(vecRef, float64)) *traversal {
 	tr := traversalPool.Get().(*traversal)
 	tr.tree = t
 	tr.snap, tr.pinEpoch = t.pinSnap()
@@ -180,7 +192,8 @@ func (tr *traversal) run(done func() bool) error {
 // (feeding both the candidate collector and the exact denominator part);
 // inner children are pushed with their hull priorities and registered with
 // the denominator tracker. The hot path is allocation-free: node reads hit
-// the decoded-node cache, densities go through the per-query evaluator, and
+// the page cache's decoded forms, densities go through the per-query
+// evaluator, and
 // the subtree-count logarithms of the §5.2.2 sum bounds are precomputed on
 // the node (childEntry.logCount).
 func (tr *traversal) expand(a activeNode) error {
@@ -241,7 +254,8 @@ func (tr *traversal) expand(a activeNode) error {
 // replaces — and fed to the denominator and collector exactly as before.
 // With a screen bound (ranked top-k queries, once the heap is full), a cheap
 // logarithm-free per-vector upper bound is computed first and only vectors
-// that could still enter the top-k are scored exactly.
+// that could still enter the top-k are scored exactly, straight from the
+// columns.
 func (tr *traversal) scoreExactLeaf(n *node) {
 	cols := n.cols
 	nv := cols.Len()
@@ -256,10 +270,9 @@ func (tr *traversal) scoreExactLeaf(n *node) {
 				if ub <= bound {
 					continue
 				}
-				v := n.vectors[j]
-				ld := tr.eval.LogDensity(v)
+				ld := tr.eval.LogDensityAt(cols, j)
 				tr.stats.VectorsScored++
-				tr.onVector(v, ld)
+				tr.onVector(vecRef{cols, j}, ld)
 				if b, ok := tr.screenBound(); ok {
 					bound = b
 				}
@@ -273,7 +286,7 @@ func (tr *traversal) scoreExactLeaf(n *node) {
 		if tr.trackDenom {
 			tr.denom.addExact(ld)
 		}
-		tr.onVector(n.vectors[j], ld)
+		tr.onVector(vecRef{cols, j}, ld)
 	}
 }
 
@@ -351,7 +364,7 @@ func (tr *traversal) expandQuantLeaf(n *node) error {
 	if err != nil {
 		return err
 	}
-	if !side.leaf || side.quant != nil {
+	if side.cols == nil {
 		return fmt.Errorf("core: page %d referenced as sidecar of leaf %d is not an exact leaf", q.sidecar, n.id)
 	}
 	tr.scoreExactLeaf(side)

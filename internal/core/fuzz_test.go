@@ -40,11 +40,21 @@ func FuzzNodeCodec(f *testing.F) {
 	f.Add([]byte{}, uint8(1))
 	f.Add([]byte{9, 0, 0}, uint8(1)) // unknown node kind
 	f.Add([]byte{3, 0, 0}, uint8(1)) // columnar leaf with truncated header
+	f.Add(mustEncode(f, &node{leaf: true, kind: kindSidecar, vectors: leaf.vectors}, 2), uint8(2))
+	// A full columnar leaf: no room for the NegLnSigma terms, flag clear.
+	full := &node{leaf: true}
+	for len(full.vectors) < (pagefile.DefaultPageSize-colHeaderSize)/leafEntrySize(2) {
+		full.vectors = append(full.vectors, pfv.MustNew(uint64(len(full.vectors)), []float64{1, 2}, []float64{0.5, 2}))
+	}
+	f.Add(mustEncode(f, full, 2), uint8(2))
 	f.Fuzz(func(t *testing.T, page []byte, dimRaw uint8) {
 		dim := int(dimRaw%6) + 1
 		n, err := decodeNode(0, page, dim)
 		if err != nil {
 			return // rejecting is fine; panicking is not
+		}
+		if n.vectors != nil {
+			t.Fatal("decoded node carries row-major vectors")
 		}
 		enc, err := encodeNode(n, dim, pagefile.DefaultPageSize)
 		if err != nil {

@@ -17,71 +17,6 @@ import (
 	"github.com/gauss-tree/gausstree/internal/query"
 )
 
-// TestNodeCacheGeneration unit-tests the sharded decoded-node cache: point
-// invalidation, O(1) wholesale invalidation via generations, and lazy sweep
-// of stale entries.
-func TestNodeCacheGeneration(t *testing.T) {
-	var c nodeCache
-	n1 := &node{id: 1, leaf: true}
-	n2 := &node{id: 2, leaf: true}
-	c.put(1, n1)
-	c.put(2, n2)
-	if c.get(1) != n1 || c.get(2) != n2 {
-		t.Fatal("cached nodes not returned")
-	}
-	if c.len() != 2 {
-		t.Fatalf("len = %d, want 2", c.len())
-	}
-
-	c.invalidate(1)
-	if c.get(1) != nil {
-		t.Error("point-invalidated node still visible")
-	}
-	if c.get(2) != n2 {
-		t.Error("unrelated node lost by point invalidation")
-	}
-
-	c.invalidateAll()
-	if c.get(2) != nil {
-		t.Error("generation bump did not hide stale entry")
-	}
-	if c.len() != 0 {
-		t.Errorf("len after invalidateAll = %d, want 0", c.len())
-	}
-
-	// Re-inserting under the new generation makes the id visible again.
-	c.put(2, n1)
-	if c.get(2) != n1 {
-		t.Error("re-inserted node not visible under new generation")
-	}
-
-	// Overflow sweep: fill one shard almost to capacity, orphan those
-	// entries with a generation bump, insert one live entry, then push the
-	// shard past capacity — the sweep must evict only the stale entries.
-	c2 := &nodeCache{}
-	target := c2.shardOf(2)
-	for i := pagefile.PageID(100); len(target.m) < maxNodesPerShard-1; i++ {
-		if c2.shardOf(i) == target && i != 2 {
-			c2.put(i, n1)
-		}
-	}
-	c2.invalidateAll()
-	c2.put(2, n2) // the only live entry in an otherwise-stale shard
-	added := 0
-	for i := pagefile.PageID(10_000_000); added < 2; i++ {
-		if c2.shardOf(i) == target {
-			c2.put(i, n1) // second put overflows and sweeps
-			added++
-		}
-	}
-	if c2.get(2) != n2 {
-		t.Error("overflow sweep evicted a live entry while stale entries existed")
-	}
-	if got := len(target.m); got >= maxNodesPerShard {
-		t.Errorf("overflow sweep left %d entries, want < %d", got, maxNodesPerShard)
-	}
-}
-
 // hotPathWorld builds a reference tree plus expected results for a query
 // set, for comparing against concurrent and post-mutation runs.
 type hotPathWorld struct {
@@ -114,9 +49,9 @@ func resultKey(rs []query.Result) string {
 // TestConcurrentHotQueryHammer floods one tree with concurrent hot queries
 // (all three query types, fully cached after the first pass) from many
 // goroutines and checks every result against the single-threaded reference.
-// Run under -race this exercises the sharded buffer cache, the sharded
-// decoded-node cache and the pooled traversal state; afterwards it verifies
-// no goroutines leaked.
+// Run under -race this exercises the sharded page cache and its shared
+// decoded nodes and the pooled traversal state; afterwards it verifies no
+// goroutines leaked.
 func TestConcurrentHotQueryHammer(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := buildHotPathWorld(t, 3000)
@@ -206,8 +141,8 @@ func TestConcurrentHotQueryHammer(t *testing.T) {
 	}
 }
 
-// TestMutationInvalidationConformance is the decoded-node cache's
-// correctness contract: after arbitrary mutations (inserts and deletes on a
+// TestMutationInvalidationConformance is the correctness contract of the
+// decoded nodes the page cache holds: after arbitrary mutations (inserts and deletes on a
 // warm, fully cached tree), queries must return results identical to a
 // freshly opened tree over the same page file — i.e. no stale cached node
 // can survive a copy-on-write rewrite or free.
@@ -315,12 +250,12 @@ func TestMutationInvalidationConformance(t *testing.T) {
 	}
 }
 
-// TestFailedMutationDropsDecodedCache pins fail()'s wholesale cache
-// invalidation: a mutation that dies mid-flight has already edited cached
-// node objects in place ahead of copy-on-write page writes that never
-// happened. The poisoned tree must serve queries from the intact committed
-// pages — identical to a freshly attached manager over the same backend —
-// not from the orphaned in-memory edits.
+// TestFailedMutationDropsDecodedCache: a mutation that dies mid-flight has
+// edited nodes ahead of copy-on-write page writes that never happened. Those
+// edits are on its own clones, never on the cached decoded nodes, so the
+// poisoned tree must serve queries from the intact committed pages —
+// identical to a freshly attached manager over the same backend — not from
+// the orphaned in-memory edits.
 func TestFailedMutationDropsDecodedCache(t *testing.T) {
 	inner := pagefile.NewMemBackend(2048)
 	inj := fault.New()
@@ -345,7 +280,7 @@ func TestFailedMutationDropsDecodedCache(t *testing.T) {
 		qs[i] = randomVec(rng, uint64(7000+i), 3)
 	}
 	ctx := context.Background()
-	for _, q := range qs { // warm the decoded-node cache
+	for _, q := range qs { // warm the page cache
 		if _, _, err := tr.KMLIQ(ctx, q, 3, 1e-6); err != nil {
 			t.Fatal(err)
 		}

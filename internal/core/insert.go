@@ -55,8 +55,8 @@ func (t *Tree) insert(v pfv.Vector) error {
 	if err != nil {
 		return err
 	}
-	// Clone the descent before mutating: the path nodes came from the
-	// shared decoded-node cache, and snapshot readers may be traversing
+	// Clone the descent before mutating: the path nodes are the page
+	// cache's shared decoded forms, and snapshot readers may be traversing
 	// them right now.
 	clonePath(path)
 	leaf := path[len(path)-1].node
@@ -114,7 +114,7 @@ func (t *Tree) insert(v pfv.Vector) error {
 				*splitOff,
 			},
 		}
-		if err := t.writeNode(newRoot); err != nil {
+		if err := t.persistNode(newRoot); err != nil {
 			return err
 		}
 		t.root = newRootID
@@ -305,14 +305,14 @@ func (t *Tree) probeLeafCost(page pagefile.PageID, v pfv.Vector) (enl, cost floa
 		return 0, 0, err
 	}
 	if n.leaf {
-		vs, err := t.leafExactVectors(n)
+		cols, err := t.exactColumns(n)
 		if err != nil {
 			return 0, 0, err
 		}
-		if len(vs) == 0 {
+		if cols.Len() == 0 {
 			return 0, math.Inf(-1), nil
 		}
-		box := BoxOfVectors(vs)
+		box := BoxOfColumns(cols)
 		c := t.boxCost(box)
 		return t.boxCostWith(box, v) - c, c, nil
 	}
@@ -339,9 +339,8 @@ func (t *Tree) splitNode(n *node) (*childEntry, error) {
 		dim, isSigma := axis/2, axis%2 == 1
 		for i := 0; i < count; i++ {
 			keys[i] = t.splitKey(n, i, dim, isSigma)
-			order[i] = i
 		}
-		sort.SliceStable(order, func(a, b int) bool { return keys[order[a]] < keys[order[b]] })
+		keyOrder(keys, order)
 		cost := t.splitCost(n, order)
 		if cost < bestCost {
 			bestCost = cost
@@ -385,7 +384,7 @@ func (t *Tree) splitNode(n *node) (*childEntry, error) {
 	if err := t.rewriteNode(n); err != nil {
 		return nil, err
 	}
-	if err := t.writeNode(right); err != nil {
+	if err := t.persistNode(right); err != nil {
 		return nil, err
 	}
 	return &childEntry{

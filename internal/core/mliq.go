@@ -17,24 +17,24 @@ func (t *Tree) Name() string { return "gauss-tree" }
 // Per-query collector pools: the top-k heap of the MLIQ algorithms and the
 // candidate min-queue of TIQ (tiqCollector) keep their backing arrays across
 // queries, so steady-state queries collect candidates without allocating.
-// Releases clear every element: pooled state never retains result vectors.
+// Releases clear every element: pooled state never pins decoded leaves.
 var (
 	topkPool = sync.Pool{
-		New: func() any { return pqueue.NewTopK[pfv.Vector](1) },
+		New: func() any { return pqueue.NewTopK[vecRef](1) },
 	}
 	candidatesPool = sync.Pool{
-		New: func() any { return pqueue.NewMin[pfv.Vector]() },
+		New: func() any { return pqueue.NewMin[vecRef]() },
 	}
 )
 
-func acquireTopK(k int) *pqueue.TopK[pfv.Vector] {
-	top := topkPool.Get().(*pqueue.TopK[pfv.Vector])
+func acquireTopK(k int) *pqueue.TopK[vecRef] {
+	top := topkPool.Get().(*pqueue.TopK[vecRef])
 	top.Reset(k)
 	return top
 }
 
-func releaseTopK(top *pqueue.TopK[pfv.Vector]) {
-	top.Reset(1) // drop collected vectors so the pool holds no references
+func releaseTopK(top *pqueue.TopK[vecRef]) {
+	top.Reset(1) // drop collected references so the pool pins no leaf
 	topkPool.Put(top)
 }
 
@@ -51,8 +51,8 @@ func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Re
 	}
 	top := acquireTopK(k)
 	defer releaseTopK(top)
-	tr := t.newTraversal(ctx, q, false, func(v pfv.Vector, ld float64) {
-		top.Offer(v, ld)
+	tr := t.newTraversal(ctx, q, false, func(r vecRef, ld float64) {
+		top.Offer(r, ld)
 	})
 	defer tr.release()
 	if tr.snap.count == 0 {
@@ -80,7 +80,8 @@ func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Re
 	}
 
 	out := make([]query.Result, 0, top.Len())
-	for _, v := range top.Sorted() {
+	for _, r := range top.Sorted() {
+		v := r.vector()
 		out = append(out, query.Result{
 			Vector:      v,
 			LogDensity:  tr.eval.LogDensity(v),
@@ -106,8 +107,8 @@ func (t *Tree) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64)
 	}
 	top := acquireTopK(k)
 	defer releaseTopK(top)
-	tr := t.newTraversal(ctx, q, true, func(v pfv.Vector, ld float64) {
-		top.Offer(v, ld)
+	tr := t.newTraversal(ctx, q, true, func(r vecRef, ld float64) {
+		top.Offer(r, ld)
 	})
 	defer tr.release()
 	if tr.snap.count == 0 {
@@ -127,7 +128,8 @@ func (t *Tree) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64)
 
 	out := make([]query.Result, 0, top.Len())
 	b := tr.denom.fold()
-	for _, v := range top.Sorted() {
+	for _, r := range top.Sorted() {
+		v := r.vector()
 		ld := tr.eval.LogDensity(v)
 		lo, hi := probInterval(ld, b.logLow, b.logHigh)
 		out = append(out, query.Result{
@@ -144,7 +146,7 @@ func (t *Tree) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64)
 
 // mliqDone evaluates the two-part §5.2.2 stop condition against the
 // traversal's pinned snapshot (its count, active queue and denominator).
-func mliqDone(top *pqueue.TopK[pfv.Vector], tr *traversal, accuracy float64) bool {
+func mliqDone(top *pqueue.TopK[vecRef], tr *traversal, accuracy float64) bool {
 	active, denom := tr.active, &tr.denom
 	bound, full := top.Bound()
 	if !full && top.Len() < tr.snap.count {

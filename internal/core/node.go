@@ -67,9 +67,9 @@ const maxNodeEntries = math.MaxUint16
 // parameter-space bounding box.
 //
 // logCount caches ln(count), the log-space factor of the §5.2.2 sum bounds.
-// It is derived, not encoded: refreshDerived fills it whenever a node
-// enters the decoded-node cache (decode or write — see Tree.cacheNode), so
-// the best-first traversal never pays a math.Log per child per visit.
+// It is derived, not encoded: the two ways a node becomes readable fill it
+// once each — decodeNode, and Tree.persistNode for a node the writer built —
+// so the best-first traversal never pays a math.Log per child per visit.
 type childEntry struct {
 	page     pagefile.PageID
 	count    int
@@ -79,13 +79,15 @@ type childEntry struct {
 
 // node is the in-memory form of one Gauss-tree page.
 //
-// Exact leaves carry the row-major vectors plus the derived columnar view
-// (cols) the batch evaluator uses; both describe the same payload. Quantized
-// leaves as decoded from disk carry only quant (the widened parameter
-// intervals plus the raw quantized payload); their exact vectors live on the
-// sidecar page and are materialized on demand (Tree.materializeLeaf) before
-// in-place mutation, after which vectors is authoritative until the next
-// persist rebuilds quant.
+// A node a reader can see — decoded from its page, or handed to the page
+// cache by persistNode — is immutable and holds a leaf's payload once:
+// exact leaves (columnar, legacy-row and sidecar pages alike) carry cols,
+// quantized leaves carry quant (the widened parameter intervals plus the raw
+// quantized payload; their exact vectors are the cols of the sidecar page).
+// The row-major vectors exist only on the writer's own nodes: clone and
+// materializeLeaf build them ahead of an in-place mutation, and from then
+// until encodeLeaf rebuilds cols and quant for the next page image, vectors
+// is the authoritative payload and cols/quant describe the superseded page.
 type node struct {
 	id   pagefile.PageID
 	leaf bool
@@ -93,8 +95,8 @@ type node struct {
 	// been persisted yet (the write path stamps it from the tree's leaf
 	// format).
 	kind     byte
-	vectors  []pfv.Vector // leaf payload (row-major)
-	cols     *pfv.Columns // leaf payload (columnar view), exact leaves only
+	vectors  []pfv.Vector // leaf payload (row-major), writer's nodes only
+	cols     *pfv.Columns // leaf payload (columnar), exact leaves only
 	quant    *quantLeaf   // quantized leaf payload
 	children []childEntry // inner payload
 }
@@ -327,32 +329,17 @@ func maxOf(xs []float64) float64 {
 
 // entryCount returns the number of entries regardless of node kind.
 func (n *node) entryCount() int {
-	if n.leaf {
-		if n.vectors == nil && n.quant != nil {
-			return n.quant.len()
-		}
+	switch {
+	case !n.leaf:
+		return len(n.children)
+	case n.vectors != nil:
 		return len(n.vectors)
+	case n.cols != nil:
+		return n.cols.Len()
+	case n.quant != nil:
+		return n.quant.len()
 	}
-	return len(n.children)
-}
-
-// refreshDerived recomputes the node's derived data from its authoritative
-// fields: per-child log subtree counts for inner nodes, and the columnar
-// view for exact leaves that do not carry one yet (legacy-row decodes).
-// Mutation paths edit nodes in place and then funnel through Tree.cacheNode,
-// which calls this — the persist path rebuilds leaf columns unconditionally
-// beforehand, so every node the traversal can observe carries fresh derived
-// values.
-func (n *node) refreshDerived(dim int) {
-	if n.leaf {
-		if n.quant == nil && n.cols == nil {
-			n.cols = pfv.ColumnsOf(n.vectors, dim)
-		}
-		return
-	}
-	for i := range n.children {
-		n.children[i].logCount = math.Log(float64(n.children[i].count))
-	}
+	return 0
 }
 
 // subtreeCount returns the number of pfv stored in the node's subtree.
@@ -375,13 +362,15 @@ func (n *node) subtreeCount() int {
 // order).
 func (n *node) computeBox(dim int) ParamBox {
 	if n.leaf {
-		if n.vectors == nil && n.quant != nil {
-			panic("core: computeBox on a quantized leaf without materialized vectors")
-		}
-		if len(n.vectors) == 0 {
+		switch {
+		case n.entryCount() == 0:
 			return NewParamBox(dim)
+		case n.vectors != nil:
+			return BoxOfVectors(n.vectors)
+		case n.cols != nil:
+			return BoxOfColumns(n.cols)
 		}
-		return BoxOfVectors(n.vectors)
+		panic("core: computeBox on a quantized leaf without materialized vectors")
 	}
 	if len(n.children) == 0 {
 		return NewParamBox(dim)
@@ -410,24 +399,23 @@ func encodeNode(n *node, dim, pageSize int) ([]byte, error) {
 	if !n.leaf {
 		return encodeInnerNode(n, dim)
 	}
-	switch n.kind {
-	case kindLeaf:
-		return encodeRowLeaf(n, dim)
-	case kindLeafF32, kindLeafGrid:
+	if n.kind == kindLeafF32 || n.kind == kindLeafGrid {
 		if n.quant == nil {
 			return nil, fmt.Errorf("core: encodeNode: quantized leaf %d has no quantized payload", n.id)
 		}
 		return encodeQuantLeaf(n.quant, dim)
-	default: // 0 (unstamped), kindLeafCol, kindSidecar
-		kind := byte(kindLeafCol)
-		if n.kind == kindSidecar {
-			kind = kindSidecar
-		}
-		cols := n.cols
-		if cols == nil {
-			cols = pfv.ColumnsOf(n.vectors, dim)
-		}
-		return encodeColumnarLeaf(cols, kind, pageSize)
+	}
+	cols := n.cols
+	if cols == nil || n.vectors != nil {
+		cols = pfv.ColumnsOf(n.vectors, dim)
+	}
+	switch n.kind {
+	case kindLeaf:
+		return encodeRowLeaf(cols)
+	case kindSidecar:
+		return encodeColumnarLeaf(cols, kindSidecar, pageSize)
+	default: // 0 (unstamped), kindLeafCol
+		return encodeColumnarLeaf(cols, kindLeafCol, pageSize)
 	}
 }
 
@@ -454,24 +442,33 @@ func encodeInnerNode(n *node, dim int) ([]byte, error) {
 	return buf, nil
 }
 
-func encodeRowLeaf(n *node, dim int) ([]byte, error) {
-	if len(n.vectors) > maxNodeEntries {
-		return nil, fmt.Errorf("core: node %d has %d entries, limit %d", n.id, len(n.vectors), maxNodeEntries)
+// encodeRowLeaf writes the v1 row-major layout: per entry the id, then the
+// means, then the sigmas (pfv.AppendBinary's layout).
+func encodeRowLeaf(c *pfv.Columns) ([]byte, error) {
+	n := c.Len()
+	if n > maxNodeEntries {
+		return nil, fmt.Errorf("core: row leaf has %d entries, limit %d", n, maxNodeEntries)
 	}
-	buf := make([]byte, nodeHeaderSize, nodeHeaderSize+len(n.vectors)*leafEntrySize(dim))
+	buf := make([]byte, nodeHeaderSize, nodeHeaderSize+n*leafEntrySize(c.Dim()))
 	buf[0] = kindLeaf
-	binary.LittleEndian.PutUint16(buf[1:], uint16(len(n.vectors)))
-	for _, v := range n.vectors {
-		buf = pfv.AppendBinary(buf, v)
+	binary.LittleEndian.PutUint16(buf[1:], uint16(n))
+	for j, id := range c.IDs {
+		buf = binary.LittleEndian.AppendUint64(buf, id)
+		for _, col := range c.Mean {
+			buf = appendFloat(buf, col[j])
+		}
+		for _, col := range c.Sigma {
+			buf = appendFloat(buf, col[j])
+		}
 	}
 	return buf, nil
 }
 
 // encodeColumnarLeaf writes the kindLeafCol/kindSidecar layout: ids, then
 // dimension-major mean columns, then sigma columns, then — iff the page has
-// room — the precomputed NegLnSigma terms (flagNegLnSigma). Pages without
-// the flag are decoded by recomputing the terms in the same canonical order,
-// so the two paths are bit-identical.
+// room — the NegLnSigma terms (flagNegLnSigma). The decoded form of a page
+// without the flag computes them on first use in the same canonical order
+// (pfv.Columns.NegLnSigma), so the two paths are bit-identical.
 func encodeColumnarLeaf(c *pfv.Columns, kind byte, pageSize int) ([]byte, error) {
 	n, dim := c.Len(), c.Dim()
 	if n > maxNodeEntries {
@@ -492,22 +489,21 @@ func encodeColumnarLeaf(c *pfv.Columns, kind byte, pageSize int) ([]byte, error)
 	for _, id := range c.IDs {
 		buf = binary.LittleEndian.AppendUint64(buf, id)
 	}
-	for i := 0; i < dim; i++ {
-		for _, x := range c.Mean[i] {
-			buf = appendFloat(buf, x)
-		}
-	}
-	for i := 0; i < dim; i++ {
-		for _, x := range c.Sigma[i] {
-			buf = appendFloat(buf, x)
-		}
-	}
+	buf = appendFloats(appendFloats(buf, c.Mean...), c.Sigma...)
 	if withNegLn {
-		for _, x := range c.NegLnSigma {
-			buf = appendFloat(buf, x)
-		}
+		buf = appendFloats(buf, c.NegLnSigma())
 	}
 	return buf, nil
+}
+
+// appendFloats appends the columns as consecutive little-endian float64 runs.
+func appendFloats(dst []byte, cols ...[]float64) []byte {
+	for _, col := range cols {
+		for _, x := range col {
+			dst = appendFloat(dst, x)
+		}
+	}
+	return dst
 }
 
 // encodeQuantLeaf writes the kindLeafF32/kindLeafGrid layout: the quantized
@@ -565,70 +561,81 @@ func encodeQuantLeaf(q *quantLeaf, dim int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeNode parses a page image into a node.
+// decodeNode parses a page image into a node. The node does not alias page.
 func decodeNode(id pagefile.PageID, page []byte, dim int) (*node, error) {
 	if len(page) < nodeHeaderSize {
 		return nil, fmt.Errorf("core: truncated node page %d", id)
 	}
 	kind := page[0]
 	count := int(binary.LittleEndian.Uint16(page[1:]))
-	n := &node{id: id, kind: kind}
+	n := &node{id: id, kind: kind, leaf: kind != kindInner}
+	var err error
 	switch kind {
 	case kindLeaf:
-		n.leaf = true
-		n.vectors = make([]pfv.Vector, 0, count)
-		off := nodeHeaderSize
-		for i := 0; i < count; i++ {
-			v, used, err := pfv.DecodeBinary(page[off:], dim)
-			if err != nil {
-				return nil, fmt.Errorf("core: page %d entry %d: %w", id, i, err)
-			}
-			n.vectors = append(n.vectors, v)
-			off += used
-		}
+		err = decodeRowLeaf(n, page, dim, count)
 	case kindLeafCol, kindSidecar:
-		n.leaf = true
-		if err := decodeColumnarLeaf(n, page, dim, count); err != nil {
-			return nil, err
-		}
+		err = decodeColumnarLeaf(n, page, dim, count)
 	case kindLeafF32, kindLeafGrid:
-		n.leaf = true
-		if err := decodeQuantLeaf(n, page, dim, count); err != nil {
-			return nil, err
-		}
+		err = decodeQuantLeaf(n, page, dim, count)
 	case kindInner:
-		n.children = make([]childEntry, 0, count)
-		off := nodeHeaderSize
-		esz := innerEntrySize(dim)
-		for i := 0; i < count; i++ {
-			if off+esz > len(page) {
-				return nil, fmt.Errorf("core: page %d entry %d: short page", id, i)
-			}
-			cnt := int(binary.LittleEndian.Uint32(page[off+4:]))
-			c := childEntry{
-				page:     pagefile.PageID(binary.LittleEndian.Uint32(page[off:])),
-				count:    cnt,
-				logCount: math.Log(float64(cnt)),
-				box: ParamBox{
-					Mu:    make([]gaussian.Interval, dim),
-					Sigma: make([]gaussian.Interval, dim),
-				},
-			}
-			p := off + 8
-			for j := 0; j < dim; j++ {
-				c.box.Mu[j].Lo = readFloat(page[p:])
-				c.box.Mu[j].Hi = readFloat(page[p+8:])
-				c.box.Sigma[j].Lo = readFloat(page[p+16:])
-				c.box.Sigma[j].Hi = readFloat(page[p+24:])
-				p += 32
-			}
-			n.children = append(n.children, c)
-			off += esz
-		}
+		err = decodeInnerNode(n, page, dim, count)
 	default:
-		return nil, fmt.Errorf("core: page %d has unknown node kind %d", id, kind)
+		err = fmt.Errorf("core: page %d has unknown node kind %d", id, kind)
+	}
+	if err != nil {
+		return nil, err
 	}
 	return n, nil
+}
+
+// decodeInnerNode fills n.children; all child boxes share one backing slice.
+func decodeInnerNode(n *node, page []byte, dim, count int) error {
+	esz := innerEntrySize(dim)
+	if need := nodeHeaderSize + count*esz; len(page) < need {
+		return fmt.Errorf("core: page %d: inner node truncated (%d bytes, need %d)", n.id, len(page), need)
+	}
+	n.children = make([]childEntry, count)
+	ivs := make([]gaussian.Interval, 2*dim*count)
+	off := nodeHeaderSize
+	for i := range n.children {
+		c := &n.children[i]
+		c.page = pagefile.PageID(binary.LittleEndian.Uint32(page[off:]))
+		c.count = int(binary.LittleEndian.Uint32(page[off+4:]))
+		c.logCount = math.Log(float64(c.count))
+		c.box.Mu, c.box.Sigma, ivs = ivs[:dim:dim], ivs[dim:2*dim:2*dim], ivs[2*dim:]
+		p := off + 8
+		for j := 0; j < dim; j++ {
+			c.box.Mu[j].Lo = readFloat(page[p:])
+			c.box.Mu[j].Hi = readFloat(page[p+8:])
+			c.box.Sigma[j].Lo = readFloat(page[p+16:])
+			c.box.Sigma[j].Hi = readFloat(page[p+24:])
+			p += 32
+		}
+		off += esz
+	}
+	return nil
+}
+
+// decodeRowLeaf transposes a v1 row-major leaf into columns.
+func decodeRowLeaf(n *node, page []byte, dim, count int) error {
+	if need := nodeHeaderSize + count*leafEntrySize(dim); len(page) < need {
+		return fmt.Errorf("core: page %d: row leaf truncated (%d bytes, need %d)", n.id, len(page), need)
+	}
+	c := pfv.NewColumns(dim, count)
+	off := nodeHeaderSize
+	for j := 0; j < count; j++ {
+		c.IDs[j] = binary.LittleEndian.Uint64(page[off:])
+		off += 8
+		for i := 0; i < dim; i++ {
+			c.Mean[i][j] = readFloat(page[off:])
+			c.Sigma[i][j] = readFloat(page[off+8*dim:])
+			off += 8
+		}
+		off += 8 * dim
+	}
+	c.Finish()
+	n.cols = c
+	return nil
 }
 
 func decodeColumnarLeaf(n *node, page []byte, dim, count int) error {
@@ -643,49 +650,33 @@ func decodeColumnarLeaf(n *node, page []byte, dim, count int) error {
 	if len(page) < need {
 		return fmt.Errorf("core: page %d: columnar leaf truncated (%d bytes, need %d)", n.id, len(page), need)
 	}
-	c := &pfv.Columns{
-		IDs:        make([]uint64, count),
-		Mean:       make([][]float64, dim),
-		Sigma:      make([][]float64, dim),
-		NegLnSigma: make([]float64, count),
-		SigmaMin:   make([]float64, dim),
-		SigmaMax:   make([]float64, dim),
-	}
+	c := pfv.NewColumns(dim, count)
 	off := colHeaderSize
-	for j := 0; j < count; j++ {
+	for j := range c.IDs {
 		c.IDs[j] = binary.LittleEndian.Uint64(page[off:])
 		off += 8
 	}
-	for i := 0; i < dim; i++ {
-		col := make([]float64, count)
-		for j := 0; j < count; j++ {
-			col[j] = readFloat(page[off:])
-			off += 8
-		}
-		c.Mean[i] = col
-	}
-	for i := 0; i < dim; i++ {
-		col := make([]float64, count)
-		for j := 0; j < count; j++ {
-			col[j] = readFloat(page[off:])
-			off += 8
-		}
-		c.Sigma[i] = col
-	}
+	off = readFloats(page, readFloats(page, off, c.Mean...), c.Sigma...)
 	if flags&flagNegLnSigma != 0 {
-		for j := 0; j < count; j++ {
-			c.NegLnSigma[j] = readFloat(page[off:])
+		// Without the flag the page had no room for the terms; the columns
+		// compute them on first use, bit-identical to stored ones.
+		readFloats(page, off, c.LoadNegLnSigma())
+	}
+	c.Finish()
+	n.cols = c
+	return nil
+}
+
+// readFloats fills the columns from consecutive little-endian float64 runs of
+// page starting at off and returns the offset behind them.
+func readFloats(page []byte, off int, cols ...[]float64) int {
+	for _, col := range cols {
+		for j := range col {
+			col[j] = readFloat(page[off:])
 			off += 8
 		}
-		c.FinishExtrema()
-	} else {
-		// No room on the page: recompute the terms in the canonical order,
-		// bit-identical to what the encoder would have stored.
-		c.Finish()
 	}
-	n.cols = c
-	n.vectors = c.Vectors()
-	return nil
+	return off
 }
 
 func decodeQuantLeaf(n *node, page []byte, dim, count int) error {

@@ -43,11 +43,11 @@ func TestLeafNodeCodecRoundTrip(t *testing.T) {
 		if err != nil {
 			t.Fatalf("dim %d: %v", dim, err)
 		}
-		if !got.leaf || got.id != 7 || len(got.vectors) != 5 {
+		if !got.leaf || got.id != 7 || got.vectors != nil || got.cols.Len() != 5 {
 			t.Fatalf("dim %d: decoded %+v", dim, got)
 		}
 		for i := range n.vectors {
-			if !n.vectors[i].Equal(got.vectors[i]) {
+			if !n.vectors[i].Equal(got.cols.Vector(i)) {
 				t.Errorf("dim %d vector %d mismatch", dim, i)
 			}
 		}
@@ -106,7 +106,7 @@ func TestEmptyLeafCodec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !got.leaf || len(got.vectors) != 0 {
+	if !got.leaf || got.entryCount() != 0 {
 		t.Errorf("decoded %+v", got)
 	}
 }

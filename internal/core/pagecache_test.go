@@ -1,0 +1,459 @@
+package core
+
+import (
+	"bytes"
+	"context"
+	"crypto/sha256"
+	"fmt"
+	"hash/fnv"
+	"math"
+	"math/rand"
+	"path/filepath"
+	"runtime"
+	"sort"
+	"sync"
+	"sync/atomic"
+	"testing"
+	"time"
+
+	"github.com/gauss-tree/gausstree/internal/gaussian"
+	"github.com/gauss-tree/gausstree/internal/pagefile"
+	"github.com/gauss-tree/gausstree/internal/pfv"
+)
+
+// codecNodes returns one node per on-page kind (exact columnar with and
+// without room for the NegLnSigma terms, sidecar, legacy row, both quantized
+// kinds, inner) holding count entries of the given dimension.
+func codecNodes(t testing.TB, dim, count int) map[string]*node {
+	t.Helper()
+	rng := rand.New(rand.NewSource(int64(31*dim + count)))
+	vs := make([]pfv.Vector, count)
+	for i := range vs {
+		vs[i] = randomVec(rng, uint64(i+1), dim)
+	}
+	nodes := map[string]*node{
+		"columnar": {leaf: true, kind: kindLeafCol, vectors: vs},
+		"sidecar":  {leaf: true, kind: kindSidecar, vectors: vs},
+		"row":      {leaf: true, kind: kindLeaf, vectors: vs},
+	}
+	cols := pfv.ColumnsOf(vs, dim)
+	for name, format := range map[string]LeafFormat{"float32": LeafFloat32, "grid8": LeafGrid8} {
+		q := buildQuantLeaf(format, cols, pagefile.DefaultPageSize)
+		if q == nil {
+			t.Fatalf("%s: batch not quantizable", name)
+		}
+		q.sidecar = 77
+		nodes[name] = &node{leaf: true, kind: q.kind, quant: q}
+	}
+	inner := &node{kind: kindInner}
+	for i := 0; i < count; i++ {
+		inner.children = append(inner.children, childEntry{
+			page: pagefile.PageID(100 + i), count: i + 1, box: BoxOfVectors(vs[i : i+1]),
+		})
+	}
+	nodes["inner"] = inner
+	return nodes
+}
+
+// TestNodeCodecFixedPoint: for every node kind, re-encoding a decoded page
+// reproduces the page byte for byte — decoding into columns (and leaving the
+// NegLnSigma terms to first use) loses nothing an encoder needs.
+func TestNodeCodecFixedPoint(t *testing.T) {
+	const dim = 10
+	full := (pagefile.DefaultPageSize - colHeaderSize) / leafEntrySize(dim)
+	for _, count := range []int{1, 7, full} {
+		for name, n := range codecNodes(t, dim, count) {
+			page := mustEncode(t, n, dim)
+			if name == "columnar" {
+				if stored := page[3]&flagNegLnSigma != 0; stored == (count == full) {
+					t.Fatalf("columnar leaf of %d entries: NegLnSigma stored = %v", count, stored)
+				}
+			}
+			got, err := decodeNode(5, page, dim)
+			if err != nil {
+				t.Fatalf("%s/%d: %v", name, count, err)
+			}
+			if got.vectors != nil || got.entryCount() != count {
+				t.Fatalf("%s/%d: decoded %d entries, row vectors %v", name, count, got.entryCount(), got.vectors != nil)
+			}
+			if again := mustEncode(t, got, dim); !bytes.Equal(again, page) {
+				t.Errorf("%s/%d: encode(decode(page)) differs from page", name, count)
+			}
+		}
+	}
+	empty := mustEncode(t, &node{leaf: true}, dim)
+	got, err := decodeNode(5, empty, dim)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if again := mustEncode(t, got, dim); !bytes.Equal(again, empty) {
+		t.Error("empty leaf is not a codec fixed point")
+	}
+}
+
+// TestDecodeAllocations bounds the allocations of one decode independent of
+// the entry count: a columnar leaf is its node, the columns, the ids, the
+// column headers and one backing array; an inner node is the node, the
+// entries and one backing slice for every box.
+func TestDecodeAllocations(t *testing.T) {
+	const dim = 10
+	full := (pagefile.DefaultPageSize - colHeaderSize) / leafEntrySize(dim)
+	for _, count := range []int{3, full} {
+		nodes := codecNodes(t, dim, count)
+		for name, limit := range map[string]float64{"columnar": 5, "sidecar": 5, "row": 5, "inner": 4} {
+			page := mustEncode(t, nodes[name], dim)
+			allocs := testing.AllocsPerRun(50, func() {
+				if _, err := decodeNode(1, page, dim); err != nil {
+					t.Fatal(err)
+				}
+			})
+			if allocs > limit {
+				t.Errorf("%s with %d entries: %.0f allocations per decode, want <= %.0f", name, count, allocs, limit)
+			}
+		}
+	}
+}
+
+// leafPages returns the page ids of the tree's leaves in depth-first order.
+func leafPages(t testing.TB, tr *Tree) []pagefile.PageID {
+	t.Helper()
+	var ids []pagefile.PageID
+	var walk func(id pagefile.PageID)
+	walk = func(id pagefile.PageID) {
+		n, err := tr.readNode(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if n.leaf {
+			ids = append(ids, id)
+			return
+		}
+		for _, c := range n.children {
+			walk(c.page)
+		}
+	}
+	walk(tr.root)
+	return ids
+}
+
+// TestLazyNegLnSigmaBitIdentical: every leaf of a bulk-loaded DS2 tree is
+// too full to store its NegLnSigma terms, so its decoded form computes them
+// on first use. They must equal, bit for bit, the terms the encoder stores
+// when the same columns go to a page with room for them.
+func TestLazyNegLnSigmaBitIdentical(t *testing.T) {
+	tr, _ := ds2Tree(t, 20000, 1, 1)
+	leaves := leafPages(t, tr)
+	for _, id := range leaves {
+		page, err := tr.mgr.Read(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if page[3]&flagNegLnSigma != 0 {
+			t.Fatalf("leaf %d stores its NegLnSigma terms; the test needs full leaves", id)
+		}
+		lazy, err := decodeNode(id, page, tr.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		roomy, err := encodeColumnarLeaf(lazy.cols, kindLeafCol, 2*pagefile.DefaultPageSize)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if roomy[3]&flagNegLnSigma == 0 {
+			t.Fatal("double-size page did not store the terms")
+		}
+		stored, err := decodeNode(id, roomy, tr.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// A fresh decode of the full page: the terms above were computed by
+		// the encoder through the same columns.
+		fresh, err := decodeNode(id, page, tr.dim)
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, got := stored.cols.NegLnSigma(), fresh.cols.NegLnSigma()
+		for j := range want {
+			if math.Float64bits(want[j]) != math.Float64bits(got[j]) {
+				t.Fatalf("leaf %d vector %d: computed %x, stored %x", id, j, math.Float64bits(got[j]), math.Float64bits(want[j]))
+			}
+		}
+	}
+	if len(leaves) < 400 {
+		t.Fatalf("only %d leaves checked", len(leaves))
+	}
+}
+
+// Recorded from the parent of the one-cache change (commit 80de430) by this
+// same loop: 3-MLIQ ranked over ds2Tree(20000, 200, 9).
+const (
+	rankedGoldenPages  = 4463
+	rankedGoldenScored = 78943
+	rankedGoldenHash   = 0xd2b7a6bcb5dad3c0
+)
+
+// TestRankedOnFullLeavesMatchesParent runs the screened ranked path — the
+// one reader of the lazily computed NegLnSigma terms — over a tree of full
+// leaves and requires the parent's answers to the bit: ids, densities, page
+// and scored-vector counts per query. Every answer is also checked against
+// a scan of the stored vectors.
+func TestRankedOnFullLeavesMatchesParent(t *testing.T) {
+	tr, qs := ds2Tree(t, 20000, 200, 9)
+	stored, err := tr.CollectAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	h := fnv.New64a()
+	var pages, scored uint64
+	for qi, q := range qs {
+		res, st, err := tr.KMLIQRanked(context.Background(), q, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		pages += st.PageAccesses
+		scored += uint64(st.VectorsScored)
+		fmt.Fprintf(h, "%d %d %d:", qi, st.PageAccesses, st.VectorsScored)
+		want := scanTopK(tr.cfg.Combiner, stored, q, 3)
+		for i, r := range res {
+			fmt.Fprintf(h, " %d %x", r.Vector.ID, math.Float64bits(r.LogDensity))
+			if r.Vector.ID != want[i].id || math.Float64bits(r.LogDensity) != math.Float64bits(want[i].ld) {
+				t.Fatalf("query %d rank %d: tree (%d, %v), scan (%d, %v)", qi, i, r.Vector.ID, r.LogDensity, want[i].id, want[i].ld)
+			}
+		}
+	}
+	if pages != rankedGoldenPages || scored != rankedGoldenScored || h.Sum64() != rankedGoldenHash {
+		t.Errorf("ranked answers moved: pages %d scored %d hash %#x, parent recorded %d %d %#x",
+			pages, scored, h.Sum64(), uint64(rankedGoldenPages), uint64(rankedGoldenScored), uint64(rankedGoldenHash))
+	}
+}
+
+type scanHit struct {
+	id uint64
+	ld float64
+}
+
+// scanTopK is the scan oracle: the k densest stored vectors, ties by id.
+func scanTopK(c gaussian.Combiner, stored []pfv.Vector, q pfv.Vector, k int) []scanHit {
+	hits := make([]scanHit, len(stored))
+	for i, v := range stored {
+		hits[i] = scanHit{v.ID, pfv.JointLogDensity(c, v, q)}
+	}
+	sort.Slice(hits, func(a, b int) bool {
+		if hits[a].ld != hits[b].ld {
+			return hits[a].ld > hits[b].ld
+		}
+		return hits[a].id < hits[b].id
+	})
+	if len(hits) > k {
+		hits = hits[:k]
+	}
+	return hits
+}
+
+// bulkLoadGoldenHash is the SHA-256 over every page (in id order) of the
+// tree the parent's sort.SliceStable-based bulk load built from DS2 at
+// N = 20 000: the stable order is unique, so any correct sort rebuilds it.
+const bulkLoadGoldenHash = "c6398378a980201c1283cb7797e851f9c229b4b38f3b2b1ad5830b6f13550be9"
+
+func TestBulkLoadPagesMatchParent(t *testing.T) {
+	tr, _ := ds2Tree(t, 20000, 1, 1)
+	h := sha256.New()
+	for id := 0; id < tr.mgr.NumPages(); id++ {
+		page, err := tr.mgr.Read(pagefile.PageID(id))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Write(page)
+	}
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != bulkLoadGoldenHash || tr.mgr.NumPages() != 437 {
+		t.Errorf("bulk load built %d pages hashing to %s; the parent built 437 hashing to %s", tr.mgr.NumPages(), got, bulkLoadGoldenHash)
+	}
+}
+
+// fileDS2Tree bulk-loads DS2 at size n into a page file under a cache of
+// cachePages pages.
+func fileDS2Tree(tb testing.TB, n, cachePages int) *Tree {
+	tb.Helper()
+	mem, _ := ds2Tree(tb, n, 1, 1)
+	vs, err := mem.CollectAll()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	fb, err := pagefile.CreateFile(filepath.Join(tb.TempDir(), "ds2.gtree"), pagefile.DefaultPageSize)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	mgr, err := pagefile.NewManager(fb, pagefile.DefaultPageSize, pagefile.WithCacheBytes(cachePages*pagefile.DefaultPageSize))
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { mgr.Close() })
+	tr, err := New(mgr, mem.dim, Config{})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	if err := tr.BulkLoad(vs); err != nil {
+		tb.Fatal(err)
+	}
+	return tr
+}
+
+// TestCacheBytesBoundsDecodedNodes: under a 64-page cache the tree never
+// holds more than 64 cache entries, and a decoded node does not outlive its
+// entry — there is no second place that keeps it.
+func TestCacheBytesBoundsDecodedNodes(t *testing.T) {
+	const cachePages = 64
+	tr := fileDS2Tree(t, 20000, cachePages)
+	_, qs := ds2Tree(t, 20000, 100, 4)
+	var live atomic.Int64
+	decode := tr.decode
+	tr.decode = func(id pagefile.PageID, page []byte) (any, error) {
+		v, err := decode(id, page)
+		if err == nil {
+			live.Add(1)
+			runtime.SetFinalizer(v.(*node), func(*node) { live.Add(-1) })
+		}
+		return v, err
+	}
+	tr.mgr.DropCache()
+	for _, q := range qs {
+		if _, _, err := tr.KMLIQ(context.Background(), q, 3, 1e-6); err != nil {
+			t.Fatal(err)
+		}
+		if got := tr.mgr.CachedPages(); got > cachePages {
+			t.Fatalf("%d pages cached under a %d-page budget", got, cachePages)
+		}
+	}
+	if live.Load() <= cachePages {
+		t.Fatalf("only %d decodes: the queries never outgrew the cache", live.Load())
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for live.Load() > cachePages {
+		if time.Now().After(deadline) {
+			t.Fatalf("%d decoded nodes alive under a %d-page cache with no query running", live.Load(), cachePages)
+		}
+		runtime.GC()
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestReadersVerifiedUnderEvictingWriter: a file-backed tree under a 16-page
+// cache, four readers beside one writer that inserts and deletes. Decoded
+// entries are evicted, decoded again and their page ids recycled under the
+// readers; every answer a reader can pair with a scan of the same published
+// snapshot is checked against that scan. Meant for -race.
+func TestReadersVerifiedUnderEvictingWriter(t *testing.T) {
+	const dim, pageSize, base, churn = 2, 1024, 1500, 600
+	fb, err := pagefile.CreateFile(filepath.Join(t.TempDir(), "evict.gtree"), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := pagefile.NewManager(fb, pageSize, pagefile.WithCacheBytes(16*pageSize))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer mgr.Close()
+	tr, err := New(mgr, dim, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(17))
+	vs := clusteredVectors(rng, base+churn, dim, 6)
+	if err := tr.BulkLoad(vs[:base]); err != nil {
+		t.Fatal(err)
+	}
+
+	var wg sync.WaitGroup
+	writerDone := make(chan struct{})
+	errs := make(chan error, 8)
+	wg.Add(1)
+	go func() { // insert the churn set, deleting an older vector after each insert
+		defer wg.Done()
+		defer close(writerDone)
+		for i, v := range vs[base:] {
+			if err := tr.Insert(v); err != nil {
+				errs <- err
+				return
+			}
+			if found, err := tr.Delete(vs[i]); err != nil || !found {
+				errs <- fmt.Errorf("delete %d: found %v, %v", vs[i].ID, found, err)
+				return
+			}
+		}
+	}()
+
+	var verified, underWriter atomic.Int64
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func(seed int64) {
+			defer wg.Done()
+			r := rand.New(rand.NewSource(seed))
+			ctx := context.Background()
+			quiet := 0 // verified answers after the writer finished
+			for quiet < 5 {
+				writing := true
+				select {
+				case <-writerDone:
+					writing = false
+				default:
+				}
+				q := vs[r.Intn(len(vs))]
+				before := tr.snapshot()
+				ranked, _, err := tr.KMLIQRanked(ctx, q, 3)
+				if err != nil {
+					errs <- err
+					return
+				}
+				refined, _, err := tr.KMLIQ(ctx, q, 3, 1e-6)
+				if err != nil {
+					errs <- err
+					return
+				}
+				stored, err := tr.CollectAll()
+				if err != nil {
+					errs <- err
+					return
+				}
+				if tr.snapshot() != before {
+					continue // a publish fell between the answers and the scan
+				}
+				want := scanTopK(tr.cfg.Combiner, stored, q, 3)
+				logDenom := math.Inf(-1)
+				for _, v := range stored {
+					logDenom = logAddExp(logDenom, pfv.JointLogDensity(tr.cfg.Combiner, v, q))
+				}
+				for i, w := range want {
+					if ranked[i].Vector.ID != w.id || math.Float64bits(ranked[i].LogDensity) != math.Float64bits(w.ld) {
+						errs <- fmt.Errorf("ranked rank %d: tree (%d, %v), scan (%d, %v)", i, ranked[i].Vector.ID, ranked[i].LogDensity, w.id, w.ld)
+						return
+					}
+					p := math.Exp(w.ld - logDenom)
+					if refined[i].Vector.ID != w.id || p < refined[i].ProbLow-1e-9 || p > refined[i].ProbHigh+1e-9 {
+						errs <- fmt.Errorf("refined rank %d: tree %d in [%v, %v], scan %d with P = %v",
+							i, refined[i].Vector.ID, refined[i].ProbLow, refined[i].ProbHigh, w.id, p)
+						return
+					}
+				}
+				verified.Add(1)
+				if writing {
+					underWriter.Add(1)
+				} else {
+					quiet++
+				}
+				if got := mgr.CachedPages(); got > 16 {
+					errs <- fmt.Errorf("%d pages cached under a 16-page budget", got)
+					return
+				}
+			}
+		}(int64(g))
+	}
+	wg.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	t.Logf("%d answers verified, %d of them while the writer ran", verified.Load(), underWriter.Load())
+}

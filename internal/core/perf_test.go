@@ -2,7 +2,9 @@ package core
 
 import (
 	"math/rand"
+	"runtime"
 	"testing"
+	"time"
 
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
@@ -32,9 +34,9 @@ func buildPerfTree(tb testing.TB, n, dim int) *Tree {
 }
 
 // BenchmarkReadNodeHot measures the fully cached node-read path in
-// isolation: every page is in the buffer cache and every node in the
-// decoded-node cache, so ns/op and allocs/op are the cost of one hot
-// readNodeCounted — the single most frequent operation of every query.
+// isolation: every page's cache entry holds its decoded node, so ns/op and
+// allocs/op are the cost of one hot readNodeCounted — the single most
+// frequent operation of every query.
 func BenchmarkReadNodeHot(b *testing.B) {
 	tr := buildPerfTree(b, 5000, 8)
 
@@ -65,4 +67,37 @@ func BenchmarkReadNodeHot(b *testing.B) {
 			b.Fatal("nil node")
 		}
 	}
+}
+
+// BenchmarkFirstTouch measures the other end of the read path: after
+// DropCache, one pass over every leaf of a file-backed DS2 tree, so each
+// read is a backend read, a CRC check and one decode. ns/page and
+// allocs/page are per leaf touched.
+func BenchmarkFirstTouch(b *testing.B) {
+	tr := fileDS2Tree(b, 20000, 1024) // the cache holds the whole tree
+	leaves := leafPages(b, tr)
+	var counter pagefile.Counter
+	var elapsed time.Duration
+	var mallocs uint64
+	var before, after runtime.MemStats
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		tr.mgr.DropCache()
+		runtime.ReadMemStats(&before)
+		start := time.Now()
+		for _, id := range leaves {
+			if _, err := tr.readNodeCounted(id, &counter); err != nil {
+				b.Fatal(err)
+			}
+		}
+		elapsed += time.Since(start)
+		runtime.ReadMemStats(&after)
+		mallocs += after.Mallocs - before.Mallocs
+	}
+	if got := counter.PhysicalReads(); got != uint64(b.N*len(leaves)) {
+		b.Fatalf("%d physical reads for %d first touches", got, b.N*len(leaves))
+	}
+	pages := float64(b.N * len(leaves))
+	b.ReportMetric(float64(elapsed.Nanoseconds())/pages, "ns/page")
+	b.ReportMetric(float64(mallocs)/pages, "allocs/page")
 }

@@ -39,8 +39,7 @@ func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, e
 }
 
 // scrubPage verifies one page and recurses into its children. buf is reused
-// across the whole walk, so everything needed after the recursive calls is
-// copied out of the decoded node first.
+// across the whole walk (decoded nodes never alias the page they came from).
 func (t *Tree) scrubPage(ctx context.Context, id pagefile.PageID, buf []byte, rep *ScrubReport, throttle func() error) error {
 	if err := ctx.Err(); err != nil {
 		return err
@@ -73,14 +72,8 @@ func (t *Tree) scrubPage(ctx context.Context, id pagefile.PageID, buf []byte, re
 		rep.Pages++
 		return nil
 	}
-	// Copy the child ids out before the recursion reuses buf (the decoded
-	// node may alias the page buffer).
-	kids := make([]pagefile.PageID, len(n.children))
-	for i, c := range n.children {
-		kids[i] = c.page
-	}
-	for _, kid := range kids {
-		if err := t.scrubPage(ctx, kid, buf, rep, throttle); err != nil {
+	for _, c := range n.children {
+		if err := t.scrubPage(ctx, c.page, buf, rep, throttle); err != nil {
 			return err
 		}
 	}

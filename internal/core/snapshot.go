@@ -57,15 +57,17 @@ func (t *Tree) SnapshotEpoch() uint64 {
 	return t.mgr.Epoch()
 }
 
-// clone returns a mutable copy of the node for the write path: the entry
-// slices are copied (with one spare slot, since inserts append), while the
-// payload values themselves (vectors, boxes, quantized payload, columnar
-// view) are shared — mutation paths only ever rebind those, never edit them
-// in place.
+// clone returns the writer's mutable copy of a shared node: an inner node's
+// entry slice is copied (with one spare slot, since inserts append), an exact
+// leaf's columns are materialized as row-major vectors — the one place the
+// row form comes into being; a quantized leaf's come from its sidecar, see
+// materializeLeaf. The payload values themselves (boxes, columns, quantized
+// payload) stay shared: mutation paths only ever rebind those, never edit
+// them in place.
 func (n *node) clone() *node {
 	c := &node{id: n.id, leaf: n.leaf, kind: n.kind, cols: n.cols, quant: n.quant}
-	if n.vectors != nil {
-		c.vectors = append(make([]pfv.Vector, 0, len(n.vectors)+1), n.vectors...)
+	if n.cols != nil {
+		c.vectors = rowsOf(n.cols)
 	}
 	if n.children != nil {
 		c.children = append(make([]childEntry, 0, len(n.children)+1), n.children...)
@@ -74,7 +76,7 @@ func (n *node) clone() *node {
 }
 
 // clonePath replaces every node on a descent path with its clone, so the
-// mutation that follows never edits an object shared with the node cache
+// mutation that follows never edits an object shared with the page cache
 // (and thus with concurrent snapshot readers).
 func clonePath(path []pathStep) {
 	for i := range path {

@@ -22,7 +22,7 @@ import (
 // a few the next prune removes. The set holds survivors, not every vector.
 type tiqCollector struct {
 	th         threshold
-	candidates *pqueue.Queue[pfv.Vector]
+	candidates *pqueue.Queue[vecRef]
 	admitLow   float64
 }
 
@@ -35,20 +35,20 @@ func (t *Tree) newTIQCollector(q pfv.Vector, pTheta float64) (*tiqCollector, err
 	}
 	return &tiqCollector{
 		th:         threshold{p: pTheta, log: math.Log(pTheta)},
-		candidates: candidatesPool.Get().(*pqueue.Queue[pfv.Vector]),
+		candidates: candidatesPool.Get().(*pqueue.Queue[vecRef]),
 		admitLow:   math.Inf(-1),
 	}, nil
 }
 
-// release returns the candidate queue cleared: no pooled result vectors.
+// release returns the candidate queue cleared: no pooled leaf references.
 func (c *tiqCollector) release() {
 	c.candidates.Clear()
 	candidatesPool.Put(c.candidates)
 }
 
-func (c *tiqCollector) offer(v pfv.Vector, ld float64) {
+func (c *tiqCollector) offer(r vecRef, ld float64) {
 	if c.th.reaches(ld, c.admitLow) {
-		c.candidates.Push(v, ld)
+		c.candidates.Push(r, ld)
 	}
 }
 
@@ -114,10 +114,10 @@ func (t *Tree) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy f
 	b := tr.denom.fold()
 	c.prune(b.logLow)
 	out := make([]query.Result, 0, c.candidates.Len())
-	c.candidates.Items(func(v pfv.Vector, ld float64) {
+	c.candidates.Items(func(r vecRef, ld float64) {
 		lo, hi := probInterval(ld, b.logLow, b.logHigh)
 		out = append(out, query.Result{
-			Vector:      v,
+			Vector:      r.vector(),
 			LogDensity:  ld,
 			Probability: (lo + hi) / 2,
 			ProbLow:     lo,

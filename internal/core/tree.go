@@ -3,6 +3,7 @@ package core
 import (
 	"errors"
 	"fmt"
+	"math"
 	"sync/atomic"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -144,12 +145,10 @@ type Tree struct {
 	// store to recover the last committed state.
 	failed error
 
-	// nodes caches parsed nodes by page id (see nodeCache): a sharded,
-	// generation-invalidated map shared by parallel queries. Page accesses
-	// are still charged against the page manager on every logical read; the
-	// cache only avoids re-parsing identical page bytes. Entries are
-	// invalidated on copy-on-write rewrite and free.
-	nodes nodeCache
+	// decode is decodeNode bound to the tree's dimension, in the shape the
+	// page manager's decoded reads take (built once, so a read allocates no
+	// closure).
+	decode pagefile.DecodeFunc
 }
 
 // ErrDimension is returned when a vector's dimensionality does not match
@@ -187,7 +186,7 @@ func New(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 	}
 	t.root = rootID
 	t.height = 1
-	if err := t.writeNode(&node{id: rootID, leaf: true}); err != nil {
+	if err := t.persistNode(&node{id: rootID, leaf: true}); err != nil {
 		return nil, err
 	}
 	if err := t.commitMeta(); err != nil {
@@ -252,6 +251,13 @@ func prepare(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 		minLeaf:  max(1, capLeaf/2),
 		capInner: capInner,
 		minInner: max(2, capInner/2),
+		decode: func(id pagefile.PageID, page []byte) (any, error) {
+			n, err := decodeNode(id, page, dim)
+			if err != nil {
+				return nil, err
+			}
+			return n, nil
+		},
 	}, nil
 }
 
@@ -269,16 +275,14 @@ func (t *Tree) mutable() error {
 
 // fail poisons the tree with the first mid-mutation error and returns err.
 //
-// It also drops the entire decoded-node cache (an O(1) generation bump): a
-// failed mutation may have edited cached node objects in place ahead of
-// copy-on-write page writes that then never happened, and there is no
-// record of which ids were touched. The committed pages themselves are
-// intact (shadow paging never overwrites them), so re-decoding restores
-// query results consistent with the on-disk state the next Open recovers.
+// The page cache needs no flush: a mutation edits only its own clones and
+// writes them to pages that were free when it began (shadow paging), so what
+// the cache holds for every page of the published snapshot is still that
+// page's committed content, and what the dead mutation wrote sits under ids
+// no reader can reach.
 func (t *Tree) fail(err error) error {
 	if t.failed == nil {
 		t.failed = err
-		t.nodes.invalidateAll()
 	}
 	return err
 }
@@ -331,32 +335,27 @@ func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
 }
 
 // readNodeCounted loads a node, charging the logical page access to the
-// manager and, when c is non-nil, to the per-query counter. The access is
-// always charged (and keeps the buffer manager's recency information
-// accurate), even when the decoded form is cached — the hot path is one
-// sharded buffer-cache hit plus one sharded node-cache hit, with no copy,
-// no decode and no allocation.
+// manager and, when c is non-nil, to the per-query counter — always, which
+// also keeps the cache's recency accurate. A page's cache entry holds the
+// decoded node in place of its bytes, so the hot path is one cache-shard
+// lock with no copy, decode or allocation; a first touch is backend read,
+// CRC verify, one decode. The node is shared with every reader: immutable.
+//
+// Why the node cached after a miss cannot be stale (ReadDecoded inserts it
+// once ioMu is released): every caller holds either an epoch pin taken
+// before it loaded the snapshot it walks (queries, CheckInvariants, ForEach
+// and the other read-only walkers) or the writer lock (the mutation paths).
+// The writer writes only pages outside the published tree (copy-on-write),
+// and a page reachable from a pinned snapshot is not handed out again until
+// the pin is gone — so no write can land on id between this read's backend
+// access and its cache insert. Scrub does not come through here: it decodes
+// what VerifyPage read and caches nothing.
 func (t *Tree) readNodeCounted(id pagefile.PageID, c *pagefile.Counter) (*node, error) {
-	page, err := t.mgr.ReadCounted(id, c)
+	v, err := t.mgr.ReadDecoded(id, c, t.decode)
 	if err != nil {
 		return nil, err
 	}
-	if n := t.nodes.get(id); n != nil {
-		return n, nil
-	}
-	n, err := decodeNode(id, page, t.dim)
-	if err != nil {
-		return nil, err
-	}
-	t.cacheNode(n)
-	return n, nil
-}
-
-// writeNode persists a node at its (freshly allocated) page. It must only
-// be used for pages that are not part of the last committed tree; committed
-// nodes are modified through rewriteNode.
-func (t *Tree) writeNode(n *node) error {
-	return t.persistNode(n)
+	return v.(*node), nil
 }
 
 // rewriteNode persists a modified node copy-on-write: the new content goes
@@ -366,12 +365,12 @@ func (t *Tree) writeNode(n *node) error {
 // (epoch-based reclamation). The last committed tree therefore stays
 // byte-for-byte intact on disk throughout the mutation — a crash at any
 // point recovers it — and concurrent snapshot readers keep traversing the
-// superseded node: its decoded-cache entry is deliberately NOT invalidated
-// (a reclaimed page re-enters circulation only through persistNode or the
-// sidecar write, both of which overwrite the cache entry before the page
-// becomes reachable again). Callers must propagate the id change into the
-// parent's routing entry. A quantized leaf's superseded sidecar page is
-// released alongside its leaf page.
+// superseded node: its cache entry stays until the page is reclaimed (a
+// reclaimed page re-enters circulation only through persistNode or the
+// sidecar write, both of which replace the entry before the page becomes
+// reachable again). Callers must propagate the id change into the parent's
+// routing entry. A quantized leaf's superseded sidecar page is released
+// alongside its leaf page.
 func (t *Tree) rewriteNode(n *node) error {
 	old := n.id
 	oldSidecar := pagefile.NilPage
@@ -396,31 +395,36 @@ func (t *Tree) rewriteNode(n *node) error {
 }
 
 // persistNode encodes and writes the node at its current id, routing leaves
-// through the tree's leaf format, then (re)caches the node.
+// through the tree's leaf format, and hands the page cache the form readers
+// will share: the inner node itself — the writer is done editing it — or a
+// leaf's new payload without the writer's row-major vectors. Called directly
+// it is for a freshly allocated page only; nodes of the committed tree are
+// modified through rewriteNode.
 func (t *Tree) persistNode(n *node) error {
+	shared := n
 	var buf []byte
 	var err error
 	if n.leaf {
 		buf, err = t.encodeLeaf(n)
+		shared = &node{id: n.id, leaf: true, kind: n.kind, cols: n.cols, quant: n.quant}
 	} else {
 		n.kind = kindInner
+		for i := range n.children {
+			n.children[i].logCount = math.Log(float64(n.children[i].count))
+		}
 		buf, err = encodeNode(n, t.dim, t.mgr.PageSize())
 	}
 	if err != nil {
 		return err
 	}
-	if err := t.mgr.Write(n.id, buf); err != nil {
-		return err
-	}
-	t.cacheNode(n)
-	return nil
+	return t.mgr.WriteDecoded(n.id, buf, shared)
 }
 
 // encodeLeaf readies a leaf carrying authoritative exact vectors for
 // persistence under the tree's leaf format and returns the page image for
-// n.id: it rebuilds the columnar view, and for quantized formats writes a
-// fresh exact sidecar page and derives the quantized payload — falling back
-// to the exact columnar encoding when some value cannot be covered by a
+// n.id: it rebuilds the columnar payload, and for quantized formats moves it
+// to a fresh exact sidecar page and derives the quantized payload — falling
+// back to the exact columnar encoding when some value cannot be covered by a
 // conservative quantized interval (buildQuantLeaf), so lossy storage is
 // opportunistic, never forced.
 func (t *Tree) encodeLeaf(n *node) ([]byte, error) {
@@ -433,7 +437,7 @@ func (t *Tree) encodeLeaf(n *node) ([]byte, error) {
 	switch format {
 	case LeafLegacyRow:
 		n.kind = kindLeaf
-		return encodeRowLeaf(n, t.dim)
+		return encodeRowLeaf(n.cols)
 	case LeafFloat32, LeafGrid8:
 		q := buildQuantLeaf(format, n.cols, t.mgr.PageSize())
 		if q == nil {
@@ -447,63 +451,56 @@ func (t *Tree) encodeLeaf(n *node) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		if err := t.mgr.Write(sideID, sideBuf); err != nil {
+		side := &node{id: sideID, leaf: true, kind: kindSidecar, cols: n.cols}
+		if err := t.mgr.WriteDecoded(sideID, sideBuf, side); err != nil {
 			return nil, err
 		}
-		// Cache the sidecar node with its own copy of the vectors so later
-		// in-place leaf mutations can never alias its payload.
-		side := &node{id: sideID, leaf: true, kind: kindSidecar,
-			vectors: append([]pfv.Vector(nil), n.vectors...), cols: n.cols}
-		t.cacheNode(side)
 		q.sidecar = sideID
-		n.quant = q
-		n.kind = q.kind
+		n.cols, n.quant, n.kind = nil, q, q.kind
 		return encodeQuantLeaf(q, t.dim)
 	}
 	n.kind = kindLeafCol
 	return encodeColumnarLeaf(n.cols, kindLeafCol, t.mgr.PageSize())
 }
 
-// leafExactVectors returns a leaf's exact vectors: the in-memory ones when
-// present, otherwise the quantized leaf's sidecar payload (charged as a
-// regular page access). The returned slice must not be mutated; mutation
-// paths use materializeLeaf.
-func (t *Tree) leafExactVectors(n *node) ([]pfv.Vector, error) {
-	if n.vectors != nil || n.quant == nil {
-		return n.vectors, nil
+// exactColumns returns a leaf's exact payload as its readers see it: the
+// leaf's own columns, or a quantized leaf's sidecar columns (charged as a
+// regular page access). Validation, ForEach, the exact-vector lookup and the
+// bounding-box helpers all read leaves through it. It is not for the
+// writer's materialized nodes, whose vectors supersede both.
+func (t *Tree) exactColumns(n *node) (*pfv.Columns, error) {
+	if n.quant == nil {
+		return n.cols, nil
 	}
 	side, err := t.readNode(n.quant.sidecar)
 	if err != nil {
 		return nil, err
 	}
-	if !side.leaf {
-		return nil, fmt.Errorf("core: page %d referenced as sidecar is not a leaf", n.quant.sidecar)
+	if side.cols == nil {
+		return nil, fmt.Errorf("core: page %d referenced as sidecar is not an exact leaf", n.quant.sidecar)
 	}
-	return side.vectors, nil
+	return side.cols, nil
 }
 
-// materializeLeaf loads a quantized leaf's exact vectors into the node ahead
-// of an in-place mutation, cloning the sidecar payload so edits never alias
-// the cached sidecar node. No-op for leaves that already carry vectors.
+// rowsOf materializes columns as the row-major vectors of a writer's node,
+// with room for the one vector an insert appends.
+func rowsOf(c *pfv.Columns) []pfv.Vector {
+	return append(make([]pfv.Vector, 0, c.Len()+1), c.Vectors()...)
+}
+
+// materializeLeaf loads a quantized leaf's exact vectors into the writer's
+// node ahead of an in-place mutation. No-op for exact leaves, which clone
+// materializes.
 func (t *Tree) materializeLeaf(n *node) error {
-	if n.vectors != nil || n.quant == nil {
+	if n.vectors != nil {
 		return nil
 	}
-	vs, err := t.leafExactVectors(n)
+	cols, err := t.exactColumns(n)
 	if err != nil {
 		return err
 	}
-	n.vectors = append(make([]pfv.Vector, 0, len(vs)+1), vs...)
+	n.vectors = rowsOf(cols)
 	return nil
-}
-
-// cacheNode is the single choke point through which every node enters the
-// decoded-node cache (decode misses, writeNode, rewriteNode). It refreshes
-// the node's derived data (precomputed log subtree counts, leaf columns) so
-// the traversal can rely on it unconditionally.
-func (t *Tree) cacheNode(n *node) {
-	n.refreshDerived(t.dim)
-	t.nodes.put(n.id, n)
 }
 
 // freeSubtree returns every page of the subtree rooted at id to the
@@ -528,11 +525,4 @@ func (t *Tree) freeSubtree(id pagefile.PageID) error {
 		}
 	}
 	return t.mgr.FreeDeferred(id)
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
 }

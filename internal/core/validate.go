@@ -51,32 +51,31 @@ func (t *Tree) CheckInvariants() error {
 			if depth+1 != snap.height {
 				return 0, ParamBox{}, fmt.Errorf("%w: leaf depth %d inconsistent with height %d", ErrCorrupt, depth, snap.height)
 			}
-			vs, err := t.leafExactVectors(n)
+			cols, err := t.exactColumns(n)
 			if err != nil {
 				return 0, ParamBox{}, err
 			}
-			if !isRoot && (len(vs) < t.minLeaf || len(vs) > t.capLeaf) {
-				return 0, ParamBox{}, fmt.Errorf("%w: leaf %d fill %d outside [%d,%d]", ErrCorrupt, n.id, len(vs), t.minLeaf, t.capLeaf)
+			count := cols.Len()
+			if !isRoot && (count < t.minLeaf || count > t.capLeaf) {
+				return 0, ParamBox{}, fmt.Errorf("%w: leaf %d fill %d outside [%d,%d]", ErrCorrupt, n.id, count, t.minLeaf, t.capLeaf)
 			}
-			if isRoot && len(vs) > t.capLeaf {
-				return 0, ParamBox{}, fmt.Errorf("%w: root leaf overfull: %d > %d", ErrCorrupt, len(vs), t.capLeaf)
+			if isRoot && count > t.capLeaf {
+				return 0, ParamBox{}, fmt.Errorf("%w: root leaf overfull: %d > %d", ErrCorrupt, count, t.capLeaf)
 			}
-			for _, v := range vs {
-				if v.Dim() != t.dim {
-					return 0, ParamBox{}, fmt.Errorf("%w: vector %d has dimension %d, tree %d", ErrCorrupt, v.ID, v.Dim(), t.dim)
-				}
+			for j := 0; j < count; j++ {
+				v := cols.Vector(j)
 				if _, err := pfv.New(v.ID, v.Mean, v.Sigma); err != nil {
 					return 0, ParamBox{}, fmt.Errorf("%w: vector %d invalid: %w", ErrCorrupt, v.ID, err)
 				}
 			}
-			if err := checkQuantLeaf(n, vs, t.dim); err != nil {
+			if err := checkQuantLeaf(n, cols, t.dim); err != nil {
 				return 0, ParamBox{}, err
 			}
 			box := NewParamBox(t.dim)
-			if len(vs) > 0 {
-				box = BoxOfVectors(vs)
+			if count > 0 {
+				box = BoxOfColumns(cols)
 			}
-			return len(vs), box, nil
+			return count, box, nil
 		}
 		if !isRoot && (len(n.children) < t.minInner || len(n.children) > t.capInner) {
 			return 0, ParamBox{}, fmt.Errorf("%w: inner %d fill %d outside [%d,%d]", ErrCorrupt, n.id, len(n.children), t.minInner, t.capInner)
@@ -128,36 +127,37 @@ func (t *Tree) CheckInvariants() error {
 // exact parameter lies inside its decoded interval (σ intervals positive).
 // This is what makes §5.2.2 certification and no-false-dismissal pruning on
 // quantized trees sound. No-op for exact leaves.
-func checkQuantLeaf(n *node, vs []pfv.Vector, dim int) error {
+func checkQuantLeaf(n *node, exact *pfv.Columns, dim int) error {
 	q := n.quant
 	if q == nil {
 		return nil
 	}
-	if q.len() != len(vs) {
-		return fmt.Errorf("%w: quantized leaf %d holds %d entries, sidecar %d has %d", ErrCorrupt, n.id, q.len(), q.sidecar, len(vs))
+	if q.len() != exact.Len() {
+		return fmt.Errorf("%w: quantized leaf %d holds %d entries, sidecar %d has %d", ErrCorrupt, n.id, q.len(), q.sidecar, exact.Len())
 	}
-	for j, v := range vs {
-		if q.ids[j] != v.ID {
-			return fmt.Errorf("%w: quantized leaf %d entry %d id %d, sidecar id %d", ErrCorrupt, n.id, j, q.ids[j], v.ID)
+	for j, id := range exact.IDs {
+		if q.ids[j] != id {
+			return fmt.Errorf("%w: quantized leaf %d entry %d id %d, sidecar id %d", ErrCorrupt, n.id, j, q.ids[j], id)
 		}
 		for i := 0; i < dim; i++ {
-			if !(q.muLo[i][j] <= v.Mean[i] && v.Mean[i] <= q.muHi[i][j]) {
+			mu, sg := exact.Mean[i][j], exact.Sigma[i][j]
+			if !(q.muLo[i][j] <= mu && mu <= q.muHi[i][j]) {
 				return fmt.Errorf("%w: quantized leaf %d entry %d dim %d: μ=%v outside widened [%v,%v]", ErrCorrupt,
-					n.id, j, i, v.Mean[i], q.muLo[i][j], q.muHi[i][j])
+					n.id, j, i, mu, q.muLo[i][j], q.muHi[i][j])
 			}
-			if !(q.sgLo[i][j] > 0 && q.sgLo[i][j] <= v.Sigma[i] && v.Sigma[i] <= q.sgHi[i][j]) {
+			if !(q.sgLo[i][j] > 0 && q.sgLo[i][j] <= sg && sg <= q.sgHi[i][j]) {
 				return fmt.Errorf("%w: quantized leaf %d entry %d dim %d: σ=%v outside widened (0,∞)∩[%v,%v]", ErrCorrupt,
-					n.id, j, i, v.Sigma[i], q.sgLo[i][j], q.sgHi[i][j])
+					n.id, j, i, sg, q.sgLo[i][j], q.sgHi[i][j])
 			}
 		}
 	}
 	return nil
 }
 
-// ForEach visits every stored vector in depth-first leaf order. The walk
-// reads the pinned published snapshot: concurrent mutations neither block
-// it nor leak into it — the visited set is exactly one commit-consistent
-// tree state.
+// ForEach visits every stored vector in depth-first leaf order; fn owns the
+// vector it is handed. The walk reads the pinned published snapshot:
+// concurrent mutations neither block it nor leak into it — the visited set
+// is exactly one commit-consistent tree state.
 func (t *Tree) ForEach(fn func(pfv.Vector) error) error {
 	snap, epoch := t.pinSnap()
 	defer t.mgr.UnpinEpoch(epoch)
@@ -168,12 +168,12 @@ func (t *Tree) ForEach(fn func(pfv.Vector) error) error {
 			return err
 		}
 		if n.leaf {
-			vs, err := t.leafExactVectors(n)
+			cols, err := t.exactColumns(n)
 			if err != nil {
 				return err
 			}
-			for _, v := range vs {
-				if err := fn(v); err != nil {
+			for j := 0; j < cols.Len(); j++ {
+				if err := fn(cols.Vector(j)); err != nil {
 					return err
 				}
 			}
@@ -212,12 +212,12 @@ func (t *Tree) WalkLeafBoxes(fn func(box ParamBox, count int)) error {
 			return err
 		}
 		if n.leaf {
-			vs, err := t.leafExactVectors(n)
+			cols, err := t.exactColumns(n)
 			if err != nil {
 				return err
 			}
-			if len(vs) > 0 {
-				fn(BoxOfVectors(vs), len(vs))
+			if cols.Len() > 0 {
+				fn(BoxOfColumns(cols), cols.Len())
 			}
 			return nil
 		}

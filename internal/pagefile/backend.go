@@ -103,6 +103,9 @@ type FileBackend struct {
 	pages    int // data pages present
 	meta     []byte
 	metaSeq  uint64
+	// slot is ReadPage's slot buffer, reused across reads (backend calls are
+	// serialized by contract).
+	slot []byte
 }
 
 // CreateFile creates a fresh page file at path, writing (and syncing) the
@@ -168,7 +171,7 @@ func CreateFile(path string, pageSize int) (*FileBackend, error) {
 		f.Close()
 		return nil, err
 	}
-	return &FileBackend{f: f, pageSize: pageSize}, nil
+	return &FileBackend{f: f, pageSize: pageSize, slot: make([]byte, slotSize(pageSize))}, nil
 }
 
 // zeroFilled reports whether the file's first size bytes are all zero.
@@ -222,7 +225,7 @@ func attachFile(f *os.File) (*FileBackend, error) {
 	if err != nil {
 		return nil, err
 	}
-	b := &FileBackend{f: f, pageSize: pageSize}
+	b := &FileBackend{f: f, pageSize: pageSize, slot: make([]byte, slotSize(pageSize))}
 	slot := int64(slotSize(pageSize))
 	if data := info.Size() - int64(reservedSlots)*slot; data > 0 {
 		// A torn final page write leaves a partial slot; it is simply not
@@ -260,11 +263,10 @@ func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
 		}
 		return nil
 	}
-	slot := make([]byte, slotSize(b.pageSize))
-	if _, err := b.f.ReadAt(slot, b.slotOffset(id)); err != nil {
+	if _, err := b.f.ReadAt(b.slot, b.slotOffset(id)); err != nil {
 		return err
 	}
-	data, err := verifyPage(slot, id)
+	data, err := verifyPage(b.slot, id)
 	if err != nil {
 		return err
 	}

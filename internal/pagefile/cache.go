@@ -9,6 +9,11 @@ import "sync"
 // doubly linked recency list (no container/list allocations): a hit is a
 // map lookup plus four pointer writes under one short shard lock.
 //
+// An entry holds a page in exactly one form: its bytes or, once a client has
+// decoded them (Manager.ReadDecoded/WriteDecoded), the decoded value in
+// their place — one page of the capacity either way, replaced and dropped by
+// the same events.
+//
 // Sharding trades exact global LRU order for concurrency: eviction is
 // least-recently-used *per shard*. Small caches (where per-shard capacities
 // would degenerate and eviction tests care about exact global order) are
@@ -28,7 +33,8 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	id         PageID
-	data       []byte
+	data       []byte // page bytes; nil while the entry holds the decoded form
+	decoded    any    // decoded form; nil while the entry holds the bytes
 	prev, next *cacheEntry
 }
 
@@ -104,35 +110,37 @@ func (c *pageCache) shardOf(id PageID) *cacheShard {
 	return &c.shards[(h>>16)&c.mask]
 }
 
-// get returns the cached page content and refreshes its recency. The
-// returned slice is owned by the cache (see Manager.ReadCounted).
-func (c *pageCache) get(id PageID) ([]byte, bool) {
+// get returns the cached form of a page — its bytes or its decoded value,
+// whichever the entry holds — and refreshes its recency. Both are owned by
+// the cache (see Manager.ReadCounted).
+func (c *pageCache) get(id PageID) (data []byte, decoded any, ok bool) {
 	if !c.enabled() {
-		return nil, false
+		return nil, nil, false
 	}
 	s := c.shardOf(id)
 	s.mu.Lock()
 	e, ok := s.entries[id]
 	if !ok {
 		s.mu.Unlock()
-		return nil, false
+		return nil, nil, false
 	}
 	s.moveToFront(e)
-	data := e.data
+	data, decoded = e.data, e.decoded
 	s.mu.Unlock()
-	return data, true
+	return data, decoded, true
 }
 
-// insert adds or replaces a page, evicting the shard's least recently used
-// entries as needed. data ownership transfers to the cache.
-func (c *pageCache) insert(id PageID, data []byte) {
+// insert adds a page or replaces its cached form, evicting the shard's least
+// recently used entries as needed. Exactly one of data and decoded is set;
+// its ownership transfers to the cache.
+func (c *pageCache) insert(id PageID, data []byte, decoded any) {
 	if !c.enabled() {
 		return
 	}
 	s := c.shardOf(id)
 	s.mu.Lock()
 	if e, ok := s.entries[id]; ok {
-		e.data = data
+		e.data, e.decoded = data, decoded
 		s.moveToFront(e)
 		s.mu.Unlock()
 		return
@@ -146,7 +154,7 @@ func (c *pageCache) insert(id PageID, data []byte) {
 		delete(s.entries, oldest.id)
 	}
 	if s.capacity > 0 {
-		e := &cacheEntry{id: id, data: data}
+		e := &cacheEntry{id: id, data: data, decoded: decoded}
 		s.entries[id] = e
 		s.pushFront(e)
 	}

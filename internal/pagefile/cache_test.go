@@ -2,7 +2,6 @@ package pagefile
 
 import (
 	"bytes"
-	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -103,81 +102,160 @@ func TestShardedEvictionBounded(t *testing.T) {
 	}
 }
 
-// TestReadInto covers the caller-buffer read path: correct content on miss
-// and on hit, counter attribution identical to ReadCounted, rejection of
-// short buffers, and independence of the returned buffer from the cache.
-func TestReadInto(t *testing.T) {
-	m := newMemManager(t, 64)
-	id, err := m.Allocate()
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := bytes.Repeat([]byte{0xAB}, 64)
-	if err := m.Write(id, want); err != nil {
-		t.Fatal(err)
-	}
-	m.DropCache()
-	m.ResetStats()
+// decodedPage is the decoded form the tests below cache: the page's payload
+// as a string. decodes counts how often the manager asked for a decode.
+type decodedPage struct{ text string }
 
-	var c Counter
-	buf := make([]byte, 64)
-	got, err := m.ReadInto(id, buf, &c) // miss
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(got, want) {
-		t.Error("miss read content mismatch")
-	}
-	if c.LogicalReads() != 1 || c.PhysicalReads() != 1 || c.CacheHits() != 0 {
-		t.Errorf("miss attribution: logical=%d physical=%d hits=%d", c.LogicalReads(), c.PhysicalReads(), c.CacheHits())
-	}
-	if _, err := m.ReadInto(id, buf, &c); err != nil { // hit
-		t.Fatal(err)
-	}
-	if c.CacheHits() != 1 {
-		t.Errorf("hit attribution: hits=%d, want 1", c.CacheHits())
-	}
-	// Scribbling on the caller buffer must not corrupt the cache.
-	for i := range buf {
-		buf[i] = 0xFF
-	}
-	cached, err := m.Read(id)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !bytes.Equal(cached, want) {
-		t.Error("caller buffer aliases the cache")
-	}
-	if _, err := m.ReadInto(id, make([]byte, 8), nil); err == nil {
-		t.Error("short buffer should be rejected")
-	}
-	if err := m.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := m.ReadInto(id, buf, nil); !errors.Is(err, ErrClosed) {
-		t.Errorf("ReadInto after close = %v, want ErrClosed", err)
+func countingDecode(decodes *int) DecodeFunc {
+	return func(_ PageID, page []byte) (any, error) {
+		*decodes++
+		return &decodedPage{string(bytes.TrimRight(page, "\x00"))}, nil
 	}
 }
 
-// TestReadIntoUncachedNoAlloc proves the zero-allocation claim for a reader
-// recycling one buffer against a cache-disabled manager.
-func TestReadIntoUncachedNoAlloc(t *testing.T) {
-	m := newMemManager(t, 64, WithCacheBytes(0))
-	id, err := m.Allocate()
+func mustDecoded(t *testing.T, m *Manager, id PageID, decode DecodeFunc) *decodedPage {
+	t.Helper()
+	v, err := m.ReadDecoded(id, nil, decode)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := m.Write(id, []byte("steady")); err != nil {
+	return v.(*decodedPage)
+}
+
+// TestDecodedFormLifecycle: an entry's decoded form is replaced or dropped
+// by exactly the events that replace or drop its bytes — Write, Free,
+// recycling after epoch reclamation, DropCache — so a stale decoded form is
+// never served; a byte read of a decoded-only entry fetches the bytes, which
+// take the entry over.
+func TestDecodedFormLifecycle(t *testing.T) {
+	m := newMemManager(t, 64)
+	decodes := 0
+	decode := countingDecode(&decodes)
+	id, _ := m.Allocate()
+	if err := m.Write(id, []byte("v1")); err != nil {
 		t.Fatal(err)
 	}
-	buf := make([]byte, 64)
-	allocs := testing.AllocsPerRun(100, func() {
-		if _, err := m.ReadInto(id, buf, nil); err != nil {
-			t.Fatal(err)
+
+	first := mustDecoded(t, m, id, decode) // cached bytes, decoded in place
+	if first.text != "v1" || decodes != 1 {
+		t.Fatalf("first decoded read = %q after %d decodes", first.text, decodes)
+	}
+	if again := mustDecoded(t, m, id, decode); again != first || decodes != 1 {
+		t.Fatalf("second decoded read re-decoded (%d decodes) or returned another value", decodes)
+	}
+	if s := m.Stats(); s.PhysicalReads != 0 || s.CacheHits != 2 || m.CachedPages() != 1 {
+		t.Fatalf("decoding cached bytes must cost no I/O and no second entry: %+v, %d cached", s, m.CachedPages())
+	}
+
+	// A byte read of the decoded-only entry reads the backend; later ones hit.
+	m.ResetStats()
+	for i := 0; i < 2; i++ {
+		data, err := m.Read(id)
+		if err != nil || !bytes.HasPrefix(data, []byte("v1")) {
+			t.Fatalf("byte read %d = %q, %v", i, data, err)
 		}
-	})
-	if allocs != 0 {
-		t.Errorf("ReadInto allocated %.1f objects per read, want 0", allocs)
+	}
+	if s := m.Stats(); s.PhysicalReads != 1 || s.CacheHits != 1 {
+		t.Fatalf("byte reads of a decoded-only entry: %+v, want 1 physical then 1 hit", s)
+	}
+	if mustDecoded(t, m, id, decode); decodes != 2 {
+		t.Fatalf("bytes took the entry over, so the next decoded read decodes: %d decodes", decodes)
+	}
+
+	// Write replaces the decoded form; WriteDecoded installs one.
+	if err := m.Write(id, []byte("v2")); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustDecoded(t, m, id, decode); got.text != "v2" {
+		t.Fatalf("stale decoded form %q served after Write", got.text)
+	}
+	v3 := &decodedPage{"v3"}
+	decodes = 0
+	if err := m.WriteDecoded(id, []byte("v3"), v3); err != nil {
+		t.Fatal(err)
+	}
+	if got := mustDecoded(t, m, id, decode); got != v3 || decodes != 0 {
+		t.Fatalf("WriteDecoded form not served as is: %+v, %d decodes", got, decodes)
+	}
+	if data, _ := m.Read(id); !bytes.HasPrefix(data, []byte("v3")) {
+		t.Fatalf("WriteDecoded did not reach the backend: %q", data)
+	}
+
+	// DropCache and Free drop it.
+	mustDecoded(t, m, id, decode)
+	m.DropCache()
+	if m.CachedPages() != 0 {
+		t.Fatal("DropCache left a decoded entry")
+	}
+	mustDecoded(t, m, id, decode)
+	if err := m.Free(id); err != nil {
+		t.Fatal(err)
+	}
+	if m.CachedPages() != 0 {
+		t.Fatal("Free left a decoded entry")
+	}
+
+	// Epoch reclamation: the entry outlives FreeDeferred (readers may still
+	// traverse the page) and is dropped when the page is recycled.
+	id, _ = m.Allocate()
+	m.WriteDecoded(id, []byte("old"), &decodedPage{"old"})
+	if err := m.CommitMeta(nil); err != nil {
+		t.Fatal(err)
+	}
+	m.AdvanceEpoch() // published
+	pin := m.PinEpoch()
+	m.FreeDeferred(id)
+	if err := m.CommitMeta(nil); err != nil {
+		t.Fatal(err)
+	}
+	m.AdvanceEpoch()
+	if got := mustDecoded(t, m, id, decode); got.text != "old" {
+		t.Fatalf("pinned reader lost the superseded page: %q", got.text)
+	}
+	m.UnpinEpoch(pin)
+	if m.CachedPages() != 0 {
+		t.Fatal("recycling left the decoded entry of the reclaimed page")
+	}
+	if again, _ := m.Allocate(); again != id {
+		t.Fatalf("page %d not recycled (got %d)", id, again)
+	}
+	m.Write(id, []byte("new"))
+	if got := mustDecoded(t, m, id, decode); got.text != "new" {
+		t.Fatalf("recycled page served %q", got.text)
+	}
+}
+
+// TestDecodedEntriesObeyCapacity: a decoded entry is one page of the LRU,
+// and a cache-disabled manager decodes on every read with the same answers.
+func TestDecodedEntriesObeyCapacity(t *testing.T) {
+	const capacity, pages = 4, 12
+	for _, cacheBytes := range []int{capacity * 64, 0} {
+		m := newMemManager(t, 64, WithCacheBytes(cacheBytes))
+		decodes := 0
+		decode := countingDecode(&decodes)
+		for i := 0; i < pages; i++ {
+			id, _ := m.Allocate()
+			if err := m.WriteDecoded(id, []byte{byte('a' + i)}, &decodedPage{string(rune('a' + i))}); err != nil {
+				t.Fatal(err)
+			}
+			if got := m.CachedPages(); got > cacheBytes/64 {
+				t.Fatalf("cache of %d bytes holds %d decoded pages", cacheBytes, got)
+			}
+		}
+		for round := 0; round < 2; round++ {
+			for i := 0; i < pages; i++ {
+				if got := mustDecoded(t, m, PageID(i), decode); got.text != string(rune('a'+i)) {
+					t.Fatalf("cache %d: page %d decoded as %q", cacheBytes, i, got.text)
+				}
+				if got := m.CachedPages(); got > cacheBytes/64 {
+					t.Fatalf("cache of %d bytes holds %d decoded pages", cacheBytes, got)
+				}
+			}
+		}
+		// A cyclic scan larger than the LRU (or no cache) misses every time.
+		if s := m.Stats(); decodes != 2*pages || s.PhysicalReads != 2*pages {
+			t.Errorf("cache %d: %d decodes, %d physical reads, want %d each", cacheBytes, decodes, s.PhysicalReads, 2*pages)
+		}
 	}
 }
 
@@ -204,7 +282,7 @@ func TestReadCountedHotNoAlloc(t *testing.T) {
 }
 
 // TestShardedCacheConcurrentHammer drives the sharded cache from many
-// goroutines mixing hot reads, caller-buffer reads, writes, allocation,
+// goroutines mixing hot reads, decoded reads, writes, allocation,
 // frees, cold accessors and cache drops. Run under -race it verifies the
 // lock split (shard locks, allocator lock, I/O lock, atomic closed/next)
 // has no data races and that accounting invariants survive concurrency.
@@ -231,7 +309,7 @@ func TestShardedCacheConcurrentHammer(t *testing.T) {
 		go func(seed int64) {
 			defer wg.Done()
 			rng := rand.New(rand.NewSource(seed))
-			buf := make([]byte, 64)
+			decode := func(_ PageID, page []byte) (any, error) { return &decodedPage{string(page[:1])}, nil }
 			var c Counter
 			for i := 0; i < 2000; i++ {
 				id := ids[rng.Intn(len(ids))]
@@ -242,7 +320,7 @@ func TestShardedCacheConcurrentHammer(t *testing.T) {
 						return
 					}
 				case 1:
-					if _, err := m.ReadInto(id, buf, &c); err != nil {
+					if _, err := m.ReadDecoded(id, &c, decode); err != nil {
 						errs <- err
 						return
 					}

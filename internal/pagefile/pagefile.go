@@ -6,10 +6,13 @@
 // A Manager mediates access to fixed-size pages held by a Backend (in-memory
 // for tests and benchmarks, an ordinary file for persistence) through a
 // sharded LRU buffer cache with a configurable byte budget — the paper uses
-// a 50 MB cache that is cold-started before each experiment. The Manager
-// counts logical page accesses, cache hits, physical reads, writes and disk
-// seeks (non-contiguous physical reads), and converts them into an estimated
-// I/O time under a classical seek+transfer disk cost model, which is how the
+// a 50 MB cache that is cold-started before each experiment. A cache entry
+// holds a page's bytes or, for a client that decodes its pages (ReadDecoded,
+// WriteDecoded — the Gauss-tree), the decoded value in their place: one
+// cached form per page, under the one budget. The Manager counts logical
+// page accesses, cache hits, physical reads, writes and disk seeks
+// (non-contiguous physical reads), and converts them into an estimated I/O
+// time under a classical seek+transfer disk cost model, which is how the
 // paper's "overall time" metric is reproduced without 2006 disk hardware.
 //
 // The Manager is safe for concurrent use and its hot path is built for it:
@@ -179,6 +182,8 @@ type Manager struct {
 	shardHint int // requested cache shard count; 0 = automatic
 	cache     pageCache
 	costModel CostModel
+	// pageBufs recycles the pass-through page buffers of ReadDecoded misses.
+	pageBufs sync.Pool
 
 	closed atomic.Bool
 	next   atomic.Uint32 // allocation frontier, read lock-free by the hot path
@@ -274,6 +279,10 @@ func NewManager(backend Backend, pageSize int, opts ...Option) (*Manager, error)
 		o(m)
 	}
 	m.cache = newPageCache(m.capacity, m.shardHint)
+	m.pageBufs.New = func() any {
+		buf := make([]byte, pageSize)
+		return &buf
+	}
 	payload, seq, err := backend.ReadMeta()
 	if err != nil {
 		return nil, err
@@ -454,57 +463,90 @@ func (m *Manager) checkRead(id PageID) error {
 	return nil
 }
 
+// chargeLogical and chargeHit charge one page request, respectively one
+// cache hit, globally and, when c is non-nil, to the per-query Counter.
+func (m *Manager) chargeLogical(c *Counter) {
+	m.logicalReads.Add(1)
+	if c != nil {
+		c.logicalReads.Add(1)
+	}
+}
+
+func (m *Manager) chargeHit(c *Counter) {
+	m.cacheHits.Add(1)
+	if c != nil {
+		c.cacheHits.Add(1)
+	}
+}
+
 // ReadCounted returns the content of a page, charging the access to the
 // global counters and, when c is non-nil, to the per-query Counter. The
 // returned slice is owned by the cache: callers must not modify it and
 // should decode immediately (concurrent readers may share it, but no path
 // ever rewrites a cached slice in place). The hit path takes exactly one
 // cache shard lock and performs no copy or allocation.
+//
+// A page whose entry holds only a decoded form (ReadDecoded, WriteDecoded)
+// is read from the backend like a miss and its bytes take the entry over:
+// later byte reads hit, and the next ReadDecoded decodes them again.
 func (m *Manager) ReadCounted(id PageID, c *Counter) ([]byte, error) {
 	if err := m.checkRead(id); err != nil {
 		return nil, err
 	}
-	m.logicalReads.Add(1)
-	if c != nil {
-		c.logicalReads.Add(1)
-	}
-	if data, ok := m.cache.get(id); ok {
-		m.cacheHits.Add(1)
-		if c != nil {
-			c.cacheHits.Add(1)
-		}
+	m.chargeLogical(c)
+	if data, _, ok := m.cache.get(id); ok && data != nil {
+		m.chargeHit(c)
 		return data, nil
 	}
-	return m.readMiss(id, c, nil)
+	data, _, err := m.readMiss(id, c, make([]byte, m.pageSize), true)
+	return data, err
 }
 
-// ReadInto reads a page into a caller-owned buffer of at least one page,
-// charging counters exactly like ReadCounted. The caller may retain and
-// modify the buffer freely — nothing is shared with the cache — so a reader
-// that recycles one buffer across many calls performs zero steady-state
-// allocations even on a cache-disabled manager. It returns the filled
-// prefix dst[:PageSize].
-func (m *Manager) ReadInto(id PageID, dst []byte, c *Counter) ([]byte, error) {
-	if len(dst) < m.pageSize {
-		return nil, fmt.Errorf("pagefile: ReadInto buffer of %d bytes smaller than page size %d", len(dst), m.pageSize)
-	}
-	dst = dst[:m.pageSize]
+// DecodeFunc turns the bytes of page id into a client's decoded form. page
+// is only valid during the call — the result must not alias it — and the
+// result is shared by every reader of the page, so it must be immutable.
+type DecodeFunc func(id PageID, page []byte) (any, error)
+
+// ReadDecoded returns the decoded form of a page, charging counters exactly
+// like ReadCounted. A hit on an entry that holds the decoded form is one
+// cache shard lock. Otherwise the page's bytes — cached, or read from the
+// backend into a reused buffer that never enters the cache — are decoded
+// outside every manager lock and the decoded form takes the entry in place
+// of the bytes. A cache-disabled manager reads and decodes on every call.
+//
+// The decoded form is inserted after ioMu has been released, so the caller
+// must exclude a concurrent Write of the same page, or the insert could bury
+// the written form under a stale one. Clients that only read pages reachable
+// from a pinned epoch (see epoch.go) get that for free: such a page is not
+// allocatable, so nobody writes it, and once it has been recycled the
+// reclamation dropped its entry before the id could be written again.
+func (m *Manager) ReadDecoded(id PageID, c *Counter, decode DecodeFunc) (any, error) {
 	if err := m.checkRead(id); err != nil {
 		return nil, err
 	}
-	m.logicalReads.Add(1)
-	if c != nil {
-		c.logicalReads.Add(1)
-	}
-	if data, ok := m.cache.get(id); ok {
-		m.cacheHits.Add(1)
-		if c != nil {
-			c.cacheHits.Add(1)
+	m.chargeLogical(c)
+	data, decoded, ok := m.cache.get(id)
+	var buf *[]byte
+	if ok {
+		m.chargeHit(c)
+	} else {
+		buf = m.pageBufs.Get().(*[]byte)
+		var err error
+		if data, decoded, err = m.readMiss(id, c, *buf, false); err != nil {
+			return nil, err
 		}
-		copy(dst, data)
-		return dst, nil
 	}
-	return m.readMiss(id, c, dst)
+	if decoded == nil {
+		var err error
+		if decoded, err = decode(id, data); err != nil {
+			return nil, err
+		}
+		m.cache.insert(id, nil, decoded)
+	}
+	if buf != nil {
+		m.pageBufs.Put(buf)
+	}
+	return decoded, nil
 }
 
 // VerifyPage reads one page directly from the backend into dst (at least
@@ -534,34 +576,23 @@ func (m *Manager) VerifyPage(id PageID, dst []byte) ([]byte, error) {
 	return dst, nil
 }
 
-// readMiss resolves a cache miss against the backend under ioMu. When dst is
-// non-nil the page is read into it and the cache (if enabled) receives its
-// own copy; otherwise a fresh cache-owned buffer is allocated.
-func (m *Manager) readMiss(id PageID, c *Counter, dst []byte) ([]byte, error) {
+// readMiss is the one miss path: it reads the page into buf under ioMu. A
+// byte reader (wantBytes) hands buf over to the cache; a decoding reader
+// keeps it and caches what it decodes from it. If a concurrent reader cached
+// the page while this one waited for ioMu, that entry's form is returned and
+// buf is unused — unless it is a decoded form and the caller wants bytes.
+func (m *Manager) readMiss(id PageID, c *Counter, buf []byte, wantBytes bool) (data []byte, decoded any, err error) {
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
-	// Re-check under ioMu: the manager may have closed, or a concurrent
-	// reader may have loaded the same page while we waited.
 	if m.closed.Load() {
-		return nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
-	if data, ok := m.cache.get(id); ok {
-		m.cacheHits.Add(1)
-		if c != nil {
-			c.cacheHits.Add(1)
-		}
-		if dst != nil {
-			copy(dst, data)
-			return dst, nil
-		}
-		return data, nil
-	}
-	buf := dst
-	if buf == nil {
-		buf = make([]byte, m.pageSize)
+	if data, decoded, ok := m.cache.get(id); ok && (data != nil || !wantBytes) {
+		m.chargeHit(c)
+		return data, decoded, nil
 	}
 	if err := m.backend.ReadPage(id, buf); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m.physicalReads.Add(1)
 	if c != nil {
@@ -571,20 +602,25 @@ func (m *Manager) readMiss(id PageID, c *Counter, dst []byte) ([]byte, error) {
 		m.seeks.Add(1)
 	}
 	m.lastRead, m.haveLast = id, true
-	if dst != nil {
-		if m.cache.enabled() {
-			m.cache.insert(id, append(make([]byte, 0, m.pageSize), buf...))
-		}
-	} else {
-		m.cache.insert(id, buf)
+	if wantBytes {
+		m.cache.insert(id, buf, nil)
 	}
-	return buf, nil
+	return buf, nil, nil
 }
 
 // Write persists a page. data must be at most one page long; shorter data is
 // zero-padded to the page size. The write is write-through: the backend and
 // the cache are updated together.
 func (m *Manager) Write(id PageID, data []byte) error {
+	return m.WriteDecoded(id, data, nil)
+}
+
+// WriteDecoded is Write for a client that holds the page's decoded form (it
+// has just encoded data from it): the cache takes decoded in place of the
+// bytes, so the next ReadDecoded of the page decodes nothing. decoded must
+// be what the client's DecodeFunc makes of data, and immutable from here on;
+// nil caches the bytes.
+func (m *Manager) WriteDecoded(id PageID, data []byte, decoded any) error {
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
 	if m.closed.Load() {
@@ -602,7 +638,10 @@ func (m *Manager) Write(id PageID, data []byte) error {
 		return err
 	}
 	m.writes.Add(1)
-	m.cache.insert(id, page)
+	if decoded != nil {
+		page = nil
+	}
+	m.cache.insert(id, page, decoded)
 	return nil
 }
 

@@ -2,62 +2,64 @@ package pfv
 
 import (
 	"math"
+	"sync"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 )
 
 // Columns is the columnar (structure-of-arrays) form of a batch of
-// probabilistic feature vectors, the in-memory shape of a columnar Gauss-tree
-// leaf: object ids plus one contiguous float64 slice per dimension for means
-// and sigmas, so batch density evaluation runs tight per-dimension loops over
-// adjacent memory instead of hopping between per-vector slices.
+// probabilistic feature vectors, the in-memory shape of a Gauss-tree leaf:
+// object ids plus one contiguous float64 slice per dimension for means and
+// sigmas, so batch density evaluation runs tight per-dimension loops over
+// adjacent memory instead of hopping between per-vector slices. All float64
+// columns of a batch are carved from one backing array.
 //
 // Alongside the raw parameters, Columns carries two derived families the hot
 // query path uses:
 //
-//   - NegLnSigma[j] = −ln ∏ᵢ σᵢⱼ, the σ-product term of the Definition-1
+//   - NegLnSigma()[j] = −ln ∏ᵢ σᵢⱼ, the σ-product term of the Definition-1
 //     density; it upper-bounds the −ln ∏ᵢ(σᵢⱼ⊕σq,ᵢ) term of any joint
 //     density (combining with a query uncertainty only grows every factor,
 //     and both the running product and math.Log are monotone, so the
 //     domination survives floating-point rounding), making it a per-vector
-//     screening ingredient that costs no logarithm at query time. The
-//     columnar leaf format precomputes it at encode time.
+//     screening ingredient that costs no logarithm at query time. Only the
+//     ranked screening path reads it, so it is computed on first use — or
+//     loaded by a decoder whose page stores it (LoadNegLnSigma).
 //   - SigmaMin/SigmaMax[i], the per-dimension σ extrema of the batch, from
 //     which a traversal derives batch-wide combined-σ bounds with d
 //     logarithms per leaf instead of d per vector.
 //
-// Columns are immutable once built (they back shared decoded-node cache
-// entries); build them with ColumnsOf or AppendVector + Finish.
+// Columns are immutable once built (they back shared page-cache entries) and
+// must not be copied; build them with ColumnsOf or NewColumns + Finish.
 type Columns struct {
 	IDs []uint64
 	// Mean[i][j] and Sigma[i][j] hold μᵢ and σᵢ of vector j (dimension-major).
 	Mean  [][]float64
 	Sigma [][]float64
-	// NegLnSigma[j] = −ln ∏ᵢ Sigma[i][j] (with a log-sum fallback when the
-	// product leaves the float64 range).
-	NegLnSigma []float64
 	// SigmaMin[i] and SigmaMax[i] are the extrema of Sigma[i][·]; for an
 	// empty batch they are +Inf/−Inf respectively.
 	SigmaMin, SigmaMax []float64
+
+	// params is the backing array of the columns: Mean[i][j] is
+	// params[i·Len()+j] and Sigma[i][j] is params[(Dim()+i)·Len()+j].
+	params []float64
+	// negLnSigma is valid once negLnOnce has run; see NegLnSigma.
+	negLnSigma []float64
+	negLnOnce  sync.Once
 }
 
-// NewColumns returns an empty columnar batch of the given dimensionality
-// with capacity for n vectors.
+// NewColumns returns a batch of n vectors of the given dimensionality with
+// zero ids and parameters, for the caller to fill in place and seal with
+// Finish.
 func NewColumns(dim, n int) *Columns {
-	c := &Columns{
-		IDs:        make([]uint64, 0, n),
-		Mean:       make([][]float64, dim),
-		Sigma:      make([][]float64, dim),
-		NegLnSigma: make([]float64, 0, n),
-		SigmaMin:   make([]float64, dim),
-		SigmaMax:   make([]float64, dim),
+	cols := make([][]float64, 2*dim)
+	backing := make([]float64, (2*dim+1)*n+2*dim)
+	c := &Columns{IDs: make([]uint64, n), Mean: cols[:dim:dim], Sigma: cols[dim:], params: backing[:2*dim*n]}
+	for i := range cols {
+		cols[i], backing = backing[:n:n], backing[n:]
 	}
-	for i := 0; i < dim; i++ {
-		c.Mean[i] = make([]float64, 0, n)
-		c.Sigma[i] = make([]float64, 0, n)
-		c.SigmaMin[i] = math.Inf(1)
-		c.SigmaMax[i] = math.Inf(-1)
-	}
+	c.negLnSigma, backing = backing[:n:n], backing[n:]
+	c.SigmaMin, c.SigmaMax = backing[:dim:dim], backing[dim:]
 	return c
 }
 
@@ -65,44 +67,22 @@ func NewColumns(dim, n int) *Columns {
 // vectors must share the given dimensionality.
 func ColumnsOf(vs []Vector, dim int) *Columns {
 	c := NewColumns(dim, len(vs))
-	for _, v := range vs {
-		c.AppendVector(v)
+	for j, v := range vs {
+		c.IDs[j] = v.ID
+		for i := 0; i < dim; i++ {
+			c.Mean[i][j] = v.Mean[i]
+			c.Sigma[i][j] = v.Sigma[i]
+		}
 	}
 	c.Finish()
 	return c
 }
 
-// AppendVector adds one vector to the batch. Finish must be called after the
-// last append to seal the derived per-vector and per-dimension terms.
-func (c *Columns) AppendVector(v Vector) {
-	c.IDs = append(c.IDs, v.ID)
-	for i := range c.Mean {
-		c.Mean[i] = append(c.Mean[i], v.Mean[i])
-		c.Sigma[i] = append(c.Sigma[i], v.Sigma[i])
-	}
-}
-
-// Finish (re)computes the derived terms — NegLnSigma, SigmaMin, SigmaMax —
-// from the raw columns. NegLnSigma multiplies the σ factors in dimension
-// order and takes one logarithm of the product, the canonical shape every
-// encoder and decoder of the columnar leaf format must reproduce so
-// precomputed and recomputed terms are bit-identical. Vectors whose σ
-// product leaves the float64 range fall back to the per-dimension log sum.
+// Finish seals a filled batch by computing the per-dimension σ extrema.
 func (c *Columns) Finish() {
-	n := c.Len()
-	if cap(c.NegLnSigma) < n {
-		c.NegLnSigma = make([]float64, n)
-	}
-	c.NegLnSigma = c.NegLnSigma[:n]
-	prod := c.NegLnSigma // reused as the σ-product accumulator
-	for j := range prod {
-		prod[j] = 1
-	}
-	for i := range c.Sigma {
-		si := c.Sigma[i]
+	for i, si := range c.Sigma {
 		lo, hi := math.Inf(1), math.Inf(-1)
-		for j, s := range si {
-			prod[j] *= s
+		for _, s := range si {
 			if s < lo {
 				lo = s
 			}
@@ -112,7 +92,31 @@ func (c *Columns) Finish() {
 		}
 		c.SigmaMin[i], c.SigmaMax[i] = lo, hi
 	}
-	for j := range c.NegLnSigma {
+}
+
+// NegLnSigma returns the per-vector terms −ln ∏ᵢ Sigma[i][j], computing them
+// on first use (safe for concurrent readers of a shared batch). The σ
+// factors are multiplied in dimension order and one logarithm is taken of
+// the product — the canonical shape an encoder that stores the terms and
+// this computation must share, so stored and computed terms are
+// bit-identical. Vectors whose σ product leaves the float64 range fall back
+// to the per-dimension log sum.
+func (c *Columns) NegLnSigma() []float64 {
+	c.negLnOnce.Do(c.computeNegLnSigma)
+	return c.negLnSigma
+}
+
+func (c *Columns) computeNegLnSigma() {
+	prod := c.negLnSigma // doubles as the σ-product accumulator
+	for j := range prod {
+		prod[j] = 1
+	}
+	for _, si := range c.Sigma {
+		for j, s := range si {
+			prod[j] *= s
+		}
+	}
+	for j := range prod {
 		ln := math.Log(prod[j])
 		if math.IsInf(ln, 0) {
 			ln = 0
@@ -120,25 +124,16 @@ func (c *Columns) Finish() {
 				ln += math.Log(c.Sigma[i][j])
 			}
 		}
-		c.NegLnSigma[j] = -ln
+		prod[j] = -ln
 	}
 }
 
-// FinishExtrema recomputes only SigmaMin/SigmaMax, for decoders that load a
-// stored (already bit-exact) NegLnSigma from the page.
-func (c *Columns) FinishExtrema() {
-	for i := range c.Sigma {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, s := range c.Sigma[i] {
-			if s < lo {
-				lo = s
-			}
-			if s > hi {
-				hi = s
-			}
-		}
-		c.SigmaMin[i], c.SigmaMax[i] = lo, hi
-	}
+// LoadNegLnSigma returns the Len()-long destination for terms a page stores,
+// and marks them present so NegLnSigma never computes them. For decoders,
+// before the batch is shared.
+func (c *Columns) LoadNegLnSigma() []float64 {
+	c.negLnOnce.Do(func() {})
+	return c.negLnSigma
 }
 
 // Len returns the number of vectors in the batch.
@@ -147,10 +142,15 @@ func (c *Columns) Len() int { return len(c.IDs) }
 // Dim returns the dimensionality of the batch.
 func (c *Columns) Dim() int { return len(c.Mean) }
 
-// Vector materializes vector j as a row-major Vector (fresh slices).
+// Vector materializes vector j as a row-major Vector the caller owns.
 func (c *Columns) Vector(j int) Vector {
+	return c.vectorInto(j, make([]float64, 2*c.Dim()))
+}
+
+// vectorInto gathers vector j into row, which holds 2·Dim() values.
+func (c *Columns) vectorInto(j int, row []float64) Vector {
 	dim := c.Dim()
-	v := Vector{ID: c.IDs[j], Mean: make([]float64, dim), Sigma: make([]float64, dim)}
+	v := Vector{ID: c.IDs[j], Mean: row[:dim:dim], Sigma: row[dim : 2*dim : 2*dim]}
 	for i := 0; i < dim; i++ {
 		v.Mean[i] = c.Mean[i][j]
 		v.Sigma[i] = c.Sigma[i][j]
@@ -158,13 +158,46 @@ func (c *Columns) Vector(j int) Vector {
 	return v
 }
 
-// Vectors materializes the whole batch as row-major vectors.
+// Vectors materializes the whole batch as row-major vectors over one fresh
+// backing array.
 func (c *Columns) Vectors() []Vector {
 	out := make([]Vector, c.Len())
+	rows := make([]float64, 2*c.Dim()*len(out))
 	for j := range out {
-		out[j] = c.Vector(j)
+		out[j] = c.vectorInto(j, rows[2*c.Dim()*j:])
 	}
 	return out
+}
+
+// Index returns the position of the first vector equal to v (id, means and
+// sigmas), or -1.
+func (c *Columns) Index(v Vector) int {
+	if len(v.Mean) != c.Dim() {
+		return -1
+	}
+next:
+	for j, id := range c.IDs {
+		if id != v.ID {
+			continue
+		}
+		for i := range v.Mean {
+			if c.Mean[i][j] != v.Mean[i] || c.Sigma[i][j] != v.Sigma[i] {
+				continue next
+			}
+		}
+		return j
+	}
+	return -1
+}
+
+// LogDensityAt returns ln p(q|vⱼ) for vector j of the batch straight from
+// the columns, through the kernel LogDensity uses.
+func (e *JointEvaluator) LogDensityAt(c *Columns, j int) float64 {
+	n, dim := c.Len(), c.Dim()
+	if dim != len(e.q.Mean) {
+		panic("pfv: LogDensityAt dimension mismatch")
+	}
+	return e.logDensity(c.params[j:], c.params[dim*n+j:], n)
 }
 
 // ScoreColumns evaluates ln p(q|vⱼ) for every vector of the batch into
@@ -245,9 +278,10 @@ func (e *JointEvaluator) ScoreColumns(c *Columns, out []float64) {
 // monotone, so the precomputed NegLnSigma dominates the σ-product term even
 // under rounding) and the batch σ extrema σ̌ᵢ/σ̂ᵢ for the remaining terms.
 // The bound costs one logarithm and d divisions per batch plus two
-// multiplications per vector-dimension, and lets a ranked traversal skip
-// the exact scoring of every vector that provably cannot enter the current
-// top-k.
+// multiplications per vector-dimension (plus, once per batch lifetime, the
+// NegLnSigma terms of a batch that did not come with them), and lets a
+// ranked traversal skip the exact scoring of every vector that provably
+// cannot enter the current top-k.
 //
 // scratch must have capacity ≥ c.Dim(); it is overwritten.
 func (e *JointEvaluator) UpperBoundColumns(c *Columns, scratch, out []float64) {
@@ -285,8 +319,9 @@ func (e *JointEvaluator) UpperBoundColumns(c *Columns, scratch, out []float64) {
 	}
 	base := -0.5 * float64(dim) * gaussian.Ln2Pi
 	out = out[:n]
+	negLn := c.NegLnSigma()
 	for j := range out {
-		t := c.NegLnSigma[j]
+		t := negLn[j]
 		if -lnFloor < t {
 			t = -lnFloor
 		}

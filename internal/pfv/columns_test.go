@@ -109,8 +109,8 @@ func TestUpperBoundColumnsDominates(t *testing.T) {
 }
 
 // TestColumnsRoundTrip checks the columnar view reproduces the row-major
-// batch exactly, and that Finish's NegLnSigma matches the canonical
-// dimension-order product with log-sum fallback.
+// batch exactly, and that NegLnSigma matches the canonical dimension-order
+// product with log-sum fallback.
 func TestColumnsRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(63))
 	vs := randColBatch(rng, 50, 4)
@@ -136,8 +136,28 @@ func TestColumnsRoundTrip(t *testing.T) {
 			prod *= cols.Sigma[i][j]
 		}
 		want := -math.Log(prod)
-		if math.Float64bits(cols.NegLnSigma[j]) != math.Float64bits(want) {
-			t.Fatalf("vector %d: NegLnSigma %v, want %v", j, cols.NegLnSigma[j], want)
+		if got := cols.NegLnSigma()[j]; math.Float64bits(got) != math.Float64bits(want) {
+			t.Fatalf("vector %d: NegLnSigma %v, want %v", j, got, want)
+		}
+	}
+}
+
+// TestLogDensityAtBitIdentical: scoring vector j straight from the columns
+// equals scoring its row-major copy, log-sum fallback included.
+func TestLogDensityAtBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(64))
+	vs := randColBatch(rng, 40, 6)
+	for i := range vs[0].Sigma {
+		vs[0].Sigma[i], vs[1].Sigma[i] = 1e200, 1e-200 // σ products out of range
+	}
+	cols := ColumnsOf(vs, 6)
+	for _, comb := range []gaussian.Combiner{gaussian.CombineAdditive, gaussian.CombineConvolution} {
+		e := NewJointEvaluator(comb, randColBatch(rng, 1, 6)[0])
+		for j, v := range vs {
+			got, want := e.LogDensityAt(cols, j), e.LogDensity(v)
+			if math.Float64bits(got) != math.Float64bits(want) || !v.Equal(cols.Vector(j)) {
+				t.Fatalf("%v vector %d: LogDensityAt %v, LogDensity %v", comb, j, got, want)
+			}
 		}
 	}
 }

@@ -168,22 +168,30 @@ func (e *JointEvaluator) Query() Vector { return e.q }
 // LogDensity returns ln p(q|v) for a database vector v. It panics on
 // dimension mismatch.
 func (e *JointEvaluator) LogDensity(v Vector) float64 {
-	qm, qs := e.q.Mean, e.q.Sigma
-	if len(v.Mean) != len(qm) {
-		panic(fmt.Sprintf("pfv: JointEvaluator dimension mismatch: %d vs %d", len(v.Mean), len(qm)))
+	if len(v.Mean) != len(e.q.Mean) {
+		panic(fmt.Sprintf("pfv: JointEvaluator dimension mismatch: %d vs %d", len(v.Mean), len(e.q.Mean)))
 	}
+	return e.logDensity(v.Mean, v.Sigma, 1)
+}
+
+// logDensity evaluates ln p(q|v) for the vector whose i-th mean and sigma
+// are mean[i·stride] and sigma[i·stride]: stride 1 reads a row-major Vector,
+// stride Len() one vector of a Columns batch — one kernel, so the two are
+// bit-identical by construction.
+func (e *JointEvaluator) logDensity(mean, sigma []float64, stride int) float64 {
+	qm, qs := e.q.Mean, e.q.Sigma
 	prod, sumZ := 1.0, 0.0
 	if e.comb == gaussian.CombineConvolution {
-		for i := range v.Mean {
-			s := math.Hypot(v.Sigma[i], qs[i])
-			z := (qm[i] - v.Mean[i]) / s
+		for i := range qm {
+			s := math.Hypot(sigma[i*stride], qs[i])
+			z := (qm[i] - mean[i*stride]) / s
 			prod *= s
 			sumZ += z * z
 		}
 	} else {
-		for i := range v.Mean {
-			s := v.Sigma[i] + qs[i]
-			z := (qm[i] - v.Mean[i]) / s
+		for i := range qm {
+			s := sigma[i*stride] + qs[i]
+			z := (qm[i] - mean[i*stride]) / s
 			prod *= s
 			sumZ += z * z
 		}
@@ -193,12 +201,12 @@ func (e *JointEvaluator) LogDensity(v Vector) float64 {
 		// The σ product left the float64 range; fall back to the log sum.
 		lnS = 0
 		if e.comb == gaussian.CombineConvolution {
-			for i := range v.Mean {
-				lnS += math.Log(math.Hypot(v.Sigma[i], qs[i]))
+			for i := range qm {
+				lnS += math.Log(math.Hypot(sigma[i*stride], qs[i]))
 			}
 		} else {
-			for i := range v.Mean {
-				lnS += math.Log(v.Sigma[i] + qs[i])
+			for i := range qm {
+				lnS += math.Log(sigma[i*stride] + qs[i])
 			}
 		}
 	}

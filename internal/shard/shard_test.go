@@ -295,7 +295,7 @@ func TestPartitioners(t *testing.T) {
 
 // TestConcurrentFanOut hammers one sharded engine from many goroutines
 // (run under -race this exercises the per-shard goroutine fan-out, the
-// shared decoded-node caches and the atomic counters), with half the
+// shared decoded page-cache entries and the atomic counters), with half the
 // queries cancelled mid-flight.
 func TestConcurrentFanOut(t *testing.T) {
 	rng := rand.New(rand.NewSource(39))
