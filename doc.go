@@ -259,7 +259,15 @@
 // or drops an entry exactly where it replaces or drops the bytes). A first
 // touch is a backend read, a CRC check and one decode — a leaf into one
 // backing array, an inner node with ln(count) precomputed per routing entry
-// for the §5.2.2 sum bounds. Per-query traversal state — the best-first
+// for the §5.2.2 sum bounds and its child boxes column-major (μ̌, μ̂, σ̌, σ̂
+// as [dim][children] runs of one array; the page format stays row-major).
+// Expanding an inner node is one call to a batch bound kernel that runs
+// dimension-outer, child-inner over those columns and writes every child's
+// log hull ˆN (Lemma 2, branch-free) and log floor ˇN (Lemma 3) into the
+// traversal's scratch, one logarithm per bound per child; a quantized
+// leaf's per-vector intervals go through the same kernel. It equals the
+// scalar gaussian.HullTerm/FloorTerm bit for bit, so answers and page
+// counts do not depend on it. Per-query traversal state — the best-first
 // queue, top-k heap, denominator accumulators, page counter and a
 // precomputed density evaluator — is pooled and reset between queries, so a
 // cache-hit k-MLIQ performs a handful of allocations regardless of how many

@@ -179,230 +179,191 @@ func (b ParamBox) MarginEnlargement(v pfv.Vector) float64 {
 	return grown - b.Margin()
 }
 
-// LogHullAt returns ln ˆN(q) for the whole box against a probabilistic query
-// vector: the log hull with the per-dimension σ intervals shifted by the
-// query's uncertainty (§5.2, "the conservative approximations ... can be
-// determined by ˆN_{μ̌,μ̂,σ̌+σq,σ̂+σq}(μq)"). It is the priority of the node in
-// the best-first traversal: the maximum (relative) joint log density any pfv
-// inside the box could reach.
+// boxColumns holds n parameter boxes column-major in one backing array: for
+// every feature dimension the four runs μ̌, μ̂, σ̌, σ̂, each n long — run
+// 4·i+b is bound b of dimension i, the order the bounds have in an inner
+// page's entry, so the node codec transposes by run index. It is the form
+// the query path reads — a decoded inner node's child boxes and a quantized
+// leaf's per-vector intervals — because the bound kernel runs dimension-
+// outer, entry-inner over exactly these runs. The writer and the validators
+// work on ParamBox values (box materializes one).
+type boxColumns struct {
+	n    int
+	data []float64 // 4·dim runs of n
+}
+
+func newBoxColumns(dim, n int) boxColumns {
+	return boxColumns{n: n, data: make([]float64, 4*dim*n)}
+}
+
+// boxColumnsOf transposes the child boxes of a writer's inner node.
+func boxColumnsOf(children []childEntry, dim int) boxColumns {
+	b := newBoxColumns(dim, len(children))
+	for i := 0; i < dim; i++ {
+		muLo, muHi, sgLo, sgHi := b.dim(i)
+		for j := range children {
+			mu, sg := children[j].box.Mu[i], children[j].box.Sigma[i]
+			muLo[j], muHi[j], sgLo[j], sgHi[j] = mu.Lo, mu.Hi, sg.Lo, sg.Hi
+		}
+	}
+	return b
+}
+
+// dim returns the four interval-bound runs of feature dimension i.
+func (b *boxColumns) dim(i int) (muLo, muHi, sgLo, sgHi []float64) {
+	n := b.n
+	r := b.data[4*i*n : 4*(i+1)*n : 4*(i+1)*n]
+	return r[:n:n], r[n : 2*n : 2*n], r[2*n : 3*n : 3*n], r[3*n:]
+}
+
+// box materializes entry j as a ParamBox of the given dimension.
+func (b *boxColumns) box(j, dim int) ParamBox {
+	ivs := make([]gaussian.Interval, 2*dim)
+	out := ParamBox{Mu: ivs[:dim:dim], Sigma: ivs[dim:]}
+	b.boxInto(j, out)
+	return out
+}
+
+// boxInto overwrites dst, a box of the columns' dimension, with entry j.
+func (b *boxColumns) boxInto(j int, dst ParamBox) {
+	for i := range dst.Mu {
+		muLo, muHi, sgLo, sgHi := b.dim(i)
+		dst.Mu[i] = gaussian.Interval{Lo: muLo[j], Hi: muHi[j]}
+		dst.Sigma[i] = gaussian.Interval{Lo: sgLo[j], Hi: sgHi[j]}
+	}
+}
+
+// containsVector is ParamBox.ContainsVector of entry j.
+func (b *boxColumns) containsVector(j int, v pfv.Vector) bool {
+	for i := range v.Mean {
+		muLo, muHi, sgLo, sgHi := b.dim(i)
+		m, sg := v.Mean[i], v.Sigma[i]
+		if !(muLo[j] <= m && m <= muHi[j] && sgLo[j] <= sg && sg <= sgHi[j]) {
+			return false
+		}
+	}
+	return true
+}
+
+// logBounds is the batch bound kernel of the best-first traversal (§5.2): it
+// writes ln ˆN(q) of every box into hull and, unless floor is nil, ln ˇN(q)
+// into floor — the maximum and minimum joint log density any pfv inside the
+// box could have against the probabilistic query vector, with the σ intervals
+// shifted by the query's uncertainty ("ˆN_{μ̌,μ̂,σ̌+σq,σ̂+σq}(μq)"). hull is a
+// node's queue priority; with the subtree count, hull and floor bound the
+// node's share of the Bayes denominator (n·ˇN ≤ Σ ≤ n·ˆN, §5.2.2).
 //
-// Like the density evaluators, the hull runs in product form: the sector
-// terms of gaussian.HullTerm multiply across dimensions and one logarithm of
-// the product replaces d per-dimension logarithms, with a per-dimension
-// log-sum fallback when the product leaves the float64 range.
-// The loop bodies of LogHullAt and LogHullFloorAt inline the sector logic of
-// gaussian.HullTerm/FloorTerm (which the compiler will not inline) and the
-// combiner's interval arithmetic, because these run per dimension per pushed
-// child — the single hottest loop of a traversal. Sloped hull sectors fold
-// their e^{−½} factor into the z² sum as a +1 term. The inlined copies must
-// stay operation-for-operation identical to the gaussian kernels, which the
-// bounds property tests cross-check.
-func (b ParamBox) LogHullAt(c gaussian.Combiner, q pfv.Vector) float64 {
-	hull, _ := b.logHullAtLim(c, q, math.Inf(1))
-	return hull
-}
-
-// LogHullAtScreened is LogHullAt with an early exit for ranked traversals:
-// zLim is a z²-sum threshold derived from the query's σ-product floor (see
-// traversal.hullCut) such that once the partial Σz² reaches zLim, the hull
-// provably cannot exceed the current top-k admission bound. It then reports
-// ok=false without finishing the loop or taking the logarithm; the caller
-// may drop the child entirely, because the admission bound is monotone and
-// the best-first loop would never have expanded it.
-func (b ParamBox) LogHullAtScreened(c gaussian.Combiner, q pfv.Vector, zLim float64) (hull float64, ok bool) {
-	return b.logHullAtLim(c, q, zLim)
-}
-
-func (b ParamBox) logHullAtLim(c gaussian.Combiner, q pfv.Vector, zLim float64) (float64, bool) {
+// Both bounds run in product form: the σ terms of gaussian.HullTerm and
+// FloorTerm multiply across dimensions, the z² terms add, and one logarithm
+// of the product replaces d per-dimension ones (logFallback steps in for an
+// entry whose product leaves the float64 range). The loop runs dimension-
+// outer, entry-inner, and every entry accumulates in dimension order, so its
+// bounds do not depend on the batch it shares. They equal, bit for bit, what
+// gaussian.HullTerm and FloorTerm give one box at a time (the scalar
+// reference of the kernel's tests).
+//
+// The hull's seven sectors (Lemma 2) collapse, branch-free, into
+// d = max(μ̌−x, x−μ̂, 0), the distance to the μ interval, and the maximizing
+// s = min(max(d, σ̌), σ̂); the sloped sectors, where s is the distance itself,
+// come out as z = d/s = 1, which is their e^{−½} factor. Nothing in there is
+// negative, so the max and min are taken on the bit patterns (orderedBits).
+//
+// zLim screens ranked traversals: hull ≤ hullCut − ½·Σz² for any box (see
+// traversal.hullCut), so an entry whose Σz² reaches zLim = 2·(hullCut − bound)
+// provably cannot beat the admission bound; it gets hull −Inf and no
+// logarithm. +Inf screens nothing. prods is scratch of length 2·n.
+func (b *boxColumns) logBounds(c gaussian.Combiner, q pfv.Vector, zLim float64, hull, floor, prods []float64) {
+	n := b.n
+	hull = hull[:n]
+	hProd, fProd := prods[:n], prods[n:2*n]
+	for j := range hull {
+		hull[j], hProd[j] = 0, 1
+	}
+	if floor != nil {
+		floor = floor[:n]
+		for j := range floor {
+			floor[j], fProd[j] = 0, 1
+		}
+	}
 	conv := c == gaussian.CombineConvolution
-	prod, sumZ := 1.0, 0.0
-	for i := range b.Mu {
-		if sumZ >= zLim {
-			return 0, false
-		}
-		var csLo, csHi float64
-		if conv {
-			csLo = math.Hypot(b.Sigma[i].Lo, q.Sigma[i])
-			csHi = math.Hypot(b.Sigma[i].Hi, q.Sigma[i])
-		} else {
-			csLo = b.Sigma[i].Lo + q.Sigma[i]
-			csHi = b.Sigma[i].Hi + q.Sigma[i]
-		}
-		x, muLo, muHi := q.Mean[i], b.Mu[i].Lo, b.Mu[i].Hi
-		var s, z float64
-		switch {
-		case x < muLo:
-			d := muLo - x
-			switch {
-			case d > csHi:
-				s, z = csHi, (x-muLo)/csHi
-			case d > csLo:
-				s, sumZ = d, sumZ+1
-			default:
-				s, z = csLo, (x-muLo)/csLo
+	for i, x := range q.Mean {
+		qs := q.Sigma[i]
+		muLo, muHi, sgLo, sgHi := b.dim(i)
+		for j := 0; j < n; j++ {
+			csLo, csHi := sgLo[j]+qs, sgHi[j]+qs
+			if conv {
+				csLo, csHi = math.Hypot(sgLo[j], qs), math.Hypot(sgHi[j], qs)
 			}
-		case x <= muHi:
+			below, above := muLo[j]-x, x-muHi[j] // at most one is positive
+			db := max(orderedBits(below), orderedBits(above), 0)
+			sb := min(max(db, orderedBits(csLo)), orderedBits(csHi))
+			d, s := math.Float64frombits(uint64(db)), math.Float64frombits(uint64(sb))
+			z := d / s
+			hProd[j] *= s
+			hull[j] += z * z
+			if floor == nil {
+				continue
+			}
+			// Lemma 3: the minimum sits on the farther μ border, at σ̌ while
+			// the density still grows in σ over the whole σ interval, at σ̂
+			// once it only falls, else at the lower of the two corners.
+			d = max(-below, -above)
 			s = csLo
-		default:
-			d := x - muHi
-			switch {
-			case d < csLo:
-				s, z = csLo, (x-muHi)/csLo
-			case d < csHi:
-				s, sumZ = d, sumZ+1
-			default:
-				s, z = csHi, (x-muHi)/csHi
+			if d < csHi {
+				s = csHi
+				if d > csLo {
+					za, zb := d/csLo, d/csHi
+					if -math.Log(csLo)-0.5*za*za <= -math.Log(csHi)-0.5*zb*zb {
+						s = csLo
+					}
+				}
 			}
-		}
-		prod *= s
-		sumZ += z * z
-	}
-	if sumZ >= zLim {
-		return 0, false
-	}
-	lnS := math.Log(prod)
-	if math.IsInf(lnS, 0) {
-		lnS = 0
-		for i := range b.Mu {
-			sig := c.CombineInterval(b.Sigma[i], q.Sigma[i])
-			s, _, _ := gaussian.HullTerm(b.Mu[i], sig, q.Mean[i])
-			lnS += math.Log(s)
+			z = d / s
+			fProd[j] *= s
+			floor[j] += z * z
 		}
 	}
-	return -0.5*float64(len(b.Mu))*gaussian.Ln2Pi - lnS - 0.5*sumZ, true
-}
-
-// LogFloorAt returns ln ˇN(q) for the whole box against a probabilistic
-// query vector: the minimum joint log density any pfv inside the box could
-// have. Together with the subtree count it lower-bounds the node's
-// contribution to the Bayes denominator. Evaluated in product form like
-// LogHullAt, via gaussian.FloorTerm.
-func (b ParamBox) LogFloorAt(c gaussian.Combiner, q pfv.Vector) float64 {
-	conv := c == gaussian.CombineConvolution
-	prod, sumZ := 1.0, 0.0
-	for i := range b.Mu {
-		var csLo, csHi float64
-		if conv {
-			csLo = math.Hypot(b.Sigma[i].Lo, q.Sigma[i])
-			csHi = math.Hypot(b.Sigma[i].Hi, q.Sigma[i])
-		} else {
-			csLo = b.Sigma[i].Lo + q.Sigma[i]
-			csHi = b.Sigma[i].Hi + q.Sigma[i]
+	base := -0.5 * float64(len(q.Mean)) * gaussian.Ln2Pi
+	for j, sumZ := range hull {
+		if sumZ >= zLim {
+			hull[j] = math.Inf(-1)
+			continue
 		}
-		s, z := floorTermInline(b.Mu[i].Lo, b.Mu[i].Hi, csLo, csHi, q.Mean[i])
-		prod *= s
-		sumZ += z * z
-	}
-	lnS := math.Log(prod)
-	if math.IsInf(lnS, 0) {
-		lnS = 0
-		for i := range b.Mu {
-			sig := c.CombineInterval(b.Sigma[i], q.Sigma[i])
-			s, _ := gaussian.FloorTerm(b.Mu[i], sig, q.Mean[i])
-			lnS += math.Log(s)
+		lnS := math.Log(hProd[j])
+		if math.IsInf(lnS, 0) {
+			lnS, _ = b.logFallback(c, q, j)
 		}
+		hull[j] = base - lnS - 0.5*sumZ
 	}
-	return -0.5*float64(len(b.Mu))*gaussian.Ln2Pi - lnS - 0.5*sumZ
-}
-
-// floorTermInline is gaussian.FloorTerm over a pre-combined σ interval,
-// small enough for the compiler to inline into the per-dimension loops.
-func floorTermInline(muLo, muHi, csLo, csHi, x float64) (s, z float64) {
-	m := muLo
-	if x-muLo < muHi-x {
-		m = muHi
-	}
-	d := x - m
-	if d < 0 {
-		d = -d
-	}
-	switch {
-	case csHi <= d:
-		return csLo, (x - m) / csLo
-	case csLo >= d:
-		return csHi, (x - m) / csHi
-	default:
-		za := (x - m) / csLo
-		zb := (x - m) / csHi
-		if -math.Log(csLo)-0.5*za*za <= -math.Log(csHi)-0.5*zb*zb {
-			return csLo, za
+	for j, sumZ := range floor {
+		lnS := math.Log(fProd[j])
+		if math.IsInf(lnS, 0) {
+			_, lnS = b.logFallback(c, q, j)
 		}
-		return csHi, zb
+		floor[j] = base - lnS - 0.5*sumZ
 	}
 }
 
-// LogHullFloorAt returns LogHullAt and LogFloorAt in a single pass: both
-// bounds need the same per-dimension combined σ interval, so the pass shares
-// the interval combination and accumulates both products side by side. Each
-// product and each z² sum accumulate in exactly the order of the single-bound
-// siblings and assemble the identical final expression, so the results are
-// bit-identical to calling LogHullAt and LogFloorAt separately — the
-// traversal's denominator bookkeeping relies on that.
-func (b ParamBox) LogHullFloorAt(c gaussian.Combiner, q pfv.Vector) (hull, floor float64) {
-	conv := c == gaussian.CombineConvolution
-	hProd, hSumZ := 1.0, 0.0
-	fProd, fSumZ := 1.0, 0.0
-	for i := range b.Mu {
-		var csLo, csHi float64
-		if conv {
-			csLo = math.Hypot(b.Sigma[i].Lo, q.Sigma[i])
-			csHi = math.Hypot(b.Sigma[i].Hi, q.Sigma[i])
-		} else {
-			csLo = b.Sigma[i].Lo + q.Sigma[i]
-			csHi = b.Sigma[i].Hi + q.Sigma[i]
-		}
-		x, muLo, muHi := q.Mean[i], b.Mu[i].Lo, b.Mu[i].Hi
-		var hs, hz float64
-		switch {
-		case x < muLo:
-			d := muLo - x
-			switch {
-			case d > csHi:
-				hs, hz = csHi, (x-muLo)/csHi
-			case d > csLo:
-				hs, hSumZ = d, hSumZ+1
-			default:
-				hs, hz = csLo, (x-muLo)/csLo
-			}
-		case x <= muHi:
-			hs = csLo
-		default:
-			d := x - muHi
-			switch {
-			case d < csLo:
-				hs, hz = csLo, (x-muHi)/csLo
-			case d < csHi:
-				hs, hSumZ = d, hSumZ+1
-			default:
-				hs, hz = csHi, (x-muHi)/csHi
-			}
-		}
-		hProd *= hs
-		hSumZ += hz * hz
-		fs, fz := floorTermInline(muLo, muHi, csLo, csHi, x)
-		fProd *= fs
-		fSumZ += fz * fz
+// orderedBits returns x's bit pattern as a signed integer. Among x ≥ +0 the
+// integer grows with x, and every negative x (−0 included) maps below zero:
+// where a maximum or minimum of floats is known not to be negative, the
+// integer one over orderedBits finds the same float in a compare and a
+// conditional move, against the float builtins' NaN- and ±0-proof sequences.
+func orderedBits(x float64) int64 { return int64(math.Float64bits(x)) }
+
+// logFallback recomputes entry j's hull and floor σ-term logarithms as
+// per-dimension sums, for a product that left the float64 range.
+func (b *boxColumns) logFallback(c gaussian.Combiner, q pfv.Vector, j int) (hLn, fLn float64) {
+	for i, x := range q.Mean {
+		muLo, muHi, sgLo, sgHi := b.dim(i)
+		mu := gaussian.Interval{Lo: muLo[j], Hi: muHi[j]}
+		cs := c.CombineInterval(gaussian.Interval{Lo: sgLo[j], Hi: sgHi[j]}, q.Sigma[i])
+		hs, _, _ := gaussian.HullTerm(mu, cs, x)
+		hLn += math.Log(hs)
+		fs, _ := gaussian.FloorTerm(mu, cs, x)
+		fLn += math.Log(fs)
 	}
-	hLn := math.Log(hProd)
-	if math.IsInf(hLn, 0) {
-		hLn = 0
-		for i := range b.Mu {
-			sig := c.CombineInterval(b.Sigma[i], q.Sigma[i])
-			s, _, _ := gaussian.HullTerm(b.Mu[i], sig, q.Mean[i])
-			hLn += math.Log(s)
-		}
-	}
-	fLn := math.Log(fProd)
-	if math.IsInf(fLn, 0) {
-		fLn = 0
-		for i := range b.Mu {
-			sig := c.CombineInterval(b.Sigma[i], q.Sigma[i])
-			s, _ := gaussian.FloorTerm(b.Mu[i], sig, q.Mean[i])
-			fLn += math.Log(s)
-		}
-	}
-	base := -0.5 * float64(len(b.Mu)) * gaussian.Ln2Pi
-	return base - hLn - 0.5*hSumZ, base - fLn - 0.5*fSumZ
+	return hLn, fLn
 }
 
 // AccessCost returns the split objective of §5.3 for the box: the product

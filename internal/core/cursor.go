@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"math"
-	"sort"
+	"slices"
 
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/pqueue"
@@ -97,11 +98,11 @@ type Candidate struct {
 // order; the shard merge uses it so sharded and unsharded orderings can
 // never diverge.
 func SortCandidates(cs []Candidate) {
-	sort.Slice(cs, func(i, j int) bool {
-		if cs[i].LogDensity != cs[j].LogDensity {
-			return cs[i].LogDensity > cs[j].LogDensity
+	slices.SortFunc(cs, func(a, b Candidate) int {
+		if c := cmp.Compare(b.LogDensity, a.LogDensity); c != 0 {
+			return c
 		}
-		return cs[i].Vector.ID < cs[j].Vector.ID
+		return cmp.Compare(a.Vector.ID, b.Vector.ID)
 	})
 }
 

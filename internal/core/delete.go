@@ -48,7 +48,7 @@ func (t *Tree) delete(v pfv.Vector) (bool, error) {
 	// Clone the descent before mutating: the path nodes are the page
 	// cache's shared decoded forms, and snapshot readers may be traversing
 	// them right now.
-	clonePath(path)
+	clonePath(path, t.dim)
 
 	// Remove the vector from its leaf.
 	leaf := path[len(path)-1].node
@@ -168,7 +168,7 @@ func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
 			return append(path, pathStep{node: n, childIdx: -1}), true, nil
 		}
 		for i, c := range n.children {
-			if !c.box.ContainsVector(v) {
+			if !n.boxes.containsVector(i, v) {
 				continue
 			}
 			child, err := t.readNode(c.page)

@@ -69,7 +69,7 @@ type traversal struct {
 	// hullCut = −d/2·ln2π − ln ∏ᵢ σq,ᵢ upper-bounds every hull priority with
 	// the z² term dropped: σᵢ⊕σq,ᵢ ≥ σq,ᵢ factor-wise, so
 	// hull ≤ hullCut − ½·Σz² for any box. Ranked expansions use it to derive
-	// the z²-sum early-exit threshold of LogHullAtScreened.
+	// the z²-sum screen of boxColumns.logBounds.
 	hullCut float64
 
 	// scores and dimBuf are reusable batch-scoring scratch buffers; their
@@ -193,15 +193,14 @@ func (tr *traversal) run(done func() bool) error {
 // inner children are pushed with their hull priorities and registered with
 // the denominator tracker. The hot path is allocation-free: node reads hit
 // the page cache's decoded forms, densities go through the per-query
-// evaluator, and
-// the subtree-count logarithms of the §5.2.2 sum bounds are precomputed on
-// the node (childEntry.logCount).
+// evaluator, one kernel call bounds all children of a node into the
+// traversal's scratch, and the subtree-count logarithms of the §5.2.2 sum
+// bounds are precomputed on the node (childEntry.logCount).
 func (tr *traversal) expand(a activeNode) error {
 	if err := tr.ctx.Err(); err != nil {
 		return err
 	}
-	t := tr.tree
-	n, err := t.readNodeCounted(a.page, &tr.counter)
+	n, err := tr.tree.readNodeCounted(a.page, &tr.counter)
 	if err != nil {
 		return err
 	}
@@ -213,39 +212,43 @@ func (tr *traversal) expand(a activeNode) error {
 		tr.scoreExactLeaf(n)
 		return nil
 	}
-	screened := false
-	var zLim float64
+	screened, zLim := false, math.Inf(1)
 	if !tr.trackDenom && tr.screenBound != nil {
 		if bound, ok := tr.screenBound(); ok {
 			// A child whose hull cannot beat the (monotone) admission bound
 			// will never be expanded — the stop condition fires before the
 			// best-first loop reaches it — so it need not be pushed at all.
-			screened = true
-			zLim = 2 * (tr.hullCut - bound)
+			screened, zLim = true, 2*(tr.hullCut-bound)
 		}
 	}
+	hulls, floors := tr.logBounds(&n.boxes, zLim)
 	for i := range n.children {
 		c := &n.children[i]
 		child := activeNode{page: c.page, count: c.count}
-		var prio float64
 		if tr.trackDenom {
-			hull, floor := c.box.LogHullFloorAt(t.cfg.Combiner, tr.q)
-			prio = hull
-			child.logFloorN = floor + c.logCount
-			child.logHullN = hull + c.logCount
+			child.logFloorN = floors[i] + c.logCount
+			child.logHullN = hulls[i] + c.logCount
 			tr.denom.push(child)
-		} else if screened {
-			hull, ok := c.box.LogHullAtScreened(t.cfg.Combiner, tr.q, zLim)
-			if !ok {
-				continue
-			}
-			prio = hull
-		} else {
-			prio = c.box.LogHullAt(t.cfg.Combiner, tr.q)
+		} else if screened && math.IsInf(hulls[i], -1) {
+			continue
 		}
-		tr.active.Push(child, prio)
+		tr.active.Push(child, hulls[i])
 	}
 	return nil
+}
+
+// logBounds runs the batch bound kernel over the boxes into the traversal's
+// scratch: every box's log hull and, when the query tracks the denominator,
+// its log floor (nil otherwise). Both are valid until the scratch's next use.
+func (tr *traversal) logBounds(boxes *boxColumns, zLim float64) (hulls, floors []float64) {
+	n := boxes.n
+	tr.scores = growFloats(tr.scores, 4*n)
+	hulls = tr.scores[:n]
+	if tr.trackDenom {
+		floors = tr.scores[n : 2*n]
+	}
+	boxes.logBounds(tr.tree.cfg.Combiner, tr.q, zLim, hulls, floors, tr.scores[2*n:])
+	return hulls, floors
 }
 
 // scoreExactLeaf scores one exact leaf through the columnar batch evaluator.
@@ -301,47 +304,7 @@ func (tr *traversal) scoreExactLeaf(n *node) {
 func (tr *traversal) expandQuantLeaf(n *node) error {
 	t := tr.tree
 	q := n.quant
-	nv := q.len()
-	tr.scores = growFloats(tr.scores, 4*nv)
-	hulls := tr.scores[:nv]         // accumulates Σz² (+1 per sloped dim)
-	floors := tr.scores[nv : 2*nv]  // accumulates Σz²
-	hProd := tr.scores[2*nv : 3*nv] // hull σ-term product
-	fProd := tr.scores[3*nv : 4*nv] // floor σ-term product
-	for j := range hulls {
-		hulls[j], floors[j] = 0, 0
-		hProd[j], fProd[j] = 1, 1
-	}
-	comb := t.cfg.Combiner
-	var mu, sig gaussian.Interval
-	for i := 0; i < t.dim; i++ {
-		muLo, muHi, sgLo, sgHi := q.muLo[i], q.muHi[i], q.sgLo[i], q.sgHi[i]
-		qm, qs := tr.q.Mean[i], tr.q.Sigma[i]
-		for j := 0; j < nv; j++ {
-			mu.Lo, mu.Hi = muLo[j], muHi[j]
-			sig.Lo, sig.Hi = sgLo[j], sgHi[j]
-			cs := comb.CombineInterval(sig, qs)
-			hs, hz, sloped := gaussian.HullTerm(mu, cs, qm)
-			hProd[j] *= hs
-			hz2 := hz * hz
-			if sloped {
-				hz2 = 1 // sloped sectors carry the e^{−½} factor instead of a z
-			}
-			hulls[j] += hz2
-			fs, fz := gaussian.FloorTerm(mu, cs, qm)
-			fProd[j] *= fs
-			floors[j] += fz * fz
-		}
-	}
-	base := -0.5 * float64(t.dim) * gaussian.Ln2Pi
-	for j := 0; j < nv; j++ {
-		hLn := math.Log(hProd[j])
-		fLn := math.Log(fProd[j])
-		if math.IsInf(hLn, 0) || math.IsInf(fLn, 0) {
-			hLn, fLn = tr.quantLogFallback(q, j)
-		}
-		hulls[j] = base - hLn - 0.5*hulls[j]
-		floors[j] = base - fLn - 0.5*floors[j]
-	}
+	hulls, floors := tr.logBounds(&q.iv, math.Inf(1))
 	if tr.leafThreshold != nil {
 		if thr, ok := tr.leafThreshold(); ok {
 			best := math.Inf(-1)
@@ -352,8 +315,8 @@ func (tr *traversal) expandQuantLeaf(n *node) error {
 			}
 			if best <= thr {
 				if tr.trackDenom {
-					for j := 0; j < nv; j++ {
-						tr.denom.addResidual(floors[j], hulls[j])
+					for j, floor := range floors {
+						tr.denom.addResidual(floor, hulls[j])
 					}
 				}
 				return nil
@@ -369,23 +332,6 @@ func (tr *traversal) expandQuantLeaf(n *node) error {
 	}
 	tr.scoreExactLeaf(side)
 	return nil
-}
-
-// quantLogFallback recomputes vector j's hull and floor σ-term logarithms as
-// per-dimension sums when a product left the float64 range.
-func (tr *traversal) quantLogFallback(q *quantLeaf, j int) (hLn, fLn float64) {
-	comb := tr.tree.cfg.Combiner
-	var mu, sig gaussian.Interval
-	for i := 0; i < tr.tree.dim; i++ {
-		mu.Lo, mu.Hi = q.muLo[i][j], q.muHi[i][j]
-		sig.Lo, sig.Hi = q.sgLo[i][j], q.sgHi[i][j]
-		cs := comb.CombineInterval(sig, tr.q.Sigma[i])
-		hs, _, _ := gaussian.HullTerm(mu, cs, tr.q.Mean[i])
-		hLn += math.Log(hs)
-		fs, _ := gaussian.FloorTerm(mu, cs, tr.q.Mean[i])
-		fLn += math.Log(fs)
-	}
-	return hLn, fLn
 }
 
 // growFloats returns buf resized to n, reallocating only when the capacity

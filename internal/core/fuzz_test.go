@@ -125,11 +125,12 @@ func FuzzQuantLeafWidening(f *testing.F) {
 			}
 			for j := range vs {
 				mu, sg := cols.Mean[0][j], cols.Sigma[0][j]
-				if !(q.muLo[0][j] <= mu && mu <= q.muHi[0][j]) {
-					t.Fatalf("%v: μ=%v outside [%v,%v]", format, mu, q.muLo[0][j], q.muHi[0][j])
+				box := q.iv.box(j, 1)
+				if !box.Mu[0].Contains(mu) {
+					t.Fatalf("%v: μ=%v outside %v", format, mu, box.Mu[0])
 				}
-				if !(q.sgLo[0][j] <= sg && sg <= q.sgHi[0][j]) || !(q.sgLo[0][j] > 0) {
-					t.Fatalf("%v: σ=%v outside [%v,%v]", format, sg, q.sgLo[0][j], q.sgHi[0][j])
+				if !box.Sigma[0].Contains(sg) || !(box.Sigma[0].Lo > 0) {
+					t.Fatalf("%v: σ=%v outside %v", format, sg, box.Sigma[0])
 				}
 			}
 			page, err := encodeNode(&node{leaf: true, kind: q.kind, quant: q}, 1, pagefile.DefaultPageSize)
@@ -141,8 +142,7 @@ func FuzzQuantLeafWidening(f *testing.F) {
 				t.Fatalf("%v: decode: %v", format, err)
 			}
 			for j := range vs {
-				if dec.quant.muLo[0][j] != q.muLo[0][j] || dec.quant.muHi[0][j] != q.muHi[0][j] ||
-					dec.quant.sgLo[0][j] != q.sgLo[0][j] || dec.quant.sgHi[0][j] != q.sgHi[0][j] {
+				if !dec.quant.iv.box(j, 1).Equal(q.iv.box(j, 1)) {
 					t.Fatalf("%v: decoded intervals differ at %d", format, j)
 				}
 			}

@@ -58,7 +58,7 @@ func (t *Tree) insert(v pfv.Vector) error {
 	// Clone the descent before mutating: the path nodes are the page
 	// cache's shared decoded forms, and snapshot readers may be traversing
 	// them right now.
-	clonePath(path)
+	clonePath(path, t.dim)
 	leaf := path[len(path)-1].node
 	if err := t.materializeLeaf(leaf); err != nil {
 		return err
@@ -227,8 +227,8 @@ func (t *Tree) choosePath(v pfv.Vector) ([]pathStep, error) {
 // chooseChild applies the paper's three insertion rules at one inner node.
 func (t *Tree) chooseChild(n *node, v pfv.Vector) (int, error) {
 	containing := make([]int, 0, 4)
-	for i, c := range n.children {
-		if c.box.ContainsVector(v) {
+	for i := range n.children {
+		if n.boxes.containsVector(i, v) {
 			containing = append(containing, i)
 		}
 	}
@@ -236,14 +236,20 @@ func (t *Tree) chooseChild(n *node, v pfv.Vector) (int, error) {
 	case 1:
 		return containing[0], nil
 	case 0:
-		return t.leastEnlargementChild(n.children, v), nil
+		return t.leastEnlargementChild(n, v), nil
 	}
 	// Several children contain the vector: probe each containment path for
 	// the best-fitting leaf. The probe fanout is capped (smallest-volume
 	// candidates first) to bound the cost of pathological overlap.
 	if len(containing) > t.cfg.ProbeFanout {
+		box := NewParamBox(t.dim)
+		costs := make([]float64, len(n.children))
+		for _, i := range containing {
+			n.boxes.boxInto(i, box)
+			costs[i] = t.boxCost(box)
+		}
 		sort.Slice(containing, func(a, b int) bool {
-			return t.boxCost(n.children[containing[a]].box) < t.boxCost(n.children[containing[b]].box)
+			return costs[containing[a]] < costs[containing[b]]
 		})
 		containing = containing[:t.cfg.ProbeFanout]
 	}
@@ -277,16 +283,19 @@ func (t *Tree) boxCostWith(b ParamBox, v pfv.Vector) float64 {
 	return b.LogAccessCostWith(v)
 }
 
-// leastEnlargementChild returns the index of the child whose box needs the
-// least objective increase to absorb v, breaking ties by margin increase
-// and then by absolute objective (preferring the more selective box).
-func (t *Tree) leastEnlargementChild(children []childEntry, v pfv.Vector) int {
+// leastEnlargementChild returns the index of the child of a readable inner
+// node whose box needs the least objective increase to absorb v, breaking
+// ties by margin increase and then by absolute objective (preferring the
+// more selective box).
+func (t *Tree) leastEnlargementChild(n *node, v pfv.Vector) int {
 	best := 0
 	bestEnl, bestMargin, bestCost := math.Inf(1), math.Inf(1), math.Inf(1)
-	for i, c := range children {
-		cost := t.boxCost(c.box)
-		enl := t.boxCostWith(c.box, v) - cost
-		mrg := c.box.MarginEnlargement(v)
+	box := NewParamBox(t.dim)
+	for i := range n.children {
+		n.boxes.boxInto(i, box)
+		cost := t.boxCost(box)
+		enl := t.boxCostWith(box, v) - cost
+		mrg := box.MarginEnlargement(v)
 		if enl < bestEnl ||
 			(enl == bestEnl && mrg < bestMargin) ||
 			(enl == bestEnl && mrg == bestMargin && cost < bestCost) {

@@ -102,14 +102,15 @@ func TestBuildQuantLeafWidening(t *testing.T) {
 			if q == nil {
 				t.Fatalf("%v trial %d: buildQuantLeaf declined a coverable batch", format, trial)
 			}
-			for i := 0; i < dim; i++ {
-				for j := 0; j < n; j++ {
+			for j := 0; j < n; j++ {
+				box := q.iv.box(j, dim)
+				for i := 0; i < dim; i++ {
 					mu, sg := cols.Mean[i][j], cols.Sigma[i][j]
-					if !(q.muLo[i][j] <= mu && mu <= q.muHi[i][j]) {
-						t.Fatalf("%v: μ[%d][%d]=%v outside [%v,%v]", format, i, j, mu, q.muLo[i][j], q.muHi[i][j])
+					if !box.Mu[i].Contains(mu) {
+						t.Fatalf("%v: μ[%d][%d]=%v outside %v", format, i, j, mu, box.Mu[i])
 					}
-					if !(q.sgLo[i][j] <= sg && sg <= q.sgHi[i][j]) || q.sgLo[i][j] <= 0 {
-						t.Fatalf("%v: σ[%d][%d]=%v outside [%v,%v]", format, i, j, sg, q.sgLo[i][j], q.sgHi[i][j])
+					if !box.Sigma[i].Contains(sg) || box.Sigma[i].Lo <= 0 {
+						t.Fatalf("%v: σ[%d][%d]=%v outside %v", format, i, j, sg, box.Sigma[i])
 					}
 				}
 			}
@@ -124,12 +125,9 @@ func TestBuildQuantLeafWidening(t *testing.T) {
 			if err != nil {
 				t.Fatalf("%v: decode: %v", format, err)
 			}
-			for i := 0; i < dim; i++ {
-				for j := 0; j < n; j++ {
-					if dec.quant.muLo[i][j] != q.muLo[i][j] || dec.quant.muHi[i][j] != q.muHi[i][j] ||
-						dec.quant.sgLo[i][j] != q.sgLo[i][j] || dec.quant.sgHi[i][j] != q.sgHi[i][j] {
-						t.Fatalf("%v: decoded intervals differ at [%d][%d]", format, i, j)
-					}
+			for j := 0; j < n; j++ {
+				if !dec.quant.iv.box(j, dim).Equal(q.iv.box(j, dim)) {
+					t.Fatalf("%v: decoded intervals differ at vector %d", format, j)
 				}
 			}
 		}

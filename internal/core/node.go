@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
@@ -70,6 +69,9 @@ const maxNodeEntries = math.MaxUint16
 // It is derived, not encoded: the two ways a node becomes readable fill it
 // once each — decodeNode, and Tree.persistNode for a node the writer built —
 // so the best-first traversal never pays a math.Log per child per visit.
+//
+// box is set on the writer's nodes only; a readable node holds all its child
+// boxes column-major in node.boxes instead.
 type childEntry struct {
 	page     pagefile.PageID
 	count    int
@@ -88,6 +90,10 @@ type childEntry struct {
 // materializeLeaf build them ahead of an in-place mutation, and from then
 // until encodeLeaf rebuilds cols and quant for the next page image, vectors
 // is the authoritative payload and cols/quant describe the superseded page.
+// Inner nodes follow the same rule: a readable node holds its child boxes
+// once, in boxes (filled by decodeInnerNode and persistNode, complete before
+// the node is shared); clone materializes them into the entries of the
+// writer's copy, which has no boxes.
 type node struct {
 	id   pagefile.PageID
 	leaf bool
@@ -99,6 +105,7 @@ type node struct {
 	cols     *pfv.Columns // leaf payload (columnar), exact leaves only
 	quant    *quantLeaf   // quantized leaf payload
 	children []childEntry // inner payload
+	boxes    boxColumns   // inner payload: the child boxes, readable nodes only
 }
 
 // quantGrid is the per-dimension descriptor of a grid-quantized leaf: the
@@ -124,9 +131,8 @@ type quantLeaf struct {
 	grids               []quantGrid // kindLeafGrid per-dimension grids
 	cellMean, cellSigma [][]uint8   // kindLeafGrid raw payload, dimension-major
 
-	// Derived conservative intervals, dimension-major ([i][j] like
-	// pfv.Columns).
-	muLo, muHi, sgLo, sgHi [][]float64
+	// iv holds the derived conservative intervals, one box per vector.
+	iv boxColumns
 }
 
 func (q *quantLeaf) len() int { return len(q.ids) }
@@ -207,15 +213,9 @@ func gridFit(min, max, x float64, sigma bool) (uint8, bool) {
 // exactly the intervals the encoder verified containment for.
 func (q *quantLeaf) deriveIntervals(dim int) {
 	n := q.len()
-	q.muLo = make([][]float64, dim)
-	q.muHi = make([][]float64, dim)
-	q.sgLo = make([][]float64, dim)
-	q.sgHi = make([][]float64, dim)
+	q.iv = newBoxColumns(dim, n)
 	for i := 0; i < dim; i++ {
-		muLo := make([]float64, n)
-		muHi := make([]float64, n)
-		sgLo := make([]float64, n)
-		sgHi := make([]float64, n)
+		muLo, muHi, sgLo, sgHi := q.iv.dim(i)
 		switch q.kind {
 		case kindLeafF32:
 			fm, fs := q.f32Mean[i], q.f32Sigma[i]
@@ -231,8 +231,6 @@ func (q *quantLeaf) deriveIntervals(dim int) {
 				sgLo[j], sgHi[j] = gridInterval(g.sgMin, g.sgMax, cs[j], true)
 			}
 		}
-		q.muLo[i], q.muHi[i] = muLo, muHi
-		q.sgLo[i], q.sgHi[i] = sgLo, sgHi
 	}
 }
 
@@ -295,11 +293,12 @@ func buildQuantLeaf(format LeafFormat, c *pfv.Columns, pageSize int) *quantLeaf 
 	}
 	q.deriveIntervals(dim)
 	for i := 0; i < dim; i++ {
+		muLo, muHi, sgLo, sgHi := q.iv.dim(i)
 		for j := 0; j < n; j++ {
-			if !(q.muLo[i][j] <= c.Mean[i][j] && c.Mean[i][j] <= q.muHi[i][j]) {
+			if !(muLo[j] <= c.Mean[i][j] && c.Mean[i][j] <= muHi[j]) {
 				return nil
 			}
-			if !(q.sgLo[i][j] <= c.Sigma[i][j] && c.Sigma[i][j] <= q.sgHi[i][j]) {
+			if !(sgLo[j] <= c.Sigma[i][j] && c.Sigma[i][j] <= sgHi[j]) {
 				return nil
 			}
 		}
@@ -419,24 +418,29 @@ func encodeNode(n *node, dim, pageSize int) ([]byte, error) {
 	}
 }
 
+// encodeInnerNode writes the entries row-major: page, count, then the
+// child's four bounds per dimension — its value in each run of the node's
+// box columns, in run order. A writer's node, which holds the boxes in its
+// entries, is transposed first.
 func encodeInnerNode(n *node, dim int) ([]byte, error) {
+	boxes := n.boxes
+	if boxes.data == nil {
+		boxes = boxColumnsOf(n.children, dim)
+	}
 	if len(n.children) > maxNodeEntries {
 		return nil, fmt.Errorf("core: node %d has %d entries, limit %d", n.id, len(n.children), maxNodeEntries)
 	}
 	buf := make([]byte, nodeHeaderSize, nodeHeaderSize+len(n.children)*innerEntrySize(dim))
 	buf[0] = kindInner
 	binary.LittleEndian.PutUint16(buf[1:], uint16(len(n.children)))
-	for _, c := range n.children {
+	for j, c := range n.children {
 		if c.count < 0 || int64(c.count) > math.MaxUint32 {
 			return nil, fmt.Errorf("core: node %d child %d subtree count %d does not fit uint32", n.id, c.page, c.count)
 		}
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.page))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.count))
-		for i := 0; i < dim; i++ {
-			buf = appendFloat(buf, c.box.Mu[i].Lo)
-			buf = appendFloat(buf, c.box.Mu[i].Hi)
-			buf = appendFloat(buf, c.box.Sigma[i].Lo)
-			buf = appendFloat(buf, c.box.Sigma[i].Hi)
+		for k := 0; k < 4*dim; k++ {
+			buf = appendFloat(buf, boxes.data[k*boxes.n+j])
 		}
 	}
 	return buf, nil
@@ -588,28 +592,24 @@ func decodeNode(id pagefile.PageID, page []byte, dim int) (*node, error) {
 	return n, nil
 }
 
-// decodeInnerNode fills n.children; all child boxes share one backing slice.
+// decodeInnerNode fills n.children and transposes the row-major child boxes
+// of the page into n.boxes: the node, the entries and one backing array,
+// whatever the fan-out.
 func decodeInnerNode(n *node, page []byte, dim, count int) error {
 	esz := innerEntrySize(dim)
 	if need := nodeHeaderSize + count*esz; len(page) < need {
 		return fmt.Errorf("core: page %d: inner node truncated (%d bytes, need %d)", n.id, len(page), need)
 	}
 	n.children = make([]childEntry, count)
-	ivs := make([]gaussian.Interval, 2*dim*count)
+	n.boxes = newBoxColumns(dim, count)
 	off := nodeHeaderSize
-	for i := range n.children {
-		c := &n.children[i]
+	for j := range n.children {
+		c := &n.children[j]
 		c.page = pagefile.PageID(binary.LittleEndian.Uint32(page[off:]))
 		c.count = int(binary.LittleEndian.Uint32(page[off+4:]))
 		c.logCount = math.Log(float64(c.count))
-		c.box.Mu, c.box.Sigma, ivs = ivs[:dim:dim], ivs[dim:2*dim:2*dim], ivs[2*dim:]
-		p := off + 8
-		for j := 0; j < dim; j++ {
-			c.box.Mu[j].Lo = readFloat(page[p:])
-			c.box.Mu[j].Hi = readFloat(page[p+8:])
-			c.box.Sigma[j].Lo = readFloat(page[p+16:])
-			c.box.Sigma[j].Hi = readFloat(page[p+24:])
-			p += 32
+		for k, p := 0, off+8; k < 4*dim; k, p = k+1, p+8 {
+			n.boxes.data[k*count+j] = readFloat(page[p:])
 		}
 		off += esz
 	}

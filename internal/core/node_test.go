@@ -77,7 +77,7 @@ func TestInnerNodeCodecRoundTrip(t *testing.T) {
 	for i := range n.children {
 		if got.children[i].page != n.children[i].page ||
 			got.children[i].count != n.children[i].count ||
-			!got.children[i].box.Equal(n.children[i].box) {
+			got.children[i].box.Mu != nil || !got.boxes.box(i, dim).Equal(n.children[i].box) {
 			t.Errorf("child %d mismatch", i)
 		}
 	}
@@ -179,8 +179,8 @@ func TestBoxHullDominatesMembers(t *testing.T) {
 	for _, comb := range []gaussian.Combiner{gaussian.CombineAdditive, gaussian.CombineConvolution} {
 		for trial := 0; trial < 200; trial++ {
 			q := randomVec(rng, 999, dim)
-			hull := b.LogHullAt(comb, q)
-			floor := b.LogFloorAt(comb, q)
+			hulls, floors := kernelBounds(comb, q, b)
+			hull, floor := hulls[0], floors[0]
 			if floor > hull+1e-9 {
 				t.Fatalf("floor %v above hull %v", floor, hull)
 			}

@@ -94,13 +94,13 @@ func TestNodeCodecFixedPoint(t *testing.T) {
 // TestDecodeAllocations bounds the allocations of one decode independent of
 // the entry count: a columnar leaf is its node, the columns, the ids, the
 // column headers and one backing array; an inner node is the node, the
-// entries and one backing slice for every box.
+// entries and one backing array for all the box columns.
 func TestDecodeAllocations(t *testing.T) {
 	const dim = 10
 	full := (pagefile.DefaultPageSize - colHeaderSize) / leafEntrySize(dim)
 	for _, count := range []int{3, full} {
 		nodes := codecNodes(t, dim, count)
-		for name, limit := range map[string]float64{"columnar": 5, "sidecar": 5, "row": 5, "inner": 4} {
+		for name, limit := range map[string]float64{"columnar": 5, "sidecar": 5, "row": 5, "inner": 3} {
 			page := mustEncode(t, nodes[name], dim)
 			allocs := testing.AllocsPerRun(50, func() {
 				if _, err := decodeNode(1, page, dim); err != nil {
@@ -343,7 +343,7 @@ func TestCacheBytesBoundsDecodedNodes(t *testing.T) {
 // readers; every answer a reader can pair with a scan of the same published
 // snapshot is checked against that scan. Meant for -race.
 func TestReadersVerifiedUnderEvictingWriter(t *testing.T) {
-	const dim, pageSize, base, churn = 2, 1024, 1500, 600
+	const pageSize = 1024
 	fb, err := pagefile.CreateFile(filepath.Join(t.TempDir(), "evict.gtree"), pageSize)
 	if err != nil {
 		t.Fatal(err)
@@ -353,6 +353,39 @@ func TestReadersVerifiedUnderEvictingWriter(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer mgr.Close()
+	readersBesideWriter(t, mgr, func(*Tree) error {
+		if got := mgr.CachedPages(); got > 16 {
+			return fmt.Errorf("%d pages cached under a 16-page budget", got)
+		}
+		return nil
+	})
+}
+
+// TestReadersExpandFreshlyPublishedNodes: the same readers and writer over a
+// memory-backed tree that is cached whole, so no page is ever decoded: every
+// node a reader expands is the object persistNode handed to the cache — an
+// inner node with its box columns, filled before the write that makes them
+// reachable — while the writer goes on with the next mutation. The readers
+// also run CheckInvariants, which reads every child box back out of the
+// columns. Meant for -race.
+func TestReadersExpandFreshlyPublishedNodes(t *testing.T) {
+	const pageSize = 1024
+	mgr, err := pagefile.NewManager(pagefile.NewMemBackend(pageSize), pageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	readersBesideWriter(t, mgr, (*Tree).CheckInvariants)
+	if got := mgr.Stats().PhysicalReads; got != 0 {
+		t.Fatalf("%d pages were read back and decoded; the readers were to share the writer's nodes", got)
+	}
+}
+
+// readersBesideWriter bulk-loads a tree over mgr and runs four readers beside
+// one writer that inserts and deletes. Every answer a reader can pair with a
+// scan of the same published snapshot is checked against that scan, and
+// check runs after each.
+func readersBesideWriter(t *testing.T, mgr *pagefile.Manager, check func(*Tree) error) {
+	const dim, base, churn = 2, 1500, 600
 	tr, err := New(mgr, dim, Config{})
 	if err != nil {
 		t.Fatal(err)
@@ -440,8 +473,8 @@ func TestReadersVerifiedUnderEvictingWriter(t *testing.T) {
 				} else {
 					quiet++
 				}
-				if got := mgr.CachedPages(); got > 16 {
-					errs <- fmt.Errorf("%d pages cached under a 16-page budget", got)
+				if err := check(tr); err != nil {
+					errs <- err
 					return
 				}
 			}

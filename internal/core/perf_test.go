@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"math/rand"
 	"runtime"
 	"testing"
@@ -100,4 +101,52 @@ func BenchmarkFirstTouch(b *testing.B) {
 	pages := float64(b.N * len(leaves))
 	b.ReportMetric(float64(elapsed.Nanoseconds())/pages, "ns/page")
 	b.ReportMetric(float64(mallocs)/pages, "allocs/page")
+}
+
+// innerNodes returns every inner node of the tree, root first.
+func innerNodes(tb testing.TB, tr *Tree) []*node {
+	tb.Helper()
+	var out []*node
+	var walk func(id pagefile.PageID)
+	walk = func(id pagefile.PageID) {
+		n, err := tr.readNode(id)
+		if err != nil {
+			tb.Fatal(err)
+		}
+		if n.leaf {
+			return
+		}
+		out = append(out, n)
+		for _, c := range n.children {
+			walk(c.page)
+		}
+	}
+	walk(tr.root)
+	return out
+}
+
+// BenchmarkExpandInner is the batch bound kernel's own number: one op
+// computes ˆN and ˇN for every child of every inner node of a DS2-20k tree
+// against one query, into warm scratch — what traversal.expand pays per
+// inner node, without the queue. ns/child is per child box; allocs/op must
+// be 0.
+func BenchmarkExpandInner(b *testing.B) {
+	tr, qs := ds2Tree(b, 20000, 64, 9)
+	inners := innerNodes(b, tr)
+	children, widest := 0, 0
+	for _, n := range inners {
+		children += len(n.children)
+		widest = max(widest, len(n.children))
+	}
+	scratch := make([]float64, 4*widest)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		q := qs[i%len(qs)]
+		for _, n := range inners {
+			nc := len(n.children)
+			n.boxes.logBounds(tr.cfg.Combiner, q, math.Inf(1), scratch[:nc], scratch[nc:2*nc], scratch[2*nc:])
+		}
+	}
+	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*children), "ns/child")
 }

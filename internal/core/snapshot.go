@@ -1,6 +1,7 @@
 package core
 
 import (
+	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/wal"
@@ -58,19 +59,27 @@ func (t *Tree) SnapshotEpoch() uint64 {
 }
 
 // clone returns the writer's mutable copy of a shared node: an inner node's
-// entry slice is copied (with one spare slot, since inserts append), an exact
+// entry slice is copied (with one spare slot, since inserts append) and its
+// child boxes are materialized from the columns into the entries, an exact
 // leaf's columns are materialized as row-major vectors — the one place the
-// row form comes into being; a quantized leaf's come from its sidecar, see
-// materializeLeaf. The payload values themselves (boxes, columns, quantized
-// payload) stay shared: mutation paths only ever rebind those, never edit
-// them in place.
-func (n *node) clone() *node {
+// row forms come into being; a quantized leaf's come from its sidecar, see
+// materializeLeaf. The payload values themselves (columns, quantized payload)
+// stay shared: mutation paths only ever rebind those, never edit them in
+// place.
+func (n *node) clone(dim int) *node {
 	c := &node{id: n.id, leaf: n.leaf, kind: n.kind, cols: n.cols, quant: n.quant}
 	if n.cols != nil {
 		c.vectors = rowsOf(n.cols)
 	}
 	if n.children != nil {
 		c.children = append(make([]childEntry, 0, len(n.children)+1), n.children...)
+		ivs := make([]gaussian.Interval, 2*dim*len(c.children))
+		for j := range c.children {
+			box := ParamBox{Mu: ivs[:dim:dim], Sigma: ivs[dim : 2*dim : 2*dim]}
+			ivs = ivs[2*dim:]
+			n.boxes.boxInto(j, box)
+			c.children[j].box = box
+		}
 	}
 	return c
 }
@@ -78,9 +87,9 @@ func (n *node) clone() *node {
 // clonePath replaces every node on a descent path with its clone, so the
 // mutation that follows never edits an object shared with the page cache
 // (and thus with concurrent snapshot readers).
-func clonePath(path []pathStep) {
+func clonePath(path []pathStep, dim int) {
 	for i := range path {
-		path[i].node = path[i].node.clone()
+		path[i].node = path[i].node.clone(dim)
 	}
 }
 

@@ -396,12 +396,13 @@ func (t *Tree) rewriteNode(n *node) error {
 
 // persistNode encodes and writes the node at its current id, routing leaves
 // through the tree's leaf format, and hands the page cache the form readers
-// will share: the inner node itself — the writer is done editing it — or a
-// leaf's new payload without the writer's row-major vectors. Called directly
-// it is for a freshly allocated page only; nodes of the committed tree are
-// modified through rewriteNode.
+// will share, complete before any of them can see it: a leaf's new payload
+// without the writer's row-major vectors, an inner node's entries with their
+// logCount and the child boxes as columns. Called directly it is for a
+// freshly allocated page only; nodes of the committed tree are modified
+// through rewriteNode.
 func (t *Tree) persistNode(n *node) error {
-	shared := n
+	var shared *node
 	var buf []byte
 	var err error
 	if n.leaf {
@@ -409,10 +410,11 @@ func (t *Tree) persistNode(n *node) error {
 		shared = &node{id: n.id, leaf: true, kind: n.kind, cols: n.cols, quant: n.quant}
 	} else {
 		n.kind = kindInner
-		for i := range n.children {
-			n.children[i].logCount = math.Log(float64(n.children[i].count))
+		shared = &node{id: n.id, kind: kindInner, children: make([]childEntry, len(n.children)), boxes: boxColumnsOf(n.children, t.dim)}
+		for i, c := range n.children {
+			shared.children[i] = childEntry{page: c.page, count: c.count, logCount: math.Log(float64(c.count))}
 		}
-		buf, err = encodeNode(n, t.dim, t.mgr.PageSize())
+		buf, err = encodeNode(shared, t.dim, t.mgr.PageSize())
 	}
 	if err != nil {
 		return err

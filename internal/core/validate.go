@@ -100,7 +100,7 @@ func (t *Tree) CheckInvariants() error {
 			if c.logCount != math.Log(float64(c.count)) {
 				return 0, ParamBox{}, fmt.Errorf("%w: inner %d entry %d stale derived logCount %v for count %d", ErrCorrupt, n.id, i, c.logCount, c.count)
 			}
-			if !cbox.Equal(c.box) {
+			if !cbox.Equal(n.boxes.box(i, t.dim)) {
 				return 0, ParamBox{}, fmt.Errorf("%w: inner %d entry %d box not tight", ErrCorrupt, n.id, i)
 			}
 			total += cnt
@@ -141,13 +141,14 @@ func checkQuantLeaf(n *node, exact *pfv.Columns, dim int) error {
 		}
 		for i := 0; i < dim; i++ {
 			mu, sg := exact.Mean[i][j], exact.Sigma[i][j]
-			if !(q.muLo[i][j] <= mu && mu <= q.muHi[i][j]) {
+			muLo, muHi, sgLo, sgHi := q.iv.dim(i)
+			if !(muLo[j] <= mu && mu <= muHi[j]) {
 				return fmt.Errorf("%w: quantized leaf %d entry %d dim %d: μ=%v outside widened [%v,%v]", ErrCorrupt,
-					n.id, j, i, mu, q.muLo[i][j], q.muHi[i][j])
+					n.id, j, i, mu, muLo[j], muHi[j])
 			}
-			if !(q.sgLo[i][j] > 0 && q.sgLo[i][j] <= sg && sg <= q.sgHi[i][j]) {
+			if !(sgLo[j] > 0 && sgLo[j] <= sg && sg <= sgHi[j]) {
 				return fmt.Errorf("%w: quantized leaf %d entry %d dim %d: σ=%v outside widened (0,∞)∩[%v,%v]", ErrCorrupt,
-					n.id, j, i, sg, q.sgLo[i][j], q.sgHi[i][j])
+					n.id, j, i, sg, sgLo[j], sgHi[j])
 			}
 		}
 	}

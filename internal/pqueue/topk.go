@@ -1,6 +1,9 @@
 package pqueue
 
-import "sort"
+import (
+	"cmp"
+	"slices"
+)
 
 // TopK keeps the k elements with the highest priority seen so far. It is the
 // candidate list of the k-MLIQ algorithm (paper Figure 4): a bounded min-heap
@@ -86,7 +89,7 @@ func (t *TopK[T]) Sorted() []T {
 		}
 		tmp = append(tmp, scored{v, p})
 	}
-	sort.SliceStable(tmp, func(i, j int) bool { return tmp[i].p > tmp[j].p })
+	slices.SortStableFunc(tmp, func(a, b scored) int { return cmp.Compare(b.p, a.p) })
 	out := make([]T, len(tmp))
 	for i, s := range tmp {
 		out[i] = s.v

@@ -5,7 +5,8 @@
 package query
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
@@ -29,14 +30,11 @@ type Result struct {
 // SortByProbability orders results by descending probability, breaking ties
 // by descending log density and then ascending object id for determinism.
 func SortByProbability(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].Probability != rs[j].Probability {
-			return rs[i].Probability > rs[j].Probability
+	slices.SortStableFunc(rs, func(a, b Result) int {
+		if a.Probability != b.Probability {
+			return descending(a.Probability, b.Probability)
 		}
-		if rs[i].LogDensity != rs[j].LogDensity {
-			return rs[i].LogDensity > rs[j].LogDensity
-		}
-		return rs[i].Vector.ID < rs[j].Vector.ID
+		return byDensity(a, b)
 	})
 }
 
@@ -45,12 +43,26 @@ func SortByProbability(rs []Result) {
 // shared denominator turns densities into probabilities, usable when
 // probabilities were not computed (ranked queries).
 func SortByDensity(rs []Result) {
-	sort.SliceStable(rs, func(i, j int) bool {
-		if rs[i].LogDensity != rs[j].LogDensity {
-			return rs[i].LogDensity > rs[j].LogDensity
-		}
-		return rs[i].Vector.ID < rs[j].Vector.ID
-	})
+	slices.SortStableFunc(rs, byDensity)
+}
+
+func byDensity(a, b Result) int {
+	if a.LogDensity != b.LogDensity {
+		return descending(a.LogDensity, b.LogDensity)
+	}
+	return cmp.Compare(a.Vector.ID, b.Vector.ID)
+}
+
+// descending compares for a descending order; a NaN ties with everything,
+// as it does under the < and > these orders are defined by.
+func descending(x, y float64) int {
+	switch {
+	case x > y:
+		return -1
+	case x < y:
+		return 1
+	}
+	return 0
 }
 
 // NonNil maps a nil result slice to an empty one. Engines apply it on every

@@ -628,14 +628,18 @@ func (s *Server) collectStats() (wire.StatsResponse, error) {
 }
 
 // decodeBody parses the JSON request body into dst, writing a 400 and
-// returning false on malformed or oversized input. Unknown fields are
-// rejected so client/server format drift fails loudly instead of silently
-// ignoring a parameter.
+// returning false on malformed or oversized input. Unknown fields and
+// anything after the one JSON value are rejected so client/server format
+// drift fails loudly instead of silently ignoring a parameter.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
 		writeError(w, http.StatusBadRequest, wire.ErrCodeInvalid, "decoding request: "+err.Error())
+		return false
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		writeError(w, http.StatusBadRequest, wire.ErrCodeInvalid, "decoding request: data after the JSON value")
 		return false
 	}
 	return true

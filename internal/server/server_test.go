@@ -2,6 +2,7 @@ package server_test
 
 import (
 	"context"
+	"encoding/json"
 	"errors"
 	"math"
 	"math/rand"
@@ -16,6 +17,7 @@ import (
 	gausstree "github.com/gauss-tree/gausstree"
 	"github.com/gauss-tree/gausstree/client"
 	"github.com/gauss-tree/gausstree/internal/server"
+	"github.com/gauss-tree/gausstree/internal/wire"
 )
 
 // makeVectors builds a clustered synthetic database.
@@ -595,4 +597,66 @@ func TestDeadlinePropagation(t *testing.T) {
 		t.Errorf("err = %v, want a deadline error", err)
 	}
 	close(gated.release)
+}
+
+// TestTrailingBodyBytesRefused: every POST endpoint serves its well-formed
+// body and refuses the same body followed by a second JSON value or by junk
+// with 400 invalid_query — like an unknown field, bytes the server would
+// otherwise ignore are a format drift that must fail loudly.
+func TestTrailingBodyBytesRefused(t *testing.T) {
+	s, vs := newShardedIndex(t, 200, 3)
+	srv := server.New(server.ShardedIndex(s), server.Config{})
+	hs := httptest.NewServer(srv.Handler())
+	t.Cleanup(func() {
+		hs.Close()
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if err := srv.Shutdown(ctx); err != nil {
+			t.Errorf("shutdown: %v", err)
+		}
+	})
+	q := vs[0].Clone()
+	q.ID = 0
+	fresh := gausstree.MustVector(9999, []float64{42, 42, 42}, []float64{0.05, 0.05, 0.05})
+	endpoints := []struct {
+		path string
+		body any
+	}{
+		{"/v1/kmliq", wire.QueryRequest{Query: q, K: 3}},
+		{"/v1/kmliq-ranked", wire.QueryRequest{Query: q, K: 3}},
+		{"/v1/tiq", wire.QueryRequest{Query: q, PTheta: 0.5}},
+		{"/v1/batch", wire.BatchRequest{Queries: []wire.BatchItem{{Kind: "kmliq", Query: q, K: 1}}}},
+		{"/v1/insert", wire.InsertRequest{Vectors: []gausstree.Vector{fresh}}},
+		{"/v1/delete", wire.DeleteRequest{Vector: fresh}},
+	}
+	for _, ep := range endpoints {
+		good, err := json.Marshal(ep.body)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, tc := range []struct {
+			name, tail string
+			status     int
+		}{
+			{"well-formed", "", http.StatusOK},
+			{"trailing whitespace", " \n", http.StatusOK},
+			{"second value", `{"k":9}`, http.StatusBadRequest},
+			{"junk", " junk", http.StatusBadRequest},
+		} {
+			resp, err := http.Post(hs.URL+ep.path, "application/json", strings.NewReader(string(good)+tc.tail))
+			if err != nil {
+				t.Fatalf("%s %s: %v", ep.path, tc.name, err)
+			}
+			var apiErr wire.Error
+			if resp.StatusCode != http.StatusOK {
+				if err := json.NewDecoder(resp.Body).Decode(&apiErr); err != nil {
+					t.Errorf("%s %s: undecodable error body: %v", ep.path, tc.name, err)
+				}
+			}
+			resp.Body.Close()
+			if resp.StatusCode != tc.status || (tc.status != http.StatusOK && apiErr.Code != wire.ErrCodeInvalid) {
+				t.Errorf("%s %s: status %d code %q, want %d", ep.path, tc.name, resp.StatusCode, apiErr.Code, tc.status)
+			}
+		}
+	}
 }

@@ -151,6 +151,7 @@ type Log struct {
 	records uint64
 
 	kick chan struct{} // capacity 1: wakes the committer
+	stop chan struct{} // closed by Close: wakes the committer, cuts its latency window short
 	done chan struct{} // closed by the committer on exit
 }
 
@@ -262,6 +263,7 @@ func newLog(f *os.File, dim int, opts Options, next uint64, durableBytes int64) 
 		durable:      next - 1,
 		durableBytes: durableBytes,
 		kick:         make(chan struct{}, 1),
+		stop:         make(chan struct{}),
 		done:         make(chan struct{}),
 	}
 	l.cond = sync.NewCond(&l.mu)
@@ -450,11 +452,9 @@ func (l *Log) Close() error {
 	l.closed = true
 	l.cond.Broadcast()
 	l.mu.Unlock()
-	select {
-	case l.kick <- struct{}{}:
-	default:
-	}
-	// The committer drains the final batch before exiting.
+	// The committer drains the final batch before exiting, without sitting
+	// out a latency window it may be in.
+	close(l.stop)
 	<-l.done
 	l.mu.Lock()
 	err := l.err
@@ -492,11 +492,15 @@ func (l *Log) fail(err error) error {
 
 // committer is the single goroutine performing file writes: it waits for a
 // kick (first record of a group), sleeps the latency window so concurrent
-// appenders can join, then writes and fsyncs the whole group at once.
+// appenders can join, then writes and fsyncs the whole group at once. Close
+// wakes it from either wait.
 func (l *Log) committer() {
 	defer close(l.done)
 	for {
-		<-l.kick
+		select {
+		case <-l.kick:
+		case <-l.stop:
+		}
 		l.mu.Lock()
 		closed := l.closed
 		pending := l.pending
@@ -506,7 +510,12 @@ func (l *Log) committer() {
 			// Latency window: closed logs and oversized batches flush
 			// immediately, everything else gives the group time to form.
 			if !closed && !big && l.interval > 0 {
-				time.Sleep(l.interval)
+				window := time.NewTimer(l.interval)
+				select {
+				case <-window.C:
+				case <-l.stop:
+					window.Stop()
+				}
 			}
 			l.flush()
 		}

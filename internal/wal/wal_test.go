@@ -270,6 +270,9 @@ func TestOpenRejectsBadHeader(t *testing.T) {
 	}
 }
 
+// TestCloseFlushesPending: Close flushes what is pending and returns at
+// once, also when the committer has already taken the record's kick and sits
+// in its group-commit window (an hour here; Close used to wait it out).
 func TestCloseFlushesPending(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "t.wal")
 	l, err := Create(path, 2, Options{Interval: time.Hour})
@@ -279,8 +282,17 @@ func TestCloseFlushesPending(t *testing.T) {
 	if _, err := l.Append(RecInsert, testVec(7, 2, 0)); err != nil {
 		t.Fatal(err)
 	}
-	if err := l.Close(); err != nil {
-		t.Fatal(err)
+	// Let the committer reach its window; Close must pass in either order.
+	time.Sleep(20 * time.Millisecond)
+	closed := make(chan error, 1)
+	go func() { closed <- l.Close() }()
+	select {
+	case err := <-closed:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(time.Second):
+		t.Fatal("Close is waiting out the group-commit window")
 	}
 	_, recs, err := Open(path, 2, 0, Options{})
 	if err != nil {

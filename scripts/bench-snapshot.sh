@@ -8,7 +8,7 @@
 #   scripts/bench-snapshot.sh [out.json] [bench regex] [count] [benchtime]
 #
 # Defaults: out.json = "-" (stdout), regex covers the read-path benchmarks
-# (KMLIQHot, TIQHot, ReadNodeHot, FirstTouch), count = 1, benchtime = the go test
+# (KMLIQHot, TIQHot, ReadNodeHot, FirstTouch, ExpandInner), count = 1, benchtime = the go test
 # default (pass e.g. "5000x" — a multiple of the 50-query cycle — to make
 # pages/query comparable across snapshots). The JSON shape is
 #   {"goos": ..., "goarch": ..., "benchmarks": [{"name": ..., "iterations": N,
@@ -19,7 +19,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:--}"
-REGEX="${2:-KMLIQHot|TIQHot|ReadNodeHot|FirstTouch}"
+REGEX="${2:-KMLIQHot|TIQHot|ReadNodeHot|FirstTouch|ExpandInner}"
 COUNT="${3:-1}"
 BENCHTIME="${4:-}"
 

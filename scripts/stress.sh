@@ -5,6 +5,7 @@
 #
 #   scripts/stress.sh                         # TestSnapshotIsolatedReaders, 500 runs per -cpu value
 #   scripts/stress.sh 'TestSnapshot' . 2000   # pattern, package, count
+#   scripts/stress.sh TestX ./internal/core 20 -race   # ... and build flags for the test binary
 #
 # The test binary is built once; each -cpu value then runs -count times. The
 # first failure stops the loop, prints the failing output and exits 1.
@@ -14,6 +15,7 @@ cd "$(dirname "$0")/.."
 pattern=${1:-TestSnapshotIsolatedReaders}
 pkg=${2:-.}
 count=${3:-500}
+buildflags=("${@:4}")
 hogs=${STRESS_HOGS:-$(getconf _NPROCESSORS_ONLN 2>/dev/null || echo 2)}
 
 tmp=$(mktemp -d)
@@ -24,7 +26,7 @@ cleanup() {
 }
 trap cleanup EXIT
 
-go test -c -o "$tmp/stress.test" "$pkg"
+go test -c ${buildflags[@]+"${buildflags[@]}"} -o "$tmp/stress.test" "$pkg"
 
 # One busy loop per CPU: the scheduler then preempts the test's goroutines
 # mid-protocol instead of letting each run to its next blocking point.
