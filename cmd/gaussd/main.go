@@ -36,6 +36,8 @@
 //	               on the ops listener (requires -ops-addr; off by default and
 //	               completely absent from the hot path until armed)
 //
+// An out-of-range value exits 2; none is replaced by a default.
+//
 // A storage fault — injected or real — degrades the daemon instead of
 // killing it: reads keep serving the last committed snapshot, mutations
 // answer 503 with code "degraded", /readyz flips to 503, and a supervisor
@@ -64,38 +66,77 @@ import (
 	"github.com/gauss-tree/gausstree/internal/server"
 )
 
-func main() {
+// config is everything the command line decides.
+type config struct {
+	addr, index string
+	opsAddr     string // empty: no operations listener
+	wantLeaf    string // required leaf format; empty accepts any
+	slowLog     string // trace sink path; empty is stderr
+	// opts is shared with the supervisor's reopen, so a healed index comes
+	// back with the same cache, commit and fault-layer shape.
+	opts gausstree.Options
+	// server holds the flag-decided fields; main adds the sinks and Reopen.
+	server server.Config
+}
+
+// parseFlags parses and validates the command line. Every out-of-range
+// value is refused: none is replaced by a default behind the operator's back.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	fs := flag.NewFlagSet("gaussd", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		addr     = flag.String("addr", ":8442", "listen address")
-		index    = flag.String("index", "", "index to serve: a page file (gausstree.Open) or a sharded directory (gausstree.OpenSharded)")
-		inflight = flag.Int("max-inflight", 64, "maximum concurrently executing requests (must be >= 1)")
-		queue    = flag.Int("queue", 128, "maximum requests waiting for an execution slot, beyond that: 429 (0 = reject as soon as all slots are busy)")
-		timeout  = flag.Duration("timeout", 30*time.Second, "per-request deadline ceiling")
-		readonly = flag.Bool("readonly", false, "refuse mutations (safe for horizontal read replicas)")
-		commitLt = flag.Duration("commit-latency", 0, "group-commit window: inserts wait at most this long to share one WAL fsync (0 = default 2ms; longer = fewer fsyncs, higher ack latency)")
-		cacheMB  = flag.Int("cache-mb", 50, "buffer cache budget in MB")
-		opsAddr  = flag.String("ops-addr", "", "expose GET /metrics and /debug/pprof/ on this loopback-only address (e.g. 127.0.0.1:6060 or :6060); empty = disabled")
-		traceSmp = flag.Float64("trace-sample", 0, "fraction of requests traced end to end, in [0,1] (0 = off); sampled traces go to -slow-query-log")
-		slowMS   = flag.Int64("slow-query-ms", 0, "log any request at least this slow as a completed trace, regardless of -trace-sample (0 = off)")
-		slowLog  = flag.String("slow-query-log", "", "file receiving trace and slow-query JSON lines, appended (empty = stderr)")
-		leafFmt  = flag.String("leaf-format", "", "require the index's persisted leaf format (exact, float32, grid8, legacy-row); the format itself is fixed at build time, so a mismatch refuses to serve (empty = accept any)")
-		scrubInt = flag.Duration("scrub-interval", 0, "run the background integrity scrubber this often while healthy (0 = disabled)")
-		scrubPPS = flag.Int("scrub-rate", 256, "scrubber page reads per second (-1 = unthrottled)")
-		chaos    = flag.Bool("chaos", false, "enable runtime fault injection, armed via POST /debug/fault on the ops listener (requires -ops-addr)")
+		addr     = fs.String("addr", ":8442", "listen address")
+		index    = fs.String("index", "", "index to serve: a page file (gausstree.Open) or a sharded directory (gausstree.OpenSharded)")
+		inflight = fs.Int("max-inflight", 64, "maximum concurrently executing requests (must be >= 1)")
+		queue    = fs.Int("queue", 128, "maximum requests waiting for an execution slot, beyond that: 429 (0 = reject as soon as all slots are busy)")
+		timeout  = fs.Duration("timeout", 30*time.Second, "per-request deadline ceiling (must be positive)")
+		readonly = fs.Bool("readonly", false, "refuse mutations (safe for horizontal read replicas)")
+		commitLt = fs.Duration("commit-latency", 0, "group-commit window: inserts wait at most this long to share one WAL fsync (0 = default 2ms; longer = fewer fsyncs, higher ack latency)")
+		cacheMB  = fs.Int("cache-mb", 50, "buffer cache budget in MB (must be >= 1)")
+		opsAddr  = fs.String("ops-addr", "", "expose GET /metrics and /debug/pprof/ on this loopback-only address (e.g. 127.0.0.1:6060 or :6060); empty = disabled")
+		traceSmp = fs.Float64("trace-sample", 0, "fraction of requests traced end to end, in [0,1] (0 = off); sampled traces go to -slow-query-log")
+		slowMS   = fs.Int64("slow-query-ms", 0, "log any request at least this slow as a completed trace, regardless of -trace-sample (0 = off)")
+		slowLog  = fs.String("slow-query-log", "", "file receiving trace and slow-query JSON lines, appended (empty = stderr)")
+		leafFmt  = fs.String("leaf-format", "", "require the index's persisted leaf format (exact, float32, grid8, legacy-row); the format itself is fixed at build time, so a mismatch refuses to serve (empty = accept any)")
+		scrubInt = fs.Duration("scrub-interval", 0, "run the background integrity scrubber this often while healthy (0 = disabled)")
+		scrubPPS = fs.Int("scrub-rate", 256, "scrubber page reads per second (positive, or -1 = unthrottled)")
+		chaos    = fs.Bool("chaos", false, "enable runtime fault injection, armed via POST /debug/fault on the ops listener (requires -ops-addr)")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
 	if *index == "" {
-		fmt.Fprintln(os.Stderr, "gaussd: -index is required")
-		flag.Usage()
-		os.Exit(2)
+		fs.Usage()
+		return config{}, errors.New("-index is required")
 	}
-	if *inflight < 1 {
-		fmt.Fprintln(os.Stderr, "gaussd: -max-inflight must be at least 1")
-		os.Exit(2)
+	var wantLeaf string
+	if *leafFmt != "" {
+		f, err := gausstree.ParseLeafFormat(*leafFmt)
+		if err != nil {
+			return config{}, err
+		}
+		wantLeaf = f.String()
 	}
-	if *queue < 0 {
-		fmt.Fprintln(os.Stderr, "gaussd: -queue must not be negative")
-		os.Exit(2)
+	for _, bad := range []struct {
+		refuse bool
+		msg    string
+	}{
+		{*inflight < 1, "-max-inflight must be at least 1"},
+		{*queue < 0, "-queue must not be negative"},
+		{*timeout <= 0, "-timeout must be positive"},
+		{*commitLt < 0, "-commit-latency must not be negative"},
+		{*cacheMB < 1, "-cache-mb must be at least 1"},
+		{!(*traceSmp >= 0 && *traceSmp <= 1), "-trace-sample must be in [0,1]"}, // NaN included
+		{*slowMS < 0, "-slow-query-ms must not be negative"},
+		{*scrubInt < 0, "-scrub-interval must not be negative"},
+		{*scrubPPS < -1 || *scrubPPS == 0, "-scrub-rate must be positive, or -1 for unthrottled"},
+		// Chaos without an ops listener would be unarmable dead weight, and
+		// the ops listener is what keeps the fault surface loopback-only.
+		{*chaos && *opsAddr == "", "-chaos requires -ops-addr (faults are armed via POST /debug/fault on the ops listener)"},
+	} {
+		if bad.refuse {
+			return config{}, errors.New(bad.msg)
+		}
 	}
 	maxQueue := *queue
 	if maxQueue == 0 {
@@ -103,47 +144,44 @@ func main() {
 		// "default", so translate to its explicit no-queue encoding.
 		maxQueue = -1
 	}
-
-	var wantLeaf string
-	if *leafFmt != "" {
-		f, err := gausstree.ParseLeafFormat(*leafFmt)
-		if err != nil {
-			fmt.Fprintln(os.Stderr, "gaussd:", err)
-			os.Exit(2)
-		}
-		wantLeaf = f.String()
-	}
-
-	if *traceSmp < 0 || *traceSmp > 1 {
-		fmt.Fprintln(os.Stderr, "gaussd: -trace-sample must be in [0,1]")
-		os.Exit(2)
-	}
-	if *slowMS < 0 {
-		fmt.Fprintln(os.Stderr, "gaussd: -slow-query-ms must not be negative")
-		os.Exit(2)
-	}
-	ops := *opsAddr
-	// Chaos without an ops listener would be unarmable dead weight, and the
-	// ops listener is what keeps the fault surface loopback-only.
 	var injector *gausstree.FaultInjector
 	if *chaos {
-		if ops == "" {
-			fmt.Fprintln(os.Stderr, "gaussd: -chaos requires -ops-addr (faults are armed via POST /debug/fault on the ops listener)")
-			os.Exit(2)
-		}
 		injector = gausstree.NewFaultInjector()
 	}
+	return config{
+		addr: *addr, index: *index, opsAddr: *opsAddr, wantLeaf: wantLeaf, slowLog: *slowLog,
+		opts: gausstree.Options{CacheBytes: *cacheMB << 20, CommitLatency: *commitLt, Fault: injector},
+		server: server.Config{
+			MaxInflight:        *inflight,
+			MaxQueue:           maxQueue,
+			Timeout:            *timeout,
+			ReadOnly:           *readonly,
+			TraceSample:        *traceSmp,
+			SlowQueryThreshold: time.Duration(*slowMS) * time.Millisecond,
+			ScrubInterval:      *scrubInt,
+			ScrubRate:          *scrubPPS,
+		},
+	}, nil
+}
 
-	// opts is shared with the supervisor's reopen closure below, so a healed
-	// index comes back with the same cache, commit and fault-layer shape.
-	opts := gausstree.Options{CacheBytes: *cacheMB << 20, CommitLatency: *commitLt, Fault: injector}
-	idx, err := openIndex(*index, opts)
-	fail(err)
-	if got := idx.LeafFormat(); wantLeaf != "" && got != wantLeaf {
-		idx.Close()
-		fail(fmt.Errorf("index %s stores leaf format %q, not the required %q (leaf formats are fixed when an index is built)", *index, got, wantLeaf))
+func main() {
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
 	}
-	fmt.Printf("gaussd: serving %s index %s: %d vectors, %d-d, %s leaves\n", idx.Kind(), *index, idx.Len(), idx.Dim(), idx.LeafFormat())
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gaussd:", err)
+		os.Exit(2)
+	}
+	ops, injector, opts := cfg.opsAddr, cfg.opts.Fault, cfg.opts
+
+	idx, err := openIndex(cfg.index, opts)
+	fail(err)
+	if got := idx.LeafFormat(); cfg.wantLeaf != "" && got != cfg.wantLeaf {
+		idx.Close()
+		fail(fmt.Errorf("index %s stores leaf format %q, not the required %q (leaf formats are fixed when an index is built)", cfg.index, got, cfg.wantLeaf))
+	}
+	fmt.Printf("gaussd: serving %s index %s: %d vectors, %d-d, %s leaves\n", idx.Kind(), cfg.index, idx.Len(), idx.Dim(), idx.LeafFormat())
 
 	// The metric registry only exists when something can scrape it: with no
 	// ops listener the request path skips metric updates entirely.
@@ -164,37 +202,29 @@ func main() {
 	}
 
 	var traceLog *os.File
-	if *traceSmp > 0 || *slowMS > 0 {
+	if cfg.server.TraceSample > 0 || cfg.server.SlowQueryThreshold > 0 {
 		traceLog = os.Stderr
-		if *slowLog != "" {
-			traceLog, err = os.OpenFile(*slowLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
+		if cfg.slowLog != "" {
+			traceLog, err = os.OpenFile(cfg.slowLog, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
 			fail(err)
 			defer traceLog.Close()
 		}
 	}
 
-	srv := server.New(idx, server.Config{
-		MaxInflight:        *inflight,
-		MaxQueue:           maxQueue,
-		Timeout:            *timeout,
-		ReadOnly:           *readonly,
-		Metrics:            reg,
-		TraceSample:        *traceSmp,
-		SlowQueryThreshold: time.Duration(*slowMS) * time.Millisecond,
-		TraceLog:           traceLogWriter(traceLog),
-		ScrubInterval:      *scrubInt,
-		ScrubRate:          *scrubPPS,
-		// The self-healing supervisor: reopen the same index path with the
-		// same options (WAL replay restores every acknowledged write).
-		Reopen: func() (server.Index, error) { return openIndex(*index, opts) },
-	})
+	sc := cfg.server
+	sc.Metrics = reg
+	sc.TraceLog = traceLogWriter(traceLog)
+	// The self-healing supervisor: reopen the same index path with the same
+	// options (WAL replay restores every acknowledged write).
+	sc.Reopen = func() (server.Index, error) { return openIndex(cfg.index, opts) }
+	srv := server.New(idx, sc)
 
 	// Serve until SIGINT/SIGTERM, then drain in-flight queries (bounded by
 	// one -timeout so a stuck query cannot wedge the restart) and sync/close
 	// the index — the daemon's answer to the durable engine's crash safety:
 	// a clean stop never needs recovery at all.
 	errc := make(chan error, 1)
-	go func() { errc <- srv.ListenAndServe(*addr) }()
+	go func() { errc <- srv.ListenAndServe(cfg.addr) }()
 	sig := make(chan os.Signal, 1)
 	signal.Notify(sig, os.Interrupt, syscall.SIGTERM)
 	select {
@@ -202,7 +232,7 @@ func main() {
 		fail(err)
 	case s := <-sig:
 		fmt.Printf("gaussd: %v, draining\n", s)
-		ctx, cancel := context.WithTimeout(context.Background(), *timeout)
+		ctx, cancel := context.WithTimeout(context.Background(), sc.Timeout)
 		defer cancel()
 		fail(srv.Shutdown(ctx))
 		if err := <-errc; err != nil && !errors.Is(err, http.ErrServerClosed) {

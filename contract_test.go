@@ -3,8 +3,11 @@ package gausstree_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"math"
 	"math/rand"
 	"path/filepath"
+	"sync/atomic"
 	"testing"
 
 	"github.com/gauss-tree/gausstree"
@@ -235,11 +238,82 @@ func TestContractQuarantineCoexists(t *testing.T) {
 	}
 }
 
+// answer is what a *Context query returned, in the one shape Tree and
+// Sharded share; rounds is 0 for a Tree, which does not report them.
+type answer struct {
+	ms     []gausstree.Match
+	st     gausstree.QueryStats
+	rounds int
+	err    error
+}
+
+// ask runs KMLIQContext (k > 0) or TIQContext (k == 0, threshold theta).
+func ask(ctx context.Context, idx anyIndex, q gausstree.Vector, k int, theta float64) answer {
+	switch x := idx.(type) {
+	case *gausstree.Tree:
+		if k > 0 {
+			ms, st, err := x.KMLIQContext(ctx, q, k)
+			return answer{ms, st, 0, err}
+		}
+		ms, st, err := x.TIQContext(ctx, q, theta)
+		return answer{ms, st, 0, err}
+	case *gausstree.Sharded:
+		if k > 0 {
+			ms, st, err := x.KMLIQContext(ctx, q, k)
+			return answer{ms, st.Stats, st.MergeRounds, err}
+		}
+		ms, st, err := x.TIQContext(ctx, q, theta)
+		return answer{ms, st.Stats, st.MergeRounds, err}
+	}
+	panic("unknown layout")
+}
+
+// sameAnswer reports how two answers differ ("" when they do not): matches
+// bit for bit, every counter and the error's text.
+func sameAnswer(a, b answer) string {
+	if fmt.Sprint(a.err) != fmt.Sprint(b.err) || a.st != b.st || len(a.ms) != len(b.ms) {
+		return fmt.Sprintf("%d matches, %+v, err %v | %d matches, %+v, err %v", len(a.ms), a.st, a.err, len(b.ms), b.st, b.err)
+	}
+	for i, m := range a.ms {
+		o := b.ms[i]
+		if !m.Vector.Equal(o.Vector) || math.Float64bits(m.ProbLow) != math.Float64bits(o.ProbLow) ||
+			math.Float64bits(m.ProbHigh) != math.Float64bits(o.ProbHigh) || math.Float64bits(m.LogDensity) != math.Float64bits(o.LogDensity) {
+			return fmt.Sprintf("match %d: %+v | %+v", i, m, o)
+		}
+	}
+	return ""
+}
+
+// expiringContext cancels itself on its (left+1)-th Err call: the traversal
+// asks before every node read, so the query is cancelled after exactly left
+// nodes, however fast the host is.
+type expiringContext struct {
+	context.Context
+	cancel context.CancelFunc
+	left   atomic.Int32
+}
+
+func expiresAfter(nodes int32) *expiringContext {
+	c := &expiringContext{}
+	c.Context, c.cancel = context.WithCancel(context.Background())
+	c.left.Store(nodes)
+	return c
+}
+
+func (c *expiringContext) Err() error {
+	if c.left.Add(-1) < 0 {
+		c.cancel()
+	}
+	return c.Context.Err()
+}
+
 // TestContractOneShardEqualsTree: a one-shard Sharded is a Tree in another
 // layout — after the same mutation sequence every gauge, counter and scrub
-// report agrees exactly.
+// report agrees exactly, and so does every query: matches, certified
+// intervals and what the traversal cost, in one merge round.
 func TestContractOneShardEqualsTree(t *testing.T) {
 	type observed struct {
+		answers  map[string]answer
 		wal      gausstree.WALStats
 		walOK    bool
 		epoch    uint64
@@ -293,6 +367,26 @@ func TestContractOneShardEqualsTree(t *testing.T) {
 		if err := idx.ForEach(func(v gausstree.Vector) error { o.contents[v.ID]++; return nil }); err != nil {
 			t.Fatal(err)
 		}
+		o.answers = map[string]answer{}
+		for i, v := range vs[100:130] {
+			q := gausstree.MustVector(0, []float64{v.Mean[0] + 0.3, v.Mean[1] - 0.2, v.Mean[2] + 0.1}, v.Sigma)
+			// The façade refuses θ = 0; both layouts must, identically.
+			for _, theta := range []float64{0, 0.05, 0.5, 0.8, 1} {
+				o.answers[fmt.Sprintf("q%d tiq(%v)", i, theta)] = ask(context.Background(), idx, q, 0, theta)
+			}
+			for _, k := range []int{1, 3, 10} {
+				o.answers[fmt.Sprintf("q%d kmliq(%d)", i, k)] = ask(context.Background(), idx, q, k, 0)
+			}
+			// Cancelled after two nodes: the error is the context's, the
+			// statistics are what those two nodes cost.
+			for _, k := range []int{0, 3} {
+				a := ask(expiresAfter(2), idx, q, k, 0.5)
+				if a.err != context.Canceled || a.ms != nil || a.st.NodesVisited != 2 || a.st.PageAccesses != 2 {
+					t.Errorf("q%d k=%d cancelled after 2 nodes: %d matches, %+v, err %v", i, k, len(a.ms), a.st, a.err)
+				}
+				o.answers[fmt.Sprintf("q%d cancelled(%d)", i, k)] = a
+			}
+		}
 		return o
 	}
 	for _, file := range []bool{false, true} {
@@ -317,6 +411,22 @@ func TestContractOneShardEqualsTree(t *testing.T) {
 			}
 			if tree.len != 315 || one.len != 315 || len(tree.contents) != len(one.contents) {
 				t.Errorf("contents: tree %d vectors, one shard %d, want 315", tree.len, one.len)
+			}
+			early := 0
+			for name, a := range tree.answers {
+				b := one.answers[name]
+				if diff := sameAnswer(a, b); diff != "" {
+					t.Errorf("%s: tree | one shard: %s", name, diff)
+				}
+				if b.err == nil && b.rounds != 1 {
+					t.Errorf("%s: one shard took %d merge rounds", name, b.rounds)
+				}
+				if a.st.EarlyTermination {
+					early++
+				}
+			}
+			if early == 0 {
+				t.Error("no query terminated early: the comparison never exercised a stop test")
 			}
 		})
 	}

@@ -119,9 +119,9 @@
 // ordered by their hull bound ˆN(q), leaf objects are scored exactly, and
 // probability-reporting queries (k-MLIQ, TIQ) keep a certified interval
 // around the Bayes denominator — the exact sum of everything scored plus the
-// n·ˇN / n·ˆN sum bounds of everything still queued (§5.2.2). All four
-// drivers (tree and sharded-cursor k-MLIQ and TIQ) stop on one kernel: the
-// interval is folded into two log-space bounds once per expansion, threshold
+// n·ˇN / n·ˆN sum bounds of everything still queued (§5.2.2). Both are
+// driven by one resumable cursor, which stops on one kernel: the interval
+// is folded into two log-space bounds once per expansion, threshold
 // tests are comparisons against them (ld − lnLow ≥ ln θ, with the exact
 // exp-space form only within 1e-9 nats of the boundary, so no answer
 // depends on the representation), and the width of every reported interval
@@ -156,12 +156,22 @@
 // The §5.2.2 sum bounds are additive over disjoint partitions, so an index
 // is any number of Gauss-trees and a single tree is the one-partition case.
 // Tree and Sharded share one implementation of everything but the file
-// layout and the query driver: New keeps one page file, NewSharded n of
-// them under the directory Options.Path (reattached with OpenSharded), and
-// Sharded's queries fan out to all shards concurrently, merging per-shard
-// denominator intervals by log-sum-exp into one global interval before any
-// probability is reported — exactly the certification a single tree over
-// all the data would produce:
+// layout: New keeps one page file, NewSharded n of them under the directory
+// Options.Path (reattached with OpenSharded). There is one query path,
+// cursor → coordinator → façade: a cursor per shard runs the traversal to
+// its query type's stop test and hands out candidates and its part of the
+// denominator interval; the coordinator merges the parts by log-sum-exp
+// into one global interval before any probability is reported — exactly
+// the certification a single tree over all the data would produce — and,
+// while a decision is still open, resumes the cursors with a smaller budget
+// of unexplored mass. A Tree is the coordinator at one shard. Its cursor
+// has no peers, which changes one thing in the stop test: a shard among
+// several cannot certify a threshold candidate (its peers' mass is missing
+// from every upper bound it knows) and stops once no subtree can qualify;
+// alone, the cursor's bounds are the denominator's, so it stops on the
+// paper's Figure 5 — weakest candidate certified, widths within accuracy —
+// and the one round it takes is the paper's algorithm page for page, on
+// the caller's goroutine:
 //
 //	idx, _ := gausstree.NewSharded(3, 4, gausstree.Options{Path: "idx-dir"})
 //	idx.BulkLoad(vectors)

@@ -72,18 +72,14 @@ func ParseLeafFormat(s string) (LeafFormat, error) { return core.ParseLeafFormat
 // flow through every layer without translation.
 type QueryStats = query.Stats
 
-// Match is one answer of an identification query.
-type Match struct {
-	// Vector is the matching database object.
-	Vector Vector
-	// Probability is the Bayesian identification probability P(v|q); NaN
-	// for ranked-only queries.
-	Probability float64
-	// ProbLow and ProbHigh are the certified bounds on Probability.
-	ProbLow, ProbHigh float64
-	// LogDensity is the joint log density ln p(q|v) (a relative score).
-	LogDensity float64
-}
+// Match is one answer of an identification query: the matching database
+// object (Vector), its Bayesian identification probability P(v|q)
+// (Probability; NaN for ranked-only queries) with the certified bounds
+// ProbLow and ProbHigh on it, and the joint log density ln p(q|v)
+// (LogDensity, a relative score). Like Vector and QueryStats it is an alias
+// of the engine-layer type, so results flow through every layer without
+// translation; it marshals to JSON with stable lowercase keys.
+type Match = query.Result
 
 // Options configure a Tree.
 type Options struct {
@@ -163,11 +159,11 @@ func resolveOptions(opts []Options) Options {
 // documentation).
 //
 // A Tree is the one-partition layout of the index implementation it shares
-// with Sharded: one page file plus "<path>.wal". Its queries run the
-// stand-alone drivers of the paper's algorithm on that one tree.
+// with Sharded: one page file plus "<path>.wal". Its queries are the
+// coordinator's at one shard, which is the paper's algorithm on that one
+// tree (see "Sharding" in the package documentation).
 type Tree struct {
 	index
-	tree *core.Tree // the only unit's tree, for the stand-alone query drivers
 }
 
 // New creates an empty Gauss-tree for vectors of the given dimension. With
@@ -217,7 +213,7 @@ func treeFiles(path string) unitFiles {
 }
 
 func newTree(u unit, o Options) (*Tree, error) {
-	t := &Tree{tree: u.tree}
+	t := &Tree{}
 	var err error
 	if o.Ingest != nil {
 		t.ing, err = newIngester(*o.Ingest, u.tree)
@@ -234,10 +230,11 @@ func newTree(u unit, o Options) (*Tree, error) {
 
 // Height returns the tree height (1 = the root is a leaf; 0 after Close).
 func (t *Tree) Height() int {
-	if t.st.Load() == nil {
+	st := t.st.Load()
+	if st == nil {
 		return 0
 	}
-	return t.tree.Height()
+	return st.units[0].tree.Height()
 }
 
 // InsertContext is Insert with a context bounding the merge-ingest
@@ -250,17 +247,6 @@ func (t *Tree) InsertContext(ctx context.Context, v Vector) error {
 	return t.insert(ctx, v)
 }
 
-// KMostLikely answers a k-most-likely identification query (the paper's
-// k-MLIQ, Definition 3): the k objects with the highest identification
-// probability P(v|q), with probabilities certified to the tree's configured
-// accuracy. Results are ordered by descending probability. It is
-// KMLIQContext without cancellation or statistics.
-func (t *Tree) KMostLikely(q Vector, k int) ([]Match, error) {
-	//lint:ignore ctxflow KMostLikely is the documented context-free compat API; the Context form is the bounded one.
-	ms, _, err := t.KMLIQContext(context.Background(), q, k)
-	return ms, err
-}
-
 // KMLIQContext is KMostLikely with cancellation and per-query statistics:
 // when ctx is cancelled the traversal stops promptly and returns ctx.Err()
 // along with the statistics accumulated so far. Queries from any number of
@@ -268,50 +254,21 @@ func (t *Tree) KMostLikely(q Vector, k int) ([]Match, error) {
 // query pins the snapshot published by the last committed mutation and
 // never takes the tree lock.
 func (t *Tree) KMLIQContext(ctx context.Context, q Vector, k int) ([]Match, QueryStats, error) {
-	if _, err := t.kQuery(q, k); err != nil {
-		return nil, QueryStats{}, err
-	}
-	res, stats, err := t.tree.KMLIQ(ctx, q, k, t.opts.Accuracy)
-	return toMatches(res), stats, err
-}
-
-// KMostLikelyRanked answers a k-MLIQ without computing probability values
-// (the paper's basic algorithm, §5.2.1). It touches the fewest pages; the
-// returned matches carry log densities and NaN probabilities. It is
-// KMLIQRankedContext without cancellation or statistics.
-func (t *Tree) KMostLikelyRanked(q Vector, k int) ([]Match, error) {
-	//lint:ignore ctxflow KMostLikelyRanked is the documented context-free compat API; the Context form is the bounded one.
-	ms, _, err := t.KMLIQRankedContext(context.Background(), q, k)
-	return ms, err
+	ms, st, err := t.kmliq(ctx, q, k)
+	return ms, st.Stats, err
 }
 
 // KMLIQRankedContext is KMostLikelyRanked with cancellation and per-query
 // statistics.
 func (t *Tree) KMLIQRankedContext(ctx context.Context, q Vector, k int) ([]Match, QueryStats, error) {
-	if _, err := t.kQuery(q, k); err != nil {
-		return nil, QueryStats{}, err
-	}
-	res, stats, err := t.tree.KMLIQRanked(ctx, q, k)
-	return toMatches(res), stats, err
-}
-
-// Threshold answers a threshold identification query (the paper's TIQ,
-// Definition 2): every object with P(v|q) ≥ pTheta. Results are ordered by
-// descending probability. It is TIQContext without cancellation or
-// statistics.
-func (t *Tree) Threshold(q Vector, pTheta float64) ([]Match, error) {
-	//lint:ignore ctxflow Threshold is the documented context-free compat API; the Context form is the bounded one.
-	ms, _, err := t.TIQContext(context.Background(), q, pTheta)
-	return ms, err
+	ms, st, err := t.ranked(ctx, q, k)
+	return ms, st.Stats, err
 }
 
 // TIQContext is Threshold with cancellation and per-query statistics.
 func (t *Tree) TIQContext(ctx context.Context, q Vector, pTheta float64) ([]Match, QueryStats, error) {
-	if _, err := t.thetaQuery(q, pTheta); err != nil {
-		return nil, QueryStats{}, err
-	}
-	res, stats, err := t.tree.TIQ(ctx, q, pTheta, t.opts.Accuracy)
-	return toMatches(res), stats, err
+	ms, st, err := t.tiq(ctx, q, pTheta)
+	return ms, st.Stats, err
 }
 
 // Posterior computes the exact identification probabilities P(vᵢ|q) of a
@@ -326,18 +283,4 @@ func Posterior(c Combiner, db []Vector, q Vector) []float64 {
 // Lemma 1 for two probabilistic feature vectors.
 func JointLogDensity(c Combiner, v, q Vector) float64 {
 	return pfv.JointLogDensity(c, v, q)
-}
-
-func toMatches(rs []query.Result) []Match {
-	out := make([]Match, len(rs))
-	for i, r := range rs {
-		out[i] = Match{
-			Vector:      r.Vector,
-			Probability: r.Probability,
-			ProbLow:     r.ProbLow,
-			ProbHigh:    r.ProbHigh,
-			LogDensity:  r.LogDensity,
-		}
-	}
-	return out
 }

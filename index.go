@@ -163,7 +163,9 @@ type state struct {
 
 // index is the one implementation behind Tree and Sharded. Both embed it,
 // so its exported methods are their methods; what the two types add is the
-// file layout their constructors choose and the query drivers they call.
+// file layout their constructors choose and how much of a query's
+// statistics their *Context methods return (Tree the aggregate, Sharded the
+// per-shard breakdown too).
 type index struct {
 	mu   sync.Mutex // serializes mutations and Close; never held by reads
 	st   atomic.Pointer[state]
@@ -199,22 +201,75 @@ func (x *index) state() (*state, error) {
 	return st, nil
 }
 
-// kQuery is state plus the argument checks of the k-MLIQ variants.
-func (x *index) kQuery(q Vector, k int) (*state, error) {
+// queryState is state plus a query's argument checks: the vector against
+// the index's dimension, and argErr, the verdict on its second argument.
+func (x *index) queryState(q Vector, argErr error) (*state, error) {
 	st, err := x.state()
 	if err == nil {
-		err = errors.Join(checkQueryVector(q, st.eng.Dim()), checkK(k))
+		err = errors.Join(checkQueryVector(q, st.eng.Dim()), argErr)
 	}
 	return st, err
 }
 
-// thetaQuery is state plus the argument checks of the TIQ variants.
-func (x *index) thetaQuery(q Vector, pTheta float64) (*state, error) {
-	st, err := x.state()
-	if err == nil {
-		err = errors.Join(checkQueryVector(q, st.eng.Dim()), checkPTheta(pTheta))
+// KMostLikely answers a k-most-likely identification query (the paper's
+// k-MLIQ, Definition 3): the k objects with the highest identification
+// probability P(v|q), with probabilities certified to the configured
+// accuracy — across shards, by the merged denominator interval. Results are
+// ordered by descending probability. It is KMLIQContext without
+// cancellation or statistics.
+func (x *index) KMostLikely(q Vector, k int) ([]Match, error) {
+	//lint:ignore ctxflow KMostLikely is the documented context-free compat API; the Context form is the bounded one.
+	ms, _, err := x.kmliq(context.Background(), q, k)
+	return ms, err
+}
+
+// KMostLikelyRanked answers a k-MLIQ without computing probability values
+// (the paper's basic algorithm, §5.2.1). It touches the fewest pages — and
+// needs no denominator merge, the global density order being the merge of
+// the per-shard orders; the returned matches carry log densities and NaN
+// probabilities. It is KMLIQRankedContext without cancellation or
+// statistics.
+func (x *index) KMostLikelyRanked(q Vector, k int) ([]Match, error) {
+	//lint:ignore ctxflow KMostLikelyRanked is the documented context-free compat API; the Context form is the bounded one.
+	ms, _, err := x.ranked(context.Background(), q, k)
+	return ms, err
+}
+
+// Threshold answers a threshold identification query (the paper's TIQ,
+// Definition 2): every object with P(v|q) ≥ pTheta, decided exactly — across
+// shards, by iterative refinement of the merged denominator. Results are
+// ordered by descending probability. It is TIQContext without cancellation
+// or statistics.
+func (x *index) Threshold(q Vector, pTheta float64) ([]Match, error) {
+	//lint:ignore ctxflow Threshold is the documented context-free compat API; the Context form is the bounded one.
+	ms, _, err := x.tiq(context.Background(), q, pTheta)
+	return ms, err
+}
+
+// kmliq, ranked and tiq are the one query path: argument checks, then the
+// coordinator over however many shards the index has.
+func (x *index) kmliq(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
+	st, err := x.queryState(q, checkK(k))
+	if err != nil {
+		return nil, ShardedQueryStats{}, err
 	}
-	return st, err
+	return st.eng.KMLIQDetail(ctx, q, k, x.opts.Accuracy)
+}
+
+func (x *index) ranked(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
+	st, err := x.queryState(q, checkK(k))
+	if err != nil {
+		return nil, ShardedQueryStats{}, err
+	}
+	return st.eng.KMLIQRankedDetail(ctx, q, k)
+}
+
+func (x *index) tiq(ctx context.Context, q Vector, pTheta float64) ([]Match, ShardedQueryStats, error) {
+	st, err := x.queryState(q, checkPTheta(pTheta))
+	if err != nil {
+		return nil, ShardedQueryStats{}, err
+	}
+	return st.eng.TIQDetail(ctx, q, pTheta, x.opts.Accuracy)
 }
 
 // Dim returns the feature dimensionality of the index (0 after Close).

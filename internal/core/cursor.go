@@ -7,28 +7,25 @@ import (
 	"slices"
 
 	"github.com/gauss-tree/gausstree/internal/pfv"
-	"github.com/gauss-tree/gausstree/internal/pqueue"
 	"github.com/gauss-tree/gausstree/internal/query"
 )
 
-// This file is the coordination surface of the sharded engine
-// (internal/shard): resumable query cursors that expose the per-tree
-// denominator interval instead of finished probabilities.
+// This file is the one driver of every probability query: a resumable
+// cursor over the shared best-first traversal (executor.go) that exposes
+// the tree's denominator interval instead of finished probabilities.
 //
-// The paper's identification probability P(v|q) = p(q|v) / Σ_w p(q|w) is a
-// global quantity — the Bayes denominator sums over the ENTIRE database. A
-// tree that holds only one shard of the data can therefore never finish a
+// The Bayes denominator of P(v|q) = p(q|v) / Σ_w p(q|w) sums over the ENTIRE
+// database, so a tree that holds one shard of the data can never finish a
 // probability on its own; what it CAN certify, by the additive structure of
 // §5.2.2's n·ˇN/n·ˆN sum bounds, is an interval around its own contribution
-// to the denominator. A cursor runs the shared best-first traversal
-// (executor.go) up to a caller-chosen certification target, pauses, and
-// hands out (a) its candidates with exact joint log densities and (b) its
-// DenomParts. The shard coordinator merges the parts of all trees by
-// log-sum-exp, decides globally, and — when the merged interval is still too
-// wide — resumes the cursors with a stricter target. Because exact sums and
-// floor/hull bounds are additive across disjoint data partitions, the merged
-// interval certifies merged probabilities exactly as one tree over the union
-// of the data would.
+// to the denominator. A cursor runs the traversal up to a stop test, pauses,
+// and hands out its candidates with exact joint log densities and its
+// DenomParts; the coordinator (internal/shard) merges the parts of all
+// trees, decides globally, and resumes the cursors with a stricter target
+// while the merged interval is too wide. A tree that is the whole database
+// is the one-part case: its cursor has no peers, stops on the paper's own
+// condition (see Cursor), and one Refine answers the query — Tree.KMLIQ and
+// Tree.TIQ are exactly that.
 
 // DenomParts are the log-space components of one tree's certified
 // contribution to the global Bayes denominator Σ_w p(q|w):
@@ -62,172 +59,119 @@ func (p DenomParts) LogLow() float64 { return logAddExp(p.LogExact, p.LogFloor) 
 // LogHigh returns the log of the certified upper denominator bound.
 func (p DenomParts) LogHigh() float64 { return logAddExp(p.LogExact, p.LogHull) }
 
-// LogGap is the multiplicative width of the certified denominator interval,
-// ln(high/low). It is 0 when the traversal has exhausted the tree (the
-// denominator is then known exactly, including the empty-tree case) and +Inf
-// while no lower bound has been established yet.
-func (p DenomParts) LogGap() float64 {
-	hi, lo := p.LogHigh(), p.LogLow()
-	if math.IsInf(hi, -1) {
-		return 0 // nothing unexplored and nothing scored: exactly zero mass
-	}
-	if math.IsInf(lo, -1) {
-		return math.Inf(1)
-	}
-	return hi - lo
-}
-
 // ProbInterval converts a candidate's joint log density into the certified
 // probability interval implied by this denominator interval (see probInterval).
 func (p DenomParts) ProbInterval(logDensity float64) (lo, hi float64) {
 	return probInterval(logDensity, p.LogLow(), p.LogHigh())
 }
 
-// Candidate is one result candidate of a paused cursor: a database object
-// (a copy the caller owns) with its exact joint log density ln p(q|v).
-// Probabilities are deliberately absent — they require the merged global
-// denominator.
+// Candidate is one result candidate of a paused cursor: a stored object,
+// named by its place in a decoded leaf, with its exact joint log density
+// ln p(q|v). Probabilities are deliberately absent — they require the merged
+// global denominator — and so is the row-major vector: Results builds it for
+// what a query returns. A Candidate is valid until its cursor is closed.
 type Candidate struct {
-	Vector     pfv.Vector
+	ref        vecRef
 	LogDensity float64
 }
 
 // SortCandidates orders by descending log density, ties by ascending id —
 // the same order query.SortByProbability induces once a shared denominator
-// turns densities into probabilities. It is the one canonical candidate
-// order; the shard merge uses it so sharded and unsharded orderings can
-// never diverge.
+// turns densities into probabilities.
 func SortCandidates(cs []Candidate) {
 	slices.SortFunc(cs, func(a, b Candidate) int {
 		if c := cmp.Compare(b.LogDensity, a.LogDensity); c != 0 {
 			return c
 		}
-		return cmp.Compare(a.Vector.ID, b.Vector.ID)
+		return cmp.Compare(a.ref.cols.IDs[a.ref.j], b.ref.cols.IDs[b.ref.j])
 	})
 }
 
-// KMLIQCursor is a resumable k-MLIQ traversal over one tree. Refine runs it
-// until the local top-k ranking is determined and the tree's denominator
-// interval is certified to a target width; Candidates and DenomParts expose
-// the paused state for cross-tree merging.
-type KMLIQCursor struct {
-	tr  *traversal
-	top *pqueue.TopK[vecRef]
-	err error
-	// shard labels this cursor's trace spans (-1 when standalone); refines
-	// numbers Refine calls from 1 so spans line up with merge rounds.
-	shard   int
-	refines int
-}
-
-// NewKMLIQCursor starts a resumable k-MLIQ traversal. No pages are read
-// until the first Refine.
-func (t *Tree) NewKMLIQCursor(ctx context.Context, q pfv.Vector, k int) (*KMLIQCursor, error) {
-	if err := t.checkQuery(q, k); err != nil {
-		return nil, err
+// Results is the one place candidates become answers: every candidate's
+// density over the certified denominator interval of parts — the tree's own
+// for a stand-alone query, the merged one for a sharded query — as a
+// probability interval and its midpoint, best first. The vectors are copies
+// the caller owns.
+func Results(cs []Candidate, parts DenomParts) []query.Result {
+	out := make([]query.Result, len(cs))
+	for i, c := range cs {
+		lo, hi := parts.ProbInterval(c.LogDensity)
+		out[i] = query.Result{
+			Vector:      c.ref.vector(),
+			LogDensity:  c.LogDensity,
+			Probability: (lo + hi) / 2,
+			ProbLow:     lo,
+			ProbHigh:    hi,
+		}
 	}
-	top := acquireTopK(k)
-	tr := t.newTraversal(ctx, q, true, func(r vecRef, ld float64) {
-		top.Offer(r, ld)
-	})
-	return &KMLIQCursor{tr: tr, top: top, shard: -1}, nil
-}
-
-// TraceShard labels the cursor's trace spans with the shard index it
-// serves, so a sharded query's slow-query log attributes pages and time per
-// shard. No-op on untraced queries.
-func (c *KMLIQCursor) TraceShard(i int) { c.shard = i }
-
-// Close returns the cursor's pooled traversal and collector state to the
-// query pools and releases the cursor's snapshot pin. The cursor is
-// unusable afterwards. Always close cursors: beyond keeping steady-state
-// sharded queries allocation-free, an unclosed cursor pins its snapshot
-// epoch and blocks page reclamation for every later mutation.
-func (c *KMLIQCursor) Close() {
-	if c.tr == nil {
-		return
-	}
-	c.tr.release()
-	c.tr = nil
-	releaseTopK(c.top)
-	c.top = nil
-}
-
-// Refine resumes the traversal until (a) the local top-k set is determined
-// and every local candidate's probability interval against the LOCAL
-// denominator is within accuracy — the exact §5.2.2 stop condition a
-// stand-alone tree would use, so the first round costs what an unsharded
-// query costs — and (b) the unexplored hull mass is at most
-// exp(maxLogUnexplored) (+Inf skips the condition). Calling Refine again
-// with a smaller mass target resumes exactly where the previous call
-// paused; the coordinator computes the target from whatever certification
-// the merged denominator interval is still missing. After an error
-// (including context cancellation) the cursor is dead and returns the same
-// error from every subsequent Refine.
-func (c *KMLIQCursor) Refine(accuracy, maxLogUnexplored float64) error {
-	if c.err != nil {
-		return c.err
-	}
-	c.refines++
-	sp := c.tr.traceBegin()
-	c.err = c.tr.run(func() bool {
-		return mliqDone(c.top, c.tr, accuracy) && c.tr.denom.fold().parts.LogHull <= maxLogUnexplored
-	})
-	c.tr.traceEnd(sp, "kmliq_refine", c.shard, c.refines)
-	return c.err
-}
-
-// Candidates returns the current local top-k, best first. The cursor remains
-// usable — the candidate heap is copied, not drained.
-func (c *KMLIQCursor) Candidates() []Candidate {
-	out := make([]Candidate, 0, c.top.Len())
-	c.top.Items(func(r vecRef, ld float64) {
-		out = append(out, Candidate{Vector: r.vector(), LogDensity: ld})
-	})
-	SortCandidates(out)
+	query.SortByProbability(out)
 	return out
 }
 
-// DenomParts returns the tree's current certified denominator components.
-func (c *KMLIQCursor) DenomParts() DenomParts { return c.tr.denom.fold().parts }
+// collector is what a query type brings to the cursor: the candidates it
+// keeps of the vectors the traversal scores, and when it may stop.
+type collector interface {
+	offer(r vecRef, ld float64)
+	// done is the query type's stop test, run between expansions against
+	// the traversal's queue and denominator bounds. logPeerLow is the
+	// certified log lower bound of the other shards' denominator mass (−Inf:
+	// none known); alone says there are no other shards, so the tree's
+	// bounds are the whole denominator's and candidates can be certified
+	// here.
+	done(tr *traversal, accuracy, logPeerLow float64, alone bool) bool
+	// prune drops candidates that cannot qualify against the denominator
+	// lower bound logLow.
+	prune(logLow float64)
+	len() int
+	// appendTo appends the kept objects to dst in unspecified order.
+	appendTo(dst []Candidate) []Candidate
+	// release returns pooled state cleared: nothing pooled pins a leaf.
+	release()
+}
 
-// Exhausted reports whether the traversal has explored the whole tree (the
-// denominator contribution is then exact and Refine can tighten no further).
-func (c *KMLIQCursor) Exhausted() bool { return c.tr.started && c.tr.active.Len() == 0 }
-
-// Stats returns the query statistics accumulated over all Refine calls.
-func (c *KMLIQCursor) Stats() query.Stats { return c.tr.finish(c.top.Len()) }
-
-// TIQCursor is a resumable threshold identification traversal over one
-// tree. It retains every candidate that could still reach the threshold
-// against the combined (local + external) denominator lower bound; the
-// in/out decisions belong to the coordinator and its merged interval.
-type TIQCursor struct {
-	tr  *traversal
-	col *tiqCollector
-	err error
-	// shard / refines: trace span attribution, as on KMLIQCursor.
+// Cursor is a resumable k-MLIQ or TIQ traversal over one tree. Refine runs
+// it until its collector's stop test holds and the unexplored hull mass is
+// within a budget; Candidates and DenomParts expose the paused state for
+// cross-tree merging.
+//
+// A cursor is opened over a whole database: it has no peers, and its stop
+// test is the paper's own — for TIQ, Figure 5: no unexplored subtree can
+// still qualify, the weakest candidate is certified against the upper
+// denominator bound, and every width is within accuracy. AsShard makes it
+// one of several: what the peers hold is unknown mass in every denominator,
+// so no candidate can be certified locally, and a threshold cursor stops
+// once no subtree can qualify, leaving certification to the coordinator's
+// merged interval and the mass budget of the next Refine.
+type Cursor struct {
+	tr       *traversal
+	col      collector
+	accuracy float64
+	err      error
+	// span names the trace span of each Refine; shard labels it (−1: not a
+	// shard) and refines numbers it from 1, in step with the merge rounds.
+	span    string
 	shard   int
 	refines int
 }
 
-// NewTIQCursor starts a resumable TIQ traversal. No pages are read until the
-// first Refine.
-func (t *Tree) NewTIQCursor(ctx context.Context, q pfv.Vector, pTheta float64) (*TIQCursor, error) {
-	col, err := t.newTIQCollector(q, pTheta)
-	if err != nil {
-		return nil, err
-	}
-	return &TIQCursor{tr: t.newTraversal(ctx, q, true, col.offer), col: col, shard: -1}, nil
+func (t *Tree) openCursor(ctx context.Context, q pfv.Vector, col collector, accuracy float64, span string) *Cursor {
+	return &Cursor{tr: t.newTraversal(ctx, q, true, col), col: col, accuracy: accuracy, span: span, shard: -1}
 }
 
-// TraceShard labels the cursor's trace spans with the shard index it
-// serves; see KMLIQCursor.TraceShard.
-func (c *TIQCursor) TraceShard(i int) { c.shard = i }
+// AsShard tells the cursor it serves shard i of a partitioned database: its
+// denominator bounds cover one part only (see Cursor), and its trace spans
+// are named "<query>_refine" and labelled with the shard and the round.
+func (c *Cursor) AsShard(i int) {
+	c.shard = i
+	c.span += "_refine"
+}
 
-// Close returns the cursor's pooled traversal and candidate state to the
-// query pools. The cursor is unusable afterwards; see KMLIQCursor.Close.
-func (c *TIQCursor) Close() {
+// Close returns the cursor's pooled traversal and collector state to the
+// query pools and releases the cursor's snapshot pin. The cursor and its
+// Candidates are unusable afterwards. Always close cursors: beyond keeping
+// steady-state queries allocation-free, an unclosed cursor pins its
+// snapshot epoch and blocks page reclamation for every later mutation.
+func (c *Cursor) Close() {
 	if c.tr == nil {
 		return
 	}
@@ -237,51 +181,69 @@ func (c *TIQCursor) Close() {
 	c.col = nil
 }
 
-// Refine resumes the traversal until no unexplored subtree can hold an
-// object that still reaches the threshold against the combined denominator
-// lower bound, and the unexplored hull mass is at most exp(maxLogUnexplored)
-// (+Inf skips the condition: the stand-alone TIQ cost on the first round).
+// Refine resumes the traversal until the collector's stop test holds (see
+// collector.done) and the unexplored hull mass is at most
+// exp(maxLogUnexplored); +Inf skips the budget, so the first round of a
+// sharded query costs each shard what a stand-alone query costs. Calling
+// Refine again with a smaller budget resumes exactly where the previous
+// call paused; the coordinator computes the budget from whatever
+// certification the merged denominator interval is still missing.
 //
-// logExternalLow is the certified log lower bound of every OTHER shard's
-// denominator contribution (−Inf when unknown). Because per-shard lower
-// bounds only grow, a bound taken from a previous merge round is still
-// valid, and feeding it back both prunes candidates and disqualifies
-// subtrees earlier than a tree-local TIQ could. The combined bound is
-// monotone too, so dropped candidates are final (see tiqCollector).
-func (c *TIQCursor) Refine(maxLogUnexplored, logExternalLow float64) error {
+// logPeerLow is the certified log lower bound of every OTHER shard's
+// denominator contribution (−Inf when unknown or when there is none).
+// Per-shard lower bounds only grow, so a bound taken from a previous merge
+// round is still valid, and feeding it back both prunes threshold
+// candidates and disqualifies subtrees earlier than a tree-local TIQ could.
+//
+// After an error (including context cancellation) the cursor is dead and
+// returns the same error from every subsequent Refine.
+func (c *Cursor) Refine(maxLogUnexplored, logPeerLow float64) error {
 	if c.err != nil {
 		return c.err
 	}
 	c.refines++
+	alone := c.shard < 0
 	sp := c.tr.traceBegin()
-	defer func() { c.tr.traceEnd(sp, "tiq_refine", c.shard, c.refines) }()
 	c.err = c.tr.run(func() bool {
-		b := c.tr.denom.fold()
-		return c.col.settled(c.tr, logAddExp(b.logLow, logExternalLow)) && b.parts.LogHull <= maxLogUnexplored
+		// fold is memoised, and put off until a test needs the bounds.
+		return c.col.done(c.tr, c.accuracy, logPeerLow, alone) && c.tr.denom.fold().parts.LogHull <= maxLogUnexplored
 	})
+	round := c.refines
+	if alone {
+		round = -1
+	}
+	c.tr.traceEnd(sp, c.span, c.shard, round)
 	return c.err
 }
 
-// Candidates returns the surviving candidates, best first. The cursor
-// remains usable — the candidate set is copied, not drained.
-func (c *TIQCursor) Candidates() []Candidate {
-	out := make([]Candidate, 0, c.col.candidates.Len())
-	c.col.candidates.Items(func(r vecRef, ld float64) {
-		out = append(out, Candidate{Vector: r.vector(), LogDensity: ld})
-	})
-	SortCandidates(out)
-	return out
+// Candidates appends the current candidates to dst in unspecified order,
+// having dropped those that cannot qualify against the tree's own certified
+// denominator lower bound combined with its peers' logPeerLow (a traversal
+// that ran out of tree ends without a last stop test; this is that test's
+// pruning against the final bounds). The cursor remains usable — the
+// candidate set is read, not drained.
+func (c *Cursor) Candidates(dst []Candidate, logPeerLow float64) []Candidate {
+	c.col.prune(logAddExp(c.tr.denom.fold().logLow, logPeerLow))
+	return c.col.appendTo(slices.Grow(dst, c.col.len()))
 }
 
-// Prune applies the threshold filter against an up-to-date combined
-// denominator lower bound (local LogLow merged with the other shards').
-func (c *TIQCursor) Prune(logCombinedLow float64) { c.col.prune(logCombinedLow) }
-
 // DenomParts returns the tree's current certified denominator components.
-func (c *TIQCursor) DenomParts() DenomParts { return c.tr.denom.fold().parts }
+func (c *Cursor) DenomParts() DenomParts { return c.tr.denom.fold().parts }
 
-// Exhausted reports whether the traversal has explored the whole tree.
-func (c *TIQCursor) Exhausted() bool { return c.tr.started && c.tr.active.Len() == 0 }
+// Exhausted reports whether the traversal has explored the whole tree (the
+// denominator contribution is then exact and Refine can tighten no further).
+func (c *Cursor) Exhausted() bool { return c.tr.started && c.tr.active.Len() == 0 }
 
 // Stats returns the query statistics accumulated over all Refine calls.
-func (c *TIQCursor) Stats() query.Stats { return c.tr.finish(c.col.candidates.Len()) }
+func (c *Cursor) Stats() query.Stats { return c.tr.finish(c.col.len()) }
+
+// answer is the stand-alone query over an opened cursor: the tree is the
+// whole database, so one Refine runs to the paper's stop condition and the
+// tree's own denominator interval certifies the candidates.
+func (c *Cursor) answer() ([]query.Result, query.Stats, error) {
+	defer c.Close()
+	if err := c.Refine(math.Inf(1), math.Inf(-1)); err != nil {
+		return nil, c.Stats(), err
+	}
+	return Results(c.Candidates(nil, math.Inf(-1)), c.DenomParts()), c.Stats(), nil
+}

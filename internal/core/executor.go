@@ -20,15 +20,13 @@ var _ query.Engine = (*Tree)(nil)
 // query (§5.2): an active-node max-queue ordered by the hull priority ˆN(q),
 // node reads charged to a per-query counter, leaf/inner dispatch into a
 // candidate collector, optional Bayes-denominator interval tracking
-// (§5.2.2), and a pluggable stop condition. KMLIQRanked, KMLIQ and TIQ are
-// thin policies over this one loop — they differ only in what they collect
-// and when they stop.
+// (§5.2.2), and a pluggable stop condition. KMLIQRanked and the cursor of
+// the probability queries (cursor.go) are thin policies over this one loop —
+// they differ only in what they collect and when they stop.
 //
-// Traversals are pooled: one-shot queries acquire with newTraversal and
-// return the state (the active queue's backing array, the denominator
-// accumulators, the page counter) with release, so a steady-state hot query
-// performs no traversal allocations. Resumable cursors (cursor.go) outlive
-// their query call and simply never release — the pool tolerates that.
+// Traversals are pooled: newTraversal acquires and release returns the state
+// (the active queue's backing array, the denominator accumulators, the page
+// counter), so a steady-state hot query performs no traversal allocations.
 type traversal struct {
 	tree *Tree
 	// snap is the immutable tree state this traversal reads; pinEpoch is
@@ -49,8 +47,8 @@ type traversal struct {
 	// trace is the query's obs trace, captured from the context at
 	// construction; nil (the common case) makes every span call a no-op.
 	trace *obs.Trace
-	// onVector receives every exactly scored leaf object.
-	onVector func(r vecRef, ld float64)
+	// col receives every exactly scored leaf object.
+	col collector
 
 	// screenBound, when set on a non-denominator traversal, returns the
 	// current top-k admission bound (ok=false while the heap is not full —
@@ -97,7 +95,7 @@ var traversalPool = sync.Pool{
 	},
 }
 
-func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, onVector func(vecRef, float64)) *traversal {
+func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, col collector) *traversal {
 	tr := traversalPool.Get().(*traversal)
 	tr.tree = t
 	tr.snap, tr.pinEpoch = t.pinSnap()
@@ -105,7 +103,7 @@ func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, 
 	tr.q = q
 	tr.eval.Reset(t.cfg.Combiner, q)
 	tr.trackDenom = trackDenom
-	tr.onVector = onVector
+	tr.col = col
 	tr.trace = obs.TraceFrom(ctx)
 	prodQS := 1.0
 	for _, s := range q.Sigma {
@@ -142,7 +140,7 @@ func (tr *traversal) release() {
 	tr.stats = query.Stats{}
 	tr.started = false
 	tr.trackDenom = false
-	tr.onVector = nil
+	tr.col = nil
 	tr.screenBound = nil
 	tr.leafThreshold = nil
 	tr.trace = nil
@@ -157,13 +155,14 @@ func (tr *traversal) release() {
 // stats accumulated so far.
 //
 // run may be called again with a stricter stop condition to resume the
-// traversal exactly where it paused — the resumable cursors of the sharded
-// engine (cursor.go) rely on this.
+// traversal exactly where it paused — Cursor.Refine relies on this.
 func (tr *traversal) run(done func() bool) error {
 	if !tr.started {
 		tr.started = true
-		if err := tr.expand(activeNode{page: tr.snap.root, count: tr.snap.count}); err != nil {
-			return err
+		if tr.snap.count > 0 { // an empty tree answers without reading its root
+			if err := tr.expand(activeNode{page: tr.snap.root, count: tr.snap.count}); err != nil {
+				return err
+			}
 		}
 	}
 	for tr.active.Len() > 0 && !done() {
@@ -275,7 +274,7 @@ func (tr *traversal) scoreExactLeaf(n *node) {
 				}
 				ld := tr.eval.LogDensityAt(cols, j)
 				tr.stats.VectorsScored++
-				tr.onVector(vecRef{cols, j}, ld)
+				tr.col.offer(vecRef{cols, j}, ld)
 				if b, ok := tr.screenBound(); ok {
 					bound = b
 				}
@@ -289,7 +288,7 @@ func (tr *traversal) scoreExactLeaf(n *node) {
 		if tr.trackDenom {
 			tr.denom.addExact(ld)
 		}
-		tr.onVector(vecRef{cols, j}, ld)
+		tr.col.offer(vecRef{cols, j}, ld)
 	}
 }
 

@@ -53,7 +53,7 @@ func TestTrackerAgreesWithLiveQueue(t *testing.T) {
 	tr, qs := ds2Tree(t, 20000, 40, 5)
 	worst := 0.0
 	for _, q := range qs {
-		trav := tr.newTraversal(context.Background(), q, true, func(vecRef, float64) {})
+		trav := tr.newTraversal(context.Background(), q, true, mliqCollector{acquireTopK(1)})
 		steps := 0
 		err := trav.run(func() bool {
 			steps++

@@ -51,13 +51,8 @@ func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Re
 	}
 	top := acquireTopK(k)
 	defer releaseTopK(top)
-	tr := t.newTraversal(ctx, q, false, func(r vecRef, ld float64) {
-		top.Offer(r, ld)
-	})
+	tr := t.newTraversal(ctx, q, false, mliqCollector{top})
 	defer tr.release()
-	if tr.snap.count == 0 {
-		return []query.Result{}, query.Stats{}, nil
-	}
 	// Once the heap is full its bound is the monotone admission threshold:
 	// leaf vectors (and whole quantized leaves) that provably cannot beat it
 	// are skipped without exact scoring.
@@ -102,64 +97,62 @@ func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Re
 // accuracy ≤ 0 skips condition (b): results then carry whatever probability
 // interval the traversal happened to certify.
 func (t *Tree) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64) ([]query.Result, query.Stats, error) {
-	if err := t.checkQuery(q, k); err != nil {
+	c, err := t.OpenKMLIQ(ctx, q, k, accuracy)
+	if err != nil {
 		return nil, query.Stats{}, err
 	}
-	top := acquireTopK(k)
-	defer releaseTopK(top)
-	tr := t.newTraversal(ctx, q, true, func(r vecRef, ld float64) {
-		top.Offer(r, ld)
-	})
-	defer tr.release()
-	if tr.snap.count == 0 {
-		return []query.Result{}, query.Stats{}, nil
+	return c.answer()
+}
+
+// OpenKMLIQ starts a resumable k-MLIQ traversal (see Cursor). No pages are
+// read until the first Refine.
+func (t *Tree) OpenKMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64) (*Cursor, error) {
+	if err := t.checkQuery(q, k); err != nil {
+		return nil, err
 	}
+	top := acquireTopK(k)
+	c := t.openCursor(ctx, q, mliqCollector{top}, accuracy, "kmliq")
 	// Quantized leaves whose best certified hull cannot beat the full heap's
 	// bound keep their exact sidecars unread; their [floor, hull] sums join
 	// the permanent denominator residue instead (see expandQuantLeaf). No
 	// screenBound: the denominator needs every explored leaf's densities.
-	tr.leafThreshold = top.Bound
-	sp := tr.traceBegin()
-	err := tr.run(func() bool { return mliqDone(top, tr, accuracy) })
-	tr.traceEnd(sp, "kmliq", -1, -1)
-	if err != nil {
-		return nil, tr.finish(top.Len()), err
-	}
-
-	out := make([]query.Result, 0, top.Len())
-	b := tr.denom.fold()
-	for _, r := range top.Sorted() {
-		v := r.vector()
-		ld := tr.eval.LogDensity(v)
-		lo, hi := probInterval(ld, b.logLow, b.logHigh)
-		out = append(out, query.Result{
-			Vector:      v,
-			LogDensity:  ld,
-			Probability: (lo + hi) / 2,
-			ProbLow:     lo,
-			ProbHigh:    hi,
-		})
-	}
-	query.SortByProbability(out)
-	return out, tr.finish(len(out)), nil
+	c.tr.leafThreshold = top.Bound
+	return c, nil
 }
 
-// mliqDone evaluates the two-part §5.2.2 stop condition against the
-// traversal's pinned snapshot (its count, active queue and denominator).
-func mliqDone(top *pqueue.TopK[vecRef], tr *traversal, accuracy float64) bool {
-	active, denom := tr.active, &tr.denom
-	bound, full := top.Bound()
-	if !full && top.Len() < tr.snap.count {
+// mliqCollector is the k-MLIQ policy of the cursor: the k densest scored
+// objects. The global top-k of a partitioned database is contained in the
+// union of the per-shard top-k sets, so peers change neither what it keeps
+// nor when it stops.
+type mliqCollector struct{ top *pqueue.TopK[vecRef] }
+
+func (c mliqCollector) offer(r vecRef, ld float64) { c.top.Offer(r, ld) }
+func (c mliqCollector) prune(float64)              {}
+func (c mliqCollector) len() int                   { return c.top.Len() }
+func (c mliqCollector) release()                   { releaseTopK(c.top) }
+
+func (c mliqCollector) appendTo(dst []Candidate) []Candidate {
+	c.top.Items(func(r vecRef, ld float64) { dst = append(dst, Candidate{r, ld}) })
+	return dst
+}
+
+// done is the two-part §5.2.2 stop condition against the traversal's pinned
+// snapshot: the k best are determined (the heap is full, or holds the whole
+// tree, and no queued subtree's hull beats its bound), and every reported
+// probability is within accuracy against the tree's own denominator bounds.
+func (c mliqCollector) done(tr *traversal, accuracy, _ float64, _ bool) bool {
+	bound, full := c.top.Bound()
+	if !full && c.top.Len() < tr.snap.count {
 		return false
 	}
 	if full {
-		if _, topPrio, ok := active.Peek(); ok && bound < topPrio {
+		if _, topPrio, ok := tr.active.Peek(); ok && bound < topPrio {
 			return false
 		}
 	}
 	// The densest scored object is always among the k best, and its width
 	// bound dominates every candidate's.
-	return !denom.fold().tooWide(denom.maxLd, accuracy)
+	return !tr.denom.fold().tooWide(tr.denom.maxLd, accuracy)
 }
 
 func (t *Tree) checkQuery(q pfv.Vector, k int) error {

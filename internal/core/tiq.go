@@ -10,10 +10,10 @@ import (
 	"github.com/gauss-tree/gausstree/internal/query"
 )
 
-// tiqCollector is the threshold-query policy over the certified-stop kernel
-// (bounds.go), shared by Tree.TIQ and the sharded engine's TIQCursor: a
-// candidate set ordered by log density (cheap removal of the weakest) behind
-// an admission filter, plus Figure 5's prune loop and subtree test.
+// tiqCollector is the threshold-query policy of the cursor over the
+// certified-stop kernel (bounds.go): a candidate set ordered by log density
+// (cheap removal of the weakest) behind an admission filter, plus Figure 5's
+// prune loop, subtree test and stop test.
 //
 // A scored vector is admitted only if it still reaches θ against admitLow,
 // the denominator lower bound of the last stop test. That bound only grows,
@@ -73,6 +73,33 @@ func (c *tiqCollector) settled(tr *traversal, logLow float64) bool {
 	return !ok || !c.th.reaches(topPrio, logLow)
 }
 
+// done is Figure 5's stop test. With peers, whose mass is missing from
+// every upper bound this tree knows, it can only settle: no unexplored
+// subtree reaches θ against the combined lower bound. Alone, the tree's
+// bounds are the denominator's, and the test goes on as the paper's does:
+// the weakest candidate must be certified against the upper bound, and
+// every width within accuracy.
+func (c *tiqCollector) done(tr *traversal, accuracy, logPeerLow float64, alone bool) bool {
+	b := tr.denom.fold()
+	if !c.settled(tr, logAddExp(b.logLow, logPeerLow)) {
+		return false
+	}
+	if !alone {
+		return true
+	}
+	if _, minLd, ok := c.candidates.Peek(); ok {
+		return c.th.reaches(minLd, b.logHigh) && !b.tooWide(tr.denom.maxLd, accuracy)
+	}
+	return true
+}
+
+func (c *tiqCollector) len() int { return c.candidates.Len() }
+
+func (c *tiqCollector) appendTo(dst []Candidate) []Candidate {
+	c.candidates.Items(func(r vecRef, ld float64) { dst = append(dst, Candidate{r, ld}) })
+	return dst
+}
+
 // TIQ answers a threshold identification query (§5.2.3, paper Figure 5):
 // it returns every database object whose Bayesian identification probability
 // P(v|q) reaches pTheta. A candidate is discarded (or never admitted, see
@@ -82,48 +109,19 @@ func (c *tiqCollector) settled(tr *traversal, logLow float64) bool {
 // remaining candidate is certified above the threshold — and, if
 // accuracy > 0, within that absolute accuracy.
 func (t *Tree) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) ([]query.Result, query.Stats, error) {
-	c, err := t.newTIQCollector(q, pTheta)
+	c, err := t.OpenTIQ(ctx, q, pTheta, accuracy)
 	if err != nil {
 		return nil, query.Stats{}, err
 	}
-	defer c.release()
-	tr := t.newTraversal(ctx, q, true, c.offer)
-	defer tr.release()
-	if tr.snap.count == 0 {
-		return []query.Result{}, query.Stats{}, nil
-	}
-	sp := tr.traceBegin()
-	err = tr.run(func() bool {
-		b := tr.denom.fold()
-		if !c.settled(tr, b.logLow) {
-			return false
-		}
-		if _, minLd, ok := c.candidates.Peek(); ok {
-			// The weakest must be certified, and every width within accuracy.
-			return c.th.reaches(minLd, b.logHigh) && !b.tooWide(tr.denom.maxLd, accuracy)
-		}
-		return true
-	})
-	tr.traceEnd(sp, "tiq", -1, -1)
-	if err != nil {
-		return nil, tr.finish(c.candidates.Len()), err
-	}
+	return c.answer()
+}
 
-	// An exhausted traversal ends without a last stop test: prune against
-	// the final (exact) denominator.
-	b := tr.denom.fold()
-	c.prune(b.logLow)
-	out := make([]query.Result, 0, c.candidates.Len())
-	c.candidates.Items(func(r vecRef, ld float64) {
-		lo, hi := probInterval(ld, b.logLow, b.logHigh)
-		out = append(out, query.Result{
-			Vector:      r.vector(),
-			LogDensity:  ld,
-			Probability: (lo + hi) / 2,
-			ProbLow:     lo,
-			ProbHigh:    hi,
-		})
-	})
-	query.SortByProbability(out)
-	return out, tr.finish(len(out)), nil
+// OpenTIQ starts a resumable threshold traversal (see Cursor). No pages are
+// read until the first Refine.
+func (t *Tree) OpenTIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) (*Cursor, error) {
+	col, err := t.newTIQCollector(q, pTheta)
+	if err != nil {
+		return nil, err
+	}
+	return t.openCursor(ctx, q, col, accuracy, "tiq"), nil
 }

@@ -1,9 +1,11 @@
-package gausstree
+package query
 
 import (
 	"encoding/json"
 	"fmt"
 	"math"
+
+	"github.com/gauss-tree/gausstree/internal/pfv"
 )
 
 // nullableFloat carries a float64 across JSON, which has no number encoding
@@ -48,33 +50,33 @@ func (f *nullableFloat) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
-// jsonMatch is the stable wire encoding of a Match. Probability fields use
+// jsonResult is the stable wire encoding of a Result. Probability fields use
 // the nullable encoding because ranked queries report NaN there; LogDensity
 // uses it too so extreme underflow (-Inf) round-trips instead of producing
 // invalid JSON.
-type jsonMatch struct {
-	Vector      Vector        `json:"vector"`
+type jsonResult struct {
+	Vector      pfv.Vector    `json:"vector"`
 	Probability nullableFloat `json:"probability"`
 	ProbLow     nullableFloat `json:"prob_low"`
 	ProbHigh    nullableFloat `json:"prob_high"`
 	LogDensity  nullableFloat `json:"log_density"`
 }
 
-// MarshalJSON encodes the match with stable lowercase keys; NaN (ranked
-// queries) and infinite values encode as null.
-func (m Match) MarshalJSON() ([]byte, error) {
-	return json.Marshal(jsonMatch{
-		Vector:      m.Vector,
-		Probability: nullableFloat(m.Probability),
-		ProbLow:     nullableFloat(m.ProbLow),
-		ProbHigh:    nullableFloat(m.ProbHigh),
-		LogDensity:  nullableFloat(m.LogDensity),
+// MarshalJSON encodes the result with stable lowercase keys; NaN (ranked
+// queries) encodes as null, ±Inf as the strings "+Inf"/"-Inf".
+func (r Result) MarshalJSON() ([]byte, error) {
+	return json.Marshal(jsonResult{
+		Vector:      r.Vector,
+		Probability: nullableFloat(r.Probability),
+		ProbLow:     nullableFloat(r.ProbLow),
+		ProbHigh:    nullableFloat(r.ProbHigh),
+		LogDensity:  nullableFloat(r.LogDensity),
 	})
 }
 
-// UnmarshalJSON decodes a match; null probability fields decode to NaN.
-func (m *Match) UnmarshalJSON(data []byte) error {
-	jm := jsonMatch{
+// UnmarshalJSON decodes a result; null probability fields decode to NaN.
+func (r *Result) UnmarshalJSON(data []byte) error {
+	jm := jsonResult{
 		Probability: nullableFloat(math.NaN()),
 		ProbLow:     nullableFloat(math.NaN()),
 		ProbHigh:    nullableFloat(math.NaN()),
@@ -83,7 +85,7 @@ func (m *Match) UnmarshalJSON(data []byte) error {
 	if err := json.Unmarshal(data, &jm); err != nil {
 		return fmt.Errorf("gausstree: decoding match: %w", err)
 	}
-	*m = Match{
+	*r = Result{
 		Vector:      jm.Vector,
 		Probability: float64(jm.Probability),
 		ProbLow:     float64(jm.ProbLow),

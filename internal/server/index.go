@@ -96,8 +96,7 @@ type facade interface {
 type queryFunc[A any] func(ctx context.Context, q gausstree.Vector, arg A) ([]gausstree.Match, gausstree.QueryStats, error)
 
 // adapter is the one Index implementation. The query fields hold the public
-// type's own methods: Tree's stand-alone drivers, or Sharded's coordinator
-// with its statistics collapsed.
+// type's own methods, Sharded's with their statistics collapsed.
 type adapter struct {
 	facade
 	kind          string
@@ -164,44 +163,13 @@ var _ query.Engine = indexEngine{}
 func (e indexEngine) Name() string { return "served-" + e.s.index().Kind() }
 
 func (e indexEngine) KMLIQ(ctx context.Context, q gausstree.Vector, k int, _ float64) ([]query.Result, query.Stats, error) {
-	ms, st, err := e.s.index().KMLIQ(ctx, q, k)
-	return toResults(ms), st, err
+	return e.s.index().KMLIQ(ctx, q, k)
 }
 
 func (e indexEngine) KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]query.Result, query.Stats, error) {
-	ms, st, err := e.s.index().KMLIQRanked(ctx, q, k)
-	return toResults(ms), st, err
+	return e.s.index().KMLIQRanked(ctx, q, k)
 }
 
 func (e indexEngine) TIQ(ctx context.Context, q gausstree.Vector, pTheta float64, _ float64) ([]query.Result, query.Stats, error) {
-	ms, st, err := e.s.index().TIQ(ctx, q, pTheta)
-	return toResults(ms), st, err
-}
-
-func toResults(ms []gausstree.Match) []query.Result {
-	out := make([]query.Result, len(ms))
-	for i, m := range ms {
-		out[i] = query.Result{
-			Vector:      m.Vector,
-			LogDensity:  m.LogDensity,
-			Probability: m.Probability,
-			ProbLow:     m.ProbLow,
-			ProbHigh:    m.ProbHigh,
-		}
-	}
-	return out
-}
-
-func toMatches(rs []query.Result) []gausstree.Match {
-	out := make([]gausstree.Match, len(rs))
-	for i, r := range rs {
-		out[i] = gausstree.Match{
-			Vector:      r.Vector,
-			LogDensity:  r.LogDensity,
-			Probability: r.Probability,
-			ProbLow:     r.ProbLow,
-			ProbHigh:    r.ProbHigh,
-		}
-	}
-	return out
+	return e.s.index().TIQ(ctx, q, pTheta)
 }

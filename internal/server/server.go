@@ -422,7 +422,7 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 	resp := wire.BatchResponse{Responses: make([]wire.BatchItemResponse, len(reqs)), TraceID: tr.ID()}
 	for i, br := range s.batch.Execute(ctx, reqs) {
 		item := wire.BatchItemResponse{
-			Matches: toMatches(br.Results),
+			Matches: br.Results,
 			Stats:   wire.FromQueryStats(br.Stats),
 		}
 		if br.Err != nil {

@@ -1,7 +1,9 @@
-// Package shard scales the Gauss-tree out horizontally: an Engine partitions
-// probabilistic feature vectors across N independent core trees and answers
-// every identification query by concurrent fan-out — one goroutine per
-// shard, context-aware, first error cancels the siblings.
+// Package shard is the query coordinator: an Engine partitions probabilistic
+// feature vectors across N independent core trees and answers every
+// identification query over their cursors — shard 0 on the calling
+// goroutine, one goroutine for each of the others, context-aware, first
+// error cancels the siblings. A single tree is the engine at N = 1: no
+// goroutine, no peers, one round, page for page the paper's algorithm.
 //
 // The merge is the interesting part. The paper's identification probability
 // P(v|q) = p(q|v) / Σ_w p(q|w) is a global quantity: its Bayes denominator
@@ -16,21 +18,11 @@
 // are certified exactly as a single tree over the union of the data would
 // certify them. When the merged interval is still too wide to decide a
 // threshold or meet an accuracy target, the coordinator resumes the shard
-// cursors (core.KMLIQCursor / core.TIQCursor) with a geometrically
-// shrinking unexplored-mass budget — and feeds each shard the certified
-// denominator mass of its peers, which tightens local pruning beyond what
-// any stand-alone tree could do.
-//
-// The first round costs what the unsharded query costs: every shard runs to
-// the exact stand-alone stop condition of its query type (against its local
-// denominator). Only when the merged interval is still too wide does the
-// coordinator compute the missing certification — the total unexplored hull
-// mass that would make the widest candidate's interval fit — split that
-// budget across shards, and resume. Unexplored hull mass is the right
-// refinement currency because it shrinks monotonically to zero as a
-// traversal expands, so every target is reachable and the loop provably
-// terminates (in the limit all shards exhaust and the denominator is
-// exact).
+// cursors (core.Cursor) with a geometrically shrinking unexplored-mass
+// budget — and feeds each shard the certified denominator mass of its
+// peers, which tightens local pruning beyond what any stand-alone tree
+// could do (core.DenomParts says why that budget is always reachable; the
+// loop is coordinate).
 package shard
 
 import (
@@ -196,24 +188,32 @@ func (e *Engine) eachShard(f func(i int) error) error {
 	return errors.Join(errs...)
 }
 
-// fanOut runs f(i) for every shard concurrently under a shared cancellable
-// context: the first failing shard cancels its siblings (errgroup-style),
-// and the returned error is the root cause, not a sibling's ctx.Canceled.
-// The cancellable context must already be threaded into whatever f touches
-// (the cursors are created with it); cancel is called on first error.
+// fanOut runs f(i) for every shard — shard 0 on the calling goroutine, the
+// others on one goroutine each, so one shard costs no goroutine — under a
+// shared cancellable context: the first failing shard cancels its siblings
+// (errgroup-style), and the returned error is the root cause, not a
+// sibling's ctx.Canceled. The cancellable context must already be threaded
+// into whatever f touches (the cursors are created with it); cancel is
+// called on first error.
 func fanOut(n int, cancel context.CancelFunc, f func(i int) error) error {
+	if n == 1 {
+		return f(0)
+	}
 	errs := make([]error, n)
+	run := func(i int) {
+		if errs[i] = f(i); errs[i] != nil {
+			cancel()
+		}
+	}
 	var wg sync.WaitGroup
-	for i := 0; i < n; i++ {
+	for i := 1; i < n; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			if err := f(i); err != nil {
-				errs[i] = err
-				cancel()
-			}
+			run(i)
 		}(i)
 	}
+	run(0)
 	wg.Wait()
 	var first error
 	for _, err := range errs {
@@ -230,22 +230,46 @@ func fanOut(n int, cancel context.CancelFunc, f func(i int) error) error {
 	return first
 }
 
+// shardState is one shard's side of a coordinated query: its cursor, the
+// denominator parts it certified in the last round, and the certified mass
+// of its peers it is given in the next.
+type shardState struct {
+	cur     *core.Cursor
+	parts   core.DenomParts
+	peerLow float64
+}
+
 // mergeParts combines per-shard denominator components by log-sum-exp. All
 // three components are additive across disjoint data partitions, so the
 // merged parts bound the global Bayes denominator exactly as one tree over
-// the union of the data would.
-func mergeParts(ps []core.DenomParts) core.DenomParts {
-	ex := make([]float64, len(ps))
-	fl := make([]float64, len(ps))
-	hu := make([]float64, len(ps))
-	for i, p := range ps {
-		ex[i], fl[i], hu[i] = p.LogExact, p.LogFloor, p.LogHull
+// the union of the data would; the parts of one shard are the merge.
+func mergeParts(shards []shardState) core.DenomParts {
+	n := len(shards)
+	if n == 1 {
+		return shards[0].parts
+	}
+	buf := make([]float64, 3*n)
+	ex, fl, hu := buf[:n], buf[n:2*n], buf[2*n:]
+	for i, sh := range shards {
+		ex[i], fl[i], hu[i] = sh.parts.LogExact, sh.parts.LogFloor, sh.parts.LogHull
 	}
 	return core.DenomParts{
 		LogExact: gaussian.LogSumExpSlice(ex),
 		LogFloor: gaussian.LogSumExpSlice(fl),
 		LogHull:  gaussian.LogSumExpSlice(hu),
 	}
+}
+
+// peerLowOf returns the log-sum-exp of every shard's certified denominator
+// lower bound except shard i's own (−Inf at one shard: no peers, no mass).
+func peerLowOf(shards []shardState, i int) float64 {
+	lows := make([]float64, 0, len(shards)-1)
+	for j, sh := range shards {
+		if j != i {
+			lows = append(lows, sh.parts.LogLow())
+		}
+	}
+	return gaussian.LogSumExpSlice(lows)
 }
 
 // collectStats aggregates the per-shard statistics.
@@ -267,9 +291,9 @@ func (e *Engine) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.
 
 // KMLIQRankedDetail is KMLIQRanked with per-shard statistics.
 func (e *Engine) KMLIQRankedDetail(ctx context.Context, q pfv.Vector, k int) ([]query.Result, Stats, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
 	n := len(e.trees)
+	ctx, cancel := siblingContext(ctx, n)
+	defer cancel()
 	perRes := make([][]query.Result, n)
 	perStats := make([]query.Stats, n)
 	err := fanOut(n, cancel, func(i int) error {
@@ -281,8 +305,8 @@ func (e *Engine) KMLIQRankedDetail(ctx context.Context, q pfv.Vector, k int) ([]
 	if err != nil {
 		return nil, stats, err
 	}
-	var all []query.Result
-	for _, rs := range perRes {
+	all := perRes[0]
+	for _, rs := range perRes[1:] {
 		all = append(all, rs...)
 	}
 	query.SortByDensity(all)
@@ -292,6 +316,15 @@ func (e *Engine) KMLIQRankedDetail(ctx context.Context, q pfv.Vector, k int) ([]
 	return query.NonNil(all), stats, nil
 }
 
+// siblingContext derives the context whose cancellation stops a failing
+// shard's siblings; one shard has none, and runs on the caller's context.
+func siblingContext(ctx context.Context, n int) (context.Context, context.CancelFunc) {
+	if n == 1 {
+		return ctx, func() {}
+	}
+	return context.WithCancel(ctx)
+}
+
 // KMLIQ answers a k-most-likely identification query with certified
 // probabilities (§5.2.2) across all shards. The global top-k by density is
 // contained in the union of the per-shard top-k sets, so ranking is settled
@@ -299,7 +332,7 @@ func (e *Engine) KMLIQRankedDetail(ctx context.Context, q pfv.Vector, k int) ([]
 // interval, and when that interval leaves some reported probability wider
 // than the accuracy, the coordinator resumes the shard cursors with an
 // unexplored-mass budget computed from exactly the certification that is
-// missing (see KMLIQDetail's loop).
+// missing (see coordinate).
 func (e *Engine) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64) ([]query.Result, query.Stats, error) {
 	res, st, err := e.KMLIQDetail(ctx, q, k, accuracy)
 	return res, st.Stats, err
@@ -307,135 +340,32 @@ func (e *Engine) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float6
 
 // KMLIQDetail is KMLIQ with per-shard statistics and merge-round counts.
 func (e *Engine) KMLIQDetail(ctx context.Context, q pfv.Vector, k int, accuracy float64) ([]query.Result, Stats, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
-	n := len(e.trees)
-	cursors := make([]*core.KMLIQCursor, n)
-	// Cursors hold pooled traversal state; hand it back when the query is
-	// done (including on partial construction and error paths — the return
-	// values are evaluated before the deferred closes run).
-	defer func() {
-		for _, c := range cursors {
-			if c != nil {
-				c.Close()
-			}
-		}
-	}()
-	for i, t := range e.trees {
-		c, err := t.NewKMLIQCursor(ctx, q, k)
-		if err != nil {
-			return nil, Stats{}, err
-		}
-		c.TraceShard(i)
-		cursors[i] = c
-	}
-	// Traced queries get one merge_round span per coordinator round (the
-	// aggregated fan-out + merge work); the per-shard kmliq_refine spans come
-	// from the cursors themselves.
-	tr := obs.TraceFrom(ctx)
-	cursorWork := func() (pages, nodes, scored int64) {
-		for _, c := range cursors {
-			st := c.Stats()
-			pages += int64(st.PageAccesses)
-			nodes += int64(st.NodesVisited)
-			scored += int64(st.VectorsScored)
-		}
-		return
-	}
-
-	// First round: every shard runs to its natural stand-alone stop (local
-	// ranking determined, local intervals within accuracy), costing what an
-	// unsharded query costs. Later rounds, if any, chase the merged-width
-	// target via the unexplored-mass budget.
-	maxLogUnexplored := math.Inf(1)
-	rounds := 0
-	visited := -1
-	var out []query.Result
-	for {
-		rounds++
-		var roundSp obs.SpanStart
-		if tr != nil {
-			p, nd, sc := cursorWork()
-			roundSp = tr.Begin(p, nd, sc)
-		}
-		if err := fanOut(n, cancel, func(i int) error { return cursors[i].Refine(accuracy, maxLogUnexplored) }); err != nil {
-			return nil, e.cursorStats(rounds, func(i int) query.Stats { return cursors[i].Stats() }), err
-		}
-
-		parts := make([]core.DenomParts, n)
-		var cands []core.Candidate
-		exhausted := true
-		for i, c := range cursors {
-			parts[i] = c.DenomParts()
-			cands = append(cands, c.Candidates()...)
-			exhausted = exhausted && c.Exhausted()
-		}
+	open := func(ctx context.Context, t *core.Tree) (*core.Cursor, error) { return t.OpenKMLIQ(ctx, q, k, accuracy) }
+	// The merged top-k are the answer; it is certified once every interval
+	// is within accuracy. The densest candidate has the widest interval, so
+	// the next budget is computed for it.
+	decide := func(cands []core.Candidate, merged core.DenomParts) ([]core.Candidate, bool, float64) {
 		core.SortCandidates(cands)
 		if len(cands) > k {
 			cands = cands[:k]
 		}
-		merged := mergeParts(parts)
-		out = out[:0]
-		tight := true
 		for _, c := range cands {
-			lo, hi := merged.ProbInterval(c.LogDensity)
-			if accuracy > 0 && hi-lo > accuracy {
-				tight = false
-			}
-			out = append(out, query.Result{
-				Vector:      c.Vector,
-				LogDensity:  c.LogDensity,
-				Probability: (lo + hi) / 2,
-				ProbLow:     lo,
-				ProbHigh:    hi,
-			})
-		}
-		if tr != nil {
-			p, nd, sc := cursorWork()
-			tr.End(roundSp, "merge_round", -1, rounds, p, nd, sc)
-		}
-		if tight || exhausted || !e.progressed(&visited, func(i int) query.Stats { return cursors[i].Stats() }) {
-			break
-		}
-		// Some merged interval is still wider than the accuracy. The gap
-		// high−low is bounded by the total unexplored hull mass, so bounding
-		// that mass bounds every width:
-		//	width(ld) = e^ld·(H−L)/(L·H) ≤ e^ld·Σⱼhullⱼ/(L·H) ≤ accuracy
-		// ⇔ Σⱼhullⱼ ≤ accuracy·L·H/e^ld.
-		// The budget is computed for the densest candidate (the widest
-		// interval), split evenly across shards with a factor-2 safety
-		// margin, and clamped to at most half the current worst shard's
-		// mass so every round makes geometric progress even when the
-		// estimate stalls.
-		needed := math.Log(accuracy) + merged.LogLow() + merged.LogHigh() - cands[0].LogDensity - math.Log(float64(2*n))
-		maxHull := math.Inf(-1)
-		for _, p := range parts {
-			if p.LogHull > maxHull {
-				maxHull = p.LogHull
+			if lo, hi := merged.ProbInterval(c.LogDensity); accuracy > 0 && hi-lo > accuracy {
+				return cands, false, cands[0].LogDensity
 			}
 		}
-		if progress := maxHull - math.Ln2; progress < needed {
-			needed = progress
-		}
-		maxLogUnexplored = needed
+		return cands, true, 0
 	}
-	query.SortByProbability(out)
-	return query.NonNil(out), e.cursorStats(rounds, func(i int) query.Stats { return cursors[i].Stats() }), nil
+	return e.coordinate(ctx, accuracy, open, decide)
 }
 
 // TIQ answers a threshold identification query across all shards. Unlike
 // k-MLIQ, threshold decisions cannot be finished shard-locally at all: extra
 // denominator mass from the other shards can push a locally-qualifying
-// candidate below the threshold. Each round therefore (a) resumes every
-// shard cursor with the current unexplored-mass budget AND the certified
-// denominator mass of its peers — per-shard lower bounds only grow, so a
-// peer bound from the previous round is still valid and sharpens local
-// pruning — and then (b) re-decides every surviving candidate against the
-// merged interval.
-// Candidates whose merged upper bound falls below the threshold are dropped
-// for good; the loop ends when every survivor is certified at or above the
-// threshold (and, if accuracy > 0, its interval is at most accuracy wide),
-// or when every shard is exhausted and the denominator is exact.
+// candidate below the threshold. Candidates whose merged upper bound falls
+// below it are dropped for good; the loop ends when every survivor is
+// certified at or above it (and, if accuracy > 0, within accuracy), or when
+// every shard is exhausted and the denominator is exact.
 func (e *Engine) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) ([]query.Result, query.Stats, error) {
 	res, st, err := e.TIQDetail(ctx, q, pTheta, accuracy)
 	return res, st.Stats, err
@@ -443,168 +373,148 @@ func (e *Engine) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy
 
 // TIQDetail is TIQ with per-shard statistics and merge-round counts.
 func (e *Engine) TIQDetail(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) ([]query.Result, Stats, error) {
-	ctx, cancel := context.WithCancel(ctx)
-	defer cancel()
+	open := func(ctx context.Context, t *core.Tree) (*core.Cursor, error) {
+		return t.OpenTIQ(ctx, q, pTheta, accuracy)
+	}
+	// A candidate certified below the threshold is out (its cursor prunes it
+	// next round); the rest are the answer once each is certified at or
+	// above the threshold and within accuracy. The next budget is computed
+	// for the densest candidate still undecided.
+	decide := func(cands []core.Candidate, merged core.DenomParts) ([]core.Candidate, bool, float64) {
+		kept, decided, ldUndecided := cands[:0], true, math.Inf(-1)
+		for _, c := range cands {
+			lo, hi := merged.ProbInterval(c.LogDensity)
+			if hi < pTheta {
+				continue
+			}
+			if lo < pTheta || (accuracy > 0 && hi-lo > accuracy) {
+				decided = false
+				ldUndecided = max(ldUndecided, c.LogDensity)
+			}
+			kept = append(kept, c)
+		}
+		return kept, decided, ldUndecided
+	}
+	return e.coordinate(ctx, accuracy, open, decide)
+}
+
+// coordinate is the one query loop behind KMLIQ and TIQ: open a cursor per
+// shard, then round by round fan a Refine out, merge the shards' denominator
+// parts, let the query type decide its candidates against the merged
+// interval, and — while some decision is still open — resume with a smaller
+// unexplored-mass budget. The query type supplies open, which starts its
+// cursor on one tree, and decide, which reduces the gathered candidates to
+// the answer's, reports whether all of them are certified, and if not names
+// the log density the next budget has to certify.
+//
+// The first round costs what the unsharded query costs: the budget is +Inf
+// and every shard runs to its query type's own stop test. At one shard that
+// is all there is: the cursor has no peers, its stop test is the paper's
+// (core.Cursor), the merged parts are its parts, and what it certified
+// decides every candidate in round one — a one-shard engine is the
+// stand-alone query, page for page.
+func (e *Engine) coordinate(
+	ctx context.Context, accuracy float64,
+	open func(context.Context, *core.Tree) (*core.Cursor, error),
+	decide func([]core.Candidate, core.DenomParts) (kept []core.Candidate, decided bool, logDensity float64),
+) ([]query.Result, Stats, error) {
 	n := len(e.trees)
-	cursors := make([]*core.TIQCursor, n)
+	ctx, cancel := siblingContext(ctx, n)
+	defer cancel()
+	shards := make([]shardState, n)
+	// Cursors hold pooled traversal state and a snapshot pin; hand both back
+	// when the query is done (including on partial construction and error
+	// paths — the return values are evaluated before the deferred closes).
 	defer func() {
-		for _, c := range cursors {
-			if c != nil {
-				c.Close()
+		for _, sh := range shards {
+			if sh.cur != nil {
+				sh.cur.Close()
 			}
 		}
 	}()
 	for i, t := range e.trees {
-		c, err := t.NewTIQCursor(ctx, q, pTheta)
+		c, err := open(ctx, t)
 		if err != nil {
 			return nil, Stats{}, err
 		}
-		c.TraceShard(i)
-		cursors[i] = c
+		if n > 1 {
+			c.AsShard(i)
+		}
+		shards[i] = shardState{cur: c, peerLow: math.Inf(-1)}
 	}
-	// Round spans as in KMLIQDetail; per-shard tiq_refine spans come from
-	// the cursors.
-	tr := obs.TraceFrom(ctx)
-	cursorWork := func() (pages, nodes, scored int64) {
-		for _, c := range cursors {
-			st := c.Stats()
-			pages += int64(st.PageAccesses)
-			nodes += int64(st.NodesVisited)
-			scored += int64(st.VectorsScored)
+	stats := func(rounds int) Stats {
+		per := make([]query.Stats, n)
+		for i, sh := range shards {
+			per[i] = sh.cur.Stats()
+		}
+		return collectStats(per, rounds)
+	}
+	work := func() (pages, nodes, scored int64) {
+		for _, sh := range shards {
+			st := sh.cur.Stats()
+			pages, nodes, scored = pages+int64(st.PageAccesses), nodes+int64(st.NodesVisited), scored+int64(st.VectorsScored)
 		}
 		return
 	}
-
-	// First round: every shard runs its natural stand-alone TIQ exploration
-	// (stop once no local subtree can still qualify). Later rounds shrink
-	// the per-shard unexplored-mass budget until the merged interval
-	// decides every candidate.
-	maxLogUnexplored := math.Inf(1)
-	externalLow := make([]float64, n)
-	for i := range externalLow {
-		externalLow[i] = math.Inf(-1)
+	// With peers, a traced query gets one merge_round span per round (the
+	// aggregated fan-out + merge work) over the cursors' own per-shard
+	// *_refine spans; alone, the cursor's span is the query's.
+	var tr *obs.Trace
+	if n > 1 {
+		tr = obs.TraceFrom(ctx)
 	}
 
-	rounds := 0
-	visited := -1
-	var out []query.Result
-	for {
-		rounds++
-		var roundSp obs.SpanStart
-		if tr != nil {
-			p, nd, sc := cursorWork()
-			roundSp = tr.Begin(p, nd, sc)
-		}
-		if err := fanOut(n, cancel, func(i int) error { return cursors[i].Refine(maxLogUnexplored, externalLow[i]) }); err != nil {
-			return nil, e.cursorStats(rounds, func(i int) query.Stats { return cursors[i].Stats() }), err
+	budget := math.Inf(1)
+	refine := func(i int) error { return shards[i].cur.Refine(budget, shards[i].peerLow) }
+	var cands []core.Candidate
+	visited := int64(-1)
+	for rounds := 1; ; rounds++ {
+		roundSp := tr.Begin(work())
+		if err := fanOut(n, cancel, refine); err != nil {
+			return nil, stats(rounds), err
 		}
 
-		parts := make([]core.DenomParts, n)
-		exhausted := true
-		for i, c := range cursors {
-			parts[i] = c.DenomParts()
-			exhausted = exhausted && c.Exhausted()
+		exhausted, maxHull := true, math.Inf(-1)
+		for i := range shards {
+			sh := &shards[i]
+			sh.parts = sh.cur.DenomParts()
+			exhausted = exhausted && sh.cur.Exhausted()
+			maxHull = max(maxHull, sh.parts.LogHull)
 		}
-		merged := mergeParts(parts)
-
-		// Push each shard the certified mass of its peers, pruning
-		// candidates that can no longer reach the threshold globally.
-		for i, c := range cursors {
-			externalLow[i] = peerLow(parts, i)
-			c.Prune(gaussian.LogAddExp(parts[i].LogLow(), externalLow[i]))
+		merged := mergeParts(shards)
+		// Push each shard the certified mass of its peers, pruning the
+		// candidates that can no longer qualify globally.
+		cands = cands[:0]
+		for i := range shards {
+			sh := &shards[i]
+			sh.peerLow = peerLowOf(shards, i)
+			cands = sh.cur.Candidates(cands, sh.peerLow)
 		}
-
-		out = out[:0]
-		decided := true
-		ldMaxUndecided := math.Inf(-1)
-		for _, c := range cursors {
-			for _, cand := range c.Candidates() {
-				lo, hi := merged.ProbInterval(cand.LogDensity)
-				if hi < pTheta {
-					continue // certified out; the cursor prunes it next round
-				}
-				if lo < pTheta || (accuracy > 0 && hi-lo > accuracy) {
-					decided = false
-					if cand.LogDensity > ldMaxUndecided {
-						ldMaxUndecided = cand.LogDensity
-					}
-				}
-				out = append(out, query.Result{
-					Vector:      cand.Vector,
-					LogDensity:  cand.LogDensity,
-					Probability: (lo + hi) / 2,
-					ProbLow:     lo,
-					ProbHigh:    hi,
-				})
-			}
+		kept, decided, logDensity := decide(cands, merged)
+		pages, nodes, scored := work()
+		tr.End(roundSp, "merge_round", -1, rounds, pages, nodes, scored)
+		// A round that expanded no node anywhere cannot tighten anything
+		// either — every queued subtree carries zero hull mass, the merged
+		// interval is as good as exhaustion would make it — and the still
+		// certified intervals are accepted rather than spun on.
+		if decided || exhausted || nodes == visited {
+			return core.Results(kept, merged), stats(rounds), nil
 		}
-		if tr != nil {
-			p, nd, sc := cursorWork()
-			tr.End(roundSp, "merge_round", -1, rounds, p, nd, sc)
-		}
-		if decided || exhausted || !e.progressed(&visited, func(i int) query.Stats { return cursors[i].Stats() }) {
-			break
-		}
+		visited = nodes
 		// Halve the worst shard's unexplored mass each round — a threshold
 		// decision may need arbitrarily tight intervals (the unsharded
 		// engine's exactness), and the geometric shrink reaches any
 		// tightness, bottoming out at full exhaustion (exact denominator).
-		// With an accuracy target the width bound (see KMLIQDetail) gives a
-		// sharper budget; take whichever is smaller.
-		maxHull := math.Inf(-1)
-		for _, p := range parts {
-			if p.LogHull > maxHull {
-				maxHull = p.LogHull
-			}
-		}
-		next := maxHull - math.Ln2
+		// An accuracy target gives a sharper budget. The gap high−low is
+		// bounded by the total unexplored hull mass, so bounding that mass
+		// bounds every width:
+		//	width(ld) = e^ld·(H−L)/(L·H) ≤ e^ld·Σⱼhullⱼ/(L·H) ≤ accuracy
+		// ⇔ Σⱼhullⱼ ≤ accuracy·L·H/e^ld,
+		// computed for the density decide named, split evenly across shards
+		// with a factor-2 safety margin. Take whichever is smaller.
+		budget = maxHull - math.Ln2
 		if accuracy > 0 {
-			needed := math.Log(accuracy) + merged.LogLow() + merged.LogHigh() - ldMaxUndecided - math.Log(float64(2*n))
-			if needed < next {
-				next = needed
-			}
-		}
-		maxLogUnexplored = next
-	}
-	query.SortByProbability(out)
-	return query.NonNil(out), e.cursorStats(rounds, func(i int) query.Stats { return cursors[i].Stats() }), nil
-}
-
-// progressed reports whether the last refinement round expanded at least
-// one node anywhere, carrying the previous round's total in visited. A
-// round that expanded nothing cannot tighten anything either — every
-// remaining queued subtree carries zero hull mass, so the merged interval
-// is already as good as exhaustion would make it — and the coordinator must
-// accept the current (still certified) intervals rather than spin.
-func (e *Engine) progressed(visited *int, stats func(i int) query.Stats) bool {
-	total := 0
-	for i := range e.trees {
-		total += stats(i).NodesVisited
-	}
-	if total == *visited {
-		return false
-	}
-	*visited = total
-	return true
-}
-
-// peerLow returns the log-sum-exp of every shard's certified denominator
-// lower bound except shard i's own.
-func peerLow(parts []core.DenomParts, i int) float64 {
-	lows := make([]float64, 0, len(parts)-1)
-	for j, p := range parts {
-		if j != i {
-			lows = append(lows, p.LogLow())
+			budget = min(budget, math.Log(accuracy)+merged.LogLow()+merged.LogHigh()-logDensity-math.Log(float64(2*n)))
 		}
 	}
-	return gaussian.LogSumExpSlice(lows)
-}
-
-// cursorStats assembles the per-shard breakdown after a cursor-driven query.
-func (e *Engine) cursorStats(rounds int, stats func(i int) query.Stats) Stats {
-	per := make([]query.Stats, len(e.trees))
-	for i := range e.trees {
-		per[i] = stats(i)
-	}
-	return collectStats(per, rounds)
 }

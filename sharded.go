@@ -233,63 +233,20 @@ func (s *Sharded) NumShards() int {
 	return len(s.units())
 }
 
-// KMostLikely answers a k-most-likely identification query across all
-// shards, with probabilities certified to the configured accuracy by the
-// merged cross-shard denominator interval. Results are ordered by
-// descending probability.
-func (s *Sharded) KMostLikely(q Vector, k int) ([]Match, error) {
-	//lint:ignore ctxflow KMostLikely is the documented context-free compat API; the Context form is the bounded one.
-	ms, _, err := s.KMLIQContext(context.Background(), q, k)
-	return ms, err
-}
-
 // KMLIQContext is KMostLikely with cancellation and per-shard statistics.
 // Like every query it runs lock-free against pinned per-shard snapshots,
 // concurrently with mutations.
 func (s *Sharded) KMLIQContext(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
-	st, err := s.kQuery(q, k)
-	if err != nil {
-		return nil, ShardedQueryStats{}, err
-	}
-	res, qs, err := st.eng.KMLIQDetail(ctx, q, k, s.opts.Accuracy)
-	return toMatches(res), qs, err
-}
-
-// KMostLikelyRanked answers a k-MLIQ without probability values (the
-// cheapest ranking query; no denominator merge is needed because the global
-// density order is the merge of the per-shard orders).
-func (s *Sharded) KMostLikelyRanked(q Vector, k int) ([]Match, error) {
-	//lint:ignore ctxflow KMostLikelyRanked is the documented context-free compat API; the Context form is the bounded one.
-	ms, _, err := s.KMLIQRankedContext(context.Background(), q, k)
-	return ms, err
+	return s.kmliq(ctx, q, k)
 }
 
 // KMLIQRankedContext is KMostLikelyRanked with cancellation and per-shard
 // statistics.
 func (s *Sharded) KMLIQRankedContext(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
-	st, err := s.kQuery(q, k)
-	if err != nil {
-		return nil, ShardedQueryStats{}, err
-	}
-	res, qs, err := st.eng.KMLIQRankedDetail(ctx, q, k)
-	return toMatches(res), qs, err
-}
-
-// Threshold answers a threshold identification query across all shards:
-// every object whose global identification probability reaches pTheta,
-// decided exactly via iterative cross-shard denominator refinement.
-func (s *Sharded) Threshold(q Vector, pTheta float64) ([]Match, error) {
-	//lint:ignore ctxflow Threshold is the documented context-free compat API; the Context form is the bounded one.
-	ms, _, err := s.TIQContext(context.Background(), q, pTheta)
-	return ms, err
+	return s.ranked(ctx, q, k)
 }
 
 // TIQContext is Threshold with cancellation and per-shard statistics.
 func (s *Sharded) TIQContext(ctx context.Context, q Vector, pTheta float64) ([]Match, ShardedQueryStats, error) {
-	st, err := s.thetaQuery(q, pTheta)
-	if err != nil {
-		return nil, ShardedQueryStats{}, err
-	}
-	res, qs, err := st.eng.TIQDetail(ctx, q, pTheta, s.opts.Accuracy)
-	return toMatches(res), qs, err
+	return s.tiq(ctx, q, pTheta)
 }

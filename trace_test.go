@@ -1,0 +1,119 @@
+package gausstree_test
+
+import (
+	"context"
+	"math/rand"
+	"testing"
+
+	"github.com/gauss-tree/gausstree"
+	"github.com/gauss-tree/gausstree/internal/obs"
+)
+
+// traced runs one query under a fresh trace and returns what it recorded.
+func traced(t *testing.T, query func(ctx context.Context) error) []obs.Span {
+	t.Helper()
+	tr := obs.NewTrace("")
+	defer tr.Release()
+	if err := query(obs.WithTrace(context.Background(), tr)); err != nil {
+		t.Fatal(err)
+	}
+	return tr.Spans()
+}
+
+// TestTreeQuerySpanNames pins the span names a traced Tree query emits —
+// the benchmark ledger's obs.span.kmliq_us row and the daemon's slow-query
+// log read them by name. A Tree is the coordinator at one shard: its cursor
+// has no shard label, so the one span it records carries the query's name,
+// is attributed to no shard and no round, and accounts for every page.
+func TestTreeQuerySpanNames(t *testing.T) {
+	tree, err := gausstree.New(3, gausstree.Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer tree.Close()
+	vs := randomWorld(rand.New(rand.NewSource(21)), 900, 3)
+	if err := tree.BulkLoad(vs); err != nil {
+		t.Fatal(err)
+	}
+	q := gausstree.MustVector(0, vs[17].Mean, vs[17].Sigma)
+
+	var st gausstree.QueryStats
+	queries := map[string]func(ctx context.Context) (err error){
+		"kmliq":        func(ctx context.Context) (err error) { _, st, err = tree.KMLIQContext(ctx, q, 5); return },
+		"tiq":          func(ctx context.Context) (err error) { _, st, err = tree.TIQContext(ctx, q, 0.05); return },
+		"kmliq_ranked": func(ctx context.Context) (err error) { _, st, err = tree.KMLIQRankedContext(ctx, q, 5); return },
+	}
+	for name, query := range queries {
+		spans := traced(t, query)
+		if len(spans) != 1 {
+			t.Errorf("%s: recorded %d spans %+v, want one", name, len(spans), spans)
+			continue
+		}
+		sp := spans[0]
+		if sp.Name != name || sp.Shard != -1 || sp.Round != -1 {
+			t.Errorf("%s: span %+v, want that name on shard -1, round -1", name, sp)
+		}
+		if sp.Pages != int64(st.PageAccesses) || sp.Nodes != int64(st.NodesVisited) || sp.Pages == 0 {
+			t.Errorf("%s: span accounts for %d pages, %d nodes; the query read %d, %d", name, sp.Pages, sp.Nodes, st.PageAccesses, st.NodesVisited)
+		}
+	}
+}
+
+// TestShardedQuerySpanNames is the same contract with peers: every merge
+// round records one merge_round span, and under it every shard's cursor one
+// "<query>_refine" span labelled with its shard and the round.
+func TestShardedQuerySpanNames(t *testing.T) {
+	const shards = 4
+	sh, err := gausstree.NewSharded(3, shards, gausstree.Options{PageSize: 1024, Accuracy: 1e-9})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	vs := randomWorld(rand.New(rand.NewSource(22)), 900, 3)
+	if err := sh.BulkLoad(vs); err != nil {
+		t.Fatal(err)
+	}
+	q := gausstree.MustVector(0, vs[17].Mean, vs[17].Sigma)
+
+	var st gausstree.ShardedQueryStats
+	queries := map[string]func(ctx context.Context) (err error){
+		"kmliq_refine": func(ctx context.Context) (err error) { _, st, err = sh.KMLIQContext(ctx, q, 5); return },
+		"tiq_refine":   func(ctx context.Context) (err error) { _, st, err = sh.TIQContext(ctx, q, 0.05); return },
+	}
+	for name, query := range queries {
+		spans := traced(t, query)
+		rounds := map[int]int{}          // round -> merge_round spans
+		refines := map[[2]int]int{}      // (shard, round) -> refine spans
+		pages := make([]int64, shards+1) // per shard; [shards]: over merge rounds
+		for _, sp := range spans {
+			switch {
+			case sp.Name == "merge_round" && sp.Shard == -1:
+				rounds[sp.Round]++
+				pages[shards] += sp.Pages
+			case sp.Name == name && sp.Shard >= 0 && sp.Shard < shards:
+				refines[[2]int{sp.Shard, sp.Round}]++
+				pages[sp.Shard] += sp.Pages
+			default:
+				t.Errorf("%s: unexpected span %+v", name, sp)
+			}
+		}
+		if st.MergeRounds < 1 || len(rounds) != st.MergeRounds || len(refines) != shards*st.MergeRounds {
+			t.Errorf("%s: %d merge_round and %d refine spans over %d rounds of %d shards", name, len(rounds), len(refines), st.MergeRounds, shards)
+		}
+		for r := 1; r <= st.MergeRounds; r++ {
+			for i := 0; i < shards; i++ {
+				if rounds[r] != 1 || refines[[2]int{i, r}] != 1 {
+					t.Errorf("%s: round %d has %d merge_round spans, shard %d %d refine spans", name, r, rounds[r], i, refines[[2]int{i, r}])
+				}
+			}
+		}
+		for i, per := range st.PerShard {
+			if pages[i] != int64(per.PageAccesses) {
+				t.Errorf("%s: shard %d spans account for %d pages, its statistics for %d", name, i, pages[i], per.PageAccesses)
+			}
+		}
+		if pages[shards] != int64(st.PageAccesses) {
+			t.Errorf("%s: merge_round spans account for %d pages, the query read %d", name, pages[shards], st.PageAccesses)
+		}
+	}
+}
