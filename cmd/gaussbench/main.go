@@ -1,29 +1,23 @@
 // Command gaussbench regenerates every table and figure of the paper's
-// evaluation (§6) plus this repository's ablations. Each experiment prints
-// an aligned text table; EXPERIMENTS.md records the paper-vs-measured
-// comparison produced by this tool. All engines are driven through the
-// uniform query.Engine interface, so adding a backend to eval.Build
-// automatically adds it to every comparison here.
+// evaluation (§6) plus this repository's ablations, as aligned text tables.
+// All engines are driven through the uniform query.Engine interface, so
+// adding a backend to eval.Build automatically adds it to every comparison
+// here.
 //
 // Usage:
 //
 //	gaussbench -exp all                 # everything (several minutes)
 //	gaussbench -exp fig6a,fig7ds2       # selected experiments
 //	gaussbench -exp headline -quick     # reduced data sizes for smoke runs
-//	gaussbench -exp fig7ds1 -json out.json  # machine-readable results
 //
 // Experiments: fig1, fig6a, fig6b, fig7ds1, fig7ds2, headline, ablations,
-// ingest, chaos. Throughput, latency, reopen and shard-scaling numbers are
-// the business of the benchmark of record (./benchmark).
-// With -json the collected per-backend measurements (page accesses, wall
-// times, recall, and heap allocations per query — the -benchmem equivalents)
-// are additionally written as JSON ("-" for stdout), so perf trajectories
-// can be tracked across revisions in BENCH_*.json files.
+// ingest, chaos; an unknown name exits 2. Throughput, latency, reopen and
+// shard-scaling numbers are the business of the benchmark of record
+// (./benchmark).
 package main
 
 import (
 	"context"
-	"encoding/json"
 	"flag"
 	"fmt"
 	"math"
@@ -31,6 +25,7 @@ import (
 	"net"
 	"os"
 	"runtime"
+	"slices"
 	"sort"
 	"strings"
 	"sync"
@@ -39,8 +34,6 @@ import (
 
 	gausstree "github.com/gauss-tree/gausstree"
 	"github.com/gauss-tree/gausstree/client"
-	"github.com/gauss-tree/gausstree/internal/buildinfo"
-	"github.com/gauss-tree/gausstree/internal/core"
 	"github.com/gauss-tree/gausstree/internal/dataset"
 	"github.com/gauss-tree/gausstree/internal/eval"
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -49,22 +42,43 @@ import (
 	"github.com/gauss-tree/gausstree/internal/server"
 )
 
+// experiments are the names -exp accepts, besides "all".
+var experiments = []string{"fig1", "fig6a", "fig6b", "fig7ds1", "fig7ds2", "headline", "ablations", "ingest", "chaos"}
+
+// parseExperiments resolves the -exp list into the set of experiments to
+// run; a name that is neither an experiment nor "all" is an error.
+func parseExperiments(list string) (map[string]bool, error) {
+	want := map[string]bool{}
+	for _, name := range strings.Split(list, ",") {
+		name = strings.TrimSpace(name)
+		if name == "all" {
+			for _, e := range experiments {
+				want[e] = true
+			}
+			continue
+		}
+		if !slices.Contains(experiments, name) {
+			return nil, fmt.Errorf("unknown experiment %q (valid: %s, all)", name, strings.Join(experiments, ", "))
+		}
+		want[name] = true
+	}
+	return want, nil
+}
+
 func main() {
 	var (
-		exps     = flag.String("exp", "all", "comma-separated experiments: fig1,fig6a,fig6b,fig7ds1,fig7ds2,headline,ablations,ingest,chaos,all")
-		quick    = flag.Bool("quick", false, "reduced data sizes (for smoke testing)")
-		n1       = flag.Int("n1", 10987, "data set 1 size (paper: 10987)")
-		n2       = flag.Int("n2", 100000, "data set 2 size (paper: 100000)")
-		q1       = flag.Int("q1", 100, "data set 1 query count (paper: 100)")
-		q2       = flag.Int("q2", 500, "data set 2 query count (paper: 500)")
-		pageSz   = flag.Int("pagesize", pagefile.DefaultPageSize, "page size in bytes")
-		seed1    = flag.Int64("seed1", 1, "data set 1 seed")
-		seed2    = flag.Int64("seed2", 2, "data set 2 seed")
-		jsonPath = flag.String("json", "", "write collected results as JSON to this file (\"-\" for stdout)")
-		leafFmt  = flag.String("leaf-format", "", "Gauss-tree leaf encoding: exact, float32, grid8 (default exact)")
+		exps   = flag.String("exp", "all", "comma-separated experiments: "+strings.Join(experiments, ",")+",all")
+		quick  = flag.Bool("quick", false, "reduced data sizes (for smoke testing)")
+		n1     = flag.Int("n1", 10987, "data set 1 size (paper: 10987)")
+		n2     = flag.Int("n2", 100000, "data set 2 size (paper: 100000)")
+		q1     = flag.Int("q1", 100, "data set 1 query count (paper: 100)")
+		q2     = flag.Int("q2", 500, "data set 2 query count (paper: 500)")
+		pageSz = flag.Int("pagesize", pagefile.DefaultPageSize, "page size in bytes")
+		seed1  = flag.Int64("seed1", 1, "data set 1 seed")
+		seed2  = flag.Int64("seed2", 2, "data set 2 seed")
 	)
 	flag.Parse()
-	leafFormat, err := core.ParseLeafFormat(*leafFmt)
+	run, err := parseExperiments(*exps)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "gaussbench:", err)
 		os.Exit(2)
@@ -73,155 +87,55 @@ func main() {
 		*n1, *n2, *q1, *q2 = 3000, 10000, 40, 60
 	}
 
-	want := map[string]bool{}
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	all := want["all"]
-	run := func(name string) bool { return all || want[name] }
-
 	b := &bench{
 		n1: *n1, n2: *n2, q1: *q1, q2: *q2,
 		pageSize: *pageSz, seed1: *seed1, seed2: *seed2,
-		leafFormat: leafFormat,
 	}
-	b.out.Params = benchParams{
-		N1: *n1, N2: *n2, Q1: *q1, Q2: *q2, PageSize: *pageSz, Quick: *quick,
-		LeafFormat: leafFormat.String(),
-	}
-	b.out.Build = buildinfo.Get()
 
-	if run("fig1") {
+	if run["fig1"] {
 		b.figure1()
 	}
-	if run("fig6a") || run("fig7ds1") || run("headline") || run("ablations") {
+	if run["fig6a"] || run["fig7ds1"] || run["headline"] {
 		b.loadDS1()
 	}
-	if run("fig6b") || run("fig7ds2") || run("headline") || run("ablations") {
+	if run["fig6b"] || run["fig7ds2"] || run["headline"] {
 		b.loadDS2()
 	}
-	if run("fig6a") {
+	if run["fig6a"] {
 		b.figure6(b.e1, b.ds1, b.qs1, "fig6a")
 	}
-	if run("fig6b") {
+	if run["fig6b"] {
 		b.figure6(b.e2, b.ds2, b.qs2, "fig6b")
 	}
-	if run("fig7ds1") {
+	if run["fig7ds1"] {
 		b.figure7(b.e1, b.ds1, b.qs1, "fig7ds1")
 	}
-	if run("fig7ds2") {
+	if run["fig7ds2"] {
 		b.figure7(b.e2, b.ds2, b.qs2, "fig7ds2")
 	}
-	if run("headline") {
+	if run["headline"] {
 		b.headline()
 	}
-	if run("ablations") {
+	if run["ablations"] {
 		b.ablations()
 	}
-	if run("ingest") {
+	if run["ingest"] {
 		b.ingest()
 	}
-	if run("chaos") {
+	if run["chaos"] {
 		b.chaosExp()
 	}
-	if *jsonPath != "" {
-		b.writeJSON(*jsonPath)
-	}
-}
-
-// benchParams records the data sizes a JSON result was measured with.
-type benchParams struct {
-	N1, N2     int
-	Q1, Q2     int
-	PageSize   int
-	Quick      bool
-	LeafFormat string
-}
-
-// ablationRow is one engine × configuration measurement of an ablation.
-type ablationRow struct {
-	Ablation  string
-	Engine    string
-	Variant   string   `json:",omitempty"`
-	PagesPerQ float64  // mean logical page accesses per query
-	Recall    *float64 `json:",omitempty"` // recall@1; nil when not measured
-}
-
-// ingestReport measures the non-blocking write path on a durable index: a
-// sustained multi-writer insert burst with concurrent readers. The headline
-// contrasts are (a) acknowledged-durable inserts/s under group commit versus
-// the serialized per-insert-checkpoint path (the only way the engine could
-// make a single insert durable before the WAL existed), and (b) reader
-// latency during the burst versus idle — snapshot-isolated reads should keep
-// p99 in the same regime while writers hammer the tree. The merge-ingest
-// figures drive the same durable tree in FROSS-style Options.Ingest mode:
-// repeated observations of a fixed object population fold into the stored
-// fingerprints instead of growing the index.
-type ingestReport struct {
-	PreLoaded                int
-	BurstInserts             int
-	Writers, Readers         int
-	SerializedInsertsPerSec  float64
-	GroupCommitInsertsPerSec float64
-	InsertSpeedup            float64
-	IdleP50Millis            float64
-	IdleP99Millis            float64
-	BurstP50Millis           float64
-	BurstP99Millis           float64
-	ReaderSamples            int
-	WALFsyncs                uint64
-	WALRecords               uint64
-	MeanGroupSize            float64
-	SnapshotEpoch            uint64
-	MergeObsPerSec           float64
-	MergeObservations        int
-	MergedShare              float64
-}
-
-// chaosReport summarizes the fault-storm experiment: a loopback gaussd with
-// the supervisor and scrubber armed serves concurrent traffic while bounded
-// fault schedules repeatedly break its storage. The headline figures are the
-// heal latency (disarm -> /readyz healthy), the acknowledged-write loss count
-// (must be zero), and what the disarmed fault layer costs the hot read path.
-type chaosReport struct {
-	Rounds              int     // fault schedules armed, one at a time
-	FaultsInjected      uint64  // I/O faults the injector actually fired
-	Degradations        uint64  // healthy -> degraded transitions observed
-	MeanHealMillis      float64 // disarm -> readyz-healthy, mean over rounds
-	MaxHealMillis       float64
-	QueriesOK           int
-	QueriesRejected     int // typed rejections during the storm
-	InsertsAcked        int
-	InsertsRejected     int
-	AckedLost           int // acknowledged inserts missing after cold reopen; must be 0
-	ScrubRuns           uint64
-	ScrubPages          uint64
-	DisarmedOverheadPct float64 // hot k-MLIQ ns/q: disarmed injector vs no injector
-}
-
-// benchOutput is the machine-readable result set emitted by -json. Build
-// records what produced the numbers, so BENCH snapshots are attributable.
-type benchOutput struct {
-	Params    benchParams
-	Build     buildinfo.Info
-	Fig6      []*eval.Fig6Report `json:",omitempty"`
-	Fig7      []*eval.Fig7Report `json:",omitempty"`
-	Ablations []ablationRow      `json:",omitempty"`
-	Ingest    *ingestReport      `json:",omitempty"`
-	Chaos     *chaosReport       `json:",omitempty"`
 }
 
 type bench struct {
 	n1, n2, q1, q2   int
 	pageSize         int
-	leafFormat       core.LeafFormat
 	seed1, seed2     int64
 	ds1, ds2         *dataset.Dataset
 	qs1, qs2         []dataset.Query
 	e1, e2           *eval.Engines
 	fig6a, fig6b     *eval.Fig6Report
 	fig7ds1, fig7ds2 *eval.Fig7Report
-	out              benchOutput
 }
 
 func (b *bench) loadDS1() {
@@ -237,7 +151,7 @@ func (b *bench) loadDS1() {
 	check(err)
 	fmt.Printf("# data set 1: %d histogram pfv, %d-d, %d queries\n", len(ds.Vectors), ds.Dim, len(qs))
 	start := time.Now()
-	e, err := eval.Build(ds, eval.Setup{PageSize: b.pageSize, LeafFormat: b.leafFormat})
+	e, err := eval.Build(ds, eval.Setup{PageSize: b.pageSize})
 	check(err)
 	fmt.Printf("# built gauss-tree(h=%d), x-tree(h=%d), scan file, va-file in %v\n\n",
 		e.Tree.Height(), e.X.Height(), time.Since(start).Round(time.Millisecond))
@@ -257,7 +171,7 @@ func (b *bench) loadDS2() {
 	check(err)
 	fmt.Printf("# data set 2: %d synthetic pfv, %d-d, %d queries\n", len(ds.Vectors), ds.Dim, len(qs))
 	start := time.Now()
-	e, err := eval.Build(ds, eval.Setup{PageSize: b.pageSize, LeafFormat: b.leafFormat})
+	e, err := eval.Build(ds, eval.Setup{PageSize: b.pageSize})
 	check(err)
 	fmt.Printf("# built gauss-tree(h=%d), x-tree(h=%d), scan file, va-file in %v\n\n",
 		e.Tree.Height(), e.X.Height(), time.Since(start).Round(time.Millisecond))
@@ -294,7 +208,6 @@ func (b *bench) figure6(e *eval.Engines, ds *dataset.Dataset, qs []dataset.Query
 	} else {
 		b.fig6b = rep
 	}
-	b.out.Fig6 = append(b.out.Fig6, rep)
 }
 
 func (b *bench) figure7(e *eval.Engines, ds *dataset.Dataset, qs []dataset.Query, name string) {
@@ -308,7 +221,6 @@ func (b *bench) figure7(e *eval.Engines, ds *dataset.Dataset, qs []dataset.Query
 	} else {
 		b.fig7ds2 = rep
 	}
-	b.out.Fig7 = append(b.out.Fig7, rep)
 }
 
 // headline prints the §6 headline numbers next to the paper's.
@@ -343,14 +255,15 @@ func (b *bench) headline() {
 	fmt.Println()
 }
 
-// ablations runs the design-choice comparisons of DESIGN.md (A1-A4).
+// ablations prints the design-choice comparisons (eval.Ablations) on a DS2
+// subset.
 func (b *bench) ablations() {
-	fmt.Println("=== Ablation A1: σ-combination rule (DS2 subset) ===")
-	b.ablateCombiner()
-	fmt.Println("=== Ablation A2: split/insert objectives (DS2 subset) ===")
-	b.ablateSplit()
-	fmt.Println("=== Ablation A4: engine comparison, 1-MLIQ recall@1 (DS2 subset) ===")
-	b.ablateEngines()
+	fmt.Println("=== Ablations A1 (σ-combination rule), A2 (split objective × build), A4 (engines) ===")
+	ds, qs := b.subset(min(b.n2, 20000), 100)
+	rep, err := eval.Ablations(ds, qs, eval.Setup{PageSize: b.pageSize})
+	check(err)
+	fmt.Print(rep.Format())
+	fmt.Println()
 }
 
 func (b *bench) subset(n, nq int) (*dataset.Dataset, []dataset.Query) {
@@ -362,92 +275,6 @@ func (b *bench) subset(n, nq int) (*dataset.Dataset, []dataset.Query) {
 	qs, err := dataset.MakeQueries(ds, dataset.QueryParams{Count: nq, Sigma: p.Sigma, Seed: b.seed2 + 7})
 	check(err)
 	return ds, qs
-}
-
-func (b *bench) ablateCombiner() {
-	ds, qs := b.subset(min(b.n2, 20000), 100)
-	ctx := context.Background()
-	fmt.Printf("%-14s %12s %14s\n", "combiner", "MLIQ recall", "pages/query")
-	for _, comb := range []gaussian.Combiner{gaussian.CombineAdditive, gaussian.CombineConvolution} {
-		e, err := eval.Build(ds, eval.Setup{PageSize: b.pageSize, Combiner: comb, LeafFormat: b.leafFormat})
-		check(err)
-		hits := 0
-		var pagesTotal uint64
-		for _, q := range qs {
-			res, st, err := e.Tree.KMLIQRanked(ctx, q.Vector, 1)
-			check(err)
-			pagesTotal += st.PageAccesses
-			if len(res) > 0 && res[0].Vector.ID == q.TruthID {
-				hits++
-			}
-		}
-		recall := float64(hits) / float64(len(qs))
-		pages := float64(pagesTotal) / float64(len(qs))
-		fmt.Printf("%-14s %11.0f%% %14.1f\n", comb, 100*recall, pages)
-		b.out.Ablations = append(b.out.Ablations, ablationRow{
-			Ablation: "A1-combiner", Engine: "Gauss-Tree", Variant: comb.String(),
-			PagesPerQ: pages, Recall: &recall,
-		})
-	}
-	fmt.Println()
-}
-
-func (b *bench) ablateSplit() {
-	ds, qs := b.subset(min(b.n2, 20000), 100)
-	ctx := context.Background()
-	fmt.Printf("%-20s %14s\n", "split objective", "pages/query")
-	for _, split := range []core.SplitObjective{core.SplitHullIntegral, core.SplitHullIntegralSum, core.SplitVolume} {
-		mgr, err := pagefile.NewManager(pagefile.NewMemBackend(b.pageSize), b.pageSize)
-		check(err)
-		tr, err := core.New(mgr, ds.Dim, core.Config{Split: split})
-		check(err)
-		check(tr.BulkLoad(ds.Vectors))
-		var pagesTotal uint64
-		for _, q := range qs {
-			_, st, err := tr.KMLIQRanked(ctx, q.Vector, 1)
-			check(err)
-			pagesTotal += st.PageAccesses
-		}
-		pages := float64(pagesTotal) / float64(len(qs))
-		fmt.Printf("%-20s %14.1f\n", split, pages)
-		b.out.Ablations = append(b.out.Ablations, ablationRow{
-			Ablation: "A2-split", Engine: "Gauss-Tree", Variant: split.String(),
-			PagesPerQ: pages,
-		})
-	}
-	fmt.Println()
-}
-
-// ablateEngines compares every backend through the query.Engine interface:
-// one ranked 1-MLIQ per query, recall@1 against the generating object.
-func (b *bench) ablateEngines() {
-	ds, qs := b.subset(min(b.n2, 20000), 100)
-	e, err := eval.Build(ds, eval.Setup{PageSize: b.pageSize, LeafFormat: b.leafFormat})
-	check(err)
-	ctx := context.Background()
-	fmt.Printf("%-12s %14s %12s\n", "engine", "pages/query", "recall@1")
-	for _, eng := range e.All() {
-		eng.Mgr.ResetStats()
-		eng.Mgr.DropCache()
-		hits := 0
-		var pagesTotal uint64
-		for _, q := range qs {
-			res, st, err := eng.Engine.KMLIQRanked(ctx, q.Vector, 1)
-			check(err)
-			pagesTotal += st.PageAccesses
-			if len(res) > 0 && res[0].Vector.ID == q.TruthID {
-				hits++
-			}
-		}
-		recall := float64(hits) / float64(len(qs))
-		pages := float64(pagesTotal) / float64(len(qs))
-		fmt.Printf("%-12s %14.1f %11.0f%%\n", eng.Label, pages, 100*recall)
-		b.out.Ablations = append(b.out.Ablations, ablationRow{
-			Ablation: "A4-engines", Engine: eng.Label,
-			PagesPerQ: pages, Recall: &recall,
-		})
-	}
-	fmt.Println()
 }
 
 // chaosExp drives the self-healing serving stack through a deterministic
@@ -467,7 +294,6 @@ func (b *bench) chaosExp() {
 	dir, err := os.MkdirTemp("", "gaussbench-chaos-*")
 	check(err)
 	defer os.RemoveAll(dir)
-	rep := &chaosReport{}
 
 	// Phase one: the disarmed fault layer's overhead on the hot read path.
 	// Both variants are warmed file-backed indexes over the same data; the
@@ -505,7 +331,7 @@ func (b *bench) chaosExp() {
 	}
 	check(plain.Close())
 	check(wrapped.Close())
-	rep.DisarmedOverheadPct = (disarmedNs - baseNs) / baseNs * 100
+	disarmedOverheadPct := (disarmedNs - baseNs) / baseNs * 100
 
 	// Phase two: the storm. A file-backed daemon with supervisor + scrubber.
 	path := dir + "/storm.gtree"
@@ -608,12 +434,13 @@ func (b *bench) chaosExp() {
 	// continuously and records how long each unhealthy stretch lasted —
 	// the client-visible heal latency, including windows that open and close
 	// while a schedule is still armed.
-	rep.Rounds = len(schedules)
 	var (
-		monStop   = make(chan struct{})
-		monDone   = make(chan struct{})
-		healTotal time.Duration
-		healMax   time.Duration
+		monStop        = make(chan struct{})
+		monDone        = make(chan struct{})
+		degradations   int // healthy -> degraded -> healthy windows observed
+		healTotal      time.Duration
+		healMax        time.Duration
+		faultsInjected uint64 // I/O faults the injector actually fired
 	)
 	go func() {
 		defer close(monDone)
@@ -631,7 +458,7 @@ func (b *bench) chaosExp() {
 				continue
 			}
 			if !downSince.IsZero() {
-				rep.Degradations++
+				degradations++
 				window := time.Since(downSince)
 				healTotal += window
 				if window > healMax {
@@ -646,7 +473,7 @@ func (b *bench) chaosExp() {
 		check(inj.Arm(sched))
 		time.Sleep(60 * time.Millisecond)
 		for _, n := range inj.Status().Injected { // counters reset on Arm
-			rep.FaultsInjected += n
+			faultsInjected += n
 		}
 		inj.Disarm()
 		for cl.Ready(ctx) != nil { // settle before the next round
@@ -657,14 +484,13 @@ func (b *bench) chaosExp() {
 	wg.Wait()
 	close(monStop)
 	<-monDone
-	if rep.Degradations > 0 {
-		rep.MeanHealMillis = float64(healTotal.Microseconds()) / 1e3 / float64(rep.Degradations)
-		rep.MaxHealMillis = float64(healMax.Microseconds()) / 1e3
+	var meanHealMillis float64 // disarm -> readyz-healthy, mean over windows
+	if degradations > 0 {
+		meanHealMillis = float64(healTotal.Microseconds()) / 1e3 / float64(degradations)
 	}
-	rep.QueriesOK, rep.QueriesRejected = int(qOK.Load()), int(qRej.Load())
-	rep.InsertsAcked, rep.InsertsRejected = len(acked), int(insRej.Load())
+	var scrubRuns, scrubPages uint64
 	if st, err := cl.Stats(ctx); err == nil && st.Scrub != nil {
-		rep.ScrubRuns, rep.ScrubPages = st.Scrub.Runs, st.Scrub.Pages
+		scrubRuns, scrubPages = st.Scrub.Runs, st.Scrub.Pages
 	}
 
 	// Cold reopen: every acknowledged insert must have survived the storm.
@@ -679,25 +505,25 @@ func (b *bench) chaosExp() {
 		ids[v.ID] = true
 		return nil
 	}))
+	ackedLost := 0 // acknowledged inserts missing after the cold reopen; must be 0
 	for _, id := range acked {
 		if !ids[id] {
-			rep.AckedLost++
+			ackedLost++
 		}
 	}
 
-	fmt.Printf("disarmed fault-layer overhead on hot k-MLIQ: %+.1f%% (budget <=2%%)\n", rep.DisarmedOverheadPct)
+	fmt.Printf("disarmed fault-layer overhead on hot k-MLIQ: %+.1f%% (budget <=2%%)\n", disarmedOverheadPct)
 	fmt.Printf("%-10s %8s %8s %10s %10s %9s %9s %8s %8s %6s\n",
 		"rounds", "faults", "degr", "heal ms", "max ms", "q ok", "q rej", "ins ok", "ins rej", "lost")
 	fmt.Printf("%-10d %8d %8d %10.1f %10.1f %9d %9d %8d %8d %6d\n",
-		rep.Rounds, rep.FaultsInjected, rep.Degradations, rep.MeanHealMillis, rep.MaxHealMillis,
-		rep.QueriesOK, rep.QueriesRejected, rep.InsertsAcked, rep.InsertsRejected, rep.AckedLost)
-	fmt.Printf("scrubber: %d passes, %d pages verified during the storm\n", rep.ScrubRuns, rep.ScrubPages)
-	if rep.AckedLost > 0 {
-		fmt.Fprintf(os.Stderr, "gaussbench: CHAOS FAILURE: %d acknowledged inserts lost\n", rep.AckedLost)
+		len(schedules), faultsInjected, degradations, meanHealMillis, float64(healMax.Microseconds())/1e3,
+		qOK.Load(), qRej.Load(), len(acked), insRej.Load(), ackedLost)
+	fmt.Printf("scrubber: %d passes, %d pages verified during the storm\n", scrubRuns, scrubPages)
+	if ackedLost > 0 {
+		fmt.Fprintf(os.Stderr, "gaussbench: CHAOS FAILURE: %d acknowledged inserts lost\n", ackedLost)
 		os.Exit(1)
 	}
 	fmt.Println()
-	b.out.Chaos = rep
 }
 
 // freshVectors derives n insertable vectors not present in ds: existing
@@ -758,7 +584,16 @@ func readLatencies(tr *gausstree.Tree, qs []dataset.Query, stop <-chan struct{},
 	}
 }
 
-// ingest measures the non-blocking write path end to end; see ingestReport.
+// ingest measures the non-blocking write path on a durable index: a
+// sustained multi-writer insert burst with concurrent readers. The headline
+// contrasts are (a) acknowledged-durable inserts/s under group commit versus
+// the serialized per-insert-checkpoint path (the only way the engine could
+// make a single insert durable before the WAL existed), and (b) reader
+// latency during the burst versus idle — snapshot-isolated reads should keep
+// p99 in the same regime while writers hammer the tree. The merge-ingest
+// figures drive the same durable tree in Options.Ingest mode: repeated
+// observations of a fixed object population fold into the stored
+// fingerprints instead of growing the index.
 func (b *bench) ingest() {
 	ds, qs := b.subset(min(b.n2, 20000), 200)
 	fmt.Println("=== Ingest: non-blocking durable write path (DS2 subset) ===")
@@ -840,24 +675,7 @@ func (b *bench) ingest() {
 	sort.Slice(during, func(a, b int) bool { return during[a] < during[b] })
 
 	ws, _ := tr.WALStats()
-	rep := &ingestReport{
-		PreLoaded:                len(ds.Vectors),
-		BurstInserts:             burst,
-		Writers:                  writers,
-		Readers:                  readers,
-		SerializedInsertsPerSec:  serRate,
-		GroupCommitInsertsPerSec: float64(burst) / burstWall.Seconds(),
-		IdleP50Millis:            pctMillis(idle, 0.50),
-		IdleP99Millis:            pctMillis(idle, 0.99),
-		BurstP50Millis:           pctMillis(during, 0.50),
-		BurstP99Millis:           pctMillis(during, 0.99),
-		ReaderSamples:            len(during),
-		WALFsyncs:                ws.Fsyncs,
-		WALRecords:               ws.Records,
-		MeanGroupSize:            ws.MeanGroupSize,
-		SnapshotEpoch:            tr.SnapshotEpoch(),
-	}
-	rep.InsertSpeedup = rep.GroupCommitInsertsPerSec / rep.SerializedInsertsPerSec
+	burstRate := float64(burst) / burstWall.Seconds()
 	check(tr.Close())
 
 	// Merge-ingest mode: a fixed object population observed over and over;
@@ -899,39 +717,19 @@ func (b *bench) ingest() {
 	owg.Wait()
 	mergeWall := time.Since(start)
 	ist, _ := ing.IngestStats()
-	rep.MergeObservations = len(obs)
-	rep.MergeObsPerSec = float64(len(obs)) / mergeWall.Seconds()
-	rep.MergedShare = float64(ist.Merged) / float64(len(obs))
 	check(ing.Close())
 
-	fmt.Printf("%-36s %14.0f\n", "serialized inserts/s (checkpoint)", rep.SerializedInsertsPerSec)
-	fmt.Printf("%-36s %14.0f\n", "group-commit inserts/s", rep.GroupCommitInsertsPerSec)
-	fmt.Printf("%-36s %13.1fx\n", "insert speedup", rep.InsertSpeedup)
-	fmt.Printf("%-36s %8.3f/%.3f\n", "idle reader p50/p99 ms", rep.IdleP50Millis, rep.IdleP99Millis)
-	fmt.Printf("%-36s %8.3f/%.3f\n", "burst reader p50/p99 ms", rep.BurstP50Millis, rep.BurstP99Millis)
-	fmt.Printf("%-36s %14d\n", "reader samples during burst", rep.ReaderSamples)
-	fmt.Printf("%-36s %14d\n", "wal fsyncs", rep.WALFsyncs)
-	fmt.Printf("%-36s %14.1f\n", "mean group-commit size", rep.MeanGroupSize)
-	fmt.Printf("%-36s %14.0f\n", "merge-ingest observations/s", rep.MergeObsPerSec)
-	fmt.Printf("%-36s %13.1f%%\n", "observations merged in place", 100*rep.MergedShare)
+	fmt.Printf("%-36s %14.0f\n", "serialized inserts/s (checkpoint)", serRate)
+	fmt.Printf("%-36s %14.0f\n", "group-commit inserts/s", burstRate)
+	fmt.Printf("%-36s %13.1fx\n", "insert speedup", burstRate/serRate)
+	fmt.Printf("%-36s %8.3f/%.3f\n", "idle reader p50/p99 ms", pctMillis(idle, 0.50), pctMillis(idle, 0.99))
+	fmt.Printf("%-36s %8.3f/%.3f\n", "burst reader p50/p99 ms", pctMillis(during, 0.50), pctMillis(during, 0.99))
+	fmt.Printf("%-36s %14d\n", "reader samples during burst", len(during))
+	fmt.Printf("%-36s %14d\n", "wal fsyncs", ws.Fsyncs)
+	fmt.Printf("%-36s %14.1f\n", "mean group-commit size", ws.MeanGroupSize)
+	fmt.Printf("%-36s %14.0f\n", "merge-ingest observations/s", float64(len(obs))/mergeWall.Seconds())
+	fmt.Printf("%-36s %13.1f%%\n", "observations merged in place", 100*float64(ist.Merged)/float64(len(obs)))
 	fmt.Println()
-	b.out.Ingest = rep
-}
-
-// writeJSON emits the collected measurements machine-readably.
-func (b *bench) writeJSON(path string) {
-	data, err := json.MarshalIndent(&b.out, "", "  ")
-	check(err)
-	data = append(data, '\n')
-	if path == "-" {
-		_, err = os.Stdout.Write(data)
-	} else {
-		err = os.WriteFile(path, data, 0o644)
-	}
-	check(err)
-	if path != "-" {
-		fmt.Printf("# wrote JSON results to %s\n", path)
-	}
 }
 
 func check(err error) {
@@ -939,11 +737,4 @@ func check(err error) {
 		fmt.Fprintln(os.Stderr, "gaussbench:", err)
 		os.Exit(1)
 	}
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
 }

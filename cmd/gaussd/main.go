@@ -70,7 +70,6 @@ import (
 type config struct {
 	addr, index string
 	opsAddr     string // empty: no operations listener
-	wantLeaf    string // required leaf format; empty accepts any
 	slowLog     string // trace sink path; empty is stderr
 	// opts is shared with the supervisor's reopen, so a healed index comes
 	// back with the same cache, commit and fault-layer shape.
@@ -97,7 +96,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		traceSmp = fs.Float64("trace-sample", 0, "fraction of requests traced end to end, in [0,1] (0 = off); sampled traces go to -slow-query-log")
 		slowMS   = fs.Int64("slow-query-ms", 0, "log any request at least this slow as a completed trace, regardless of -trace-sample (0 = off)")
 		slowLog  = fs.String("slow-query-log", "", "file receiving trace and slow-query JSON lines, appended (empty = stderr)")
-		leafFmt  = fs.String("leaf-format", "", "require the index's persisted leaf format (exact, float32, grid8, legacy-row); the format itself is fixed at build time, so a mismatch refuses to serve (empty = accept any)")
 		scrubInt = fs.Duration("scrub-interval", 0, "run the background integrity scrubber this often while healthy (0 = disabled)")
 		scrubPPS = fs.Int("scrub-rate", 256, "scrubber page reads per second (positive, or -1 = unthrottled)")
 		chaos    = fs.Bool("chaos", false, "enable runtime fault injection, armed via POST /debug/fault on the ops listener (requires -ops-addr)")
@@ -108,14 +106,6 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 	if *index == "" {
 		fs.Usage()
 		return config{}, errors.New("-index is required")
-	}
-	var wantLeaf string
-	if *leafFmt != "" {
-		f, err := gausstree.ParseLeafFormat(*leafFmt)
-		if err != nil {
-			return config{}, err
-		}
-		wantLeaf = f.String()
 	}
 	for _, bad := range []struct {
 		refuse bool
@@ -149,7 +139,7 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		injector = gausstree.NewFaultInjector()
 	}
 	return config{
-		addr: *addr, index: *index, opsAddr: *opsAddr, wantLeaf: wantLeaf, slowLog: *slowLog,
+		addr: *addr, index: *index, opsAddr: *opsAddr, slowLog: *slowLog,
 		opts: gausstree.Options{CacheBytes: *cacheMB << 20, CommitLatency: *commitLt, Fault: injector},
 		server: server.Config{
 			MaxInflight:        *inflight,
@@ -177,10 +167,6 @@ func main() {
 
 	idx, err := openIndex(cfg.index, opts)
 	fail(err)
-	if got := idx.LeafFormat(); cfg.wantLeaf != "" && got != cfg.wantLeaf {
-		idx.Close()
-		fail(fmt.Errorf("index %s stores leaf format %q, not the required %q (leaf formats are fixed when an index is built)", cfg.index, got, cfg.wantLeaf))
-	}
 	fmt.Printf("gaussd: serving %s index %s: %d vectors, %d-d, %s leaves\n", idx.Kind(), cfg.index, idx.Len(), idx.Dim(), idx.LeafFormat())
 
 	// The metric registry only exists when something can scrape it: with no

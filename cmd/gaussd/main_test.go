@@ -35,8 +35,6 @@ func TestParseFlags(t *testing.T) {
 		{"-index x -scrub-rate -7", "-scrub-rate"},
 		{"-index x -scrub-rate 0", "-scrub-rate"},
 		{"-index x -scrub-rate -1", ""},
-		{"-index x -leaf-format bogus", "bogus"},
-		{"-index x -leaf-format grid8", ""},
 		{"-index x -chaos", "-chaos requires -ops-addr"},
 		{"-index x -chaos -ops-addr :6060", ""},
 	}
@@ -54,12 +52,12 @@ func TestParseFlags(t *testing.T) {
 // TestParseFlagsValues: what is accepted arrives as given.
 func TestParseFlagsValues(t *testing.T) {
 	cfg, err := parseFlags(strings.Fields("-index idx -addr :1 -queue 0 -max-inflight 3 -timeout 2s -cache-mb 7 -commit-latency 5ms"+
-		" -scrub-interval 1h -scrub-rate -1 -trace-sample 0.5 -slow-query-ms 20 -readonly -chaos -ops-addr :2 -leaf-format float32"), io.Discard)
+		" -scrub-interval 1h -scrub-rate -1 -trace-sample 0.5 -slow-query-ms 20 -readonly -chaos -ops-addr :2"), io.Discard)
 	if err != nil {
 		t.Fatal(err)
 	}
 	sc := cfg.server
-	if cfg.index != "idx" || cfg.addr != ":1" || cfg.opsAddr != ":2" || cfg.wantLeaf != "float32" ||
+	if cfg.index != "idx" || cfg.addr != ":1" || cfg.opsAddr != ":2" ||
 		cfg.opts.CacheBytes != 7<<20 || cfg.opts.CommitLatency != 5*time.Millisecond || cfg.opts.Fault == nil ||
 		sc.MaxQueue != -1 || sc.MaxInflight != 3 || sc.Timeout != 2*time.Second || !sc.ReadOnly ||
 		sc.ScrubInterval != time.Hour || sc.ScrubRate != -1 || sc.TraceSample != 0.5 || sc.SlowQueryThreshold != 20*time.Millisecond {

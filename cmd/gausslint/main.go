@@ -1,23 +1,18 @@
-// Command gausslint is the project's static-analysis multichecker: it runs
-// the internal/analysis suite (epochorder, lockorder, poolreset, errwrap,
+// Command gausslint is the project's static-analysis vet tool: it runs the
+// internal/analysis suite (epochorder, lockorder, poolreset, errwrap,
 // ctxflow, waldurable, obsregister, plus the stock nilness/unusedwrite
-// passes) over Go packages.
+// passes) over the packages cmd/go hands it:
 //
-// Two modes:
+//	go vet -vettool=$(command -v gausslint) ./...
 //
-//	gausslint ./...            standalone: load, analyze, print findings
-//	go vet -vettool=gausslint  unitchecker: driven per package by cmd/go
-//
-// The vettool mode implements the cmd/go unit-checking protocol (-V=full,
-// -flags, and a *.cfg JSON file per package), so `go vet
-// -vettool=$(which gausslint) ./...` shares the build cache with ordinary
-// vet runs. Exit status: 0 clean, 1 internal error, 2 findings (vettool
-// convention).
+// It implements the cmd/go unit-checking protocol (-V=full, -flags, and a
+// *.cfg JSON file per package) and nothing else, so a run shares the build
+// cache with ordinary vet runs. Exit status: 0 clean, 1 internal or usage
+// error, 2 findings (vettool convention).
 package main
 
 import (
 	"crypto/sha256"
-	"flag"
 	"fmt"
 	"io"
 	"os"
@@ -27,86 +22,53 @@ import (
 )
 
 func main() {
-	os.Exit(run(os.Args[1:]))
+	os.Exit(run(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-func run(args []string) int {
-	// cmd/go probes vettool capabilities before any package runs.
+func run(args []string, stdout, stderr io.Writer) int {
 	if len(args) == 1 {
 		switch {
+		// cmd/go probes vettool capabilities before any package runs.
 		case args[0] == "-V=full":
-			return printVersion()
+			return printVersion(stdout, stderr)
 		case args[0] == "-flags":
-			fmt.Println("[]")
+			fmt.Fprintln(stdout, "[]")
 			return 0
 		case strings.HasSuffix(args[0], ".cfg"):
-			return unitcheck(args[0])
+			return unitcheck(args[0], stderr)
 		}
 	}
-
-	fs := flag.NewFlagSet("gausslint", flag.ExitOnError)
-	list := fs.Bool("list", false, "list the analyzers and exit")
-	runNames := fs.String("run", "", "comma-separated analyzer names to run (default: all)")
-	fs.Usage = func() {
-		fmt.Fprintf(fs.Output(), "usage: gausslint [-run name,...] [package ...]\n       go vet -vettool=$(command -v gausslint) ./...\n")
-		fs.PrintDefaults()
-	}
-	if err := fs.Parse(args); err != nil {
-		return 1
-	}
-	analyzers, err := analysis.ByName(*runNames)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gausslint:", err)
-		return 1
-	}
-	if *list {
-		for _, a := range analyzers {
-			fmt.Printf("%-12s %s\n", a.Name, a.Doc)
-		}
-		return 0
-	}
-	patterns := fs.Args()
-	if len(patterns) == 0 {
-		patterns = []string{"./..."}
-	}
-	found, err := analysis.Run(os.Stdout, ".", patterns, analyzers)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "gausslint:", err)
-		return 1
-	}
-	if found {
-		return 2
-	}
-	return 0
+	fmt.Fprintln(stderr, "usage: go vet -vettool=$(command -v gausslint) ./...")
+	return 1
 }
 
 // printVersion implements -V=full: cmd/go keys its action cache on this
 // line, so it must change whenever the binary does — hash the executable.
-func printVersion() int {
+func printVersion(stdout, stderr io.Writer) int {
 	exe, err := os.Executable()
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gausslint:", err)
+		fmt.Fprintln(stderr, "gausslint:", err)
 		return 1
 	}
 	f, err := os.Open(exe)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gausslint:", err)
+		fmt.Fprintln(stderr, "gausslint:", err)
 		return 1
 	}
 	defer f.Close()
 	h := sha256.New()
 	if _, err := io.Copy(h, f); err != nil {
-		fmt.Fprintln(os.Stderr, "gausslint:", err)
+		fmt.Fprintln(stderr, "gausslint:", err)
 		return 1
 	}
-	fmt.Printf("%s version devel buildID=%x\n", exe, h.Sum(nil))
+	fmt.Fprintf(stdout, "%s version devel buildID=%x\n", exe, h.Sum(nil))
 	return 0
 }
 
-func unitcheck(cfgPath string) int {
-	found, err := analysis.UnitCheck(os.Stderr, cfgPath, analysis.All())
+func unitcheck(cfgPath string, stderr io.Writer) int {
+	found, err := analysis.UnitCheck(stderr, cfgPath, analysis.All())
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "gausslint:", err)
+		fmt.Fprintln(stderr, "gausslint:", err)
 		return 1
 	}
 	if found {

@@ -9,7 +9,6 @@ import (
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/query"
-	"github.com/gauss-tree/gausstree/internal/shard"
 )
 
 // Vector is a probabilistic feature vector: an object id plus per-dimension
@@ -45,8 +44,8 @@ type LeafFormat = core.LeafFormat
 
 // Available leaf formats.
 const (
-	// LeafExact (default): columnar float64 leaves; bit-identical query
-	// results to the legacy row format at batch-evaluation speed.
+	// LeafExact (default): columnar float64 leaves, scored at
+	// batch-evaluation speed.
 	LeafExact = core.LeafExact
 	// LeafFloat32: float32 leaf pages (half the leaf bytes) + exact
 	// sidecars. Ranked results stay exact; certified probability intervals
@@ -55,13 +54,10 @@ const (
 	// LeafGrid8: 8-bit VA-file-style grid leaf pages (about a quarter of
 	// the leaf bytes) + exact sidecars. Same guarantees as LeafFloat32.
 	LeafGrid8 = core.LeafGrid8
-	// LeafLegacyRow: the pre-columnar row-major encoding, kept writable
-	// for compatibility; readable regardless of the configured format.
-	LeafLegacyRow = core.LeafLegacyRow
 )
 
-// ParseLeafFormat parses a leaf format name ("exact", "float32", "grid8",
-// "legacy-row"); the empty string means LeafExact.
+// ParseLeafFormat parses a leaf format name ("exact", "float32", "grid8");
+// the empty string means LeafExact.
 func ParseLeafFormat(s string) (LeafFormat, error) { return core.ParseLeafFormat(s) }
 
 // QueryStats describes what one identification query cost and how it
@@ -102,11 +98,6 @@ type Options struct {
 	// (default 1e-6). Lower accuracy (larger values) lets queries stop
 	// earlier; 0 keeps whatever interval the traversal certified.
 	Accuracy float64
-	// Partition selects the shard-routing policy of a sharded tree
-	// (default PartitionHashByID); unsharded trees ignore it. It is
-	// persisted in the sharded manifest; OpenSharded restores the policy
-	// the index was built with and ignores this field.
-	Partition PartitionPolicy
 	// LeafFormat selects the on-page leaf encoding (default LeafExact).
 	// It is persisted in the index meta record; Open restores the format
 	// the tree was built with and ignores this field.
@@ -219,7 +210,7 @@ func newTree(u unit, o Options) (*Tree, error) {
 		t.ing, err = newIngester(*o.Ingest, u.tree)
 	}
 	if err == nil {
-		err = t.start([]unit{u}, shard.HashByID(), o)
+		err = t.start([]unit{u}, o)
 	}
 	if err != nil {
 		u.release()

@@ -151,7 +151,7 @@ func releaseUnits(units []unit) {
 }
 
 // state is what an open index publishes: its units and the shard engine
-// over their trees, which routes mutations by partition policy and answers
+// over their trees, which routes mutations by object id and answers
 // the fan-out queries. It sits behind an atomic pointer so that readers
 // never take a lock: queries load the state, pin each tree's current root
 // snapshot and run entirely against immutable pages, concurrently with any
@@ -176,13 +176,13 @@ type index struct {
 // ErrClosed is returned by operations on a closed tree.
 var ErrClosed = errors.New("gausstree: tree is closed")
 
-// start publishes units, routed by part, as the index's live state.
-func (x *index) start(units []unit, part shard.Partitioner, o Options) error {
+// start publishes units as the index's live state.
+func (x *index) start(units []unit, o Options) error {
 	trees := make([]*core.Tree, len(units))
 	for i, u := range units {
 		trees[i] = u.tree
 	}
-	eng, err := shard.New(trees, part)
+	eng, err := shard.New(trees, shard.HashByID())
 	if err != nil {
 		return err
 	}
@@ -401,7 +401,7 @@ func (x *index) WALStats() (ws WALStats, ok bool) {
 }
 
 // Insert adds a probabilistic feature vector to the index, on the shard its
-// partition policy selects. Duplicate ids are permitted (several
+// object id hashes to. Duplicate ids are permitted (several
 // observations of the same object may coexist); Delete removes one matching
 // copy.
 //
@@ -531,9 +531,9 @@ func (x *index) BulkLoad(vs []Vector) error {
 }
 
 // Delete removes one stored copy of the exact vector (id, means and sigmas
-// must all match) and reports whether one was found. Hash-partitioned
-// indexes probe one shard; round-robin probes all. Like Insert it is
-// acknowledged once its WAL record is durable.
+// must all match) and reports whether one was found; a sharded index probes
+// the one shard that owns the id. Like Insert it is acknowledged once its WAL
+// record is durable.
 func (x *index) Delete(v Vector) (bool, error) {
 	x.mu.Lock()
 	st := x.st.Load()

@@ -11,8 +11,8 @@ import (
 
 // An Analyzer describes one static analysis and how to run it.
 type Analyzer struct {
-	// Name identifies the analyzer in diagnostics, -run filters and
-	// suppression directives. It must be a valid Go identifier.
+	// Name identifies the analyzer in diagnostics and suppression
+	// directives. It must be a valid Go identifier.
 	Name string
 	// Doc is the one-paragraph documentation: first sentence states the
 	// invariant, the rest explains why it exists and how to suppress.

@@ -49,18 +49,15 @@ func TestObsRegister(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ObsRegister, "obs")
 }
 
-func TestByName(t *testing.T) {
-	as, err := analysis.ByName("epochorder,lockorder")
-	if err != nil {
-		t.Fatal(err)
+// TestAll: the suite the vet tool runs is the nine analyzers, sorted by name.
+func TestAll(t *testing.T) {
+	all := analysis.All()
+	if len(all) != 9 {
+		t.Fatalf("All() = %d analyzers, want the full suite of 9", len(all))
 	}
-	if len(as) != 2 || as[0].Name != "epochorder" || as[1].Name != "lockorder" {
-		t.Fatalf("ByName returned %v", as)
-	}
-	if _, err := analysis.ByName("nosuch"); err == nil {
-		t.Fatal("ByName accepted an unknown analyzer name")
-	}
-	if all, err := analysis.ByName(""); err != nil || len(all) != 9 {
-		t.Fatalf("ByName(\"\") = %d analyzers, err %v; want the full suite of 9", len(all), err)
+	for i := 1; i < len(all); i++ {
+		if all[i-1].Name >= all[i].Name {
+			t.Errorf("All() not sorted by name: %s before %s", all[i-1].Name, all[i].Name)
+		}
 	}
 }

@@ -1,9 +1,10 @@
 // Package analysis is a dependency-free reimplementation of the core of
 // golang.org/x/tools/go/analysis, sized for this repository's needs: it
-// defines the Analyzer/Pass/Diagnostic vocabulary, loads and type-checks
-// packages by driving `go list -export` (so no network access and no module
-// requirements), and hosts the project-specific analyzers that mechanically
-// enforce the tree's concurrency, durability and error-contract invariants.
+// defines the Analyzer/Pass/Diagnostic vocabulary, type-checks the package
+// cmd/go describes to a vet tool against the export data cmd/go already
+// compiled (UnitCheck — no network access and no module requirements), and
+// hosts the project-specific analyzers that mechanically enforce the tree's
+// concurrency, durability and error-contract invariants.
 //
 // The module is intentionally zero-dependency (go.mod has no requires), so
 // rather than pinning golang.org/x/tools we mirror the subset of its analysis

@@ -12,6 +12,23 @@ import (
 	"os"
 )
 
+// Package is one parsed and type-checked package, as a driver (UnitCheck, or
+// analysistest for fixtures) hands it to RunAnalyzers.
+type Package struct {
+	PkgPath   string
+	Dir       string
+	GoFiles   []string // absolute paths
+	Fset      *token.FileSet
+	Syntax    []*ast.File
+	Types     *types.Package
+	TypesInfo *types.Info
+}
+
+// importerFunc adapts a function to types.Importer.
+type importerFunc func(path string) (*types.Package, error)
+
+func (f importerFunc) Import(path string) (*types.Package, error) { return f(path) }
+
 // The cmd/go unit-checking protocol (what `go vet -vettool=...` drives):
 // for every package, cmd/go writes a JSON config describing the parsed
 // package — source files, the import map, and the export-data file of every

@@ -418,16 +418,6 @@ func (b ParamBox) LogVolume() float64 {
 	return v
 }
 
-// LogVolumeWith returns the LogVolume of the box extended by the vector.
-func (b ParamBox) LogVolumeWith(v pfv.Vector) float64 {
-	out := 0.0
-	for i := range b.Mu {
-		out += math.Log(math.Max(b.Mu[i].Extend(v.Mean[i]).Width(), minWidth)) +
-			math.Log(math.Max(b.Sigma[i].Extend(v.Sigma[i]).Width(), minWidth))
-	}
-	return out
-}
-
 // AccessCostSum returns the alternative split objective that adds the
 // per-dimension hull integrals instead of multiplying them (ablation A2).
 func (b ParamBox) AccessCostSum() float64 {

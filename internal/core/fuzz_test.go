@@ -29,7 +29,7 @@ func FuzzNodeCodec(f *testing.F) {
 	}}
 	rowLeaf := &node{leaf: true, kind: kindLeaf, vectors: leaf.vectors}
 	f.Add(mustEncode(f, leaf, 2), uint8(2))
-	f.Add(mustEncode(f, rowLeaf, 2), uint8(2))
+	f.Add(mustEncode(f, rowLeaf, 2), uint8(2)) // v1 row-major, re-encodes columnar
 	f.Add(mustEncode(f, inner, 2), uint8(2))
 	if q := buildQuantLeaf(LeafFloat32, pfv.ColumnsOf(leaf.vectors, 2), pagefile.DefaultPageSize); q != nil {
 		f.Add(mustEncode(f, &node{leaf: true, kind: q.kind, quant: q}, 2), uint8(2))

@@ -241,17 +241,17 @@ func (t *Tree) chooseChild(n *node, v pfv.Vector) (int, error) {
 	// Several children contain the vector: probe each containment path for
 	// the best-fitting leaf. The probe fanout is capped (smallest-volume
 	// candidates first) to bound the cost of pathological overlap.
-	if len(containing) > t.cfg.ProbeFanout {
+	if len(containing) > probeFanout {
 		box := NewParamBox(t.dim)
 		costs := make([]float64, len(n.children))
 		for _, i := range containing {
 			n.boxes.boxInto(i, box)
-			costs[i] = t.boxCost(box)
+			costs[i] = box.LogAccessCost()
 		}
 		sort.Slice(containing, func(a, b int) bool {
 			return costs[containing[a]] < costs[containing[b]]
 		})
-		containing = containing[:t.cfg.ProbeFanout]
+		containing = containing[:probeFanout]
 	}
 	bestIdx, bestEnl, bestCost := -1, math.Inf(1), math.Inf(1)
 	for _, i := range containing {
@@ -266,23 +266,6 @@ func (t *Tree) chooseChild(n *node, v pfv.Vector) (int, error) {
 	return bestIdx, nil
 }
 
-// boxCost evaluates the configured insertion objective for a box, in log
-// space so high-dimensional products keep their ordering.
-func (t *Tree) boxCost(b ParamBox) float64 {
-	if t.cfg.Insert == InsertVolume {
-		return b.LogVolume()
-	}
-	return b.LogAccessCost()
-}
-
-// boxCostWith evaluates the objective for the box extended by v.
-func (t *Tree) boxCostWith(b ParamBox, v pfv.Vector) float64 {
-	if t.cfg.Insert == InsertVolume {
-		return b.LogVolumeWith(v)
-	}
-	return b.LogAccessCostWith(v)
-}
-
 // leastEnlargementChild returns the index of the child of a readable inner
 // node whose box needs the least objective increase to absorb v, breaking
 // ties by margin increase and then by absolute objective (preferring the
@@ -293,8 +276,8 @@ func (t *Tree) leastEnlargementChild(n *node, v pfv.Vector) int {
 	box := NewParamBox(t.dim)
 	for i := range n.children {
 		n.boxes.boxInto(i, box)
-		cost := t.boxCost(box)
-		enl := t.boxCostWith(box, v) - cost
+		cost := box.LogAccessCost()
+		enl := box.LogAccessCostWith(v) - cost
 		mrg := box.MarginEnlargement(v)
 		if enl < bestEnl ||
 			(enl == bestEnl && mrg < bestMargin) ||
@@ -322,8 +305,8 @@ func (t *Tree) probeLeafCost(page pagefile.PageID, v pfv.Vector) (enl, cost floa
 			return 0, math.Inf(-1), nil
 		}
 		box := BoxOfColumns(cols)
-		c := t.boxCost(box)
-		return t.boxCostWith(box, v) - c, c, nil
+		c := box.LogAccessCost()
+		return box.LogAccessCostWith(v) - c, c, nil
 	}
 	idx, err := t.chooseChild(n, v)
 	if err != nil {

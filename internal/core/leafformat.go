@@ -18,7 +18,7 @@ const (
 	// LeafExact is the default: columnar float64 leaves. Means and sigmas
 	// are stored as contiguous per-dimension arrays plus a precomputed
 	// per-vector −Σ ln σᵢ term, so the executor scores whole leaves with
-	// vectorizable batch loops. Bit-identical results to LeafLegacyRow.
+	// vectorizable batch loops.
 	LeafExact LeafFormat = iota
 	// LeafFloat32 stores leaf means and sigmas as float32 (half the leaf
 	// bytes), with one exact columnar sidecar page per leaf. Decoded values
@@ -31,10 +31,6 @@ const (
 	// cell intervals are widened outward, so the true parameters always lie
 	// inside them.
 	LeafGrid8
-	// LeafLegacyRow is the pre-columnar row-major float64 encoding, kept
-	// writable for backward-compatibility tests. Open reads it regardless
-	// of this setting.
-	LeafLegacyRow
 )
 
 // String returns the format's name.
@@ -46,8 +42,6 @@ func (f LeafFormat) String() string {
 		return "float32"
 	case LeafGrid8:
 		return "grid8"
-	case LeafLegacyRow:
-		return "legacy-row"
 	default:
 		return fmt.Sprintf("unknown(%d)", uint8(f))
 	}
@@ -62,10 +56,8 @@ func ParseLeafFormat(s string) (LeafFormat, error) {
 		return LeafFloat32, nil
 	case "grid8":
 		return LeafGrid8, nil
-	case "legacy-row":
-		return LeafLegacyRow, nil
 	default:
-		return 0, fmt.Errorf("core: unknown leaf format %q (want exact, float32, grid8 or legacy-row)", s)
+		return 0, fmt.Errorf("core: unknown leaf format %q (want exact, float32 or grid8)", s)
 	}
 }
 

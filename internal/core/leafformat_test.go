@@ -19,14 +19,10 @@ import (
 // entry count or subtree count does not fit its on-page field must be
 // refused with an error, never silently truncated.
 func TestEncodeNodeRejectsOversizedCounts(t *testing.T) {
-	big := &node{leaf: true, kind: kindLeaf, vectors: make([]pfv.Vector, maxNodeEntries+1)}
+	big := &node{leaf: true, vectors: make([]pfv.Vector, maxNodeEntries+1)}
 	for j := range big.vectors {
 		big.vectors[j] = pfv.MustNew(uint64(j+1), []float64{0}, []float64{1})
 	}
-	if _, err := encodeNode(big, 1, pagefile.DefaultPageSize); err == nil {
-		t.Fatal("row leaf with more than maxNodeEntries vectors encoded without error")
-	}
-	big.kind = 0 // columnar
 	if _, err := encodeNode(big, 1, pagefile.DefaultPageSize); err == nil {
 		t.Fatal("columnar leaf with more than maxNodeEntries vectors encoded without error")
 	}
@@ -304,22 +300,61 @@ func TestLegacyRowLeafFixture(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(20260808))
 	ctx := context.Background()
-	for trial := 0; trial < 15; trial++ {
-		q := reobserved(rng, vs[rng.Intn(len(vs))])
-		want, _, err := sf.KMLIQ(ctx, q, 3, 0)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got, _, err := tr.KMLIQRanked(ctx, q, 3)
-		if err != nil {
-			t.Fatal(err)
-		}
-		for i := range want {
-			if got[i].Vector.ID != want[i].Vector.ID {
-				t.Fatalf("trial %d rank %d: fixture tree %d, scan %d", trial, i, got[i].Vector.ID, want[i].Vector.ID)
+	matchesScan := func(stage string) {
+		t.Helper()
+		for trial := 0; trial < 15; trial++ {
+			q := reobserved(rng, vs[rng.Intn(len(vs))])
+			want, _, err := sf.KMLIQ(ctx, q, 3, 0)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, _, err := tr.KMLIQRanked(ctx, q, 3)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range want {
+				if got[i].Vector.ID != want[i].Vector.ID {
+					t.Fatalf("%s trial %d rank %d: fixture tree %d, scan %d", stage, trial, i, got[i].Vector.ID, want[i].Vector.ID)
+				}
 			}
 		}
 	}
+	matchesScan("as shipped")
+
+	// The format is read, never written: one Insert rewrites the leaf it
+	// touches columnar and leaves every other leaf the row-major page it was.
+	leafKinds := func() map[byte]int {
+		kinds := map[byte]int{}
+		for _, id := range leafPages(t, tr) {
+			n, err := tr.readNode(id)
+			if err != nil {
+				t.Fatal(err)
+			}
+			kinds[n.kind]++
+		}
+		return kinds
+	}
+	before := leafKinds()
+	if before[kindLeaf] == 0 || len(before) != 1 {
+		t.Fatalf("fixture leaf kinds %v, want row-major leaves only", before)
+	}
+	added := vs[17].Clone()
+	added.ID = 1 << 40
+	if err := tr.Insert(added); err != nil {
+		t.Fatal(err)
+	}
+	if err := sf.AppendAll([]pfv.Vector{added}); err != nil {
+		t.Fatal(err)
+	}
+	vs = append(vs, added)
+	after := leafKinds()
+	if after[kindLeafCol] == 0 || after[kindLeafCol] > 2 || after[kindLeaf] != before[kindLeaf]-1 || len(after) != 2 {
+		t.Fatalf("leaf kinds %v -> %v after one insert, want one row-major leaf rewritten columnar", before, after)
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatalf("after one insert into legacy index: %v", err)
+	}
+	matchesScan("after one insert")
 
 	// Mutating a legacy index must work: new writes use the tree's
 	// configured format, old pages stay decodable side by side.
@@ -328,5 +363,17 @@ func TestLegacyRowLeafFixture(t *testing.T) {
 	}
 	if err := tr.CheckInvariants(); err != nil {
 		t.Fatalf("after insert into legacy index: %v", err)
+	}
+}
+
+// TestLegacyRowIsNotAFormatToAskFor: the row-major layout stays readable and
+// is no value of LeafFormat any more.
+func TestLegacyRowIsNotAFormatToAskFor(t *testing.T) {
+	if f, err := ParseLeafFormat("legacy-row"); err == nil {
+		t.Errorf("ParseLeafFormat(legacy-row) = %v, want an error", f)
+	}
+	mgr, _ := pagefile.NewManager(pagefile.NewMemBackend(4096), 4096)
+	if _, err := New(mgr, 2, Config{LeafFormat: metaLeafRowMajor}); err == nil {
+		t.Error("New accepted the legacy-row leaf format")
 	}
 }

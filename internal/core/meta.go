@@ -12,10 +12,10 @@ import (
 // The tree's meta record, committed through pagefile.Manager.CommitMeta
 // after every structural mutation. It captures everything Open needs to
 // reattach the exact tree: the root page, the geometry bookkeeping, and the
-// full configuration (combiner, split/insert objectives, probe fanout) —
-// query correctness depends on querying with the same σ-combiner the tree
-// was built with, so the configuration travels with the file rather than
-// with the caller.
+// full configuration (combiner, split objective, leaf format) — query
+// correctness depends on querying with the same σ-combiner the tree was built
+// with, so the configuration travels with the file rather than with the
+// caller.
 
 // treeMetaVersion versions the core layer's meta payload. Version 3
 // appends the applied write-ahead-log LSN (recovery replays only records
@@ -26,8 +26,20 @@ const treeMetaVersion = 3
 
 // treeMetaLenV1 is the version-1 encoded size: version (1) + root (4) +
 // dim (4) + height (4) + count (8) + split (1) + insert (1) +
-// probe fanout (2) + combiner (1).
+// probe fanout (2) + combiner (1). The insert objective and the probe fanout
+// were once configurable; the record keeps their bytes and writes the one
+// value each ever had (metaInsertAccessCost, probeFanout).
 const treeMetaLenV1 = 26
+
+// metaInsertAccessCost is the only insert objective a record may name: an
+// index whose inserts minimized anything else cannot be continued by this
+// code.
+const metaInsertAccessCost = 0
+
+// metaLeafRowMajor is the leaf-format byte of an index built to write v1
+// row-major leaves. Its pages stay readable (kindLeaf); it opens as LeafExact
+// and rewrites leaves columnar as mutations touch them.
+const metaLeafRowMajor = 3
 
 // treeMetaLenV2 is the version-2 encoded size: v1 + leaf format (1).
 const treeMetaLenV2 = 27
@@ -46,8 +58,8 @@ func (t *Tree) encodeMeta() []byte {
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.dim))
 	buf = binary.LittleEndian.AppendUint32(buf, uint32(t.height))
 	buf = binary.LittleEndian.AppendUint64(buf, uint64(t.count))
-	buf = append(buf, byte(t.cfg.Split), byte(t.cfg.Insert))
-	buf = binary.LittleEndian.AppendUint16(buf, uint16(t.cfg.ProbeFanout))
+	buf = append(buf, byte(t.cfg.Split), metaInsertAccessCost)
+	buf = binary.LittleEndian.AppendUint16(buf, probeFanout)
 	buf = append(buf, byte(t.cfg.Combiner))
 	buf = append(buf, byte(t.cfg.LeafFormat))
 	buf = binary.LittleEndian.AppendUint64(buf, t.appliedLSN)
@@ -79,12 +91,10 @@ func decodeTreeMeta(buf []byte) (meta Meta, cfg Config, err error) {
 		Count:  int(binary.LittleEndian.Uint64(buf[13:])),
 	}
 	cfg = Config{
-		Split:       SplitObjective(buf[21]),
-		Insert:      InsertObjective(buf[22]),
-		ProbeFanout: int(binary.LittleEndian.Uint16(buf[23:])),
-		Combiner:    gaussian.Combiner(buf[25]),
+		Split:    SplitObjective(buf[21]),
+		Combiner: gaussian.Combiner(buf[25]),
 	}
-	if version >= 2 {
+	if version >= 2 && buf[26] != metaLeafRowMajor {
 		cfg.LeafFormat = LeafFormat(buf[26])
 	}
 	if version >= 3 {
@@ -99,13 +109,13 @@ func decodeTreeMeta(buf []byte) (meta Meta, cfg Config, err error) {
 		err = fmt.Errorf("core: tree meta has count %d", meta.Count)
 	case cfg.Split > SplitVolume:
 		err = fmt.Errorf("core: tree meta has unknown split objective %d", cfg.Split)
-	case cfg.Insert > InsertVolume:
-		err = fmt.Errorf("core: tree meta has unknown insert objective %d", cfg.Insert)
+	case buf[22] != metaInsertAccessCost:
+		err = fmt.Errorf("core: tree meta has unsupported insert objective %d", buf[22])
 	case cfg.Combiner > gaussian.CombineConvolution:
 		err = fmt.Errorf("core: tree meta has unknown combiner %d", cfg.Combiner)
-	case cfg.ProbeFanout <= 0:
-		err = fmt.Errorf("core: tree meta has probe fanout %d", cfg.ProbeFanout)
-	case cfg.LeafFormat > LeafLegacyRow:
+	case binary.LittleEndian.Uint16(buf[23:]) == 0:
+		err = fmt.Errorf("core: tree meta has probe fanout 0")
+	case cfg.LeafFormat > LeafGrid8:
 		err = fmt.Errorf("core: tree meta has unknown leaf format %d", cfg.LeafFormat)
 	}
 	if err != nil {

@@ -11,9 +11,9 @@ import (
 
 // Node kinds in the on-page encoding.
 const (
-	// kindLeaf is the v1 row-major leaf encoding. It is still decoded for
-	// backward compatibility (and still writable via LeafLegacyRow, so the
-	// compatibility path stays testable).
+	// kindLeaf is the v1 row-major leaf encoding. It is decoded for backward
+	// compatibility and never written: a mutation that touches such a leaf
+	// rewrites it columnar.
 	kindLeaf  = 1
 	kindInner = 2
 	// kindLeafCol is the columnar leaf: object ids, then one contiguous
@@ -83,7 +83,7 @@ type childEntry struct {
 //
 // A node a reader can see — decoded from its page, or handed to the page
 // cache by persistNode — is immutable and holds a leaf's payload once:
-// exact leaves (columnar, legacy-row and sidecar pages alike) carry cols,
+// exact leaves (columnar, v1 row-major and sidecar pages alike) carry cols,
 // quantized leaves carry quant (the widened parameter intervals plus the raw
 // quantized payload; their exact vectors are the cols of the sidecar page).
 // The row-major vectors exist only on the writer's own nodes: clone and
@@ -408,14 +408,10 @@ func encodeNode(n *node, dim, pageSize int) ([]byte, error) {
 	if cols == nil || n.vectors != nil {
 		cols = pfv.ColumnsOf(n.vectors, dim)
 	}
-	switch n.kind {
-	case kindLeaf:
-		return encodeRowLeaf(cols)
-	case kindSidecar:
+	if n.kind == kindSidecar {
 		return encodeColumnarLeaf(cols, kindSidecar, pageSize)
-	default: // 0 (unstamped), kindLeafCol
-		return encodeColumnarLeaf(cols, kindLeafCol, pageSize)
 	}
+	return encodeColumnarLeaf(cols, kindLeafCol, pageSize) // 0 (unstamped), kindLeafCol, kindLeaf
 }
 
 // encodeInnerNode writes the entries row-major: page, count, then the
@@ -441,28 +437,6 @@ func encodeInnerNode(n *node, dim int) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.count))
 		for k := 0; k < 4*dim; k++ {
 			buf = appendFloat(buf, boxes.data[k*boxes.n+j])
-		}
-	}
-	return buf, nil
-}
-
-// encodeRowLeaf writes the v1 row-major layout: per entry the id, then the
-// means, then the sigmas (pfv.AppendBinary's layout).
-func encodeRowLeaf(c *pfv.Columns) ([]byte, error) {
-	n := c.Len()
-	if n > maxNodeEntries {
-		return nil, fmt.Errorf("core: row leaf has %d entries, limit %d", n, maxNodeEntries)
-	}
-	buf := make([]byte, nodeHeaderSize, nodeHeaderSize+n*leafEntrySize(c.Dim()))
-	buf[0] = kindLeaf
-	binary.LittleEndian.PutUint16(buf[1:], uint16(n))
-	for j, id := range c.IDs {
-		buf = binary.LittleEndian.AppendUint64(buf, id)
-		for _, col := range c.Mean {
-			buf = appendFloat(buf, col[j])
-		}
-		for _, col := range c.Sigma {
-			buf = appendFloat(buf, col[j])
 		}
 	}
 	return buf, nil

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -11,12 +12,31 @@ import (
 )
 
 // mustEncode encodes a node for tests that only exercise the codec round
-// trip, failing the test on encoding errors.
+// trip, failing the test on encoding errors. A node stamped kindLeaf comes
+// out in the v1 row-major layout, which only this file can still write.
 func mustEncode(tb testing.TB, n *node, dim int) []byte {
 	tb.Helper()
+	if n.leaf && n.kind == kindLeaf {
+		return rowLeafPage(n)
+	}
 	page, err := encodeNode(n, dim, pagefile.DefaultPageSize)
 	if err != nil {
 		tb.Fatalf("encodeNode: %v", err)
+	}
+	return page
+}
+
+// rowLeafPage writes the v1 row-major leaf (kindLeaf) the tree reads and no
+// longer writes: the 3-byte header, then per entry pfv.AppendBinary's id,
+// means, sigmas.
+func rowLeafPage(n *node) []byte {
+	vs := n.vectors
+	if n.cols != nil {
+		vs = n.cols.Vectors()
+	}
+	page := binary.LittleEndian.AppendUint16([]byte{kindLeaf}, uint16(len(vs)))
+	for _, v := range vs {
+		page = pfv.AppendBinary(page, v)
 	}
 	return page
 }

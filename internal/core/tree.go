@@ -44,34 +44,6 @@ func (s SplitObjective) String() string {
 	}
 }
 
-// InsertObjective selects the cost a descending insert minimizes when no
-// child box contains the new vector (and when ranking exact-fit leaves).
-type InsertObjective uint8
-
-const (
-	// InsertAccessCost minimizes the increase of the node's access-cost
-	// surrogate ln ∏ᵢ∫ˆNᵢ — the same quantity the split strategy minimizes.
-	// This is the default: it remains discriminative in high-dimensional
-	// parameter spaces where 2d-volume products degenerate.
-	InsertAccessCost InsertObjective = iota
-	// InsertVolume minimizes the increase of the parameter-space volume,
-	// the paper's literal rule (§5.3), evaluated in log space for numeric
-	// robustness (ablation A2c).
-	InsertVolume
-)
-
-// String returns the objective's name.
-func (o InsertObjective) String() string {
-	switch o {
-	case InsertAccessCost:
-		return "access-cost"
-	case InsertVolume:
-		return "volume"
-	default:
-		return "unknown"
-	}
-}
-
 // Config carries the tunable policies of a Gauss-tree.
 type Config struct {
 	// Combiner is the σ-combination rule for Lemma 1 (default: the paper's
@@ -79,12 +51,6 @@ type Config struct {
 	Combiner gaussian.Combiner
 	// Split is the split objective (default: hull-integral product).
 	Split SplitObjective
-	// Insert is the insertion path objective (default: access cost).
-	Insert InsertObjective
-	// ProbeFanout caps how many containment paths the insertion descent
-	// explores per node when several children contain the new vector
-	// (paper: "we follow all paths"). 0 means the default of 3.
-	ProbeFanout int
 	// LeafFormat selects the on-page leaf encoding (default: exact
 	// columnar float64). See LeafFormat for the accuracy guarantees of
 	// the quantized variants. Any format reads any other format's pages;
@@ -92,7 +58,10 @@ type Config struct {
 	LeafFormat LeafFormat
 }
 
-const defaultProbeFanout = 3
+// probeFanout caps how many containment paths the insertion descent explores
+// per node when several children contain the new vector (paper: "we follow
+// all paths").
+const probeFanout = 3
 
 // Meta is the persistent description of a tree, sufficient to reattach it
 // to a page manager with Open.
@@ -198,8 +167,8 @@ func New(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 
 // Open reattaches the tree committed in the manager's meta record: root
 // page, dimension, height, vector count and the full build configuration
-// (σ-combiner, split/insert objectives, probe fanout) are restored from the
-// last committed state. A store without a committed index yields ErrNoIndex.
+// (σ-combiner, split objective, leaf format) are restored from the last
+// committed state. A store without a committed index yields ErrNoIndex.
 func Open(mgr *pagefile.Manager) (*Tree, error) {
 	raw := mgr.Meta()
 	if raw == nil {
@@ -227,10 +196,7 @@ func prepare(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 	if dim <= 0 {
 		return nil, fmt.Errorf("%w: invalid dimension %d", ErrInvalidArg, dim)
 	}
-	if cfg.ProbeFanout <= 0 {
-		cfg.ProbeFanout = defaultProbeFanout
-	}
-	if cfg.LeafFormat > LeafLegacyRow {
+	if cfg.LeafFormat > LeafGrid8 {
 		return nil, fmt.Errorf("core: unknown leaf format %d", cfg.LeafFormat)
 	}
 	// The columnar leaf header (4 bytes) is the largest fixed leaf
@@ -437,9 +403,6 @@ func (t *Tree) encodeLeaf(n *node) ([]byte, error) {
 		format = LeafExact // an empty leaf (root) needs no sidecar
 	}
 	switch format {
-	case LeafLegacyRow:
-		n.kind = kindLeaf
-		return encodeRowLeaf(n.cols)
 	case LeafFloat32, LeafGrid8:
 		q := buildQuantLeaf(format, n.cols, t.mgr.PageSize())
 		if q == nil {

@@ -345,14 +345,3 @@ func TestHighDimensionalTree(t *testing.T) {
 		t.Errorf("self-query probability = %v, expected dominant", res[0].Probability)
 	}
 }
-
-func TestProbeFanoutConfig(t *testing.T) {
-	tr := newTree(t, 2, 512, Config{ProbeFanout: 1})
-	rng := rand.New(rand.NewSource(19))
-	if _, err := tr.InsertAll(clusteredVectors(rng, 250, 2, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}

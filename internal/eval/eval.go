@@ -6,9 +6,9 @@
 // box-approximation baseline, and the sequential scan, for 1-MLIQ and two
 // TIQ thresholds on both data sets).
 //
-// Metric conventions (fixed in DESIGN.md §5): every query has exactly one
-// correct answer (its generating object); recall@x is the fraction of
-// queries whose correct object appears in the top 3·x results; precision@x
+// Metric conventions: every query has exactly one correct answer (its
+// generating object); recall@x is the fraction of queries whose correct
+// object appears in the top 3·x results; precision@x
 // is recall@x divided by x, which equals recall at x1 — matching the paper's
 // "percentage of queries that retrieved the correct object" — and decays
 // with oversized result sets as in the paper's curves. "Page accesses" are
@@ -38,14 +38,13 @@ import (
 type Setup struct {
 	// PageSize in bytes (default 8192).
 	PageSize int
-	// CacheBytes of buffer cache per engine (default 50 MB, the paper's).
-	CacheBytes int
 	// Combiner for all probability computations.
 	Combiner gaussian.Combiner
 	// Split objective for the Gauss-tree.
 	Split core.SplitObjective
 	// InsertBuild constructs the Gauss-tree by repeated insertion instead
-	// of bulk loading (slower, ~60%% leaf fill; kept for ablations).
+	// of bulk loading (slower, ~60% leaf fill): the other half of the
+	// bulk-vs-insert-built comparison of Ablations.
 	InsertBuild bool
 	// LeafFormat selects the Gauss-tree's on-page leaf encoding (the
 	// comparison engines are unaffected). Default: core.LeafExact.
@@ -55,9 +54,6 @@ type Setup struct {
 func (s *Setup) fillDefaults() {
 	if s.PageSize <= 0 {
 		s.PageSize = pagefile.DefaultPageSize
-	}
-	if s.CacheBytes <= 0 {
-		s.CacheBytes = 50 << 20
 	}
 }
 
@@ -97,9 +93,28 @@ func (e *Engines) All() []NamedEngine {
 	}
 }
 
-// newManager creates one engine's page manager.
+// newManager creates one engine's page manager, with pagefile's default
+// buffer cache (50 MB, the paper's).
 func (s Setup) newManager() (*pagefile.Manager, error) {
-	return pagefile.NewManager(pagefile.NewMemBackend(s.PageSize), s.PageSize, pagefile.WithCacheBytes(s.CacheBytes))
+	return pagefile.NewManager(pagefile.NewMemBackend(s.PageSize), s.PageSize)
+}
+
+// buildTree constructs the Gauss-tree of a bundle on its own manager.
+func (s Setup) buildTree(ds *dataset.Dataset) (*core.Tree, *pagefile.Manager, error) {
+	mgr, err := s.newManager()
+	if err != nil {
+		return nil, nil, err
+	}
+	tr, err := core.New(mgr, ds.Dim, core.Config{Combiner: s.Combiner, Split: s.Split, LeafFormat: s.LeafFormat})
+	if err != nil {
+		return nil, nil, err
+	}
+	if s.InsertBuild {
+		_, err = tr.InsertAll(ds.Vectors)
+	} else {
+		err = tr.BulkLoad(ds.Vectors)
+	}
+	return tr, mgr, err
 }
 
 // Build constructs all four engines for a data set.
@@ -108,18 +123,7 @@ func Build(ds *dataset.Dataset, s Setup) (*Engines, error) {
 	e := &Engines{Combiner: s.Combiner}
 
 	var err error
-	if e.TreeMgr, err = s.newManager(); err != nil {
-		return nil, err
-	}
-	if e.Tree, err = core.New(e.TreeMgr, ds.Dim, core.Config{Combiner: s.Combiner, Split: s.Split, LeafFormat: s.LeafFormat}); err != nil {
-		return nil, err
-	}
-	if s.InsertBuild {
-		_, err = e.Tree.InsertAll(ds.Vectors)
-	} else {
-		err = e.Tree.BulkLoad(ds.Vectors)
-	}
-	if err != nil {
+	if e.Tree, e.TreeMgr, err = s.buildTree(ds); err != nil {
 		return nil, err
 	}
 

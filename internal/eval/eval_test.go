@@ -1,6 +1,7 @@
 package eval
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -132,6 +133,49 @@ func TestFigure7ShapeAndBounds(t *testing.T) {
 	}
 	out := rep.Format()
 	if !strings.Contains(out, "Gauss-Tree") || !strings.Contains(out, "TIQ(P=0.8)") {
+		t.Errorf("Format output malformed:\n%s", out)
+	}
+}
+
+// TestAblations runs the design-choice report at N = 2 000. Ablations itself
+// refuses a variant whose tree fails CheckInvariants, so a nil error pins
+// that all nine built trees hold them.
+func TestAblations(t *testing.T) {
+	e, ds, qs := smallWorld(t, 2000, 20)
+	rep, err := Ablations(ds, qs, Setup{PageSize: 2048})
+	if err != nil {
+		t.Fatal(err)
+	}
+	count := map[string]int{}
+	a4 := map[string]AblationRow{}
+	for _, row := range rep.Rows {
+		count[row.Ablation+"/"+row.Build]++
+		if row.Pages <= 0 || row.Recall < 0 || row.Recall > 1 {
+			t.Errorf("implausible row %+v", row)
+		}
+		if row.Ablation == "A4-engines" {
+			a4[row.Engine] = row
+		}
+	}
+	want := map[string]int{"A1-combiner/bulk": 2, "A2-split/bulk": 3, "A2-split/insert": 3, "A4-engines/bulk": 4}
+	if !reflect.DeepEqual(count, want) {
+		t.Fatalf("rows per ablation and build = %v, want %v", count, want)
+	}
+	// No false dismissals: the Gauss-tree ranks exactly what the scan ranks.
+	if a4["Gauss-Tree"].Recall != a4["Seq. Scan"].Recall {
+		t.Errorf("A4 recall@1: Gauss-tree %v, scan %v", a4["Gauss-Tree"].Recall, a4["Seq. Scan"].Recall)
+	}
+	// A4 is Figure 7's 1-MLIQ column: same engines, same queries, same pages.
+	fig7, err := Figure7(e, ds, qs)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, c := range fig7.Cells {
+		if c.QueryType == "1-MLIQ" && a4[c.Engine].Pages != c.Pages {
+			t.Errorf("%s: A4 reads %v pages/query, Figure 7 %v", c.Engine, a4[c.Engine].Pages, c.Pages)
+		}
+	}
+	if out := rep.Format(); !strings.Contains(out, "A2-split") || !strings.Contains(out, "hull-integral-sum") || !strings.Contains(out, "insert") {
 		t.Errorf("Format output malformed:\n%s", out)
 	}
 }

@@ -1,9 +1,11 @@
 package obs
 
 import (
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -145,30 +147,50 @@ func TestConcurrentScrape(t *testing.T) {
 // -race this proves WritePrometheus snapshots every family's series list
 // under the registry mutex instead of iterating it while register() appends
 // (a scrape concurrent with a new label pair must never see a torn slice).
+// The registrar adds a fixed number of series and lets one scrape complete
+// per chunk, so the two sides interleave under any scheduler and the work is
+// bounded: an unpaced registrar either never ran before the scrapes were over
+// or outgrew them without end.
 func TestConcurrentRegisterScrape(t *testing.T) {
+	const series, chunk = 2000, 100
 	r := NewRegistry()
-	stop := make(chan struct{})
-	var wg sync.WaitGroup
-	wg.Add(1)
+	var scrapes atomic.Int64
+	done := make(chan struct{})
 	go func() {
-		defer wg.Done()
-		for i := 0; ; i++ {
-			select {
-			case <-stop:
-				return
-			default:
-				r.Counter("reg_race_total", "r", L("i", strconv.Itoa(i))).Inc()
+		defer close(done)
+		for i := 0; i < series; i++ {
+			r.Counter("reg_race_total", "r", L("i", strconv.Itoa(i))).Inc()
+			if (i+1)%chunk == 0 {
+				for seen := scrapes.Load(); scrapes.Load() == seen; {
+					runtime.Gosched()
+				}
 			}
 		}
 	}()
-	for i := 0; i < 200; i++ {
+	partial := 0
+	for registering := true; registering; {
+		select {
+		case <-done:
+			registering = false
+		default:
+		}
 		var b strings.Builder
 		if err := r.WritePrometheus(&b); err != nil {
 			t.Fatal(err)
 		}
+		scrapes.Add(1)
+		n := strings.Count(b.String(), "reg_race_total{")
+		if 0 < n && n < series {
+			partial++
+		}
+		if !registering && n != series {
+			t.Errorf("final scrape holds %d of %d series", n, series)
+		}
+		runtime.Gosched()
 	}
-	close(stop)
-	wg.Wait()
+	if partial == 0 {
+		t.Errorf("no scrape out of %d ran while the series were being registered", scrapes.Load())
+	}
 }
 
 func TestHistogramBucketing(t *testing.T) {

@@ -38,50 +38,35 @@ type cacheEntry struct {
 	prev, next *cacheEntry
 }
 
-// defaultCacheShards caps the automatic shard count. 16 shards keep lock
-// contention negligible for any realistic GOMAXPROCS while per-shard LRU
-// state stays large enough to approximate global recency.
-const defaultCacheShards = 16
+// maxCacheShards caps the shard count. 16 shards keep lock contention
+// negligible for any realistic GOMAXPROCS while per-shard LRU state stays
+// large enough to approximate global recency.
+const maxCacheShards = 16
 
-// minPagesPerShard is the smallest per-shard capacity the automatic shard
-// count allows: below it, sharded eviction would diverge visibly from
-// global LRU without buying meaningful concurrency.
+// minPagesPerShard is the smallest per-shard capacity the shard count allows:
+// below it, sharded eviction would diverge visibly from global LRU without
+// buying meaningful concurrency.
 const minPagesPerShard = 64
 
 // cacheShardsFor resolves the shard count for a cache of the given page
-// capacity. hint > 0 forces a count (rounded up to a power of two, capped so
-// every shard holds at least one page); hint <= 0 selects automatically.
-func cacheShardsFor(capacity, hint int) int {
+// capacity: the largest power of two up to maxCacheShards at which every
+// shard still keeps a healthy LRU (minPagesPerShard), so tiny caches are one
+// shard and behave exactly like a global LRU.
+func cacheShardsFor(capacity int) int {
 	if capacity <= 0 {
 		return 0
 	}
-	limit := defaultCacheShards
-	if hint > 0 {
-		limit = hint
-	}
-	n := 1
-	for n < limit {
-		n <<= 1
-	}
-	if hint <= 0 {
-		// Automatic: only shard when every shard keeps a healthy LRU.
-		for n > 1 && capacity/n < minPagesPerShard {
-			n >>= 1
-		}
-	}
-	for n > capacity {
+	n := maxCacheShards
+	for n > 1 && capacity/n < minPagesPerShard {
 		n >>= 1
-	}
-	if n < 1 {
-		n = 1
 	}
 	return n
 }
 
 // newPageCache builds a cache of the given total page capacity split over
 // the resolved shard count. capacity <= 0 disables caching entirely.
-func newPageCache(capacity, shardHint int) pageCache {
-	n := cacheShardsFor(capacity, shardHint)
+func newPageCache(capacity int) pageCache {
+	n := cacheShardsFor(capacity)
 	if n == 0 {
 		return pageCache{}
 	}
@@ -98,9 +83,6 @@ func newPageCache(capacity, shardHint int) pageCache {
 
 // enabled reports whether the cache holds pages at all.
 func (c *pageCache) enabled() bool { return len(c.shards) > 0 }
-
-// shardCount returns the number of shards (0 when caching is disabled).
-func (c *pageCache) shardCount() int { return len(c.shards) }
 
 // shardOf hashes a page id onto its shard. Fibonacci hashing spreads the
 // dense sequential ids a Manager allocates evenly across shards without

@@ -8,78 +8,38 @@ import (
 	"testing"
 )
 
-// TestCacheShardsFor pins the shard-count policy: explicit hints round up to
-// powers of two and are capped by capacity; automatic selection shards only
-// when every shard keeps a healthy LRU, so tiny caches behave exactly like
-// a global LRU (which the eviction tests above rely on).
+// TestCacheShardsFor pins the shard-count policy: a cache is sharded only
+// when every shard keeps a healthy LRU, so tiny caches behave exactly like a
+// global LRU (which the eviction tests rely on).
 func TestCacheShardsFor(t *testing.T) {
 	cases := []struct {
-		capacity, hint, want int
+		capacity, want int
 	}{
-		{0, 0, 0},     // disabled cache: no shards
-		{0, 8, 0},     // disabled cache ignores hints
-		{4, 0, 1},     // tiny cache: exact global LRU
-		{100, 0, 1},   // below 2*minPagesPerShard: still one shard
-		{128, 0, 2},   // 2 shards of 64
-		{6400, 0, 16}, // the default 50 MB / 8 KB cache
-		{1 << 20, 0, 16},
-		{6400, 3, 4}, // hint rounds up to a power of two
-		{6400, 64, 64},
-		{2, 64, 2}, // hint capped so every shard holds >= 1 page
-		{1, 8, 1},
+		{0, 0},     // disabled cache: no shards
+		{4, 1},     // tiny cache: exact global LRU
+		{100, 1},   // below 2*minPagesPerShard: still one shard
+		{128, 2},   // 2 shards of 64
+		{512, 8},   // 8 shards of 64
+		{6400, 16}, // the default 50 MB / 8 KB cache
+		{1 << 20, 16},
 	}
 	for _, c := range cases {
-		if got := cacheShardsFor(c.capacity, c.hint); got != c.want {
-			t.Errorf("cacheShardsFor(%d, %d) = %d, want %d", c.capacity, c.hint, got, c.want)
+		if got := cacheShardsFor(c.capacity); got != c.want {
+			t.Errorf("cacheShardsFor(%d) = %d, want %d", c.capacity, got, c.want)
 		}
-	}
-}
-
-// TestWithCacheShards verifies the option reaches the manager and that the
-// sharded cache preserves exact hit accounting.
-func TestWithCacheShards(t *testing.T) {
-	m := newMemManager(t, 64, WithCacheBytes(1024*64), WithCacheShards(8))
-	if got := m.CacheShards(); got != 8 {
-		t.Fatalf("CacheShards = %d, want 8", got)
-	}
-	var ids []PageID
-	for i := 0; i < 64; i++ {
-		id, err := m.Allocate()
-		if err != nil {
-			t.Fatal(err)
-		}
-		ids = append(ids, id)
-		if err := m.Write(id, []byte{byte(i)}); err != nil {
-			t.Fatal(err)
-		}
-	}
-	m.DropCache()
-	m.ResetStats()
-	for _, id := range ids {
-		if _, err := m.Read(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	for _, id := range ids {
-		if _, err := m.Read(id); err != nil {
-			t.Fatal(err)
-		}
-	}
-	s := m.Stats()
-	if s.LogicalReads != 128 || s.PhysicalReads != 64 || s.CacheHits != 64 {
-		t.Errorf("sharded hit accounting: %+v", s)
-	}
-	if m.CachedPages() != 64 {
-		t.Errorf("CachedPages = %d, want 64", m.CachedPages())
 	}
 }
 
 // TestShardedEvictionBounded fills a sharded cache far past its capacity and
 // checks the byte budget is respected (eviction is per-shard LRU, so the
-// resident count is bounded by the configured capacity).
+// resident count is bounded by the configured capacity) and that hits and
+// misses are counted exactly across shards.
 func TestShardedEvictionBounded(t *testing.T) {
-	const capacity = 256
-	m := newMemManager(t, 64, WithCacheBytes(capacity*64), WithCacheShards(8))
+	const capacity = 512
+	m := newMemManager(t, 64, WithCacheBytes(capacity*64))
+	if got := len(m.cache.shards); got != 8 {
+		t.Fatalf("%d-page cache has %d shards, want 8", capacity, got)
+	}
 	for i := 0; i < 4*capacity; i++ {
 		id, err := m.Allocate()
 		if err != nil {
@@ -99,6 +59,22 @@ func TestShardedEvictionBounded(t *testing.T) {
 	}
 	if m.Stats().CacheHits != 1 {
 		t.Error("most recently written page should be cached")
+	}
+
+	m.DropCache()
+	m.ResetStats()
+	for pass := 0; pass < 2; pass++ {
+		for id := PageID(0); id < 64; id++ {
+			if _, err := m.Read(id); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	if s := m.Stats(); s.LogicalReads != 128 || s.PhysicalReads != 64 || s.CacheHits != 64 {
+		t.Errorf("sharded hit accounting: %+v", s)
+	}
+	if m.CachedPages() != 64 {
+		t.Errorf("CachedPages = %d, want 64", m.CachedPages())
 	}
 }
 
@@ -287,7 +263,10 @@ func TestReadCountedHotNoAlloc(t *testing.T) {
 // lock split (shard locks, allocator lock, I/O lock, atomic closed/next)
 // has no data races and that accounting invariants survive concurrency.
 func TestShardedCacheConcurrentHammer(t *testing.T) {
-	m := newMemManager(t, 64, WithCacheBytes(128*64), WithCacheShards(4))
+	m := newMemManager(t, 64, WithCacheBytes(256*64))
+	if got := len(m.cache.shards); got != 4 {
+		t.Fatalf("256-page cache has %d shards, want 4", got)
+	}
 	const seedPages = 64
 	ids := make([]PageID, seedPages)
 	for i := range ids {

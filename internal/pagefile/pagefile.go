@@ -179,7 +179,6 @@ type Manager struct {
 	backend   Backend
 	pageSize  int
 	capacity  int // cache capacity in pages; 0 disables caching
-	shardHint int // requested cache shard count; 0 = automatic
 	cache     pageCache
 	costModel CostModel
 	// pageBufs recycles the pass-through page buffers of ReadDecoded misses.
@@ -249,15 +248,6 @@ func WithCacheBytes(n int) Option {
 	return func(m *Manager) { m.capacity = n / m.pageSize }
 }
 
-// WithCacheShards sets the number of buffer-cache shards (rounded up to a
-// power of two, capped so every shard holds at least one page). The default
-// of 0 selects automatically: up to 16 shards, but never so many that a
-// shard's LRU degenerates — tiny caches collapse to one shard and behave
-// exactly like a global LRU.
-func WithCacheShards(n int) Option {
-	return func(m *Manager) { m.shardHint = n }
-}
-
 // NewManager wraps a backend with a buffer cache. pageSize must be positive.
 // When the backend holds a committed meta record, the allocator state (next
 // page id and freelist) is restored from it, so a reopened file resumes
@@ -278,7 +268,7 @@ func NewManager(backend Backend, pageSize int, opts ...Option) (*Manager, error)
 	for _, o := range opts {
 		o(m)
 	}
-	m.cache = newPageCache(m.capacity, m.shardHint)
+	m.cache = newPageCache(m.capacity)
 	m.pageBufs.New = func() any {
 		buf := make([]byte, pageSize)
 		return &buf
@@ -349,10 +339,6 @@ func (m *Manager) PageSize() int { return m.pageSize }
 func (m *Manager) NumPages() int {
 	return int(m.next.Load())
 }
-
-// CacheShards returns the number of buffer-cache shards (0 when caching is
-// disabled).
-func (m *Manager) CacheShards() int { return m.cache.shardCount() }
 
 // CostModel returns the configured disk cost model.
 func (m *Manager) CostModel() CostModel { return m.costModel }

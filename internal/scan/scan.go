@@ -15,7 +15,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"math"
 	"sync"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -295,37 +294,23 @@ func (f *File) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 	}
 	var counter pagefile.Counter
 	var stats query.Stats
-	top := pqueue.NewTopK[pfv.Vector](k)
-	var denom gaussian.LogSum
-	err := f.forEach(ctx, &counter, func(v pfv.Vector) error {
-		ld := pfv.JointLogDensity(f.combiner, v, q)
-		if withProbs {
-			denom.Add(ld)
-		}
-		top.Offer(v, ld)
-		stats.VectorsScored++
-		return nil
-	})
+	out, err := query.ExactKMLIQ(k, withProbs, f.scored(ctx, q, &counter, &stats))
 	stats.PageAccesses = counter.LogicalReads()
-	if err != nil {
-		return nil, stats, err
-	}
-	logDenom := denom.Log()
-	out := make([]query.Result, 0, top.Len())
-	for _, v := range top.Sorted() {
-		ld := pfv.JointLogDensity(f.combiner, v, q)
-		r := query.Result{
-			Vector: v, LogDensity: ld,
-			Probability: math.NaN(), ProbLow: math.NaN(), ProbHigh: math.NaN(),
-		}
-		if withProbs {
-			p := math.Exp(ld - logDenom)
-			r.Probability, r.ProbLow, r.ProbHigh = p, p, p
-		}
-		out = append(out, r)
-	}
 	stats.CandidatesRetained = len(out)
-	return out, stats, nil
+	return out, stats, err
+}
+
+// scored is one scan of the file as a refinement pass: every stored vector
+// with its joint log density against q, pages charged to c and evaluations
+// to stats.
+func (f *File) scored(ctx context.Context, q pfv.Vector, c *pagefile.Counter, stats *query.Stats) query.Scored {
+	return func(yield func(pfv.Vector, float64)) error {
+		return f.forEach(ctx, c, func(v pfv.Vector) error {
+			stats.VectorsScored++
+			yield(v, pfv.JointLogDensity(f.combiner, v, q))
+			return nil
+		})
+	}
 }
 
 // TIQ answers a threshold identification query (Definition 2) with the
@@ -342,36 +327,10 @@ func (f *File) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 	}
 	var counter pagefile.Counter
 	var stats query.Stats
-	var denom gaussian.LogSum
-	if err := f.forEach(ctx, &counter, func(v pfv.Vector) error {
-		denom.Add(pfv.JointLogDensity(f.combiner, v, q))
-		stats.VectorsScored++
-		return nil
-	}); err != nil {
-		stats.PageAccesses = counter.LogicalReads()
-		return nil, stats, err
-	}
-	logDenom := denom.Log()
-	var out []query.Result
-	if err := f.forEach(ctx, &counter, func(v pfv.Vector) error {
-		ld := pfv.JointLogDensity(f.combiner, v, q)
-		stats.VectorsScored++
-		p := math.Exp(ld - logDenom)
-		if p >= pTheta {
-			out = append(out, query.Result{
-				Vector: v, LogDensity: ld,
-				Probability: p, ProbLow: p, ProbHigh: p,
-			})
-		}
-		return nil
-	}); err != nil {
-		stats.PageAccesses = counter.LogicalReads()
-		return nil, stats, err
-	}
+	out, err := query.ExactTIQ(pTheta, f.scored(ctx, q, &counter, &stats))
 	stats.PageAccesses = counter.LogicalReads()
 	stats.CandidatesRetained = len(out)
-	query.SortByProbability(out)
-	return query.NonNil(out), stats, nil
+	return out, stats, err
 }
 
 // NearestNeighbors answers a conventional k-nearest-neighbor query on the

@@ -21,7 +21,7 @@ type Index interface {
 	// Kind names the backend ("tree" or "sharded") for /v1/stats.
 	Kind() string
 	// LeafFormat names the on-page leaf encoding ("exact", "float32",
-	// "grid8", "legacy-row") for /v1/stats.
+	// "grid8") for /v1/stats.
 	LeafFormat() string
 	// KMLIQ answers a k-most-likely identification query with certified
 	// probabilities.

@@ -57,9 +57,6 @@ type Config struct {
 	Timeout time.Duration
 	// ReadOnly refuses /v1/insert and /v1/delete with 403.
 	ReadOnly bool
-	// BatchWorkers sizes the batch executor's worker pool (default
-	// GOMAXPROCS, the query.BatchExecutor default).
-	BatchWorkers int
 	// Metrics, when non-nil, receives the daemon's and the index's metric
 	// families; gaussd serves it at /metrics on the ops listener. Nil
 	// disables metrics entirely.
@@ -198,7 +195,7 @@ func New(idx Index, cfg Config) *Server {
 		stop:    make(chan struct{}),
 	}
 	s.idx.Store(&idxBox{idx: idx})
-	s.batch = query.NewBatchExecutor(indexEngine{s}, cfg.BatchWorkers)
+	s.batch = query.NewBatchExecutor(indexEngine{s}, 0)
 	for _, ep := range admissionEndpoints {
 		s.eps[ep] = new(endpointCounters)
 	}

@@ -1,38 +1,22 @@
 package shard
 
-import (
-	"fmt"
-	"sync/atomic"
+import "github.com/gauss-tree/gausstree/internal/pfv"
 
-	"github.com/gauss-tree/gausstree/internal/pfv"
-)
+// Partitioner assigns vectors to shards at mutation time: a splitmix64
+// finalizer over the object id, so each id lands on a stable shard regardless
+// of insertion order, repeated observations of one object stay colocated and
+// an exact-match Delete probes exactly one shard. It is the only routing —
+// the type remains for the name manifests record and for New's signature.
+type Partitioner struct{}
 
-// Partitioner assigns vectors to shards at mutation time. Implementations
-// must be safe for concurrent use (the round-robin counter is atomic; the
-// hash policy is stateless).
-type Partitioner interface {
-	// Name identifies the policy in manifests and reports ("hash-id",
-	// "round-robin"). A persisted sharded index records it so reopening
-	// routes mutations the same way.
-	Name() string
-	// Place returns the shard index in [0, shards) for a vector.
-	Place(v pfv.Vector, shards int) int
-	// Deterministic reports whether Place depends only on the vector
-	// itself, so exact-match operations (Delete) can be routed to one shard
-	// instead of probing all of them.
-	Deterministic() bool
-}
+// HashByID returns the partitioner.
+func HashByID() Partitioner { return Partitioner{} }
 
-// HashByID is the default partitioner: a splitmix64 finalizer over the
-// object id, so each id lands on a stable shard regardless of insertion
-// order and repeated observations of one object stay colocated.
-func HashByID() Partitioner { return hashByID{} }
+// Name identifies the policy in manifests and reports.
+func (Partitioner) Name() string { return "hash-id" }
 
-type hashByID struct{}
-
-func (hashByID) Name() string        { return "hash-id" }
-func (hashByID) Deterministic() bool { return true }
-func (hashByID) Place(v pfv.Vector, shards int) int {
+// Place returns the shard index in [0, shards) for a vector.
+func (Partitioner) Place(v pfv.Vector, shards int) int {
 	return int(splitmix64(v.ID) % uint64(shards))
 }
 
@@ -46,36 +30,6 @@ func splitmix64(x uint64) uint64 {
 	x *= 0x94D049BB133111EB
 	x ^= x >> 31
 	return x
-}
-
-// RoundRobin spreads inserts evenly regardless of id distribution. start
-// seeds the counter — pass the stored vector count when reattaching a
-// persisted index so the rotation resumes where it left off. Placement is
-// insertion-order dependent, so Deletes must probe every shard.
-func RoundRobin(start uint64) Partitioner {
-	rr := &roundRobin{}
-	rr.ctr.Store(start)
-	return rr
-}
-
-type roundRobin struct{ ctr atomic.Uint64 }
-
-func (*roundRobin) Name() string        { return "round-robin" }
-func (*roundRobin) Deterministic() bool { return false }
-func (r *roundRobin) Place(v pfv.Vector, shards int) int {
-	return int((r.ctr.Add(1) - 1) % uint64(shards))
-}
-
-// ByName restores the partitioner a manifest names. start seeds stateful
-// policies (round-robin); stateless ones ignore it.
-func ByName(name string, start uint64) (Partitioner, error) {
-	switch name {
-	case "hash-id":
-		return HashByID(), nil
-	case "round-robin":
-		return RoundRobin(start), nil
-	}
-	return nil, fmt.Errorf("shard: unknown partitioner %q", name)
 }
 
 // Split groups vectors by their target shard in one pass (for batch loads).

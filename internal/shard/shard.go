@@ -68,7 +68,7 @@ type Engine struct {
 // New builds a sharded engine over the given trees (one per shard). All
 // trees must share dimensionality and σ-combiner — probabilities merged
 // across shards are only meaningful when every shard scores densities the
-// same way. A nil partitioner defaults to HashByID.
+// same way.
 func New(trees []*core.Tree, part Partitioner) (*Engine, error) {
 	if len(trees) == 0 {
 		return nil, errors.New("shard: need at least one shard")
@@ -81,9 +81,6 @@ func New(trees []*core.Tree, part Partitioner) (*Engine, error) {
 		if t.Config().Combiner != cfg.Combiner {
 			return nil, fmt.Errorf("shard: shard %d combiner %v differs from shard 0's %v", i+1, t.Config().Combiner, cfg.Combiner)
 		}
-	}
-	if part == nil {
-		part = HashByID()
 	}
 	return &Engine{trees: trees, part: part, name: fmt.Sprintf("gauss-tree-%dshard", len(trees))}, nil
 }
@@ -145,20 +142,10 @@ func (e *Engine) BulkLoad(vs []pfv.Vector) error {
 	})
 }
 
-// Delete removes one stored copy of the exact vector. With a deterministic
-// partitioner only the owning shard is probed; otherwise shards are probed
-// in order until a copy is found.
+// Delete removes one stored copy of the exact vector from the shard that
+// owns its id; no other shard is read.
 func (e *Engine) Delete(v pfv.Vector) (bool, error) {
-	if e.part.Deterministic() {
-		return e.trees[e.part.Place(v, len(e.trees))].Delete(v)
-	}
-	for _, t := range e.trees {
-		found, err := t.Delete(v)
-		if err != nil || found {
-			return found, err
-		}
-	}
-	return false, nil
+	return e.trees[e.part.Place(v, len(e.trees))].Delete(v)
 }
 
 // ForEach visits every stored vector, shard by shard.

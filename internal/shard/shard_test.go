@@ -208,56 +208,63 @@ func TestConformanceTIQ(t *testing.T) {
 }
 
 // TestShardedMutationsAndDelete: routed inserts and deletes behave like one
-// logical tree under both partitioners.
+// logical tree, and a Delete reads pages of the owning shard only.
 func TestShardedMutationsAndDelete(t *testing.T) {
 	rng := rand.New(rand.NewSource(37))
 	vs := clustered(rng, 200, 2, 3)
-	for _, part := range []Partitioner{HashByID(), RoundRobin(0)} {
-		trees := make([]*core.Tree, 3)
-		for i := range trees {
-			trees[i] = newTree(t, 2, 1024)
+	trees := make([]*core.Tree, 3)
+	for i := range trees {
+		trees[i] = newTree(t, 2, 1024)
+	}
+	e, err := New(trees, HashByID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range vs[:50] {
+		if err := e.Insert(v); err != nil {
+			t.Fatal(err)
 		}
-		e, err := New(trees, part)
+	}
+	if _, err := e.InsertAll(vs[50:]); err != nil {
+		t.Fatal(err)
+	}
+	if e.Len() != len(vs) {
+		t.Fatalf("Len=%d, want %d", e.Len(), len(vs))
+	}
+	seen := map[uint64]bool{}
+	if err := e.ForEach(func(v pfv.Vector) error { seen[v.ID] = true; return nil }); err != nil {
+		t.Fatal(err)
+	}
+	if len(seen) != len(vs) {
+		t.Fatalf("ForEach saw %d distinct ids, want %d", len(seen), len(vs))
+	}
+	for _, v := range vs[:20] {
+		for _, tr := range trees {
+			tr.Manager().ResetStats()
+		}
+		found, err := e.Delete(v)
 		if err != nil {
 			t.Fatal(err)
 		}
-		for _, v := range vs[:50] {
-			if err := e.Insert(v); err != nil {
-				t.Fatal(err)
+		if !found {
+			t.Fatalf("Delete(%d) did not find the vector", v.ID)
+		}
+		for i, tr := range trees {
+			owner := i == HashByID().Place(v, len(trees))
+			if read := tr.Manager().Stats().LogicalReads > 0; read != owner {
+				t.Fatalf("Delete(%d): shard %d read pages = %v, owns the id = %v", v.ID, i, read, owner)
 			}
 		}
-		if _, err := e.InsertAll(vs[50:]); err != nil {
-			t.Fatal(err)
-		}
-		if e.Len() != len(vs) {
-			t.Fatalf("%s: Len=%d, want %d", part.Name(), e.Len(), len(vs))
-		}
-		seen := map[uint64]bool{}
-		if err := e.ForEach(func(v pfv.Vector) error { seen[v.ID] = true; return nil }); err != nil {
-			t.Fatal(err)
-		}
-		if len(seen) != len(vs) {
-			t.Fatalf("%s: ForEach saw %d distinct ids, want %d", part.Name(), len(seen), len(vs))
-		}
-		for _, v := range vs[:20] {
-			found, err := e.Delete(v)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !found {
-				t.Fatalf("%s: Delete(%d) did not find the vector", part.Name(), v.ID)
-			}
-		}
-		if e.Len() != len(vs)-20 {
-			t.Fatalf("%s: Len after deletes = %d, want %d", part.Name(), e.Len(), len(vs)-20)
-		}
-		if found, _ := e.Delete(vs[0]); found {
-			t.Fatalf("%s: double delete found a copy", part.Name())
-		}
+	}
+	if e.Len() != len(vs)-20 {
+		t.Fatalf("Len after deletes = %d, want %d", e.Len(), len(vs)-20)
+	}
+	if found, _ := e.Delete(vs[0]); found {
+		t.Fatal("double delete found a copy")
 	}
 }
 
-// TestPartitioners: placement invariants of both policies.
+// TestPartitioners: placement is stable and spreads sequential ids.
 func TestPartitioners(t *testing.T) {
 	h := HashByID()
 	counts := make([]int, 4)
@@ -273,23 +280,6 @@ func TestPartitioners(t *testing.T) {
 		if c < 600 || c > 1400 {
 			t.Errorf("hash-id shard %d holds %d of 4000 (badly skewed)", i, c)
 		}
-	}
-
-	rr := RoundRobin(0)
-	for i := 0; i < 12; i++ {
-		if p := rr.Place(pfv.Vector{ID: 7}, 4); p != i%4 {
-			t.Fatalf("round-robin placement %d = %d, want %d", i, p, i%4)
-		}
-	}
-
-	if _, err := ByName("hash-id", 0); err != nil {
-		t.Error(err)
-	}
-	if _, err := ByName("round-robin", 9); err != nil {
-		t.Error(err)
-	}
-	if _, err := ByName("nope", 0); err == nil {
-		t.Error("unknown partitioner accepted")
 	}
 }
 
@@ -398,12 +388,12 @@ func TestAggregatedStats(t *testing.T) {
 
 // TestEngineValidation: mismatched shards and empty shard lists are refused.
 func TestEngineValidation(t *testing.T) {
-	if _, err := New(nil, nil); err == nil {
+	if _, err := New(nil, HashByID()); err == nil {
 		t.Error("empty shard list accepted")
 	}
 	a := newTree(t, 2, 1024)
 	b := newTree(t, 3, 1024)
-	if _, err := New([]*core.Tree{a, b}, nil); err == nil {
+	if _, err := New([]*core.Tree{a, b}, HashByID()); err == nil {
 		t.Error("dimension mismatch accepted")
 	}
 }

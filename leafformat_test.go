@@ -15,7 +15,7 @@ func TestLeafFormatPersistence(t *testing.T) {
 	rng := rand.New(rand.NewSource(91))
 	vs := randomWorld(rng, 200, 2)
 	for _, format := range []gausstree.LeafFormat{
-		gausstree.LeafExact, gausstree.LeafFloat32, gausstree.LeafGrid8, gausstree.LeafLegacyRow,
+		gausstree.LeafExact, gausstree.LeafFloat32, gausstree.LeafGrid8,
 	} {
 		path := filepath.Join(t.TempDir(), "t.gtree")
 		tr, err := gausstree.New(2, gausstree.Options{Path: path, PageSize: 1024, LeafFormat: format})
@@ -60,11 +60,10 @@ func TestLeafFormatPersistence(t *testing.T) {
 // TestParseLeafFormat pins the public parser's vocabulary.
 func TestParseLeafFormat(t *testing.T) {
 	cases := map[string]gausstree.LeafFormat{
-		"":           gausstree.LeafExact,
-		"exact":      gausstree.LeafExact,
-		"float32":    gausstree.LeafFloat32,
-		"grid8":      gausstree.LeafGrid8,
-		"legacy-row": gausstree.LeafLegacyRow,
+		"":        gausstree.LeafExact,
+		"exact":   gausstree.LeafExact,
+		"float32": gausstree.LeafFloat32,
+		"grid8":   gausstree.LeafGrid8,
 	}
 	for s, want := range cases {
 		got, err := gausstree.ParseLeafFormat(s)
@@ -72,8 +71,10 @@ func TestParseLeafFormat(t *testing.T) {
 			t.Fatalf("ParseLeafFormat(%q) = %v, %v; want %v", s, got, err, want)
 		}
 	}
-	if _, err := gausstree.ParseLeafFormat("mp3"); err == nil {
-		t.Fatal("ParseLeafFormat accepted garbage")
+	for _, s := range []string{"mp3", "legacy-row"} {
+		if _, err := gausstree.ParseLeafFormat(s); err == nil {
+			t.Fatalf("ParseLeafFormat accepted %q", s)
+		}
 	}
 }
 

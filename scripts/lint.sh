@@ -1,10 +1,11 @@
 #!/usr/bin/env bash
-# Run the project's static-analysis gate exactly as CI does: build the
-# gausslint multichecker from this checkout and run it over the whole module
-# through `go vet -vettool`, so the stock vet passes (copylocks, lostcancel
-# among them) and the project analyzers (epochorder, lockorder, poolreset,
-# errwrap, ctxflow, waldurable, obsregister — plus nilness and unusedwrite)
-# all gate together.
+# Run the project's static-analysis gate: the stock `go vet` passes
+# (copylocks, lostcancel among them), then the gausslint vet tool built from
+# this checkout (epochorder, lockorder, poolreset, errwrap, ctxflow,
+# waldurable, obsregister — plus nilness and unusedwrite). They are two
+# commands because `go vet -vettool=X` runs X *instead of* the stock passes,
+# not beside them. CI's lint job runs this script; its test job runs the
+# stock `go vet ./...` once more on its own.
 # Any finding exits non-zero. Suppressions require a
 # `//lint:ignore <analyzers> <reason>` directive; see internal/analysis/doc.go.
 set -euo pipefail
@@ -13,9 +14,12 @@ cd "$(dirname "$0")/.."
 tmp=$(mktemp -d)
 trap 'rm -rf "$tmp"' EXIT
 
+echo "# go vet ./..."
+go vet "$@" ./...
+
 echo "# building gausslint"
 go build -o "$tmp/gausslint" ./cmd/gausslint
 
 echo "# go vet -vettool=gausslint ./..."
 go vet -vettool="$tmp/gausslint" "$@" ./...
-echo "# gausslint clean"
+echo "# go vet and gausslint clean"

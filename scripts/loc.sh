@@ -1,11 +1,45 @@
 #!/usr/bin/env bash
-# loc.sh — the ROADMAP's size numbers, counted the same way every time:
-# non-test Go lines outside benchmark/, the fields of gausstree.Options and
-# the flags of gaussd.
+# loc.sh — the ROADMAP's size numbers and knob census, counted the same way
+# every time: non-test Go lines outside benchmark/, and every independently
+# settable value of the library, the baselines, the daemon and the tools.
+# Each count has a ceiling — what the last PR that lowered it reached — and
+# the script exits non-zero when a count is above its ceiling, so CI's size
+# census only ever ratchets down. A PR that removes a knob lowers the ceiling
+# here; one that needs to add a knob has to raise it in the open.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-echo "non-test Go lines outside benchmark/: $(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' | xargs cat | wc -l)"
-echo "  of them internal/core + internal/shard: $(find internal/core internal/shard -name '*.go' -not -name '*_test.go' | xargs cat | wc -l)"
-echo "Options fields: $(sed -n '/^type Options struct {/,/^}/p' gausstree.go | grep -cE '^	[A-Z][A-Za-z]* ')"
-echo "gaussd flags: $(grep -cE '= fs\.(String|Int|Int64|Bool|Duration|Float64)\(' cmd/gaussd/main.go)"
+fail=0
+# census NAME COUNT CEILING
+census() {
+	local verdict=""
+	if [ "$2" -gt "$3" ]; then
+		verdict="  ABOVE THE CEILING"
+		fail=1
+	fi
+	printf '%-40s %6d  (ceiling %d)%s\n' "$1:" "$2" "$3" "$verdict"
+}
+# fields FILE TYPE: exported fields of a struct type.
+fields() {
+	sed -n "/^type $2 struct {/,/^}/p" "$1" | grep -cE '^	[A-Z][A-Za-z]* ' || true
+}
+# flags FILE RECEIVER: flags a command declares on the given flag set.
+flags() {
+	grep -cE "= $2\.(String|Int|Int64|Bool|Duration|Float64)\(" "$1" || true
+}
+
+lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
+census "non-test Go lines outside benchmark/" "$lines" 23411
+echo "  of them internal/core + internal/shard: $(find internal/core internal/shard -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+census "Options fields" "$(fields gausstree.go Options)" 9
+census "LeafFormat values" "$(sed -n '/^const (/,/^)/p' internal/core/leafformat.go | grep -cE '^	Leaf[A-Za-z0-9]+( |$)' || true)" 3
+census "core.Config fields" "$(fields internal/core/tree.go Config)" 3
+census "xtree.Config fields" "$(fields internal/xtree/xtree.go Config)" 2
+census "server.Config fields" "$(fields internal/server/server.go Config)" 13
+census "eval.Setup fields" "$(fields internal/eval/eval.go Setup)" 5
+census "pagefile options" "$(cat internal/pagefile/*.go | grep -cE '^func With[A-Za-z]+\(.*\) Option \{' || true)" 1
+census "gaussd flags" "$(flags cmd/gaussd/main.go fs)" 15
+census "gaussbench flags" "$(flags cmd/gaussbench/main.go flag)" 9
+census "gausslint drivers" "$(cat internal/analysis/*.go | grep -cE '^func (UnitCheck|Run)\(' || true)" 1
+census "gausslint flags" "$(flags cmd/gausslint/main.go fs)" 0
+exit $fail

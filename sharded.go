@@ -10,26 +10,6 @@ import (
 	"github.com/gauss-tree/gausstree/internal/shard"
 )
 
-// PartitionPolicy selects how a sharded tree routes vectors to shards.
-type PartitionPolicy uint8
-
-const (
-	// PartitionHashByID (the default) hashes the object id, so placement is
-	// stable across restarts and repeated observations of one object stay
-	// colocated; deletes touch exactly one shard.
-	PartitionHashByID PartitionPolicy = iota
-	// PartitionRoundRobin rotates over shards for perfectly even growth
-	// regardless of id distribution; deletes must probe every shard.
-	PartitionRoundRobin
-)
-
-func (p PartitionPolicy) name() string {
-	if p == PartitionRoundRobin {
-		return "round-robin"
-	}
-	return "hash-id"
-}
-
 // ShardedQueryStats extends QueryStats with the sharded execution profile:
 // the per-shard breakdown of the aggregated counters and the number of
 // cross-shard denominator merge rounds the query needed (1 = the per-shard
@@ -47,6 +27,11 @@ type shardedManifest struct {
 }
 
 const shardedManifestName = "shards.json"
+
+// shardedPartition is the one routing a manifest may name. An index built
+// with the retired round-robin policy cannot be continued: its Delete would
+// have to probe every shard.
+var shardedPartition = shard.HashByID().Name()
 
 // shardFiles is the sharded layout: shard i's page file and write-ahead
 // log inside dir; an empty dir is a memory-backed shard.
@@ -82,7 +67,7 @@ type Sharded struct {
 // of the given dimension. With Options.Path the index lives in a directory
 // holding one durable page file and WAL per shard plus a manifest; a
 // directory that already holds a sharded index is rejected (reattach with
-// OpenSharded). Options.Partition selects the mutation-routing policy.
+// OpenSharded). Mutations are routed by a hash of the object id.
 // Options.Ingest is rejected — merge-ingest mode is unsharded-only.
 func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 	o := resolveOptions(opts)
@@ -143,12 +128,8 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 		}
 		units = append(units, u)
 	}
-	part, err := shard.ByName(o.Partition.name(), 0)
-	if err != nil {
-		return fail(err)
-	}
 	s := &Sharded{}
-	if err := s.start(units, part, o); err != nil {
+	if err := s.start(units, o); err != nil {
 		return fail(err)
 	}
 	if dir != "" {
@@ -156,7 +137,7 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 		// its presence implies every shard file was created and committed,
 		// so a crash mid-create leaves only reclaimable debris (see above),
 		// never a torn index.
-		m, err := json.Marshal(shardedManifest{Version: 1, Shards: n, Partition: o.Partition.name()})
+		m, err := json.Marshal(shardedManifest{Version: 1, Shards: n, Partition: shardedPartition})
 		if err != nil {
 			return fail(err)
 		}
@@ -173,9 +154,9 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 }
 
 // OpenSharded reattaches a sharded Gauss-tree previously persisted in dir:
-// the manifest restores the shard count and partition policy, and each
-// shard's page file restores its own page size, σ-combiner and tree
-// geometry. Recovery is crash-safe per shard exactly as with Open: each
+// the manifest restores the shard count, and each shard's page file restores
+// its own page size, σ-combiner and tree geometry. A manifest naming any
+// routing but hash-by-id is refused before a shard file is touched. Recovery is crash-safe per shard exactly as with Open: each
 // shard replays its own write-ahead-log tail over its last committed
 // checkpoint. Options may tune the cache budget and probability accuracy;
 // Options.Ingest is rejected as by NewSharded.
@@ -200,29 +181,24 @@ func OpenSharded(dir string, opts ...Options) (*Sharded, error) {
 	if m.Shards <= 0 {
 		return nil, fmt.Errorf("gausstree: sharded manifest names %d shards", m.Shards)
 	}
+	if m.Partition != shardedPartition {
+		return nil, fmt.Errorf("gausstree: sharded manifest names partition policy %q, only %q is supported: rebuild the index by loading its vectors into a fresh NewSharded directory (the release that wrote it reads them out with ForEach)", m.Partition, shardedPartition)
+	}
 
 	units := make([]unit, 0, m.Shards)
 	fail := func(err error) (*Sharded, error) {
 		releaseUnits(units)
 		return nil, err
 	}
-	total := 0
 	for i := 0; i < m.Shards; i++ {
 		u, err := openUnit(shardFiles(dir, i), o.CacheBytes/m.Shards, o)
 		if err != nil {
 			return fail(err)
 		}
 		units = append(units, u)
-		total += u.tree.Len()
-	}
-	// Stateful partitioners (round-robin) resume their rotation from the
-	// stored vector count.
-	part, err := shard.ByName(m.Partition, uint64(total))
-	if err != nil {
-		return fail(err)
 	}
 	s := &Sharded{}
-	if err := s.start(units, part, o); err != nil {
+	if err := s.start(units, o); err != nil {
 		return fail(err)
 	}
 	return s, nil

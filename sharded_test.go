@@ -6,6 +6,8 @@ import (
 	"math/rand"
 	"os"
 	"path/filepath"
+	"reflect"
+	"strings"
 	"testing"
 
 	"github.com/gauss-tree/gausstree"
@@ -97,7 +99,7 @@ func TestShardedPersistenceRoundTrip(t *testing.T) {
 	vs := randomWorld(rng, 400, 2)
 	dir := filepath.Join(t.TempDir(), "sharded-idx")
 
-	st, err := gausstree.NewSharded(2, 3, gausstree.Options{Path: dir, PageSize: 1024, Partition: gausstree.PartitionRoundRobin})
+	st, err := gausstree.NewSharded(2, 3, gausstree.Options{Path: dir, PageSize: 1024})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -168,6 +170,76 @@ func TestShardedOpenRejectsGarbage(t *testing.T) {
 	}
 	if _, err := gausstree.OpenSharded(dir); err == nil {
 		t.Error("OpenSharded with a corrupt manifest should fail")
+	}
+}
+
+// TestShardedManifestBytesAndRetiredRouting pins the manifest of a 4-shard
+// index byte for byte, and checks that a manifest naming the retired
+// round-robin routing is refused with the rebuild advice before any shard
+// file is opened or changed.
+func TestShardedManifestBytesAndRetiredRouting(t *testing.T) {
+	dir := t.TempDir()
+	st, err := gausstree.NewSharded(2, 4, gausstree.Options{Path: dir, PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	vs := randomWorld(rand.New(rand.NewSource(29)), 200, 2)
+	if _, err := st.InsertAll(vs); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Close(); err != nil {
+		t.Fatal(err)
+	}
+	manifest := filepath.Join(dir, "shards.json")
+	intact, err := os.ReadFile(manifest)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"Version":1,"Shards":4,"Partition":"hash-id"}`; string(intact) != want {
+		t.Fatalf("shards.json = %s, want %s", intact, want)
+	}
+
+	files := func() map[string]string {
+		out := map[string]string{}
+		ents, err := os.ReadDir(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, e := range ents {
+			b, err := os.ReadFile(filepath.Join(dir, e.Name()))
+			if err != nil {
+				t.Fatal(err)
+			}
+			out[e.Name()] = string(b)
+		}
+		return out
+	}
+	if err := os.WriteFile(manifest, []byte(`{"Version":1,"Shards":4,"Partition":"round-robin"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	before := files()
+	s, err := gausstree.OpenSharded(dir)
+	if err == nil {
+		s.Close()
+		t.Fatal("OpenSharded accepted a round-robin manifest")
+	}
+	if msg := err.Error(); !strings.Contains(msg, `"round-robin"`) || !strings.Contains(msg, "rebuild") {
+		t.Errorf("refusal %q does not name the policy and the way out", msg)
+	}
+	if after := files(); !reflect.DeepEqual(after, before) {
+		t.Error("the refused OpenSharded changed the index directory")
+	}
+
+	if err := os.WriteFile(manifest, intact, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	re, err := gausstree.OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	if found, err := re.Delete(vs[3]); err != nil || !found {
+		t.Fatalf("delete on the reopened hash-id index: found=%v err=%v", found, err)
 	}
 }
 
