@@ -68,26 +68,19 @@ func (e *APIError) Error() string {
 	return fmt.Sprintf("gaussd: %s (http %d, code %s)", e.Message, e.StatusCode, e.Code)
 }
 
-// Unwrap maps wire error codes back onto the typed sentinel errors of the
-// gausstree package, so errors.Is works identically for local and remote
-// indexes.
+// Unwrap maps the wire error code back onto a typed sentinel — the one in
+// the code's row of wire's error contract, which for engine errors is the
+// gausstree package's, so errors.Is works identically for local and remote
+// indexes; ErrSaturated and ErrDegraded for the two refusals the serving
+// layer itself makes and this client retries.
 func (e *APIError) Unwrap() error {
 	switch e.Code {
-	case wire.ErrCodeInvalid:
-		return gausstree.ErrInvalidQuery
 	case wire.ErrCodeSaturated:
 		return ErrSaturated
-	case wire.ErrCodeDeadline:
-		return context.DeadlineExceeded
-	case wire.ErrCodeClosed:
-		return gausstree.ErrClosed
 	case wire.ErrCodeDegraded:
 		return ErrDegraded
-	case wire.ErrCodePoisoned:
-		return gausstree.ErrPoisoned
-	default:
-		return nil
 	}
+	return wire.ContractOfCode(e.Code).Sentinel
 }
 
 // Options tune a Client; the zero value is production-ready.
@@ -385,7 +378,11 @@ func (c *Client) do(ctx context.Context, path string, makeBody func() any, dst a
 			return nil
 		}
 		var apiErr *APIError
-		if !errors.As(err, &apiErr) || !retryableRejection(apiErr) || attempt >= c.retries {
+		// Only a refusal the error contract marks rejected-before-execution is
+		// sent again — saturation, a degraded daemon healing itself. Everything
+		// else, a poisoned-index 503 included, promises nothing about
+		// re-execution and is surfaced to the caller.
+		if !errors.As(err, &apiErr) || !wire.ContractOfCode(apiErr.Code).Retryable || attempt >= c.retries {
 			return err
 		}
 		if c.budget != nil && !c.budget.allow() {
@@ -395,19 +392,6 @@ func (c *Client) do(ctx context.Context, path string, makeBody func() any, dst a
 			return fmt.Errorf("client: giving up after %d attempts: %w (last: %w)", attempt+1, werr, err)
 		}
 	}
-}
-
-// retryableRejection reports whether the response is one of the two
-// rejected-before-execution refusals that are safe to retry for any
-// endpoint: admission-control saturation, and a degraded daemon refusing
-// mutations while its supervisor heals it. Everything else — including a
-// poisoned-index 503, which promises nothing about re-execution — is
-// surfaced to the caller.
-func retryableRejection(e *APIError) bool {
-	if e.StatusCode == http.StatusTooManyRequests {
-		return true
-	}
-	return e.StatusCode == http.StatusServiceUnavailable && e.Code == wire.ErrCodeDegraded
 }
 
 // get GETs a JSON resource (no retry loop: reads are cheap to re-issue and

@@ -7,8 +7,7 @@ import (
 	"os"
 	"os/exec"
 	"path/filepath"
-	"strconv"
-	"strings"
+	"sync"
 	"syscall"
 	"testing"
 	"time"
@@ -95,9 +94,22 @@ func TestCrashRecoveryLiveCopy(t *testing.T) {
 // crashChildEnv flags the subprocess mode of TestCrashRecoveryKill9.
 const crashChildEnv = "GAUSSTREE_CRASH_CHILD_DIR"
 
+// The crash child's writers: writer w ingests crashVector(w, 0), (w, 1), …
+// in order, so what it attempted is known without being told and what
+// survives of it must be a prefix.
+const (
+	crashWriters = 8
+	crashStride  = 1_000_000 // ids per writer
+)
+
+func crashVector(w, seq int) gausstree.Vector { return seqVector(w*crashStride + seq) }
+
 // TestCrashChildMain is not a test of its own: invoked by
-// TestCrashRecoveryKill9 in a subprocess, it ingests vectors forever and
-// reports each acknowledged count on stdout until it is killed.
+// TestCrashRecoveryKill9 in a subprocess, it ingests from crashWriters
+// goroutines forever — alternating Insert and 1–4-vector InsertAll, so the
+// log's group commits carry several writers' records of both kinds — and
+// reports on stdout each acknowledged vector as "acked <writer> <seq> <mean
+// group size so far>" until it is killed.
 func TestCrashChildMain(t *testing.T) {
 	dir := os.Getenv(crashChildEnv)
 	if dir == "" {
@@ -111,22 +123,49 @@ func TestCrashChildMain(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	w := bufio.NewWriter(os.Stdout)
-	for i := 0; ; i++ {
-		if err := tree.Insert(seqVector(i)); err != nil {
-			t.Fatal(err)
-		}
-		// Acknowledged — durable by contract even if we die right now.
-		fmt.Fprintf(w, "acked %d\n", i+1)
-		w.Flush()
+	var mu sync.Mutex // serializes stdout lines
+	var wg sync.WaitGroup
+	for w := 0; w < crashWriters; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for seq, step := 0, 0; ; step++ {
+				n := 1
+				var err error
+				if step%2 == 0 {
+					err = tree.Insert(crashVector(w, seq))
+				} else {
+					n = 1 + step/2%4
+					batch := make([]gausstree.Vector, n)
+					for i := range batch {
+						batch[i] = crashVector(w, seq+i)
+					}
+					_, err = tree.InsertAll(batch)
+				}
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				// Acknowledged — durable by contract even if we die right now.
+				ws, _ := tree.WALStats()
+				mu.Lock()
+				for i := 0; i < n; i++ {
+					fmt.Printf("acked %d %d %.2f\n", w, seq+i, ws.MeanGroupSize)
+				}
+				mu.Unlock()
+				seq += n
+			}
+		}(w)
 	}
+	wg.Wait()
 }
 
-// TestCrashRecoveryKill9 hard-kills (SIGKILL) a subprocess mid-ingest —
-// including, with overwhelming probability, mid-group-commit — then
-// reopens the index and verifies the no-lost-acknowledged-writes contract:
-// every insert the child reported acknowledged is present, the recovered
-// set is a clean prefix, and invariants hold.
+// TestCrashRecoveryKill9 hard-kills (SIGKILL) a subprocess mid-ingest — with
+// eight writers inside every commit window, mid-group-commit of a
+// multi-record group — then reopens the index and verifies the
+// no-lost-acknowledged-writes contract: acknowledged ⊆ recovered ⊆ attempted,
+// what is recovered of each writer is a prefix of what it attempted, and
+// invariants hold.
 func TestCrashRecoveryKill9(t *testing.T) {
 	if testing.Short() {
 		t.Skip("spawns a subprocess")
@@ -146,17 +185,22 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	// Track the highest acknowledged insert until the kill lands.
-	acked := 0
+	// Track each writer's acknowledged count until the kill lands.
+	var acked [crashWriters]int
+	groupSize := 0.0
+	note := func(line string) {
+		var w, seq int
+		var group float64
+		if n, _ := fmt.Sscanf(line, "acked %d %d %f", &w, &seq, &group); n == 3 && w >= 0 && w < crashWriters {
+			acked[w] = max(acked[w], seq+1)
+			groupSize = group
+		}
+	}
 	lines := bufio.NewScanner(stdout)
 	deadline := time.After(2 * time.Second)
 	killed := false
 	for !killed && lines.Scan() {
-		if rest, ok := strings.CutPrefix(lines.Text(), "acked "); ok {
-			if n, err := strconv.Atoi(rest); err == nil {
-				acked = n
-			}
-		}
+		note(lines.Text())
 		select {
 		case <-deadline:
 			if err := cmd.Process.Signal(syscall.SIGKILL); err != nil {
@@ -167,18 +211,14 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		}
 	}
 	for lines.Scan() { // drain anything written before the kill landed
-		if rest, ok := strings.CutPrefix(lines.Text(), "acked "); ok {
-			if n, err := strconv.Atoi(rest); err == nil {
-				acked = n
-			}
-		}
+		note(lines.Text())
 	}
 	cmd.Wait() // reaps the SIGKILLed child; its error is expected
 	if !killed {
 		t.Fatal("child exited on its own before the kill")
 	}
-	if acked == 0 {
-		t.Fatal("child never acknowledged an insert")
+	if groupSize <= 1 {
+		t.Fatalf("the child's last mean group size was %.2f: the kill landed among groups of one and tested nothing a single writer does not", groupSize)
 	}
 
 	re, err := gausstree.Open(filepath.Join(dir, "crash.gtree"))
@@ -186,26 +226,39 @@ func TestCrashRecoveryKill9(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer re.Close()
-	n := re.Len()
-	if n < acked {
-		t.Fatalf("recovered %d vectors but %d were acknowledged: lost writes", n, acked)
+	var recovered [crashWriters]map[int]bool
+	for w := range recovered {
+		recovered[w] = map[int]bool{}
 	}
-	seen := map[uint64]bool{}
 	if err := re.ForEach(func(v gausstree.Vector) error {
-		seen[v.ID] = true
+		w, seq := int(v.ID-1)/crashStride, int(v.ID-1)%crashStride
+		if w >= crashWriters || recovered[w][seq] {
+			return fmt.Errorf("recovered id %d, which no writer attempted once", v.ID)
+		}
+		recovered[w][seq] = true
 		return nil
 	}); err != nil {
 		t.Fatal(err)
 	}
-	for id := uint64(1); id <= uint64(n); id++ {
-		if !seen[id] {
-			t.Fatalf("recovered set of %d misses id %d: not a committed prefix", n, id)
+	totalAcked := 0
+	for w, seqs := range recovered {
+		if len(seqs) < acked[w] {
+			t.Fatalf("writer %d: recovered %d vectors but %d were acknowledged: lost writes", w, len(seqs), acked[w])
 		}
+		for seq := 0; seq < len(seqs); seq++ {
+			if !seqs[seq] {
+				t.Fatalf("writer %d: recovered %d vectors but not its vector %d: not a prefix of what it attempted", w, len(seqs), seq)
+			}
+		}
+		totalAcked += acked[w]
+	}
+	if totalAcked == 0 {
+		t.Fatal("child never acknowledged an insert")
 	}
 	if err := re.CheckInvariants(); err != nil {
 		t.Fatal(err)
 	}
-	t.Logf("killed after %d acks; recovered %d vectors", acked, n)
+	t.Logf("killed after %d acks at mean group size %.2f; recovered %d vectors", totalAcked, groupSize, re.Len())
 }
 
 // TestCrashRecoveryShardedLiveCopy is the sharded variant of the live-copy
@@ -227,19 +280,7 @@ func TestCrashRecoveryShardedLiveCopy(t *testing.T) {
 		}
 	}
 	// Freeze the whole directory without closing.
-	snapDir := filepath.Join(dir, "snap")
-	if err := os.MkdirAll(snapDir, 0o755); err != nil {
-		t.Fatal(err)
-	}
-	files, err := os.ReadDir(liveDir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, f := range files {
-		copyFile(t, filepath.Join(liveDir, f.Name()), filepath.Join(snapDir, f.Name()))
-	}
-
-	re, err := gausstree.OpenSharded(snapDir)
+	re, err := gausstree.OpenSharded(crashCopy(t, liveDir))
 	if err != nil {
 		t.Fatal(err)
 	}

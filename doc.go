@@ -65,12 +65,15 @@
 //
 // Mutations are shadow-paged (copy-on-write node rewrites sealed by a
 // double-buffered, checksummed meta commit) and individually made durable
-// by a group-commit write-ahead log (<path>.wal): Insert and Delete return
-// once their record is fsynced, sharing the fsync with every mutation that
-// arrived within Options.CommitLatency. BulkLoad, Sync and Close checkpoint.
-// A process killed at any point reopens to a commit-consistent tree holding
-// every acknowledged mutation; on error InsertAll returns the exact
-// durably-applied prefix length. WALStats reports the log's counters.
+// by a group-commit write-ahead log (<path>.wal): Insert, Delete and
+// InsertAll (one record per vector) return once their records are fsynced,
+// and none of them holds the writer lock while it waits, so every mutation
+// that arrived within Options.CommitLatency shares the fsync. BulkLoad, Sync
+// and Close checkpoint. A process killed at any point reopens to a
+// commit-consistent tree holding every acknowledged mutation; on error
+// InsertAll returns how much of the batch lies at or below the log's
+// durable horizon — on a Tree the exact prefix a crash would recover.
+// WALStats reports the log's counters.
 //
 // # Concurrency
 //

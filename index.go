@@ -423,27 +423,37 @@ func (x *index) Insert(v Vector) error {
 }
 
 func (x *index) insert(ctx context.Context, v Vector) error {
+	return x.mutate(func(st *state) error {
+		if x.ing != nil {
+			return x.ing.insert(ctx, v)
+		}
+		return st.eng.Insert(v)
+	}, v)
+}
+
+// mutate is the one mutation path of the façade: take the writer lock, load
+// the live state, check the vectors against its dimension, apply, release the
+// lock, and only then await the group commit — so concurrent mutations join
+// the same fsync and none can hold the lock across one. The wait runs even
+// when apply failed: a batch that died mid-way has a logged prefix to settle.
+func (x *index) mutate(apply func(*state) error, vs ...Vector) error {
 	x.mu.Lock()
 	st := x.st.Load()
 	if st == nil {
 		x.mu.Unlock()
 		return ErrClosed
 	}
-	if err := checkMutationVector(v, st.eng.Dim()); err != nil {
+	err := checkMutationVectors(vs, st.eng.Dim())
+	if err != nil {
 		x.mu.Unlock()
 		return err
 	}
-	var err error
-	if x.ing != nil {
-		err = x.ing.insert(ctx, v)
-	} else {
-		err = st.eng.Insert(v)
-	}
+	err = apply(st)
 	x.mu.Unlock()
-	if err != nil {
-		return err
+	if werr := x.waitDurable(st); err == nil {
+		err = werr
 	}
-	return x.waitDurable(st)
+	return err
 }
 
 // waitDurable awaits the group-commit fsync of the last mutation on every
@@ -488,22 +498,45 @@ func (x *index) waitDurable(st *state) error {
 // InsertAll always inserts verbatim; merge-ingest mode (Options.Ingest)
 // only affects Insert.
 func (x *index) InsertAll(vs []Vector) (int, error) {
-	x.mu.Lock()
-	defer x.mu.Unlock()
-	st := x.st.Load()
-	if st == nil {
-		return 0, ErrClosed
-	}
-	if err := checkMutationVectors(vs, st.eng.Dim()); err != nil {
-		return 0, err
-	}
-	n, err := st.eng.InsertAll(vs)
-	if x.ing != nil {
-		for _, v := range vs[:n] {
-			x.ing.track(v)
+	// Under the lock each unit logs its share of the batch under contiguous
+	// LSNs, (first, last]; what the wait leaves at or below the unit's durable
+	// horizon is the share a crash cannot take back.
+	var units []unit
+	var first, last []uint64
+	var applied []int
+	err := x.mutate(func(st *state) (err error) {
+		units, first = st.units, lastLSNs(st.units)
+		applied, err = st.eng.InsertAll(vs)
+		last = lastLSNs(units)
+		if x.ing != nil {
+			for _, v := range vs[:applied[0]] {
+				x.ing.track(v)
+			}
 		}
+		return err
+	}, vs...)
+	if err == nil {
+		return len(vs), nil
+	}
+	n := 0
+	for i, u := range units {
+		if u.wal == nil {
+			n += applied[i] // memory-backed: committed as it was applied
+			continue
+		}
+		// A checkpoint advances the horizon too; later batches push it past last.
+		n += int(min(max(u.wal.Stats().DurableLSN, first[i]), last[i]) - first[i])
 	}
 	return n, err
+}
+
+// lastLSNs reads every unit's most recently logged LSN (writer lock held).
+func lastLSNs(units []unit) []uint64 {
+	lsns := make([]uint64, len(units))
+	for i, u := range units {
+		lsns[i] = u.tree.LastLSN()
+	}
+	return lsns
 }
 
 // BulkLoad builds the index from a vector set in one pass, partitioning it
@@ -534,26 +567,15 @@ func (x *index) BulkLoad(vs []Vector) error {
 // must all match) and reports whether one was found; a sharded index probes
 // the one shard that owns the id. Like Insert it is acknowledged once its WAL
 // record is durable.
-func (x *index) Delete(v Vector) (bool, error) {
-	x.mu.Lock()
-	st := x.st.Load()
-	if st == nil {
-		x.mu.Unlock()
-		return false, ErrClosed
-	}
-	if err := checkMutationVector(v, st.eng.Dim()); err != nil {
-		x.mu.Unlock()
-		return false, err
-	}
-	found, err := st.eng.Delete(v)
-	if found && err == nil && x.ing != nil {
-		x.ing.forget(v.ID)
-	}
-	x.mu.Unlock()
-	if !found || err != nil {
-		return found, err
-	}
-	return true, x.waitDurable(st)
+func (x *index) Delete(v Vector) (found bool, err error) {
+	err = x.mutate(func(st *state) (err error) {
+		found, err = st.eng.Delete(v)
+		if found && err == nil && x.ing != nil {
+			x.ing.forget(v.ID)
+		}
+		return err
+	}, v)
+	return found, err
 }
 
 // Stats reports the I/O counters of the underlying page managers, summed

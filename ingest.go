@@ -236,23 +236,14 @@ func (g *ingester) sweep(cutoff time.Time) (int, error) {
 // (0, nil) when the tree is not in merge-ingest mode or TTL is 0. Like all
 // mutations it runs under the writer lock without blocking readers, and
 // returns once the deletions are durable.
-func (t *Tree) SweepExpired() (int, error) {
-	t.index.mu.Lock()
-	st := t.st.Load()
-	if st == nil {
-		t.index.mu.Unlock()
-		return 0, ErrClosed
-	}
-	if t.ing == nil || t.ing.opts.TTL <= 0 {
-		t.index.mu.Unlock()
-		return 0, nil
-	}
-	removed, err := t.ing.sweep(time.Now().Add(-t.ing.opts.TTL))
-	t.index.mu.Unlock()
-	if err != nil {
-		return removed, err
-	}
-	return removed, t.waitDurable(st)
+func (t *Tree) SweepExpired() (removed int, err error) {
+	err = t.mutate(func(*state) (err error) {
+		if t.ing != nil && t.ing.opts.TTL > 0 {
+			removed, err = t.ing.sweep(time.Now().Add(-t.ing.opts.TTL))
+		}
+		return err
+	})
+	return removed, err
 }
 
 // IngestStats reports the cumulative merge-ingest counters; ok is false

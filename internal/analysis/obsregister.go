@@ -30,9 +30,7 @@ var ObsRegister = &Analyzer{
 // "Type.Method" for methods and the bare name for package-level functions.
 var obsHotPath = map[string][]string{
 	"Counter.Inc":       nil,
-	"Counter.Add":       nil,
 	"Gauge.Set":         nil,
-	"Gauge.Add":         nil,
 	"Histogram.Observe": nil,
 	"Sampler.Sample":    nil,
 	"Trace.Begin":       nil,

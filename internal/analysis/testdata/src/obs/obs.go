@@ -1,7 +1,7 @@
 // Fixture for the obsregister analyzer: a mirror of the internal/obs
-// instrumentation kernel. Counter.Inc, Gauge.Set/Add, Sampler.Sample and
-// Trace.Begin are the documented pure-atomic shapes; Counter.Add locks
-// directly and Histogram.Observe locks through a helper (both flagged);
+// instrumentation kernel. Gauge.Set, Sampler.Sample and Trace.Begin are the
+// documented pure-atomic shapes; Counter.Inc locks directly and
+// Histogram.Observe locks through a helper (both flagged);
 // Trace.End takes only the trace-local Trace.mu, which the allowance table
 // permits. WithTrace is deliberately missing so the stale-table report is
 // exercised at the package clause.
@@ -21,13 +21,10 @@ type Counter struct {
 	mu sync.Mutex
 }
 
-// good: a single atomic add.
-func (c *Counter) Inc() { c.v.Add(1) }
-
 // bad: serializes every instrumented caller on c.mu.
-func (c *Counter) Add(n uint64) { // want "obs hot-path Counter.Add acquires Counter.mu"
+func (c *Counter) Inc() { // want "obs hot-path Counter.Inc acquires Counter.mu"
 	c.mu.Lock()
-	c.v.Add(n)
+	c.v.Add(1)
 	c.mu.Unlock()
 }
 
@@ -37,16 +34,6 @@ type Gauge struct {
 
 // good: atomic store.
 func (g *Gauge) Set(v uint64) { g.bits.Store(v) }
-
-// good: CAS loop, no lock.
-func (g *Gauge) Add(d uint64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, old+d) {
-			return
-		}
-	}
-}
 
 type Histogram struct {
 	mu    sync.Mutex

@@ -49,6 +49,21 @@ func (t *tree) checkpointed() error {
 	return nil
 }
 
+// seal is the tree's one log-or-commit step.
+func (t *tree) seal(rec []byte) error {
+	_, err := t.wal.Append(rec)
+	return err
+}
+
+// good: delegating to the seal is a durability point too.
+func (t *tree) sealed(rec []byte) error {
+	if err := t.seal(rec); err != nil {
+		return err
+	}
+	t.publish()
+	return nil
+}
+
 // bad: visibility before durability — a crash here acknowledges a mutation
 // recovery cannot replay.
 func (t *tree) replay() {

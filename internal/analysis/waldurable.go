@@ -17,11 +17,10 @@ import (
 //     advancing are one indivisible protocol step);
 //  3. every call of publish() must be lexically preceded, in the same
 //     function, by a durability call: wal.Append, commitMeta, checkpoint
-//     or afterMutation.
+//     or seal.
 //
-// Replay/recovery paths that re-publish state already durable in the log
-// (Open, ApplyWALTail's no-new-records branch) carry justified
-// //lint:ignore waldurable directives.
+// A recovery path that re-publishes state already durable in the meta record
+// (Open) carries a justified //lint:ignore waldurable directive.
 var WALDurable = &Analyzer{
 	Name: "waldurable",
 	Doc:  "snapshot publication requires a preceding WAL append (or meta commit): durability before visibility",
@@ -31,10 +30,10 @@ var WALDurable = &Analyzer{
 // durabilityCalls are the callee names that make the pending mutation
 // durable (or delegate to something that does).
 var durabilityCalls = map[string]bool{
-	"Append":        true, // t.wal.Append
-	"commitMeta":    true,
-	"checkpoint":    true,
-	"afterMutation": true,
+	"Append":     true, // t.wal.Append
+	"commitMeta": true,
+	"checkpoint": true,
+	"seal":       true, // core's one log-or-commit step of a live mutation
 }
 
 func runWALDurable(pass *Pass) error {

@@ -141,16 +141,6 @@ func (b *ParamBox) ExtendBox(o ParamBox) {
 	}
 }
 
-// Volume returns the 2d-dimensional volume of the box, the measure used by
-// the paper's least-volume-increase insertion rule.
-func (b ParamBox) Volume() float64 {
-	v := 1.0
-	for i := range b.Mu {
-		v *= b.Mu[i].Width() * b.Sigma[i].Width()
-	}
-	return v
-}
-
 // Margin returns the sum of all 2d side lengths, used to break ties between
 // volume enlargements when boxes are degenerate (zero volume).
 func (b ParamBox) Margin() float64 {
@@ -159,15 +149,6 @@ func (b ParamBox) Margin() float64 {
 		m += b.Mu[i].Width() + b.Sigma[i].Width()
 	}
 	return m
-}
-
-// VolumeEnlargement returns Volume(b ∪ point(v)) − Volume(b).
-func (b ParamBox) VolumeEnlargement(v pfv.Vector) float64 {
-	grown := 1.0
-	for i := range b.Mu {
-		grown *= b.Mu[i].Extend(v.Mean[i]).Width() * b.Sigma[i].Extend(v.Sigma[i]).Width()
-	}
-	return grown - b.Volume()
 }
 
 // MarginEnlargement returns Margin(b ∪ point(v)) − Margin(b).
@@ -366,21 +347,13 @@ func (b *boxColumns) logFallback(c gaussian.Combiner, q pfv.Vector, j int) (hLn,
 	return hLn, fLn
 }
 
-// AccessCost returns the split objective of §5.3 for the box: the product
-// over dimensions of the per-dimension hull integrals ∫ˆN(x)dx. Each factor
-// is ≥ 1 (see gaussian.HullIntegral), so the product is a monotone
-// multivariate surrogate for the probability that an arbitrary query must
-// access a node with this bounding box.
-func (b ParamBox) AccessCost() float64 {
-	cost := 1.0
-	for i := range b.Mu {
-		cost *= gaussian.HullIntegral(b.Mu[i], b.Sigma[i])
-	}
-	return cost
-}
-
-// LogAccessCost returns ln AccessCost, immune to overflow in high
-// dimensionalities (27-dimensional boxes reach products near 1e66).
+// LogAccessCost returns the log of the box's access cost, the split objective
+// of §5.3: the product over dimensions of the per-dimension hull integrals
+// ∫ˆN(x)dx. Each factor is ≥ 1 (see gaussian.HullIntegral), so the product is
+// a monotone multivariate surrogate for the probability that an arbitrary
+// query must access a node with this bounding box; in log space it is immune
+// to overflow in high dimensionalities (27-dimensional boxes reach products
+// near 1e66).
 func (b ParamBox) LogAccessCost() float64 {
 	cost := 0.0
 	for i := range b.Mu {
@@ -389,7 +362,7 @@ func (b ParamBox) LogAccessCost() float64 {
 	return cost
 }
 
-// LogAccessCostWith returns ln AccessCost of the box extended by the
+// LogAccessCostWith returns LogAccessCost of the box extended by the
 // vector's parameters, without materializing the extended box.
 func (b ParamBox) LogAccessCostWith(v pfv.Vector) float64 {
 	cost := 0.0
@@ -406,7 +379,7 @@ func (b ParamBox) LogAccessCostWith(v pfv.Vector) float64 {
 const minWidth = 1e-12
 
 // LogVolume returns Σ ln(widthμ·widthσ) with widths floored at minWidth:
-// an overflow/underflow-safe ordering-equivalent of Volume for
+// an overflow/underflow-safe ordering-equivalent of the box's volume for
 // high-dimensional parameter spaces (54 factors for d=27 underflow float64
 // almost immediately).
 func (b ParamBox) LogVolume() float64 {

@@ -1,8 +1,6 @@
 package core
 
 import (
-	"fmt"
-
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/wal"
 )
@@ -20,26 +18,15 @@ import (
 // production completeness.
 //
 // Like Insert, the whole mutation (including condensation re-inserts) is
-// shadow-paged and sealed by one meta commit; a crash mid-delete recovers
-// the tree as of the previous commit. A failed Delete poisons the tree
-// (further mutations are refused); reopen from the page store to recover.
+// shadow-paged and sealed once (one log record, or one meta commit); a crash
+// mid-delete recovers the tree as of the previous mutation. A failed Delete
+// poisons the tree (further mutations are refused); reopen from the page
+// store to recover.
 func (t *Tree) Delete(v pfv.Vector) (bool, error) {
-	if v.Dim() != t.dim {
-		return false, fmt.Errorf("%w: vector dimension %d, tree dimension %d", ErrDimension, v.Dim(), t.dim)
-	}
-	if err := t.mutable(); err != nil {
-		return false, err
-	}
-	found, err := t.delete(v)
-	if err != nil {
-		return false, t.fail(err)
-	}
-	if !found {
-		return false, nil
-	}
-	return true, t.afterMutation(wal.RecDelete, v)
+	return t.mutate(wal.RecDelete, v)
 }
 
+// delete applies one deletion to the writer's private state; see apply.
 func (t *Tree) delete(v pfv.Vector) (bool, error) {
 	path, found, err := t.findPath(v)
 	if err != nil || !found {

@@ -33,24 +33,33 @@ type pathStep struct {
 // committing on top of a partially applied mutation could durably corrupt
 // the index — reopen from the page store to recover.
 func (t *Tree) Insert(v pfv.Vector) error {
-	if v.Dim() != t.dim {
-		return fmt.Errorf("%w: vector dimension %d, tree dimension %d", ErrDimension, v.Dim(), t.dim)
-	}
-	if err := t.mutable(); err != nil {
-		return err
-	}
-	if err := t.insert(v); err != nil {
-		return t.fail(err)
-	}
-	return t.afterMutation(wal.RecInsert, v)
+	_, err := t.mutate(wal.RecInsert, v)
+	return err
 }
 
-// insert is Insert without the meta commit, for batching mutations under a
-// single commit.
-func (t *Tree) insert(v pfv.Vector) error {
-	if v.Dim() != t.dim {
-		return fmt.Errorf("%w: vector dimension %d, tree dimension %d", ErrDimension, v.Dim(), t.dim)
+// InsertAll inserts a batch of vectors, each one a mutation of its own —
+// applied, sealed and visible before the next begins, exactly as if Insert
+// had been called in a loop — and returns how many it applied: len(vs), or
+// on error the length of the applied prefix. A dimension mismatch anywhere
+// in the batch refuses all of it. Like Insert it does not wait for the
+// log: WaitDurable after releasing the writer lock. A failed batch poisons
+// the tree like Insert.
+func (t *Tree) InsertAll(vs []pfv.Vector) (int, error) {
+	for i, v := range vs {
+		if v.Dim() != t.dim {
+			return 0, fmt.Errorf("%w: vector %d has dimension %d, tree dimension %d", ErrDimension, i, v.Dim(), t.dim)
+		}
 	}
+	for i, v := range vs {
+		if _, err := t.mutate(wal.RecInsert, v); err != nil {
+			return i, err
+		}
+	}
+	return len(vs), nil
+}
+
+// insert applies one insertion to the writer's private state; see apply.
+func (t *Tree) insert(v pfv.Vector) error {
 	path, err := t.choosePath(v)
 	if err != nil {
 		return err
@@ -123,85 +132,6 @@ func (t *Tree) insert(v pfv.Vector) error {
 	}
 	t.root = path[0].node.id
 	return nil
-}
-
-// insertAllCommitInterval bounds how many inserts a WAL-less InsertAll
-// batches under one meta commit. Copy-on-write keeps the pages of the last
-// committed tree alive until the next commit, so the interval caps both the
-// transient file growth and the pending-free list a single commit must
-// persist (one meta slot holds ~2000 freelist ids at the default page
-// size). WAL-attached trees log every insert and checkpoint on the
-// walCheckpointInterval instead — no fsync cliff, because the log records
-// are group-committed.
-const insertAllCommitInterval = 512
-
-// InsertAll inserts a batch of vectors and returns how many of them are
-// durably applied. On success that is len(vs) — with a WAL attached,
-// InsertAll awaits the group commit of the batch's last record before
-// returning; without one, the final meta commit seals the batch. On error
-// the count is the durable prefix: everything up to the last successful
-// checkpoint/commit, extended to the full applied prefix when an explicit
-// log flush succeeds. A crash mid-batch recovers a consistent tree holding
-// at least that prefix; a failed batch poisons the tree like Insert.
-func (t *Tree) InsertAll(vs []pfv.Vector) (int, error) {
-	for i, v := range vs {
-		if v.Dim() != t.dim {
-			return 0, fmt.Errorf("%w: vector %d has dimension %d, tree dimension %d", ErrDimension, i, v.Dim(), t.dim)
-		}
-	}
-	if err := t.mutable(); err != nil {
-		return 0, err
-	}
-	durable := 0 // prefix known durable without further log flushing
-	for i, v := range vs {
-		if err := t.insert(v); err != nil {
-			return t.settleDurable(durable, i), t.fail(err)
-		}
-		if t.wal != nil {
-			lsn, err := t.wal.Append(wal.RecInsert, v)
-			if err != nil {
-				return t.settleDurable(durable, i), t.fail(err)
-			}
-			t.lastLSN.Store(lsn)
-			t.walSince++
-			t.publish()
-			if t.walSince >= walCheckpointInterval {
-				if err := t.checkpoint(); err != nil {
-					return t.settleDurable(durable, i+1), err
-				}
-				durable = i + 1
-			}
-			continue
-		}
-		if (i+1)%insertAllCommitInterval == 0 {
-			if err := t.commitMeta(); err != nil {
-				return durable, t.fail(err)
-			}
-			t.publish()
-			durable = i + 1
-		}
-	}
-	if t.wal == nil {
-		if err := t.commitMeta(); err != nil {
-			return durable, t.fail(err)
-		}
-		t.publish()
-		return len(vs), nil
-	}
-	if err := t.WaitDurable(); err != nil {
-		return t.settleDurable(durable, len(vs)), t.fail(err)
-	}
-	return len(vs), nil
-}
-
-// settleDurable resolves the durably-applied count of a failed batch: the
-// applied prefix when the write-ahead log can still be flushed, otherwise
-// the last checkpoint-covered prefix.
-func (t *Tree) settleDurable(durable, applied int) int {
-	if t.wal != nil && t.wal.Sync() == nil {
-		return applied
-	}
-	return durable
 }
 
 // choosePath selects the root-to-leaf insertion path.

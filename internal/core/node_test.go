@@ -157,18 +157,14 @@ func TestBoxVolumeAndMargin(t *testing.T) {
 	}
 	b := BoxOfVectors(vs)
 	// Mu widths: 2, 1; sigma widths: 2, 1 → volume = 2·2·1·1 = 4.
-	if b.Volume() != 4 {
-		t.Errorf("Volume = %v", b.Volume())
+	if got := b.LogVolume(); math.Abs(got-math.Log(4)) > 1e-12 {
+		t.Errorf("LogVolume = %v, want ln 4", got)
 	}
 	if b.Margin() != 6 {
 		t.Errorf("Margin = %v", b.Margin())
 	}
+	// New mu widths: 4, 1; sigma widths 2, 1.
 	v := pfv.MustNew(3, []float64{4, 0.5}, []float64{1, 1.5})
-	enl := b.VolumeEnlargement(v)
-	// New mu widths: 4, 1; sigma widths 2, 1 → 8; enlargement 4.
-	if enl != 4 {
-		t.Errorf("VolumeEnlargement = %v", enl)
-	}
 	if b.MarginEnlargement(v) != 2 {
 		t.Errorf("MarginEnlargement = %v", b.MarginEnlargement(v))
 	}
@@ -221,14 +217,14 @@ func TestBoxAccessCost(t *testing.T) {
 	v := pfv.MustNew(1, []float64{0, 0}, []float64{1, 1})
 	point := BoxOf(v)
 	// A degenerate box has cost 1 per dimension (the constant term).
-	if got := point.AccessCost(); math.Abs(got-1) > 1e-12 {
-		t.Errorf("point box AccessCost = %v, want 1", got)
+	if got := point.LogAccessCost(); math.Abs(got) > 1e-12 {
+		t.Errorf("point box LogAccessCost = %v, want ln 1", got)
 	}
 	if got := point.AccessCostSum(); math.Abs(got-2) > 1e-12 {
 		t.Errorf("point box AccessCostSum = %v, want 2", got)
 	}
 	wide := BoxOfVectors([]pfv.Vector{v, pfv.MustNew(2, []float64{5, 5}, []float64{2, 2})})
-	if wide.AccessCost() <= point.AccessCost() {
+	if wide.LogAccessCost() <= point.LogAccessCost() {
 		t.Error("wider box must cost more")
 	}
 }

@@ -1,6 +1,8 @@
 package core
 
 import (
+	"fmt"
+
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
@@ -144,25 +146,70 @@ func (t *Tree) WaitDurable() error {
 	return t.wal.WaitDurable(lsn)
 }
 
-// afterMutation seals one applied logical mutation: it logs the record (or
-// meta-commits when no WAL is attached), publishes the new snapshot to
-// readers, and checkpoints when enough records have accumulated. The
-// caller still holds the writer lock; durability (WaitDurable) is awaited
-// by the public layer after releasing it.
-func (t *Tree) afterMutation(typ wal.RecordType, vectors ...pfv.Vector) error {
+// mutate is the one live mutation: refuse vectors of the wrong dimension
+// (which touch no page and poison nothing) and a poisoned tree, apply, and —
+// unless a delete or replace found nothing to change — seal. Insert, Delete,
+// Replace and InsertAll are this call with their record type.
+func (t *Tree) mutate(typ wal.RecordType, vectors ...pfv.Vector) (bool, error) {
+	for _, v := range vectors {
+		if v.Dim() != t.dim {
+			return false, fmt.Errorf("%w: vector dimension %d, tree dimension %d", ErrDimension, v.Dim(), t.dim)
+		}
+	}
+	if err := t.mutable(); err != nil {
+		return false, err
+	}
+	found, err := t.apply(typ, vectors)
+	if err != nil {
+		return false, t.fail(err)
+	}
+	if !found {
+		return false, nil
+	}
+	return true, t.seal(typ, vectors)
+}
+
+// apply runs one logical mutation — the operation a WAL record of that type
+// names — on the writer's private state: shadow-paged, neither logged,
+// committed nor published. Live mutations (mutate) and recovery
+// (ApplyWALTail) both come through here, so replay re-runs exactly the code
+// that produced the state it reconstructs. found is false, with the tree
+// untouched, when the vector a delete or replace names is not stored.
+func (t *Tree) apply(typ wal.RecordType, vectors []pfv.Vector) (found bool, err error) {
+	switch typ {
+	case wal.RecInsert:
+		return true, t.insert(vectors[0])
+	case wal.RecDelete:
+		return t.delete(vectors[0])
+	case wal.RecMerge:
+		// delete(old)+insert(merged) under one seal: a reader sees the old
+		// vector or the merged one, never both and never neither.
+		if found, err = t.delete(vectors[0]); err != nil || !found {
+			return false, err
+		}
+		return true, t.insert(vectors[1])
+	}
+	return false, fmt.Errorf("core: unknown mutation type %d", typ)
+}
+
+// seal is the only place a live mutation becomes durable and then visible:
+// it logs the record (or meta-commits when no WAL is attached), publishes the
+// new snapshot to readers, and checkpoints when enough records have
+// accumulated. The caller still holds the writer lock; the group fsync
+// (WaitDurable) is awaited by the public layer after releasing it.
+func (t *Tree) seal(typ wal.RecordType, vectors []pfv.Vector) error {
 	if t.wal == nil {
 		if err := t.commitMeta(); err != nil {
 			return t.fail(err)
 		}
-		t.publish()
-		return nil
+	} else {
+		lsn, err := t.wal.Append(typ, vectors...)
+		if err != nil {
+			return t.fail(err)
+		}
+		t.lastLSN.Store(lsn)
+		t.walSince++
 	}
-	lsn, err := t.wal.Append(typ, vectors...)
-	if err != nil {
-		return t.fail(err)
-	}
-	t.lastLSN.Store(lsn)
-	t.walSince++
 	t.publish()
 	if t.walSince >= walCheckpointInterval {
 		return t.checkpoint()
@@ -212,35 +259,22 @@ func (t *Tree) ApplyWALTail(records []wal.Record) error {
 		return err
 	}
 	applied := t.appliedLSN
-	n := 0
 	for _, r := range records {
 		if r.LSN <= applied {
 			continue
 		}
-		var err error
-		switch r.Type {
-		case wal.RecInsert:
-			err = t.insert(r.Vectors[0])
-		case wal.RecDelete:
-			_, err = t.delete(r.Vectors[0])
-		case wal.RecMerge:
-			err = t.replace(r.Vectors[0], r.Vectors[1])
-		}
-		if err != nil {
+		if _, err := t.apply(r.Type, r.Vectors); err != nil {
 			return t.fail(err)
 		}
 		applied = r.LSN
-		n++
 	}
-	if n == 0 {
-		//lint:ignore waldurable no WAL records were replayed: this republishes the already-durable recovered state.
-		t.publish()
-		return nil
-	}
-	t.appliedLSN = applied
-	t.lastLSN.Store(applied)
-	if err := t.commitMeta(); err != nil {
-		return t.fail(err)
+	// With nothing replayed the recovered state is already the committed one.
+	if applied != t.appliedLSN {
+		t.appliedLSN = applied
+		t.lastLSN.Store(applied)
+		if err := t.commitMeta(); err != nil {
+			return t.fail(err)
+		}
 	}
 	t.publish()
 	return nil
@@ -248,39 +282,8 @@ func (t *Tree) ApplyWALTail(records []wal.Record) error {
 
 // Replace atomically substitutes one stored vector with another (the
 // ingest merge path): a single logical mutation, a single WAL record, a
-// single published snapshot — a reader either sees the old vector or the
-// merged one, never both and never neither. Returns false (without
-// mutating) when old is not stored.
+// single published snapshot. Returns false (without mutating) when old is
+// not stored.
 func (t *Tree) Replace(old, merged pfv.Vector) (bool, error) {
-	if old.Dim() != t.dim || merged.Dim() != t.dim {
-		return false, ErrDimension
-	}
-	if err := t.mutable(); err != nil {
-		return false, err
-	}
-	found, err := t.findVector(old)
-	if err != nil || !found {
-		return false, err
-	}
-	if err := t.replace(old, merged); err != nil {
-		return false, t.fail(err)
-	}
-	return true, t.afterMutation(wal.RecMerge, old, merged)
-}
-
-// replace applies delete(old)+insert(merged) as one unsealed mutation. A
-// delete miss is tolerated (it cannot happen on the live Replace path,
-// which finds the vector first; replay filters already-applied records by
-// LSN): the merged vector is inserted regardless, keeping replay total.
-func (t *Tree) replace(old, merged pfv.Vector) error {
-	if _, err := t.delete(old); err != nil {
-		return err
-	}
-	return t.insert(merged)
-}
-
-// findVector reports whether the exact vector is stored, without mutating.
-func (t *Tree) findVector(v pfv.Vector) (bool, error) {
-	_, found, err := t.findPath(v)
-	return found, err
+	return t.mutate(wal.RecMerge, old, merged)
 }

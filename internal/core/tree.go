@@ -264,12 +264,6 @@ func (t *Tree) Poison(cause error) {
 	t.fail(cause)
 }
 
-// Meta returns the tree's persistent metadata (writer-side state; callers
-// mutate under the writer lock).
-func (t *Tree) Meta() Meta {
-	return Meta{Root: t.root, Dim: t.dim, Height: t.height, Count: t.count, AppliedLSN: t.appliedLSN}
-}
-
 // Dim returns the feature dimensionality.
 func (t *Tree) Dim() int { return t.dim }
 
@@ -289,9 +283,6 @@ func (t *Tree) LeafFormat() LeafFormat { return t.cfg.LeafFormat }
 
 // LeafCapacity returns the maximum number of pfv per leaf page.
 func (t *Tree) LeafCapacity() int { return t.capLeaf }
-
-// InnerCapacity returns the maximum number of routing entries per inner page.
-func (t *Tree) InnerCapacity() int { return t.capInner }
 
 // Manager exposes the underlying page manager (for statistics).
 func (t *Tree) Manager() *pagefile.Manager { return t.mgr }

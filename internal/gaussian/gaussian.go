@@ -53,12 +53,6 @@ func LogPDF(mu, sigma, x float64) float64 {
 	return -0.5*Ln2Pi - math.Log(sigma) - 0.5*z*z
 }
 
-// CDF returns Φ((x−mu)/sigma), the cumulative distribution function of
-// N(mu, sigma) evaluated at x, computed via math.Erf.
-func CDF(mu, sigma, x float64) float64 {
-	return 0.5 * (1 + math.Erf((x-mu)/(sigma*Sqrt2)))
-}
-
 // StdCDF returns the standard normal CDF Φ(z).
 func StdCDF(z float64) float64 {
 	return 0.5 * (1 + math.Erf(z/Sqrt2))

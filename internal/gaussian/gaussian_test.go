@@ -94,9 +94,6 @@ func TestCDFKnownValues(t *testing.T) {
 			t.Errorf("StdCDF(%v) = %v, want %v", c.z, got, c.want)
 		}
 	}
-	if got := CDF(10, 2, 12); !almostEqual(got, StdCDF(1), 1e-14) {
-		t.Errorf("CDF(10,2,12) = %v, want Φ(1)", got)
-	}
 }
 
 func TestStdQuantileRoundTrip(t *testing.T) {

@@ -55,9 +55,6 @@ type Counter struct {
 // Inc adds 1.
 func (c *Counter) Inc() { c.v.Add(1) }
 
-// Add adds n.
-func (c *Counter) Add(n uint64) { c.v.Add(n) }
-
 // Value reports the current count.
 func (c *Counter) Value() uint64 { return c.v.Load() }
 
@@ -70,16 +67,6 @@ type Gauge struct {
 
 // Set stores v.
 func (g *Gauge) Set(v float64) { g.bits.Store(math.Float64bits(v)) }
-
-// Add accumulates d with a CAS loop.
-func (g *Gauge) Add(d float64) {
-	for {
-		old := g.bits.Load()
-		if g.bits.CompareAndSwap(old, math.Float64bits(math.Float64frombits(old)+d)) {
-			return
-		}
-	}
-}
 
 // Value reports the current value.
 func (g *Gauge) Value() float64 { return math.Float64frombits(g.bits.Load()) }

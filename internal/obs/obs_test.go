@@ -14,7 +14,9 @@ import (
 func TestExpositionGolden(t *testing.T) {
 	r := NewRegistry()
 	c := r.Counter("test_requests_total", "Requests served.", L("endpoint", "kmliq"), L("outcome", "ok"))
-	c.Add(3)
+	for i := 0; i < 3; i++ {
+		c.Inc()
+	}
 	g := r.Gauge("test_inflight", "In-flight requests.")
 	g.Set(2.5)
 	h := r.Histogram("test_latency_seconds", "Request latency.", []float64{0.01, 0.1})
@@ -116,7 +118,7 @@ func TestConcurrentScrape(t *testing.T) {
 					return
 				default:
 					c.Inc()
-					g.Add(1)
+					g.Set(1)
 					h.Observe(0.001)
 				}
 			}

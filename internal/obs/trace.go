@@ -79,14 +79,6 @@ func (t *Trace) SetID(id string) {
 	t.id = id
 }
 
-// Start reports the trace start time (zero on nil).
-func (t *Trace) Start() time.Time {
-	if t == nil {
-		return time.Time{}
-	}
-	return t.start
-}
-
 // Spans returns a copy of the recorded spans (nil on a nil trace).
 func (t *Trace) Spans() []Span {
 	if t == nil {

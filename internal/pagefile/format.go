@@ -27,7 +27,7 @@ const Magic = "GaussPF1"
 const FormatVersion = 1
 
 const (
-	headerSlot    = 0
+	// slot 0 is the file header
 	metaSlotA     = 1
 	metaSlotB     = 2
 	reservedSlots = 3

@@ -661,9 +661,6 @@ func (m *Manager) ResetStats() {
 	m.seeks.Store(0)
 }
 
-// IOTime returns the modeled I/O time of the counters accumulated so far.
-func (m *Manager) IOTime() time.Duration { return m.costModel.IOTime(m.Stats()) }
-
 // CachedPages returns the number of pages currently held in the cache.
 func (m *Manager) CachedPages() int {
 	return m.cache.len()

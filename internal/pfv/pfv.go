@@ -162,9 +162,6 @@ func (e *JointEvaluator) Reset(c gaussian.Combiner, q Vector) {
 	e.comb, e.q = c, q
 }
 
-// Query returns the query vector the evaluator scores against.
-func (e *JointEvaluator) Query() Vector { return e.q }
-
 // LogDensity returns ln p(q|v) for a database vector v. It panics on
 // dimension mismatch.
 func (e *JointEvaluator) LogDensity(v Vector) float64 {

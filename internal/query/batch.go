@@ -21,20 +21,6 @@ const (
 	KindTIQ
 )
 
-// String returns the kind's report name.
-func (k Kind) String() string {
-	switch k {
-	case KindKMLIQ:
-		return "k-MLIQ"
-	case KindKMLIQRanked:
-		return "k-MLIQ-ranked"
-	case KindTIQ:
-		return "TIQ"
-	default:
-		return "unknown"
-	}
-}
-
 // Request is one identification query of a batch.
 type Request struct {
 	Kind Kind
@@ -73,12 +59,6 @@ func NewBatchExecutor(engine Engine, workers int) *BatchExecutor {
 	}
 	return &BatchExecutor{engine: engine, workers: workers}
 }
-
-// Engine returns the wrapped engine.
-func (b *BatchExecutor) Engine() Engine { return b.engine }
-
-// Workers returns the configured pool size.
-func (b *BatchExecutor) Workers() int { return b.workers }
 
 // Do dispatches a single request to the engine.
 func (b *BatchExecutor) Do(ctx context.Context, r Request) Response {

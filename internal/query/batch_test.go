@@ -79,8 +79,8 @@ func TestBatchExecutorUnknownKind(t *testing.T) {
 
 func TestBatchExecutorDefaults(t *testing.T) {
 	ex := NewBatchExecutor(&fakeEngine{}, 0)
-	if ex.Workers() <= 0 {
-		t.Errorf("workers = %d", ex.Workers())
+	if ex.workers <= 0 {
+		t.Errorf("workers = %d", ex.workers)
 	}
 	if got := ex.Execute(context.Background(), nil); len(got) != 0 {
 		t.Errorf("empty batch returned %d responses", len(got))
@@ -88,13 +88,6 @@ func TestBatchExecutorDefaults(t *testing.T) {
 }
 
 func TestKindAndStatsStrings(t *testing.T) {
-	for kind, want := range map[Kind]string{
-		KindKMLIQ: "k-MLIQ", KindKMLIQRanked: "k-MLIQ-ranked", KindTIQ: "TIQ", Kind(9): "unknown",
-	} {
-		if kind.String() != want {
-			t.Errorf("Kind(%d).String() = %q, want %q", kind, kind.String(), want)
-		}
-	}
 	s := Stats{PageAccesses: 7, NodesVisited: 3, VectorsScored: 40, CandidatesRetained: 2, EarlyTermination: true}
 	if got := s.String(); got != "pages=7 nodes=3 scored=40 retained=2 early" {
 		t.Errorf("Stats.String() = %q", got)

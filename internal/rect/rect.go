@@ -196,32 +196,3 @@ func (r Rect) Center(dst []float64) []float64 {
 	}
 	return dst
 }
-
-// MinDistSq returns the squared minimum Euclidean distance from point p to
-// the box (0 if p is inside), the classical R-tree NN lower bound.
-func (r Rect) MinDistSq(p []float64) float64 {
-	sum := 0.0
-	for i := range r.Lo {
-		switch {
-		case p[i] < r.Lo[i]:
-			d := r.Lo[i] - p[i]
-			sum += d * d
-		case p[i] > r.Hi[i]:
-			d := p[i] - r.Hi[i]
-			sum += d * d
-		}
-	}
-	return sum
-}
-
-// UnionAll returns the minimum bounding rectangle of a non-empty set.
-func UnionAll(rs []Rect) Rect {
-	if len(rs) == 0 {
-		panic("rect: UnionAll of empty set")
-	}
-	out := rs[0].Clone()
-	for _, r := range rs[1:] {
-		out.ExtendInPlace(r)
-	}
-	return out
-}

@@ -122,48 +122,6 @@ func TestCenter(t *testing.T) {
 	}
 }
 
-func TestMinDistSq(t *testing.T) {
-	r := MustNew([]float64{0, 0}, []float64{2, 2})
-	cases := []struct {
-		p    []float64
-		want float64
-	}{
-		{[]float64{1, 1}, 0},
-		{[]float64{3, 1}, 1},
-		{[]float64{3, 3}, 2},
-		{[]float64{-2, -1}, 5},
-		{[]float64{0, 0}, 0},
-	}
-	for _, c := range cases {
-		if got := r.MinDistSq(c.p); got != c.want {
-			t.Errorf("MinDistSq(%v) = %v, want %v", c.p, got, c.want)
-		}
-	}
-}
-
-func TestUnionAll(t *testing.T) {
-	rs := []Rect{
-		MustNew([]float64{0, 0}, []float64{1, 1}),
-		MustNew([]float64{-3, 2}, []float64{0, 5}),
-		MustNew([]float64{1, -1}, []float64{2, 0}),
-	}
-	got := UnionAll(rs)
-	if !got.Equal(MustNew([]float64{-3, -1}, []float64{2, 5})) {
-		t.Errorf("UnionAll = %+v", got)
-	}
-	// Must not alias inputs.
-	got.Lo[0] = 99
-	if rs[0].Lo[0] == 99 {
-		t.Error("UnionAll aliased input")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Error("UnionAll(empty) should panic")
-		}
-	}()
-	UnionAll(nil)
-}
-
 func randRect(rng *rand.Rand, dim int) Rect {
 	lo := make([]float64, dim)
 	hi := make([]float64, dim)

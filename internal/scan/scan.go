@@ -70,22 +70,6 @@ func Create(mgr *pagefile.Manager, dim int, combiner gaussian.Combiner) (*File, 
 	}, nil
 }
 
-// Open reattaches a file from its metadata (dimension, page list and entry
-// count), e.g. after reopening a persistent page file.
-func Open(mgr *pagefile.Manager, dim int, combiner gaussian.Combiner, pages []pagefile.PageID, count int) (*File, error) {
-	f, err := Create(mgr, dim, combiner)
-	if err != nil {
-		return nil, err
-	}
-	f.pages = append([]pagefile.PageID(nil), pages...)
-	f.count = count
-	f.lastUsed = count - (len(pages)-1)*f.perPage
-	if len(pages) == 0 {
-		f.lastUsed = 0
-	}
-	return f, nil
-}
-
 // Name identifies the sequential scan in engine-agnostic reports.
 func (f *File) Name() string { return "seq-scan" }
 
@@ -95,16 +79,10 @@ func (f *File) Dim() int { return f.dim }
 // Len returns the number of stored vectors.
 func (f *File) Len() int { return f.count }
 
-// Combiner returns the σ-combination rule of this file's queries.
-func (f *File) Combiner() gaussian.Combiner { return f.combiner }
-
-// Pages returns the file's data pages in scan order (metadata for Open).
+// Pages returns the file's data pages in scan order.
 func (f *File) Pages() []pagefile.PageID {
 	return append([]pagefile.PageID(nil), f.pages...)
 }
-
-// PerPage returns the number of vectors stored per page.
-func (f *File) PerPage() int { return f.perPage }
 
 // Append adds a vector to the end of the file.
 func (f *File) Append(v pfv.Vector) error {
@@ -218,14 +196,9 @@ func (f *File) ForEachLocated(fn func(v pfv.Vector, pageOrdinal, slot int) error
 	return nil
 }
 
-// VectorAt fetches one vector by its physical position (a random page
-// access plus an in-page slot lookup).
-func (f *File) VectorAt(pageOrdinal, slot int) (pfv.Vector, error) {
-	return f.VectorAtCounted(pageOrdinal, slot, nil)
-}
-
-// VectorAtCounted is VectorAt with the page access charged to a per-query
-// counter.
+// VectorAtCounted fetches one vector by its physical position (a random page
+// access plus an in-page slot lookup), charging the page access to a
+// per-query counter.
 func (f *File) VectorAtCounted(pageOrdinal, slot int, c *pagefile.Counter) (pfv.Vector, error) {
 	if pageOrdinal < 0 || pageOrdinal >= len(f.pages) {
 		return pfv.Vector{}, fmt.Errorf("scan: page ordinal %d out of range [0,%d)", pageOrdinal, len(f.pages))

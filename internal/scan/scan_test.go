@@ -108,35 +108,6 @@ func TestForEachEarlyStop(t *testing.T) {
 	}
 }
 
-func TestOpenReattach(t *testing.T) {
-	f, mgr := newFile(t, 2)
-	rng := rand.New(rand.NewSource(3))
-	vs := randomVectors(rng, 40, 2)
-	f.AppendAll(vs)
-
-	g, err := Open(mgr, 2, gaussian.CombineAdditive, f.Pages(), f.Len())
-	if err != nil {
-		t.Fatal(err)
-	}
-	if g.Len() != 40 {
-		t.Errorf("reopened Len = %d", g.Len())
-	}
-	// Appending to the reopened file must continue the last page.
-	extra := pfv.MustNew(1000, []float64{1, 2}, []float64{0.1, 0.1})
-	if err := g.Append(extra); err != nil {
-		t.Fatal(err)
-	}
-	var last pfv.Vector
-	g.ForEach(func(v pfv.Vector) error { last = v; return nil })
-	if last.ID != 1000 {
-		t.Errorf("last vector id = %d", last.ID)
-	}
-	if len(g.Pages()) != len(f.Pages()) {
-		t.Errorf("append after reopen should reuse the last page: %d vs %d pages",
-			len(g.Pages()), len(f.Pages()))
-	}
-}
-
 func TestKMLIQFindsGroundTruth(t *testing.T) {
 	f, _ := newFile(t, 4)
 	rng := rand.New(rand.NewSource(4))

@@ -60,7 +60,7 @@ func (s *Server) admitMutation(w http.ResponseWriter) bool {
 		msg = "daemon is degraded (" + *r + "); mutations are refused until recovery completes"
 	}
 	w.Header().Set("Retry-After", "1")
-	writeError(w, http.StatusServiceUnavailable, wire.ErrCodeDegraded, msg)
+	writeError(w, wire.Error{Code: wire.ErrCodeDegraded, Error: msg})
 	return false
 }
 

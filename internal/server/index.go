@@ -32,9 +32,6 @@ type Index interface {
 	TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error)
 	// IOStats reports the page manager's I/O counters.
 	IOStats() (pagefile.Stats, error)
-	// IngestStats reports the online merge-ingest counters; ok is false
-	// when the backend has no ingest accelerator (sharded indexes).
-	IngestStats() (is gausstree.IngestStats, ok bool)
 	// Scrub verifies every reachable page and the write-ahead log's durable
 	// prefix against bit rot and structural damage, rate-limited to
 	// pagesPerSecond (0 = unthrottled); see gausstree.Tree.Scrub.
@@ -102,7 +99,6 @@ type adapter struct {
 	kind          string
 	kmliq, ranked queryFunc[int]
 	tiq           queryFunc[float64]
-	ingest        func() (gausstree.IngestStats, bool)
 }
 
 func (a adapter) Kind() string       { return a.kind }
@@ -116,8 +112,7 @@ func (a adapter) KMLIQRanked(ctx context.Context, q gausstree.Vector, k int) ([]
 func (a adapter) TIQ(ctx context.Context, q gausstree.Vector, pTheta float64) ([]gausstree.Match, gausstree.QueryStats, error) {
 	return a.tiq(ctx, q, pTheta)
 }
-func (a adapter) IOStats() (pagefile.Stats, error)           { return a.Stats() }
-func (a adapter) IngestStats() (gausstree.IngestStats, bool) { return a.ingest() }
+func (a adapter) IOStats() (pagefile.Stats, error) { return a.Stats() }
 func (a adapter) Scrub(ctx context.Context, pps int) (gausstree.ScrubReport, error) {
 	return a.facade.Scrub(ctx, gausstree.ScrubOptions{PagesPerSecond: pps})
 }
@@ -127,7 +122,6 @@ func TreeIndex(t *gausstree.Tree) Index {
 	return adapter{
 		facade: t, kind: "tree",
 		kmliq: t.KMLIQContext, ranked: t.KMLIQRankedContext, tiq: t.TIQContext,
-		ingest: t.IngestStats,
 	}
 }
 
@@ -138,7 +132,6 @@ func ShardedIndex(s *gausstree.Sharded) Index {
 	return adapter{
 		facade: s, kind: "sharded",
 		kmliq: aggregate(s.KMLIQContext), ranked: aggregate(s.KMLIQRankedContext), tiq: aggregate(s.TIQContext),
-		ingest: func() (gausstree.IngestStats, bool) { return gausstree.IngestStats{}, false },
 	}
 }
 

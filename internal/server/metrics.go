@@ -12,11 +12,9 @@ import (
 	"github.com/gauss-tree/gausstree/internal/wire"
 )
 
-// outcomes is the full bounded label set outcomeFor can produce; every
-// endpoint×outcome series is pre-registered at startup so the request path
-// never touches the registry (and the registry never grows while serving,
-// so a scrape cannot race a registration).
-var outcomes = []string{"ok", "invalid", "read_only", "saturated", "closed", "deadline", "internal", "degraded", "poisoned"}
+// outcomeOK labels a request that got an answer rather than an error; every
+// other outcome label is a row of wire's error contract.
+const outcomeOK = "ok"
 
 // endpointInstruments holds one endpoint's pre-resolved request-path
 // instruments: instrument() only does atomic Inc/Observe on them, never a
@@ -35,11 +33,15 @@ type endpointInstruments struct {
 func (s *Server) registerMetrics(reg *obs.Registry) {
 	s.httpMetrics = make(map[string]*endpointInstruments, len(instrumentedEndpoints))
 	for _, ep := range instrumentedEndpoints {
-		ins := &endpointInstruments{requests: make(map[string]*obs.Counter, len(outcomes))}
-		for _, oc := range outcomes {
-			ins.requests[oc] = reg.Counter("gaussd_http_requests_total",
+		// The outcome label set is bounded — ok plus the error contract's — and
+		// every endpoint×outcome series is registered here, so the request path
+		// never touches the registry (and the registry never grows while
+		// serving, so a scrape cannot race a registration).
+		ins := &endpointInstruments{requests: make(map[string]*obs.Counter, len(wire.ErrorContracts)+1)}
+		for _, c := range append([]wire.ErrorContract{{Outcome: outcomeOK}}, wire.ErrorContracts...) {
+			ins.requests[c.Outcome] = reg.Counter("gaussd_http_requests_total",
 				"HTTP requests by endpoint and outcome.",
-				obs.L("endpoint", ep), obs.L("outcome", oc))
+				obs.L("endpoint", ep), obs.L("outcome", c.Outcome))
 		}
 		ins.latency = reg.Histogram("gaussd_request_seconds",
 			"End-to-end request latency in seconds by endpoint.", nil,
@@ -151,18 +153,6 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 			"Appended-but-not-yet-durable WAL records (appended LSN minus durable LSN).",
 			func() float64 { ws := wal(); return float64(ws.AppendedLSN - ws.DurableLSN) })
 	}
-	if _, ok := s.index().IngestStats(); ok {
-		ing := func() gausstree.IngestStats { is, _ := s.index().IngestStats(); return is }
-		reg.CounterFunc("gausstree_ingest_inserted_total",
-			"Merge-ingest observations stored as new objects.",
-			func() float64 { return float64(ing().Inserted) })
-		reg.CounterFunc("gausstree_ingest_merged_total",
-			"Merge-ingest observations folded into an existing object.",
-			func() float64 { return float64(ing().Merged) })
-		reg.CounterFunc("gausstree_ingest_swept_total",
-			"Merge-ingest objects removed by TTL sweeps.",
-			func() float64 { return float64(ing().Swept) })
-	}
 }
 
 // statusWriter records the response status so instrument can label the
@@ -197,63 +187,24 @@ func (w *statusWriter) setOutcome(oc string) {
 }
 
 func (w *statusWriter) outcomeLabel() string {
-	if w.outcome != "" {
+	switch {
+	case w.outcome != "":
 		return w.outcome
+	case w.status() < 400:
+		return outcomeOK
 	}
-	return outcomeFor(w.status())
+	// Every error response pins its outcome (writeError, handleReady).
+	return wire.ContractOfCode(wire.ErrCodeInternal).Outcome
 }
 
-// noteOutcome pins the request's outcome label from its wire error code,
-// where the code is more precise than the HTTP status (degraded and
-// poisoned both answer 503). It no-ops on writers that are not wrapped by
+// noteOutcome pins the request's outcome label to that of a wire error code's
+// contract row — more precise than the HTTP status (degraded, poisoned and
+// closed all answer 503). It no-ops on writers that are not wrapped by
 // instrument.
 func noteOutcome(w http.ResponseWriter, code string) {
 	if ow, ok := w.(interface{ setOutcome(string) }); ok {
-		ow.setOutcome(outcomeForCode(code))
+		ow.setOutcome(wire.ContractOfCode(code).Outcome)
 	}
-}
-
-// outcomeForCode maps a wire error code onto the bounded outcome label set.
-func outcomeForCode(code string) string {
-	switch code {
-	case wire.ErrCodeInvalid:
-		return "invalid"
-	case wire.ErrCodeReadOnly:
-		return "read_only"
-	case wire.ErrCodeSaturated:
-		return "saturated"
-	case wire.ErrCodeClosed:
-		return "closed"
-	case wire.ErrCodeDeadline:
-		return "deadline"
-	case wire.ErrCodeDegraded:
-		return "degraded"
-	case wire.ErrCodePoisoned:
-		return "poisoned"
-	default:
-		return "internal"
-	}
-}
-
-// outcomeFor maps a response status onto the bounded outcome label set of
-// gaussd_http_requests_total (the inverse of statusForError).
-func outcomeFor(status int) string {
-	switch status {
-	case http.StatusBadRequest:
-		return "invalid"
-	case http.StatusForbidden:
-		return "read_only"
-	case http.StatusTooManyRequests:
-		return "saturated"
-	case http.StatusServiceUnavailable:
-		return "closed"
-	case http.StatusGatewayTimeout:
-		return "deadline"
-	}
-	if status < 400 {
-		return "ok"
-	}
-	return "internal"
 }
 
 // instrument wraps one endpoint handler with the observability shell:

@@ -60,14 +60,11 @@ func startServerMux(t *testing.T, idx server.Index, cfg server.Config) (*client.
 	return cl, hs.URL
 }
 
-// TestMetricNamesExposed locks the metric vocabulary: a file-backed
-// merge-ingest tree served with metrics on must expose every family the
-// observability layer promises, so names cannot drift silently.
+// TestMetricNamesExposed locks the metric vocabulary: a file-backed tree
+// served with metrics on must expose every family the observability layer
+// promises, so names cannot drift silently.
 func TestMetricNamesExposed(t *testing.T) {
-	tree, err := gausstree.New(3, gausstree.Options{
-		Path:   filepath.Join(t.TempDir(), "idx.gt"),
-		Ingest: &gausstree.IngestOptions{MergeDistance: 2},
-	})
+	tree, err := gausstree.New(3, gausstree.Options{Path: filepath.Join(t.TempDir(), "idx.gt")})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -114,9 +111,6 @@ func TestMetricNamesExposed(t *testing.T) {
 		"gausstree_wal_group_size_mean",
 		"gausstree_wal_durable_lsn",
 		"gausstree_wal_durable_lag",
-		"gausstree_ingest_inserted_total",
-		"gausstree_ingest_merged_total",
-		"gausstree_ingest_swept_total",
 	} {
 		if !strings.Contains(text, "\n"+name) && !strings.HasPrefix(text, name) {
 			t.Errorf("exposition is missing %s", name)

@@ -234,8 +234,8 @@ func (s *Server) Handler() http.Handler {
 	mux.HandleFunc("POST /v1/kmliq-ranked", s.instrument("kmliq_ranked", s.handleKMLIQRanked))
 	mux.HandleFunc("POST /v1/tiq", s.instrument("tiq", s.handleTIQ))
 	mux.HandleFunc("POST /v1/batch", s.instrument("batch", s.handleBatch))
-	mux.HandleFunc("POST /v1/insert", s.instrument("insert", s.handleInsert))
-	mux.HandleFunc("POST /v1/delete", s.instrument("delete", s.handleDelete))
+	mux.HandleFunc("POST /v1/insert", s.instrument("insert", handleMutation(s, "insert", runInsert)))
+	mux.HandleFunc("POST /v1/delete", s.instrument("delete", handleMutation(s, "delete", runDelete)))
 	mux.HandleFunc("GET /v1/stats", s.instrument("stats", s.handleStats))
 	// /healthz is pure liveness — the process answers HTTP — and stays 200
 	// even degraded, so orchestrators do not restart a daemon that is busy
@@ -308,12 +308,12 @@ func (s *Server) admit(w http.ResponseWriter, ctx context.Context, endpoint stri
 				ep.rejected.Add(1)
 			}
 			w.Header().Set("Retry-After", "1")
-			writeError(w, http.StatusTooManyRequests, wire.ErrCodeSaturated,
-				"server saturated: all execution slots and queue positions are taken")
+			writeError(w, wire.Error{Code: wire.ErrCodeSaturated,
+				Error: "server saturated: all execution slots and queue positions are taken"})
 			return false
 		}
 		// The deadline passed (or the client hung up) while queued.
-		writeError(w, statusForError(err), codeForError(err), err.Error())
+		writeError(w, errorBody(err))
 		return false
 	}
 	return true
@@ -376,7 +376,7 @@ func (s *Server) handleQuery(w http.ResponseWriter, r *http.Request, endpoint st
 	defer s.release(endpoint)
 	ms, st, err := run(ctx, req)
 	if err != nil {
-		writeError(w, statusForError(err), codeForError(err), err.Error())
+		writeError(w, errorBody(err))
 		return
 	}
 	writeJSON(w, http.StatusOK, wire.QueryResponse{
@@ -402,8 +402,8 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		case wire.KindTIQ:
 			qr.Kind = query.KindTIQ
 		default:
-			writeError(w, http.StatusBadRequest, wire.ErrCodeInvalid,
-				fmt.Sprintf("query %d: unknown kind %q", i, item.Kind))
+			writeError(w, wire.Error{Code: wire.ErrCodeInvalid,
+				Error: fmt.Sprintf("query %d: unknown kind %q", i, item.Kind)})
 			return
 		}
 		reqs[i] = qr
@@ -425,93 +425,73 @@ func (s *Server) handleBatch(w http.ResponseWriter, r *http.Request) {
 		if br.Err != nil {
 			item.Matches = []gausstree.Match{}
 			item.Error = br.Err.Error()
-			item.Code = codeForError(br.Err)
+			item.Code = wire.ContractOf(br.Err).Code
 		}
 		resp.Responses[i] = item
 	}
 	writeJSON(w, http.StatusOK, resp)
 }
 
-func (s *Server) handleInsert(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.ReadOnly {
-		writeError(w, http.StatusForbidden, wire.ErrCodeReadOnly, "daemon is read-only")
-		return
+// handleMutation is the one handler behind /v1/insert and /v1/delete: the
+// read-only check, body decode, degraded gate, mutation gate, admission wait
+// and storage-fault detection, with run making the endpoint's index call on
+// the decoded body. run returns the success response or the error, beside
+// either the durably applied count /v1/insert reports (0 for delete).
+func handleMutation[Req any](s *Server, endpoint string, run func(Index, Req) (resp any, inserted int, err error)) http.HandlerFunc {
+	return func(w http.ResponseWriter, r *http.Request) {
+		if s.cfg.ReadOnly {
+			writeError(w, wire.Error{Code: wire.ErrCodeReadOnly, Error: "daemon is read-only"})
+			return
+		}
+		var req Req
+		if !decodeBody(w, r, &req) {
+			return
+		}
+		// Fast rejection outside the gate (a degraded daemon answers mutations
+		// immediately), then the authoritative check under the shared gate: a
+		// mutation holding the gate can never interleave with a recovery swap.
+		if !s.admitMutation(w) {
+			return
+		}
+		s.mutGate.RLock()
+		defer s.mutGate.RUnlock()
+		if !s.admitMutation(w) {
+			return
+		}
+		// The deadline bounds only the admission wait: a mutation that has
+		// begun must run to its durable commit (interrupting it mid-flight
+		// would poison the tree against further mutations by design).
+		ctx, cancel := s.deadline(r, 0)
+		defer cancel()
+		if !s.admit(w, ctx, endpoint) {
+			return
+		}
+		defer s.release(endpoint)
+		resp, inserted, err := run(s.index(), req)
+		if err != nil {
+			s.noteMutationError(err)
+			// The durably applied count rides beside the error, so the client
+			// knows what survives a crash and what to retry.
+			body := errorBody(err)
+			body.Inserted = inserted
+			writeError(w, body)
+			return
+		}
+		writeJSON(w, http.StatusOK, resp)
 	}
-	var req wire.InsertRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if len(req.Vectors) == 0 {
-		writeError(w, http.StatusBadRequest, wire.ErrCodeInvalid, "insert needs at least one vector")
-		return
-	}
-	// Fast rejection outside the gate (a degraded daemon answers mutations
-	// immediately), then the authoritative check under the shared gate: a
-	// mutation holding the gate can never interleave with a recovery swap.
-	if !s.admitMutation(w) {
-		return
-	}
-	s.mutGate.RLock()
-	defer s.mutGate.RUnlock()
-	if !s.admitMutation(w) {
-		return
-	}
-	// The deadline bounds only the admission wait: a mutation that has
-	// begun must run to its durable commit (interrupting it mid-flight
-	// would poison the tree against further mutations by design).
-	ctx, cancel := s.deadline(r, 0)
-	defer cancel()
-	if !s.admit(w, ctx, "insert") {
-		return
-	}
-	defer s.release("insert")
-	n, err := s.index().InsertAll(req.Vectors)
-	if err != nil {
-		s.noteMutationError(err)
-		// Report the durably applied count alongside the error so the
-		// client knows which prefix survives a crash and what to retry.
-		noteOutcome(w, codeForError(err))
-		writeJSON(w, statusForError(err), wire.Error{
-			Error:    err.Error(),
-			Code:     codeForError(err),
-			Inserted: n,
-		})
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.InsertResponse{Inserted: n})
 }
 
-func (s *Server) handleDelete(w http.ResponseWriter, r *http.Request) {
-	if s.cfg.ReadOnly {
-		writeError(w, http.StatusForbidden, wire.ErrCodeReadOnly, "daemon is read-only")
-		return
+func runInsert(idx Index, req wire.InsertRequest) (any, int, error) {
+	if len(req.Vectors) == 0 {
+		return nil, 0, fmt.Errorf("%w: insert needs at least one vector", gausstree.ErrInvalidQuery)
 	}
-	var req wire.DeleteRequest
-	if !decodeBody(w, r, &req) {
-		return
-	}
-	if !s.admitMutation(w) {
-		return
-	}
-	s.mutGate.RLock()
-	defer s.mutGate.RUnlock()
-	if !s.admitMutation(w) {
-		return
-	}
-	// As with insert, the deadline bounds only the admission wait.
-	ctx, cancel := s.deadline(r, 0)
-	defer cancel()
-	if !s.admit(w, ctx, "delete") {
-		return
-	}
-	defer s.release("delete")
-	found, err := s.index().Delete(req.Vector)
-	if err != nil {
-		s.noteMutationError(err)
-		writeError(w, statusForError(err), codeForError(err), err.Error())
-		return
-	}
-	writeJSON(w, http.StatusOK, wire.DeleteResponse{Found: found})
+	n, err := idx.InsertAll(req.Vectors)
+	return wire.InsertResponse{Inserted: n}, n, err
+}
+
+func runDelete(idx Index, req wire.DeleteRequest) (any, int, error) {
+	found, err := idx.Delete(req.Vector)
+	return wire.DeleteResponse{Found: found}, 0, err
 }
 
 func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
@@ -525,8 +505,8 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	if v := r.URL.Query().Get("timeout_ms"); v != "" {
 		n, err := strconv.ParseInt(v, 10, 64)
 		if err != nil || n < 0 {
-			writeError(w, http.StatusBadRequest, wire.ErrCodeInvalid,
-				"invalid timeout_ms query parameter "+strconv.Quote(v))
+			writeError(w, wire.Error{Code: wire.ErrCodeInvalid,
+				Error: "invalid timeout_ms query parameter " + strconv.Quote(v)})
 			return
 		}
 		timeoutMS = n
@@ -544,11 +524,10 @@ func (s *Server) handleStats(w http.ResponseWriter, r *http.Request) {
 	}()
 	select {
 	case <-ctx.Done():
-		err := ctx.Err()
-		writeError(w, statusForError(err), codeForError(err), err.Error())
+		writeError(w, errorBody(ctx.Err()))
 	case res := <-done:
 		if res.err != nil {
-			writeError(w, statusForError(res.err), codeForError(res.err), res.err.Error())
+			writeError(w, errorBody(res.err))
 			return
 		}
 		writeJSON(w, http.StatusOK, res.resp)
@@ -632,48 +611,14 @@ func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
 	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	dec.DisallowUnknownFields()
 	if err := dec.Decode(dst); err != nil {
-		writeError(w, http.StatusBadRequest, wire.ErrCodeInvalid, "decoding request: "+err.Error())
+		writeError(w, wire.Error{Code: wire.ErrCodeInvalid, Error: "decoding request: " + err.Error()})
 		return false
 	}
 	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, http.StatusBadRequest, wire.ErrCodeInvalid, "decoding request: data after the JSON value")
+		writeError(w, wire.Error{Code: wire.ErrCodeInvalid, Error: "decoding request: data after the JSON value"})
 		return false
 	}
 	return true
-}
-
-// statusForError maps engine errors onto HTTP statuses.
-func statusForError(err error) int {
-	switch {
-	case errors.Is(err, gausstree.ErrInvalidQuery):
-		return http.StatusBadRequest
-	case errors.Is(err, context.DeadlineExceeded):
-		return http.StatusGatewayTimeout
-	case errors.Is(err, gausstree.ErrPoisoned):
-		return http.StatusServiceUnavailable
-	case errors.Is(err, gausstree.ErrClosed):
-		return http.StatusServiceUnavailable
-	default:
-		return http.StatusInternalServerError
-	}
-}
-
-// codeForError maps engine errors onto wire error codes. ErrPoisoned is
-// checked before ErrClosed so a poisoned-tree rejection keeps its specific
-// code even when both sentinels appear in one error chain.
-func codeForError(err error) string {
-	switch {
-	case errors.Is(err, gausstree.ErrInvalidQuery):
-		return wire.ErrCodeInvalid
-	case errors.Is(err, context.DeadlineExceeded):
-		return wire.ErrCodeDeadline
-	case errors.Is(err, gausstree.ErrPoisoned):
-		return wire.ErrCodePoisoned
-	case errors.Is(err, gausstree.ErrClosed):
-		return wire.ErrCodeClosed
-	default:
-		return wire.ErrCodeInternal
-	}
 }
 
 func writeJSON(w http.ResponseWriter, status int, body any) {
@@ -682,7 +627,15 @@ func writeJSON(w http.ResponseWriter, status int, body any) {
 	json.NewEncoder(w).Encode(body)
 }
 
-func writeError(w http.ResponseWriter, status int, code, msg string) {
-	noteOutcome(w, code)
-	writeJSON(w, status, wire.Error{Error: msg, Code: code})
+// errorBody is the wire form of an engine error: its text under the code of
+// the contract row wire.ContractOf finds for it.
+func errorBody(err error) wire.Error {
+	return wire.Error{Error: err.Error(), Code: wire.ContractOf(err).Code}
+}
+
+// writeError answers with an error body, under the HTTP status and the
+// metrics outcome its code's contract row names.
+func writeError(w http.ResponseWriter, body wire.Error) {
+	noteOutcome(w, body.Code)
+	writeJSON(w, wire.ContractOfCode(body.Code).Status, body)
 }

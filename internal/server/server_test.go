@@ -9,8 +9,10 @@ import (
 	"net"
 	"net/http"
 	"net/http/httptest"
+	"path/filepath"
 	"runtime"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -658,5 +660,75 @@ func TestTrailingBodyBytesRefused(t *testing.T) {
 				t.Errorf("%s %s: status %d code %q, want %d", ep.path, tc.name, resp.StatusCode, apiErr.Code, tc.status)
 			}
 		}
+	}
+}
+
+// TestServedInsertsShareGroupCommits drives what a daemon's write traffic
+// looks like — many clients, one vector per /v1/insert — at a file-backed
+// tree and requires the acknowledgements to have shared fsyncs: the served
+// mutation path awaits the group commit after the index's writer lock is
+// released, like every other. Held across the wait, the lock makes every
+// insert a group of its own: 640 fsyncs for 640 inserts.
+func TestServedInsertsShareGroupCommits(t *testing.T) {
+	const writers, each = 32, 20
+	path := filepath.Join(t.TempDir(), "served.gtree")
+	// A window long enough for all 32 requests to reach the lock even under
+	// the race detector.
+	tree, err := gausstree.New(2, gausstree.Options{Path: path, PageSize: 1024, CommitLatency: 10 * time.Millisecond})
+	if err != nil {
+		t.Fatal(err)
+	}
+	cl := startServer(t, server.TreeIndex(tree), server.Config{})
+	ctx := context.Background()
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for i := 0; i < each; i++ {
+				if n, err := cl.Insert(ctx, []gausstree.Vector{seqVector(w*each + i)}); n != 1 || err != nil {
+					t.Errorf("writer %d: Insert = (%d, %v), want (1, nil)", w, n, err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if st.WAL == nil || st.WAL.Records != writers*each {
+		t.Fatalf("stats report WAL %+v, want %d records", st.WAL, writers*each)
+	}
+	if st.WAL.MeanGroupSize < 4 || st.WAL.Fsyncs > writers*each/4 {
+		t.Fatalf("%d fsyncs for %d served inserts (mean group size %.2f): /v1/insert does not share group commits",
+			st.WAL.Fsyncs, st.WAL.Records, st.WAL.MeanGroupSize)
+	}
+	t.Logf("%d served inserts, %d fsyncs, mean group size %.1f", st.WAL.Records, st.WAL.Fsyncs, st.WAL.MeanGroupSize)
+
+	// What a crash right now would leave: every acknowledged id.
+	snap := filepath.Join(t.TempDir(), "snap.gtree")
+	copyFile(t, path, snap)
+	copyFile(t, path+".wal", snap+".wal")
+	re, err := gausstree.Open(snap)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer re.Close()
+	ids := dumpIDs(t, re)
+	for id := uint64(1); id <= writers*each; id++ {
+		if !ids[id] {
+			t.Fatalf("acknowledged id %d is missing after a crash", id)
+		}
+	}
+	if re.Len() != writers*each {
+		t.Fatalf("a crash leaves %d vectors, %d were acknowledged once each", re.Len(), writers*each)
+	}
+	if err := re.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -109,32 +109,25 @@ func (e *Engine) Insert(v pfv.Vector) error {
 }
 
 // InsertAll routes a batch, loading the per-shard groups concurrently, and
-// returns how many vectors are durably applied (summed across shards — on
-// error the durable set may be a non-prefix subset of vs, since shards
-// fail independently).
-func (e *Engine) InsertAll(vs []pfv.Vector) (int, error) {
+// returns how many vectors each shard applied — its whole group, or on error
+// the prefix of the group it got through: shards fail independently, so the
+// applied set may be a non-prefix subset of vs. Like core.Tree.InsertAll it
+// awaits no log.
+func (e *Engine) InsertAll(vs []pfv.Vector) ([]int, error) {
 	groups := Split(e.part, vs, len(e.trees))
 	applied := make([]int, len(e.trees))
-	err := e.eachShard(func(i int) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		n, err := e.trees[i].InsertAll(groups[i])
-		applied[i] = n
+	err := fanOut(len(e.trees), noCancel, func(i int) (err error) {
+		applied[i], err = e.trees[i].InsertAll(groups[i])
 		return err
 	})
-	total := 0
-	for _, n := range applied {
-		total += n
-	}
-	return total, err
+	return applied, err
 }
 
 // BulkLoad partitions the vector set and bulk-loads every shard
 // concurrently (all shards must be empty).
 func (e *Engine) BulkLoad(vs []pfv.Vector) error {
 	groups := Split(e.part, vs, len(e.trees))
-	return e.eachShard(func(i int) error {
+	return fanOut(len(e.trees), noCancel, func(i int) error {
 		if len(groups[i]) == 0 {
 			return nil
 		}
@@ -158,22 +151,9 @@ func (e *Engine) ForEach(fn func(pfv.Vector) error) error {
 	return nil
 }
 
-// eachShard runs f(i) for every shard concurrently and returns the first
-// error (by shard index). Used for mutations, where there is no context to
-// cancel — each shard's work must complete or fail on its own.
-func (e *Engine) eachShard(f func(i int) error) error {
-	errs := make([]error, len(e.trees))
-	var wg sync.WaitGroup
-	for i := range e.trees {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			errs[i] = f(i)
-		}(i)
-	}
-	wg.Wait()
-	return errors.Join(errs...)
-}
+// noCancel is fanOut's cancel for mutations, which have no context to
+// cancel: each shard's work completes or fails on its own.
+func noCancel() {}
 
 // fanOut runs f(i) for every shard — shard 0 on the calling goroutine, the
 // others on one goroutine each, so one shard costs no goroutine — under a

@@ -43,7 +43,7 @@ func TestCheckIntegrityCleanLog(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.WaitDurable(l.Stats().AppendedLSN); err != nil {
 		t.Fatal(err)
 	}
 	if n, err := l.CheckIntegrity(); err != nil || n != 5 {
@@ -69,7 +69,7 @@ func TestCheckIntegritySurvivesReopen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.WaitDurable(l.Stats().AppendedLSN); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -101,7 +101,7 @@ func TestCheckIntegrityDetectsBitRot(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.WaitDurable(l.Stats().AppendedLSN); err != nil {
 		t.Fatal(err)
 	}
 	// Flip one byte inside the first durable frame, behind the log's back.

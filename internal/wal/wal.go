@@ -70,14 +70,6 @@ type Stats struct {
 	DurableLSN uint64
 }
 
-// MeanGroupSize returns the mean number of records per fsync batch.
-func (s Stats) MeanGroupSize() float64 {
-	if s.Fsyncs == 0 {
-		return 0
-	}
-	return float64(s.Records) / float64(s.Fsyncs)
-}
-
 // DefaultInterval is the default group-commit latency window: how long the
 // committer waits after the first pending record before forcing the fsync,
 // giving concurrent appenders time to join the batch.
@@ -91,8 +83,6 @@ const (
 	headerLen  = 10
 	magic      = "GTWAL"
 	walVersion = 1
-	// frameOverhead is length (4) + LSN (8) + type (1) + count (2) + CRC (4).
-	frameOverhead = 19
 )
 
 var castagnoli = crc32.MakeTable(crc32.Castagnoli)
@@ -127,8 +117,8 @@ type FaultHook interface {
 
 // Log is a group-commit write-ahead log backed by one file. Append may be
 // called from any goroutine; one background committer performs all file
-// writes. After an I/O failure the log is dead: every subsequent Append,
-// Sync and WaitDurable returns the first error (the owning tree poisons
+// writes. After an I/O failure the log is dead: every subsequent Append
+// and WaitDurable returns the first error (the owning tree poisons
 // itself on the next mutation).
 type Log struct {
 	dim      int
@@ -387,16 +377,6 @@ func (l *Log) WaitDurable(lsn uint64) error {
 		l.cond.Wait()
 	}
 	return l.err
-}
-
-// Sync forces an immediate flush of everything appended so far and waits
-// for it.
-func (l *Log) Sync() error {
-	l.mu.Lock()
-	lsn := l.next - 1
-	l.mu.Unlock()
-	l.flush()
-	return l.WaitDurable(lsn)
 }
 
 // Reset truncates the log after a checkpoint: the tree has durably

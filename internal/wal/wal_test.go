@@ -3,7 +3,6 @@ package wal
 import (
 	"bytes"
 	"errors"
-	"math"
 	"os"
 	"path/filepath"
 	"sync"
@@ -51,7 +50,7 @@ func TestAppendReplayRoundTrip(t *testing.T) {
 			t.Fatalf("LSNs not consecutive: %v", lsns)
 		}
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.WaitDurable(l.Stats().AppendedLSN); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {
@@ -126,12 +125,6 @@ func TestWaitDurableUnblocksGroup(t *testing.T) {
 	if s.Fsyncs == 0 || s.Fsyncs > s.Records {
 		t.Fatalf("fsyncs = %d out of range (0, %d]", s.Fsyncs, s.Records)
 	}
-	// Concurrent appenders within one latency window must share fsyncs;
-	// with 8 writers racing a 2ms window this is overwhelmingly < 1:1, but
-	// only assert the arithmetic (scheduling can serialize a slow CI box).
-	if got := s.MeanGroupSize(); math.Abs(got-float64(s.Records)/float64(s.Fsyncs)) > 1e-9 {
-		t.Fatalf("MeanGroupSize = %v, want %v", got, float64(s.Records)/float64(s.Fsyncs))
-	}
 }
 
 func TestTornTailTruncatedOnOpen(t *testing.T) {
@@ -145,7 +138,7 @@ func TestTornTailTruncatedOnOpen(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if err := l.Sync(); err != nil {
+	if err := l.WaitDurable(l.Stats().AppendedLSN); err != nil {
 		t.Fatal(err)
 	}
 	if err := l.Close(); err != nil {

@@ -27,6 +27,10 @@
 package wire
 
 import (
+	"context"
+	"errors"
+	"net/http"
+
 	gausstree "github.com/gauss-tree/gausstree"
 )
 
@@ -65,6 +69,63 @@ const (
 	// ErrCodeInternal marks any other server-side failure (HTTP 500).
 	ErrCodeInternal = "internal"
 )
+
+// ErrorContract is one row of the error contract both sides read: what a
+// failure looks like as a Go error, on the wire, over HTTP and in the
+// daemon's metrics, and whether a client may send the request again.
+type ErrorContract struct {
+	// Code is the wire code (Error.Code), the row's key.
+	Code string
+	// Status is the HTTP status the daemon answers with.
+	Status int
+	// Outcome is the gaussd_http_requests_total outcome label.
+	Outcome string
+	// Sentinel is the error that means this row: the daemon finds the row
+	// of an engine error with errors.Is, the client's APIError unwraps to
+	// it. Nil for the rows only the serving layer itself produces (the
+	// client has sentinels of its own for the two it retries).
+	Sentinel error
+	// Retryable marks a refusal made before the request executed, so that
+	// sending it again is safe for every endpoint, mutations included.
+	Retryable bool
+}
+
+// ErrorContracts holds one row per ErrCode* constant, in the order
+// ContractOf tries them: ErrPoisoned before ErrClosed, so a poisoned-tree
+// rejection keeps its specific code when both sentinels are in one chain;
+// the catch-all last.
+var ErrorContracts = []ErrorContract{
+	{Code: ErrCodeInvalid, Status: http.StatusBadRequest, Outcome: "invalid", Sentinel: gausstree.ErrInvalidQuery},
+	{Code: ErrCodeDeadline, Status: http.StatusGatewayTimeout, Outcome: "deadline", Sentinel: context.DeadlineExceeded},
+	{Code: ErrCodePoisoned, Status: http.StatusServiceUnavailable, Outcome: "poisoned", Sentinel: gausstree.ErrPoisoned},
+	{Code: ErrCodeClosed, Status: http.StatusServiceUnavailable, Outcome: "closed", Sentinel: gausstree.ErrClosed},
+	{Code: ErrCodeSaturated, Status: http.StatusTooManyRequests, Outcome: "saturated", Retryable: true},
+	{Code: ErrCodeDegraded, Status: http.StatusServiceUnavailable, Outcome: "degraded", Retryable: true},
+	{Code: ErrCodeReadOnly, Status: http.StatusForbidden, Outcome: "read_only"},
+	{Code: ErrCodeInternal, Status: http.StatusInternalServerError, Outcome: "internal"},
+}
+
+// ContractOf returns the row of an engine error: the first whose sentinel
+// is in err's chain, the ErrCodeInternal row when none is.
+func ContractOf(err error) ErrorContract {
+	for _, c := range ErrorContracts {
+		if c.Sentinel != nil && errors.Is(err, c.Sentinel) {
+			return c
+		}
+	}
+	return ErrorContracts[len(ErrorContracts)-1]
+}
+
+// ContractOfCode returns the row of a wire code; a code this build does not
+// know (a newer peer's) reads as ErrCodeInternal.
+func ContractOfCode(code string) ErrorContract {
+	for _, c := range ErrorContracts {
+		if c.Code == code {
+			return c
+		}
+	}
+	return ErrorContracts[len(ErrorContracts)-1]
+}
 
 // Error is the body of every non-2xx response. On a partially applied
 // /v1/insert it additionally carries Inserted, the durably applied prefix.

@@ -116,17 +116,11 @@ func New(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 	return t, nil
 }
 
-// Dim returns the indexed dimensionality.
-func (t *Tree) Dim() int { return t.dim }
-
 // Len returns the number of stored vectors.
 func (t *Tree) Len() int { return t.count }
 
 // Height returns the tree height (1 = root is a leaf).
 func (t *Tree) Height() int { return t.height }
-
-// QuantileFactor returns the z used for box approximations.
-func (t *Tree) QuantileFactor() float64 { return t.z }
 
 // boxOf returns the quantile-box approximation of a vector.
 func (t *Tree) boxOf(v pfv.Vector) rect.Rect {

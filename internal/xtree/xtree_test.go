@@ -256,7 +256,7 @@ func TestConfigDefaults(t *testing.T) {
 		t.Errorf("defaults = %+v", cfg)
 	}
 	tr := newXTree(t, 2, 512, Config{})
-	if z := tr.QuantileFactor(); z < 1.9 || z > 2.0 {
+	if z := tr.z; z < 1.9 || z > 2.0 {
 		t.Errorf("z = %v, want ≈1.96", z)
 	}
 	if tr.cfg.Combiner != gaussian.CombineAdditive {

@@ -30,18 +30,10 @@ func checkQueryVector(q Vector, dim int) error {
 	return nil
 }
 
-// checkMutationVector rejects mutation vectors of the wrong dimensionality
+// checkMutationVectors rejects mutation vectors of the wrong dimensionality
 // before they reach the storage engine, so bad input surfaces as
 // ErrInvalidQuery instead of looking like a mid-mutation storage fault to
 // the serving layer's degrade detection.
-func checkMutationVector(v Vector, dim int) error {
-	if v.Dim() != dim {
-		return fmt.Errorf("%w: vector id %d has dimension %d, tree dimension %d", ErrInvalidQuery, v.ID, v.Dim(), dim)
-	}
-	return nil
-}
-
-// checkMutationVectors is checkMutationVector over a batch.
 func checkMutationVectors(vs []Vector, dim int) error {
 	for i := range vs {
 		if vs[i].Dim() != dim {
