@@ -25,8 +25,10 @@ package main
 
 import (
 	"context"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 	"strconv"
 	"strings"
@@ -36,73 +38,97 @@ import (
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
 
-func main() {
-	var (
-		data  = flag.String("data", "", "CSV of database pfv (required unless -index points at a built index or -addr at a daemon)")
-		index = flag.String("index", "", "persistent index file: built from -data when given, reopened otherwise")
-		addr  = flag.String("addr", "", "gaussd address: answer queries remotely instead of in-process")
-		kmliq = flag.String("kmliq", "", "k-MLIQ query: mu_1,sigma_1,...")
-		tiq   = flag.String("tiq", "", "TIQ query: mu_1,sigma_1,...")
-		k     = flag.Int("k", 3, "result count for -kmliq")
-		p     = flag.Float64("p", 0.1, "probability threshold for -tiq")
-	)
-	flag.Parse()
-	if *addr != "" {
-		if *data != "" || *index != "" {
-			fail(fmt.Errorf("-addr queries a running daemon; it cannot be combined with -data or -index"))
-		}
-		if *kmliq == "" && *tiq == "" {
-			flag.Usage()
-			os.Exit(2)
-		}
-		runRemote(*addr, *kmliq, *tiq, *k, *p)
-		return
+// config is everything the command line decides.
+type config struct {
+	data, index, addr string
+	kmliq, tiq        string
+	k                 int
+	p                 float64
+}
+
+// parseFlags parses and validates the command line before any data is
+// loaded or any daemon contacted: an out-of-range -k or -p and a combination
+// of flags that names no work are refused.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	fs := flag.NewFlagSet("gausscli", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var c config
+	fs.StringVar(&c.data, "data", "", "CSV of database pfv (required unless -index points at a built index or -addr at a daemon)")
+	fs.StringVar(&c.index, "index", "", "persistent index file: built from -data when given, reopened otherwise")
+	fs.StringVar(&c.addr, "addr", "", "gaussd address: answer queries remotely instead of in-process")
+	fs.StringVar(&c.kmliq, "kmliq", "", "k-MLIQ query: mu_1,sigma_1,...")
+	fs.StringVar(&c.tiq, "tiq", "", "TIQ query: mu_1,sigma_1,...")
+	fs.IntVar(&c.k, "k", 3, "result count for -kmliq (must be >= 1)")
+	fs.Float64Var(&c.p, "p", 0.1, "probability threshold for -tiq, in (0,1]")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
 	}
-	buildOnly := *data != "" && *index != "" && *kmliq == "" && *tiq == ""
-	if (*data == "" && *index == "") || (*kmliq == "" && *tiq == "" && !buildOnly) {
-		flag.Usage()
+	query, build := c.kmliq != "" || c.tiq != "", c.data != "" && c.index != ""
+	switch {
+	case c.k < 1:
+		return config{}, errors.New("-k must be at least 1")
+	case !(c.p > 0 && c.p <= 1): // NaN included
+		return config{}, errors.New("-p must be in (0,1]")
+	case c.addr != "" && (c.data != "" || c.index != ""):
+		return config{}, errors.New("-addr queries a running daemon; it cannot be combined with -data or -index")
+	case !query && !build, c.addr == "" && c.data == "" && c.index == "":
+		fs.Usage()
+		return config{}, errors.New("nothing to do: give -kmliq or -tiq against -data, -index or -addr, or -data with -index to build an index")
+	}
+	return c, nil
+}
+
+func main() {
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gausscli:", err)
 		os.Exit(2)
+	}
+	if cfg.addr != "" {
+		runRemote(cfg.addr, cfg.kmliq, cfg.tiq, cfg.k, cfg.p)
+		return
 	}
 
 	var tree *gausstree.Tree
 	switch {
-	case *data != "":
-		vectors := readData(*data)
+	case cfg.data != "":
+		vectors := readData(cfg.data)
 		dim := vectors[0].Dim()
-		var err error
-		if *index != "" {
-			tree, err = gausstree.New(dim, gausstree.Options{Path: *index})
+		if cfg.index != "" {
+			tree, err = gausstree.New(dim, gausstree.Options{Path: cfg.index})
 		} else {
 			tree, err = gausstree.New(dim)
 		}
 		fail(err)
 		fail(tree.BulkLoad(vectors))
-		if *index != "" {
-			fmt.Printf("built %s: %d vectors (%d-d), tree height %d\n", *index, tree.Len(), dim, tree.Height())
+		if cfg.index != "" {
+			fmt.Printf("built %s: %d vectors (%d-d), tree height %d\n", cfg.index, tree.Len(), dim, tree.Height())
 		} else {
 			fmt.Printf("loaded %d vectors (%d-d), tree height %d\n", tree.Len(), dim, tree.Height())
 		}
 	default:
-		var err error
-		tree, err = gausstree.Open(*index)
+		tree, err = gausstree.Open(cfg.index)
 		fail(err)
-		fmt.Printf("opened %s: %d vectors (%d-d), tree height %d\n", *index, tree.Len(), tree.Dim(), tree.Height())
+		fmt.Printf("opened %s: %d vectors (%d-d), tree height %d\n", cfg.index, tree.Len(), tree.Dim(), tree.Height())
 	}
 	defer tree.Close()
 	dim := tree.Dim()
 
-	if *kmliq != "" {
-		q := parseQuery(*kmliq, dim)
-		matches, err := tree.KMostLikely(q, *k)
+	if cfg.kmliq != "" {
+		q := parseQuery(cfg.kmliq, dim)
+		matches, err := tree.KMostLikely(q, cfg.k)
 		fail(err)
-		fmt.Printf("%d most likely objects:\n", *k)
+		fmt.Printf("%d most likely objects:\n", cfg.k)
 		printMatches(matches)
 	}
-	if *tiq != "" {
-		q := parseQuery(*tiq, dim)
-		matches, err := tree.Threshold(q, *p)
+	if cfg.tiq != "" {
+		q := parseQuery(cfg.tiq, dim)
+		matches, err := tree.Threshold(q, cfg.p)
 		fail(err)
-		fmt.Printf("objects with P(v|q) >= %v:\n", *p)
+		fmt.Printf("objects with P(v|q) >= %v:\n", cfg.p)
 		printMatches(matches)
 	}
 }

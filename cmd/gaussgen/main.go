@@ -10,91 +10,117 @@
 package main
 
 import (
-	"bufio"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
-	"strconv"
 
 	"github.com/gauss-tree/gausstree/internal/dataset"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
 
+// config is everything the command line decides.
+type config struct {
+	set          string
+	n, nq        int // 0: the paper's
+	out, queries string
+	seed         int64 // 0: the data set's default
+}
+
+// parseFlags parses and validates the command line before any work is done:
+// an out-of-range value or an unknown data set is refused, not replaced by a
+// default.
+func parseFlags(args []string, stderr io.Writer) (config, error) {
+	fs := flag.NewFlagSet("gaussgen", flag.ContinueOnError)
+	fs.SetOutput(stderr)
+	var c config
+	fs.StringVar(&c.set, "set", "ds2", "data set: ds1 (27-d histograms) or ds2 (10-d synthetic)")
+	fs.IntVar(&c.n, "n", 0, "number of objects (0 = paper default)")
+	fs.StringVar(&c.out, "out", "", "output CSV path (required)")
+	fs.StringVar(&c.queries, "queries", "", "optional query workload CSV path")
+	fs.IntVar(&c.nq, "nq", 0, "number of queries (0 = paper default)")
+	fs.Int64Var(&c.seed, "seed", 0, "seed override (0 = default)")
+	if err := fs.Parse(args); err != nil {
+		return config{}, err
+	}
+	switch {
+	case c.out == "":
+		return config{}, errors.New("-out is required")
+	case c.set != "ds1" && c.set != "ds2":
+		return config{}, fmt.Errorf("unknown -set %q (valid: ds1, ds2)", c.set)
+	case c.n < 0:
+		return config{}, errors.New("-n must not be negative (0 = paper default)")
+	case c.nq < 0:
+		return config{}, errors.New("-nq must not be negative (0 = paper default)")
+	}
+	return c, nil
+}
+
 func main() {
-	var (
-		set     = flag.String("set", "ds2", "data set: ds1 (27-d histograms) or ds2 (10-d synthetic)")
-		n       = flag.Int("n", 0, "number of objects (0 = paper default)")
-		out     = flag.String("out", "", "output CSV path (required)")
-		queries = flag.String("queries", "", "optional query workload CSV path")
-		nq      = flag.Int("nq", 0, "number of queries (0 = paper default)")
-		seed    = flag.Int64("seed", 0, "seed override (0 = default)")
-	)
-	flag.Parse()
-	if *out == "" {
-		fail(fmt.Errorf("-out is required"))
+	cfg, err := parseFlags(os.Args[1:], os.Stderr)
+	if errors.Is(err, flag.ErrHelp) {
+		os.Exit(0)
+	}
+	if err != nil {
+		fmt.Fprintln(os.Stderr, "gaussgen:", err)
+		os.Exit(2)
 	}
 
 	var ds *dataset.Dataset
 	var qsigma dataset.SigmaModel
-	var defaultQ int
-	switch *set {
-	case "ds1":
+	count := cfg.nq
+	if cfg.set == "ds1" {
 		p := dataset.DefaultHistogramParams()
-		if *n > 0 {
-			p.N = *n
+		if cfg.n > 0 {
+			p.N = cfg.n
 		}
-		if *seed != 0 {
-			p.Seed = *seed
+		if cfg.seed != 0 {
+			p.Seed = cfg.seed
 		}
-		d, err := dataset.ColorHistograms(p)
-		fail(err)
-		ds, qsigma, defaultQ = d, p.Sigma, 100
-	case "ds2":
+		ds, err = dataset.ColorHistograms(p)
+		qsigma = p.Sigma
+		if count == 0 {
+			count = 100
+		}
+	} else {
 		p := dataset.DefaultSyntheticParams()
-		if *n > 0 {
-			p.N = *n
+		if cfg.n > 0 {
+			p.N = cfg.n
 		}
-		if *seed != 0 {
-			p.Seed = *seed
+		if cfg.seed != 0 {
+			p.Seed = cfg.seed
 		}
-		d, err := dataset.Synthetic(p)
-		fail(err)
-		ds, qsigma, defaultQ = d, p.Sigma, 500
-	default:
-		fail(fmt.Errorf("unknown data set %q", *set))
+		ds, err = dataset.Synthetic(p)
+		qsigma = p.Sigma
+		if count == 0 {
+			count = 500
+		}
 	}
+	fail(err)
 
-	f, err := os.Create(*out)
+	f, err := os.Create(cfg.out)
 	fail(err)
 	fail(pfv.WriteCSV(f, ds.Vectors))
 	fail(f.Close())
-	fmt.Printf("wrote %d vectors (%d-d) to %s\n", len(ds.Vectors), ds.Dim, *out)
+	fmt.Printf("wrote %d vectors (%d-d) to %s\n", len(ds.Vectors), ds.Dim, cfg.out)
 
-	if *queries == "" {
+	if cfg.queries == "" {
 		return
-	}
-	count := defaultQ
-	if *nq > 0 {
-		count = *nq
 	}
 	qs, err := dataset.MakeQueries(ds, dataset.QueryParams{Count: count, Sigma: qsigma, Seed: 4242})
 	fail(err)
-	qf, err := os.Create(*queries)
+	qf, err := os.Create(cfg.queries)
 	fail(err)
-	w := bufio.NewWriter(qf)
-	fmt.Fprintln(w, "# truth_id,mu_1,sigma_1,...")
-	for _, q := range qs {
-		fmt.Fprintf(w, "%d", q.TruthID)
-		for j := range q.Vector.Mean {
-			fmt.Fprintf(w, ",%s,%s",
-				strconv.FormatFloat(q.Vector.Mean[j], 'g', -1, 64),
-				strconv.FormatFloat(q.Vector.Sigma[j], 'g', -1, 64))
-		}
-		fmt.Fprintln(w)
+	truth := make([]pfv.Vector, len(qs)) // the query vectors, identified by their ground truth
+	for i, q := range qs {
+		truth[i] = q.Vector
+		truth[i].ID = q.TruthID
 	}
-	fail(w.Flush())
+	fmt.Fprintln(qf, "# truth_id,mu_1,sigma_1,...")
+	fail(pfv.WriteCSV(qf, truth))
 	fail(qf.Close())
-	fmt.Printf("wrote %d queries to %s\n", count, *queries)
+	fmt.Printf("wrote %d queries to %s\n", count, cfg.queries)
 }
 
 func fail(err error) {

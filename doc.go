@@ -20,7 +20,9 @@
 // This comment is the API contract. The README holds the rest: the on-disk
 // layout, the leaf-format table, how the sharded merge works, the serving
 // and observability surface, the measured performance and the census of
-// every option with what justifies it.
+// every option with what justifies it. cmd/gaussbench prints the paper's §6
+// tables: -exp fig1, fig6a, fig6b, fig7ds1, fig7ds2, headline, ablations or
+// all, and -quick for smoke sizes.
 //
 // # Quick start
 //

@@ -2,6 +2,7 @@ package analysis
 
 import (
 	"go/token"
+	"slices"
 	"strings"
 )
 
@@ -28,15 +29,6 @@ type ignoreDirective struct {
 	analyzers []string
 	reason    string
 	pos       token.Pos
-}
-
-func (d *ignoreDirective) matches(analyzer string) bool {
-	for _, a := range d.analyzers {
-		if a == analyzer {
-			return true
-		}
-	}
-	return false
 }
 
 // collectIgnores parses every suppression directive in the package and
@@ -83,7 +75,7 @@ func Filter(pkg *Package, diags []Diagnostic) []Diagnostic {
 		pos := pkg.Fset.Position(d.Pos)
 		suppressed := false
 		for _, dir := range ds {
-			if dir.file == pos.Filename && (dir.line == pos.Line || dir.line == pos.Line-1) && dir.matches(d.Analyzer) {
+			if dir.file == pos.Filename && (dir.line == pos.Line || dir.line == pos.Line-1) && slices.Contains(dir.analyzers, d.Analyzer) {
 				suppressed = true
 				break
 			}

@@ -3,6 +3,7 @@ package analysis
 import (
 	"go/ast"
 	"go/types"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -169,7 +170,7 @@ func (or *obsRegisterPass) checkHotPath(decls []*ast.FuncDecl) {
 		}
 		found[key] = true
 		for _, id := range or.acquires[obj] {
-			if !allowsLock(allowed, id) {
+			if !slices.Contains(allowed, id) {
 				or.pass.Reportf(fn.Name.Pos(),
 					"obs hot-path %s acquires %s: instrument methods must stay lock-free so they are safe under engine shard locks (allowed here: %s)",
 					key, id, fmtAllowed(allowed))
@@ -187,15 +188,6 @@ func (or *obsRegisterPass) checkHotPath(decls []*ast.FuncDecl) {
 		or.pass.Reportf(or.pass.Files[0].Name.Pos(),
 			"obsregister hot-path table lists %s, which package obs no longer defines: update obsHotPath in internal/analysis/obsregister.go", key)
 	}
-}
-
-func allowsLock(allowed []string, id string) bool {
-	for _, a := range allowed {
-		if a == id {
-			return true
-		}
-	}
-	return false
 }
 
 func fmtAllowed(allowed []string) string {

@@ -1,8 +1,7 @@
 // Package buildinfo exposes the identity of the running binary — module
 // version, VCS revision and Go toolchain — read once from the build info
 // the Go linker embeds. gaussd stamps it onto /v1/stats and the
-// gaussd_build_info metric, and gaussbench onto its -json rows, so every
-// recorded measurement says what produced it.
+// gaussd_build_info metric, so every scrape says what produced it.
 package buildinfo
 
 import (

@@ -6,6 +6,7 @@ import (
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pqueue"
+	"github.com/gauss-tree/gausstree/internal/query"
 )
 
 // activeNode is one unexplored subtree in the best-first priority queue.
@@ -188,7 +189,7 @@ func (d *denomTracker) maybeRebuild(active *pqueue.Queue[activeNode]) {
 // if something changed since the last call. The residue of skipped quantized
 // leaves folds into the floor/hull parts, so cross-shard merges stay sound
 // without knowing about quantization. An interval inverted by drift is
-// reordered, as probInterval reorders what it reports.
+// reordered, as query.ProbInterval reorders what it reports.
 func (d *denomTracker) fold() *denomBounds {
 	if !d.folded {
 		p := DenomParts{
@@ -214,18 +215,6 @@ func (b *denomBounds) tooWide(maxLd, accuracy float64) bool {
 	return accuracy > 0 && math.Exp(maxLd-b.logLow)-math.Exp(maxLd-b.logHigh) > accuracy
 }
 
-// probInterval is the certified probability interval [e^ld/high, e^ld/low]
-// of a log density against a log-space denominator interval, clamped to
-// [0,1].
-func probInterval(logDensity, logLow, logHigh float64) (lo, hi float64) {
-	lo = clamp01(math.Exp(logDensity - logHigh))
-	hi = clamp01(math.Exp(logDensity - logLow))
-	if hi < lo { // defensive: drift could invert a razor-thin interval
-		lo, hi = hi, lo
-	}
-	return lo, hi
-}
-
 // threshold is a TIQ probability threshold θ prepared for log-space tests.
 type threshold struct {
 	p, log float64 // θ and ln θ (−Inf for θ = 0)
@@ -236,11 +225,12 @@ type threshold struct {
 // ld, the folded bound and ln θ moves the difference by ~1e-13 at most.
 const thresholdBand = 1e-9
 
-// reaches reports clamp01(exp(ld − logDenom)) ≥ θ: whether a log density
-// reaches the threshold against a log-space denominator bound. Subtractions
-// decide it; the exact form runs only within thresholdBand of the boundary
-// and for the NaN of −Inf − −Inf (clamp01 then reports the conservative 1),
-// so log space changes no answer. Against logDenom = −Inf all reaches.
+// reaches reports whether a log density reaches the threshold against a
+// log-space denominator bound: the probability query.ProbInterval reports at
+// that denominator is ≥ θ. Subtractions decide it; the exact form runs only
+// within thresholdBand of the boundary and for the NaN of −Inf − −Inf (which
+// reports the conservative 1), so log space changes no answer. Against
+// logDenom = −Inf all reaches.
 func (th threshold) reaches(ld, logDenom float64) bool {
 	x := ld - logDenom
 	switch d := x - th.log; {
@@ -249,19 +239,8 @@ func (th threshold) reaches(ld, logDenom float64) bool {
 	case d < -thresholdBand:
 		return false
 	}
-	return clamp01(math.Exp(x)) >= th.p
-}
-
-func clamp01(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return 1 // 0/0: no information, the conservative upper bound is 1
-	case x < 0:
-		return 0
-	case x > 1:
-		return 1
-	}
-	return x
+	p, _ := query.ProbInterval(ld, logDenom, logDenom)
+	return p >= th.p
 }
 
 // logAddExp returns ln(exp(a)+exp(b)) without overflow.

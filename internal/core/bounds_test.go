@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"github.com/gauss-tree/gausstree/internal/query"
 )
 
 func TestScaledAccumBasics(t *testing.T) {
@@ -107,15 +109,6 @@ func TestLogAddExp(t *testing.T) {
 	}
 }
 
-func TestClamp01(t *testing.T) {
-	if clamp01(-0.5) != 0 || clamp01(1.5) != 1 || clamp01(0.25) != 0.25 {
-		t.Error("clamp01 wrong")
-	}
-	if clamp01(math.NaN()) != 1 {
-		t.Error("NaN must clamp to the conservative upper bound 1")
-	}
-}
-
 func TestDenomTrackerIntervalContainsExact(t *testing.T) {
 	// Pushing node bounds and replacing them with exact members must always
 	// keep the certified interval around the true denominator.
@@ -171,12 +164,12 @@ func TestProbIntervalClamping(t *testing.T) {
 	var d denomTracker
 	// Empty tracker: denominator unknown (log 0) → interval must be [?,1]
 	// without NaN leakage.
-	lo, hi := probInterval(-3, d.fold().logLow, d.fold().logHigh)
+	lo, hi := query.ProbInterval(-3, d.fold().logLow, d.fold().logHigh)
 	if math.IsNaN(lo) || math.IsNaN(hi) || hi > 1 || lo < 0 {
 		t.Errorf("interval [%v,%v] malformed", lo, hi)
 	}
 	d.addExact(math.Log(0.5))
-	lo, hi = probInterval(math.Log(0.25), d.fold().logLow, d.fold().logHigh)
+	lo, hi = query.ProbInterval(math.Log(0.25), d.fold().logLow, d.fold().logHigh)
 	if math.Abs(lo-0.5) > 1e-12 || math.Abs(hi-0.5) > 1e-12 {
 		t.Errorf("exact interval = [%v,%v], want 0.5", lo, hi)
 	}

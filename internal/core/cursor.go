@@ -60,9 +60,9 @@ func (p DenomParts) LogLow() float64 { return logAddExp(p.LogExact, p.LogFloor) 
 func (p DenomParts) LogHigh() float64 { return logAddExp(p.LogExact, p.LogHull) }
 
 // ProbInterval converts a candidate's joint log density into the certified
-// probability interval implied by this denominator interval (see probInterval).
+// probability interval implied by this denominator interval.
 func (p DenomParts) ProbInterval(logDensity float64) (lo, hi float64) {
-	return probInterval(logDensity, p.LogLow(), p.LogHigh())
+	return query.ProbInterval(logDensity, p.LogLow(), p.LogHigh())
 }
 
 // Candidate is one result candidate of a paused cursor: a stored object,
@@ -94,15 +94,9 @@ func SortCandidates(cs []Candidate) {
 // the caller owns.
 func Results(cs []Candidate, parts DenomParts) []query.Result {
 	out := make([]query.Result, len(cs))
+	logLow, logHigh := parts.LogLow(), parts.LogHigh()
 	for i, c := range cs {
-		lo, hi := parts.ProbInterval(c.LogDensity)
-		out[i] = query.Result{
-			Vector:      c.ref.vector(),
-			LogDensity:  c.LogDensity,
-			Probability: (lo + hi) / 2,
-			ProbLow:     lo,
-			ProbHigh:    hi,
-		}
+		out[i] = query.Certified(c.ref.vector(), c.LogDensity, logLow, logHigh)
 	}
 	query.SortByProbability(out)
 	return out

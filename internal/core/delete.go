@@ -175,47 +175,35 @@ func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
 // collectVectors gathers every pfv stored in the (already loaded) node's
 // subtree; n may be one of the writer's own nodes.
 func (t *Tree) collectVectors(n *node) ([]pfv.Vector, error) {
-	if n.vectors != nil {
-		return append([]pfv.Vector(nil), n.vectors...), nil
-	}
-	if n.leaf {
-		cols, err := t.exactColumns(n)
-		if err != nil {
-			return nil, err
-		}
-		return cols.Vectors(), nil
-	}
 	var out []pfv.Vector
-	for _, c := range n.children {
-		child, err := t.readNode(c.page)
-		if err != nil {
-			return nil, err
+	err := walk(n, 0, t.readNode, func(n *node, _ int) error {
+		if n.vectors != nil {
+			out = append(out, n.vectors...)
+		} else if n.leaf {
+			cols, err := t.exactColumns(n)
+			if err != nil {
+				return err
+			}
+			out = append(out, cols.Vectors()...)
 		}
-		vs, err := t.collectVectors(child)
-		if err != nil {
-			return nil, err
-		}
-		out = append(out, vs...)
-	}
-	return out, nil
+		return nil
+	})
+	return out, err
 }
 
 // freeNodeSubtree frees the pages of an already loaded node and all its
-// descendants, deferred: the pages belong to the last committed tree (and
-// possibly to pinned reader snapshots), so reusing them before the next
-// commit (e.g. for this delete's condensation re-inserts) would overwrite
-// state still being read.
+// descendants (quantized leaves' sidecar pages included), deferred: the
+// pages belong to the last committed tree (and possibly to pinned reader
+// snapshots), so reusing them before the next commit (e.g. for this delete's
+// condensation re-inserts) would overwrite state still being read. Cache
+// entries stay — see rewriteNode.
 func (t *Tree) freeNodeSubtree(n *node) error {
-	if !n.leaf {
-		for _, c := range n.children {
-			if err := t.freeSubtree(c.page); err != nil {
+	return walk(n, 0, t.readNode, func(n *node, _ int) error {
+		if n.quant != nil {
+			if err := t.mgr.FreeDeferred(n.quant.sidecar); err != nil {
 				return err
 			}
 		}
-	} else if n.quant != nil {
-		if err := t.mgr.FreeDeferred(n.quant.sidecar); err != nil {
-			return err
-		}
-	}
-	return t.mgr.FreeDeferred(n.id)
+		return t.mgr.FreeDeferred(n.id)
+	})
 }

@@ -10,6 +10,7 @@ import (
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/pqueue"
+	"github.com/gauss-tree/gausstree/internal/query"
 )
 
 // ds2Tree bulk-loads the paper's data set 2 at size n and returns it with a
@@ -190,16 +191,21 @@ func TestFoldMemoInvalidation(t *testing.T) {
 }
 
 // TestThresholdReachesMatchesExactForm: the log-space threshold test must
-// decide exactly as clamp01(exp(ld − logDenom)) ≥ θ does, in particular with
+// decide exactly as the reported probability clamp(exp(ld − logDenom)) ≥ θ
+// does (query.ProbInterval at a point denominator), in particular with
 // θ set to the exact-form value itself and its floating-point neighbours,
 // which is what the fallback band is for.
 func TestThresholdReachesMatchesExactForm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	inf := math.Inf(1)
+	exact := func(ld, logDenom float64) float64 {
+		p, _ := query.ProbInterval(ld, logDenom, logDenom)
+		return p
+	}
 	check := func(ld, logDenom, theta float64) {
 		t.Helper()
 		th := threshold{p: theta, log: math.Log(theta)}
-		want := clamp01(math.Exp(ld-logDenom)) >= theta
+		want := exact(ld, logDenom) >= theta
 		if got := th.reaches(ld, logDenom); got != want {
 			t.Fatalf("reaches(ld=%v, denom=%v, θ=%v) = %v, exact form says %v", ld, logDenom, theta, got, want)
 		}
@@ -210,7 +216,7 @@ func TestThresholdReachesMatchesExactForm(t *testing.T) {
 		if i%16 == 0 {
 			ld = logDenom + rng.NormFloat64()*1e-12 // p ≈ 1, either side
 		}
-		p := clamp01(math.Exp(ld - logDenom))
+		p := exact(ld, logDenom)
 		for _, theta := range []float64{p, math.Nextafter(p, 0), math.Nextafter(p, 1), rng.Float64(), 0, 1, 5e-324} {
 			if theta >= 0 && theta <= 1 {
 				check(ld, logDenom, theta)

@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math"
+	"slices"
 
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
@@ -271,7 +272,7 @@ func buildQuantLeaf(format LeafFormat, c *pfv.Columns, pageSize int) *quantLeaf 
 		q.cellSigma = make([][]uint8, dim)
 		for i := 0; i < dim; i++ {
 			g := quantGrid{
-				muMin: minOf(c.Mean[i]), muMax: maxOf(c.Mean[i]),
+				muMin: slices.Min(c.Mean[i]), muMax: slices.Max(c.Mean[i]), // n > 0
 				sgMin: c.SigmaMin[i], sgMax: c.SigmaMax[i],
 			}
 			q.grids[i] = g
@@ -304,26 +305,6 @@ func buildQuantLeaf(format LeafFormat, c *pfv.Columns, pageSize int) *quantLeaf 
 		}
 	}
 	return q
-}
-
-func minOf(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	return m
-}
-
-func maxOf(xs []float64) float64 {
-	m := math.Inf(-1)
-	for _, x := range xs {
-		if x > m {
-			m = x
-		}
-	}
-	return m
 }
 
 // entryCount returns the number of entries regardless of node kind.

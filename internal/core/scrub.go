@@ -30,54 +30,35 @@ type ScrubReport struct {
 // each page read and may return an error (typically ctx.Err()) to abort;
 // it is the rate-limiting hook of the serving layer's background scrubber.
 func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, error) {
-	snap, epoch := t.pinSnap()
-	defer t.mgr.UnpinEpoch(epoch)
 	var rep ScrubReport
+	// buf is reused across the whole walk: decoded nodes never alias the
+	// page they came from.
 	buf := make([]byte, t.mgr.PageSize())
-	err := t.scrubPage(ctx, snap.root, buf, &rep, throttle)
-	return rep, err
-}
-
-// scrubPage verifies one page and recurses into its children. buf is reused
-// across the whole walk (decoded nodes never alias the page they came from).
-func (t *Tree) scrubPage(ctx context.Context, id pagefile.PageID, buf []byte, rep *ScrubReport, throttle func() error) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	if throttle != nil {
-		if err := throttle(); err != nil {
-			return err
+	verify := func(id pagefile.PageID) (*node, error) {
+		if err := ctx.Err(); err != nil {
+			return nil, err
 		}
+		if throttle != nil {
+			if err := throttle(); err != nil {
+				return nil, err
+			}
+		}
+		n, err := t.verifyDecode(id, buf)
+		if err == nil {
+			rep.Pages++
+		}
+		return n, err
 	}
-	n, err := t.verifyDecode(id, buf)
-	if err != nil {
-		return err
-	}
-	rep.Pages++
-	if n.leaf {
+	err := t.walkSnap(verify, func(n *node, _ int) error {
 		if n.quant == nil || n.quant.sidecar == pagefile.NilPage {
 			return nil
 		}
 		// A quantized leaf owns the exact sidecar page its certification
 		// falls back to; verify it like any other page.
-		sidecar := n.quant.sidecar
-		if throttle != nil {
-			if err := throttle(); err != nil {
-				return err
-			}
-		}
-		if _, err := t.verifyDecode(sidecar, buf); err != nil {
-			return err
-		}
-		rep.Pages++
-		return nil
-	}
-	for _, c := range n.children {
-		if err := t.scrubPage(ctx, c.page, buf, rep, throttle); err != nil {
-			return err
-		}
-	}
-	return nil
+		_, err := verify(n.quant.sidecar)
+		return err
+	})
+	return rep, err
 }
 
 // verifyDecode reads page id from the backend (bypassing the cache) and

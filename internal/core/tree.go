@@ -459,26 +459,38 @@ func (t *Tree) materializeLeaf(n *node) error {
 	return nil
 }
 
-// freeSubtree returns every page of the subtree rooted at id to the
-// allocator (including quantized leaves' sidecar pages), deferred through
-// epoch-based reclamation (the pages belong to the committed tree and to
-// any pinned reader snapshot until then). Cache entries stay — see
-// rewriteNode.
-func (t *Tree) freeSubtree(id pagefile.PageID) error {
-	n, err := t.readNode(id)
-	if err != nil {
+// walk visits n and then, in pre-order, every node beneath it, depth counting
+// levels down from n. It is the one recursion over the tree's structure:
+// ForEach, WalkLeafBoxes, NodeCounts, Scrub and the delete path's collect and
+// free are its visitors. read loads a child page — readNode under an epoch pin
+// or the writer lock, or the scrubber's throttled verifyDecode. A quantized
+// leaf's sidecar is not a child: visitors reach it through exactColumns (or,
+// to verify or free it, by its page id).
+func walk(n *node, depth int, read func(pagefile.PageID) (*node, error), visit func(n *node, depth int) error) error {
+	if err := visit(n, depth); err != nil {
 		return err
 	}
-	if !n.leaf {
-		for _, c := range n.children {
-			if err := t.freeSubtree(c.page); err != nil {
-				return err
-			}
+	for _, c := range n.children {
+		child, err := read(c.page)
+		if err != nil {
+			return err
 		}
-	} else if n.quant != nil {
-		if err := t.mgr.FreeDeferred(n.quant.sidecar); err != nil {
+		if err := walk(child, depth+1, read, visit); err != nil {
 			return err
 		}
 	}
-	return t.mgr.FreeDeferred(id)
+	return nil
+}
+
+// walkSnap walks the published snapshot from its root under an epoch pin,
+// exactly like a query: concurrent mutations neither block the walk nor leak
+// into it, and none of its pages can be reclaimed under it.
+func (t *Tree) walkSnap(read func(pagefile.PageID) (*node, error), visit func(n *node, depth int) error) error {
+	snap, epoch := t.pinSnap()
+	defer t.mgr.UnpinEpoch(epoch)
+	root, err := read(snap.root)
+	if err != nil {
+		return err
+	}
+	return walk(root, 0, read, visit)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"math"
 
-	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
 
@@ -160,34 +159,21 @@ func checkQuantLeaf(n *node, exact *pfv.Columns, dim int) error {
 // concurrent mutations neither block it nor leak into it — the visited set
 // is exactly one commit-consistent tree state.
 func (t *Tree) ForEach(fn func(pfv.Vector) error) error {
-	snap, epoch := t.pinSnap()
-	defer t.mgr.UnpinEpoch(epoch)
-	var walk func(id pagefile.PageID) error
-	walk = func(id pagefile.PageID) error {
-		n, err := t.readNode(id)
+	return t.walkSnap(t.readNode, func(n *node, _ int) error {
+		if !n.leaf {
+			return nil
+		}
+		cols, err := t.exactColumns(n)
 		if err != nil {
 			return err
 		}
-		if n.leaf {
-			cols, err := t.exactColumns(n)
-			if err != nil {
-				return err
-			}
-			for j := 0; j < cols.Len(); j++ {
-				if err := fn(cols.Vector(j)); err != nil {
-					return err
-				}
-			}
-			return nil
-		}
-		for _, c := range n.children {
-			if err := walk(c.page); err != nil {
+		for j := 0; j < cols.Len(); j++ {
+			if err := fn(cols.Vector(j)); err != nil {
 				return err
 			}
 		}
 		return nil
-	}
-	return walk(snap.root)
+	})
 }
 
 // CollectAll returns every stored vector (test and export helper).
@@ -204,56 +190,27 @@ func (t *Tree) CollectAll() ([]pfv.Vector, error) {
 // an introspection hook for diagnosing clustering quality and bound
 // tightness.
 func (t *Tree) WalkLeafBoxes(fn func(box ParamBox, count int)) error {
-	snap, epoch := t.pinSnap()
-	defer t.mgr.UnpinEpoch(epoch)
-	var walk func(id pagefile.PageID) error
-	walk = func(id pagefile.PageID) error {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
-			cols, err := t.exactColumns(n)
-			if err != nil {
-				return err
-			}
-			if cols.Len() > 0 {
-				fn(BoxOfColumns(cols), cols.Len())
-			}
+	return t.walkSnap(t.readNode, func(n *node, _ int) error {
+		if !n.leaf {
 			return nil
 		}
-		for _, c := range n.children {
-			if err := walk(c.page); err != nil {
-				return err
-			}
+		cols, err := t.exactColumns(n)
+		if err == nil && cols.Len() > 0 {
+			fn(BoxOfColumns(cols), cols.Len())
 		}
-		return nil
-	}
-	return walk(snap.root)
+		return err
+	})
 }
 
 // NodeCounts returns the number of leaf and inner pages of the tree.
 func (t *Tree) NodeCounts() (leaves, inners int, err error) {
-	snap, epoch := t.pinSnap()
-	defer t.mgr.UnpinEpoch(epoch)
-	var walk func(id pagefile.PageID) error
-	walk = func(id pagefile.PageID) error {
-		n, e := t.readNode(id)
-		if e != nil {
-			return e
-		}
+	err = t.walkSnap(t.readNode, func(n *node, _ int) error {
 		if n.leaf {
 			leaves++
-			return nil
-		}
-		inners++
-		for _, c := range n.children {
-			if e := walk(c.page); e != nil {
-				return e
-			}
+		} else {
+			inners++
 		}
 		return nil
-	}
-	err = walk(snap.root)
+	})
 	return leaves, inners, err
 }

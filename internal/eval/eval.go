@@ -46,9 +46,6 @@ type Setup struct {
 	// of bulk loading (slower, ~60% leaf fill): the other half of the
 	// bulk-vs-insert-built comparison of Ablations.
 	InsertBuild bool
-	// LeafFormat selects the Gauss-tree's on-page leaf encoding (the
-	// comparison engines are unaffected). Default: core.LeafExact.
-	LeafFormat core.LeafFormat
 }
 
 func (s *Setup) fillDefaults() {
@@ -105,7 +102,7 @@ func (s Setup) buildTree(ds *dataset.Dataset) (*core.Tree, *pagefile.Manager, er
 	if err != nil {
 		return nil, nil, err
 	}
-	tr, err := core.New(mgr, ds.Dim, core.Config{Combiner: s.Combiner, Split: s.Split, LeafFormat: s.LeafFormat})
+	tr, err := core.New(mgr, ds.Dim, core.Config{Combiner: s.Combiner, Split: s.Split})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -267,10 +264,8 @@ type Fig7Cell struct {
 	QueryType  string
 	Pages      float64       // mean logical page accesses per query
 	CPU        time.Duration // mean CPU time per query
-	IO         time.Duration // mean modeled I/O time per query (cold cache)
-	Overall    time.Duration // CPU + IO
+	Overall    time.Duration // CPU plus modeled I/O time (cold cache)
 	AllocsPerQ float64       // mean heap allocations per query
-	BytesPerQ  float64       // mean heap bytes allocated per query
 	PagesPct   float64       // relative to the sequential scan, in percent
 	CPUPct     float64
 	OverallPct float64
@@ -280,10 +275,7 @@ type Fig7Cell struct {
 type Fig7Report struct {
 	Dataset string
 	Queries int
-	// LeafFormat names the Gauss-tree's on-page leaf encoding ("exact",
-	// "float32", "grid8"); the comparison engines do not quantize.
-	LeafFormat string
-	Cells      []Fig7Cell
+	Cells   []Fig7Cell
 }
 
 // queryKind identifies one of the three measured query types.
@@ -295,8 +287,8 @@ type queryKind struct {
 // runKind dispatches one measured query kind on any engine: thresh < 0 is
 // the ranked 1-MLIQ (the paper's Figure 7 measures the plain MLIQ of §5.2.1,
 // which ranks without computing probability values; KMLIQ with probability
-// refinement is measured separately by the ablation benchmarks), otherwise a
-// TIQ at the given threshold.
+// refinement is timed by BenchmarkKMLIQHot/refined), otherwise a TIQ at the
+// given threshold.
 func runKind(ctx context.Context, eng query.Engine, q dataset.Query, thresh float64) (query.Stats, error) {
 	if thresh < 0 {
 		_, st, err := eng.KMLIQRanked(ctx, q.Vector, 1)
@@ -319,7 +311,7 @@ func Figure7(e *Engines, ds *dataset.Dataset, queries []dataset.Query) (*Fig7Rep
 		{"TIQ(P=0.2)", 0.2},
 	}
 	ctx := context.Background()
-	rep := &Fig7Report{Dataset: ds.Name, Queries: len(queries), LeafFormat: e.Tree.LeafFormat().String()}
+	rep := &Fig7Report{Dataset: ds.Name, Queries: len(queries)}
 	scanBase := map[string]Fig7Cell{}
 	for _, eng := range e.All() {
 		for _, kind := range kinds {
@@ -350,10 +342,8 @@ func Figure7(e *Engines, ds *dataset.Dataset, queries []dataset.Query) (*Fig7Rep
 				QueryType:  kind.name,
 				Pages:      float64(pages) / float64(len(queries)),
 				CPU:        cpu / n,
-				IO:         io / n,
 				Overall:    (cpu + io) / n,
 				AllocsPerQ: float64(mem1.Mallocs-mem0.Mallocs) / float64(len(queries)),
-				BytesPerQ:  float64(mem1.TotalAlloc-mem0.TotalAlloc) / float64(len(queries)),
 			}
 			if eng.Label == "Seq. Scan" {
 				scanBase[kind.name] = cell

@@ -30,6 +30,7 @@ import (
 	"io"
 	"math"
 	"net/http"
+	"slices"
 	"sort"
 	"strconv"
 	"strings"
@@ -209,7 +210,9 @@ func (r *Registry) register(name, help, kind string, buckets []float64, fn func(
 	if f.kind != kind {
 		panic("obs: metric " + name + " re-registered as " + kind + ", was " + f.kind)
 	}
-	if kind == "histogram" && !equalBuckets(f.buckets, buckets) {
+	// All series of one histogram family share one bucket layout, or their
+	// le bounds would disagree within the family.
+	if kind == "histogram" && !slices.Equal(f.buckets, buckets) {
 		panic("obs: histogram " + name + " re-registered with different buckets")
 	}
 	key := labelKey(labels)
@@ -375,21 +378,6 @@ func labelKey(labels []Label) string {
 		fmt.Fprintf(&b, "%s=%q;", l.Name, l.Value)
 	}
 	return b.String()
-}
-
-// equalBuckets reports whether two bucket layouts are identical; all series
-// of one histogram family must share one layout or their le bounds would
-// disagree within a single family.
-func equalBuckets(a, b []float64) bool {
-	if len(a) != len(b) {
-		return false
-	}
-	for i := range a {
-		if a[i] != b[i] {
-			return false
-		}
-	}
-	return true
 }
 
 func validName(s string) bool {

@@ -6,6 +6,7 @@ package query
 
 import (
 	"cmp"
+	"math"
 	"slices"
 
 	"github.com/gauss-tree/gausstree/internal/pfv"
@@ -25,6 +26,39 @@ type Result struct {
 	// terminated early using denominator bounds; ProbLow == ProbHigh when
 	// the probability is exact.
 	ProbLow, ProbHigh float64
+}
+
+// ProbInterval is the one place a joint log density and a certified
+// log-space denominator interval [logLow, logHigh] become the reported
+// probability interval [e^ld/high, e^ld/low], each end clamped to [0,1]. The
+// NaN of 0/0 (−Inf − −Inf) carries no information and reports the
+// conservative 1; an interval that rounding drift inverted is reordered.
+func ProbInterval(logDensity, logLow, logHigh float64) (lo, hi float64) {
+	lo = clamp01(math.Exp(logDensity - logHigh))
+	hi = clamp01(math.Exp(logDensity - logLow))
+	if hi < lo {
+		lo, hi = hi, lo
+	}
+	return lo, hi
+}
+
+func clamp01(x float64) float64 {
+	switch {
+	case math.IsNaN(x):
+		return 1
+	case x < 0:
+		return 0
+	case x > 1:
+		return 1
+	}
+	return x
+}
+
+// Certified is the answer for v at joint log density logDensity against the
+// denominator interval [logLow, logHigh]: its ProbInterval and the midpoint.
+func Certified(v pfv.Vector, logDensity, logLow, logHigh float64) Result {
+	lo, hi := ProbInterval(logDensity, logLow, logHigh)
+	return Result{Vector: v, LogDensity: logDensity, Probability: (lo + hi) / 2, ProbLow: lo, ProbHigh: hi}
 }
 
 // SortByProbability orders results by descending probability, breaking ties
@@ -87,10 +121,5 @@ func IDs(rs []Result) []uint64 {
 
 // ContainsID reports whether any result has the given object id.
 func ContainsID(rs []Result, id uint64) bool {
-	for _, r := range rs {
-		if r.Vector.ID == id {
-			return true
-		}
-	}
-	return false
+	return slices.ContainsFunc(rs, func(r Result) bool { return r.Vector.ID == id })
 }

@@ -100,3 +100,12 @@ func TestSortsKeepTheSliceStableOrder(t *testing.T) {
 		}
 	}
 }
+
+func TestClamp01(t *testing.T) {
+	if clamp01(-0.5) != 0 || clamp01(1.5) != 1 || clamp01(0.25) != 0.25 {
+		t.Error("clamp01 wrong")
+	}
+	if clamp01(math.NaN()) != 1 {
+		t.Error("NaN must clamp to the conservative upper bound 1")
+	}
+}

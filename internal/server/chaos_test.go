@@ -201,6 +201,7 @@ func TestChaosHarness(t *testing.T) {
 	close(stop)
 	wg.Wait()
 	inj.Disarm()
+	disarmed := time.Now()
 
 	failMu.Lock()
 	for _, f := range failures {
@@ -213,11 +214,13 @@ func TestChaosHarness(t *testing.T) {
 
 	// Invariant 3: with the storm over, the daemon converges to healthy.
 	waitReady(t, cl, 15*time.Second)
+	healed := time.Since(disarmed)
 	st, err := cl.Stats(context.Background())
 	if err != nil {
 		t.Fatal(err)
 	}
 	t.Logf("chaos: %d acked inserts, serving_state=%s, scrub=%+v", len(acked), st.ServingState, st.Scrub)
+	t.Logf("chaos: last disarm -> /readyz healthy in %v", healed.Round(100*time.Microsecond))
 	if st.ServingState != "healthy" {
 		t.Fatalf("serving_state = %q after the storm, want healthy", st.ServingState)
 	}

@@ -342,8 +342,8 @@ func (f *File) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 		stats.VectorsScored++
 	}
 
-	denomLow := addLog(exactSum.Log(), restFloor.Log())
-	denomHigh := addLog(exactSum.Log(), restHull.Log())
+	denomLow := gaussian.LogAddExp(exactSum.Log(), restFloor.Log())
+	denomHigh := gaussian.LogAddExp(exactSum.Log(), restHull.Log())
 	out := make([]query.Result, 0, top.Len())
 	for _, v := range top.Sorted() {
 		ld := pfv.JointLogDensity(f.combiner, v, q)
@@ -352,9 +352,7 @@ func (f *File) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 			Probability: math.NaN(), ProbLow: math.NaN(), ProbHigh: math.NaN(),
 		}
 		if withProbs {
-			lo := clamp01(math.Exp(ld - denomHigh))
-			hi := clamp01(math.Exp(ld - denomLow))
-			r.Probability, r.ProbLow, r.ProbHigh = (lo+hi)/2, lo, hi
+			r = query.Certified(v, ld, denomLow, denomHigh)
 		}
 		out = append(out, r)
 	}
@@ -428,45 +426,14 @@ func (f *File) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 		fetched = append(fetched, scored{v, ld})
 		stats.VectorsScored++
 	}
-	denomLow := addLog(exactSum.Log(), restFloor.Log())
-	denomHigh := addLog(exactSum.Log(), restHull.Log())
+	denomLow := gaussian.LogAddExp(exactSum.Log(), restFloor.Log())
+	denomHigh := gaussian.LogAddExp(exactSum.Log(), restHull.Log())
 	var out []query.Result
 	for _, s := range fetched {
-		lo := clamp01(math.Exp(s.ld - denomHigh))
-		hi := clamp01(math.Exp(s.ld - denomLow))
-		if hi < pTheta {
-			continue
+		if r := query.Certified(s.v, s.ld, denomLow, denomHigh); r.ProbHigh >= pTheta {
+			out = append(out, r)
 		}
-		out = append(out, query.Result{
-			Vector: s.v, LogDensity: s.ld,
-			Probability: (lo + hi) / 2, ProbLow: lo, ProbHigh: hi,
-		})
 	}
 	query.SortByProbability(out)
 	return query.NonNil(out), finish(len(out)), nil
-}
-
-func addLog(a, b float64) float64 {
-	if math.IsInf(a, -1) {
-		return b
-	}
-	if math.IsInf(b, -1) {
-		return a
-	}
-	if a < b {
-		a, b = b, a
-	}
-	return a + math.Log1p(math.Exp(b-a))
-}
-
-func clamp01(x float64) float64 {
-	switch {
-	case math.IsNaN(x):
-		return 1
-	case x < 0:
-		return 0
-	case x > 1:
-		return 1
-	}
-	return x
 }

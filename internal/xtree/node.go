@@ -210,22 +210,7 @@ func (t *Tree) writeNode(n *node) error {
 // computeBox returns the MBR of the node's entries (quantile boxes for
 // leaves, child MBRs for directory nodes).
 func (t *Tree) computeBox(n *node) rect.Rect {
-	if n.leaf {
-		if len(n.vectors) == 0 {
-			lo := make([]float64, t.dim)
-			hi := make([]float64, t.dim)
-			for i := range lo {
-				lo[i], hi[i] = math.Inf(1), math.Inf(-1)
-			}
-			return rect.Rect{Lo: lo, Hi: hi}
-		}
-		b := t.boxOf(n.vectors[0])
-		for _, v := range n.vectors[1:] {
-			b.ExtendInPlace(t.boxOf(v))
-		}
-		return b
-	}
-	if len(n.children) == 0 {
+	if n.entryCount() == 0 {
 		lo := make([]float64, t.dim)
 		hi := make([]float64, t.dim)
 		for i := range lo {
@@ -233,16 +218,16 @@ func (t *Tree) computeBox(n *node) rect.Rect {
 		}
 		return rect.Rect{Lo: lo, Hi: hi}
 	}
+	if n.leaf {
+		b := t.boxOf(n.vectors[0])
+		for _, v := range n.vectors[1:] {
+			b.ExtendInPlace(t.boxOf(v))
+		}
+		return b
+	}
 	b := n.children[0].box.Clone()
 	for _, c := range n.children[1:] {
 		b.ExtendInPlace(c.box)
-	}
-	return b
-}
-
-func min(a, b int) int {
-	if a < b {
-		return a
 	}
 	return b
 }

@@ -127,10 +127,3 @@ func (t *Tree) boxOf(v pfv.Vector) rect.Rect {
 	lo, hi := v.QuantileBox(coverage, nil, nil)
 	return rect.Rect{Lo: lo, Hi: hi}
 }
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}

@@ -7,8 +7,9 @@
 # Usage:
 #   scripts/bench-snapshot.sh [out.json] [bench regex] [count] [benchtime]
 #
-# Defaults: out.json = "-" (stdout), regex covers the read-path benchmarks
-# (KMLIQHot, TIQHot, ShardedKMLIQ, ReadNodeHot, FirstTouch, ExpandInner — ShardedKMLIQ/shards-1
+# Defaults: out.json = "-" (stdout), regex covers the bench-hot set (KMLIQHot
+# and KMLIQHotQuantized, TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ,
+# ReadNodeHot, FirstTouch, ExpandInner, AblationIntegral — ShardedKMLIQ/shards-1
 # beside KMLIQHot/refined is what the coordinator costs a one-shard query),
 # count = 1, benchtime = the go test default (pass e.g. "5000x" — a multiple of the 50-query cycle — to make
 # pages/query comparable across snapshots). The JSON shape is
@@ -20,7 +21,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:--}"
-REGEX="${2:-KMLIQHot|TIQHot|ShardedKMLIQ|ReadNodeHot|FirstTouch|ExpandInner}"
+REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|ExpandInner|AblationIntegral}"
 COUNT="${3:-1}"
 BENCHTIME="${4:-}"
 
