@@ -1,7 +1,6 @@
 // Command gausslint is the project's static-analysis vet tool: it runs the
 // internal/analysis suite (epochorder, lockorder, poolreset, errwrap,
-// ctxflow, waldurable, obsregister, plus the stock nilness/unusedwrite
-// passes) over the packages cmd/go hands it:
+// ctxflow, waldurable, obsregister) over the packages cmd/go hands it:
 //
 //	go vet -vettool=$(command -v gausslint) ./...
 //

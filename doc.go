@@ -114,9 +114,13 @@
 //	idx.BulkLoad(vectors)
 //	matches, stats, _ := idx.KMLIQContext(ctx, q, 5)  // stats.PerShard, stats.MergeRounds
 //
-// A vector lives on the shard its object id hashes to, so a Delete reads one
-// shard. Gauges and counters (SnapshotEpoch, Stats, WALStats, Scrub) are
-// sums over shards. Options.Ingest (online merge-ingest: an observation
+// A shard is a subtree: BulkLoad cuts the set by parameter space with the
+// bulk loader's own first cuts, Insert goes to the shard whose root box needs
+// the least enlargement, Delete probes the shards whose root box contains the
+// vector, and a query reads a shard only while its root box's bounds leave
+// something undecided (stats.PerShard: 0 pages = skipped). ShardLens shows how
+// evenly the data spread. Gauges and counters (SnapshotEpoch, Stats,
+// WALStats, Scrub) are sums over shards. Options.Ingest (online merge-ingest: an observation
 // within IngestOptions.MergeDistance of the most likely stored Gaussian is
 // folded into it by moment matching; SweepExpired retires fingerprints
 // unseen for IngestOptions.TTL) is supported by Tree only.

@@ -1,8 +1,9 @@
 // Shardedsearch: scale the Gauss-tree out horizontally. A fleet of devices
-// reports uncertain feature vectors; the index is partitioned across four
-// shards (one durable page file each), queries fan out to every shard
-// concurrently, and the per-shard Bayes-denominator intervals are merged so
-// the reported probabilities are exactly what one big tree would certify.
+// reports uncertain feature vectors; the index is cut by parameter space into
+// four shards (one durable page file each), a query reads only the shards
+// whose region it can concern, and the per-shard Bayes-denominator intervals —
+// of an unread shard, the bounds of its root box — are merged so the reported
+// probabilities are exactly what one big tree would certify.
 package main
 
 import (
@@ -22,7 +23,7 @@ func main() {
 	}
 	defer os.RemoveAll(dir)
 
-	// Four shards, hash-partitioned by object id, persisted in dir as
+	// Four shards, each a region of (μ, σ) space, persisted in dir as
 	// shard-0000.gtree … shard-0003.gtree plus a manifest.
 	idx, err := gausstree.NewSharded(3, 4, gausstree.Options{Path: dir})
 	if err != nil {
@@ -45,7 +46,7 @@ func main() {
 	if err := idx.BulkLoad(vectors); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Printf("loaded %d vectors into %d shards\n", idx.Len(), idx.NumShards())
+	fmt.Printf("loaded %d vectors into %d shards %v\n", idx.Len(), idx.NumShards(), idx.ShardLens())
 
 	// A fresh, noisy observation of object 4711 — who is it most likely
 	// to be? The merged identification probabilities answer globally.
@@ -60,7 +61,7 @@ func main() {
 	for _, m := range matches {
 		fmt.Printf("  object %5d  P=%.4f  [%.4f, %.4f]\n", m.Vector.ID, m.Probability, m.ProbLow, m.ProbHigh)
 	}
-	fmt.Printf("\nfan-out profile: %d pages total, %d merge round(s)\n", stats.PageAccesses, stats.MergeRounds)
+	fmt.Printf("\nquery profile: %d pages total, %d merge round(s); 0 pages = skipped, its root box could not matter\n", stats.PageAccesses, stats.MergeRounds)
 	for i, per := range stats.PerShard {
 		fmt.Printf("  shard %d: %d pages, %d nodes, %d vectors scored\n", i, per.PageAccesses, per.NodesVisited, per.VectorsScored)
 	}

@@ -151,8 +151,8 @@ func releaseUnits(units []unit) {
 }
 
 // state is what an open index publishes: its units and the shard engine
-// over their trees, which routes mutations by object id and answers
-// the fan-out queries. It sits behind an atomic pointer so that readers
+// over their trees, which routes mutations by parameter space and
+// coordinates the queries. It sits behind an atomic pointer so that readers
 // never take a lock: queries load the state, pin each tree's current root
 // snapshot and run entirely against immutable pages, concurrently with any
 // writer.
@@ -291,6 +291,17 @@ func (x *index) Len() int {
 	return st.eng.Len()
 }
 
+// ShardLens returns the number of stored vectors shard by shard (one entry
+// for a Tree, none after Close): a partition by parameter space follows the
+// data, and this is where a hot cluster piled onto one shard shows.
+func (x *index) ShardLens() []int {
+	st := x.st.Load()
+	if st == nil {
+		return nil
+	}
+	return st.eng.Counts()
+}
+
 // LeafFormat returns the leaf storage format the index writes (restored
 // from the page files on Open and OpenSharded).
 func (x *index) LeafFormat() LeafFormat {
@@ -400,10 +411,12 @@ func (x *index) WALStats() (ws WALStats, ok bool) {
 	return ws, ok
 }
 
-// Insert adds a probabilistic feature vector to the index, on the shard its
-// object id hashes to. Duplicate ids are permitted (several
-// observations of the same object may coexist); Delete removes one matching
-// copy.
+// Insert adds a probabilistic feature vector to the index — of a sharded
+// one, to the shard whose root box needs the least enlargement to take it
+// (the tree's own path selection, one level up; an empty shard first), so a
+// shard stays a region of parameter space that queries elsewhere can skip.
+// Duplicate ids are permitted (several observations of the same object may
+// coexist); Delete removes one matching copy.
 //
 // Durability: on a file-backed index Insert returns once its record is
 // fsynced in the write-ahead log — concurrent mutations share that fsync
@@ -539,8 +552,10 @@ func lastLSNs(units []unit) []uint64 {
 	return lsns
 }
 
-// BulkLoad builds the index from a vector set in one pass, partitioning it
-// and loading all shards concurrently (every shard must be empty).
+// BulkLoad builds the index from a vector set in one pass, cutting it by
+// parameter space with the bulk loader's own first cuts — one spatially
+// coherent group per shard — and loading all shards concurrently (every
+// shard must be empty).
 // Bulk-loaded trees have near-full pages and are both faster to build and
 // faster to query than insertion-built ones. BulkLoad commits a full
 // checkpoint per shard: it is durable on return without writing the WAL.
@@ -565,8 +580,9 @@ func (x *index) BulkLoad(vs []Vector) error {
 
 // Delete removes one stored copy of the exact vector (id, means and sigmas
 // must all match) and reports whether one was found; a sharded index probes
-// the one shard that owns the id. Like Insert it is acknowledged once its WAL
-// record is durable.
+// the shards whose root box contains the vector, in order, up to the first
+// that finds it. Like Insert it is acknowledged once its WAL record is
+// durable.
 func (x *index) Delete(v Vector) (found bool, err error) {
 	err = x.mutate(func(st *state) (err error) {
 		found, err = st.eng.Delete(v)

@@ -37,23 +37,15 @@ func TestWALDurable(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.WALDurable, "waldurable")
 }
 
-func TestNilness(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.Nilness, "nilness")
-}
-
-func TestUnusedWrite(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.UnusedWrite, "unusedwrite")
-}
-
 func TestObsRegister(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.ObsRegister, "obs")
 }
 
-// TestAll: the suite the vet tool runs is the nine analyzers, sorted by name.
+// TestAll: the suite the vet tool runs is the seven analyzers, sorted by name.
 func TestAll(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 9 {
-		t.Fatalf("All() = %d analyzers, want the full suite of 9", len(all))
+	if len(all) != 7 {
+		t.Fatalf("All() = %d analyzers, want the full suite of 7", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name >= all[i].Name {

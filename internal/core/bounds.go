@@ -209,10 +209,11 @@ func (d *denomTracker) fold() *denomBounds {
 // tooWide reports whether some reported probability interval may be wider
 // than accuracy (≤ 0: nothing to certify). The unclamped width
 // e^ld·(1/low − 1/high) is monotone in the density and clamping only shrinks
-// reported intervals, so one test at the densest scored object, maxLd,
-// certifies every candidate's width.
-func (b *denomBounds) tooWide(maxLd, accuracy float64) bool {
-	return accuracy > 0 && math.Exp(maxLd-b.logLow)-math.Exp(maxLd-b.logHigh) > accuracy
+// reported intervals, so one test at the densest candidate, maxLd, certifies
+// every candidate's width. logPeerLow (−Inf: none) is denominator mass
+// certified elsewhere, part of both bounds.
+func (b *denomBounds) tooWide(maxLd, accuracy, logPeerLow float64) bool {
+	return accuracy > 0 && math.Exp(maxLd-logAddExp(b.logLow, logPeerLow))-math.Exp(maxLd-logAddExp(b.logHigh, logPeerLow)) > accuracy
 }
 
 // threshold is a TIQ probability threshold θ prepared for log-space tests.

@@ -10,6 +10,7 @@ package core
 
 import (
 	"math"
+	"slices"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pfv"
@@ -188,6 +189,17 @@ func boxColumnsOf(children []childEntry, dim int) boxColumns {
 		}
 	}
 	return b
+}
+
+// union returns the one box that bounds all n ≥ 1 of them.
+func (b *boxColumns) union(dim int) boxColumns {
+	u := newBoxColumns(dim, 1)
+	for i := 0; i < dim; i++ {
+		muLo, muHi, sgLo, sgHi := b.dim(i)
+		u.data[4*i], u.data[4*i+1] = slices.Min(muLo), slices.Max(muHi)
+		u.data[4*i+2], u.data[4*i+3] = slices.Min(sgLo), slices.Max(sgHi)
+	}
+	return u
 }
 
 // dim returns the four interval-bound runs of feature dimension i.

@@ -37,16 +37,58 @@ func (t *Tree) BulkLoad(vs []pfv.Vector) error {
 	return nil
 }
 
+// cutter returns the bulk loader's partition step for sets of up to n vectors
+// (the steps run one at a time and share their sort scratch). cut sorts part
+// in place along its best split axis and returns the proportional cut for k
+// pieces: part[:at] takes k1 = k/2 of them, part[at:] the other k−k1. Cutting
+// by target piece count (instead of plain medians) keeps every leaf at
+// ~n/k ≈ full capacity rather than the ~62% a pure halving recursion
+// converges to.
+func (t *Tree) cutter(n int) (cut func(part []pfv.Vector, k int) (at, k1 int)) {
+	keys, order, sorted := make([]float64, n), make([]int, n), make([]pfv.Vector, n)
+	return func(part []pfv.Vector, k int) (at, k1 int) {
+		if len(part) > 1 {
+			axis := t.bestBulkAxis(part, keys, order)
+			keyOrder(axisKeys(part, axis, keys), order[:len(part)])
+			for i, j := range order[:len(part)] {
+				sorted[i] = part[j]
+			}
+			copy(part, sorted)
+		}
+		k1 = k / 2
+		return len(part) * k1 / k, k1
+	}
+}
+
+// Cuts returns vs cut into k spatially coherent groups (some empty when
+// k > len(vs); vs itself when k is 1) by the bulk loader's own first cuts. A
+// partitioned database makes each group a shard (internal/shard): a subtree
+// of the one tree over vs, which a query prunes by its root box like any other.
+func (t *Tree) Cuts(vs []pfv.Vector, k int) [][]pfv.Vector {
+	if k == 1 {
+		return [][]pfv.Vector{vs}
+	}
+	cut := t.cutter(len(vs))
+	groups := make([][]pfv.Vector, 0, k)
+	var rec func(part []pfv.Vector, k int)
+	rec = func(part []pfv.Vector, k int) {
+		if k == 1 {
+			groups = append(groups, part)
+			return
+		}
+		at, k1 := cut(part, k)
+		rec(part[:at], k1)
+		rec(part[at:], k-k1)
+	}
+	rec(append([]pfv.Vector(nil), vs...), k)
+	return groups
+}
+
 func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 	work := append([]pfv.Vector(nil), vs...)
-	// Sort scratch shared by every partition step (they run one at a time).
-	keys := make([]float64, len(work))
-	order := make([]int, len(work))
-	sorted := make([]pfv.Vector, len(work))
+	cut := t.cutter(len(work))
 
-	// Recursively partition into k near-full leaf runs: splitting by target
-	// leaf count (instead of plain medians) keeps every leaf at ~n/k ≈ full
-	// capacity rather than the ~62% a pure halving recursion converges to.
+	// Recursively partition into k near-full leaf runs.
 	var level []childEntry
 	var partition func(part []pfv.Vector, k int) error
 	partition = func(part []pfv.Vector, k int) error {
@@ -62,18 +104,11 @@ func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 			level = append(level, childEntry{page: id, count: len(part), box: leaf.computeBox(t.dim)})
 			return nil
 		}
-		axis := t.bestBulkAxis(part, keys, order)
-		keyOrder(axisKeys(part, axis, keys), order[:len(part)])
-		for i, j := range order[:len(part)] {
-			sorted[i] = part[j]
-		}
-		copy(part, sorted)
-		k1 := k / 2
-		splitAt := len(part) * k1 / k
-		if err := partition(part[:splitAt], k1); err != nil {
+		at, k1 := cut(part, k)
+		if err := partition(part[:at], k1); err != nil {
 			return err
 		}
-		return partition(part[splitAt:], k-k1)
+		return partition(part[at:], k-k1)
 	}
 	leafCount := (len(work) + t.capLeaf - 1) / t.capLeaf
 	if err := partition(work, leafCount); err != nil {

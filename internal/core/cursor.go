@@ -102,17 +102,40 @@ func Results(cs []Candidate, parts DenomParts) []query.Result {
 	return out
 }
 
+// Peers is what the coordinator of a partitioned database tells one shard's
+// cursor about the whole before it resumes, as of the last merge round. All
+// three only grow over a query, so a stale value is still a valid bound; −Inf
+// says nothing is known (NoPeers): all a whole database's cursor ever knows.
+type Peers struct {
+	// LogLow is the certified log lower bound of the OTHER shards'
+	// denominator mass. Fed back, it prunes threshold candidates and
+	// disqualifies subtrees earlier than a tree-local TIQ could.
+	LogLow float64
+	// LogKth is the k-th best log density gathered on any shard (−Inf: fewer
+	// than k known). A k-MLIQ subtree whose hull cannot beat it holds no
+	// member of the answer, so a far shard need not fill a top-k of its own.
+	LogKth float64
+	// LogMax is the log density of the densest candidate gathered on any
+	// shard, whose interval is the widest the query will report.
+	LogMax float64
+}
+
+// NoPeers is the Peers of a cursor that has been told nothing.
+func NoPeers() Peers { return Peers{math.Inf(-1), math.Inf(-1), math.Inf(-1)} }
+
 // collector is what a query type brings to the cursor: the candidates it
 // keeps of the vectors the traversal scores, and when it may stop.
 type collector interface {
 	offer(r vecRef, ld float64)
+	// settled reports whether no unexplored subtree of tr can still hold a
+	// member of the answer, given what p says of the other shards.
+	settled(tr *traversal, p Peers) bool
 	// done is the query type's stop test, run between expansions against
-	// the traversal's queue and denominator bounds. logPeerLow is the
-	// certified log lower bound of the other shards' denominator mass (−Inf:
-	// none known); alone says there are no other shards, so the tree's
-	// bounds are the whole denominator's and candidates can be certified
-	// here.
-	done(tr *traversal, accuracy, logPeerLow float64, alone bool) bool
+	// the traversal's queue and denominator bounds: settled, and what the
+	// query reports is certified as far as this tree can certify it. alone
+	// says there are no other shards, so the tree's bounds are the whole
+	// denominator's and candidates can be certified here.
+	done(tr *traversal, accuracy float64, p Peers, alone bool) bool
 	// prune drops candidates that cannot qualify against the denominator
 	// lower bound logLow.
 	prune(logLow float64)
@@ -135,29 +158,36 @@ type collector interface {
 // one of several: what the peers hold is unknown mass in every denominator,
 // so no candidate can be certified locally, and a threshold cursor stops
 // once no subtree can qualify, leaving certification to the coordinator's
-// merged interval and the mass budget of the next Refine.
+// merged interval and the mass budget of the next Refine. A shard's cursor
+// also starts one step earlier — its root queued, not expanded — so that to
+// the coordinator a shard is §5.2.2's unexplored subtree one level up: bounded
+// by its root box, and read only if those bounds leave something undecided.
 type Cursor struct {
 	tr       *traversal
 	col      collector
 	accuracy float64
 	err      error
 	// span names the trace span of each Refine; shard labels it (−1: not a
-	// shard) and refines numbers it from 1, in step with the merge rounds.
-	span    string
-	shard   int
-	refines int
+	// shard), and Refine's caller numbers it with the merge round.
+	span  string
+	shard int
 }
 
 func (t *Tree) openCursor(ctx context.Context, q pfv.Vector, col collector, accuracy float64, span string) *Cursor {
 	return &Cursor{tr: t.newTraversal(ctx, q, true, col), col: col, accuracy: accuracy, span: span, shard: -1}
 }
 
-// AsShard tells the cursor it serves shard i of a partitioned database: its
-// denominator bounds cover one part only (see Cursor), and its trace spans
-// are named "<query>_refine" and labelled with the shard and the round.
-func (c *Cursor) AsShard(i int) {
+// AsShard tells the cursor, before its first Refine, that it serves shard i
+// of a partitioned database: its denominator bounds cover one part only (see
+// Cursor), its trace spans are named "<query>_refine" and labelled with shard
+// and round, and its root is queued under the bounds of the pinned snapshot's
+// root box — DenomParts are those bounds until a Refine reads the root. The
+// box is the cursor's own snapshot's and no one else's: pruned with any other,
+// a concurrent insert could put an object outside the box that skipped it.
+func (c *Cursor) AsShard(i int) error {
 	c.shard = i
 	c.span += "_refine"
+	return c.tr.queueRoot()
 }
 
 // Close returns the cursor's pooled traversal and collector state to the
@@ -175,40 +205,38 @@ func (c *Cursor) Close() {
 	c.col = nil
 }
 
-// Refine resumes the traversal until the collector's stop test holds (see
-// collector.done) and the unexplored hull mass is at most
-// exp(maxLogUnexplored); +Inf skips the budget, so the first round of a
-// sharded query costs each shard what a stand-alone query costs. Calling
-// Refine again with a smaller budget resumes exactly where the previous
-// call paused; the coordinator computes the budget from whatever
-// certification the merged denominator interval is still missing.
-//
-// logPeerLow is the certified log lower bound of every OTHER shard's
-// denominator contribution (−Inf when unknown or when there is none).
-// Per-shard lower bounds only grow, so a bound taken from a previous merge
-// round is still valid, and feeding it back both prunes threshold
-// candidates and disqualifies subtrees earlier than a tree-local TIQ could.
+// Refine resumes the traversal until the collector's stop test holds against
+// p (see collector.done) and the unexplored hull mass is at most
+// exp(maxLogUnexplored); +Inf skips the budget. The stop test runs before
+// every read, so a Refine it already holds for reads nothing. Calling Refine
+// again with a smaller budget resumes exactly where the previous call paused;
+// the coordinator computes the budget from whatever certification the merged
+// denominator interval is still missing. round labels the trace span (the
+// coordinator's merge round; ignored by a cursor that is no shard).
 //
 // After an error (including context cancellation) the cursor is dead and
 // returns the same error from every subsequent Refine.
-func (c *Cursor) Refine(maxLogUnexplored, logPeerLow float64) error {
+func (c *Cursor) Refine(round int, maxLogUnexplored float64, p Peers) error {
 	if c.err != nil {
 		return c.err
 	}
-	c.refines++
 	alone := c.shard < 0
 	sp := c.tr.traceBegin()
 	c.err = c.tr.run(func() bool {
 		// fold is memoised, and put off until a test needs the bounds.
-		return c.col.done(c.tr, c.accuracy, logPeerLow, alone) && c.tr.denom.fold().parts.LogHull <= maxLogUnexplored
+		return c.col.done(c.tr, c.accuracy, p, alone) && c.tr.denom.fold().parts.LogHull <= maxLogUnexplored
 	})
-	round := c.refines
 	if alone {
 		round = -1
 	}
 	c.tr.traceEnd(sp, c.span, c.shard, round)
 	return c.err
 }
+
+// Settled reports whether no unexplored subtree of this tree can still hold
+// a member of the answer, given p: the half of the stop test a coordinator
+// must see hold on every shard, since a shard it skipped ran none.
+func (c *Cursor) Settled(p Peers) bool { return c.col.settled(c.tr, p) }
 
 // Candidates appends the current candidates to dst in unspecified order,
 // having dropped those that cannot qualify against the tree's own certified
@@ -236,7 +264,7 @@ func (c *Cursor) Stats() query.Stats { return c.tr.finish(c.col.len()) }
 // tree's own denominator interval certifies the candidates.
 func (c *Cursor) answer() ([]query.Result, query.Stats, error) {
 	defer c.Close()
-	if err := c.Refine(math.Inf(1), math.Inf(-1)); err != nil {
+	if err := c.Refine(-1, math.Inf(1), NoPeers()); err != nil {
 		return nil, c.Stats(), err
 	}
 	return Results(c.Candidates(nil, math.Inf(-1)), c.DenomParts()), c.Stats(), nil

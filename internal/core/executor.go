@@ -187,6 +187,24 @@ func (tr *traversal) run(done func() bool) error {
 	return nil
 }
 
+// queueRoot starts the traversal one step short of run's: the root goes on
+// the queue under the hull priority and the n·ˇN/n·ˆN sum bounds of the
+// snapshot's root box (treeSnap.box), as the child entry of a parent node
+// would put it there, and no page is read.
+func (tr *traversal) queueRoot() error {
+	tr.started = true
+	box, err := tr.tree.rootBox(tr.snap)
+	if box == nil {
+		return err // or nil: nothing stored, nothing to queue
+	}
+	hulls, floors := tr.logBounds(box, math.Inf(1))
+	logCount := math.Log(float64(tr.snap.count))
+	root := activeNode{page: tr.snap.root, count: tr.snap.count, logFloorN: floors[0] + logCount, logHullN: hulls[0] + logCount}
+	tr.denom.push(root)
+	tr.active.Push(root, hulls[0])
+	return nil
+}
+
 // expand loads one queued subtree root. Leaf objects are scored exactly
 // (feeding both the candidate collector and the exact denominator part);
 // inner children are pushed with their hull priorities and registered with

@@ -196,23 +196,53 @@ func (t *Tree) chooseChild(n *node, v pfv.Vector) (int, error) {
 	return bestIdx, nil
 }
 
+// enlargement is what absorbing a vector costs a box, in the order §5.3's
+// path selection compares: the objective increase, then the margin increase,
+// then the absolute objective (preferring the more selective box).
+type enlargement struct{ objective, margin, cost float64 }
+
+func enlargementOf(box ParamBox, v pfv.Vector) enlargement {
+	cost := box.LogAccessCost()
+	return enlargement{box.LogAccessCostWith(v) - cost, box.MarginEnlargement(v), cost}
+}
+
+func (a enlargement) less(b enlargement) bool {
+	if a.objective != b.objective {
+		return a.objective < b.objective
+	}
+	if a.margin != b.margin {
+		return a.margin < b.margin
+	}
+	return a.cost < b.cost
+}
+
 // leastEnlargementChild returns the index of the child of a readable inner
-// node whose box needs the least objective increase to absorb v, breaking
-// ties by margin increase and then by absolute objective (preferring the
-// more selective box).
+// node whose box needs the least enlargement to absorb v.
 func (t *Tree) leastEnlargementChild(n *node, v pfv.Vector) int {
-	best := 0
-	bestEnl, bestMargin, bestCost := math.Inf(1), math.Inf(1), math.Inf(1)
+	best, least := 0, enlargement{math.Inf(1), math.Inf(1), math.Inf(1)}
 	box := NewParamBox(t.dim)
 	for i := range n.children {
 		n.boxes.boxInto(i, box)
-		cost := box.LogAccessCost()
-		enl := box.LogAccessCostWith(v) - cost
-		mrg := box.MarginEnlargement(v)
-		if enl < bestEnl ||
-			(enl == bestEnl && mrg < bestMargin) ||
-			(enl == bestEnl && mrg == bestMargin && cost < bestCost) {
-			best, bestEnl, bestMargin, bestCost = i, enl, mrg, cost
+		if e := enlargementOf(box, v); e.less(least) {
+			best, least = i, e
+		}
+	}
+	return best
+}
+
+// LeastEnlargement is leastEnlargementChild one level up, over the root
+// boxes of a partitioned database (Tree.RootBox): the part that should take
+// v. A part without vectors (its box is not looked at) costs nothing, and
+// among equals the one with the fewest vectors wins.
+func LeastEnlargement(boxes []ParamBox, counts []int, v pfv.Vector) int {
+	best, least := 0, enlargement{math.Inf(1), math.Inf(1), math.Inf(1)}
+	for i, box := range boxes {
+		e := enlargement{cost: math.Inf(-1)}
+		if counts[i] > 0 {
+			e = enlargementOf(box, v)
+		}
+		if e.less(least) || (e == least && counts[i] < counts[best]) {
+			best, least = i, e
 		}
 	}
 	return best

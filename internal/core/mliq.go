@@ -46,6 +46,15 @@ func releaseTopK(top *pqueue.TopK[vecRef]) {
 // The returned results carry the joint log densities; Probability fields
 // are NaN.
 func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Result, query.Stats, error) {
+	return t.KMLIQRankedAbove(ctx, q, k, math.Inf(-1))
+}
+
+// KMLIQRankedAbove is KMLIQRanked for one part of a partitioned database
+// that already knows k objects at least as dense as logKth elsewhere (−Inf:
+// none): nothing that cannot beat logKth is looked for, so the result may
+// hold fewer than the tree's k best — those among them that could be among
+// the database's.
+func (t *Tree) KMLIQRankedAbove(ctx context.Context, q pfv.Vector, k int, logKth float64) ([]query.Result, query.Stats, error) {
 	if err := t.checkQuery(q, k); err != nil {
 		return nil, query.Stats{}, err
 	}
@@ -53,14 +62,20 @@ func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Re
 	defer releaseTopK(top)
 	tr := t.newTraversal(ctx, q, false, mliqCollector{top})
 	defer tr.release()
-	// Once the heap is full its bound is the monotone admission threshold:
-	// leaf vectors (and whole quantized leaves) that provably cannot beat it
-	// are skipped without exact scoring.
-	bound := top.Bound
-	tr.screenBound = bound
-	tr.leafThreshold = bound
+	// Once the heap is full its bound — from the first vector on, logKth — is
+	// the monotone admission threshold: leaf vectors (and whole quantized
+	// leaves) that provably cannot beat it are skipped without exact scoring.
+	admission := func() (float64, bool) {
+		b, full := top.Bound()
+		if !full {
+			return logKth, !math.IsInf(logKth, -1)
+		}
+		return max(b, logKth), true
+	}
+	tr.screenBound = admission
+	tr.leafThreshold = admission
 	done := func() bool {
-		bound, ok := top.Bound()
+		bound, ok := admission()
 		if !ok {
 			return false
 		}
@@ -122,8 +137,8 @@ func (t *Tree) OpenKMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy floa
 
 // mliqCollector is the k-MLIQ policy of the cursor: the k densest scored
 // objects. The global top-k of a partitioned database is contained in the
-// union of the per-shard top-k sets, so peers change neither what it keeps
-// nor when it stops.
+// union of the per-shard top-k sets, so peers change nothing it keeps — only
+// how soon it may stop (Peers.LogKth).
 type mliqCollector struct{ top *pqueue.TopK[vecRef] }
 
 func (c mliqCollector) offer(r vecRef, ld float64) { c.top.Offer(r, ld) }
@@ -136,23 +151,38 @@ func (c mliqCollector) appendTo(dst []Candidate) []Candidate {
 	return dst
 }
 
-// done is the two-part §5.2.2 stop condition against the traversal's pinned
-// snapshot: the k best are determined (the heap is full, or holds the whole
-// tree, and no queued subtree's hull beats its bound), and every reported
-// probability is within accuracy against the tree's own denominator bounds.
-func (c mliqCollector) done(tr *traversal, accuracy, _ float64, _ bool) bool {
-	bound, full := c.top.Bound()
-	if !full && c.top.Len() < tr.snap.count {
+// settled: the k best are determined as far as this tree is concerned — no
+// queued subtree's hull beats the k-th best density known, the full heap's or
+// the peers'. With neither, any subtree may hold a member of the answer.
+func (c mliqCollector) settled(tr *traversal, p Peers) bool {
+	_, topPrio, queued := tr.active.Peek()
+	if !queued {
+		return true
+	}
+	kth := p.LogKth
+	if bound, full := c.top.Bound(); full {
+		kth = max(kth, bound)
+	} else if math.IsInf(kth, -1) {
 		return false
 	}
-	if full {
-		if _, topPrio, ok := tr.active.Peek(); ok && bound < topPrio {
-			return false
-		}
+	return kth >= topPrio
+}
+
+// done is the two-part §5.2.2 stop condition against the traversal's pinned
+// snapshot: the k best are determined (settled), and the densest candidate's
+// probability — its width bound dominates every candidate's — is within
+// accuracy as far as this tree's share of the denominator decides it: a
+// peer's unexplored mass is the peer's to shrink, so peers enter both bounds
+// with their certified low.
+func (c mliqCollector) done(tr *traversal, accuracy float64, p Peers, _ bool) bool {
+	if !c.settled(tr, p) {
+		return false
 	}
-	// The densest scored object is always among the k best, and its width
-	// bound dominates every candidate's.
-	return !tr.denom.fold().tooWide(tr.denom.maxLd, accuracy)
+	maxLd := p.LogMax
+	if tr.denom.exact.sum > 0 {
+		maxLd = max(maxLd, tr.denom.maxLd)
+	}
+	return !tr.denom.fold().tooWide(maxLd, accuracy, p.LogLow)
 }
 
 func (t *Tree) checkQuery(q pfv.Vector, k int) error {

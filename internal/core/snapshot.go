@@ -2,6 +2,8 @@ package core
 
 import (
 	"fmt"
+	"math"
+	"sync/atomic"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
@@ -30,6 +32,69 @@ type treeSnap struct {
 	root   pagefile.PageID
 	height int
 	count  int
+	// box is the root's parameter box as a one-entry batch for the bound
+	// kernel, filled in by the first caller of rootBox: like root and count it
+	// describes the snapshot, and reading it is no query's page access.
+	box atomic.Pointer[boxColumns]
+}
+
+// rootBox returns the minimum bounding box of everything the snapshot stores,
+// nil if that is nothing. The caller holds an epoch pin on s. The box of one
+// snapshot never changes, so racing first callers store equal values.
+func (t *Tree) rootBox(s *treeSnap) (*boxColumns, error) {
+	if b := s.box.Load(); b != nil || s.count == 0 {
+		return b, nil
+	}
+	n, err := t.readNode(s.root)
+	if err != nil {
+		return nil, err
+	}
+	var b boxColumns
+	if n.leaf {
+		cols, err := t.exactColumns(n)
+		if err != nil {
+			return nil, err
+		}
+		b = boxColumnsOf([]childEntry{{box: BoxOfColumns(cols)}}, t.dim)
+	} else {
+		b = n.boxes.union(t.dim)
+	}
+	s.box.Store(&b)
+	return &b, nil
+}
+
+// publishedRootBox is rootBox of the published snapshot, with its count.
+func (t *Tree) publishedRootBox() (*boxColumns, int, error) {
+	snap, epoch := t.pinSnap()
+	defer t.mgr.UnpinEpoch(epoch)
+	b, err := t.rootBox(snap)
+	return b, snap.count, err
+}
+
+// RootBox returns how many vectors the published snapshot stores and, unless
+// it is empty, their minimum bounding box: what a partitioned database routes
+// a mutation by (LeastEnlargement, ParamBox.ContainsVector).
+func (t *Tree) RootBox() (ParamBox, int, error) {
+	b, count, err := t.publishedRootBox()
+	if b == nil {
+		return ParamBox{}, count, err
+	}
+	return b.box(0, t.dim), count, nil
+}
+
+// RootLogHull returns ln ˆN(q) of the published snapshot's root box, the
+// priority the whole tree would have in a parent's queue: no stored object's
+// joint log density against q exceeds it. An empty tree has −Inf.
+func (t *Tree) RootLogHull(q pfv.Vector) (float64, error) {
+	hull := [3]float64{math.Inf(-1)}
+	err := t.checkQuery(q, 1)
+	if err == nil {
+		var b *boxColumns
+		if b, _, err = t.publishedRootBox(); b != nil {
+			b.logBounds(t.cfg.Combiner, q, math.Inf(1), hull[:1], nil, hull[1:])
+		}
+	}
+	return hull[0], err
 }
 
 // publish makes the writer's current state visible to new readers and

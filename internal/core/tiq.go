@@ -65,30 +65,31 @@ func (c *tiqCollector) prune(logLow float64) {
 	}
 }
 
-// settled prunes against logLow and reports whether no unexplored subtree
-// of tr could still hold an object that reaches the threshold.
-func (c *tiqCollector) settled(tr *traversal, logLow float64) bool {
+// settled prunes against the combined lower bound of this tree and its
+// peers and reports whether no unexplored subtree of tr could still hold an
+// object that reaches the threshold against it.
+func (c *tiqCollector) settled(tr *traversal, p Peers) bool {
+	logLow := logAddExp(tr.denom.fold().logLow, p.LogLow)
 	c.prune(logLow)
 	_, topPrio, ok := tr.active.Peek()
 	return !ok || !c.th.reaches(topPrio, logLow)
 }
 
 // done is Figure 5's stop test. With peers, whose mass is missing from
-// every upper bound this tree knows, it can only settle: no unexplored
-// subtree reaches θ against the combined lower bound. Alone, the tree's
+// every upper bound this tree knows, it can only settle. Alone, the tree's
 // bounds are the denominator's, and the test goes on as the paper's does:
 // the weakest candidate must be certified against the upper bound, and
 // every width within accuracy.
-func (c *tiqCollector) done(tr *traversal, accuracy, logPeerLow float64, alone bool) bool {
-	b := tr.denom.fold()
-	if !c.settled(tr, logAddExp(b.logLow, logPeerLow)) {
+func (c *tiqCollector) done(tr *traversal, accuracy float64, p Peers, alone bool) bool {
+	if !c.settled(tr, p) {
 		return false
 	}
 	if !alone {
 		return true
 	}
 	if _, minLd, ok := c.candidates.Peek(); ok {
-		return c.th.reaches(minLd, b.logHigh) && !b.tooWide(tr.denom.maxLd, accuracy)
+		b := tr.denom.fold()
+		return c.th.reaches(minLd, b.logHigh) && !b.tooWide(tr.denom.maxLd, accuracy, math.Inf(-1))
 	}
 	return true
 }

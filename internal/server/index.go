@@ -46,6 +46,8 @@ type shared interface {
 	Dim() int
 	// Len returns the number of stored vectors.
 	Len() int
+	// ShardLens returns them shard by shard (one entry for a tree).
+	ShardLens() []int
 	// Insert durably adds one vector (non-blocking for concurrent reads:
 	// acknowledged once its WAL record is group-committed).
 	Insert(v gausstree.Vector) error

@@ -3,6 +3,7 @@ package server
 import (
 	"encoding/json"
 	"net/http"
+	"strconv"
 	"time"
 
 	gausstree "github.com/gauss-tree/gausstree"
@@ -95,6 +96,18 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 	reg.GaugeFunc("gausstree_vectors",
 		"Vectors stored in the served index.",
 		func() float64 { return float64(s.index().Len()) })
+	// One series per shard, registered now like every other family: an index
+	// keeps its shard count across a recovery swap.
+	for i := range s.index().ShardLens() {
+		reg.GaugeFunc("gausstree_shard_vectors",
+			"Vectors stored per shard: the skew of the partition by parameter space.",
+			func() float64 {
+				if lens := s.index().ShardLens(); i < len(lens) {
+					return float64(lens[i])
+				}
+				return 0
+			}, obs.L("shard", strconv.Itoa(i)))
+	}
 	reg.GaugeFunc("gausstree_snapshot_epoch",
 		"Published snapshot epoch — committed mutations, summed across shards.",
 		func() float64 { return float64(s.index().SnapshotEpoch()) })

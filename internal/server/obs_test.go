@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"fmt"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -102,6 +103,7 @@ func TestMetricNamesExposed(t *testing.T) {
 		"gausstree_pagefile_writes_total",
 		"gausstree_pagefile_seeks_total",
 		"gausstree_vectors",
+		`gausstree_shard_vectors{shard="0"}`,
 		"gausstree_snapshot_epoch",
 		"gausstree_oldest_pinned_epoch",
 		"gausstree_pinned_readers",
@@ -267,6 +269,85 @@ func TestTraceIDFlow(t *testing.T) {
 	}
 	if !found {
 		t.Errorf("trace corr-17 not in log: %q", log.String())
+	}
+}
+
+// TestSkippedShardShowsInTraceAndSkewInStats: a sharded index is cut by
+// parameter space, so a query deep inside one region leaves other shards
+// unread — and the trace shows which: every kmliq_refine span carries its
+// shard and the pages it read, and a skipped shard is the one without a
+// span. The other side of such a partition, that it can pile vectors onto one
+// shard, shows in /v1/stats and as gausstree_shard_vectors{shard}.
+func TestSkippedShardShowsInTraceAndSkewInStats(t *testing.T) {
+	const shards = 4
+	rng := rand.New(rand.NewSource(6))
+	var vs []gausstree.Vector
+	for c := 0; c < shards; c++ { // four clusters at the corners of a square
+		for i := 0; i < 150; i++ {
+			mean := []float64{float64(40*(c%2)) + rng.NormFloat64(), float64(40*(c/2)) + rng.NormFloat64()}
+			vs = append(vs, gausstree.MustVector(uint64(len(vs)+1), mean, []float64{0.3, 0.3}))
+		}
+	}
+	s, err := gausstree.NewSharded(2, shards, gausstree.Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.BulkLoad(vs); err != nil {
+		t.Fatal(err)
+	}
+	var log syncBuffer
+	reg := obs.NewRegistry()
+	cl, _ := startServerMux(t, server.ShardedIndex(s), server.Config{TraceSample: 1, TraceLog: &log, Metrics: reg})
+	ctx := context.Background()
+	if _, _, err := cl.KMLIQ(ctx, gausstree.MustVector(0, []float64{0, 0}, []float64{0.3, 0.3}), 3); err != nil {
+		t.Fatal(err)
+	}
+	line, _, _ := strings.Cut(log.String(), "\n")
+	var rec struct {
+		Spans []obs.Span `json:"spans"`
+	}
+	if err := json.Unmarshal([]byte(line), &rec); err != nil {
+		t.Fatalf("trace log line is not valid JSON: %q: %v", line, err)
+	}
+	read := map[int]int64{} // shard -> pages over its refine spans
+	rounds := 0
+	for _, sp := range rec.Spans {
+		switch sp.Name {
+		case "kmliq_refine":
+			if sp.Shard < 0 || sp.Shard >= shards {
+				t.Errorf("refine span of shard %d", sp.Shard)
+			}
+			read[sp.Shard] += sp.Pages
+		case "merge_round":
+			rounds++
+		}
+	}
+	if rounds == 0 || len(read) == 0 || len(read) > shards-2 {
+		t.Errorf("a query deep inside one of %d separated clusters: %d merge rounds, refine spans for shards %v; want at least two shards without a span", shards, rounds, read)
+	}
+
+	if _, err := cl.Insert(ctx, []gausstree.Vector{gausstree.MustVector(9001, []float64{41, 41}, []float64{0.3, 0.3})}); err != nil {
+		t.Fatal(err)
+	}
+	st, err := cl.Stats(ctx)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sum, most := 0, 0
+	for _, n := range st.ShardVectors {
+		sum, most = sum+n, max(most, n)
+	}
+	if len(st.ShardVectors) != shards || sum != st.Len || most != 151 {
+		t.Errorf("shard_vectors %v of len %d: want %d shards of 150 and the insert's region at 151", st.ShardVectors, st.Len, shards)
+	}
+	var buf bytes.Buffer
+	if err := reg.WritePrometheus(&buf); err != nil {
+		t.Fatal(err)
+	}
+	for i, n := range st.ShardVectors {
+		if want := fmt.Sprintf("gausstree_shard_vectors{shard=\"%d\"} %d\n", i, n); !strings.Contains(buf.String(), want) {
+			t.Errorf("exposition is missing %q", want)
+		}
 	}
 }
 

@@ -574,6 +574,7 @@ func (s *Server) collectStats() (wire.StatsResponse, error) {
 		Backend:       idx.Kind(),
 		Dim:           idx.Dim(),
 		Len:           idx.Len(),
+		ShardVectors:  idx.ShardLens(),
 		LeafFormat:    idx.LeafFormat(),
 		ReadOnly:      s.cfg.ReadOnly,
 		WAL:           ws,

@@ -2,12 +2,15 @@ package shard
 
 import (
 	"bufio"
+	"cmp"
 	"context"
 	"flag"
 	"fmt"
+	"hash"
 	"hash/fnv"
 	"math"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
@@ -27,14 +30,25 @@ import (
 // so each of its rows must equal the tree's row of the same seed, op and
 // block.
 //
-// The committed table was written by the parent of the kernel change with
-// one thing added: the accumulator fix that rebuilds the queue bounds when a
-// pop cancels them. That fix moves the certified bounds (they were wrong
-// before it), and with them a few stop decisions per hundred queries; the
-// kernel itself — log-space tests, memoised fold, admission filter — must
-// reproduce the table to the bit in ids and counters and to 1e-12 per
-// interval endpoint.
+// The tree rows were written by the parent of the kernel change with one
+// thing added: the accumulator fix that rebuilds the queue bounds when a pop
+// cancels them. That fix moves the certified bounds (they were wrong before
+// it), and with them a few stop decisions per hundred queries; the kernel
+// itself — log-space tests, memoised fold, admission filter — must reproduce
+// them to the bit in ids and counters and to 1e-12 per interval endpoint.
+// The shards-4 rows are of the partition by parameter space (PR 22), which
+// reads about half the pages of the hash routing before it — and since their
+// counters have no older build to agree with, what vouches for them is in this
+// test: every sharded answer is compared, query by query, with the tree's
+// (answersDiffer), and -update-golden refuses to write when one differs.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/certified_stop_golden.txt from this build")
+
+const goldenHeader = `# tree rows: written by commit 37388d4 (PR 11) plus the scaledAccum cancellation-rebuild fix alone
+# (internal/core/bounds.go: peak/cancelled tracking, rebuild on cancellation instead of every
+# 256 mutations, cancelRatio 2^-20), see CHANGES.md PR 12. shards-4 rows: the partition by
+# parameter space (PR 22), written by a run whose every sharded answer matched the tree's.
+# engine seed op block | pages nodes scored hash(ids+counters per query) results sumProbLow sumProbHigh
+`
 
 const (
 	goldenFile     = "testdata/certified_stop_golden.txt"
@@ -104,16 +118,31 @@ func TestCertifiedStopGolden(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
+		// The table lists a seed's rows engine by engine; the queries run
+		// engine-innermost, so that every sharded answer is held against the
+		// tree's answer to the same query before it may enter a row.
 		for _, en := range entry {
 			for _, op := range goldenOps {
 				for block := 0; block*goldenBlock < op.queries; block++ {
-					var row goldenRow
-					h := fnv.New64a()
-					for _, q := range qs[block*goldenBlock : min((block+1)*goldenBlock, op.queries)] {
+					order = append(order, goldenKey(en.name, seed, op, block))
+				}
+			}
+		}
+		for _, op := range goldenOps {
+			for block := 0; block*goldenBlock < op.queries; block++ {
+				rows := make([]goldenRow, len(entry))
+				hashes := make([]hash.Hash64, len(entry))
+				for i := range hashes {
+					hashes[i] = fnv.New64a()
+				}
+				for qi, q := range qs[block*goldenBlock : min((block+1)*goldenBlock, op.queries)] {
+					var tree []query.Result
+					for i, en := range entry {
 						res, st, err := goldenQuery(ctx, en.e, q.Vector, op)
 						if err != nil {
 							t.Fatal(err)
 						}
+						row, h := &rows[i], hashes[i]
 						row.pages += st.PageAccesses
 						row.nodes += uint64(st.NodesVisited)
 						row.scored += uint64(st.VectorsScored)
@@ -124,11 +153,16 @@ func TestCertifiedStopGolden(t *testing.T) {
 							row.sumHi += r.ProbHigh
 						}
 						row.results += len(res)
+						if i == 0 {
+							tree = res
+						} else if diff := answersDiffer(tree, res); diff != "" {
+							t.Errorf("%s query %d: %s", goldenKey(en.name, seed, op, block), qi, diff)
+						}
 					}
-					row.hash = h.Sum64()
-					key := goldenKey(en.name, seed, op, block)
-					got[key] = row
-					order = append(order, key)
+				}
+				for i, en := range entry {
+					rows[i].hash = hashes[i].Sum64()
+					got[goldenKey(en.name, seed, op, block)] = rows[i]
 				}
 			}
 		}
@@ -144,8 +178,11 @@ func TestCertifiedStopGolden(t *testing.T) {
 	}
 
 	if *updateGolden {
+		if t.Failed() {
+			t.Fatal("a sharded answer differs from the tree's: the table is not rewritten")
+		}
 		var b strings.Builder
-		b.WriteString("# engine seed op block | pages nodes scored hash(ids+counters per query) results sumProbLow sumProbHigh\n")
+		b.WriteString(goldenHeader)
 		for _, key := range order {
 			if row, ok := got[key]; ok {
 				fmt.Fprintf(&b, "%s | %s\n", key, row)
@@ -199,6 +236,32 @@ func TestCertifiedStopGolden(t *testing.T) {
 	if seen != len(got) {
 		t.Errorf("golden table has %d of the %d rows this build produces", seen, len(got))
 	}
+}
+
+// answersDiffer holds a sharded answer against the tree's answer to the same
+// query: the same ids (a sharded interval is its own certification of the
+// same posterior, so rows order by slightly different midpoints: compared as
+// sets), and for each id two intervals that overlap.
+func answersDiffer(tree, sharded []query.Result) string {
+	if len(tree) != len(sharded) {
+		return fmt.Sprintf("%d results, the tree %d", len(sharded), len(tree))
+	}
+	byID := func(rs []query.Result) []query.Result {
+		rs = slices.Clone(rs)
+		slices.SortFunc(rs, func(a, b query.Result) int { return cmp.Compare(a.Vector.ID, b.Vector.ID) })
+		return rs
+	}
+	tree, sharded = byID(tree), byID(sharded)
+	for i, w := range tree {
+		g := sharded[i]
+		if g.Vector.ID != w.Vector.ID {
+			return fmt.Sprintf("reports id %d, the tree id %d", g.Vector.ID, w.Vector.ID)
+		}
+		if g.ProbLow > w.ProbHigh+1e-12 || w.ProbLow > g.ProbHigh+1e-12 {
+			return fmt.Sprintf("id %d: [%v, %v] does not overlap the tree's [%v, %v]", g.Vector.ID, g.ProbLow, g.ProbHigh, w.ProbLow, w.ProbHigh)
+		}
+	}
+	return ""
 }
 
 func goldenQuery(ctx context.Context, e query.Engine, q pfv.Vector, op goldenOp) ([]query.Result, query.Stats, error) {

@@ -1,35 +1,42 @@
 // Package shard is the query coordinator: an Engine partitions probabilistic
 // feature vectors across N independent core trees and answers every
-// identification query over their cursors — shard 0 on the calling
-// goroutine, one goroutine for each of the others, context-aware, first
-// error cancels the siblings. A single tree is the engine at N = 1: no
-// goroutine, no peers, one round, page for page the paper's algorithm.
+// identification query over their cursors, context-aware, first error cancels
+// the siblings. A single tree is the engine at N = 1: no goroutine, no peers,
+// one round, page for page the paper's algorithm.
 //
-// The merge is the interesting part. The paper's identification probability
+// A shard is a subtree. The partition is by parameter space — BulkLoad cuts
+// the set with the bulk loader's own first cuts, Insert goes where the tree's
+// own path selection would send it — so a shard is what would hang under one
+// root entry of the one tree over all the data, and a query treats it as §5.2
+// treats any unexplored subtree: its root box bounds what it can hold (hull
+// ˆN) and what it adds to the Bayes denominator (n·ˇN … n·ˆN), and it is read
+// only while those bounds leave something undecided.
+//
+// The merge is the other half. The paper's identification probability
 // P(v|q) = p(q|v) / Σ_w p(q|w) is a global quantity: its Bayes denominator
 // sums over the ENTIRE database, so per-shard probabilities are meaningless
-// on their own — each shard's denominator is too small and its
-// "probabilities" too large. What §5.2.2's n·ˇN/n·ˆN sum bounds make
-// possible is an additive repair: every shard traversal certifies an
-// interval around its own denominator contribution (exact log-density sum
-// over scored objects plus floor/hull bounds over unexplored subtrees), the
+// on their own. What §5.2.2's sum bounds make possible is an additive repair:
+// every shard traversal certifies an interval around its own denominator
+// contribution (exact log-density sum over scored objects plus floor/hull
+// bounds over unexplored subtrees — of a shard not yet read, its root), the
 // coordinator combines the per-shard parts by log-sum-exp into one global
-// denominator interval, and candidate densities divided by that interval
-// are certified exactly as a single tree over the union of the data would
-// certify them. When the merged interval is still too wide to decide a
-// threshold or meet an accuracy target, the coordinator resumes the shard
-// cursors (core.Cursor) with a geometrically shrinking unexplored-mass
-// budget — and feeds each shard the certified denominator mass of its
-// peers, which tightens local pruning beyond what any stand-alone tree
-// could do (core.DenomParts says why that budget is always reachable; the
-// loop is coordinate).
+// denominator interval, and candidate densities divided by that interval are
+// certified exactly as a single tree over the union of the data would certify
+// them. While the merged interval is too wide to decide a threshold or meet
+// an accuracy target, the coordinator resumes the cursors (core.Cursor) that
+// hold the missing certainty with a geometrically shrinking unexplored-mass
+// budget, and tells each what the others found (core.Peers), which tightens
+// local pruning beyond what any stand-alone tree could do (core.DenomParts
+// says why that budget is always reachable; the loop is coordinate).
 package shard
 
 import (
+	"cmp"
 	"context"
 	"errors"
 	"fmt"
 	"math"
+	"slices"
 	"sync"
 
 	"github.com/gauss-tree/gausstree/internal/core"
@@ -56,20 +63,26 @@ type Stats struct {
 // data partitions, queried as one. It implements query.Engine; the Detail
 // variants additionally expose per-shard statistics.
 //
-// Queries may run concurrently from any number of goroutines. Mutations
-// require external exclusion against queries and each other, exactly like
-// core.Tree — the public façade holds the lock.
+// Queries may run concurrently from any number of goroutines, mutations
+// beside them; mutations require external exclusion against each other,
+// exactly like core.Tree — the public façade holds the lock.
 type Engine struct {
 	trees []*core.Tree
-	part  Partitioner
 	name  string
 }
+
+// Partitioner is the empty value New's signature carries — there is one
+// routing, by parameter space — and HashByID, named when a hash of the object
+// id routed, returns it.
+type Partitioner struct{}
+
+func HashByID() Partitioner { return Partitioner{} }
 
 // New builds a sharded engine over the given trees (one per shard). All
 // trees must share dimensionality and σ-combiner — probabilities merged
 // across shards are only meaningful when every shard scores densities the
 // same way.
-func New(trees []*core.Tree, part Partitioner) (*Engine, error) {
+func New(trees []*core.Tree, _ Partitioner) (*Engine, error) {
 	if len(trees) == 0 {
 		return nil, errors.New("shard: need at least one shard")
 	}
@@ -82,7 +95,7 @@ func New(trees []*core.Tree, part Partitioner) (*Engine, error) {
 			return nil, fmt.Errorf("shard: shard %d combiner %v differs from shard 0's %v", i+1, t.Config().Combiner, cfg.Combiner)
 		}
 	}
-	return &Engine{trees: trees, part: part, name: fmt.Sprintf("gauss-tree-%dshard", len(trees))}, nil
+	return &Engine{trees: trees, name: fmt.Sprintf("gauss-tree-%dshard", len(trees))}, nil
 }
 
 // Name identifies the engine in engine-agnostic reports.
@@ -95,38 +108,94 @@ func (e *Engine) NumShards() int { return len(e.trees) }
 func (e *Engine) Dim() int { return e.trees[0].Dim() }
 
 // Len returns the total number of stored vectors across all shards.
-func (e *Engine) Len() int {
-	n := 0
+func (e *Engine) Len() (n int) {
 	for _, t := range e.trees {
 		n += t.Len()
 	}
 	return n
 }
 
-// Insert routes one vector to its shard.
-func (e *Engine) Insert(v pfv.Vector) error {
-	return e.trees[e.part.Place(v, len(e.trees))].Insert(v)
+// checkDims refuses what routing cannot look at (the trees would, too late).
+func (e *Engine) checkDims(vs ...pfv.Vector) error {
+	for i, v := range vs {
+		if v.Dim() != e.Dim() {
+			return fmt.Errorf("%w: vector %d has dimension %d, index dimension %d", core.ErrDimension, i, v.Dim(), e.Dim())
+		}
+	}
+	return nil
 }
 
-// InsertAll routes a batch, loading the per-shard groups concurrently, and
+// place routes vs, in order, each to the shard whose root box needs the
+// least enlargement to take it — the tree's own path selection one level up
+// (core.LeastEnlargement) — against boxes that grow with every vector placed.
+func (e *Engine) place(vs ...pfv.Vector) ([]int, error) {
+	at := make([]int, len(vs))
+	n := len(e.trees)
+	if n == 1 {
+		return at, nil
+	}
+	if err := e.checkDims(vs...); err != nil {
+		return nil, err
+	}
+	boxes, counts := make([]core.ParamBox, n), make([]int, n)
+	for i, t := range e.trees {
+		var err error
+		if boxes[i], counts[i], err = t.RootBox(); err != nil {
+			return nil, err
+		}
+	}
+	for j, v := range vs {
+		i := core.LeastEnlargement(boxes, counts, v)
+		if counts[i] == 0 {
+			boxes[i] = core.BoxOf(v)
+		} else {
+			boxes[i].ExtendVector(v)
+		}
+		counts[i]++
+		at[j] = i
+	}
+	return at, nil
+}
+
+// Insert adds one vector to the shard place names.
+func (e *Engine) Insert(v pfv.Vector) error {
+	at, err := e.place(v)
+	if err != nil {
+		return err
+	}
+	return e.trees[at[0]].Insert(v)
+}
+
+// InsertAll places a batch, loading the per-shard groups concurrently, and
 // returns how many vectors each shard applied — its whole group, or on error
 // the prefix of the group it got through: shards fail independently, so the
 // applied set may be a non-prefix subset of vs. Like core.Tree.InsertAll it
 // awaits no log.
 func (e *Engine) InsertAll(vs []pfv.Vector) ([]int, error) {
-	groups := Split(e.part, vs, len(e.trees))
 	applied := make([]int, len(e.trees))
-	err := fanOut(len(e.trees), noCancel, func(i int) (err error) {
+	at, err := e.place(vs...)
+	if err != nil {
+		return applied, err
+	}
+	groups := make([][]pfv.Vector, len(e.trees))
+	for j, v := range vs {
+		groups[at[j]] = append(groups[at[j]], v)
+	}
+	err = fanOut(len(e.trees), noCancel, func(i int) (err error) {
 		applied[i], err = e.trees[i].InsertAll(groups[i])
 		return err
 	})
 	return applied, err
 }
 
-// BulkLoad partitions the vector set and bulk-loads every shard
-// concurrently (all shards must be empty).
+// BulkLoad cuts the vector set into one spatially coherent group per shard
+// (core.Tree.Cuts) and bulk-loads every shard concurrently (all shards must
+// be empty).
 func (e *Engine) BulkLoad(vs []pfv.Vector) error {
-	groups := Split(e.part, vs, len(e.trees))
+	if err := e.checkDims(vs...); err != nil {
+		return err
+	}
+	groups := e.trees[0].Cuts(vs, len(e.trees))
 	return fanOut(len(e.trees), noCancel, func(i int) error {
 		if len(groups[i]) == 0 {
 			return nil
@@ -135,10 +204,37 @@ func (e *Engine) BulkLoad(vs []pfv.Vector) error {
 	})
 }
 
-// Delete removes one stored copy of the exact vector from the shard that
-// owns its id; no other shard is read.
+// Delete removes one stored copy of the exact vector: it probes the shards
+// whose root box contains it, in order, up to the first that finds it — every
+// shard, at worst, of an index built while a hash of the id routed.
 func (e *Engine) Delete(v pfv.Vector) (bool, error) {
-	return e.trees[e.part.Place(v, len(e.trees))].Delete(v)
+	if err := e.checkDims(v); err != nil {
+		return false, err
+	}
+	for _, t := range e.trees {
+		if len(e.trees) > 1 {
+			box, count, err := t.RootBox()
+			if err != nil {
+				return false, err
+			}
+			if count == 0 || !box.ContainsVector(v) {
+				continue
+			}
+		}
+		if found, err := t.Delete(v); found || err != nil {
+			return found, err
+		}
+	}
+	return false, nil
+}
+
+// Counts returns the number of stored vectors shard by shard.
+func (e *Engine) Counts() []int {
+	counts := make([]int, len(e.trees))
+	for i, t := range e.trees {
+		counts[i] = t.Len()
+	}
+	return counts
 }
 
 // ForEach visits every stored vector, shard by shard.
@@ -155,15 +251,18 @@ func (e *Engine) ForEach(fn func(pfv.Vector) error) error {
 // cancel: each shard's work completes or fails on its own.
 func noCancel() {}
 
-// fanOut runs f(i) for every shard — shard 0 on the calling goroutine, the
-// others on one goroutine each, so one shard costs no goroutine — under a
-// shared cancellable context: the first failing shard cancels its siblings
+// fanOut runs f(i) for i < n — f(0) on the calling goroutine, the others on
+// one goroutine each, so one shard costs no goroutine — under a shared
+// cancellable context: the first failing shard cancels its siblings
 // (errgroup-style), and the returned error is the root cause, not a
 // sibling's ctx.Canceled. The cancellable context must already be threaded
 // into whatever f touches (the cursors are created with it); cancel is
 // called on first error.
 func fanOut(n int, cancel context.CancelFunc, f func(i int) error) error {
-	if n == 1 {
+	switch n {
+	case 0:
+		return nil
+	case 1:
 		return f(0)
 	}
 	errs := make([]error, n)
@@ -198,25 +297,26 @@ func fanOut(n int, cancel context.CancelFunc, f func(i int) error) error {
 }
 
 // shardState is one shard's side of a coordinated query: its cursor, the
-// denominator parts it certified in the last round, and the certified mass
-// of its peers it is given in the next.
+// denominator parts it certified as of the last merge, what it is told of
+// the other shards when it next resumes, and whether it is settled given that.
 type shardState struct {
 	cur     *core.Cursor
 	parts   core.DenomParts
-	peerLow float64
+	peers   core.Peers
+	settled bool
 }
 
 // mergeParts combines per-shard denominator components by log-sum-exp. All
 // three components are additive across disjoint data partitions, so the
 // merged parts bound the global Bayes denominator exactly as one tree over
-// the union of the data would; the parts of one shard are the merge.
-func mergeParts(shards []shardState) core.DenomParts {
+// the union of the data would; the parts of one shard are the merge. buf is
+// scratch for 3·len(shards) terms.
+func mergeParts(shards []shardState, buf []float64) core.DenomParts {
 	n := len(shards)
 	if n == 1 {
 		return shards[0].parts
 	}
-	buf := make([]float64, 3*n)
-	ex, fl, hu := buf[:n], buf[n:2*n], buf[2*n:]
+	ex, fl, hu := buf[:n], buf[n:2*n], buf[2*n:3*n]
 	for i, sh := range shards {
 		ex[i], fl[i], hu[i] = sh.parts.LogExact, sh.parts.LogFloor, sh.parts.LogHull
 	}
@@ -229,8 +329,8 @@ func mergeParts(shards []shardState) core.DenomParts {
 
 // peerLowOf returns the log-sum-exp of every shard's certified denominator
 // lower bound except shard i's own (−Inf at one shard: no peers, no mass).
-func peerLowOf(shards []shardState, i int) float64 {
-	lows := make([]float64, 0, len(shards)-1)
+func peerLowOf(shards []shardState, i int, buf []float64) float64 {
+	lows := buf[:0]
 	for j, sh := range shards {
 		if j != i {
 			lows = append(lows, sh.parts.LogLow())
@@ -248,7 +348,7 @@ func collectStats(per []query.Stats, rounds int) Stats {
 	return s
 }
 
-// KMLIQRanked fans the ranked query out to every shard and merges the local
+// KMLIQRanked answers the ranked query shard by shard and merges the local
 // top-k lists by log density — the global top-k is always contained in the
 // union of the per-shard top-k sets, so no denominator work is needed.
 func (e *Engine) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Result, query.Stats, error) {
@@ -256,50 +356,68 @@ func (e *Engine) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.
 	return res, st.Stats, err
 }
 
-// KMLIQRankedDetail is KMLIQRanked with per-shard statistics.
+// KMLIQRankedDetail is KMLIQRanked with per-shard statistics. It is Figure 4
+// one level up: the shards are taken in descending order of their root hull
+// ˆN(q), and the first whose hull cannot beat the k-th best density found
+// ends the query — it and every shard after it stay unread.
 func (e *Engine) KMLIQRankedDetail(ctx context.Context, q pfv.Vector, k int) ([]query.Result, Stats, error) {
 	n := len(e.trees)
-	ctx, cancel := siblingContext(ctx, n)
-	defer cancel()
-	perRes := make([][]query.Result, n)
 	perStats := make([]query.Stats, n)
-	err := fanOut(n, cancel, func(i int) error {
-		res, st, err := e.trees[i].KMLIQRanked(ctx, q, k)
-		perRes[i], perStats[i] = res, st
-		return err
-	})
-	stats := collectStats(perStats, 1)
-	if err != nil {
-		return nil, stats, err
+	type rootHull struct {
+		shard int
+		hull  float64
 	}
-	all := perRes[0]
-	for _, rs := range perRes[1:] {
-		all = append(all, rs...)
+	order := make([]rootHull, n)
+	for i, t := range e.trees {
+		order[i].shard = i
+		if n > 1 { // one shard is read whatever its hull
+			var err error
+			if order[i].hull, err = t.RootLogHull(q); err != nil {
+				return nil, Stats{}, err
+			}
+		}
 	}
-	query.SortByDensity(all)
-	if len(all) > k {
-		all = all[:k]
+	slices.SortStableFunc(order, func(a, b rootHull) int { return cmp.Compare(b.hull, a.hull) })
+	var all []query.Result
+	logKth := math.Inf(-1)
+	for _, o := range order {
+		if len(all) == k && logKth >= o.hull { // k known: the rest cannot add to them
+			break
+		}
+		res, st, err := e.trees[o.shard].KMLIQRankedAbove(ctx, q, k, logKth)
+		perStats[o.shard] = st
+		if err != nil {
+			return nil, collectStats(perStats, 1), err
+		}
+		all = append(all, res...)
+		query.SortByDensity(all)
+		if len(all) >= k {
+			all, logKth = all[:k], all[k-1].LogDensity
+		}
 	}
-	return query.NonNil(all), stats, nil
+	return query.NonNil(all), collectStats(perStats, 1), nil
 }
 
-// siblingContext derives the context whose cancellation stops a failing
-// shard's siblings; one shard has none, and runs on the caller's context.
-func siblingContext(ctx context.Context, n int) (context.Context, context.CancelFunc) {
-	if n == 1 {
-		return ctx, func() {}
-	}
-	return context.WithCancel(ctx)
+// verdict is what a query type makes of the candidates gathered so far
+// against the merged interval: the answer's candidates, whether every one is
+// certified, and what the shards are told next (core.Peers): logKth, the
+// density a subtree's hull must beat to hold a member of the answer (−Inf:
+// any may), and logDensity, the densest candidate the next accuracy budget
+// has to certify (−Inf: none to name).
+type verdict struct {
+	kept               []core.Candidate
+	decided            bool
+	logKth, logDensity float64
 }
 
 // KMLIQ answers a k-most-likely identification query with certified
 // probabilities (§5.2.2) across all shards. The global top-k by density is
-// contained in the union of the per-shard top-k sets, so ranking is settled
-// after the first round; probabilities come from the merged denominator
-// interval, and when that interval leaves some reported probability wider
-// than the accuracy, the coordinator resumes the shard cursors with an
-// unexplored-mass budget computed from exactly the certification that is
-// missing (see coordinate).
+// contained in the union of the per-shard top-k sets; which shards can still
+// add to it is decided by their hulls against the k-th best density gathered,
+// probabilities come from the merged denominator interval, and while that
+// leaves some reported probability wider than the accuracy, the coordinator
+// resumes shard cursors with an unexplored-mass budget computed from exactly
+// the certification that is missing (see coordinate).
 func (e *Engine) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64) ([]query.Result, query.Stats, error) {
 	res, st, err := e.KMLIQDetail(ctx, q, k, accuracy)
 	return res, st.Stats, err
@@ -311,17 +429,22 @@ func (e *Engine) KMLIQDetail(ctx context.Context, q pfv.Vector, k int, accuracy 
 	// The merged top-k are the answer; it is certified once every interval
 	// is within accuracy. The densest candidate has the widest interval, so
 	// the next budget is computed for it.
-	decide := func(cands []core.Candidate, merged core.DenomParts) ([]core.Candidate, bool, float64) {
+	decide := func(cands []core.Candidate, merged core.DenomParts) verdict {
 		core.SortCandidates(cands)
-		if len(cands) > k {
-			cands = cands[:k]
+		v := verdict{kept: cands, decided: true, logKth: math.Inf(-1), logDensity: math.Inf(-1)}
+		if len(cands) >= k {
+			v.kept, v.logKth = cands[:k], cands[k-1].LogDensity
 		}
-		for _, c := range cands {
+		if len(v.kept) > 0 {
+			v.logDensity = v.kept[0].LogDensity
+		}
+		for _, c := range v.kept {
 			if lo, hi := merged.ProbInterval(c.LogDensity); accuracy > 0 && hi-lo > accuracy {
-				return cands, false, cands[0].LogDensity
+				v.decided = false
+				break
 			}
 		}
-		return cands, true, 0
+		return v
 	}
 	return e.coordinate(ctx, accuracy, open, decide)
 }
@@ -331,8 +454,9 @@ func (e *Engine) KMLIQDetail(ctx context.Context, q pfv.Vector, k int, accuracy 
 // denominator mass from the other shards can push a locally-qualifying
 // candidate below the threshold. Candidates whose merged upper bound falls
 // below it are dropped for good; the loop ends when every survivor is
-// certified at or above it (and, if accuracy > 0, within accuracy), or when
-// every shard is exhausted and the denominator is exact.
+// certified at or above it (and, if accuracy > 0, within accuracy) and no
+// shard's unexplored part can still reach it, or when every shard is
+// exhausted and the denominator is exact.
 func (e *Engine) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) ([]query.Result, query.Stats, error) {
 	res, st, err := e.TIQDetail(ctx, q, pTheta, accuracy)
 	return res, st.Stats, err
@@ -347,46 +471,56 @@ func (e *Engine) TIQDetail(ctx context.Context, q pfv.Vector, pTheta float64, ac
 	// next round); the rest are the answer once each is certified at or
 	// above the threshold and within accuracy. The next budget is computed
 	// for the densest candidate still undecided.
-	decide := func(cands []core.Candidate, merged core.DenomParts) ([]core.Candidate, bool, float64) {
-		kept, decided, ldUndecided := cands[:0], true, math.Inf(-1)
+	decide := func(cands []core.Candidate, merged core.DenomParts) verdict {
+		v := verdict{kept: cands[:0], decided: true, logKth: math.Inf(-1), logDensity: math.Inf(-1)}
 		for _, c := range cands {
 			lo, hi := merged.ProbInterval(c.LogDensity)
 			if hi < pTheta {
 				continue
 			}
 			if lo < pTheta || (accuracy > 0 && hi-lo > accuracy) {
-				decided = false
-				ldUndecided = max(ldUndecided, c.LogDensity)
+				v.decided = false
+				v.logDensity = max(v.logDensity, c.LogDensity)
 			}
-			kept = append(kept, c)
+			v.kept = append(v.kept, c)
 		}
-		return kept, decided, ldUndecided
+		return v
 	}
 	return e.coordinate(ctx, accuracy, open, decide)
 }
 
-// coordinate is the one query loop behind KMLIQ and TIQ: open a cursor per
-// shard, then round by round fan a Refine out, merge the shards' denominator
-// parts, let the query type decide its candidates against the merged
-// interval, and — while some decision is still open — resume with a smaller
-// unexplored-mass budget. The query type supplies open, which starts its
-// cursor on one tree, and decide, which reduces the gathered candidates to
-// the answer's, reports whether all of them are certified, and if not names
-// the log density the next budget has to certify.
+// coordinate is the one query loop behind KMLIQ and TIQ. It opens a cursor
+// per shard (open) — each with its root queued, so before anything is read a
+// shard's denominator parts are the bounds of its root box — and then, round
+// by round, resumes the shards that can still matter, merges all shards'
+// parts, lets the query type decide its candidates against the merged
+// interval (decide, see verdict), and — while some decision is still open —
+// goes on with a smaller unexplored-mass budget.
 //
-// The first round costs what the unsharded query costs: the budget is +Inf
-// and every shard runs to its query type's own stop test. At one shard that
-// is all there is: the cursor has no peers, its stop test is the paper's
-// (core.Cursor), the merged parts are its parts, and what it certified
-// decides every candidate in round one — a one-shard engine is the
-// stand-alone query, page for page.
+// Which shards a round resumes is §5.2's pruning one level up. The first
+// takes only those holding at least half of the largest root hull mass, where
+// the query most likely lives, each to its own stop test. From then on a
+// shard is resumed when its unexplored hull mass exceeds the round's budget
+// or it is not settled: some subtree of it could still hold a member of the
+// answer, judged against what all shards gathered (core.Peers). A shard that
+// is neither runs on no goroutine, and one never resumed is never read: its
+// root bounds stay in the merge, which is why the answer stands only once
+// every shard is settled — a skipped shard ran no stop test of its own.
+//
+// At one shard the round is the query: the cursor is no shard's, its root is
+// expanded as a tree's is, its stop test is the paper's (core.Cursor), the
+// merged parts are its parts, and what it certified decides every candidate
+// in round one — a one-shard engine is the stand-alone query, page for page.
 func (e *Engine) coordinate(
 	ctx context.Context, accuracy float64,
 	open func(context.Context, *core.Tree) (*core.Cursor, error),
-	decide func([]core.Candidate, core.DenomParts) (kept []core.Candidate, decided bool, logDensity float64),
+	decide func([]core.Candidate, core.DenomParts) verdict,
 ) ([]query.Result, Stats, error) {
 	n := len(e.trees)
-	ctx, cancel := siblingContext(ctx, n)
+	cancel := context.CancelFunc(func() {}) // stops a failing shard's siblings; one shard has none
+	if n > 1 {
+		ctx, cancel = context.WithCancel(ctx)
+	}
 	defer cancel()
 	shards := make([]shardState, n)
 	// Cursors hold pooled traversal state and a snapshot pin; hand both back
@@ -399,15 +533,20 @@ func (e *Engine) coordinate(
 			}
 		}
 	}()
+	maxHull := math.Inf(-1)
 	for i, t := range e.trees {
 		c, err := open(ctx, t)
 		if err != nil {
 			return nil, Stats{}, err
 		}
+		shards[i] = shardState{cur: c, peers: core.NoPeers()}
 		if n > 1 {
-			c.AsShard(i)
+			if err := c.AsShard(i); err != nil {
+				return nil, Stats{}, err
+			}
+			shards[i].parts = c.DenomParts()
+			maxHull = max(maxHull, shards[i].parts.LogHull)
 		}
-		shards[i] = shardState{cur: c, peerLow: math.Inf(-1)}
 	}
 	stats := func(rounds int) Stats {
 		per := make([]query.Stats, n)
@@ -424,50 +563,85 @@ func (e *Engine) coordinate(
 		return
 	}
 	// With peers, a traced query gets one merge_round span per round (the
-	// aggregated fan-out + merge work) over the cursors' own per-shard
-	// *_refine spans; alone, the cursor's span is the query's.
+	// aggregated fan-out + merge work) over the per-shard *_refine spans of
+	// the cursors resumed in it; alone, the cursor's span is the query's.
 	var tr *obs.Trace
 	if n > 1 {
 		tr = obs.TraceFrom(ctx)
 	}
 
 	budget := math.Inf(1)
-	refine := func(i int) error { return shards[i].cur.Refine(budget, shards[i].peerLow) }
 	var cands []core.Candidate
+	var resumed []int
+	var scratch []float64 // of mergeParts and peerLowOf
+	if n > 1 {
+		scratch = make([]float64, 3*n)
+	}
 	visited := int64(-1)
 	for rounds := 1; ; rounds++ {
+		resumed = resumed[:0]
+		for i := range shards {
+			sh := &shards[i]
+			switch {
+			case n == 1:
+			case rounds == 1:
+				if sh.parts.LogHull < maxHull-math.Ln2 {
+					continue
+				}
+			case sh.parts.LogHull <= budget && sh.settled:
+				continue
+			}
+			resumed = append(resumed, i)
+		}
 		roundSp := tr.Begin(work())
-		if err := fanOut(n, cancel, refine); err != nil {
+		rs, b := resumed, budget // for the closure to capture by value, not as two heap variables
+		err := fanOut(len(rs), cancel, func(j int) error {
+			sh := &shards[rs[j]]
+			return sh.cur.Refine(rounds, b, sh.peers)
+		})
+		if err != nil {
 			return nil, stats(rounds), err
 		}
 
-		exhausted, maxHull := true, math.Inf(-1)
+		exhausted := true
+		maxHull = math.Inf(-1)
 		for i := range shards {
 			sh := &shards[i]
 			sh.parts = sh.cur.DenomParts()
 			exhausted = exhausted && sh.cur.Exhausted()
 			maxHull = max(maxHull, sh.parts.LogHull)
 		}
-		merged := mergeParts(shards)
-		// Push each shard the certified mass of its peers, pruning the
-		// candidates that can no longer qualify globally.
+		merged := mergeParts(shards, scratch)
+		// Tell each shard the certified mass of its peers, pruning the
+		// candidates that can no longer qualify globally, and then what the
+		// candidates of all shards came to.
 		cands = cands[:0]
 		for i := range shards {
 			sh := &shards[i]
-			sh.peerLow = peerLowOf(shards, i)
-			cands = sh.cur.Candidates(cands, sh.peerLow)
+			sh.peers.LogLow = peerLowOf(shards, i, scratch)
+			cands = sh.cur.Candidates(cands, sh.peers.LogLow)
 		}
-		kept, decided, logDensity := decide(cands, merged)
+		v := decide(cands, merged)
+		settled := true
+		for i := range shards {
+			sh := &shards[i]
+			sh.peers.LogKth, sh.peers.LogMax = v.logKth, v.logDensity
+			sh.settled = sh.cur.Settled(sh.peers)
+			settled = settled && sh.settled
+		}
 		pages, nodes, scored := work()
 		tr.End(roundSp, "merge_round", -1, rounds, pages, nodes, scored)
-		// A round that expanded no node anywhere cannot tighten anything
-		// either — every queued subtree carries zero hull mass, the merged
-		// interval is as good as exhaustion would make it — and the still
-		// certified intervals are accepted rather than spun on.
-		if decided || exhausted || nodes == visited {
-			return core.Results(kept, merged), stats(rounds), nil
+		// Every shard settled, a round that expanded no node anywhere cannot
+		// tighten anything either — every queued subtree carries zero hull
+		// mass, the merged interval is as good as exhaustion would make it —
+		// and the still certified intervals are accepted rather than spun on.
+		if exhausted || (settled && (v.decided || nodes == visited)) {
+			return core.Results(v.kept, merged), stats(rounds), nil
 		}
 		visited = nodes
+		if v.decided {
+			continue // only unsettled shards have work left: no new budget
+		}
 		// Halve the worst shard's unexplored mass each round — a threshold
 		// decision may need arbitrarily tight intervals (the unsharded
 		// engine's exactness), and the geometric shrink reaches any
@@ -477,11 +651,12 @@ func (e *Engine) coordinate(
 		// bounds every width:
 		//	width(ld) = e^ld·(H−L)/(L·H) ≤ e^ld·Σⱼhullⱼ/(L·H) ≤ accuracy
 		// ⇔ Σⱼhullⱼ ≤ accuracy·L·H/e^ld,
-		// computed for the density decide named, split evenly across shards
-		// with a factor-2 safety margin. Take whichever is smaller.
+		// computed for the density decide named (if it named one), split
+		// evenly across shards with a factor-2 safety margin. Take whichever
+		// is smaller.
 		budget = maxHull - math.Ln2
-		if accuracy > 0 {
-			budget = min(budget, math.Log(accuracy)+merged.LogLow()+merged.LogHigh()-logDensity-math.Log(float64(2*n)))
+		if accuracy > 0 && !math.IsInf(v.logDensity, -1) {
+			budget = min(budget, math.Log(accuracy)+merged.LogLow()+merged.LogHigh()-v.logDensity-math.Log(float64(2*n)))
 		}
 	}
 }

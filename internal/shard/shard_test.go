@@ -207,82 +207,6 @@ func TestConformanceTIQ(t *testing.T) {
 	}
 }
 
-// TestShardedMutationsAndDelete: routed inserts and deletes behave like one
-// logical tree, and a Delete reads pages of the owning shard only.
-func TestShardedMutationsAndDelete(t *testing.T) {
-	rng := rand.New(rand.NewSource(37))
-	vs := clustered(rng, 200, 2, 3)
-	trees := make([]*core.Tree, 3)
-	for i := range trees {
-		trees[i] = newTree(t, 2, 1024)
-	}
-	e, err := New(trees, HashByID())
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range vs[:50] {
-		if err := e.Insert(v); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if _, err := e.InsertAll(vs[50:]); err != nil {
-		t.Fatal(err)
-	}
-	if e.Len() != len(vs) {
-		t.Fatalf("Len=%d, want %d", e.Len(), len(vs))
-	}
-	seen := map[uint64]bool{}
-	if err := e.ForEach(func(v pfv.Vector) error { seen[v.ID] = true; return nil }); err != nil {
-		t.Fatal(err)
-	}
-	if len(seen) != len(vs) {
-		t.Fatalf("ForEach saw %d distinct ids, want %d", len(seen), len(vs))
-	}
-	for _, v := range vs[:20] {
-		for _, tr := range trees {
-			tr.Manager().ResetStats()
-		}
-		found, err := e.Delete(v)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !found {
-			t.Fatalf("Delete(%d) did not find the vector", v.ID)
-		}
-		for i, tr := range trees {
-			owner := i == HashByID().Place(v, len(trees))
-			if read := tr.Manager().Stats().LogicalReads > 0; read != owner {
-				t.Fatalf("Delete(%d): shard %d read pages = %v, owns the id = %v", v.ID, i, read, owner)
-			}
-		}
-	}
-	if e.Len() != len(vs)-20 {
-		t.Fatalf("Len after deletes = %d, want %d", e.Len(), len(vs)-20)
-	}
-	if found, _ := e.Delete(vs[0]); found {
-		t.Fatal("double delete found a copy")
-	}
-}
-
-// TestPartitioners: placement is stable and spreads sequential ids.
-func TestPartitioners(t *testing.T) {
-	h := HashByID()
-	counts := make([]int, 4)
-	for i := 0; i < 4000; i++ {
-		v := pfv.Vector{ID: uint64(i)}
-		p := h.Place(v, 4)
-		if p != h.Place(v, 4) {
-			t.Fatal("hash placement not stable")
-		}
-		counts[p]++
-	}
-	for i, c := range counts {
-		if c < 600 || c > 1400 {
-			t.Errorf("hash-id shard %d holds %d of 4000 (badly skewed)", i, c)
-		}
-	}
-}
-
 // TestConcurrentFanOut hammers one sharded engine from many goroutines
 // (run under -race this exercises the per-shard goroutine fan-out, the
 // shared decoded page-cache entries and the atomic counters), with half the

@@ -9,8 +9,10 @@ import (
 )
 
 // TestTraceAttribution runs a traced sharded k-MLIQ and checks the spans
-// attribute pages, nodes and time to every shard and to the coordinator's
-// merge rounds, consistent with the per-shard statistics.
+// attribute pages, nodes and time to every shard the query resumed — at most
+// one kmliq_refine span per shard and round, none for a shard it skipped —
+// and to the coordinator's merge rounds, one span each, consistent with the
+// per-shard statistics.
 func TestTraceAttribution(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vs := clustered(rng, 900, 3, 5)
@@ -28,7 +30,8 @@ func TestTraceAttribution(t *testing.T) {
 
 	spans := tr.Spans()
 	perShard := map[int]int64{} // shard -> pages over all refine spans
-	rounds := map[int]bool{}
+	refines := map[[2]int]int{} // (shard, round) -> refine spans
+	rounds := map[int]int{}
 	var roundPages int64
 	for _, sp := range spans {
 		switch sp.Name {
@@ -36,21 +39,26 @@ func TestTraceAttribution(t *testing.T) {
 			if sp.Shard < 0 || sp.Shard >= e.NumShards() {
 				t.Errorf("refine span with bad shard: %+v", sp)
 			}
-			if sp.Round < 1 {
-				t.Errorf("refine span with bad round: %+v", sp)
+			if sp.Round < 1 || sp.Round > st.MergeRounds {
+				t.Errorf("refine span outside rounds [1,%d]: %+v", st.MergeRounds, sp)
 			}
 			perShard[sp.Shard] += sp.Pages
+			if refines[[2]int{sp.Shard, sp.Round}]++; refines[[2]int{sp.Shard, sp.Round}] > 1 {
+				t.Errorf("shard %d has two refine spans in round %d", sp.Shard, sp.Round)
+			}
 		case "merge_round":
 			if sp.Round < 1 || sp.Round > st.MergeRounds {
 				t.Errorf("merge_round span outside [1,%d]: %+v", st.MergeRounds, sp)
 			}
-			rounds[sp.Round] = true
+			if rounds[sp.Round]++; rounds[sp.Round] > 1 {
+				t.Errorf("two merge_round spans for round %d", sp.Round)
+			}
 			roundPages += sp.Pages
 		default:
 			t.Errorf("unexpected span name %q", sp.Name)
 		}
 	}
-	for i := 0; i < e.NumShards(); i++ {
+	for i := 0; i < e.NumShards(); i++ { // a skipped shard: no span, 0 pages
 		if perShard[i] != int64(st.PerShard[i].PageAccesses) {
 			t.Errorf("shard %d: spans attribute %d pages, stats say %d", i, perShard[i], st.PerShard[i].PageAccesses)
 		}

@@ -343,6 +343,9 @@ type StatsResponse struct {
 	Dim int `json:"dim"`
 	// Len is the number of stored vectors.
 	Len int `json:"len"`
+	// ShardVectors is Len shard by shard (one entry for a tree): the skew of
+	// a partition that follows the data.
+	ShardVectors []int `json:"shard_vectors"`
 	// LeafFormat names the on-page leaf encoding of the served index:
 	// "exact", "float32" or "grid8".
 	LeafFormat string `json:"leaf_format"`

@@ -2,9 +2,8 @@
 # Run the project's static-analysis gate: the stock `go vet` passes
 # (copylocks, lostcancel among them), then the gausslint vet tool built from
 # this checkout (epochorder, lockorder, poolreset, errwrap, ctxflow,
-# waldurable, obsregister — plus nilness and unusedwrite). They are two
-# commands because `go vet -vettool=X` runs X *instead of* the stock passes,
-# not beside them. CI's lint job runs this script; its test job runs the
+# waldurable, obsregister). They are two commands because
+# `go vet -vettool=X` runs X *instead of* the stock passes, not beside them. CI's lint job runs this script; its test job runs the
 # stock `go vet ./...` once more on its own.
 # Any finding exits non-zero. Suppressions require a
 # `//lint:ignore <analyzers> <reason>` directive; see internal/analysis/doc.go.

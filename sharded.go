@@ -28,10 +28,17 @@ type shardedManifest struct {
 
 const shardedManifestName = "shards.json"
 
-// shardedPartition is the one routing a manifest may name. An index built
-// with the retired round-robin policy cannot be continued: its Delete would
-// have to probe every shard.
-var shardedPartition = shard.HashByID().Name()
+// A manifest names how its shards were cut. New directories are cut by
+// parameter space (internal/shard): each shard is a subtree, and a query
+// skips those whose root box cannot matter. A hash-id directory, routed by a
+// hash of the object id until PR 22, opens with the same code: its root boxes
+// all span everything, so no query skips a shard and a Delete may probe them
+// all until the index is rebuilt (ForEach into a fresh NewSharded, BulkLoad);
+// inserts go by parameter space from now on. Round-robin stays refused.
+const (
+	partitionParamSpace = "param-space"
+	partitionHashID     = "hash-id"
+)
 
 // shardFiles is the sharded layout: shard i's page file and write-ahead
 // log inside dir; an empty dir is a memory-backed shard.
@@ -67,7 +74,7 @@ type Sharded struct {
 // of the given dimension. With Options.Path the index lives in a directory
 // holding one durable page file and WAL per shard plus a manifest; a
 // directory that already holds a sharded index is rejected (reattach with
-// OpenSharded). Mutations are routed by a hash of the object id.
+// OpenSharded). Mutations are routed by parameter space: see Insert.
 // Options.Ingest is rejected — merge-ingest mode is unsharded-only.
 func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 	o := resolveOptions(opts)
@@ -137,7 +144,7 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 		// its presence implies every shard file was created and committed,
 		// so a crash mid-create leaves only reclaimable debris (see above),
 		// never a torn index.
-		m, err := json.Marshal(shardedManifest{Version: 1, Shards: n, Partition: shardedPartition})
+		m, err := json.Marshal(shardedManifest{Version: 1, Shards: n, Partition: partitionParamSpace})
 		if err != nil {
 			return fail(err)
 		}
@@ -155,11 +162,12 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 
 // OpenSharded reattaches a sharded Gauss-tree previously persisted in dir:
 // the manifest restores the shard count, and each shard's page file restores
-// its own page size, σ-combiner and tree geometry. A manifest naming any
-// routing but hash-by-id is refused before a shard file is touched. Recovery is crash-safe per shard exactly as with Open: each
-// shard replays its own write-ahead-log tail over its last committed
-// checkpoint. Options may tune the cache budget and probability accuracy;
-// Options.Ingest is rejected as by NewSharded.
+// its own page size, σ-combiner and tree geometry. A manifest naming a
+// partition other than param-space or hash-id (see partitionParamSpace) is
+// refused before a shard file is touched. Recovery is crash-safe per shard
+// exactly as with Open: each shard replays its own write-ahead-log tail over
+// its last committed checkpoint. Options may tune the cache budget and
+// probability accuracy; Options.Ingest is rejected as by NewSharded.
 func OpenSharded(dir string, opts ...Options) (*Sharded, error) {
 	o := resolveOptions(opts)
 	o.Path = dir
@@ -181,8 +189,8 @@ func OpenSharded(dir string, opts ...Options) (*Sharded, error) {
 	if m.Shards <= 0 {
 		return nil, fmt.Errorf("gausstree: sharded manifest names %d shards", m.Shards)
 	}
-	if m.Partition != shardedPartition {
-		return nil, fmt.Errorf("gausstree: sharded manifest names partition policy %q, only %q is supported: rebuild the index by loading its vectors into a fresh NewSharded directory (the release that wrote it reads them out with ForEach)", m.Partition, shardedPartition)
+	if m.Partition != partitionParamSpace && m.Partition != partitionHashID {
+		return nil, fmt.Errorf("gausstree: sharded manifest names partition policy %q, only %q and %q are supported: rebuild the index by loading its vectors into a fresh NewSharded directory (the release that wrote it reads them out with ForEach)", m.Partition, partitionParamSpace, partitionHashID)
 	}
 
 	units := make([]unit, 0, m.Shards)

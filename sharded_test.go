@@ -2,6 +2,7 @@ package gausstree_test
 
 import (
 	"context"
+	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -174,9 +175,10 @@ func TestShardedOpenRejectsGarbage(t *testing.T) {
 }
 
 // TestShardedManifestBytesAndRetiredRouting pins the manifest of a 4-shard
-// index byte for byte, and checks that a manifest naming the retired
-// round-robin routing is refused with the rebuild advice before any shard
-// file is opened or changed.
+// index byte for byte — new directories name the partition by parameter
+// space — and checks that a manifest naming the retired round-robin routing
+// is refused with the rebuild advice before any shard file is opened or
+// changed.
 func TestShardedManifestBytesAndRetiredRouting(t *testing.T) {
 	dir := t.TempDir()
 	st, err := gausstree.NewSharded(2, 4, gausstree.Options{Path: dir, PageSize: 1024})
@@ -195,7 +197,7 @@ func TestShardedManifestBytesAndRetiredRouting(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := `{"Version":1,"Shards":4,"Partition":"hash-id"}`; string(intact) != want {
+	if want := `{"Version":1,"Shards":4,"Partition":"param-space"}`; string(intact) != want {
 		t.Fatalf("shards.json = %s, want %s", intact, want)
 	}
 
@@ -239,7 +241,86 @@ func TestShardedManifestBytesAndRetiredRouting(t *testing.T) {
 	}
 	defer re.Close()
 	if found, err := re.Delete(vs[3]); err != nil || !found {
-		t.Fatalf("delete on the reopened hash-id index: found=%v err=%v", found, err)
+		t.Fatalf("delete on the reopened index: found=%v err=%v", found, err)
+	}
+}
+
+// TestOpenShardedHashIDDirectory: a directory written while mutations were
+// routed by a hash of the object id — built here by hand, three trees at the
+// shard file names holding ids 0, 1, 2 mod 3, and a manifest naming hash-id —
+// opens with the same code. Every root box spans the whole set, so queries
+// read every shard and still answer as the one tree does; Delete finds a
+// vector on whichever shard holds it, inserts join by parameter space, and a
+// vector inserted after the reopen is found again.
+func TestOpenShardedHashIDDirectory(t *testing.T) {
+	const shards = 3
+	dir := t.TempDir()
+	vs := randomWorld(rand.New(rand.NewSource(31)), 240, 2)
+	for i := 0; i < shards; i++ {
+		tr, err := gausstree.New(2, gausstree.Options{Path: filepath.Join(dir, fmt.Sprintf("shard-%04d.gtree", i)), PageSize: 1024})
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, v := range vs {
+			if int(v.ID)%shards == i {
+				if err := tr.Insert(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		if err := tr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := os.WriteFile(filepath.Join(dir, "shards.json"), []byte(`{"Version":1,"Shards":3,"Partition":"hash-id"}`), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	sh, err := gausstree.OpenSharded(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer sh.Close()
+	one, err := gausstree.New(2, gausstree.Options{PageSize: 1024})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer one.Close()
+	if err := one.BulkLoad(vs); err != nil {
+		t.Fatal(err)
+	}
+	q := gausstree.MustVector(0, vs[7].Mean, vs[7].Sigma)
+	got, st, err := sh.KMLIQContext(context.Background(), q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	want, err := one.KMostLikely(q, 4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := range want {
+		if got[i].Vector.ID != want[i].Vector.ID || got[i].ProbLow > want[i].ProbHigh || want[i].ProbLow > got[i].ProbHigh {
+			t.Errorf("rank %d: id %d in [%v, %v], the one tree id %d in [%v, %v]", i, got[i].Vector.ID, got[i].ProbLow, got[i].ProbHigh, want[i].Vector.ID, want[i].ProbLow, want[i].ProbHigh)
+		}
+	}
+	for i, ps := range st.PerShard {
+		if ps.PageAccesses == 0 {
+			t.Errorf("shard %d of a hash-id index was skipped: its root box spans everything", i)
+		}
+	}
+	extra := gausstree.MustVector(9001, []float64{0.5, 0.5}, []float64{0.2, 0.2})
+	if err := sh.Insert(extra); err != nil {
+		t.Fatal(err)
+	}
+	for _, v := range append([]gausstree.Vector{extra}, vs...) {
+		if found, err := sh.Delete(v); err != nil || !found {
+			t.Fatalf("delete %d from the hash-id index: found=%v err=%v", v.ID, found, err)
+		}
+	}
+	if sh.Len() != 0 {
+		t.Fatalf("%d vectors left after deleting all", sh.Len())
+	}
+	if err := sh.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
