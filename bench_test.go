@@ -1,8 +1,8 @@
 // The CPU-kernel benchmarks of the cached read path — the bench-hot set that
 // scripts/bench-snapshot.sh records per revision: KMLIQHot, KMLIQHotQuantized,
 // TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ and AblationIntegral here,
-// ReadNodeHot, FirstTouch and ExpandInner in internal/core. Everything else
-// has one driver elsewhere: the paper's tables (Fig. 1/6/7, ablations A1, A2,
+// ReadNodeHot, FirstTouch, DecodeLeaf and ExpandInner in internal/core.
+// Everything else has one driver elsewhere: the paper's tables (Fig. 1/6/7, ablations A1, A2,
 // A4) are computed by internal/eval and printed by cmd/gaussbench; build,
 // reopen, throughput and latency numbers are rows of the benchmark of record
 // (./benchmark). Custom metric: pages/query is the paper's "page accesses",

@@ -71,11 +71,12 @@ func BoxOfColumns(c *pfv.Columns) ParamBox {
 		panic("core: BoxOfColumns of empty batch")
 	}
 	b := NewParamBox(c.Dim())
+	sgMin, sgMax := c.SigmaRange()
 	for i, col := range c.Mean {
 		for _, m := range col {
 			b.Mu[i] = b.Mu[i].Extend(m)
 		}
-		b.Sigma[i] = gaussian.Interval{Lo: c.SigmaMin[i], Hi: c.SigmaMax[i]}
+		b.Sigma[i] = gaussian.Interval{Lo: sgMin[i], Hi: sgMax[i]}
 	}
 	return b
 }

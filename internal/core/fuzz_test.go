@@ -15,7 +15,9 @@ import (
 // re-encoding is stable under a further decode/encode cycle. Corrupt pages
 // (truncated entries, unknown kinds, garbage floats) must never panic —
 // with per-page checksums a corrupt page should normally be caught below
-// this layer, but the decoder is the last line of defense.
+// this layer, but the decoder is the last line of defense. Every input is
+// also decoded through the portable word loop (decodePortable): a columnar
+// page must come out of both decoders bit-identical, and fail in both alike.
 func FuzzNodeCodec(f *testing.F) {
 	leaf := &node{leaf: true, vectors: []pfv.Vector{
 		pfv.MustNew(1, []float64{0.5, 1.5}, []float64{0.1, 0.2}),
@@ -50,8 +52,15 @@ func FuzzNodeCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, page []byte, dimRaw uint8) {
 		dim := int(dimRaw%6) + 1
 		n, err := decodeNode(0, page, dim)
+		portable, perr := decodePortable(0, page, dim)
+		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
+			t.Fatalf("block-copy decode: %v, portable decode: %v", err, perr)
+		}
 		if err != nil {
 			return // rejecting is fine; panicking is not
+		}
+		if n.kind == kindLeafCol || n.kind == kindSidecar {
+			sameColumns(t, n.cols, portable.cols)
 		}
 		if n.vectors != nil {
 			t.Fatal("decoded node carries row-major vectors")

@@ -270,10 +270,11 @@ func buildQuantLeaf(format LeafFormat, c *pfv.Columns, pageSize int) *quantLeaf 
 		q.grids = make([]quantGrid, dim)
 		q.cellMean = make([][]uint8, dim)
 		q.cellSigma = make([][]uint8, dim)
+		sgMin, sgMax := c.SigmaRange()
 		for i := 0; i < dim; i++ {
 			g := quantGrid{
 				muMin: slices.Min(c.Mean[i]), muMax: slices.Max(c.Mean[i]), // n > 0
-				sgMin: c.SigmaMin[i], sgMax: c.SigmaMax[i],
+				sgMin: sgMin[i], sgMax: sgMax[i],
 			}
 			q.grids[i] = g
 			cm := make([]uint8, n)
@@ -434,33 +435,26 @@ func encodeColumnarLeaf(c *pfv.Columns, kind byte, pageSize int) ([]byte, error)
 		return nil, fmt.Errorf("core: columnar leaf has %d entries, limit %d", n, maxNodeEntries)
 	}
 	size := colHeaderSize + n*8 + 2*dim*n*8
-	withNegLn := size+n*8 <= pageSize
-	if withNegLn {
-		size += n * 8
-	}
-	buf := make([]byte, 0, size)
 	var flags byte
-	if withNegLn {
-		flags |= flagNegLnSigma
+	if size+n*8 <= pageSize {
+		size, flags = size+n*8, flagNegLnSigma
 	}
-	buf = append(buf, kind, 0, 0, flags)
+	buf := append(make([]byte, 0, size), kind, 0, 0, flags)
 	binary.LittleEndian.PutUint16(buf[1:], uint16(n))
 	for _, id := range c.IDs {
 		buf = binary.LittleEndian.AppendUint64(buf, id)
 	}
-	buf = appendFloats(appendFloats(buf, c.Mean...), c.Sigma...)
-	if withNegLn {
+	buf = appendFloats(buf, c.Backing(false))
+	if flags != 0 {
 		buf = appendFloats(buf, c.NegLnSigma())
 	}
 	return buf, nil
 }
 
-// appendFloats appends the columns as consecutive little-endian float64 runs.
-func appendFloats(dst []byte, cols ...[]float64) []byte {
-	for _, col := range cols {
-		for _, x := range col {
-			dst = appendFloat(dst, x)
-		}
+// appendFloats appends xs as one little-endian float64 run.
+func appendFloats(dst []byte, xs []float64) []byte {
+	for _, x := range xs {
+		dst = appendFloat(dst, x)
 	}
 	return dst
 }
@@ -498,24 +492,13 @@ func encodeQuantLeaf(q *quantLeaf, dim int) ([]byte, error) {
 	for _, id := range q.ids {
 		buf = binary.LittleEndian.AppendUint64(buf, id)
 	}
-	if q.kind == kindLeafF32 {
-		for i := 0; i < dim; i++ {
-			for _, f := range q.f32Mean[i] {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
-			}
+	for _, col := range slices.Concat(q.f32Mean, q.f32Sigma) { // none on a grid leaf
+		for _, f := range col {
+			buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
 		}
-		for i := 0; i < dim; i++ {
-			for _, f := range q.f32Sigma[i] {
-				buf = binary.LittleEndian.AppendUint32(buf, math.Float32bits(f))
-			}
-		}
-	} else {
-		for i := 0; i < dim; i++ {
-			buf = append(buf, q.cellMean[i]...)
-		}
-		for i := 0; i < dim; i++ {
-			buf = append(buf, q.cellSigma[i]...)
-		}
+	}
+	for _, col := range slices.Concat(q.cellMean, q.cellSigma) { // none on a float32 leaf
+		buf = append(buf, col...)
 	}
 	return buf, nil
 }
@@ -588,11 +571,13 @@ func decodeRowLeaf(n *node, page []byte, dim, count int) error {
 		}
 		off += 8 * dim
 	}
-	c.Finish()
 	n.cols = c
 	return nil
 }
 
+// decodeColumnarLeaf is two block copies — the page stores ids and parameters
+// in the order and width pfv.Columns backs them — and derives nothing: the σ
+// extrema and any −ln∏σ terms the page had no room for wait for a reader.
 func decodeColumnarLeaf(n *node, page []byte, dim, count int) error {
 	if len(page) < colHeaderSize {
 		return fmt.Errorf("core: page %d: truncated columnar header", n.id)
@@ -605,33 +590,9 @@ func decodeColumnarLeaf(n *node, page []byte, dim, count int) error {
 	if len(page) < need {
 		return fmt.Errorf("core: page %d: columnar leaf truncated (%d bytes, need %d)", n.id, len(page), need)
 	}
-	c := pfv.NewColumns(dim, count)
-	off := colHeaderSize
-	for j := range c.IDs {
-		c.IDs[j] = binary.LittleEndian.Uint64(page[off:])
-		off += 8
-	}
-	off = readFloats(page, readFloats(page, off, c.Mean...), c.Sigma...)
-	if flags&flagNegLnSigma != 0 {
-		// Without the flag the page had no room for the terms; the columns
-		// compute them on first use, bit-identical to stored ones.
-		readFloats(page, off, c.LoadNegLnSigma())
-	}
-	c.Finish()
-	n.cols = c
+	n.cols = pfv.NewColumns(dim, count)
+	loadLE64(n.cols.IDs, n.cols.Backing(flags&flagNegLnSigma != 0), page[colHeaderSize:need])
 	return nil
-}
-
-// readFloats fills the columns from consecutive little-endian float64 runs of
-// page starting at off and returns the offset behind them.
-func readFloats(page []byte, off int, cols ...[]float64) int {
-	for _, col := range cols {
-		for j := range col {
-			col[j] = readFloat(page[off:])
-			off += 8
-		}
-	}
-	return off
 }
 
 func decodeQuantLeaf(n *node, page []byte, dim, count int) error {
@@ -662,39 +623,26 @@ func decodeQuantLeaf(n *node, page []byte, dim, count int) error {
 			off += gridParamSize
 		}
 	}
-	for j := 0; j < count; j++ {
-		q.ids[j] = binary.LittleEndian.Uint64(page[off:])
-		off += 8
-	}
+	loadLE64(q.ids, nil, page[off:])
+	off += 8 * count
 	if q.kind == kindLeafF32 {
-		q.f32Mean = make([][]float32, dim)
-		q.f32Sigma = make([][]float32, dim)
-		for i := 0; i < dim; i++ {
-			col := make([]float32, count)
-			for j := 0; j < count; j++ {
-				col[j] = math.Float32frombits(binary.LittleEndian.Uint32(page[off:]))
-				off += 4
+		q.f32Mean, q.f32Sigma = make([][]float32, dim), make([][]float32, dim)
+		for _, cols := range [2][][]float32{q.f32Mean, q.f32Sigma} {
+			for i := range cols {
+				cols[i] = make([]float32, count)
+				for j := range cols[i] {
+					cols[i][j] = math.Float32frombits(binary.LittleEndian.Uint32(page[off:]))
+					off += 4
+				}
 			}
-			q.f32Mean[i] = col
-		}
-		for i := 0; i < dim; i++ {
-			col := make([]float32, count)
-			for j := 0; j < count; j++ {
-				col[j] = math.Float32frombits(binary.LittleEndian.Uint32(page[off:]))
-				off += 4
-			}
-			q.f32Sigma[i] = col
 		}
 	} else {
-		q.cellMean = make([][]uint8, dim)
-		q.cellSigma = make([][]uint8, dim)
-		for i := 0; i < dim; i++ {
-			q.cellMean[i] = append([]uint8(nil), page[off:off+count]...)
-			off += count
-		}
-		for i := 0; i < dim; i++ {
-			q.cellSigma[i] = append([]uint8(nil), page[off:off+count]...)
-			off += count
+		q.cellMean, q.cellSigma = make([][]uint8, dim), make([][]uint8, dim)
+		for _, cols := range [2][][]uint8{q.cellMean, q.cellSigma} {
+			for i := range cols {
+				cols[i] = append([]uint8(nil), page[off:off+count]...)
+				off += count
+			}
 		}
 	}
 	q.deriveIntervals(dim)

@@ -92,15 +92,15 @@ func TestNodeCodecFixedPoint(t *testing.T) {
 }
 
 // TestDecodeAllocations bounds the allocations of one decode independent of
-// the entry count: a columnar leaf is its node, the columns, the ids, the
-// column headers and one backing array; an inner node is the node, the
-// entries and one backing array for all the box columns.
+// the entry count: a columnar leaf is its node, the columns (their headers
+// inline at this dimension), the ids and one backing array; an inner node is
+// the node, the entries and one backing array for all the box columns.
 func TestDecodeAllocations(t *testing.T) {
 	const dim = 10
 	full := (pagefile.DefaultPageSize - colHeaderSize) / leafEntrySize(dim)
 	for _, count := range []int{3, full} {
 		nodes := codecNodes(t, dim, count)
-		for name, limit := range map[string]float64{"columnar": 5, "sidecar": 5, "row": 5, "inner": 3} {
+		for name, limit := range map[string]float64{"columnar": 4, "sidecar": 4, "row": 4, "inner": 3} {
 			page := mustEncode(t, nodes[name], dim)
 			allocs := testing.AllocsPerRun(50, func() {
 				if _, err := decodeNode(1, page, dim); err != nil {

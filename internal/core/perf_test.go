@@ -72,14 +72,14 @@ func BenchmarkReadNodeHot(b *testing.B) {
 
 // BenchmarkFirstTouch measures the other end of the read path: after
 // DropCache, one pass over every leaf of a file-backed DS2 tree, so each
-// read is a backend read, a CRC check and one decode. ns/page and
-// allocs/page are per leaf touched.
+// read is a backend read, a CRC check and one decode (two block copies).
+// ns/page, allocs/page and B/page are per leaf touched.
 func BenchmarkFirstTouch(b *testing.B) {
 	tr := fileDS2Tree(b, 20000, 1024) // the cache holds the whole tree
 	leaves := leafPages(b, tr)
 	var counter pagefile.Counter
 	var elapsed time.Duration
-	var mallocs uint64
+	var mallocs, bytes uint64
 	var before, after runtime.MemStats
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -94,6 +94,7 @@ func BenchmarkFirstTouch(b *testing.B) {
 		elapsed += time.Since(start)
 		runtime.ReadMemStats(&after)
 		mallocs += after.Mallocs - before.Mallocs
+		bytes += after.TotalAlloc - before.TotalAlloc
 	}
 	if got := counter.PhysicalReads(); got != uint64(b.N*len(leaves)) {
 		b.Fatalf("%d physical reads for %d first touches", got, b.N*len(leaves))
@@ -101,6 +102,30 @@ func BenchmarkFirstTouch(b *testing.B) {
 	pages := float64(b.N * len(leaves))
 	b.ReportMetric(float64(elapsed.Nanoseconds())/pages, "ns/page")
 	b.ReportMetric(float64(mallocs)/pages, "allocs/page")
+	b.ReportMetric(float64(bytes)/pages, "B/page")
+}
+
+// BenchmarkDecodeLeaf is the decode slice of a first touch alone: page bytes
+// to *node for a full DS2 leaf (48 × 10) and a half-full one. Run with
+// -benchmem: B/op is what a cache miss adds to the heap.
+func BenchmarkDecodeLeaf(b *testing.B) {
+	const dim = 10
+	full := (pagefile.DefaultPageSize - colHeaderSize) / leafEntrySize(dim)
+	for _, bc := range []struct {
+		name  string
+		count int
+	}{{"full", full}, {"half", full / 2}} {
+		b.Run(bc.name, func(b *testing.B) {
+			page := mustEncode(b, codecNodes(b, dim, bc.count)["columnar"], dim)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := decodeNode(1, page, dim); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
 }
 
 // innerNodes returns every inner node of the tree, root first.

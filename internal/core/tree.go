@@ -296,7 +296,8 @@ func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
 // also keeps the cache's recency accurate. A page's cache entry holds the
 // decoded node in place of its bytes, so the hot path is one cache-shard
 // lock with no copy, decode or allocation; a first touch is backend read,
-// CRC verify, one decode. The node is shared with every reader: immutable.
+// CRC verify and a decode — for a leaf two block copies, what it derives
+// waits for a reader. The node is shared with every reader: immutable.
 //
 // Why the node cached after a miss cannot be stale (ReadDecoded inserts it
 // once ioMu is released): every caller holds either an epoch pin taken

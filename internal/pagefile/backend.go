@@ -31,9 +31,7 @@ func (b *MemBackend) ReadPage(id PageID, buf []byte) error {
 	}
 	if int(id) >= len(b.pages) || b.pages[id] == nil {
 		// Reading a never-written page yields zeroes, like a sparse file.
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		return nil
 	}
 	copy(buf, b.pages[id])
@@ -103,8 +101,8 @@ type FileBackend struct {
 	pages    int // data pages present
 	meta     []byte
 	metaSeq  uint64
-	// slot is ReadPage's slot buffer, reused across reads (backend calls are
-	// serialized by contract).
+	// slot is the slot image ReadPage reads into and WritePage seals into,
+	// reused across calls (backend calls are serialized by contract).
 	slot []byte
 }
 
@@ -178,10 +176,7 @@ func CreateFile(path string, pageSize int) (*FileBackend, error) {
 func zeroFilled(f *os.File, size int64) (bool, error) {
 	buf := make([]byte, 64<<10)
 	for off := int64(0); off < size; {
-		n := int64(len(buf))
-		if size-off < n {
-			n = size - off
-		}
+		n := min(int64(len(buf)), size-off)
 		if _, err := io.ReadFull(io.NewSectionReader(f, off, n), buf[:n]); err != nil {
 			return false, err
 		}
@@ -258,9 +253,7 @@ func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
 		return ErrClosed
 	}
 	if int(id) >= b.pages {
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		return nil
 	}
 	if _, err := b.f.ReadAt(b.slot, b.slotOffset(id)); err != nil {
@@ -282,7 +275,7 @@ func (b *FileBackend) WritePage(id PageID, data []byte) error {
 	if len(data) != b.pageSize {
 		return fmt.Errorf("pagefile: file write of %d bytes, want page size %d", len(data), b.pageSize)
 	}
-	if _, err := b.f.WriteAt(sealPage(data), b.slotOffset(id)); err != nil {
+	if _, err := b.f.WriteAt(sealPage(b.slot, data), b.slotOffset(id)); err != nil {
 		return err
 	}
 	if int(id) >= b.pages {

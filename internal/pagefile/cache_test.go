@@ -2,6 +2,7 @@ package pagefile
 
 import (
 	"bytes"
+	"errors"
 	"fmt"
 	"math/rand"
 	"sync"
@@ -352,5 +353,74 @@ func TestShardedCacheConcurrentHammer(t *testing.T) {
 	s := m.Stats()
 	if s.LogicalReads != s.CacheHits+s.PhysicalReads {
 		t.Errorf("hit accounting drifted: logical=%d hits=%d physical=%d", s.LogicalReads, s.CacheHits, s.PhysicalReads)
+	}
+}
+
+// failingReads fails every ReadPage while fail is set.
+type failingReads struct {
+	Backend
+	fail bool
+}
+
+var errReadFault = errors.New("injected read fault")
+
+func (b *failingReads) ReadPage(id PageID, buf []byte) error {
+	if b.fail {
+		return errReadFault
+	}
+	return b.Backend.ReadPage(id, buf)
+}
+
+// TestReadDecodedKeepsNoBufferOnError: a first touch whose backend read or
+// whose decode fails hands its pooled page buffer back like a successful one,
+// and a WriteDecoded image passes through the same pool, so a fault storm
+// allocates no page buffers. One caller needs one buffer; the bounds are
+// loose only because a race build's sync.Pool drops a quarter of all Puts at
+// random (and a GC may empty the pool) — the old error paths allocated once
+// per failure, 2·faults here, twice what the bound allows.
+func TestReadDecodedKeepsNoBufferOnError(t *testing.T) {
+	be := &failingReads{Backend: NewMemBackend(64)}
+	m, err := NewManager(be, 64)
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := m.Allocate()
+	if err := m.Write(id, []byte("payload")); err != nil {
+		t.Fatal(err)
+	}
+	m.DropCache()
+	news, fresh := 0, m.pageBufs.New
+	m.pageBufs.New = func() any { news++; return fresh() }
+	errDecode := errors.New("injected decode fault")
+	failingDecode := func(PageID, []byte) (any, error) { return nil, errDecode }
+	const faults = 200
+	be.fail = true
+	for i := 0; i < faults; i++ {
+		if _, err := m.ReadDecoded(id, nil, failingDecode); !errors.Is(err, errReadFault) {
+			t.Fatalf("read %d: error %v, want the read fault", i, err)
+		}
+	}
+	be.fail = false
+	for i := 0; i < faults; i++ {
+		if _, err := m.ReadDecoded(id, nil, failingDecode); !errors.Is(err, errDecode) {
+			t.Fatalf("read %d: error %v, want the decode fault", i, err)
+		}
+	}
+	if news > faults {
+		t.Errorf("%d page buffers allocated over %d failed first touches by one reader", news, 2*faults)
+	}
+	news = 0
+	for i := 0; i < faults; i++ {
+		if err := m.WriteDecoded(id, []byte("payload"), &decodedPage{"payload"}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if news > faults/2 {
+		t.Errorf("%d page buffers allocated over %d decoded writes by one writer", news, faults)
+	}
+	decodes := 0
+	m.DropCache()
+	if got := mustDecoded(t, m, id, countingDecode(&decodes)).text; got != "payload" {
+		t.Errorf("after the faults the page decodes to %q", got)
 	}
 }

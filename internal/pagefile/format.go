@@ -140,12 +140,12 @@ func metaSlotFor(seq uint64) int {
 	return metaSlotB
 }
 
-// sealPage renders a data page into a slot image with its CRC trailer.
-func sealPage(data []byte) []byte {
-	buf := make([]byte, len(data)+pageTrailerLen)
-	copy(buf, data)
-	binary.LittleEndian.PutUint32(buf[len(data):], crc32.Checksum(data, castagnoli))
-	return buf
+// sealPage renders a data page into slot, a slot image: the data, its CRC
+// and the reserved zero bytes.
+func sealPage(slot, data []byte) []byte {
+	n := copy(slot, data)
+	binary.LittleEndian.PutUint64(slot[n:], uint64(crc32.Checksum(data, castagnoli)))
+	return slot
 }
 
 // verifyPage checks a slot image's CRC trailer and returns the page data.

@@ -5,15 +5,17 @@
 //
 // A Manager mediates access to fixed-size pages held by a Backend (in-memory
 // for tests and benchmarks, an ordinary file for persistence) through a
-// sharded LRU buffer cache with a configurable byte budget — the paper uses
-// a 50 MB cache that is cold-started before each experiment. A cache entry
-// holds a page's bytes or, for a client that decodes its pages (ReadDecoded,
-// WriteDecoded — the Gauss-tree), the decoded value in their place: one
-// cached form per page, under the one budget. The Manager counts logical
-// page accesses, cache hits, physical reads, writes and disk seeks
-// (non-contiguous physical reads), and converts them into an estimated I/O
-// time under a classical seek+transfer disk cost model, which is how the
-// paper's "overall time" metric is reproduced without 2006 disk hardware.
+// sharded LRU buffer cache with a configurable byte budget — the paper uses a
+// 50 MB cache that is cold-started before each experiment. A cache entry holds
+// a page's bytes or, for a client that decodes its pages (ReadDecoded,
+// WriteDecoded — the Gauss-tree), the decoded value in their place: one cached
+// form per page, under the one budget, decoded from (and written out of) a
+// reused buffer that never enters the cache and is handed back on every path,
+// errors included. The Manager counts logical page accesses, cache hits,
+// physical reads, writes and disk seeks (non-contiguous physical reads), and
+// converts them into an estimated I/O time under a classical seek+transfer
+// disk cost model, which is how the paper's "overall time" metric is
+// reproduced without 2006 disk hardware.
 //
 // The Manager is safe for concurrent use and its hot path is built for it:
 // the buffer cache is sharded by page id with one short-held lock per shard
@@ -149,7 +151,7 @@ func (cm CostModel) IOTime(s Stats) time.Duration {
 type Backend interface {
 	// ReadPage fills buf (exactly one page) with the page's content.
 	ReadPage(id PageID, buf []byte) error
-	// WritePage persists one page of data.
+	// WritePage persists one page of data, which it must not retain.
 	WritePage(id PageID, data []byte) error
 	// NumPages returns the number of pages ever allocated.
 	NumPages() int
@@ -181,7 +183,8 @@ type Manager struct {
 	capacity  int // cache capacity in pages; 0 disables caching
 	cache     pageCache
 	costModel CostModel
-	// pageBufs recycles the pass-through page buffers of ReadDecoded misses.
+	// pageBufs recycles the pass-through page buffers of ReadDecoded misses
+	// and WriteDecoded images.
 	pageBufs sync.Pool
 
 	closed atomic.Bool
@@ -513,24 +516,23 @@ func (m *Manager) ReadDecoded(id PageID, c *Counter, decode DecodeFunc) (any, er
 	m.chargeLogical(c)
 	data, decoded, ok := m.cache.get(id)
 	var buf *[]byte
+	var err error
 	if ok {
 		m.chargeHit(c)
 	} else {
 		buf = m.pageBufs.Get().(*[]byte)
-		var err error
-		if data, decoded, err = m.readMiss(id, c, *buf, false); err != nil {
-			return nil, err
-		}
+		data, decoded, err = m.readMiss(id, c, *buf, false)
 	}
-	if decoded == nil {
-		var err error
-		if decoded, err = decode(id, data); err != nil {
-			return nil, err
+	if err == nil && decoded == nil {
+		if decoded, err = decode(id, data); err == nil {
+			m.cache.insert(id, nil, decoded)
 		}
-		m.cache.insert(id, nil, decoded)
 	}
 	if buf != nil {
-		m.pageBufs.Put(buf)
+		m.pageBufs.Put(buf) // on every path: a failed read or decode keeps no buffer
+	}
+	if err != nil {
+		return nil, err
 	}
 	return decoded, nil
 }
@@ -618,16 +620,22 @@ func (m *Manager) WriteDecoded(id PageID, data []byte, decoded any) error {
 	if len(data) > m.pageSize {
 		return fmt.Errorf("pagefile: page overflow: %d bytes > page size %d", len(data), m.pageSize)
 	}
-	page := make([]byte, m.pageSize)
-	copy(page, data)
-	if err := m.backend.WritePage(id, page); err != nil {
+	// The zero-padded image passes through a pooled buffer unless the cache
+	// takes the bytes: that image it owns, so it is freshly allocated.
+	buf := m.pageBufs.Get().(*[]byte)
+	page, kept := *buf, []byte(nil)
+	if decoded == nil {
+		kept = make([]byte, m.pageSize)
+		page = kept
+	}
+	clear(page[copy(page, data):])
+	err := m.backend.WritePage(id, page)
+	m.pageBufs.Put(buf)
+	if err != nil {
 		return err
 	}
 	m.writes.Add(1)
-	if decoded != nil {
-		page = nil
-	}
-	m.cache.insert(id, page, decoded)
+	m.cache.insert(id, kept, decoded)
 	return nil
 }
 

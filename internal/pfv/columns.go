@@ -12,54 +12,66 @@ import (
 // object ids plus one contiguous float64 slice per dimension for means and
 // sigmas, so batch density evaluation runs tight per-dimension loops over
 // adjacent memory instead of hopping between per-vector slices. All float64
-// columns of a batch are carved from one backing array.
+// columns of a batch are carved from one backing array, in the order a
+// columnar page stores them, so a decoder fills them with one copy (Backing).
 //
-// Alongside the raw parameters, Columns carries two derived families the hot
-// query path uses:
+// Alongside the raw parameters, Columns carries two derived families. Only
+// the ranked screening path, the writer and the quantizer read them — a
+// refined query never does — so each is computed by its first reader (safe
+// on a shared batch) into slots the backing array already has:
 //
 //   - NegLnSigma()[j] = −ln ∏ᵢ σᵢⱼ, the σ-product term of the Definition-1
 //     density; it upper-bounds the −ln ∏ᵢ(σᵢⱼ⊕σq,ᵢ) term of any joint
 //     density (combining with a query uncertainty only grows every factor,
 //     and both the running product and math.Log are monotone, so the
 //     domination survives floating-point rounding), making it a per-vector
-//     screening ingredient that costs no logarithm at query time. Only the
-//     ranked screening path reads it, so it is computed on first use — or
-//     loaded by a decoder whose page stores it (LoadNegLnSigma).
-//   - SigmaMin/SigmaMax[i], the per-dimension σ extrema of the batch, from
-//     which a traversal derives batch-wide combined-σ bounds with d
-//     logarithms per leaf instead of d per vector.
+//     screening ingredient that costs no logarithm at query time. A decoder
+//     whose page stores the terms loads them instead (Backing).
+//   - SigmaRange(), the per-dimension σ extrema of the batch, from which a
+//     traversal derives batch-wide combined-σ bounds with d logarithms per
+//     leaf instead of d per vector.
 //
 // Columns are immutable once built (they back shared page-cache entries) and
-// must not be copied; build them with ColumnsOf or NewColumns + Finish.
+// must not be copied; build them with ColumnsOf, or NewColumns and fill.
 type Columns struct {
 	IDs []uint64
 	// Mean[i][j] and Sigma[i][j] hold μᵢ and σᵢ of vector j (dimension-major).
 	Mean  [][]float64
 	Sigma [][]float64
-	// SigmaMin[i] and SigmaMax[i] are the extrema of Sigma[i][·]; for an
-	// empty batch they are +Inf/−Inf respectively.
-	SigmaMin, SigmaMax []float64
 
-	// params is the backing array of the columns: Mean[i][j] is
-	// params[i·Len()+j] and Sigma[i][j] is params[(Dim()+i)·Len()+j].
-	params []float64
-	// negLnSigma is valid once negLnOnce has run; see NegLnSigma.
-	negLnSigma []float64
-	negLnOnce  sync.Once
+	// params is the backing array: Mean[i][j] is params[i·Len()+j], Sigma[i][j]
+	// is params[(Dim()+i)·Len()+j]; behind them the Len() NegLnSigma terms,
+	// valid once negLnOnce has run, then Dim() σ minima and Dim() σ maxima,
+	// valid once rangeOnce has run.
+	params               []float64
+	negLnOnce, rangeOnce sync.Once
+}
+
+// inlineHeads column headers share the batch's own allocation: up to 10
+// dimensions (the paper's DS2) cost no header object.
+const inlineHeads = 20
+
+type inlineColumns struct {
+	Columns
+	heads [inlineHeads][]float64
 }
 
 // NewColumns returns a batch of n vectors of the given dimensionality with
-// zero ids and parameters, for the caller to fill in place and seal with
-// Finish.
+// zero ids and parameters, for the caller to fill in place before sharing it.
 func NewColumns(dim, n int) *Columns {
-	cols := make([][]float64, 2*dim)
-	backing := make([]float64, (2*dim+1)*n+2*dim)
-	c := &Columns{IDs: make([]uint64, n), Mean: cols[:dim:dim], Sigma: cols[dim:], params: backing[:2*dim*n]}
-	for i := range cols {
-		cols[i], backing = backing[:n:n], backing[n:]
+	var c *Columns
+	var cols [][]float64
+	if 2*dim <= inlineHeads {
+		in := new(inlineColumns)
+		c, cols = &in.Columns, in.heads[:2*dim]
+	} else {
+		c, cols = new(Columns), make([][]float64, 2*dim)
 	}
-	c.negLnSigma, backing = backing[:n:n], backing[n:]
-	c.SigmaMin, c.SigmaMax = backing[:dim:dim], backing[dim:]
+	c.IDs, c.params = make([]uint64, n), make([]float64, (2*dim+1)*n+2*dim)
+	c.Mean, c.Sigma = cols[:dim:dim], cols[dim:]
+	for i := range cols {
+		cols[i] = c.params[i*n : (i+1)*n : (i+1)*n]
+	}
 	return c
 }
 
@@ -74,24 +86,37 @@ func ColumnsOf(vs []Vector, dim int) *Columns {
 			c.Sigma[i][j] = v.Sigma[i]
 		}
 	}
-	c.Finish()
 	return c
 }
 
-// Finish seals a filled batch by computing the per-dimension σ extrema.
-func (c *Columns) Finish() {
-	for i, si := range c.Sigma {
-		lo, hi := math.Inf(1), math.Inf(-1)
-		for _, s := range si {
-			if s < lo {
-				lo = s
-			}
-			if s > hi {
-				hi = s
+// Backing returns the batch's parameters as the one run a columnar page
+// stores: the Mean columns, the Sigma columns and, when withNegLn, the
+// NegLnSigma terms — which this marks present, so NegLnSigma never computes
+// them. For decoders to fill, before the batch is shared.
+func (c *Columns) Backing(withNegLn bool) []float64 {
+	end := 2 * c.Dim() * c.Len()
+	if withNegLn {
+		c.negLnOnce.Do(func() {})
+		end += c.Len()
+	}
+	return c.params[:end]
+}
+
+// SigmaRange returns the per-dimension σ extrema of the batch, lo[i] and
+// hi[i] over Sigma[i][·] (+Inf and −Inf for an empty batch), computing them
+// on first use (safe for concurrent readers of a shared batch).
+func (c *Columns) SigmaRange() (lo, hi []float64) {
+	dim := c.Dim()
+	lo, hi = c.params[len(c.params)-2*dim:len(c.params)-dim], c.params[len(c.params)-dim:]
+	c.rangeOnce.Do(func() {
+		for i, si := range c.Sigma {
+			lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+			for _, s := range si {
+				lo[i], hi[i] = min(lo[i], s), max(hi[i], s)
 			}
 		}
-		c.SigmaMin[i], c.SigmaMax[i] = lo, hi
-	}
+	})
+	return lo, hi
 }
 
 // NegLnSigma returns the per-vector terms −ln ∏ᵢ Sigma[i][j], computing them
@@ -102,38 +127,29 @@ func (c *Columns) Finish() {
 // bit-identical. Vectors whose σ product leaves the float64 range fall back
 // to the per-dimension log sum.
 func (c *Columns) NegLnSigma() []float64 {
-	c.negLnOnce.Do(c.computeNegLnSigma)
-	return c.negLnSigma
-}
-
-func (c *Columns) computeNegLnSigma() {
-	prod := c.negLnSigma // doubles as the σ-product accumulator
-	for j := range prod {
-		prod[j] = 1
-	}
-	for _, si := range c.Sigma {
-		for j, s := range si {
-			prod[j] *= s
+	n := c.Len()
+	prod := c.params[2*c.Dim()*n:][:n:n] // doubles as the σ-product accumulator
+	c.negLnOnce.Do(func() {
+		for j := range prod {
+			prod[j] = 1
 		}
-	}
-	for j := range prod {
-		ln := math.Log(prod[j])
-		if math.IsInf(ln, 0) {
-			ln = 0
-			for i := range c.Sigma {
-				ln += math.Log(c.Sigma[i][j])
+		for _, si := range c.Sigma {
+			for j, s := range si {
+				prod[j] *= s
 			}
 		}
-		prod[j] = -ln
-	}
-}
-
-// LoadNegLnSigma returns the Len()-long destination for terms a page stores,
-// and marks them present so NegLnSigma never computes them. For decoders,
-// before the batch is shared.
-func (c *Columns) LoadNegLnSigma() []float64 {
-	c.negLnOnce.Do(func() {})
-	return c.negLnSigma
+		for j := range prod {
+			ln := math.Log(prod[j])
+			if math.IsInf(ln, 0) {
+				ln = 0
+				for i := range c.Sigma {
+					ln += math.Log(c.Sigma[i][j])
+				}
+			}
+			prod[j] = -ln
+		}
+	})
+	return prod
 }
 
 // Len returns the number of vectors in the batch.
@@ -278,8 +294,8 @@ func (e *JointEvaluator) ScoreColumns(c *Columns, out []float64) {
 // monotone, so the precomputed NegLnSigma dominates the σ-product term even
 // under rounding) and the batch σ extrema σ̌ᵢ/σ̂ᵢ for the remaining terms.
 // The bound costs one logarithm and d divisions per batch plus two
-// multiplications per vector-dimension (plus, once per batch lifetime, the
-// NegLnSigma terms of a batch that did not come with them), and lets a
+// multiplications per vector-dimension (plus, once per batch lifetime, the σ
+// extrema and the NegLnSigma terms a batch did not come with), and lets a
 // ranked traversal skip the exact scoring of every vector that provably
 // cannot enter the current top-k.
 //
@@ -293,15 +309,16 @@ func (e *JointEvaluator) UpperBoundColumns(c *Columns, scratch, out []float64) {
 	}
 	conv := e.comb == gaussian.CombineConvolution
 	invS2 := scratch[:dim]
+	sigmaMin, sigmaMax := c.SigmaRange()
 	prodLo := 1.0 // ∏ᵢ(σ̌ᵢ⊕σq,ᵢ)
 	for i := 0; i < dim; i++ {
 		var sLo, sHi float64
 		if conv {
-			sLo = math.Hypot(c.SigmaMin[i], qs[i])
-			sHi = math.Hypot(c.SigmaMax[i], qs[i])
+			sLo = math.Hypot(sigmaMin[i], qs[i])
+			sHi = math.Hypot(sigmaMax[i], qs[i])
 		} else {
-			sLo = c.SigmaMin[i] + qs[i]
-			sHi = c.SigmaMax[i] + qs[i]
+			sLo = sigmaMin[i] + qs[i]
+			sHi = sigmaMax[i] + qs[i]
 		}
 		prodLo *= sLo
 		invS2[i] = 1 / (sHi * sHi)
@@ -311,9 +328,9 @@ func (e *JointEvaluator) UpperBoundColumns(c *Columns, scratch, out []float64) {
 		lnFloor = 0
 		for i := 0; i < dim; i++ {
 			if conv {
-				lnFloor += math.Log(math.Hypot(c.SigmaMin[i], qs[i]))
+				lnFloor += math.Log(math.Hypot(sigmaMin[i], qs[i]))
 			} else {
-				lnFloor += math.Log(c.SigmaMin[i] + qs[i])
+				lnFloor += math.Log(sigmaMin[i] + qs[i])
 			}
 		}
 	}

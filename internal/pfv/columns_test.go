@@ -3,6 +3,7 @@ package pfv
 import (
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -157,6 +158,78 @@ func TestLogDensityAtBitIdentical(t *testing.T) {
 			got, want := e.LogDensityAt(cols, j), e.LogDensity(v)
 			if math.Float64bits(got) != math.Float64bits(want) || !v.Equal(cols.Vector(j)) {
 				t.Fatalf("%v vector %d: LogDensityAt %v, LogDensity %v", comb, j, got, want)
+			}
+		}
+	}
+}
+
+// TestDerivedColumnsOnFirstUse: the σ extrema and the NegLnSigma terms are
+// derived by their first reader, not by the builder. Eight goroutines race
+// that first use on one shared batch (the shape of a cached leaf under
+// concurrent ranked queries; run with -race) and every one must read what an
+// eager pass over the columns computes, bit for bit — at a dimension whose
+// column headers share the batch's allocation and at one where they do not,
+// for an empty batch too.
+func TestDerivedColumnsOnFirstUse(t *testing.T) {
+	rng := rand.New(rand.NewSource(66))
+	for _, dim := range []int{1, inlineHeads / 2, inlineHeads/2 + 1, 27} {
+		for _, n := range []int{0, 1, 48} {
+			vs := randColBatch(rng, n, dim)
+			if n > 1 {
+				for i := range vs[0].Sigma {
+					vs[0].Sigma[i], vs[1].Sigma[i] = 1e200, 1e-200 // σ products out of range
+				}
+			}
+			cols := ColumnsOf(vs, dim)
+			wantLo, wantHi, wantNegLn := make([]float64, dim), make([]float64, dim), make([]float64, n)
+			for i := 0; i < dim; i++ {
+				wantLo[i], wantHi[i] = math.Inf(1), math.Inf(-1)
+				for _, v := range vs {
+					wantLo[i], wantHi[i] = math.Min(wantLo[i], v.Sigma[i]), math.Max(wantHi[i], v.Sigma[i])
+				}
+			}
+			for j, v := range vs {
+				prod, sum := 1.0, 0.0
+				for _, s := range v.Sigma {
+					prod *= s
+					sum += math.Log(s)
+				}
+				if wantNegLn[j] = -math.Log(prod); math.IsInf(wantNegLn[j], 0) {
+					wantNegLn[j] = -sum
+				}
+			}
+			var wg sync.WaitGroup
+			for g := 0; g < 8; g++ {
+				wg.Add(1)
+				go func(rangeFirst bool) {
+					defer wg.Done()
+					var lo, hi, negLn []float64
+					if rangeFirst {
+						lo, hi = cols.SigmaRange()
+						negLn = cols.NegLnSigma()
+					} else {
+						negLn = cols.NegLnSigma()
+						lo, hi = cols.SigmaRange()
+					}
+					for name, pair := range map[string][2][]float64{"σ minima": {lo, wantLo}, "σ maxima": {hi, wantHi}, "NegLnSigma": {negLn, wantNegLn}} {
+						if len(pair[0]) != len(pair[1]) {
+							t.Errorf("dim=%d n=%d %s: %d values, want %d", dim, n, name, len(pair[0]), len(pair[1]))
+							continue
+						}
+						for k, want := range pair[1] {
+							if math.Float64bits(pair[0][k]) != math.Float64bits(want) {
+								t.Errorf("dim=%d n=%d %s[%d]: %v, want %v", dim, n, name, k, pair[0][k], want)
+							}
+						}
+					}
+				}(g%2 == 0)
+			}
+			wg.Wait()
+			// Deriving wrote only the derived slots.
+			for j, v := range cols.Vectors() {
+				if !v.Equal(vs[j]) {
+					t.Fatalf("dim=%d n=%d: vector %d changed by derivation", dim, n, j)
+				}
 			}
 		}
 	}

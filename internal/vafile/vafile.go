@@ -122,9 +122,7 @@ func Build(mgr *pagefile.Manager, data *scan.File, combiner gaussian.Combiner) (
 		}
 		f.pages = append(f.pages, id)
 		buf = buf[:approxHeaderSize]
-		for i := range buf {
-			buf[i] = 0
-		}
+		clear(buf)
 		pageCount = 0
 		return nil
 	}

@@ -16,6 +16,11 @@ trap 'rm -rf "$tmp"' EXIT
 echo "# go vet ./..."
 go vet "$@" ./...
 
+# internal/core/le64.go is the one non-test file allowed to import unsafe.
+if grep -rlE --include='*.go' --exclude='*_test.go' '^(import)?[[:space:]]+"unsafe"$' . | grep -vx './internal/core/le64.go'; then
+	echo "unsafe imported outside internal/core/le64.go" >&2; exit 1
+fi
+
 echo "# building gausslint"
 go build -o "$tmp/gausslint" ./cmd/gausslint
 
