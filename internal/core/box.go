@@ -116,17 +116,6 @@ func (b ParamBox) ContainsVector(v pfv.Vector) bool {
 	return true
 }
 
-// ContainsBox reports whether o lies fully inside b.
-func (b ParamBox) ContainsBox(o ParamBox) bool {
-	for i := range b.Mu {
-		if o.Mu[i].Lo < b.Mu[i].Lo || o.Mu[i].Hi > b.Mu[i].Hi ||
-			o.Sigma[i].Lo < b.Sigma[i].Lo || o.Sigma[i].Hi > b.Sigma[i].Hi {
-			return false
-		}
-	}
-	return true
-}
-
 // ExtendVector grows the box in place to cover the vector's parameters.
 func (b *ParamBox) ExtendVector(v pfv.Vector) {
 	for i := range b.Mu {

@@ -3,6 +3,7 @@ package core
 import (
 	"cmp"
 	"fmt"
+	"runtime"
 	"slices"
 
 	"github.com/gauss-tree/gausstree/internal/pfv"
@@ -14,105 +15,125 @@ import (
 // hull-integral objective the online split strategy uses (§5.3), until
 // pieces fit into single leaves; leaves are packed full and upper levels are
 // assembled by grouping consecutive partitions, preserving the recursive
-// locality. Compared to repeated Insert this yields ~100% leaf utilization
-// and a fraction of the build time. The tree must be empty.
-func (t *Tree) BulkLoad(vs []pfv.Vector) error {
+// locality: ~100% leaf utilization at a fraction of repeated Insert's build
+// time. The tree must be empty. Only the partition is parallel
+// (medianCut.runs), and it is a pure function of the set: pages are allocated
+// and written after it, run by run on the calling goroutine, so their ids and
+// bytes do not depend on how many processors cut.
+func (t *Tree) BulkLoad(vs []pfv.Vector) error { return t.BulkLoadOwned(slices.Clone(vs)) }
+
+// BulkLoadOwned is BulkLoad of a slice the caller gives up (a group of Cuts):
+// the partition reorders work in place instead of copying it.
+func (t *Tree) BulkLoadOwned(work []pfv.Vector) error {
 	if t.count != 0 {
 		return fmt.Errorf("core: BulkLoad requires an empty tree (have %d vectors)", t.count)
 	}
-	for i, v := range vs {
+	for i, v := range work {
 		if v.Dim() != t.dim {
 			return fmt.Errorf("%w: vector %d has dimension %d, tree dimension %d", ErrDimension, i, v.Dim(), t.dim)
 		}
 	}
-	if len(vs) == 0 {
+	if len(work) == 0 {
 		return nil
 	}
 	if err := t.mutable(); err != nil {
 		return err
 	}
-	if err := t.bulkLoad(vs); err != nil {
+	if err := t.bulkLoad(work); err != nil {
 		return t.fail(err)
 	}
 	return nil
 }
 
-// cutter returns the bulk loader's partition step for sets of up to n vectors
-// (the steps run one at a time and share their sort scratch). cut sorts part
-// in place along its best split axis and returns the proportional cut for k
-// pieces: part[:at] takes k1 = k/2 of them, part[at:] the other k−k1. Cutting
-// by target piece count (instead of plain medians) keeps every leaf at
-// ~n/k ≈ full capacity rather than the ~62% a pure halving recursion
-// converges to.
-func (t *Tree) cutter(n int) (cut func(part []pfv.Vector, k int) (at, k1 int)) {
-	keys, order, sorted := make([]float64, n), make([]int, n), make([]pfv.Vector, n)
-	return func(part []pfv.Vector, k int) (at, k1 int) {
-		if len(part) > 1 {
-			axis := t.bestBulkAxis(part, keys, order)
-			keyOrder(axisKeys(part, axis, keys), order[:len(part)])
-			for i, j := range order[:len(part)] {
-				sorted[i] = part[j]
-			}
-			copy(part, sorted)
-		}
-		k1 = k / 2
-		return len(part) * k1 / k, k1
-	}
-}
-
-// Cuts returns vs cut into k spatially coherent groups (some empty when
-// k > len(vs); vs itself when k is 1) by the bulk loader's own first cuts. A
-// partitioned database makes each group a shard (internal/shard): a subtree
-// of the one tree over vs, which a query prunes by its root box like any other.
+// Cuts returns a copy of vs cut into k spatially coherent groups (some empty
+// when k > len(vs)) by the bulk loader's own first cuts, in parallel like
+// BulkLoad's. A partitioned database makes each group a shard (internal/shard):
+// a subtree of the one tree over vs, which a query prunes by its root box like
+// any other. Nobody else holds the copy: BulkLoadOwned may have each group.
 func (t *Tree) Cuts(vs []pfv.Vector, k int) [][]pfv.Vector {
-	if k == 1 {
-		return [][]pfv.Vector{vs}
-	}
-	cut := t.cutter(len(vs))
-	groups := make([][]pfv.Vector, 0, k)
-	var rec func(part []pfv.Vector, k int)
-	rec = func(part []pfv.Vector, k int) {
-		if k == 1 {
-			groups = append(groups, part)
-			return
-		}
-		at, k1 := cut(part, k)
-		rec(part[:at], k1)
-		rec(part[at:], k-k1)
-	}
-	rec(append([]pfv.Vector(nil), vs...), k)
-	return groups
+	return t.partition(slices.Clone(vs), k, -1)
 }
 
-func (t *Tree) bulkLoad(vs []pfv.Vector) error {
-	work := append([]pfv.Vector(nil), vs...)
-	cut := t.cutter(len(work))
+// partition cuts work, in place, into k runs — fewer where a part of at most
+// fit vectors was left whole — on up to GOMAXPROCS goroutines.
+func (t *Tree) partition(work []pfv.Vector, k, fit int) [][]pfv.Vector {
+	spare := make(chan struct{}, runtime.GOMAXPROCS(0)-1)
+	return newMedianCut(t.dim, t.cfg.Split, min(len(work), 2*sampleDiv-1), len(work)).runs(work, k, fit, spare)
+}
 
-	// Recursively partition into k near-full leaf runs.
-	var level []childEntry
-	var partition func(part []pfv.Vector, k int) error
-	partition = func(part []pfv.Vector, k int) error {
-		if k <= 1 || len(part) <= t.capLeaf {
-			id, err := t.mgr.Allocate()
-			if err != nil {
-				return err
+const (
+	// sampleDiv sets the sample a cut's axis is chosen on: a part of more than
+	// sampleDiv vectors is sampled at stride len/sampleDiv from its first on —
+	// sampleDiv to 2·sampleDiv−1 samples; a smaller part is its own sample.
+	// The rule is part of what defines the tree a vector set builds.
+	sampleDiv = 512
+	// spawnFloor is the smallest part whose left half is worth a goroutine.
+	spawnFloor = 4096
+)
+
+// cut is the bulk loader's partition step: it sorts part in place along the
+// axis the evaluator picks on the sample and returns the proportional cut for
+// k pieces: part[:at] takes k1 = k/2 of them, part[at:] the other k−k1. Cutting
+// by target piece count (instead of plain medians) keeps every leaf at
+// ~n/k ≈ full capacity rather than the ~62% a pure halving recursion converges
+// to. The full sort orders a part's vectors: the next sample, every leaf page.
+func (e *medianCut) cut(part []pfv.Vector, k int) (at, k1 int) {
+	if len(part) > 1 {
+		e.gatherVectors(part, max(1, len(part)/sampleDiv))
+		axis, keys, order := e.best(), e.sel[:len(part)], e.order[:len(part)]
+		for i, v := range part {
+			keys[i] = v.Mean[axis/2]
+			if axis%2 == 1 {
+				keys[i] = v.Sigma[axis/2]
 			}
-			leaf := &node{id: id, leaf: true, vectors: part}
-			if err := t.persistNode(leaf); err != nil {
-				return err
-			}
-			level = append(level, childEntry{page: id, count: len(part), box: leaf.computeBox(t.dim)})
-			return nil
 		}
-		at, k1 := cut(part, k)
-		if err := partition(part[:at], k1); err != nil {
+		keyOrder(keys, order)
+		e.sorted = slices.Grow(e.sorted[:0], len(part))[:len(part)]
+		for i, j := range order {
+			e.sorted[i] = part[j]
+		}
+		copy(part, e.sorted)
+	}
+	return len(part) * (k / 2) / k, k / 2
+}
+
+// runs is the partition recursion: it cuts part, in place, into k consecutive
+// runs (one where k ≤ 1 or the part fits) and returns them in order. A cut's
+// halves are disjoint subslices, and a half's runs depend on nothing but its
+// vectors and its k: while spare has room — a slot per processor beyond the
+// caller's — a large part's left half is cut on a goroutine and scratch of its own.
+func (e *medianCut) runs(part []pfv.Vector, k, fit int, spare chan struct{}) [][]pfv.Vector {
+	if k <= 1 || len(part) <= fit {
+		return [][]pfv.Vector{part}
+	}
+	at, k1 := e.cut(part, k)
+	if len(part) < spawnFloor {
+		spare = nil // never ready: this part and all of its parts stay here
+	}
+	lower := make(chan [][]pfv.Vector, 1)
+	select {
+	case spare <- struct{}{}:
+		go func() {
+			lower <- newMedianCut(e.dim, e.split, min(at, 2*sampleDiv-1), at).runs(part[:at], k1, fit, spare)
+			<-spare
+		}()
+	default:
+		lower <- e.runs(part[:at], k1, fit, spare)
+	}
+	upper := e.runs(part[at:], k-k1, fit, spare)
+	return append(<-lower, upper...)
+}
+
+func (t *Tree) bulkLoad(work []pfv.Vector) error {
+	// One leaf per run of the partition, allocated and written in run order.
+	leafCount := (len(work) + t.capLeaf - 1) / t.capLeaf
+	var level []childEntry
+	for _, run := range t.partition(work, leafCount, t.capLeaf) {
+		leaf := &node{leaf: true, vectors: run}
+		if err := t.persistNew(leaf); err != nil {
 			return err
 		}
-		return partition(part[at:], k-k1)
-	}
-	leafCount := (len(work) + t.capLeaf - 1) / t.capLeaf
-	if err := partition(work, leafCount); err != nil {
-		return err
+		level = append(level, leaf.entry(t.dim))
 	}
 
 	// Assemble upper levels from consecutive runs.
@@ -121,15 +142,11 @@ func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 		groups := chunkEntries(level, t.capInner, t.minInner)
 		next := make([]childEntry, 0, len(groups))
 		for _, g := range groups {
-			id, err := t.mgr.Allocate()
-			if err != nil {
+			n := &node{children: g}
+			if err := t.persistNew(n); err != nil {
 				return err
 			}
-			n := &node{id: id, children: g}
-			if err := t.persistNode(n); err != nil {
-				return err
-			}
-			next = append(next, childEntry{page: id, count: n.subtreeCount(), box: n.computeBox(t.dim)})
+			next = append(next, n.entry(t.dim))
 		}
 		level = next
 		height++
@@ -142,7 +159,7 @@ func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 	}
 	t.root = level[0].page
 	t.height = height
-	t.count = len(vs)
+	t.count = len(work)
 	// A bulk load bypasses the WAL (logging a full rebuild record-by-record
 	// would defeat its purpose): it seals with a checkpoint-grade meta
 	// commit covering every previously logged record, then publishes.
@@ -153,22 +170,9 @@ func (t *Tree) bulkLoad(vs []pfv.Vector) error {
 	return nil
 }
 
-// axisKeys fills keys[:len(vs)] with the vectors' coordinate along a split
-// axis (2·dim for μ, 2·dim+1 for σ) and returns that prefix.
-func axisKeys(vs []pfv.Vector, axis int, keys []float64) []float64 {
-	for i, v := range vs {
-		keys[i] = v.Mean[axis/2]
-		if axis%2 == 1 {
-			keys[i] = v.Sigma[axis/2]
-		}
-	}
-	return keys[:len(vs)]
-}
-
 // keyOrder fills order with the stable ascending order of keys: the index of
 // the i-th smallest key at position i, equal keys in index order. The index
-// tie-break makes the order unique, so an unstable sort finds it — without
-// sort.SliceStable's reflection-based swapper.
+// tie-break makes the order unique, so an unstable sort finds it.
 func keyOrder(keys []float64, order []int) {
 	for i := range order {
 		order[i] = i
@@ -181,42 +185,12 @@ func keyOrder(keys []float64, order []int) {
 	})
 }
 
-// bestBulkAxis picks the split axis for a partition by evaluating the
-// configured split objective on a sample, exactly like the online median
-// split but subsampled for speed. keys and order are scratch at least as
-// long as the sample.
-func (t *Tree) bestBulkAxis(part []pfv.Vector, keys []float64, order []int) int {
-	const sampleCap = 512
-	sample := part
-	if len(part) > sampleCap {
-		stride := len(part) / sampleCap
-		sample = make([]pfv.Vector, 0, sampleCap)
-		for i := 0; i < len(part); i += stride {
-			sample = append(sample, part[i])
-		}
-	}
-	order = order[:len(sample)]
-	probe := &node{leaf: true, vectors: sample}
-	bestAxis, bestCost := 0, 0.0
-	for axis := 0; axis < 2*t.dim; axis++ {
-		keyOrder(axisKeys(sample, axis, keys), order)
-		cost := t.splitCost(probe, order)
-		if axis == 0 || cost < bestCost {
-			bestAxis, bestCost = axis, cost
-		}
-	}
-	return bestAxis
-}
-
 // chunkEntries groups a level's entries into inner-node-sized chunks,
 // borrowing from the previous chunk when the tail would underflow.
 func chunkEntries(entries []childEntry, capacity, minimum int) [][]childEntry {
 	var out [][]childEntry
 	for len(entries) > 0 {
-		n := capacity
-		if n > len(entries) {
-			n = len(entries)
-		}
+		n := min(capacity, len(entries))
 		// Avoid leaving an underfull tail.
 		if rest := len(entries) - n; rest > 0 && rest < minimum {
 			n = len(entries) - minimum

@@ -2,10 +2,14 @@ package core
 
 import (
 	"context"
+	"crypto/sha256"
+	"fmt"
 	"math/rand"
+	"runtime"
 	"sort"
 	"testing"
 
+	"github.com/gauss-tree/gausstree/internal/dataset"
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
@@ -147,6 +151,78 @@ func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
 	}
 	if tr.Len() != 850 {
 		t.Errorf("Len = %d, want 850", tr.Len())
+	}
+}
+
+// pagesHash is the SHA-256 over every page of the tree's store, in id order,
+// with the page count: what a golden of the parent commit pins.
+func pagesHash(tb testing.TB, tr *Tree) string {
+	tb.Helper()
+	h := sha256.New()
+	for id := 0; id < tr.mgr.NumPages(); id++ {
+		page, err := tr.mgr.Read(pagefile.PageID(id))
+		if err != nil {
+			tb.Fatal(err)
+		}
+		h.Write(page)
+	}
+	return fmt.Sprintf("%d pages %x", tr.mgr.NumPages(), h.Sum(nil))
+}
+
+// Goldens of the parent's sort-based loader and split (commit 3bd59ab), taken
+// before the median-cut evaluator replaced them: DS1 (d = 27, 18-vector
+// leaves) bulk-loaded under SplitVolume, and DS2 at N = 5 000 built by Insert
+// alone, then 500 deletes whose condense-and-reinsert splits too.
+const (
+	bulkLoadDS1VolumeGolden = "689 pages ea104dd88e166683252c1ab1768680b882fbd3c66d3dd4d149ce4f43100ba0ce"
+	insertBuiltGolden       = "186 pages b251fa1b1f966b6a9f2ccd1867ae408df89da706d94b730ab54a8ffd500dd3d5"
+)
+
+// TestBulkLoadSameAcrossProcs: the partition runs on as many goroutines as
+// there are processors, and the pages are the parent's however many that is.
+func TestBulkLoadSameAcrossProcs(t *testing.T) {
+	ds1, err := dataset.ColorHistograms(dataset.DefaultHistogramParams())
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
+	for _, procs := range []int{1, 2, 8} {
+		runtime.GOMAXPROCS(procs)
+		ds2, _ := ds2Tree(t, 20000, 1, 1)
+		if got := pagesHash(t, ds2); got != "437 pages "+bulkLoadGoldenHash {
+			t.Errorf("GOMAXPROCS %d: DS2 bulk load built %s", procs, got)
+		}
+		tr := newTree(t, ds1.Dim, pagefile.DefaultPageSize, Config{Split: SplitVolume})
+		if err := tr.BulkLoad(ds1.Vectors); err != nil {
+			t.Fatal(err)
+		}
+		if got := pagesHash(t, tr); got != bulkLoadDS1VolumeGolden {
+			t.Errorf("GOMAXPROCS %d: DS1 bulk load built %s, the parent %s", procs, got, bulkLoadDS1VolumeGolden)
+		}
+	}
+}
+
+func TestInsertBuiltPagesMatchParent(t *testing.T) {
+	p := dataset.DefaultSyntheticParams()
+	p.N = 5000
+	ds, err := dataset.Synthetic(p)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr := newTree(t, ds.Dim, pagefile.DefaultPageSize, Config{})
+	if _, err := tr.InsertAll(ds.Vectors); err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 500; i++ {
+		if ok, err := tr.Delete(ds.Vectors[i*10]); err != nil || !ok {
+			t.Fatalf("delete %d: ok=%v err=%v", i, ok, err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
+	}
+	if got := pagesHash(t, tr); got != insertBuiltGolden {
+		t.Errorf("insert-built tree is %s, the parent's %s", got, insertBuiltGolden)
 	}
 }
 

@@ -71,9 +71,7 @@ func (t *Tree) delete(v pfv.Vector) (bool, error) {
 			if err := t.rewriteNode(child); err != nil {
 				return false, err
 			}
-			parent.children[idx].page = child.id
-			parent.children[idx].box = child.computeBox(t.dim)
-			parent.children[idx].count = child.subtreeCount()
+			parent.children[idx] = child.entry(t.dim)
 		}
 		child = parent
 	}
@@ -105,16 +103,11 @@ func (t *Tree) delete(v pfv.Vector) (bool, error) {
 		if err := t.mgr.FreeDeferred(root.id); err != nil {
 			return false, err
 		}
-		rootID, err := t.mgr.Allocate()
-		if err != nil {
+		root = &node{leaf: true}
+		if err := t.persistNew(root); err != nil {
 			return false, err
 		}
-		root = &node{id: rootID, leaf: true}
-		t.root = rootID
-		t.height = 1
-		if err := t.persistNode(root); err != nil {
-			return false, err
-		}
+		t.root, t.height = root.id, 1
 	}
 
 	// Re-insert orphans through the regular path, under the same commit.

@@ -92,9 +92,7 @@ func (t *Tree) insert(v pfv.Vector) error {
 		parent := path[i].node
 		idx := path[i].childIdx
 		child := path[i+1].node
-		parent.children[idx].page = child.id
-		parent.children[idx].box = child.computeBox(t.dim)
-		parent.children[idx].count = child.subtreeCount()
+		parent.children[idx] = child.entry(t.dim)
 		if splitOff != nil {
 			parent.children = append(parent.children, *splitOff)
 			splitOff = nil
@@ -111,22 +109,11 @@ func (t *Tree) insert(v pfv.Vector) error {
 
 	if splitOff != nil {
 		// The root itself split: grow the tree by one level.
-		oldRoot := path[0].node
-		newRootID, err := t.mgr.Allocate()
-		if err != nil {
+		newRoot := &node{children: []childEntry{path[0].node.entry(t.dim), *splitOff}}
+		if err := t.persistNew(newRoot); err != nil {
 			return err
 		}
-		newRoot := &node{
-			id: newRootID,
-			children: []childEntry{
-				{page: oldRoot.id, count: oldRoot.subtreeCount(), box: oldRoot.computeBox(t.dim)},
-				*splitOff,
-			},
-		}
-		if err := t.persistNode(newRoot); err != nil {
-			return err
-		}
-		t.root = newRootID
+		t.root = newRoot.id
 		t.height++
 		return nil
 	}
@@ -275,55 +262,28 @@ func (t *Tree) probeLeafCost(page pagefile.PageID, v pfv.Vector) (enl, cost floa
 	return t.probeLeafCost(n.children[idx].page, v)
 }
 
-// splitNode performs the §5.3 median split: for every μ-dimension and every
-// σ-dimension the entries are sorted and halved at the median; the tentative
-// split minimizing the configured objective over the two resulting bounding
-// boxes is made permanent. The receiver keeps the left half (and its page);
-// the returned child entry describes the freshly allocated right half.
+// splitNode performs the §5.3 median split: the entries are halved at the
+// median of every μ- and every σ-dimension, and the tentative split minimizing
+// the configured objective over the two resulting bounding boxes (medianCut,
+// the bulk loader's evaluator, on all entries) is made permanent. Only the
+// winning axis is sorted, to order the entries inside the halves; all of it
+// runs on the writer's goroutine. The receiver keeps the left half (and its
+// page); the returned child entry describes the freshly allocated right half.
 func (t *Tree) splitNode(n *node) (*childEntry, error) {
 	count := n.entryCount()
-	keys := make([]float64, count)
-	order := make([]int, count)
-	bestCost := math.Inf(1)
-	var bestOrder []int
-
-	for axis := 0; axis < 2*t.dim; axis++ {
-		dim, isSigma := axis/2, axis%2 == 1
-		for i := 0; i < count; i++ {
-			keys[i] = t.splitKey(n, i, dim, isSigma)
-		}
-		keyOrder(keys, order)
-		cost := t.splitCost(n, order)
-		if cost < bestCost {
-			bestCost = cost
-			bestOrder = append(bestOrder[:0], order...)
-		}
+	eval := newMedianCut(t.dim, t.cfg.Split, count, count)
+	if n.leaf {
+		eval.gatherVectors(n.vectors, 1)
+	} else {
+		eval.gatherChildren(n.children)
 	}
-
-	mid := count / 2
+	order, mid := eval.order, count/2
+	keyOrder(eval.col(4*t.dim+eval.best()), order)
 	right := &node{leaf: n.leaf}
 	if n.leaf {
-		leftV := make([]pfv.Vector, 0, mid)
-		rightV := make([]pfv.Vector, 0, count-mid)
-		for _, i := range bestOrder[:mid] {
-			leftV = append(leftV, n.vectors[i])
-		}
-		for _, i := range bestOrder[mid:] {
-			rightV = append(rightV, n.vectors[i])
-		}
-		n.vectors = leftV
-		right.vectors = rightV
+		n.vectors, right.vectors = pick(n.vectors, order[:mid]), pick(n.vectors, order[mid:])
 	} else {
-		leftC := make([]childEntry, 0, mid)
-		rightC := make([]childEntry, 0, count-mid)
-		for _, i := range bestOrder[:mid] {
-			leftC = append(leftC, n.children[i])
-		}
-		for _, i := range bestOrder[mid:] {
-			rightC = append(rightC, n.children[i])
-		}
-		n.children = leftC
-		right.children = rightC
+		n.children, right.children = pick(n.children, order[:mid]), pick(n.children, order[mid:])
 	}
 
 	rightID, err := t.mgr.Allocate()
@@ -339,64 +299,15 @@ func (t *Tree) splitNode(n *node) (*childEntry, error) {
 	if err := t.persistNode(right); err != nil {
 		return nil, err
 	}
-	return &childEntry{
-		page:  rightID,
-		count: right.subtreeCount(),
-		box:   right.computeBox(t.dim),
-	}, nil
+	entry := right.entry(t.dim)
+	return &entry, nil
 }
 
-// splitKey returns the sort key of entry i along the given axis: the value
-// itself for leaves, the interval center for inner entries.
-func (t *Tree) splitKey(n *node, i, dim int, isSigma bool) float64 {
-	if n.leaf {
-		if isSigma {
-			return n.vectors[i].Sigma[dim]
-		}
-		return n.vectors[i].Mean[dim]
+// pick returns the entries of xs at the given positions, in that order.
+func pick[T any](xs []T, at []int) []T {
+	out := make([]T, len(at))
+	for i, j := range at {
+		out[i] = xs[j]
 	}
-	if isSigma {
-		iv := n.children[i].box.Sigma[dim]
-		return (iv.Lo + iv.Hi) / 2
-	}
-	iv := n.children[i].box.Mu[dim]
-	return (iv.Lo + iv.Hi) / 2
-}
-
-// splitCost evaluates the configured objective for the median split of the
-// entries in the given order. Product-style objectives are combined in log
-// space (ln(A+B) via logAddExp) so 27-dimensional cost products cannot
-// overflow the comparison.
-func (t *Tree) splitCost(n *node, order []int) float64 {
-	mid := len(order) / 2
-	left := t.boxOfEntries(n, order[:mid])
-	right := t.boxOfEntries(n, order[mid:])
-	switch t.cfg.Split {
-	case SplitHullIntegralSum:
-		return left.AccessCostSum() + right.AccessCostSum()
-	case SplitVolume:
-		return logAddExp(left.LogVolume(), right.LogVolume())
-	default:
-		return logAddExp(left.LogAccessCost(), right.LogAccessCost())
-	}
-}
-
-func (t *Tree) boxOfEntries(n *node, idxs []int) ParamBox {
-	var b ParamBox
-	for k, i := range idxs {
-		if n.leaf {
-			if k == 0 {
-				b = BoxOf(n.vectors[i])
-			} else {
-				b.ExtendVector(n.vectors[i])
-			}
-		} else {
-			if k == 0 {
-				b = n.children[i].box.Clone()
-			} else {
-				b.ExtendBox(n.children[i].box)
-			}
-		}
-	}
-	return b
+	return out
 }

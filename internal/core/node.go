@@ -335,6 +335,11 @@ func (n *node) subtreeCount() int {
 	return total
 }
 
+// entry returns the routing entry a parent holds for the node.
+func (n *node) entry(dim int) childEntry {
+	return childEntry{page: n.id, count: n.subtreeCount(), box: n.computeBox(dim)}
+}
+
 // computeBox returns the minimum bounding parameter box of the node's
 // entries. Empty nodes (only the root may be empty) return an inverted box.
 // Quantized leaves must be materialized first: routing boxes are always

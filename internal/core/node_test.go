@@ -237,3 +237,14 @@ func TestNewParamBoxExtendFromEmpty(t *testing.T) {
 		t.Errorf("extend-from-empty = %+v", b)
 	}
 }
+
+// ContainsBox reports whether o lies fully inside b.
+func (b ParamBox) ContainsBox(o ParamBox) bool {
+	for i := range b.Mu {
+		if o.Mu[i].Lo < b.Mu[i].Lo || o.Mu[i].Hi > b.Mu[i].Hi ||
+			o.Sigma[i].Lo < b.Sigma[i].Lo || o.Sigma[i].Hi > b.Sigma[i].Hi {
+			return false
+		}
+	}
+	return true
+}

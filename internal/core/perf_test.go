@@ -1,12 +1,14 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
 	"testing"
 	"time"
 
+	"github.com/gauss-tree/gausstree/internal/dataset"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
@@ -124,6 +126,36 @@ func BenchmarkDecodeLeaf(b *testing.B) {
 					b.Fatal(err)
 				}
 			}
+		})
+	}
+}
+
+// BenchmarkBulkLoad is the loader alone, DS2 at N = 20 000 into memory:
+// procs-1 pins the single-goroutine kernel (the median-cut evaluator and the
+// one full sort per cut), procs-default adds the halves cut in parallel.
+func BenchmarkBulkLoad(b *testing.B) {
+	p := dataset.DefaultSyntheticParams()
+	p.N = 20000
+	ds, err := dataset.Synthetic(p)
+	if err != nil {
+		b.Fatal(err)
+	}
+	for _, procs := range []int{1, 0} {
+		name := "procs-default"
+		if procs > 0 {
+			name = fmt.Sprintf("procs-%d", procs)
+		}
+		b.Run(name, func(b *testing.B) {
+			if procs > 0 {
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+			}
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				if err := newTree(b, ds.Dim, pagefile.DefaultPageSize, Config{}).BulkLoad(ds.Vectors); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.N*len(ds.Vectors))/b.Elapsed().Seconds(), "vectors/s")
 		})
 	}
 }

@@ -149,15 +149,11 @@ func New(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 	if err != nil {
 		return nil, err
 	}
-	rootID, err := mgr.Allocate()
-	if err != nil {
+	root := &node{leaf: true}
+	if err := t.persistNew(root); err != nil {
 		return nil, err
 	}
-	t.root = rootID
-	t.height = 1
-	if err := t.persistNode(&node{id: rootID, leaf: true}); err != nil {
-		return nil, err
-	}
+	t.root, t.height = root.id, 1
 	if err := t.commitMeta(); err != nil {
 		return nil, err
 	}
@@ -335,12 +331,7 @@ func (t *Tree) rewriteNode(n *node) error {
 	if n.leaf && n.quant != nil {
 		oldSidecar = n.quant.sidecar
 	}
-	id, err := t.mgr.Allocate()
-	if err != nil {
-		return err
-	}
-	n.id = id
-	if err := t.persistNode(n); err != nil {
+	if err := t.persistNew(n); err != nil {
 		return err
 	}
 	if err := t.mgr.FreeDeferred(old); err != nil {
@@ -350,6 +341,16 @@ func (t *Tree) rewriteNode(n *node) error {
 		return t.mgr.FreeDeferred(oldSidecar)
 	}
 	return nil
+}
+
+// persistNew moves n to a freshly allocated page and persists it there.
+func (t *Tree) persistNew(n *node) error {
+	id, err := t.mgr.Allocate()
+	if err != nil {
+		return err
+	}
+	n.id = id
+	return t.persistNode(n)
 }
 
 // persistNode encodes and writes the node at its current id, routing leaves
@@ -462,7 +463,7 @@ func (t *Tree) materializeLeaf(n *node) error {
 
 // walk visits n and then, in pre-order, every node beneath it, depth counting
 // levels down from n. It is the one recursion over the tree's structure:
-// ForEach, WalkLeafBoxes, NodeCounts, Scrub and the delete path's collect and
+// ForEach, WalkLeafBoxes, Scrub and the delete path's collect and
 // free are its visitors. read loads a child page — readNode under an epoch pin
 // or the writer lock, or the scrubber's throttled verifyDecode. A quantized
 // leaf's sidecar is not a child: visitors reach it through exactColumns (or,

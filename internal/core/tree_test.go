@@ -11,7 +11,7 @@ import (
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
 
-func newTree(t *testing.T, dim, pageSize int, cfg Config) *Tree {
+func newTree(t testing.TB, dim, pageSize int, cfg Config) *Tree {
 	t.Helper()
 	mgr, err := pagefile.NewManager(pagefile.NewMemBackend(pageSize), pageSize)
 	if err != nil {
@@ -344,4 +344,17 @@ func TestHighDimensionalTree(t *testing.T) {
 	if res[0].Probability < 0.5 {
 		t.Errorf("self-query probability = %v, expected dominant", res[0].Probability)
 	}
+}
+
+// NodeCounts returns the number of leaf and inner pages of the tree.
+func (t *Tree) NodeCounts() (leaves, inners int, err error) {
+	err = t.walkSnap(t.readNode, func(n *node, _ int) error {
+		if n.leaf {
+			leaves++
+		} else {
+			inners++
+		}
+		return nil
+	})
+	return leaves, inners, err
 }

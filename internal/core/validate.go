@@ -201,16 +201,3 @@ func (t *Tree) WalkLeafBoxes(fn func(box ParamBox, count int)) error {
 		return err
 	})
 }
-
-// NodeCounts returns the number of leaf and inner pages of the tree.
-func (t *Tree) NodeCounts() (leaves, inners int, err error) {
-	err = t.walkSnap(t.readNode, func(n *node, _ int) error {
-		if n.leaf {
-			leaves++
-		} else {
-			inners++
-		}
-		return nil
-	})
-	return leaves, inners, err
-}

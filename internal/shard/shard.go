@@ -188,20 +188,15 @@ func (e *Engine) InsertAll(vs []pfv.Vector) ([]int, error) {
 	return applied, err
 }
 
-// BulkLoad cuts the vector set into one spatially coherent group per shard
-// (core.Tree.Cuts) and bulk-loads every shard concurrently (all shards must
-// be empty).
+// BulkLoad cuts a copy of the vector set into one spatially coherent group per
+// shard (core.Tree.Cuts) and bulk-loads every shard concurrently from its
+// group, in place (all shards must be empty).
 func (e *Engine) BulkLoad(vs []pfv.Vector) error {
 	if err := e.checkDims(vs...); err != nil {
 		return err
 	}
 	groups := e.trees[0].Cuts(vs, len(e.trees))
-	return fanOut(len(e.trees), noCancel, func(i int) error {
-		if len(groups[i]) == 0 {
-			return nil
-		}
-		return e.trees[i].BulkLoad(groups[i])
-	})
+	return fanOut(len(e.trees), noCancel, func(i int) error { return e.trees[i].BulkLoadOwned(groups[i]) })
 }
 
 // Delete removes one stored copy of the exact vector: it probes the shards

@@ -15,19 +15,6 @@ var _ query.Engine = (*Tree)(nil)
 // Name identifies the X-tree baseline in engine-agnostic reports.
 func (t *Tree) Name() string { return "x-tree" }
 
-// RangeSearch returns every stored vector whose quantile box intersects the
-// given rectangle (the filter step of the paper's comparison method).
-func (t *Tree) RangeSearch(r rect.Rect) ([]pfv.Vector, error) {
-	if r.Dim() != t.dim {
-		return nil, fmt.Errorf("%w: query rectangle dimension %d, tree dimension %d", ErrDimension, r.Dim(), t.dim)
-	}
-	var out []pfv.Vector
-	err := t.walkIntersecting(context.Background(), nil, nil, t.root, r, func(v pfv.Vector) {
-		out = append(out, v)
-	})
-	return out, err
-}
-
 // walkIntersecting traverses every subtree whose box intersects r, checking
 // the context at each node and charging node reads to the per-query counter
 // and stats. Skipping a non-intersecting subtree is what makes the filter an

@@ -96,30 +96,3 @@ func (t *Tree) CollectAll() ([]pfv.Vector, error) {
 	}
 	return out, walk(t.root)
 }
-
-// SupernodeCount returns the number of directory supernodes and the total
-// number of pages they span.
-func (t *Tree) SupernodeCount() (supernodes, pages int, err error) {
-	var walk func(id pagefile.PageID) error
-	walk = func(id pagefile.PageID) error {
-		n, e := t.readNode(id)
-		if e != nil {
-			return e
-		}
-		if n.leaf {
-			return nil
-		}
-		if n.isSuper() {
-			supernodes++
-			pages += len(n.pages)
-		}
-		for _, c := range n.children {
-			if e := walk(c.page); e != nil {
-				return e
-			}
-		}
-		return nil
-	}
-	err = walk(t.root)
-	return supernodes, pages, err
-}

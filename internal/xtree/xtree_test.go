@@ -2,6 +2,7 @@ package xtree
 
 import (
 	"context"
+	"fmt"
 	"math/rand"
 	"sort"
 	"testing"
@@ -262,4 +263,44 @@ func TestConfigDefaults(t *testing.T) {
 	if tr.cfg.Combiner != gaussian.CombineAdditive {
 		t.Errorf("default combiner = %v", tr.cfg.Combiner)
 	}
+}
+
+// SupernodeCount returns the number of directory supernodes and the total
+// number of pages they span.
+func (t *Tree) SupernodeCount() (supernodes, pages int, err error) {
+	var walk func(id pagefile.PageID) error
+	walk = func(id pagefile.PageID) error {
+		n, e := t.readNode(id)
+		if e != nil {
+			return e
+		}
+		if n.leaf {
+			return nil
+		}
+		if n.isSuper() {
+			supernodes++
+			pages += len(n.pages)
+		}
+		for _, c := range n.children {
+			if e := walk(c.page); e != nil {
+				return e
+			}
+		}
+		return nil
+	}
+	err = walk(t.root)
+	return supernodes, pages, err
+}
+
+// RangeSearch returns every stored vector whose quantile box intersects the
+// given rectangle (the filter step of the paper's comparison method).
+func (t *Tree) RangeSearch(r rect.Rect) ([]pfv.Vector, error) {
+	if r.Dim() != t.dim {
+		return nil, fmt.Errorf("%w: query rectangle dimension %d, tree dimension %d", ErrDimension, r.Dim(), t.dim)
+	}
+	var out []pfv.Vector
+	err := t.walkIntersecting(context.Background(), nil, nil, t.root, r, func(v pfv.Vector) {
+		out = append(out, v)
+	})
+	return out, err
 }
