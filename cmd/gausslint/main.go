@@ -1,6 +1,6 @@
 // Command gausslint is the project's static-analysis vet tool: it runs the
-// internal/analysis suite (epochorder, lockorder, poolreset, errwrap,
-// ctxflow, waldurable, obsregister) over the packages cmd/go hands it:
+// internal/analysis suite (errwrap, ctxflow, poolreset) over the packages
+// cmd/go hands it:
 //
 //	go vet -vettool=$(command -v gausslint) ./...
 //

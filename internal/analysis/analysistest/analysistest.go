@@ -7,8 +7,7 @@
 // parsed and type-checked offline: standard-library imports resolve through
 // the local build cache (`go list -export`), and fixture-to-fixture imports
 // resolve against the packages loaded earlier in the same Run call, so a
-// fixture can mirror a multi-package shape (e.g. a core package calling a
-// pagefile mirror).
+// fixture can mirror a multi-package shape.
 package analysistest
 
 import (
@@ -146,7 +145,7 @@ func importStd(fset *token.FileSet, path string) (*types.Package, error) {
 // listStdExports builds the import-path -> export-data index for the
 // stdlib packages fixtures may use (and their dependency closure).
 func listStdExports() (map[string]string, error) {
-	roots := []string{"sync", "sync/atomic", "context", "errors", "fmt", "time", "strings", "sort", "math"}
+	roots := []string{"context", "errors", "fmt", "sync"}
 	cmd := exec.Command("go", append([]string{"list", "-deps", "-export", "-json=ImportPath,Export"}, roots...)...)
 	var stdout, stderr bytes.Buffer
 	cmd.Stdout = &stdout

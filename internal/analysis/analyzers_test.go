@@ -11,16 +11,6 @@ import (
 // shape and one passing good shape; several bad shapes are distilled from
 // real pre-fix violations in this repository (see the fixture comments).
 
-func TestEpochOrder(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.EpochOrder, "epochorder")
-}
-
-func TestLockOrder(t *testing.T) {
-	// The pagefile mirror loads first so the lockorder fixture can import
-	// it; analyzing the mirror itself also exercises the drift check.
-	analysistest.Run(t, "testdata", analysis.LockOrder, "pagefile", "lockorder")
-}
-
 func TestPoolReset(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.PoolReset, "poolreset")
 }
@@ -33,19 +23,11 @@ func TestCtxFlow(t *testing.T) {
 	analysistest.Run(t, "testdata", analysis.CtxFlow, "ctxflow", "ctxflowserving")
 }
 
-func TestWALDurable(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.WALDurable, "waldurable")
-}
-
-func TestObsRegister(t *testing.T) {
-	analysistest.Run(t, "testdata", analysis.ObsRegister, "obs")
-}
-
-// TestAll: the suite the vet tool runs is the seven analyzers, sorted by name.
+// TestAll: the suite the vet tool runs is the three analyzers, sorted by name.
 func TestAll(t *testing.T) {
 	all := analysis.All()
-	if len(all) != 7 {
-		t.Fatalf("All() = %d analyzers, want the full suite of 7", len(all))
+	if len(all) != 3 {
+		t.Fatalf("All() = %d analyzers, want the full suite of 3", len(all))
 	}
 	for i := 1; i < len(all); i++ {
 		if all[i-1].Name >= all[i].Name {

@@ -14,14 +14,14 @@ import (
 func TestFilterDirectives(t *testing.T) {
 	src := `package p
 
-func a() {} //lint:ignore epochorder the invariant holds because this fixture says so
+func a() {} //lint:ignore ctxflow the invariant holds because this fixture says so
 
-//lint:ignore lockorder,errwrap reason covering two analyzers
+//lint:ignore poolreset,errwrap reason covering two analyzers
 func b() {}
 
 func c() {}
 
-//lint:ignore poolreset
+//lint:ignore errwrap
 func d() {}
 `
 	fset := token.NewFileSet()
@@ -39,11 +39,11 @@ func d() {}
 	}
 
 	diags := []Diagnostic{
-		{Pos: pos["a"], Analyzer: "epochorder", Message: "same-line directive"},
-		{Pos: pos["a"], Analyzer: "lockorder", Message: "directive names another analyzer"},
-		{Pos: pos["b"], Analyzer: "lockorder", Message: "line-above directive, first name"},
+		{Pos: pos["a"], Analyzer: "ctxflow", Message: "same-line directive"},
+		{Pos: pos["a"], Analyzer: "poolreset", Message: "directive names another analyzer"},
+		{Pos: pos["b"], Analyzer: "poolreset", Message: "line-above directive, first name"},
 		{Pos: pos["b"], Analyzer: "errwrap", Message: "line-above directive, second name"},
-		{Pos: pos["c"], Analyzer: "epochorder", Message: "no directive near this line"},
+		{Pos: pos["c"], Analyzer: "ctxflow", Message: "no directive near this line"},
 	}
 	out := Filter(pkg, diags)
 

@@ -2,17 +2,13 @@ package analysis
 
 import "sort"
 
-// All returns the full gausslint suite, the seven project-specific
+// All returns the full gausslint suite, the three project-specific
 // analyzers, sorted by name.
 func All() []*Analyzer {
 	as := []*Analyzer{
 		CtxFlow,
-		EpochOrder,
 		ErrWrap,
-		LockOrder,
-		ObsRegister,
 		PoolReset,
-		WALDurable,
 	}
 	sort.Slice(as, func(i, j int) bool { return as[i].Name < as[j].Name })
 	return as

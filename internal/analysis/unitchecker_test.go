@@ -27,7 +27,7 @@ func vetConfigFor(t *testing.T, pkg string, extra map[string]any) (cfgPath, vetx
 	if err != nil || len(files) == 0 {
 		t.Fatalf("fixture %s: %v, %d files", pkg, err, len(files))
 	}
-	out, err := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Export", "sync/atomic").Output()
+	out, err := exec.Command("go", "list", "-deps", "-export", "-json=ImportPath,Export", "sync").Output()
 	if err != nil {
 		t.Fatalf("go list: %v", err)
 	}
@@ -64,7 +64,7 @@ func vetConfigFor(t *testing.T, pkg string, extra map[string]any) (cfgPath, vetx
 // config file for one package — and requires the diagnostics it prints to be
 // exactly the fixture's `// want` set, line for line.
 func TestUnitCheck(t *testing.T) {
-	cfgPath, vetx := vetConfigFor(t, "waldurable", nil)
+	cfgPath, vetx := vetConfigFor(t, "poolreset", nil)
 	var out bytes.Buffer
 	found, err := analysis.UnitCheck(&out, cfgPath, analysis.All())
 	if err != nil {
@@ -80,7 +80,7 @@ func TestUnitCheck(t *testing.T) {
 	// file:line -> the want pattern on that line.
 	wantRe := regexp.MustCompile(`// want (".*")$`)
 	wants := map[string]*regexp.Regexp{}
-	files, _ := filepath.Glob(filepath.Join("testdata", "src", "waldurable", "*.go"))
+	files, _ := filepath.Glob(filepath.Join("testdata", "src", "poolreset", "*.go"))
 	for _, file := range files {
 		abs, _ := filepath.Abs(file)
 		src, err := os.ReadFile(file)
@@ -100,7 +100,7 @@ func TestUnitCheck(t *testing.T) {
 	if len(wants) == 0 {
 		t.Fatal("fixture has no want comments")
 	}
-	diagRe := regexp.MustCompile(`^(.+:\d+):\d+: waldurable: (.*)$`)
+	diagRe := regexp.MustCompile(`^(.+:\d+):\d+: poolreset: (.*)$`)
 	for _, line := range strings.Split(strings.TrimSpace(out.String()), "\n") {
 		m := diagRe.FindStringSubmatch(line)
 		if m == nil {
@@ -122,7 +122,7 @@ func TestUnitCheck(t *testing.T) {
 // TestUnitCheckVetxOnly: asked only for facts (a dependency of the packages
 // under vet), the driver analyzes nothing and still writes the facts file.
 func TestUnitCheckVetxOnly(t *testing.T) {
-	cfgPath, vetx := vetConfigFor(t, "waldurable", map[string]any{"VetxOnly": true})
+	cfgPath, vetx := vetConfigFor(t, "poolreset", map[string]any{"VetxOnly": true})
 	var out bytes.Buffer
 	found, err := analysis.UnitCheck(&out, cfgPath, analysis.All())
 	if err != nil || found || out.Len() != 0 {

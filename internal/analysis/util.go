@@ -32,18 +32,6 @@ func calleeSelector(call *ast.CallExpr) (*ast.SelectorExpr, bool) {
 	return sel, ok
 }
 
-// calleeName returns the bare name a call invokes: "Lock" for m.mu.Lock(),
-// "pinSnap" for t.pinSnap(), "f" for f(). Empty for indirect calls.
-func calleeName(call *ast.CallExpr) string {
-	switch fun := ast.Unparen(call.Fun).(type) {
-	case *ast.Ident:
-		return fun.Name
-	case *ast.SelectorExpr:
-		return fun.Sel.Name
-	}
-	return ""
-}
-
 // namedType unwraps pointers and aliases and returns the named type of t,
 // or nil (e.g. for unnamed structs and basic types).
 func namedType(t types.Type) *types.Named {
@@ -56,15 +44,6 @@ func namedType(t types.Type) *types.Named {
 	}
 	n, _ := t.(*types.Named)
 	return n
-}
-
-// typeName returns the bare name of the (possibly pointed-to) named type of
-// t, e.g. "Manager" for *pagefile.Manager. Empty when t is unnamed.
-func typeName(t types.Type) string {
-	if n := namedType(t); n != nil {
-		return n.Obj().Name()
-	}
-	return ""
 }
 
 // isNamed reports whether t (possibly behind a pointer) is the named type

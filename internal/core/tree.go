@@ -183,7 +183,6 @@ func Open(mgr *pagefile.Manager) (*Tree, error) {
 	t.count = meta.Count
 	t.appliedLSN = meta.AppliedLSN
 	t.lastLSN.Store(meta.AppliedLSN)
-	//lint:ignore waldurable Open republishes the state read from the committed meta record; it is already durable.
 	t.publish()
 	return t, nil
 }

@@ -9,7 +9,7 @@
 // Counter, Gauge, Histogram — are pure atomics: incrementing one is a
 // single atomic add (a short CAS loop for float accumulation), acquires no
 // lock, and is safe to call from any goroutine, including while pagefile
-// shard locks are held (the gausslint obsregister check enforces this).
+// shard locks are held (TestHotPathTakesNoLock enforces this).
 // Registration and rendering do lock (Registry.mu) and belong on startup
 // and scrape paths only.
 //

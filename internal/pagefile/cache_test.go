@@ -5,8 +5,10 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
+	"time"
 )
 
 // TestCacheShardsFor pins the shard-count policy: a cache is sharded only
@@ -258,11 +260,18 @@ func TestReadCountedHotNoAlloc(t *testing.T) {
 	}
 }
 
-// TestShardedCacheConcurrentHammer drives the sharded cache from many
-// goroutines mixing hot reads, decoded reads, writes, allocation,
-// frees, cold accessors and cache drops. Run under -race it verifies the
-// lock split (shard locks, allocator lock, I/O lock, atomic closed/next)
-// has no data races and that accounting invariants survive concurrency.
+// TestShardedCacheConcurrentHammer drives the Manager from many goroutines:
+// hot and decoded reads, writes, allocation, both frees, cold accessors and
+// cache drops, and every method that nests locks — CommitMeta (ioMu →
+// epochMu → allocMu, and recycle's cache shard locks), FreeDeferred (allocMu
+// → cache shard), PinEpoch/UnpinEpoch/AdvanceEpoch (epochMu, then the
+// reclaimed pages' cache shards and allocMu), ReadDecoded/WriteDecoded,
+// VerifyPage and DropCache (ioMu → cache shards). Two paths taking a pair of
+// locks in opposite orders deadlock here sooner or later, and the test then
+// fails with every goroutine's stack after a deadline instead of hanging;
+// under -race it also checks the lock split for data races and that the
+// accounting invariants survive concurrency. It checks only the paths it
+// runs: a new nesting is covered once a case here calls it.
 func TestShardedCacheConcurrentHammer(t *testing.T) {
 	m := newMemManager(t, 64, WithCacheBytes(256*64))
 	if got := len(m.cache.shards); got != 4 {
@@ -280,6 +289,10 @@ func TestShardedCacheConcurrentHammer(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
+	if err := m.CommitMeta(nil); err != nil {
+		t.Fatal(err)
+	}
+	m.AdvanceEpoch()
 
 	const goroutines = 16
 	var wg sync.WaitGroup
@@ -291,65 +304,81 @@ func TestShardedCacheConcurrentHammer(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			decode := func(_ PageID, page []byte) (any, error) { return &decodedPage{string(page[:1])}, nil }
 			var c Counter
-			for i := 0; i < 2000; i++ {
+			buf := make([]byte, 64)
+			for i := 0; i < 10000; i++ {
 				id := ids[rng.Intn(len(ids))]
-				switch rng.Intn(10) {
+				var err error
+				switch op := rng.Intn(14); op {
 				case 0:
-					if err := m.Write(id, []byte{byte(i)}); err != nil {
-						errs <- err
-						return
-					}
+					err = m.Write(id, []byte{byte(i)})
 				case 1:
-					if _, err := m.ReadDecoded(id, &c, decode); err != nil {
-						errs <- err
-						return
-					}
+					pin := m.PinEpoch()
+					_, err = m.ReadDecoded(id, &c, decode)
+					m.UnpinEpoch(pin)
 				case 2:
 					if m.NumPages() < seedPages {
-						errs <- fmt.Errorf("NumPages shrank below seed")
-						return
+						err = fmt.Errorf("NumPages shrank below seed")
 					}
 					m.CachedPages()
 					m.Stats()
-				case 3:
+					m.PinnedReaders()
+					m.OldestPin()
+					m.LimboPages()
+					m.Meta()
+				case 3, 4:
 					// Allocate a private page, write it, free it again.
-					id, err := m.Allocate()
-					if err != nil {
-						errs <- err
-						return
+					var p PageID
+					if p, err = m.Allocate(); err == nil {
+						err = m.Write(p, []byte{1})
 					}
-					if err := m.Write(id, []byte{1}); err != nil {
-						errs <- err
-						return
+					free := m.Free
+					if op == 4 {
+						free = m.FreeDeferred
 					}
-					if err := m.Free(id); err != nil {
-						errs <- err
-						return
+					if err == nil {
+						err = free(p)
 					}
-				case 4:
+				case 5:
 					if rng.Intn(50) == 0 {
 						m.DropCache()
 					}
+				case 6:
+					err = m.CommitMeta([]byte{byte(i)})
+				case 7:
+					m.AdvanceEpoch()
+				case 8:
+					err = m.WriteDecoded(id, []byte{byte(i)}, &decodedPage{string(rune(i))})
+				case 9:
+					_, err = m.VerifyPage(id, buf)
 				default:
-					data, err := m.ReadCounted(id, &c)
-					if err != nil {
-						errs <- err
-						return
+					var data []byte
+					if data, err = m.ReadCounted(id, &c); err == nil && len(data) != 64 {
+						err = fmt.Errorf("short page: %d bytes", len(data))
 					}
-					if len(data) != 64 {
-						errs <- fmt.Errorf("short page: %d bytes", len(data))
-						return
-					}
+				}
+				if err != nil {
+					errs <- err
+					return
 				}
 			}
 		}(int64(g))
 	}
-	wg.Wait()
+	done := make(chan struct{})
+	go func() { wg.Wait(); close(done) }()
+	select {
+	case <-done:
+	case <-time.After(time.Minute):
+		stacks := make([]byte, 1<<20)
+		t.Fatalf("hammer still running after a minute — a lock-order deadlock:\n%s", stacks[:runtime.Stack(stacks, true)])
+	}
 	close(errs)
 	for err := range errs {
 		t.Fatal(err)
 	}
 
+	if n := m.PinnedReaders(); n != 0 {
+		t.Errorf("%d epoch pins outstanding after every reader unpinned", n)
+	}
 	s := m.Stats()
 	if s.LogicalReads != s.CacheHits+s.PhysicalReads {
 		t.Errorf("hit accounting drifted: logical=%d hits=%d physical=%d", s.LogicalReads, s.CacheHits, s.PhysicalReads)

@@ -1,8 +1,7 @@
 #!/usr/bin/env bash
 # Run the project's static-analysis gate: the stock `go vet` passes
 # (copylocks, lostcancel among them), then the gausslint vet tool built from
-# this checkout (epochorder, lockorder, poolreset, errwrap, ctxflow,
-# waldurable, obsregister). They are two commands because
+# this checkout (errwrap, ctxflow, poolreset). They are two commands because
 # `go vet -vettool=X` runs X *instead of* the stock passes, not beside them. CI's lint job runs this script; its test job runs the
 # stock `go vet ./...` once more on its own.
 # Any finding exits non-zero. Suppressions require a
