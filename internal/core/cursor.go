@@ -10,9 +10,11 @@ import (
 	"github.com/gauss-tree/gausstree/internal/query"
 )
 
-// This file is the one driver of every probability query: a resumable
-// cursor over the shared best-first traversal (executor.go) that exposes
-// the tree's denominator interval instead of finished probabilities.
+// This file is the one driver of every query: a resumable cursor over the
+// shared best-first traversal (executor.go). The ranked k-MLIQ is a cursor
+// that tracks no denominator and answers log densities (Ranked); a
+// probability query's cursor exposes the tree's denominator interval instead
+// of finished probabilities.
 //
 // The Bayes denominator of P(v|q) = p(q|v) / Σ_w p(q|w) sums over the ENTIRE
 // database, so a tree that holds one shard of the data can never finish a
@@ -87,10 +89,22 @@ func SortCandidates(cs []Candidate) {
 	})
 }
 
-// Results is the one place candidates become answers: every candidate's
-// density over the certified denominator interval of parts — the tree's own
-// for a stand-alone query, the merged one for a sharded query — as a
-// probability interval and its midpoint, best first. The vectors are copies
+// Ranked is the answer of a ranked query, which computes no probability
+// values: the candidates best first with their joint log densities and NaN
+// probabilities. The vectors are copies the caller owns.
+func Ranked(cs []Candidate) []query.Result {
+	SortCandidates(cs)
+	out, nan := make([]query.Result, len(cs)), math.NaN()
+	for i, c := range cs {
+		out[i] = query.Result{Vector: c.ref.vector(), LogDensity: c.LogDensity, Probability: nan, ProbLow: nan, ProbHigh: nan}
+	}
+	return out
+}
+
+// Results is the one place candidates become certified answers: every
+// candidate's density over the certified denominator interval of parts — the
+// tree's own for a stand-alone query, the merged one for a sharded query — as
+// a probability interval and its midpoint, best first. The vectors are copies
 // the caller owns.
 func Results(cs []Candidate, parts DenomParts) []query.Result {
 	out := make([]query.Result, len(cs))
@@ -127,6 +141,12 @@ func NoPeers() Peers { return Peers{math.Inf(-1), math.Inf(-1), math.Inf(-1)} }
 // keeps of the vectors the traversal scores, and when it may stop.
 type collector interface {
 	offer(r vecRef, ld float64)
+	// admission returns the density a vector or subtree must beat to hold a
+	// member of the answer, given what p says of the other shards (ok =
+	// false: no such bound yet). It only grows over a query. A ranked
+	// traversal screens children and leaf vectors by it; every traversal
+	// skips a quantized leaf's sidecar by it.
+	admission(p Peers) (bound float64, ok bool)
 	// settled reports whether no unexplored subtree of tr can still hold a
 	// member of the answer, given what p says of the other shards.
 	settled(tr *traversal, p Peers) bool
@@ -146,10 +166,11 @@ type collector interface {
 	release()
 }
 
-// Cursor is a resumable k-MLIQ or TIQ traversal over one tree. Refine runs
-// it until its collector's stop test holds and the unexplored hull mass is
-// within a budget; Candidates and DenomParts expose the paused state for
-// cross-tree merging.
+// Cursor is a resumable query traversal over one tree: a ranked k-MLIQ,
+// which tracks no denominator, or a k-MLIQ or TIQ that certifies
+// probabilities. Refine runs it until its collector's stop test holds and the
+// unexplored hull mass is within a budget; Candidates, DenomParts and Bound
+// expose the paused state for cross-tree merging.
 //
 // A cursor is opened over a whole database: it has no peers, and its stop
 // test is the paper's own — for TIQ, Figure 5: no unexplored subtree can
@@ -173,8 +194,8 @@ type Cursor struct {
 	shard int
 }
 
-func (t *Tree) openCursor(ctx context.Context, q pfv.Vector, col collector, accuracy float64, span string) *Cursor {
-	return &Cursor{tr: t.newTraversal(ctx, q, true, col), col: col, accuracy: accuracy, span: span, shard: -1}
+func (t *Tree) openCursor(ctx context.Context, q pfv.Vector, col collector, trackDenom bool, accuracy float64, span string) *Cursor {
+	return &Cursor{tr: t.newTraversal(ctx, q, trackDenom, col), col: col, accuracy: accuracy, span: span, shard: -1}
 }
 
 // AsShard tells the cursor, before its first Refine, that it serves shard i
@@ -221,6 +242,9 @@ func (c *Cursor) Refine(round int, maxLogUnexplored float64, p Peers) error {
 		return c.err
 	}
 	alone := c.shard < 0
+	if !c.tr.trackDenom {
+		c.tr.peers = p // see traversal.peers
+	}
 	sp := c.tr.traceBegin()
 	c.err = c.tr.run(func() bool {
 		// fold is memoised, and put off until a test needs the bounds.
@@ -252,6 +276,16 @@ func (c *Cursor) Candidates(dst []Candidate, logPeerLow float64) []Candidate {
 // DenomParts returns the tree's current certified denominator components.
 func (c *Cursor) DenomParts() DenomParts { return c.tr.denom.fold().parts }
 
+// Bound returns the hull priority ln ˆN(q) of the best unexplored subtree —
+// of a shard's cursor before its first Refine, its root — which no object
+// the cursor has yet to score exceeds; −Inf when nothing is queued.
+func (c *Cursor) Bound() float64 {
+	if _, prio, ok := c.tr.active.Peek(); ok {
+		return prio
+	}
+	return math.Inf(-1)
+}
+
 // Exhausted reports whether the traversal has explored the whole tree (the
 // denominator contribution is then exact and Refine can tighten no further).
 func (c *Cursor) Exhausted() bool { return c.tr.started && c.tr.active.Len() == 0 }
@@ -261,11 +295,16 @@ func (c *Cursor) Stats() query.Stats { return c.tr.finish(c.col.len()) }
 
 // answer is the stand-alone query over an opened cursor: the tree is the
 // whole database, so one Refine runs to the paper's stop condition and the
-// tree's own denominator interval certifies the candidates.
+// tree's own denominator interval certifies the candidates — or, for a
+// ranked query, they are answered by density alone.
 func (c *Cursor) answer() ([]query.Result, query.Stats, error) {
 	defer c.Close()
 	if err := c.Refine(-1, math.Inf(1), NoPeers()); err != nil {
 		return nil, c.Stats(), err
 	}
-	return Results(c.Candidates(nil, math.Inf(-1)), c.DenomParts()), c.Stats(), nil
+	cs := c.Candidates(nil, math.Inf(-1))
+	if !c.tr.trackDenom {
+		return Ranked(cs), c.Stats(), nil
+	}
+	return Results(cs, c.DenomParts()), c.Stats(), nil
 }

@@ -20,9 +20,10 @@ var _ query.Engine = (*Tree)(nil)
 // query (§5.2): an active-node max-queue ordered by the hull priority ˆN(q),
 // node reads charged to a per-query counter, leaf/inner dispatch into a
 // candidate collector, optional Bayes-denominator interval tracking
-// (§5.2.2), and a pluggable stop condition. KMLIQRanked and the cursor of
-// the probability queries (cursor.go) are thin policies over this one loop —
-// they differ only in what they collect and when they stop.
+// (§5.2.2), and a pluggable stop condition. Every query is a Cursor
+// (cursor.go) over this one loop — the ranked k-MLIQ without denominator
+// tracking, the probability queries with it — and its collector is all that
+// differs: what it keeps, what it admits and when it stops.
 //
 // Traversals are pooled: newTraversal acquires and release returns the state
 // (the active queue's backing array, the denominator accumulators, the page
@@ -49,20 +50,11 @@ type traversal struct {
 	trace *obs.Trace
 	// col receives every exactly scored leaf object.
 	col collector
-
-	// screenBound, when set on a non-denominator traversal, returns the
-	// current top-k admission bound (ok=false while the heap is not full —
-	// no screening then, every vector may still be needed). Leaf vectors
-	// whose cheap columnar upper bound cannot beat the bound skip the exact
-	// scoring entirely. The bound must be monotone non-decreasing over the
-	// query, which makes the skip final-safe.
-	screenBound func() (float64, bool)
-	// leafThreshold, when set, returns the admission bound a quantized
-	// leaf's best vector must beat for its exact sidecar to be worth
-	// reading (ok=false: always read); leaves below it contribute only
-	// their certified [floor, hull] residue to the denominator. nil means
-	// always read the sidecar.
-	leafThreshold func() (float64, bool)
+	// peers is what col's admission bound is taken against: for a ranked
+	// traversal the peers of the current Refine, for a certifying one always
+	// NoPeers — its quantized leaves skip their sidecars against its own heap
+	// only, since a skipped leaf's residue widens the merged interval.
+	peers Peers
 
 	// hullCut = −d/2·ln2π − ln ∏ᵢ σq,ᵢ upper-bounds every hull priority with
 	// the z² term dropped: σᵢ⊕σq,ᵢ ≥ σq,ᵢ factor-wise, so
@@ -104,6 +96,7 @@ func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, 
 	tr.eval.Reset(t.cfg.Combiner, q)
 	tr.trackDenom = trackDenom
 	tr.col = col
+	tr.peers = NoPeers()
 	tr.trace = obs.TraceFrom(ctx)
 	prodQS := 1.0
 	for _, s := range q.Sigma {
@@ -141,8 +134,6 @@ func (tr *traversal) release() {
 	tr.started = false
 	tr.trackDenom = false
 	tr.col = nil
-	tr.screenBound = nil
-	tr.leafThreshold = nil
 	tr.trace = nil
 	traversalPool.Put(tr)
 }
@@ -188,9 +179,9 @@ func (tr *traversal) run(done func() bool) error {
 }
 
 // queueRoot starts the traversal one step short of run's: the root goes on
-// the queue under the hull priority and the n·ˇN/n·ˆN sum bounds of the
-// snapshot's root box (treeSnap.box), as the child entry of a parent node
-// would put it there, and no page is read.
+// the queue under the hull priority — and, when the denominator is tracked,
+// the n·ˇN/n·ˆN sum bounds — of the snapshot's root box (treeSnap.box), as
+// the child entry of a parent node would put it there, and no page is read.
 func (tr *traversal) queueRoot() error {
 	tr.started = true
 	box, err := tr.tree.rootBox(tr.snap)
@@ -198,9 +189,12 @@ func (tr *traversal) queueRoot() error {
 		return err // or nil: nothing stored, nothing to queue
 	}
 	hulls, floors := tr.logBounds(box, math.Inf(1))
-	logCount := math.Log(float64(tr.snap.count))
-	root := activeNode{page: tr.snap.root, count: tr.snap.count, logFloorN: floors[0] + logCount, logHullN: hulls[0] + logCount}
-	tr.denom.push(root)
+	root := activeNode{page: tr.snap.root, count: tr.snap.count}
+	if tr.trackDenom {
+		logCount := math.Log(float64(tr.snap.count))
+		root.logFloorN, root.logHullN = floors[0]+logCount, hulls[0]+logCount
+		tr.denom.push(root)
+	}
 	tr.active.Push(root, hulls[0])
 	return nil
 }
@@ -230,8 +224,8 @@ func (tr *traversal) expand(a activeNode) error {
 		return nil
 	}
 	screened, zLim := false, math.Inf(1)
-	if !tr.trackDenom && tr.screenBound != nil {
-		if bound, ok := tr.screenBound(); ok {
+	if !tr.trackDenom {
+		if bound, ok := tr.col.admission(tr.peers); ok {
 			// A child whose hull cannot beat the (monotone) admission bound
 			// will never be expanded — the stop condition fires before the
 			// best-first loop reaches it — so it need not be pushed at all.
@@ -272,16 +266,17 @@ func (tr *traversal) logBounds(boxes *boxColumns, zLim float64) (hulls, floors [
 // Without screening, every vector's density is computed by ScoreColumns —
 // bit-identical, in the same order, to the scalar per-vector loop this
 // replaces — and fed to the denominator and collector exactly as before.
-// With a screen bound (ranked top-k queries, once the heap is full), a cheap
-// logarithm-free per-vector upper bound is computed first and only vectors
-// that could still enter the top-k are scored exactly, straight from the
-// columns.
+// With an admission bound on a ranked traversal (once the heap is full, or
+// the peers' k-th is known), a cheap logarithm-free per-vector upper bound
+// is computed first and only vectors that could still enter the top-k are
+// scored exactly, straight from the columns. The bound is monotone
+// non-decreasing over the query, which makes the skip final-safe.
 func (tr *traversal) scoreExactLeaf(n *node) {
 	cols := n.cols
 	nv := cols.Len()
 	tr.scores = growFloats(tr.scores, nv)
-	if tr.screenBound != nil && !tr.trackDenom {
-		if bound, ok := tr.screenBound(); ok {
+	if !tr.trackDenom {
+		if bound, ok := tr.col.admission(tr.peers); ok {
 			tr.dimBuf = growFloats(tr.dimBuf, tr.tree.dim)
 			tr.eval.UpperBoundColumns(cols, tr.dimBuf, tr.scores)
 			for j, ub := range tr.scores[:nv] {
@@ -293,7 +288,7 @@ func (tr *traversal) scoreExactLeaf(n *node) {
 				ld := tr.eval.LogDensityAt(cols, j)
 				tr.stats.VectorsScored++
 				tr.col.offer(vecRef{cols, j}, ld)
-				if b, ok := tr.screenBound(); ok {
+				if b, ok := tr.col.admission(tr.peers); ok {
 					bound = b
 				}
 			}
@@ -313,31 +308,29 @@ func (tr *traversal) scoreExactLeaf(n *node) {
 // expandQuantLeaf handles a quantized leaf: per-vector certified density
 // bounds [ˇ, ˆ] are assembled from the widened parameter intervals (Lemma
 // 2/3 per vector instead of per node), and the exact sidecar page is read —
-// and charged — only when some vector could still matter (leafThreshold).
-// Skipped leaves contribute their floor/hull sums to the permanent
-// denominator residue, keeping certified intervals sound (if wider); ranked
-// queries skip them outright, which is exactly the no-false-dismissal
-// argument of the node-level hull applied per vector.
+// and charged — only when some vector could still beat the collector's
+// admission bound. Skipped leaves contribute their floor/hull sums to the
+// permanent denominator residue, keeping certified intervals sound (if
+// wider); ranked queries skip them outright, which is exactly the
+// no-false-dismissal argument of the node-level hull applied per vector.
 func (tr *traversal) expandQuantLeaf(n *node) error {
 	t := tr.tree
 	q := n.quant
 	hulls, floors := tr.logBounds(&q.iv, math.Inf(1))
-	if tr.leafThreshold != nil {
-		if thr, ok := tr.leafThreshold(); ok {
-			best := math.Inf(-1)
-			for _, h := range hulls {
-				if h > best {
-					best = h
+	if thr, ok := tr.col.admission(tr.peers); ok {
+		best := math.Inf(-1)
+		for _, h := range hulls {
+			if h > best {
+				best = h
+			}
+		}
+		if best <= thr {
+			if tr.trackDenom {
+				for j, floor := range floors {
+					tr.denom.addResidual(floor, hulls[j])
 				}
 			}
-			if best <= thr {
-				if tr.trackDenom {
-					for j, floor := range floors {
-						tr.denom.addResidual(floor, hulls[j])
-					}
-				}
-				return nil
-			}
+			return nil
 		}
 	}
 	side, err := t.readNodeCounted(q.sidecar, &tr.counter)

@@ -46,61 +46,21 @@ func releaseTopK(top *pqueue.TopK[vecRef]) {
 // The returned results carry the joint log densities; Probability fields
 // are NaN.
 func (t *Tree) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Result, query.Stats, error) {
-	return t.KMLIQRankedAbove(ctx, q, k, math.Inf(-1))
-}
-
-// KMLIQRankedAbove is KMLIQRanked for one part of a partitioned database
-// that already knows k objects at least as dense as logKth elsewhere (−Inf:
-// none): nothing that cannot beat logKth is looked for, so the result may
-// hold fewer than the tree's k best — those among them that could be among
-// the database's.
-func (t *Tree) KMLIQRankedAbove(ctx context.Context, q pfv.Vector, k int, logKth float64) ([]query.Result, query.Stats, error) {
-	if err := t.checkQuery(q, k); err != nil {
+	c, err := t.OpenKMLIQRanked(ctx, q, k)
+	if err != nil {
 		return nil, query.Stats{}, err
 	}
-	top := acquireTopK(k)
-	defer releaseTopK(top)
-	tr := t.newTraversal(ctx, q, false, mliqCollector{top})
-	defer tr.release()
-	// Once the heap is full its bound — from the first vector on, logKth — is
-	// the monotone admission threshold: leaf vectors (and whole quantized
-	// leaves) that provably cannot beat it are skipped without exact scoring.
-	admission := func() (float64, bool) {
-		b, full := top.Bound()
-		if !full {
-			return logKth, !math.IsInf(logKth, -1)
-		}
-		return max(b, logKth), true
-	}
-	tr.screenBound = admission
-	tr.leafThreshold = admission
-	done := func() bool {
-		bound, ok := admission()
-		if !ok {
-			return false
-		}
-		_, topPrio, _ := tr.active.Peek()
-		return bound >= topPrio
-	}
-	sp := tr.traceBegin()
-	err := tr.run(done)
-	tr.traceEnd(sp, "kmliq_ranked", -1, -1)
-	if err != nil {
-		return nil, tr.finish(top.Len()), err
-	}
+	return c.answer()
+}
 
-	out := make([]query.Result, 0, top.Len())
-	for _, r := range top.Sorted() {
-		v := r.vector()
-		out = append(out, query.Result{
-			Vector:      v,
-			LogDensity:  tr.eval.LogDensity(v),
-			Probability: math.NaN(),
-			ProbLow:     math.NaN(),
-			ProbHigh:    math.NaN(),
-		})
+// OpenKMLIQRanked starts a resumable ranked k-MLIQ traversal (see Cursor):
+// the k-MLIQ collector on a traversal that tracks no denominator. No pages
+// are read until the first Refine.
+func (t *Tree) OpenKMLIQRanked(ctx context.Context, q pfv.Vector, k int) (*Cursor, error) {
+	if err := t.checkQuery(q, k); err != nil {
+		return nil, err
 	}
-	return out, tr.finish(len(out)), nil
+	return t.openCursor(ctx, q, mliqCollector{acquireTopK(k)}, false, 0, "kmliq_ranked"), nil
 }
 
 // KMLIQ answers a k-most-likely identification query including the actual
@@ -125,14 +85,7 @@ func (t *Tree) OpenKMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy floa
 	if err := t.checkQuery(q, k); err != nil {
 		return nil, err
 	}
-	top := acquireTopK(k)
-	c := t.openCursor(ctx, q, mliqCollector{top}, accuracy, "kmliq")
-	// Quantized leaves whose best certified hull cannot beat the full heap's
-	// bound keep their exact sidecars unread; their [floor, hull] sums join
-	// the permanent denominator residue instead (see expandQuantLeaf). No
-	// screenBound: the denominator needs every explored leaf's densities.
-	c.tr.leafThreshold = top.Bound
-	return c, nil
+	return t.openCursor(ctx, q, mliqCollector{acquireTopK(k)}, true, accuracy, "kmliq"), nil
 }
 
 // mliqCollector is the k-MLIQ policy of the cursor: the k densest scored
@@ -151,21 +104,22 @@ func (c mliqCollector) appendTo(dst []Candidate) []Candidate {
 	return dst
 }
 
+// admission is the k-th best density known, the full heap's or the peers',
+// whichever is larger: a vector or subtree that cannot beat it holds no
+// member of the answer. With neither there is none (ok = false).
+func (c mliqCollector) admission(p Peers) (float64, bool) {
+	if bound, full := c.top.Bound(); full {
+		return max(bound, p.LogKth), true
+	}
+	return p.LogKth, !math.IsInf(p.LogKth, -1)
+}
+
 // settled: the k best are determined as far as this tree is concerned — no
-// queued subtree's hull beats the k-th best density known, the full heap's or
-// the peers'. With neither, any subtree may hold a member of the answer.
+// queued subtree's hull beats the admission bound.
 func (c mliqCollector) settled(tr *traversal, p Peers) bool {
 	_, topPrio, queued := tr.active.Peek()
-	if !queued {
-		return true
-	}
-	kth := p.LogKth
-	if bound, full := c.top.Bound(); full {
-		kth = max(kth, bound)
-	} else if math.IsInf(kth, -1) {
-		return false
-	}
-	return kth >= topPrio
+	bound, ok := c.admission(p)
+	return !queued || ok && bound >= topPrio
 }
 
 // done is the two-part §5.2.2 stop condition against the traversal's pinned

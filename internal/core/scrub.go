@@ -62,20 +62,26 @@ func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, e
 }
 
 // verifyDecode reads page id from the backend (bypassing the cache) and
-// decodes it, wrapping any damage as ErrCorrupt. A closed page store is not
-// corruption: the tree was closed under the scan and the error passes
-// through unwrapped.
+// decodes it, wrapping any damage as ErrCorrupt (see corrupt).
 func (t *Tree) verifyDecode(id pagefile.PageID, buf []byte) (*node, error) {
 	page, err := t.mgr.VerifyPage(id, buf)
 	if err != nil {
-		if errors.Is(err, pagefile.ErrClosed) {
-			return nil, err
-		}
-		return nil, fmt.Errorf("%w: page %d: %w", ErrCorrupt, id, err)
+		return nil, corrupt(id, err)
 	}
 	n, err := decodeNode(id, page, t.dim)
 	if err != nil {
-		return nil, fmt.Errorf("%w: page %d: decoding node: %w", ErrCorrupt, id, err)
+		return nil, corrupt(id, fmt.Errorf("decoding node: %w", err))
 	}
 	return n, nil
+}
+
+// corrupt reports a failed read or decode of page id by Scrub or
+// CheckInvariants as damage: wrapping ErrCorrupt and keeping the cause, so
+// errors.Is finds both. A closed page store is not damage — the tree was
+// closed under the walk — and passes through unwrapped, as does nil.
+func corrupt(id pagefile.PageID, err error) error {
+	if err == nil || errors.Is(err, pagefile.ErrClosed) {
+		return err
+	}
+	return fmt.Errorf("%w: page %d: %w", ErrCorrupt, id, err)
 }

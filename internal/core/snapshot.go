@@ -2,7 +2,6 @@ package core
 
 import (
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -63,38 +62,17 @@ func (t *Tree) rootBox(s *treeSnap) (*boxColumns, error) {
 	return &b, nil
 }
 
-// publishedRootBox is rootBox of the published snapshot, with its count.
-func (t *Tree) publishedRootBox() (*boxColumns, int, error) {
-	snap, epoch := t.pinSnap()
-	defer t.mgr.UnpinEpoch(epoch)
-	b, err := t.rootBox(snap)
-	return b, snap.count, err
-}
-
 // RootBox returns how many vectors the published snapshot stores and, unless
 // it is empty, their minimum bounding box: what a partitioned database routes
 // a mutation by (LeastEnlargement, ParamBox.ContainsVector).
 func (t *Tree) RootBox() (ParamBox, int, error) {
-	b, count, err := t.publishedRootBox()
+	snap, epoch := t.pinSnap()
+	defer t.mgr.UnpinEpoch(epoch)
+	b, err := t.rootBox(snap)
 	if b == nil {
-		return ParamBox{}, count, err
+		return ParamBox{}, snap.count, err
 	}
-	return b.box(0, t.dim), count, nil
-}
-
-// RootLogHull returns ln ˆN(q) of the published snapshot's root box, the
-// priority the whole tree would have in a parent's queue: no stored object's
-// joint log density against q exceeds it. An empty tree has −Inf.
-func (t *Tree) RootLogHull(q pfv.Vector) (float64, error) {
-	hull := [3]float64{math.Inf(-1)}
-	err := t.checkQuery(q, 1)
-	if err == nil {
-		var b *boxColumns
-		if b, _, err = t.publishedRootBox(); b != nil {
-			b.logBounds(t.cfg.Combiner, q, math.Inf(1), hull[:1], nil, hull[1:])
-		}
-	}
-	return hull[0], err
+	return b.box(0, t.dim), snap.count, nil
 }
 
 // publish makes the writer's current state visible to new readers and

@@ -30,7 +30,7 @@ func (t *Tree) newTIQCollector(q pfv.Vector, pTheta float64) (*tiqCollector, err
 	if q.Dim() != t.dim {
 		return nil, fmt.Errorf("%w: query dimension %d, tree dimension %d", ErrDimension, q.Dim(), t.dim)
 	}
-	if pTheta < 0 || pTheta > 1 {
+	if !(pTheta >= 0 && pTheta <= 1) {
 		return nil, fmt.Errorf("%w: threshold %v outside [0,1]", ErrInvalidArg, pTheta)
 	}
 	return &tiqCollector{
@@ -94,6 +94,10 @@ func (c *tiqCollector) done(tr *traversal, accuracy float64, p Peers, alone bool
 	return true
 }
 
+// admission: a threshold answer has no k-th to beat, so nothing is screened
+// and every quantized leaf's sidecar is read.
+func (c *tiqCollector) admission(Peers) (float64, bool) { return 0, false }
+
 func (c *tiqCollector) len() int { return c.candidates.Len() }
 
 func (c *tiqCollector) appendTo(dst []Candidate) []Candidate {
@@ -124,5 +128,5 @@ func (t *Tree) OpenTIQ(ctx context.Context, q pfv.Vector, pTheta float64, accura
 	if err != nil {
 		return nil, err
 	}
-	return t.openCursor(ctx, q, col, accuracy, "tiq"), nil
+	return t.openCursor(ctx, q, col, true, accuracy, "tiq"), nil
 }

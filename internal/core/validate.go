@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 
+	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
 
@@ -29,12 +30,18 @@ var ErrCorrupt = errors.New("core: invariant violation")
 //   - the tree's Len matches the root's subtree count;
 //   - every stored vector has the tree's dimensionality and valid sigmas.
 //
-// Like queries, the walk runs against the pinned published snapshot, so it
-// is safe (and consistent) concurrently with a writer.
+// A page that cannot be read or decoded is damage too and wraps ErrCorrupt
+// as well as its cause (see corrupt). Like queries, the walk runs against the
+// pinned published snapshot, so it is safe (and consistent) concurrently
+// with a writer.
 func (t *Tree) CheckInvariants() error {
 	snap, epoch := t.pinSnap()
 	defer t.mgr.UnpinEpoch(epoch)
-	root, err := t.readNode(snap.root)
+	read := func(id pagefile.PageID) (*node, error) {
+		n, err := t.readNode(id)
+		return n, corrupt(id, err)
+	}
+	root, err := read(snap.root)
 	if err != nil {
 		return err
 	}
@@ -52,7 +59,7 @@ func (t *Tree) CheckInvariants() error {
 			}
 			cols, err := t.exactColumns(n)
 			if err != nil {
-				return 0, ParamBox{}, err
+				return 0, ParamBox{}, corrupt(n.quant.sidecar, err) // only a sidecar read fails
 			}
 			count := cols.Len()
 			if !isRoot && (count < t.minLeaf || count > t.capLeaf) {
@@ -85,7 +92,7 @@ func (t *Tree) CheckInvariants() error {
 		total := 0
 		var box ParamBox
 		for i, c := range n.children {
-			child, err := t.readNode(c.page)
+			child, err := read(c.page)
 			if err != nil {
 				return 0, ParamBox{}, err
 			}

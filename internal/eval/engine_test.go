@@ -2,6 +2,7 @@ package eval
 
 import (
 	"context"
+	"math"
 	"testing"
 
 	"github.com/gauss-tree/gausstree/internal/pfv"
@@ -97,6 +98,11 @@ func TestEngineEmptyResultsNonNil(t *testing.T) {
 		}
 		if res == nil {
 			t.Errorf("%s TIQ: nil results, want []Result{}", eng.Engine.Name())
+		}
+		// A NaN threshold is refused before a page is read, as the façade
+		// refuses it, not answered with an empty set.
+		if res, st, err := eng.Engine.TIQ(ctx, q, math.NaN(), 0); err == nil || st.PageAccesses != 0 {
+			t.Errorf("%s TIQ(NaN): %d results, %d pages, err %v; want an error and no page read", eng.Engine.Name(), len(res), st.PageAccesses, err)
 		}
 	}
 }

@@ -72,14 +72,6 @@ func SortByProbability(rs []Result) {
 	})
 }
 
-// SortByDensity orders results by descending joint log density, breaking
-// ties by ascending object id — the order SortByProbability induces once a
-// shared denominator turns densities into probabilities, usable when
-// probabilities were not computed (ranked queries).
-func SortByDensity(rs []Result) {
-	slices.SortStableFunc(rs, byDensity)
-}
-
 func byDensity(a, b Result) int {
 	if a.LogDensity != b.LogDensity {
 		return descending(a.LogDensity, b.LogDensity)

@@ -58,10 +58,10 @@ func TestIDsAndContains(t *testing.T) {
 	}
 }
 
-// TestSortsKeepTheSliceStableOrder: the reflection-free sorts put every
+// TestSortsKeepTheSliceStableOrder: the reflection-free sort puts every
 // input — ties on probability, on density, on both, full duplicates and NaN
 // probabilities included — in the order sort.SliceStable put it under the
-// less functions the orders are defined by.
+// less function the order is defined by.
 func TestSortsKeepTheSliceStableOrder(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	vals := []float64{0, 0.25, 0.25, 0.5, 1, math.NaN(), math.Inf(-1)}
@@ -71,7 +71,7 @@ func TestSortsKeepTheSliceStableOrder(t *testing.T) {
 			rs[i] = mk(uint64(rng.Intn(4)), vals[rng.Intn(len(vals))], vals[rng.Intn(len(vals)-2)])
 			rs[i].ProbLow = float64(i) // tells duplicates apart
 		}
-		byProb, byDens := slices.Clone(rs), slices.Clone(rs)
+		byProb := slices.Clone(rs)
 		sort.SliceStable(byProb, func(i, j int) bool {
 			if byProb[i].Probability != byProb[j].Probability {
 				return byProb[i].Probability > byProb[j].Probability
@@ -81,21 +81,11 @@ func TestSortsKeepTheSliceStableOrder(t *testing.T) {
 			}
 			return byProb[i].Vector.ID < byProb[j].Vector.ID
 		})
-		sort.SliceStable(byDens, func(i, j int) bool {
-			if byDens[i].LogDensity != byDens[j].LogDensity {
-				return byDens[i].LogDensity > byDens[j].LogDensity
-			}
-			return byDens[i].Vector.ID < byDens[j].Vector.ID
-		})
-		gotProb, gotDens := slices.Clone(rs), slices.Clone(rs)
+		gotProb := slices.Clone(rs)
 		SortByProbability(gotProb)
-		SortByDensity(gotDens)
 		for i := range rs {
 			if gotProb[i].ProbLow != byProb[i].ProbLow {
 				t.Fatalf("trial %d: SortByProbability rank %d is input %v, sort.SliceStable put %v there", trial, i, gotProb[i].ProbLow, byProb[i].ProbLow)
-			}
-			if gotDens[i].ProbLow != byDens[i].ProbLow {
-				t.Fatalf("trial %d: SortByDensity rank %d is input %v, sort.SliceStable put %v there", trial, i, gotDens[i].ProbLow, byDens[i].ProbLow)
 			}
 		}
 	}

@@ -15,7 +15,6 @@ import (
 	"context"
 	"encoding/binary"
 	"fmt"
-	"sync"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
@@ -40,12 +39,10 @@ type File struct {
 	// lastUsed is the entry count of the final page, so appends do not
 	// re-read it.
 	lastUsed int
-	// decoded caches parsed pages, guarded by decMu so parallel queries can
-	// share it. Logical page accesses are still charged against the
-	// manager; the cache only avoids re-parsing bytes, keeping CPU-time
-	// comparisons against the (equally caching) index structures fair.
-	decMu   sync.RWMutex
-	decoded map[pagefile.PageID][]pfv.Vector
+	// decode is decodePage bound to the file's dimension, in the shape the
+	// page manager's decoded reads take: a page's vectors are its one cached
+	// form, dropped with the page cache like the index structures' nodes.
+	decode pagefile.DecodeFunc
 }
 
 var _ query.Engine = (*File)(nil)
@@ -66,7 +63,7 @@ func Create(mgr *pagefile.Manager, dim int, combiner gaussian.Combiner) (*File, 
 		dim:      dim,
 		perPage:  perPage,
 		combiner: combiner,
-		decoded:  make(map[pagefile.PageID][]pfv.Vector),
+		decode:   func(_ pagefile.PageID, page []byte) (any, error) { return decodePage(page, dim) },
 	}, nil
 }
 
@@ -106,39 +103,23 @@ func (f *File) Append(v pfv.Vector) error {
 		return err
 	}
 	vs = append(vs[:len(vs):len(vs)], v)
-	if err := f.mgr.Write(last, encodePage(vs, f.dim)); err != nil {
+	if err := f.mgr.WriteDecoded(last, encodePage(vs, f.dim), vs); err != nil {
 		return err
 	}
-	f.decMu.Lock()
-	f.decoded[last] = vs
-	f.decMu.Unlock()
 	f.lastUsed = len(vs)
 	f.count++
 	return nil
 }
 
-// readPage returns the decoded vectors of one page, charging the logical
-// page access (to the per-query counter too, when non-nil) and reusing the
-// decoded cache.
+// readPage returns the decoded vectors of one page, shared with the page
+// cache and immutable, charging the logical page access (to the per-query
+// counter too, when non-nil).
 func (f *File) readPage(id pagefile.PageID, c *pagefile.Counter) ([]pfv.Vector, error) {
-	page, err := f.mgr.ReadCounted(id, c)
+	vs, err := f.mgr.ReadDecoded(id, c, f.decode)
 	if err != nil {
 		return nil, err
 	}
-	f.decMu.RLock()
-	vs, ok := f.decoded[id]
-	f.decMu.RUnlock()
-	if ok {
-		return vs, nil
-	}
-	vs, err = decodePage(page, f.dim)
-	if err != nil {
-		return nil, err
-	}
-	f.decMu.Lock()
-	f.decoded[id] = vs
-	f.decMu.Unlock()
-	return vs, nil
+	return vs.([]pfv.Vector), nil
 }
 
 // AppendAll adds a batch of vectors.
@@ -295,7 +276,7 @@ func (f *File) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 	if err := f.checkQuery(q, 1); err != nil {
 		return nil, query.Stats{}, err
 	}
-	if pTheta < 0 || pTheta > 1 {
+	if !(pTheta >= 0 && pTheta <= 1) {
 		return nil, query.Stats{}, fmt.Errorf("scan: threshold %v outside [0,1]", pTheta)
 	}
 	var counter pagefile.Counter

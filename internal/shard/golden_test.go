@@ -36,6 +36,10 @@ import (
 // it), and with them a few stop decisions per hundred queries; the kernel
 // itself — log-space tests, memoised fold, admission filter — must reproduce
 // them to the bit in ids and counters and to 1e-12 per interval endpoint.
+// The ranked rows (ranked(k): k-MLIQ without probabilities, so they hash each
+// result's log-density bits beside its id and sum no interval) were written by
+// the parent of the change that made the ranked query a cursor, and pin that
+// its pages are the ones the old driver read.
 // The shards-4 rows are of the partition by parameter space (PR 22), which
 // reads about half the pages of the hash routing before it — and since their
 // counters have no older build to agree with, what vouches for them is in this
@@ -47,6 +51,8 @@ const goldenHeader = `# tree rows: written by commit 37388d4 (PR 11) plus the sc
 # (internal/core/bounds.go: peak/cancelled tracking, rebuild on cancellation instead of every
 # 256 mutations, cancelRatio 2^-20), see CHANGES.md PR 12. shards-4 rows: the partition by
 # parameter space (PR 22), written by a run whose every sharded answer matched the tree's.
+# ranked rows: written by commit 41762e0, before the ranked query became a core.Cursor; their
+# hash covers each result's id and log-density bits, and their interval sums are 0.
 # engine seed op block | pages nodes scored hash(ids+counters per query) results sumProbLow sumProbHigh
 `
 
@@ -73,6 +79,7 @@ type goldenOp struct {
 var goldenOps = []goldenOp{
 	{"tiq", 0, 25}, {"tiq", 0.05, goldenQueries}, {"tiq", 0.5, goldenQueries}, {"tiq", 0.8, goldenQueries}, {"tiq", 1, goldenQueries},
 	{"kmliq", 1, goldenQueries}, {"kmliq", 3, goldenQueries}, {"kmliq", 10, goldenQueries},
+	{"ranked", 1, goldenQueries}, {"ranked", 3, goldenQueries}, {"ranked", 10, goldenQueries},
 }
 
 // goldenRow aggregates one block of queries: exact counters, a hash over the
@@ -148,6 +155,10 @@ func TestCertifiedStopGolden(t *testing.T) {
 						row.scored += uint64(st.VectorsScored)
 						fmt.Fprintf(h, "%d/%d/%d:", st.PageAccesses, st.NodesVisited, st.VectorsScored)
 						for _, r := range res {
+							if op.name == "ranked" {
+								fmt.Fprintf(h, "%d:%x,", r.Vector.ID, math.Float64bits(r.LogDensity))
+								continue
+							}
 							fmt.Fprintf(h, "%d,", r.Vector.ID)
 							row.sumLo += r.ProbLow
 							row.sumHi += r.ProbHigh
@@ -265,8 +276,11 @@ func answersDiffer(tree, sharded []query.Result) string {
 }
 
 func goldenQuery(ctx context.Context, e query.Engine, q pfv.Vector, op goldenOp) ([]query.Result, query.Stats, error) {
-	if op.name == "tiq" {
+	switch op.name {
+	case "tiq":
 		return e.TIQ(ctx, q, op.param, goldenAccuracy)
+	case "ranked":
+		return e.KMLIQRanked(ctx, q, int(op.param))
 	}
 	return e.KMLIQ(ctx, q, int(op.param), goldenAccuracy)
 }

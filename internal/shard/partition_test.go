@@ -473,7 +473,7 @@ func TestReadersBesideWriterOutsideRootBoxes(t *testing.T) {
 	const dim, base, grow = 2, 800, 300
 	rng := rand.New(rand.NewSource(59))
 	vs := clustered(rng, base, dim, 4)
-	e, trees := newEngine(t, 4, dim, 1024)
+	e, _ := newEngine(t, 4, dim, 1024)
 	if err := e.BulkLoad(vs); err != nil {
 		t.Fatal(err)
 	}
@@ -483,12 +483,6 @@ func TestReadersBesideWriterOutsideRootBoxes(t *testing.T) {
 	for i := range outside {
 		x := 12 + float64(i)
 		outside[i] = pfv.MustNew(uint64(base+i+1), []float64{x, x}, []float64{0.3, 0.3})
-	}
-	epochs := func() (sum uint64) {
-		for _, tr := range trees {
-			sum += tr.SnapshotEpoch()
-		}
-		return sum
 	}
 
 	var wg sync.WaitGroup
@@ -526,7 +520,11 @@ func TestReadersBesideWriterOutsideRootBoxes(t *testing.T) {
 				if w := written.Load(); w > 0 && r.Intn(3) > 0 {
 					q = outside[w-1]
 				}
-				before := epochs()
+				// The writer only inserts, so the published count grows with
+				// every publish: an unchanged count says every read below saw
+				// the same snapshots. (The publish epoch cannot say it: a
+				// snapshot is stored before its epoch advances.)
+				before := e.Len()
 				ranked, _, err := e.KMLIQRanked(ctx, q, 3)
 				if err != nil {
 					errs <- err
@@ -547,7 +545,7 @@ func TestReadersBesideWriterOutsideRootBoxes(t *testing.T) {
 					errs <- err
 					return
 				}
-				if epochs() != before {
+				if e.Len() != before {
 					continue // a publish fell between the answers and the scan
 				}
 				post := pfv.Posterior(gaussian.CombineAdditive, stored, q)

@@ -352,45 +352,60 @@ func (e *Engine) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.
 }
 
 // KMLIQRankedDetail is KMLIQRanked with per-shard statistics. It is Figure 4
-// one level up: the shards are taken in descending order of their root hull
-// ˆN(q), and the first whose hull cannot beat the k-th best density found
-// ends the query — it and every shard after it stay unread.
+// one level up: a ranked cursor per shard, its root queued (AsShard), the
+// shards taken in descending order of their root hull ˆN(q) (Cursor.Bound),
+// each refined against the k-th best density gathered before it
+// (core.Peers.LogKth), and the first whose hull cannot beat that ends the
+// query — it and every shard after it stay unread. One shard is read whatever
+// its hull: its cursor is the tree's.
 func (e *Engine) KMLIQRankedDetail(ctx context.Context, q pfv.Vector, k int) ([]query.Result, Stats, error) {
 	n := len(e.trees)
-	perStats := make([]query.Stats, n)
-	type rootHull struct {
-		shard int
-		hull  float64
+	curs, order := make([]*core.Cursor, n), make([]int, n)
+	defer func() {
+		for _, c := range curs {
+			if c != nil {
+				c.Close()
+			}
+		}
+	}()
+	stats := func() Stats {
+		per := make([]query.Stats, n)
+		for i, c := range curs {
+			if c != nil {
+				per[i] = c.Stats()
+			}
+		}
+		return collectStats(per, 1)
 	}
-	order := make([]rootHull, n)
 	for i, t := range e.trees {
-		order[i].shard = i
-		if n > 1 { // one shard is read whatever its hull
-			var err error
-			if order[i].hull, err = t.RootLogHull(q); err != nil {
-				return nil, Stats{}, err
+		c, err := t.OpenKMLIQRanked(ctx, q, k)
+		if err != nil {
+			return nil, stats(), err
+		}
+		curs[i], order[i] = c, i
+		if n > 1 {
+			if err := c.AsShard(i); err != nil {
+				return nil, stats(), err
 			}
 		}
 	}
-	slices.SortStableFunc(order, func(a, b rootHull) int { return cmp.Compare(b.hull, a.hull) })
-	var all []query.Result
-	logKth := math.Inf(-1)
-	for _, o := range order {
-		if len(all) == k && logKth >= o.hull { // k known: the rest cannot add to them
+	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(curs[b].Bound(), curs[a].Bound()) })
+	var cands []core.Candidate
+	peers := core.NoPeers()
+	for _, i := range order {
+		if len(cands) == k && peers.LogKth >= curs[i].Bound() { // k known: the rest cannot add to them
 			break
 		}
-		res, st, err := e.trees[o.shard].KMLIQRankedAbove(ctx, q, k, logKth)
-		perStats[o.shard] = st
-		if err != nil {
-			return nil, collectStats(perStats, 1), err
+		if err := curs[i].Refine(1, math.Inf(1), peers); err != nil {
+			return nil, stats(), err
 		}
-		all = append(all, res...)
-		query.SortByDensity(all)
-		if len(all) >= k {
-			all, logKth = all[:k], all[k-1].LogDensity
+		cands = curs[i].Candidates(cands, math.Inf(-1))
+		core.SortCandidates(cands)
+		if len(cands) >= k {
+			cands, peers.LogKth = cands[:k], cands[k-1].LogDensity
 		}
 	}
-	return query.NonNil(all), collectStats(perStats, 1), nil
+	return core.Ranked(cands), stats(), nil
 }
 
 // verdict is what a query type makes of the candidates gathered so far

@@ -367,7 +367,7 @@ func (f *File) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 	if q.Dim() != f.dim {
 		return nil, query.Stats{}, fmt.Errorf("vafile: query dimension %d, file dimension %d", q.Dim(), f.dim)
 	}
-	if pTheta < 0 || pTheta > 1 {
+	if !(pTheta >= 0 && pTheta <= 1) {
 		return nil, query.Stats{}, fmt.Errorf("vafile: threshold %v outside [0,1]", pTheta)
 	}
 	if f.count == 0 {

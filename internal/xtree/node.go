@@ -61,92 +61,93 @@ func pagesNeeded(entries, perPage int) int {
 	return (entries + perPage - 1) / perPage
 }
 
+// chainPage is the decoded form of one page of a node's chain, the page
+// cache's one entry for it: shared by every reader, immutable.
+type chainPage struct {
+	leaf      bool
+	splitHist uint32
+	cont      pagefile.PageID // next page of the chain, NilPage at its end
+	vectors   []pfv.Vector
+	children  []childEntry
+}
+
 // readNode loads a node, following supernode continuation pointers. Every
-// chained page is a logical page access, also when the decoded form is
+// chained page is a logical page access, also when its decoded form is
 // cached.
 func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
 	return t.readNodeCounted(id, nil)
 }
 
 // readNodeCounted is readNode with the page accesses additionally charged to
-// a per-query counter.
+// a per-query counter. The node is assembled from its pages' cached forms
+// into slices of its own, so the caller may edit and rewrite it.
 func (t *Tree) readNodeCounted(id pagefile.PageID, c *pagefile.Counter) (*node, error) {
-	t.decMu.RLock()
-	n, ok := t.decoded[id]
-	t.decMu.RUnlock()
-	if ok {
-		for _, p := range n.pages {
-			if _, err := t.mgr.ReadCounted(p, c); err != nil {
-				return nil, err
-			}
-		}
-		return n, nil
-	}
-	n = &node{id: id}
-	page := id
-	first := true
-	for page != pagefile.NilPage {
-		buf, err := t.mgr.ReadCounted(page, c)
+	n := &node{id: id}
+	for pid := id; pid != pagefile.NilPage; {
+		v, err := t.mgr.ReadDecoded(pid, c, t.decode)
 		if err != nil {
 			return nil, err
 		}
-		if len(buf) < nodeHeaderSize {
-			return nil, fmt.Errorf("xtree: truncated page %d", page)
+		p := v.(*chainPage)
+		if pid == id {
+			n.leaf, n.splitHist = p.leaf, p.splitHist
+		} else if p.leaf != n.leaf {
+			return nil, fmt.Errorf("xtree: inconsistent chain kind at page %d", pid)
 		}
-		kind := buf[0]
-		count := int(binary.LittleEndian.Uint16(buf[1:]))
-		hist := binary.LittleEndian.Uint32(buf[3:])
-		cont := pagefile.PageID(binary.LittleEndian.Uint32(buf[7:]))
-		if first {
-			n.leaf = kind == kindLeaf
-			n.splitHist = hist
-			first = false
-		} else if (kind == kindLeaf) != n.leaf {
-			return nil, fmt.Errorf("xtree: inconsistent chain kind at page %d", page)
-		}
-		off := nodeHeaderSize
-		if n.leaf {
-			for i := 0; i < count; i++ {
-				v, used, err := pfv.DecodeBinary(buf[off:], t.dim)
-				if err != nil {
-					return nil, fmt.Errorf("xtree: page %d entry %d: %w", page, i, err)
-				}
-				n.vectors = append(n.vectors, v)
-				off += used
-			}
-		} else {
-			esz := innerEntrySize(t.dim)
-			for i := 0; i < count; i++ {
-				if off+esz > len(buf) {
-					return nil, fmt.Errorf("xtree: page %d entry %d: short page", page, i)
-				}
-				c := childEntry{
-					page: pagefile.PageID(binary.LittleEndian.Uint32(buf[off:])),
-					box: rect.Rect{
-						Lo: make([]float64, t.dim),
-						Hi: make([]float64, t.dim),
-					},
-				}
-				p := off + 4
-				for j := 0; j < t.dim; j++ {
-					c.box.Lo[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p:]))
-					c.box.Hi[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p+8:]))
-					p += 16
-				}
-				n.children = append(n.children, c)
-				off += esz
-			}
-		}
-		n.pages = append(n.pages, page)
-		page = cont
+		n.vectors = append(n.vectors, p.vectors...)
+		n.children = append(n.children, p.children...)
+		n.pages = append(n.pages, pid)
+		pid = p.cont
 	}
-	t.decMu.Lock()
-	t.decoded[id] = n
-	t.decMu.Unlock()
 	return n, nil
 }
 
-// writeNode persists a node, growing or shrinking its page chain as needed.
+// decodePage parses one page of a node's chain.
+func decodePage(id pagefile.PageID, buf []byte, dim int) (*chainPage, error) {
+	if len(buf) < nodeHeaderSize {
+		return nil, fmt.Errorf("xtree: truncated page %d", id)
+	}
+	p := &chainPage{
+		leaf:      buf[0] == kindLeaf,
+		splitHist: binary.LittleEndian.Uint32(buf[3:]),
+		cont:      pagefile.PageID(binary.LittleEndian.Uint32(buf[7:])),
+	}
+	count := int(binary.LittleEndian.Uint16(buf[1:]))
+	off := nodeHeaderSize
+	if p.leaf {
+		for i := 0; i < count; i++ {
+			v, used, err := pfv.DecodeBinary(buf[off:], dim)
+			if err != nil {
+				return nil, fmt.Errorf("xtree: page %d entry %d: %w", id, i, err)
+			}
+			p.vectors = append(p.vectors, v)
+			off += used
+		}
+		return p, nil
+	}
+	esz := innerEntrySize(dim)
+	for i := 0; i < count; i++ {
+		if off+esz > len(buf) {
+			return nil, fmt.Errorf("xtree: page %d entry %d: short page", id, i)
+		}
+		c := childEntry{
+			page: pagefile.PageID(binary.LittleEndian.Uint32(buf[off:])),
+			box:  rect.Rect{Lo: make([]float64, dim), Hi: make([]float64, dim)},
+		}
+		q := off + 4
+		for j := 0; j < dim; j++ {
+			c.box.Lo[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[q:]))
+			c.box.Hi[j] = math.Float64frombits(binary.LittleEndian.Uint64(buf[q+8:]))
+			q += 16
+		}
+		p.children = append(p.children, c)
+		off += esz
+	}
+	return p, nil
+}
+
+// writeNode persists a node, growing or shrinking its page chain as needed;
+// each page's cached form is the slice of the node's entries it holds.
 func (t *Tree) writeNode(n *node) error {
 	perPage := t.perPageLeaf
 	if !n.leaf {
@@ -175,21 +176,23 @@ func (t *Tree) writeNode(n *node) error {
 	for pi := 0; pi < need; pi++ {
 		lo := pi * perPage
 		hi := min(lo+perPage, n.entryCount())
+		p := &chainPage{leaf: n.leaf, splitHist: n.splitHist, cont: pagefile.NilPage}
+		if pi+1 < need {
+			p.cont = n.pages[pi+1]
+		}
 		buf := make([]byte, nodeHeaderSize, t.mgr.PageSize())
 		buf[0] = kind
 		binary.LittleEndian.PutUint16(buf[1:], uint16(hi-lo))
 		binary.LittleEndian.PutUint32(buf[3:], n.splitHist)
-		cont := pagefile.NilPage
-		if pi+1 < need {
-			cont = n.pages[pi+1]
-		}
-		binary.LittleEndian.PutUint32(buf[7:], uint32(cont))
+		binary.LittleEndian.PutUint32(buf[7:], uint32(p.cont))
 		if n.leaf {
-			for _, v := range n.vectors[lo:hi] {
+			p.vectors = n.vectors[lo:hi:hi]
+			for _, v := range p.vectors {
 				buf = pfv.AppendBinary(buf, v)
 			}
 		} else {
-			for _, c := range n.children[lo:hi] {
+			p.children = n.children[lo:hi:hi]
+			for _, c := range p.children {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(c.page))
 				for j := 0; j < t.dim; j++ {
 					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.box.Lo[j]))
@@ -197,13 +200,10 @@ func (t *Tree) writeNode(n *node) error {
 				}
 			}
 		}
-		if err := t.mgr.Write(n.pages[pi], buf); err != nil {
+		if err := t.mgr.WriteDecoded(n.pages[pi], buf, p); err != nil {
 			return err
 		}
 	}
-	t.decMu.Lock()
-	t.decoded[n.id] = n
-	t.decMu.Unlock()
 	return nil
 }
 

@@ -96,7 +96,7 @@ func (t *Tree) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 	if err := t.checkQuery(q); err != nil {
 		return nil, query.Stats{}, err
 	}
-	if pTheta < 0 || pTheta > 1 {
+	if !(pTheta >= 0 && pTheta <= 1) {
 		return nil, query.Stats{}, fmt.Errorf("%w: threshold %v outside [0,1]", ErrInvalidArg, pTheta)
 	}
 	var counter pagefile.Counter

@@ -18,7 +18,6 @@ package xtree
 import (
 	"errors"
 	"fmt"
-	"sync"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
@@ -67,12 +66,10 @@ type Tree struct {
 	minLeaf      int
 	minInner     int
 
-	// decoded caches parsed nodes by head page id, guarded by decMu so
-	// parallel queries can share it. Logical page accesses (including every
-	// page of a supernode chain) are still charged against the manager on
-	// each read.
-	decMu   sync.RWMutex
-	decoded map[pagefile.PageID]*node
+	// decode is decodePage bound to the tree's dimension, in the shape the
+	// page manager's decoded reads take: every page of a chain has one cached
+	// form, and a read assembles the node from them (readNodeCounted).
+	decode pagefile.DecodeFunc
 }
 
 // ErrDimension is returned on query/vector dimensionality mismatches.
@@ -103,7 +100,7 @@ func New(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 		perPageInner: perInner,
 		minLeaf:      max(1, perLeaf*2/5),
 		minInner:     max(2, perInner*2/5),
-		decoded:      make(map[pagefile.PageID]*node),
+		decode:       func(id pagefile.PageID, buf []byte) (any, error) { return decodePage(id, buf, dim) },
 	}
 	rootID, err := mgr.Allocate()
 	if err != nil {

@@ -44,8 +44,8 @@ func queriesOf[S any](
 // OldestPinnedEpoch() == SnapshotEpoch(). A cancelled or failing shard
 // closes its cursor after a failed Refine and cancels its siblings
 // mid-traversal; on more than one shard Insert and Delete route by each
-// shard's RootBox and a ranked query orders the shards by RootLogHull, so
-// those pins are counted too.
+// shard's RootBox and every query's cursors queue each shard's root under its
+// root box (Cursor.AsShard), so those pins are counted too.
 func TestEveryReadReleasesItsPin(t *testing.T) {
 	forEachLayout(t, func(t *testing.T, l layout, file bool) {
 		inj := gausstree.NewFaultInjector()
@@ -65,12 +65,11 @@ func TestEveryReadReleasesItsPin(t *testing.T) {
 				t.Fatal(err)
 			}
 		}
-		// check runs one read and requires its error to match want (nil: none,
-		// errSome: any) and its pin to be gone.
-		errSome := errors.New("some error")
+		// check runs one read and requires its error to match want (nil: none)
+		// and its pin to be gone.
 		check := func(name string, want error, read func() error) {
 			t.Helper()
-			if err := read(); !errors.Is(err, want) && (want != errSome || err == nil) {
+			if err := read(); !errors.Is(err, want) {
 				t.Errorf("%s: err = %v, want %v", name, err, want)
 			}
 			if n, oldest, epoch := idx.PinnedReaders(), idx.OldestPinnedEpoch(), idx.SnapshotEpoch(); n != 0 || oldest != epoch {
@@ -139,9 +138,7 @@ func TestEveryReadReleasesItsPin(t *testing.T) {
 		for _, f := range files {
 			flipBytes(t, f, int64(o.PageSize))
 		}
-		// (A checksum failure reaches CheckInvariants' caller unwrapped, not
-		// as the ErrCorrupt its documentation promises.)
-		check("CheckInvariants over corrupted pages", errSome, idx.CheckInvariants)
+		check("CheckInvariants over corrupted pages", gausstree.ErrCorrupt, idx.CheckInvariants)
 		check("Scrub over corrupted pages", gausstree.ErrCorrupt, reads["Scrub"])
 	})
 }

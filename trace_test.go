@@ -63,7 +63,9 @@ func TestTreeQuerySpanNames(t *testing.T) {
 // round records one merge_round span, and under it one "<query>_refine" span
 // for each shard the round resumed, labelled with the shard and the round —
 // at most one per shard and round, at least one in the first, and none at all
-// for a shard the query skipped, which is how a trace shows the skip.
+// for a shard the query skipped, which is how a trace shows the skip. The
+// ranked query has no merge rounds: it records one kmliq_ranked_refine span,
+// in round 1, for each shard it read.
 func TestShardedQuerySpanNames(t *testing.T) {
 	const shards = 4
 	sh, err := gausstree.NewSharded(3, shards, gausstree.Options{PageSize: 1024, Accuracy: 1e-9})
@@ -130,5 +132,26 @@ func TestShardedQuerySpanNames(t *testing.T) {
 		if pages[shards] != int64(st.PageAccesses) {
 			t.Errorf("%s: merge_round spans account for %d pages, the query read %d", name, pages[shards], st.PageAccesses)
 		}
+	}
+
+	spans := traced(t, func(ctx context.Context) (err error) { _, st, err = sh.KMLIQRankedContext(ctx, q, 5); return })
+	read, total := map[int]bool{}, int64(0)
+	for _, sp := range spans {
+		if sp.Name != "kmliq_ranked_refine" || sp.Shard < 0 || sp.Shard >= shards || sp.Round != 1 || read[sp.Shard] {
+			t.Errorf("ranked: unexpected span %+v", sp)
+			continue
+		}
+		read[sp.Shard], total = true, total+sp.Pages
+		if sp.Pages != int64(st.PerShard[sp.Shard].PageAccesses) {
+			t.Errorf("ranked: shard %d span accounts for %d pages, its statistics for %d", sp.Shard, sp.Pages, st.PerShard[sp.Shard].PageAccesses)
+		}
+	}
+	for i, per := range st.PerShard {
+		if read[i] != (per.PageAccesses > 0) {
+			t.Errorf("ranked: shard %d read %d pages, has a span: %v", i, per.PageAccesses, read[i])
+		}
+	}
+	if total == 0 || total != int64(st.PageAccesses) {
+		t.Errorf("ranked: spans account for %d pages, the query read %d", total, st.PageAccesses)
 	}
 }
