@@ -22,7 +22,8 @@ type activeNode struct {
 // scaledAccum maintains Σ exp(xᵢ) over a dynamic multiset of log-space terms
 // with O(1) add and remove, staying accurate across the enormous dynamic
 // range of multi-dimensional Gaussian densities by carrying an explicit
-// log-space reference exponent. A removal that cancels the sum down to
+// log-space reference exponent, the largest term added since the last reset
+// (so the sum never rounds below it). A removal that cancels the sum down to
 // rounding residue — losing every term the removed one had absorbed — marks
 // the accumulator cancelled; the owner rebuilds it from the live terms (see
 // denomTracker.maybeRebuild).
@@ -48,8 +49,9 @@ func (a *scaledAccum) add(x float64) {
 		return
 	}
 	switch d := x - a.ref; {
-	case d > 600:
-		// Rescale so the new dominant term cannot overflow.
+	case d > 0:
+		// Rebase: summed against a far lower reference, x − ref rounds at its
+		// scale and the sum can fall under its largest term (a [1, 1] posterior).
 		f := math.Exp(-d)
 		a.sum, a.peak, a.ref = a.sum*f+1, a.peak*f, x
 	case d < -40 && a.sum >= 1:
@@ -93,10 +95,9 @@ func (a *scaledAccum) reset() { *a = scaledAccum{} }
 // memoised: however many tests an expansion runs, the five accumulators are
 // folded into log space once.
 type denomTracker struct {
-	exact   scaledAccum // Σ p(q|v) over individually scored objects
+	exact   scaledAccum // Σ p(q|v) over individually scored objects; ref: the densest
 	floorPQ scaledAccum // Σ n·ˇN over queued subtrees
 	hullPQ  scaledAccum // Σ n·ˆN over queued subtrees
-	maxLd   float64     // densest scored object (meaningful once exact is non-empty)
 
 	// floorRes/hullRes hold the per-vector floor/hull sums of quantized
 	// leaves the traversal skipped for good (their hulls proved they cannot
@@ -121,9 +122,6 @@ type denomBounds struct {
 }
 
 func (d *denomTracker) addExact(logDensity float64) {
-	if d.exact.sum <= 0 || logDensity > d.maxLd {
-		d.maxLd = logDensity
-	}
 	d.exact.add(logDensity)
 	d.folded = false
 }

@@ -13,13 +13,13 @@ import (
 // paper's one-by-one insertion for offline construction. The set is
 // recursively median-split along the parameter axis that minimizes the same
 // hull-integral objective the online split strategy uses (§5.3), until
-// pieces fit into single leaves; leaves are packed full and upper levels are
-// assembled by grouping consecutive partitions, preserving the recursive
-// locality: ~100% leaf utilization at a fraction of repeated Insert's build
-// time. The tree must be empty. Only the partition is parallel
-// (medianCut.runs), and it is a pure function of the set: pages are allocated
-// and written after it, run by run on the calling goroutine, so their ids and
-// bytes do not depend on how many processors cut.
+// pieces fit into single leaves of capLeaf·(bulkLeafSlack−1)/bulkLeafSlack
+// vectors (~96%: the first inserts need no split); upper levels are packed
+// full by grouping consecutive partitions, preserving the recursive locality,
+// at a fraction of Insert's build time. The tree must be empty. Only the
+// partition is parallel (medianCut.runs), a pure function of the set: pages
+// are allocated and written after it, run by run on the calling goroutine, so
+// their ids and bytes do not depend on how many processors cut.
 func (t *Tree) BulkLoad(vs []pfv.Vector) error { return t.BulkLoadOwned(slices.Clone(vs)) }
 
 // BulkLoadOwned is BulkLoad of a slice the caller gives up (a group of Cuts):
@@ -75,7 +75,7 @@ const (
 // axis the evaluator picks on the sample and returns the proportional cut for
 // k pieces: part[:at] takes k1 = k/2 of them, part[at:] the other k−k1. Cutting
 // by target piece count (instead of plain medians) keeps every leaf at
-// ~n/k ≈ full capacity rather than the ~62% a pure halving recursion converges
+// ~n/k ≈ the bulk fill rather than the ~62% a pure halving recursion converges
 // to. The full sort orders a part's vectors: the next sample, every leaf page.
 func (e *medianCut) cut(part []pfv.Vector, k int) (at, k1 int) {
 	if len(part) > 1 {
@@ -126,9 +126,9 @@ func (e *medianCut) runs(part []pfv.Vector, k, fit int, spare chan struct{}) [][
 
 func (t *Tree) bulkLoad(work []pfv.Vector) error {
 	// One leaf per run of the partition, allocated and written in run order.
-	leafCount := (len(work) + t.capLeaf - 1) / t.capLeaf
+	fill := max(t.minLeaf, t.capLeaf*(bulkLeafSlack-1)/bulkLeafSlack)
 	var level []childEntry
-	for _, run := range t.partition(work, leafCount, t.capLeaf) {
+	for _, run := range t.partition(work, (len(work)+fill-1)/fill, fill) {
 		leaf := &node{leaf: true, vectors: run}
 		if err := t.persistNew(leaf); err != nil {
 			return err

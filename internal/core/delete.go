@@ -8,14 +8,11 @@ import (
 // Delete removes one stored copy of the given probabilistic feature vector
 // (matched by id, means and sigmas) and reports whether a copy was found.
 // As in classical R-trees the full vector is required, because the descent
-// is guided by parameter-space containment. Leaf underflows are resolved by
-// the condense-and-reinsert strategy: the underflowing node's remaining
-// objects (or the whole subtree's objects for a cascading inner underflow)
-// are collected and re-inserted through the normal insertion path.
-//
-// Deletion is not described in the paper; this is the standard R-tree-family
-// algorithm adapted to the Gauss-tree's parameter-space boxes, provided for
-// production completeness.
+// is guided by parameter-space containment. Deletion is not in the paper: this
+// is the R-tree family's, on parameter-space boxes. A node underflows below
+// minFillPercent of its capacity — not after one delete from either half of a
+// median split — and is condensed: its remaining objects (or a cascading inner
+// underflow's whole subtree) are re-inserted through the normal insertion path.
 //
 // Like Insert, the whole mutation (including condensation re-inserts) is
 // shadow-paged and sealed once (one log record, or one meta commit); a crash

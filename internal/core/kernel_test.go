@@ -45,6 +45,29 @@ func ds2Tree(tb testing.TB, n, queries int, seed int64) (*Tree, []pfv.Vector) {
 	return tr, out
 }
 
+// ds2Observations returns count fresh observations of DS2 at size n — its
+// re-observations of the given seed, renumbered past the stored ids — the
+// vectors the benchmark's writer inserts.
+func ds2Observations(tb testing.TB, n, count int, seed int64) []pfv.Vector {
+	tb.Helper()
+	p := dataset.DefaultSyntheticParams()
+	p.N = n
+	ds, err := dataset.Synthetic(p)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	qs, err := dataset.MakeQueries(ds, dataset.QueryParams{Count: count, Sigma: p.Sigma, Seed: seed})
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := make([]pfv.Vector, len(qs))
+	for i, q := range qs {
+		out[i] = q.Vector
+		out[i].ID = uint64(n + 1 + i)
+	}
+	return out
+}
+
 // TestTrackerAgreesWithLiveQueue runs real best-first traversals and, at
 // every stop test, recomputes the queue-bound sums from the live queue: the
 // O(1)-remove accumulators must agree with them however the dominant hulls

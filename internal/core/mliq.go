@@ -134,7 +134,7 @@ func (c mliqCollector) done(tr *traversal, accuracy float64, p Peers, _ bool) bo
 	}
 	maxLd := p.LogMax
 	if tr.denom.exact.sum > 0 {
-		maxLd = max(maxLd, tr.denom.maxLd)
+		maxLd = max(maxLd, tr.denom.exact.ref)
 	}
 	return !tr.denom.fold().tooWide(maxLd, accuracy, p.LogLow)
 }

@@ -136,21 +136,35 @@ func leafPages(t testing.TB, tr *Tree) []pagefile.PageID {
 	return ids
 }
 
-// TestLazyNegLnSigmaBitIdentical: every leaf of a bulk-loaded DS2 tree is
-// too full to store its NegLnSigma terms, so its decoded form computes them
-// on first use. They must equal, bit for bit, the terms the encoder stores
-// when the same columns go to a page with room for them.
+// fillLeaves inserts count fresh observations into a bulk-loaded DS2 tree
+// of 20 000 vectors. A bulk-loaded leaf holds 46 of 48 vectors, room enough
+// for its NegLnSigma terms; the leaves the inserts fill to 47 or 48 are too
+// full to store them, so their decoded form computes them on first use.
+func fillLeaves(tb testing.TB, tr *Tree, count int) {
+	tb.Helper()
+	for _, v := range ds2Observations(tb, 20000, count, 3) {
+		if err := tr.Insert(v); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// TestLazyNegLnSigmaBitIdentical: a leaf too full to store its NegLnSigma
+// terms computes them on first use. They must equal, bit for bit, the terms
+// the encoder stores when the same columns go to a page with room for them.
 func TestLazyNegLnSigmaBitIdentical(t *testing.T) {
 	tr, _ := ds2Tree(t, 20000, 1, 1)
-	leaves := leafPages(t, tr)
-	for _, id := range leaves {
+	fillLeaves(t, tr, 1000)
+	full := 0
+	for _, id := range leafPages(t, tr) {
 		page, err := tr.mgr.Read(id)
 		if err != nil {
 			t.Fatal(err)
 		}
 		if page[3]&flagNegLnSigma != 0 {
-			t.Fatalf("leaf %d stores its NegLnSigma terms; the test needs full leaves", id)
+			continue
 		}
+		full++
 		lazy, err := decodeNode(id, page, tr.dim)
 		if err != nil {
 			t.Fatal(err)
@@ -179,26 +193,29 @@ func TestLazyNegLnSigmaBitIdentical(t *testing.T) {
 			}
 		}
 	}
-	if len(leaves) < 400 {
-		t.Fatalf("only %d leaves checked", len(leaves))
+	if full < 200 {
+		t.Fatalf("only %d full leaves checked", full)
 	}
 }
 
-// Recorded from the parent of the one-cache change (commit 80de430) by this
-// same loop: 3-MLIQ ranked over ds2Tree(20000, 200, 9).
+// Recorded by this same loop: 3-MLIQ ranked over ds2Tree(20000, 200, 9)
+// after fillLeaves(1000). The parent of the one-cache change (commit 80de430)
+// recorded 4463 pages, 78943 scored, hash 0xd2b7a6bcb5dad3c0 over the tree
+// as bulk-loaded, when a bulk-loaded leaf was full (through commit 4ee00dd).
 const (
-	rankedGoldenPages  = 4463
-	rankedGoldenScored = 78943
-	rankedGoldenHash   = 0xd2b7a6bcb5dad3c0
+	rankedGoldenPages  = 6751
+	rankedGoldenScored = 80138
+	rankedGoldenHash   = 0xaf12d040c5e95ca7
 )
 
 // TestRankedOnFullLeavesMatchesParent runs the screened ranked path — the
-// one reader of the lazily computed NegLnSigma terms — over a tree of full
-// leaves and requires the parent's answers to the bit: ids, densities, page
-// and scored-vector counts per query. Every answer is also checked against
-// a scan of the stored vectors.
+// one reader of the lazily computed NegLnSigma terms — over a tree whose
+// inserts filled half its leaves and requires the recorded answers to the
+// bit: ids, densities, page and scored-vector counts per query. Every answer
+// is also checked against a scan of the stored vectors.
 func TestRankedOnFullLeavesMatchesParent(t *testing.T) {
 	tr, qs := ds2Tree(t, 20000, 200, 9)
+	fillLeaves(t, tr, 1000)
 	stored, err := tr.CollectAll()
 	if err != nil {
 		t.Fatal(err)
@@ -222,7 +239,7 @@ func TestRankedOnFullLeavesMatchesParent(t *testing.T) {
 		}
 	}
 	if pages != rankedGoldenPages || scored != rankedGoldenScored || h.Sum64() != rankedGoldenHash {
-		t.Errorf("ranked answers moved: pages %d scored %d hash %#x, parent recorded %d %d %#x",
+		t.Errorf("ranked answers moved: pages %d scored %d hash %#x, recorded %d %d %#x",
 			pages, scored, h.Sum64(), uint64(rankedGoldenPages), uint64(rankedGoldenScored), uint64(rankedGoldenHash))
 	}
 }
@@ -251,9 +268,11 @@ func scanTopK(c gaussian.Combiner, stored []pfv.Vector, q pfv.Vector, k int) []s
 }
 
 // bulkLoadGoldenHash is the SHA-256 over every page (in id order) of the
-// tree the parent's sort.SliceStable-based bulk load built from DS2 at
-// N = 20 000: the stable order is unique, so any correct sort rebuilds it.
-const bulkLoadGoldenHash = "c6398378a980201c1283cb7797e851f9c229b4b38f3b2b1ad5830b6f13550be9"
+// tree the bulk load builds from DS2 at N = 20 000, 46-vector leaves. With
+// full leaves the sort.SliceStable-based loader built 437 pages hashing to
+// c6398378a980201c1283cb7797e851f9c229b4b38f3b2b1ad5830b6f13550be9, which the
+// median-cut evaluator rebuilt byte for byte (through commit 4ee00dd).
+const bulkLoadGoldenHash = "b9c4cef5a2357edf23783bbb345db5d2ade4bf78482238a7a2d8e25c7b3717e0"
 
 func TestBulkLoadPagesMatchParent(t *testing.T) {
 	tr, _ := ds2Tree(t, 20000, 1, 1)
@@ -265,8 +284,8 @@ func TestBulkLoadPagesMatchParent(t *testing.T) {
 		}
 		h.Write(page)
 	}
-	if got := fmt.Sprintf("%x", h.Sum(nil)); got != bulkLoadGoldenHash || tr.mgr.NumPages() != 437 {
-		t.Errorf("bulk load built %d pages hashing to %s; the parent built 437 hashing to %s", tr.mgr.NumPages(), got, bulkLoadGoldenHash)
+	if got := fmt.Sprintf("%x", h.Sum(nil)); got != bulkLoadGoldenHash || tr.mgr.NumPages() != 456 {
+		t.Errorf("bulk load built %d pages hashing to %s; recorded 456 hashing to %s", tr.mgr.NumPages(), got, bulkLoadGoldenHash)
 	}
 }
 

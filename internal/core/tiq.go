@@ -89,7 +89,7 @@ func (c *tiqCollector) done(tr *traversal, accuracy float64, p Peers, alone bool
 	}
 	if _, minLd, ok := c.candidates.Peek(); ok {
 		b := tr.denom.fold()
-		return c.th.reaches(minLd, b.logHigh) && !b.tooWide(tr.denom.maxLd, accuracy, math.Inf(-1))
+		return c.th.reaches(minLd, b.logHigh) && !b.tooWide(tr.denom.exact.ref, accuracy, math.Inf(-1))
 	}
 	return true
 }

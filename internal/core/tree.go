@@ -63,6 +63,11 @@ type Config struct {
 // all paths").
 const probeFanout = 3
 
+// Room where the writes land: a bulk-loaded leaf leaves capLeaf/bulkLeafSlack
+// slots free (46 of 48 at d = 10); a non-root node keeps ≥ minFillPercent % of
+// its capacity (the R-tree's m = 0.4·M), or its entries are re-inserted.
+const bulkLeafSlack, minFillPercent = 24, 40
+
 // Meta is the persistent description of a tree, sufficient to reattach it
 // to a page manager with Open.
 type Meta struct {
@@ -209,9 +214,9 @@ func prepare(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 		dim:      dim,
 		cfg:      cfg,
 		capLeaf:  capLeaf,
-		minLeaf:  max(1, capLeaf/2),
+		minLeaf:  max(1, capLeaf*minFillPercent/100),
 		capInner: capInner,
-		minInner: max(2, capInner/2),
+		minInner: max(2, capInner*minFillPercent/100),
 		decode: func(id pagefile.PageID, page []byte) (any, error) {
 			n, err := decodeNode(id, page, dim)
 			if err != nil {

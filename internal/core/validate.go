@@ -20,10 +20,10 @@ var ErrCorrupt = errors.New("core: invariant violation")
 // on. It returns the first violation found:
 //
 //   - all leaves are at the same level;
-//   - non-root leaves hold between minLeaf and capLeaf vectors, non-root
-//     inner nodes between minInner and capInner entries; the root is either
-//     a leaf or an inner node with ≥ 1 entry (≥ 2 when it has children of
-//     its own, since a 1-child root would have been collapsed);
+//   - non-root leaves hold minLeaf…capLeaf vectors, non-root inner nodes
+//     minInner…capInner entries (40 % minimum: files written at 50 % pass);
+//     the root is a leaf or an inner node with ≥ 1 entry (≥ 2 when it has
+//     children of its own, since a 1-child root would have been collapsed);
 //   - every routing entry's box is exactly the minimum bounding box of its
 //     child (tightness), its count is exactly the child's subtree count, and
 //     its derived logCount (precomputed for the §5.2.2 sum bounds) is fresh;

@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"testing"
 
+	"github.com/gauss-tree/gausstree/internal/core"
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/query"
@@ -112,5 +113,56 @@ func TestAdversarialTIQAcrossEngines(t *testing.T) {
 	}
 	if reported == 0 {
 		t.Fatal("no query reported anything")
+	}
+}
+
+// TestCertifiedIntervalHoldsTheTinyTail: a shard that scores a far object
+// first and the query's own object after it must still certify an interval
+// holding the true posterior 1/(1 + m), where m ≈ 1e-15 … 1e-13 is a tail
+// object's share. Before the exact-sum accumulator rebased its reference on
+// each new largest term, the dominant term was summed relative to the far
+// object's density, hundreds of nats away: the sum came out ~1e-13 below the
+// dominant term alone, TIQ(1) answered the query's object as [1, 1], and on
+// DS2 the 4-shard engine did so where the tree answers nothing.
+func TestCertifiedIntervalHoldsTheTinyTail(t *testing.T) {
+	ctx := context.Background()
+	q := pfv.MustNew(0, []float64{0}, []float64{0.1})
+	at := func(id uint64, x float64) pfv.Vector { return pfv.MustNew(id, []float64{x}, []float64{0.1}) }
+	for i := 0; i < 40; i++ {
+		// σ = 0.1 + 0.1 under the additive combiner: ln p(q|far) runs from
+		// about 100 to 540 nats below the query's own object, and the tail
+		// object holds 1e-13 … 1e-15 of the denominator.
+		far, tail := 2.9+0.095*float64(i), 1.55+0.003*float64(i)
+		shard0 := []pfv.Vector{at(3, far), at(2, tail), at(1, 0)}
+		shard1 := []pfv.Vector{at(4, -far)}
+		single := newTree(t, 1, 1024)
+		trees := []*core.Tree{newTree(t, 1, 1024), newTree(t, 1, 1024)}
+		for j, group := range [][]pfv.Vector{shard0, shard1} {
+			for _, v := range group {
+				if err := single.Insert(v); err != nil {
+					t.Fatal(err)
+				}
+				if err := trees[j].Insert(v); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+		sharded, err := New(trees, HashByID())
+		if err != nil {
+			t.Fatal(err)
+		}
+		truth := pfv.Posterior(gaussian.CombineAdditive, append(shard0, shard1...), q)[2]
+		for _, e := range []query.Engine{single, sharded} {
+			if got, _, err := e.TIQ(ctx, q, 1, 0); err != nil || len(got) != 0 {
+				t.Fatalf("%s case %d: TIQ(1) = %v, %v; the true posterior is %v", e.Name(), i, got, err, truth)
+			}
+			got, _, err := e.KMLIQ(ctx, q, 1, 0)
+			if err != nil || len(got) != 1 || got[0].Vector.ID != 1 {
+				t.Fatalf("%s case %d: 1-MLIQ = %v, %v", e.Name(), i, got, err)
+			}
+			if r := got[0]; r.ProbLow > truth+1e-15 || truth > r.ProbHigh+1e-15 {
+				t.Errorf("%s case %d: [%v, %v] excludes the true posterior %v", e.Name(), i, r.ProbLow, r.ProbHigh, truth)
+			}
+		}
 	}
 }

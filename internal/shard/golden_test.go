@@ -30,16 +30,19 @@ import (
 // so each of its rows must equal the tree's row of the same seed, op and
 // block.
 //
-// The tree rows were written by the parent of the kernel change with one
+// The tree rows were first written by the parent of the kernel change with one
 // thing added: the accumulator fix that rebuilds the queue bounds when a pop
 // cancels them. That fix moves the certified bounds (they were wrong before
 // it), and with them a few stop decisions per hundred queries; the kernel
-// itself — log-space tests, memoised fold, admission filter — must reproduce
+// itself — log-space tests, memoised fold, admission filter — reproduced
 // them to the bit in ids and counters and to 1e-12 per interval endpoint.
 // The ranked rows (ranked(k): k-MLIQ without probabilities, so they hash each
-// result's log-density bits beside its id and sum no interval) were written by
-// the parent of the change that made the ranked query a cursor, and pin that
-// its pages are the ones the old driver read.
+// result's log-density bits beside its id and sum no interval) were first
+// written by the parent of the change that made the ranked query a cursor,
+// and pinned that its pages were the ones the old driver read.
+// All rows were rewritten when bulk-loaded leaves began to keep two slots
+// free: the tree under them is another tree. The same change made the exact
+// sum rebase on its largest term, which on the old tree moved no row.
 // The shards-4 rows are of the partition by parameter space (PR 22), which
 // reads about half the pages of the hash routing before it — and since their
 // counters have no older build to agree with, what vouches for them is in this
@@ -47,12 +50,13 @@ import (
 // (answersDiffer), and -update-golden refuses to write when one differs.
 var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/certified_stop_golden.txt from this build")
 
-const goldenHeader = `# tree rows: written by commit 37388d4 (PR 11) plus the scaledAccum cancellation-rebuild fix alone
-# (internal/core/bounds.go: peak/cancelled tracking, rebuild on cancellation instead of every
-# 256 mutations, cancelRatio 2^-20), see CHANGES.md PR 12. shards-4 rows: the partition by
-# parameter space (PR 22), written by a run whose every sharded answer matched the tree's.
-# ranked rows: written by commit 41762e0, before the ranked query became a core.Cursor; their
-# hash covers each result's id and log-density bits, and their interval sums are 0.
+const goldenHeader = `# All rows: written after commit 4ee00dd by the change that loads a leaf with 46 of its 48 slots
+# (capLeaf·23/24), lowers the minimum fill to 40 % and rebases the exact-sum accumulator on its
+# largest term (internal/core/bounds.go; alone, on 4ee00dd's tree, it moves no row); every sharded
+# answer matched the tree's. Before it: tree rows of commit 37388d4 plus the scaledAccum
+# cancellation-rebuild fix, shards-4 rows of the first partition by parameter space, ranked rows
+# of commit 41762e0, before the ranked query became a core.Cursor.
+# ranked rows hash each result's id and log-density bits; their interval sums are 0.
 # engine seed op block | pages nodes scored hash(ids+counters per query) results sumProbLow sumProbHigh
 `
 
