@@ -94,9 +94,9 @@
 // (default) stores columnar float64. LeafFloat32 and LeafGrid8 store lossy
 // leaves plus exact sidecar pages: ranked answers are identical to the exact
 // format's and no object is dismissed, but a certified interval may be wider
-// than the requested accuracy (it always contains the truth). Indexes written
-// in the pre-columnar row-major layout still open and answer identically;
-// mutations rewrite the leaves they touch columnar.
+// than the requested accuracy (it always contains the truth). Open refuses an
+// index written in the pre-columnar row-major layout, before reading any of
+// its pages, with an error naming that layout.
 //
 // # Sharding
 //

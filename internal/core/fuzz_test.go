@@ -15,9 +15,8 @@ import (
 // re-encoding is stable under a further decode/encode cycle. Corrupt pages
 // (truncated entries, unknown kinds, garbage floats) must never panic —
 // with per-page checksums a corrupt page should normally be caught below
-// this layer, but the decoder is the last line of defense. Every input is
-// also decoded through the portable word loop (decodePortable): a columnar
-// page must come out of both decoders bit-identical, and fail in both alike.
+// this layer, but the decoder is the last line of defense. (The columnar
+// body's block copies are fuzzed against their portable twin in pfv.)
 func FuzzNodeCodec(f *testing.F) {
 	leaf := &node{leaf: true, vectors: []pfv.Vector{
 		pfv.MustNew(1, []float64{0.5, 1.5}, []float64{0.1, 0.2}),
@@ -29,9 +28,8 @@ func FuzzNodeCodec(f *testing.F) {
 			Sigma: []gaussian.Interval{{Lo: 0.1, Hi: 0.5}, {Lo: 0.2, Hi: 0.9}},
 		}},
 	}}
-	rowLeaf := &node{leaf: true, kind: kindLeaf, vectors: leaf.vectors}
 	f.Add(mustEncode(f, leaf, 2), uint8(2))
-	f.Add(mustEncode(f, rowLeaf, 2), uint8(2)) // v1 row-major, re-encodes columnar
+	f.Add([]byte{1, 0, 0}, uint8(2)) // kind 1, the retired v1 row-major leaf
 	f.Add(mustEncode(f, inner, 2), uint8(2))
 	if q := buildQuantLeaf(LeafFloat32, pfv.ColumnsOf(leaf.vectors, 2), pagefile.DefaultPageSize); q != nil {
 		f.Add(mustEncode(f, &node{leaf: true, kind: q.kind, quant: q}, 2), uint8(2))
@@ -52,15 +50,8 @@ func FuzzNodeCodec(f *testing.F) {
 	f.Fuzz(func(t *testing.T, page []byte, dimRaw uint8) {
 		dim := int(dimRaw%6) + 1
 		n, err := decodeNode(0, page, dim)
-		portable, perr := decodePortable(0, page, dim)
-		if (err == nil) != (perr == nil) || (err != nil && err.Error() != perr.Error()) {
-			t.Fatalf("block-copy decode: %v, portable decode: %v", err, perr)
-		}
 		if err != nil {
 			return // rejecting is fine; panicking is not
-		}
-		if n.kind == kindLeafCol || n.kind == kindSidecar {
-			sameColumns(t, n.cols, portable.cols)
 		}
 		if n.vectors != nil {
 			t.Fatal("decoded node carries row-major vectors")

@@ -4,14 +4,11 @@ import (
 	"context"
 	"math"
 	"math/rand"
-	"os"
-	"path/filepath"
 	"testing"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
-	"github.com/gauss-tree/gausstree/internal/scan"
 )
 
 // TestEncodeNodeRejectsOversizedCounts is the regression test for the
@@ -261,119 +258,5 @@ func TestQuantizedMutationPaths(t *testing.T) {
 		if err := bl.CheckInvariants(); err != nil {
 			t.Fatalf("%v bulk load: %v", format, err)
 		}
-	}
-}
-
-// TestLegacyRowLeafFixture opens a committed pre-columnar index (row-major
-// kindLeaf pages, written before the columnar format existed) and checks it
-// still answers queries exactly: ranked results must agree with a scan over
-// the fixture's own contents.
-func TestLegacyRowLeafFixture(t *testing.T) {
-	src, err := os.ReadFile(filepath.Join("testdata", "legacy-rowleaf-v1.gtree"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	path := filepath.Join(t.TempDir(), "legacy.gtree")
-	if err := os.WriteFile(path, src, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	tr, mgr := openFileTree(t, path)
-	defer mgr.Close()
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("fixture invariants: %v", err)
-	}
-	if tr.Len() != 550 || tr.Dim() != 4 {
-		t.Fatalf("fixture holds %d vectors of dim %d, want 550 of dim 4", tr.Len(), tr.Dim())
-	}
-
-	var vs []pfv.Vector
-	if err := tr.ForEach(func(v pfv.Vector) error { vs = append(vs, v); return nil }); err != nil {
-		t.Fatal(err)
-	}
-	mgrS, _ := pagefile.NewManager(pagefile.NewMemBackend(4096), 4096)
-	sf, err := scan.Create(mgrS, 4, tr.cfg.Combiner)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.AppendAll(vs); err != nil {
-		t.Fatal(err)
-	}
-	rng := rand.New(rand.NewSource(20260808))
-	ctx := context.Background()
-	matchesScan := func(stage string) {
-		t.Helper()
-		for trial := 0; trial < 15; trial++ {
-			q := reobserved(rng, vs[rng.Intn(len(vs))])
-			want, _, err := sf.KMLIQ(ctx, q, 3, 0)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, _, err := tr.KMLIQRanked(ctx, q, 3)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range want {
-				if got[i].Vector.ID != want[i].Vector.ID {
-					t.Fatalf("%s trial %d rank %d: fixture tree %d, scan %d", stage, trial, i, got[i].Vector.ID, want[i].Vector.ID)
-				}
-			}
-		}
-	}
-	matchesScan("as shipped")
-
-	// The format is read, never written: one Insert rewrites the leaf it
-	// touches columnar and leaves every other leaf the row-major page it was.
-	leafKinds := func() map[byte]int {
-		kinds := map[byte]int{}
-		for _, id := range leafPages(t, tr) {
-			n, err := tr.readNode(id)
-			if err != nil {
-				t.Fatal(err)
-			}
-			kinds[n.kind]++
-		}
-		return kinds
-	}
-	before := leafKinds()
-	if before[kindLeaf] == 0 || len(before) != 1 {
-		t.Fatalf("fixture leaf kinds %v, want row-major leaves only", before)
-	}
-	added := vs[17].Clone()
-	added.ID = 1 << 40
-	if err := tr.Insert(added); err != nil {
-		t.Fatal(err)
-	}
-	if err := sf.AppendAll([]pfv.Vector{added}); err != nil {
-		t.Fatal(err)
-	}
-	vs = append(vs, added)
-	after := leafKinds()
-	if after[kindLeafCol] == 0 || after[kindLeafCol] > 2 || after[kindLeaf] != before[kindLeaf]-1 || len(after) != 2 {
-		t.Fatalf("leaf kinds %v -> %v after one insert, want one row-major leaf rewritten columnar", before, after)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("after one insert into legacy index: %v", err)
-	}
-	matchesScan("after one insert")
-
-	// Mutating a legacy index must work: new writes use the tree's
-	// configured format, old pages stay decodable side by side.
-	if _, err := tr.InsertAll(clusteredVectors(rng, 60, 4, 2)); err != nil {
-		t.Fatal(err)
-	}
-	if err := tr.CheckInvariants(); err != nil {
-		t.Fatalf("after insert into legacy index: %v", err)
-	}
-}
-
-// TestLegacyRowIsNotAFormatToAskFor: the row-major layout stays readable and
-// is no value of LeafFormat any more.
-func TestLegacyRowIsNotAFormatToAskFor(t *testing.T) {
-	if f, err := ParseLeafFormat("legacy-row"); err == nil {
-		t.Errorf("ParseLeafFormat(legacy-row) = %v, want an error", f)
-	}
-	mgr, _ := pagefile.NewManager(pagefile.NewMemBackend(4096), 4096)
-	if _, err := New(mgr, 2, Config{LeafFormat: metaLeafRowMajor}); err == nil {
-		t.Error("New accepted the legacy-row leaf format")
 	}
 }

@@ -19,9 +19,10 @@ import (
 
 // treeMetaVersion versions the core layer's meta payload. Version 3
 // appends the applied write-ahead-log LSN (recovery replays only records
-// above it); version 2 appended the leaf storage format. Older records are
-// still decoded: v1/v2 files predate the WAL and read as appliedLSN 0,
-// v1 files additionally read as LeafExact.
+// above it); version 2 appended the leaf storage format. v2 records still
+// open and read as appliedLSN 0 (they predate the WAL). A record naming the
+// v1 row-major leaves — every v1 record, and a v2/v3 record whose leaf
+// format byte is 3 — is refused: those pages are no longer read.
 const treeMetaVersion = 3
 
 // treeMetaLenV1 is the version-1 encoded size: version (1) + root (4) +
@@ -35,11 +36,6 @@ const treeMetaLenV1 = 26
 // index whose inserts minimized anything else cannot be continued by this
 // code.
 const metaInsertAccessCost = 0
-
-// metaLeafRowMajor is the leaf-format byte of an index built to write v1
-// row-major leaves. Its pages stay readable (kindLeaf); it opens as LeafExact
-// and rewrites leaves columnar as mutations touch them.
-const metaLeafRowMajor = 3
 
 // treeMetaLenV2 is the version-2 encoded size: v1 + leaf format (1).
 const treeMetaLenV2 = 27
@@ -72,7 +68,6 @@ func decodeTreeMeta(buf []byte) (meta Meta, cfg Config, err error) {
 	}
 	version := buf[0]
 	switch {
-	case version == 1:
 	case version == 2:
 		if len(buf) < treeMetaLenV2 {
 			return Meta{}, Config{}, fmt.Errorf("core: tree meta truncated (%d bytes, want %d)", len(buf), treeMetaLenV2)
@@ -81,8 +76,13 @@ func decodeTreeMeta(buf []byte) (meta Meta, cfg Config, err error) {
 		if len(buf) < treeMetaLen {
 			return Meta{}, Config{}, fmt.Errorf("core: tree meta truncated (%d bytes, want %d)", len(buf), treeMetaLen)
 		}
-	default:
+	case version != 1:
 		return Meta{}, Config{}, fmt.Errorf("core: unsupported tree meta version %d", version)
+	}
+	// v1 predates the leaf-format byte; a v2/v3 index that wrote v1
+	// row-major leaves recorded 3 there. Neither is read before refusing.
+	if version == 1 || buf[26] == 3 {
+		return Meta{}, Config{}, fmt.Errorf("%w: core: tree meta v%d names v1 row-major leaves, which this build no longer reads; rebuild the index", pagefile.ErrBadFormat, version)
 	}
 	meta = Meta{
 		Root:   pagefile.PageID(binary.LittleEndian.Uint32(buf[1:])),
@@ -91,11 +91,9 @@ func decodeTreeMeta(buf []byte) (meta Meta, cfg Config, err error) {
 		Count:  int(binary.LittleEndian.Uint64(buf[13:])),
 	}
 	cfg = Config{
-		Split:    SplitObjective(buf[21]),
-		Combiner: gaussian.Combiner(buf[25]),
-	}
-	if version >= 2 && buf[26] != metaLeafRowMajor {
-		cfg.LeafFormat = LeafFormat(buf[26])
+		Split:      SplitObjective(buf[21]),
+		Combiner:   gaussian.Combiner(buf[25]),
+		LeafFormat: LeafFormat(buf[26]),
 	}
 	if version >= 3 {
 		meta.AppliedLSN = binary.LittleEndian.Uint64(buf[27:])

@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"errors"
 	"strings"
 	"testing"
 
@@ -55,7 +56,9 @@ func TestMetaRecordBytes(t *testing.T) {
 // TestOpenAcceptsWhatOlderBuildsWrote edits single bytes of a committed meta
 // record to the values only older builds could write and reopens: a foreign
 // insert objective is refused (such a tree cannot be continued), any positive
-// probe fanout opens, and the legacy-row leaf format opens as exact.
+// probe fanout opens, and a record naming the v1 row-major leaves — leaf
+// format byte 3, or meta version 1 — is refused as a bad format before a
+// single page is read.
 func TestOpenAcceptsWhatOlderBuildsWrote(t *testing.T) {
 	reopen := func(t *testing.T, offset int, value byte) (*Tree, error) {
 		t.Helper()
@@ -81,26 +84,25 @@ func TestOpenAcceptsWhatOlderBuildsWrote(t *testing.T) {
 		t.Error(err)
 	}
 
-	tr, err = reopen(t, 26, metaLeafRowMajor)
-	if err != nil {
-		t.Fatalf("leaf format 3: %v", err)
-	}
-	if tr.LeafFormat() != LeafExact {
-		t.Errorf("leaf format 3 opened as %v, want exact", tr.LeafFormat())
-	}
-	if err := tr.Insert(pfv.MustNew(99, []float64{3, 1}, []float64{0.5, 0.25})); err != nil {
-		t.Fatal(err)
-	}
-	if got := tr.mgr.Meta()[26]; got != byte(LeafExact) {
-		t.Errorf("next commit records leaf format %d, want %d", got, LeafExact)
-	}
-	for _, id := range leafPages(t, tr) {
-		n, err := tr.readNode(id)
-		if err != nil {
+	for _, edit := range []struct {
+		what   string
+		offset int
+		value  byte
+	}{{"leaf format 3", 26, 3}, {"meta version 1", 0, 1}} {
+		_, mgr := metaTree(t)
+		raw := mgr.Meta()
+		raw[edit.offset] = edit.value
+		if err := mgr.CommitMeta(raw); err != nil {
 			t.Fatal(err)
 		}
-		if n.kind != kindLeafCol {
-			t.Errorf("leaf %d has kind %d, want columnar", id, n.kind)
+		mgr.DropCache()
+		before := mgr.Stats().LogicalReads
+		_, err := Open(mgr)
+		if !errors.Is(err, pagefile.ErrBadFormat) || !strings.Contains(err.Error(), "row-major") {
+			t.Errorf("%s: Open = %v, want a pagefile.ErrBadFormat naming the row-major leaves", edit.what, err)
+		}
+		if reads := mgr.Stats().LogicalReads - before; reads != 0 {
+			t.Errorf("%s: Open read %d pages before refusing", edit.what, reads)
 		}
 	}
 	if _, err := reopen(t, 26, 4); err == nil {

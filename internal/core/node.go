@@ -10,18 +10,15 @@ import (
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
 
-// Node kinds in the on-page encoding.
+// Node kinds in the on-page encoding. Kind 1, the v1 row-major leaf, is no
+// longer read: Open refuses an index whose meta record names it.
 const (
-	// kindLeaf is the v1 row-major leaf encoding. It is decoded for backward
-	// compatibility and never written: a mutation that touches such a leaf
-	// rewrites it columnar.
-	kindLeaf  = 1
 	kindInner = 2
-	// kindLeafCol is the columnar leaf: object ids, then one contiguous
-	// float64 array per dimension for means and one for sigmas, then —
-	// when the page has room — the precomputed per-vector −Σ ln σᵢ terms
-	// (flagNegLnSigma). The batch density evaluator runs directly over the
-	// decoded arrays.
+	// kindLeafCol is the columnar leaf: its header, then pfv's columnar page
+	// body — object ids, one contiguous float64 array per dimension for
+	// means and one for sigmas, then, when the page has room, the
+	// precomputed per-vector −Σ ln σᵢ terms (flagNegLnSigma). The batch
+	// density evaluator runs directly over the decoded arrays.
 	kindLeafCol = 3
 	// kindLeafF32 stores the columnar payload quantized to float32;
 	// kindLeafGrid quantized to 8-bit cells of a per-leaf per-dimension
@@ -35,7 +32,7 @@ const (
 	kindSidecar = 6
 )
 
-// nodeHeaderSize is kind (1) + entry count (2), the v1 header.
+// nodeHeaderSize is kind (1) + entry count (2), the inner node's header.
 const nodeHeaderSize = 3
 
 // colHeaderSize is kind (1) + entry count (2) + flags (1).
@@ -84,7 +81,7 @@ type childEntry struct {
 //
 // A node a reader can see — decoded from its page, or handed to the page
 // cache by persistNode — is immutable and holds a leaf's payload once:
-// exact leaves (columnar, v1 row-major and sidecar pages alike) carry cols,
+// exact leaves (columnar and sidecar pages alike) carry cols,
 // quantized leaves carry quant (the widened parameter intervals plus the raw
 // quantized payload; their exact vectors are the cols of the sidecar page).
 // The row-major vectors exist only on the writer's own nodes: clone and
@@ -368,8 +365,8 @@ func (n *node) computeBox(dim int) ParamBox {
 	return b
 }
 
-// leafEntrySize returns the encoded size of one exact leaf entry (row or
-// columnar: both store id + 2d float64).
+// leafEntrySize returns the encoded size of one exact leaf entry: id + 2d
+// float64.
 func leafEntrySize(dim int) int { return pfv.EncodedSize(dim) }
 
 // innerEntrySize returns the encoded size of one inner entry: child page id
@@ -398,7 +395,7 @@ func encodeNode(n *node, dim, pageSize int) ([]byte, error) {
 	if n.kind == kindSidecar {
 		return encodeColumnarLeaf(cols, kindSidecar, pageSize)
 	}
-	return encodeColumnarLeaf(cols, kindLeafCol, pageSize) // 0 (unstamped), kindLeafCol, kindLeaf
+	return encodeColumnarLeaf(cols, kindLeafCol, pageSize) // 0 (unstamped) or kindLeafCol
 }
 
 // encodeInnerNode writes the entries row-major: page, count, then the
@@ -429,39 +426,25 @@ func encodeInnerNode(n *node, dim int) ([]byte, error) {
 	return buf, nil
 }
 
-// encodeColumnarLeaf writes the kindLeafCol/kindSidecar layout: ids, then
-// dimension-major mean columns, then sigma columns, then — iff the page has
-// room — the NegLnSigma terms (flagNegLnSigma). The decoded form of a page
-// without the flag computes them on first use in the same canonical order
-// (pfv.Columns.NegLnSigma), so the two paths are bit-identical.
+// encodeColumnarLeaf writes the kindLeafCol/kindSidecar layout: the 4-byte
+// header, then the columnar body (pfv.AppendColumns), carrying the
+// NegLnSigma terms iff the page has room (flagNegLnSigma). The decoded form
+// of a page without the flag computes them on first use in the same
+// canonical order (pfv.Columns.NegLnSigma), so the two paths are
+// bit-identical.
 func encodeColumnarLeaf(c *pfv.Columns, kind byte, pageSize int) ([]byte, error) {
 	n, dim := c.Len(), c.Dim()
 	if n > maxNodeEntries {
 		return nil, fmt.Errorf("core: columnar leaf has %d entries, limit %d", n, maxNodeEntries)
 	}
-	size := colHeaderSize + n*8 + 2*dim*n*8
-	var flags byte
-	if size+n*8 <= pageSize {
-		size, flags = size+n*8, flagNegLnSigma
-	}
-	buf := append(make([]byte, 0, size), kind, 0, 0, flags)
+	withNegLn := colHeaderSize+pfv.ColumnsSize(dim, n, true) <= pageSize
+	buf := make([]byte, colHeaderSize, colHeaderSize+pfv.ColumnsSize(dim, n, withNegLn))
+	buf[0] = kind
 	binary.LittleEndian.PutUint16(buf[1:], uint16(n))
-	for _, id := range c.IDs {
-		buf = binary.LittleEndian.AppendUint64(buf, id)
+	if withNegLn {
+		buf[3] = flagNegLnSigma
 	}
-	buf = appendFloats(buf, c.Backing(false))
-	if flags != 0 {
-		buf = appendFloats(buf, c.NegLnSigma())
-	}
-	return buf, nil
-}
-
-// appendFloats appends xs as one little-endian float64 run.
-func appendFloats(dst []byte, xs []float64) []byte {
-	for _, x := range xs {
-		dst = appendFloat(dst, x)
-	}
-	return dst
+	return pfv.AppendColumns(buf, c, withNegLn), nil
 }
 
 // encodeQuantLeaf writes the kindLeafF32/kindLeafGrid layout: the quantized
@@ -518,8 +501,6 @@ func decodeNode(id pagefile.PageID, page []byte, dim int) (*node, error) {
 	n := &node{id: id, kind: kind, leaf: kind != kindInner}
 	var err error
 	switch kind {
-	case kindLeaf:
-		err = decodeRowLeaf(n, page, dim, count)
 	case kindLeafCol, kindSidecar:
 		err = decodeColumnarLeaf(n, page, dim, count)
 	case kindLeafF32, kindLeafGrid:
@@ -559,44 +540,17 @@ func decodeInnerNode(n *node, page []byte, dim, count int) error {
 	return nil
 }
 
-// decodeRowLeaf transposes a v1 row-major leaf into columns.
-func decodeRowLeaf(n *node, page []byte, dim, count int) error {
-	if need := nodeHeaderSize + count*leafEntrySize(dim); len(page) < need {
-		return fmt.Errorf("core: page %d: row leaf truncated (%d bytes, need %d)", n.id, len(page), need)
-	}
-	c := pfv.NewColumns(dim, count)
-	off := nodeHeaderSize
-	for j := 0; j < count; j++ {
-		c.IDs[j] = binary.LittleEndian.Uint64(page[off:])
-		off += 8
-		for i := 0; i < dim; i++ {
-			c.Mean[i][j] = readFloat(page[off:])
-			c.Sigma[i][j] = readFloat(page[off+8*dim:])
-			off += 8
-		}
-		off += 8 * dim
-	}
-	n.cols = c
-	return nil
-}
-
-// decodeColumnarLeaf is two block copies — the page stores ids and parameters
-// in the order and width pfv.Columns backs them — and derives nothing: the σ
-// extrema and any −ln∏σ terms the page had no room for wait for a reader.
+// decodeColumnarLeaf reads the 4-byte header and leaves the body to
+// pfv.DecodeColumns: two block copies, nothing derived.
 func decodeColumnarLeaf(n *node, page []byte, dim, count int) error {
 	if len(page) < colHeaderSize {
 		return fmt.Errorf("core: page %d: truncated columnar header", n.id)
 	}
-	flags := page[3]
-	need := colHeaderSize + count*8 + 2*dim*count*8
-	if flags&flagNegLnSigma != 0 {
-		need += count * 8
+	cols, err := pfv.DecodeColumns(page[colHeaderSize:], dim, count, page[3]&flagNegLnSigma != 0)
+	if err != nil {
+		return fmt.Errorf("core: page %d: %w", n.id, err)
 	}
-	if len(page) < need {
-		return fmt.Errorf("core: page %d: columnar leaf truncated (%d bytes, need %d)", n.id, len(page), need)
-	}
-	n.cols = pfv.NewColumns(dim, count)
-	loadLE64(n.cols.IDs, n.cols.Backing(flags&flagNegLnSigma != 0), page[colHeaderSize:need])
+	n.cols = cols
 	return nil
 }
 
@@ -628,8 +582,10 @@ func decodeQuantLeaf(n *node, page []byte, dim, count int) error {
 			off += gridParamSize
 		}
 	}
-	loadLE64(q.ids, nil, page[off:])
-	off += 8 * count
+	for j := range q.ids {
+		q.ids[j] = binary.LittleEndian.Uint64(page[off:])
+		off += 8
+	}
 	if q.kind == kindLeafF32 {
 		q.f32Mean, q.f32Sigma = make([][]float32, dim), make([][]float32, dim)
 		for _, cols := range [2][][]float32{q.f32Mean, q.f32Sigma} {

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"encoding/binary"
 	"math"
 	"math/rand"
 	"testing"
@@ -12,31 +11,12 @@ import (
 )
 
 // mustEncode encodes a node for tests that only exercise the codec round
-// trip, failing the test on encoding errors. A node stamped kindLeaf comes
-// out in the v1 row-major layout, which only this file can still write.
+// trip, failing the test on encoding errors.
 func mustEncode(tb testing.TB, n *node, dim int) []byte {
 	tb.Helper()
-	if n.leaf && n.kind == kindLeaf {
-		return rowLeafPage(n)
-	}
 	page, err := encodeNode(n, dim, pagefile.DefaultPageSize)
 	if err != nil {
 		tb.Fatalf("encodeNode: %v", err)
-	}
-	return page
-}
-
-// rowLeafPage writes the v1 row-major leaf (kindLeaf) the tree reads and no
-// longer writes: the 3-byte header, then per entry pfv.AppendBinary's id,
-// means, sigmas.
-func rowLeafPage(n *node) []byte {
-	vs := n.vectors
-	if n.cols != nil {
-		vs = n.cols.Vectors()
-	}
-	page := binary.LittleEndian.AppendUint16([]byte{kindLeaf}, uint16(len(vs)))
-	for _, v := range vs {
-		page = pfv.AppendBinary(page, v)
 	}
 	return page
 }
@@ -110,8 +90,12 @@ func TestDecodeNodeErrors(t *testing.T) {
 	if _, err := decodeNode(1, []byte{9, 0, 0}, 2); err == nil {
 		t.Error("unknown kind should fail")
 	}
+	// Kind 1, the retired v1 row-major leaf, is an unknown kind now.
+	if _, err := decodeNode(1, []byte{1, 0, 0}, 2); err == nil {
+		t.Error("a v1 row-major leaf should fail")
+	}
 	// Leaf claiming 3 entries with no payload.
-	if _, err := decodeNode(1, []byte{1, 3, 0}, 2); err == nil {
+	if _, err := decodeNode(1, []byte{kindLeafCol, 3, 0, 0}, 2); err == nil {
 		t.Error("short leaf payload should fail")
 	}
 	// Inner claiming 2 entries with no payload.

@@ -22,8 +22,8 @@ import (
 )
 
 // codecNodes returns one node per on-page kind (exact columnar with and
-// without room for the NegLnSigma terms, sidecar, legacy row, both quantized
-// kinds, inner) holding count entries of the given dimension.
+// without room for the NegLnSigma terms, sidecar, both quantized kinds,
+// inner) holding count entries of the given dimension.
 func codecNodes(t testing.TB, dim, count int) map[string]*node {
 	t.Helper()
 	rng := rand.New(rand.NewSource(int64(31*dim + count)))
@@ -34,7 +34,6 @@ func codecNodes(t testing.TB, dim, count int) map[string]*node {
 	nodes := map[string]*node{
 		"columnar": {leaf: true, kind: kindLeafCol, vectors: vs},
 		"sidecar":  {leaf: true, kind: kindSidecar, vectors: vs},
-		"row":      {leaf: true, kind: kindLeaf, vectors: vs},
 	}
 	cols := pfv.ColumnsOf(vs, dim)
 	for name, format := range map[string]LeafFormat{"float32": LeafFloat32, "grid8": LeafGrid8} {
@@ -100,7 +99,7 @@ func TestDecodeAllocations(t *testing.T) {
 	full := (pagefile.DefaultPageSize - colHeaderSize) / leafEntrySize(dim)
 	for _, count := range []int{3, full} {
 		nodes := codecNodes(t, dim, count)
-		for name, limit := range map[string]float64{"columnar": 4, "sidecar": 4, "row": 4, "inner": 3} {
+		for name, limit := range map[string]float64{"columnar": 4, "sidecar": 4, "inner": 3} {
 			page := mustEncode(t, nodes[name], dim)
 			allocs := testing.AllocsPerRun(50, func() {
 				if _, err := decodeNode(1, page, dim); err != nil {
@@ -508,4 +507,72 @@ func readersBesideWriter(t *testing.T, mgr *pagefile.Manager, check func(*Tree) 
 		t.Fatal(err)
 	}
 	t.Logf("%d answers verified, %d of them while the writer ran", verified.Load(), underWriter.Load())
+}
+
+// TestRankedRacesFirstTouch: eight goroutines issue the same ranked queries —
+// the one query that reads the σ extrema and the NegLnSigma terms — against
+// a file-backed tree reopened for every round, so each round's first
+// touches (read, CRC, two copies) and first-use derivations race on the same
+// leaves. Every answer equals a scan's to the bit. Meant for -race.
+//
+// This is also the check that a file the parent commit wrote opens and
+// answers identically, without a binary fixture: TestBulkLoadPagesMatchParent
+// pins the hash of every page a bulk load writes, so the file reopened here
+// is the parent's byte for byte (the shard golden is older writers' output
+// still).
+func TestRankedRacesFirstTouch(t *testing.T) {
+	mem, qs := ds2Tree(t, 5000, 4, 11)
+	stored, err := mem.CollectAll()
+	if err != nil {
+		t.Fatal(err)
+	}
+	path := filepath.Join(t.TempDir(), "race.gtree")
+	fb, err := pagefile.CreateFile(path, pagefile.DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	mgr, err := pagefile.NewManager(fb, pagefile.DefaultPageSize)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tr, err := New(mgr, mem.dim, Config{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := tr.BulkLoad(stored); err != nil {
+		t.Fatal(err)
+	}
+	if err := mgr.Close(); err != nil {
+		t.Fatal(err)
+	}
+	want := make([][]scanHit, len(qs))
+	for qi, q := range qs {
+		want[qi] = scanTopK(tr.cfg.Combiner, stored, q, 3)
+	}
+	for round := 0; round < 5; round++ {
+		tr, mgr := openFileTree(t, path)
+		var wg sync.WaitGroup
+		for g := 0; g < 8; g++ {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				for qi, q := range qs {
+					res, _, err := tr.KMLIQRanked(context.Background(), q, 3)
+					if err != nil || len(res) != len(want[qi]) {
+						t.Errorf("round %d query %d: %d results, error %v", round, qi, len(res), err)
+						return
+					}
+					for i, r := range res {
+						if w := want[qi][i]; r.Vector.ID != w.id || math.Float64bits(r.LogDensity) != math.Float64bits(w.ld) {
+							t.Errorf("round %d query %d rank %d: tree (%d, %v), scan (%d, %v)", round, qi, i, r.Vector.ID, r.LogDensity, w.id, w.ld)
+						}
+					}
+				}
+			}()
+		}
+		wg.Wait()
+		if err := mgr.Close(); err != nil {
+			t.Fatal(err)
+		}
+	}
 }

@@ -202,7 +202,7 @@ func prepare(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 	// The columnar leaf header (4 bytes) is the largest fixed leaf
 	// overhead across formats; capacity is computed against it so every
 	// format's page fits. (Quantized pages are strictly smaller than exact
-	// ones, and the row header is a byte shorter.)
+	// ones.)
 	capLeaf := (mgr.PageSize() - colHeaderSize) / leafEntrySize(dim)
 	capInner := (mgr.PageSize() - nodeHeaderSize) / innerEntrySize(dim)
 	if capLeaf < 2 || capInner < 2 {

@@ -1,6 +1,8 @@
 package pfv
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math"
 	"sync"
 
@@ -13,7 +15,8 @@ import (
 // sigmas, so batch density evaluation runs tight per-dimension loops over
 // adjacent memory instead of hopping between per-vector slices. All float64
 // columns of a batch are carved from one backing array, in the order a
-// columnar page stores them, so a decoder fills them with one copy (Backing).
+// columnar page body stores them (AppendColumns), so DecodeColumns fills
+// them with one copy.
 //
 // Alongside the raw parameters, Columns carries two derived families. Only
 // the ranked screening path, the writer and the quantizer read them — a
@@ -26,7 +29,7 @@ import (
 //     and both the running product and math.Log are monotone, so the
 //     domination survives floating-point rounding), making it a per-vector
 //     screening ingredient that costs no logarithm at query time. A decoder
-//     whose page stores the terms loads them instead (Backing).
+//     whose page stores the terms loads them instead (DecodeColumns).
 //   - SigmaRange(), the per-dimension σ extrema of the batch, from which a
 //     traversal derives batch-wide combined-σ bounds with d logarithms per
 //     leaf instead of d per vector.
@@ -89,17 +92,65 @@ func ColumnsOf(vs []Vector, dim int) *Columns {
 	return c
 }
 
-// Backing returns the batch's parameters as the one run a columnar page
+// backing returns the batch's parameters as the one run a columnar page
 // stores: the Mean columns, the Sigma columns and, when withNegLn, the
 // NegLnSigma terms — which this marks present, so NegLnSigma never computes
-// them. For decoders to fill, before the batch is shared.
-func (c *Columns) Backing(withNegLn bool) []float64 {
+// them. For DecodeColumns to fill, before the batch is shared.
+func (c *Columns) backing(withNegLn bool) []float64 {
 	end := 2 * c.Dim() * c.Len()
 	if withNegLn {
 		c.negLnOnce.Do(func() {})
 		end += c.Len()
 	}
 	return c.params[:end]
+}
+
+// ColumnsSize returns the length of the columnar page body of n vectors of
+// the given dimensionality: EncodedSize(dim) bytes per vector, plus 8 when
+// the body carries the vector's NegLnSigma term.
+func ColumnsSize(dim, n int, withNegLn bool) int {
+	if withNegLn {
+		return n * (EncodedSize(dim) + 8)
+	}
+	return n * EncodedSize(dim)
+}
+
+// AppendColumns appends the columnar page body of c to dst and returns the
+// extended slice: the ids, then the Mean columns, the Sigma columns and,
+// when withNegLn, the NegLnSigma terms, as little-endian 64-bit words. It is
+// every page's vector layout — Gauss-tree leaves and sidecars, scan pages,
+// X-tree data pages — behind each page's own header.
+func AppendColumns(dst []byte, c *Columns, withNegLn bool) []byte {
+	for _, id := range c.IDs {
+		dst = binary.LittleEndian.AppendUint64(dst, id)
+	}
+	dst = appendFloats(dst, c.backing(false))
+	if withNegLn {
+		dst = appendFloats(dst, c.NegLnSigma())
+	}
+	return dst
+}
+
+func appendFloats(dst []byte, xs []float64) []byte {
+	for _, x := range xs {
+		dst = binary.LittleEndian.AppendUint64(dst, math.Float64bits(x))
+	}
+	return dst
+}
+
+// DecodeColumns decodes the columnar page body of n vectors of the given
+// dimensionality at the front of src. The body stores ids and parameters in
+// the order and width Columns backs them, so this is two block copies; it
+// derives nothing — the σ extrema and NegLnSigma terms the body does not
+// carry wait for a reader — and the batch does not alias src.
+func DecodeColumns(src []byte, dim, n int, withNegLn bool) (*Columns, error) {
+	need := ColumnsSize(dim, n, withNegLn)
+	if len(src) < need {
+		return nil, fmt.Errorf("pfv: columnar body truncated (%d bytes, need %d)", len(src), need)
+	}
+	c := NewColumns(dim, n)
+	loadLE64(c.IDs, c.backing(withNegLn), src[:need])
+	return c, nil
 }
 
 // SigmaRange returns the per-dimension σ extrema of the batch, lo[i] and

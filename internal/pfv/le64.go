@@ -1,7 +1,8 @@
-package core
+package pfv
 
 import (
 	"encoding/binary"
+	"math"
 	"unsafe"
 )
 
@@ -30,6 +31,6 @@ func loadLE64Portable(ids []uint64, params []float64, src []byte) {
 		ids[j] = binary.LittleEndian.Uint64(src[8*j:])
 	}
 	for j := range params {
-		params[j] = readFloat(src[8*(len(ids)+j):])
+		params[j] = math.Float64frombits(binary.LittleEndian.Uint64(src[8*(len(ids)+j):]))
 	}
 }

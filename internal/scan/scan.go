@@ -8,7 +8,8 @@
 // The file lives on the same pagefile substrate as the index structures, so
 // the page-access and seek counts of all competitors are comparable, and it
 // implements the same query.Engine interface, so the evaluation harness
-// drives it interchangeably with the index structures.
+// drives it interchangeably with the index structures. Its pages hold the
+// Gauss-tree's columnar leaf body and are scored by the same batch kernel.
 package scan
 
 import (
@@ -24,6 +25,7 @@ import (
 )
 
 // pageHeaderSize is the per-page header: a little-endian uint16 entry count.
+// The columnar body (pfv.AppendColumns, without −ln∏σ terms) follows it.
 const pageHeaderSize = 2
 
 // File is a sequential file of fixed-dimension probabilistic feature
@@ -36,12 +38,12 @@ type File struct {
 	combiner gaussian.Combiner
 	pages    []pagefile.PageID
 	count    int
-	// lastUsed is the entry count of the final page, so appends do not
-	// re-read it.
+	// lastUsed is the entry count of the final page, so appends know when
+	// to start a new one.
 	lastUsed int
-	// decode is decodePage bound to the file's dimension, in the shape the
-	// page manager's decoded reads take: a page's vectors are its one cached
-	// form, dropped with the page cache like the index structures' nodes.
+	// decode turns a page into its *pfv.Columns, in the shape the page
+	// manager's decoded reads take: a page's columns are its one cached form,
+	// dropped with the page cache like the index structures' nodes.
 	decode pagefile.DecodeFunc
 }
 
@@ -63,7 +65,16 @@ func Create(mgr *pagefile.Manager, dim int, combiner gaussian.Combiner) (*File, 
 		dim:      dim,
 		perPage:  perPage,
 		combiner: combiner,
-		decode:   func(_ pagefile.PageID, page []byte) (any, error) { return decodePage(page, dim) },
+		decode: func(id pagefile.PageID, page []byte) (any, error) {
+			if len(page) < pageHeaderSize {
+				return nil, fmt.Errorf("scan: truncated page %d", id)
+			}
+			cols, err := pfv.DecodeColumns(page[pageHeaderSize:], dim, int(binary.LittleEndian.Uint16(page)), false)
+			if err != nil {
+				return nil, fmt.Errorf("scan: page %d: %w", id, err)
+			}
+			return cols, nil
+		},
 	}, nil
 }
 
@@ -81,45 +92,57 @@ func (f *File) Pages() []pagefile.PageID {
 	return append([]pagefile.PageID(nil), f.pages...)
 }
 
-// Append adds a vector to the end of the file.
+// Append adds a copy of a vector to the end of the file.
 func (f *File) Append(v pfv.Vector) error {
 	if v.Dim() != f.dim {
 		return fmt.Errorf("scan: vector dimension %d, file dimension %d", v.Dim(), f.dim)
 	}
+	var vs []pfv.Vector
 	if len(f.pages) == 0 || f.lastUsed >= f.perPage {
 		id, err := f.mgr.Allocate()
 		if err != nil {
 			return err
 		}
-		if err := f.mgr.Write(id, encodePage(nil, f.dim)); err != nil {
-			return err
-		}
 		f.pages = append(f.pages, id)
 		f.lastUsed = 0
+	} else {
+		last, err := f.readPage(f.pages[len(f.pages)-1], nil)
+		if err != nil {
+			return err
+		}
+		vs = last.Vectors()
 	}
-	last := f.pages[len(f.pages)-1]
-	vs, err := f.readPage(last, nil)
-	if err != nil {
+	cols := pfv.ColumnsOf(append(vs, v), f.dim)
+	page := make([]byte, pageHeaderSize, pageHeaderSize+pfv.ColumnsSize(f.dim, cols.Len(), false))
+	binary.LittleEndian.PutUint16(page, uint16(cols.Len()))
+	if err := f.mgr.WriteDecoded(f.pages[len(f.pages)-1], pfv.AppendColumns(page, cols, false), cols); err != nil {
 		return err
 	}
-	vs = append(vs[:len(vs):len(vs)], v)
-	if err := f.mgr.WriteDecoded(last, encodePage(vs, f.dim), vs); err != nil {
-		return err
-	}
-	f.lastUsed = len(vs)
+	f.lastUsed = cols.Len()
 	f.count++
 	return nil
 }
 
-// readPage returns the decoded vectors of one page, shared with the page
+// readPage returns the decoded columns of one page, shared with the page
 // cache and immutable, charging the logical page access (to the per-query
 // counter too, when non-nil).
-func (f *File) readPage(id pagefile.PageID, c *pagefile.Counter) ([]pfv.Vector, error) {
-	vs, err := f.mgr.ReadDecoded(id, c, f.decode)
+func (f *File) readPage(id pagefile.PageID, c *pagefile.Counter) (*pfv.Columns, error) {
+	cols, err := f.mgr.ReadDecoded(id, c, f.decode)
 	if err != nil {
 		return nil, err
 	}
-	return vs.([]pfv.Vector), nil
+	return cols.(*pfv.Columns), nil
+}
+
+// PageColumns returns the page at the given ordinal of the file (a random
+// page access, charged to a per-query counter when non-nil) as its decoded
+// columns. They are shared with the page cache: the caller reads them and
+// copies out what it keeps.
+func (f *File) PageColumns(pageOrdinal int, c *pagefile.Counter) (*pfv.Columns, error) {
+	if pageOrdinal < 0 || pageOrdinal >= len(f.pages) {
+		return nil, fmt.Errorf("scan: page ordinal %d out of range [0,%d)", pageOrdinal, len(f.pages))
+	}
+	return f.readPage(f.pages[pageOrdinal], c)
 }
 
 // AppendAll adds a batch of vectors.
@@ -132,95 +155,36 @@ func (f *File) AppendAll(vs []pfv.Vector) error {
 	return nil
 }
 
-// ForEach scans the file in storage order, invoking fn for every vector.
-// Iteration stops early if fn returns an error, which is propagated.
+// ForEach scans the file in storage order, invoking fn with a fresh copy of
+// every vector. Iteration stops early if fn returns an error, which is
+// propagated.
 func (f *File) ForEach(fn func(pfv.Vector) error) error {
-	return f.forEach(context.Background(), nil, fn)
+	return f.scanPages(context.Background(), nil, func(cols *pfv.Columns) error {
+		for j := range cols.IDs {
+			if err := fn(cols.Vector(j)); err != nil {
+				return err
+			}
+		}
+		return nil
+	})
 }
 
-// forEach is ForEach with context checks (once per page) and per-query
-// page-access attribution.
-func (f *File) forEach(ctx context.Context, c *pagefile.Counter, fn func(pfv.Vector) error) error {
+// scanPages calls fn with every page's columns in storage order, checking the
+// context once per page and charging page accesses to a per-query counter.
+func (f *File) scanPages(ctx context.Context, c *pagefile.Counter, fn func(*pfv.Columns) error) error {
 	for _, id := range f.pages {
 		if err := ctx.Err(); err != nil {
 			return err
 		}
-		vs, err := f.readPage(id, c)
+		cols, err := f.readPage(id, c)
 		if err != nil {
 			return err
 		}
-		for _, v := range vs {
-			if err := fn(v); err != nil {
-				return err
-			}
-		}
-	}
-	return nil
-}
-
-// ForEachLocated scans the file like ForEach but also reports each vector's
-// physical position (page ordinal within the file and slot within the page),
-// which approximation structures such as the VA-file record for later
-// random fetches.
-func (f *File) ForEachLocated(fn func(v pfv.Vector, pageOrdinal, slot int) error) error {
-	for pi, id := range f.pages {
-		vs, err := f.readPage(id, nil)
-		if err != nil {
+		if err := fn(cols); err != nil {
 			return err
 		}
-		for si, v := range vs {
-			if err := fn(v, pi, si); err != nil {
-				return err
-			}
-		}
 	}
 	return nil
-}
-
-// VectorAtCounted fetches one vector by its physical position (a random page
-// access plus an in-page slot lookup), charging the page access to a
-// per-query counter.
-func (f *File) VectorAtCounted(pageOrdinal, slot int, c *pagefile.Counter) (pfv.Vector, error) {
-	if pageOrdinal < 0 || pageOrdinal >= len(f.pages) {
-		return pfv.Vector{}, fmt.Errorf("scan: page ordinal %d out of range [0,%d)", pageOrdinal, len(f.pages))
-	}
-	vs, err := f.readPage(f.pages[pageOrdinal], c)
-	if err != nil {
-		return pfv.Vector{}, err
-	}
-	if slot < 0 || slot >= len(vs) {
-		return pfv.Vector{}, fmt.Errorf("scan: slot %d out of range [0,%d)", slot, len(vs))
-	}
-	return vs[slot], nil
-}
-
-// encodePage serializes up to perPage vectors into one page image.
-func encodePage(vs []pfv.Vector, dim int) []byte {
-	buf := make([]byte, pageHeaderSize, pageHeaderSize+len(vs)*pfv.EncodedSize(dim))
-	binary.LittleEndian.PutUint16(buf, uint16(len(vs)))
-	for _, v := range vs {
-		buf = pfv.AppendBinary(buf, v)
-	}
-	return buf
-}
-
-// decodePage parses a page image into its vectors.
-func decodePage(page []byte, dim int) ([]pfv.Vector, error) {
-	if len(page) < pageHeaderSize {
-		return nil, fmt.Errorf("scan: truncated page")
-	}
-	n := int(binary.LittleEndian.Uint16(page))
-	out := make([]pfv.Vector, 0, n)
-	off := pageHeaderSize
-	for i := 0; i < n; i++ {
-		v, used, err := pfv.DecodeBinary(page[off:], dim)
-		if err != nil {
-			return nil, fmt.Errorf("scan: entry %d: %w", i, err)
-		}
-		out = append(out, v)
-		off += used
-	}
-	return out, nil
 }
 
 // KMLIQ answers a k-most-likely identification query (Definition 3) with a
@@ -254,14 +218,19 @@ func (f *File) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 	return out, stats, err
 }
 
-// scored is one scan of the file as a refinement pass: every stored vector
-// with its joint log density against q, pages charged to c and evaluations
+// scored is one scan of the file as a refinement pass: every page's columns
+// scored against q by the batch kernel, pages charged to c and evaluations
 // to stats.
 func (f *File) scored(ctx context.Context, q pfv.Vector, c *pagefile.Counter, stats *query.Stats) query.Scored {
-	return func(yield func(pfv.Vector, float64)) error {
-		return f.forEach(ctx, c, func(v pfv.Vector) error {
-			stats.VectorsScored++
-			yield(v, pfv.JointLogDensity(f.combiner, v, q))
+	ev := pfv.NewJointEvaluator(f.combiner, q)
+	scores := make([]float64, f.perPage)
+	return func(yield func(*pfv.Columns, int, float64)) error {
+		return f.scanPages(ctx, c, func(cols *pfv.Columns) error {
+			ev.ScoreColumns(cols, scores)
+			stats.VectorsScored += cols.Len()
+			for j, ld := range scores[:cols.Len()] {
+				yield(cols, j, ld)
+			}
 			return nil
 		})
 	}

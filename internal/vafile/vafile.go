@@ -55,7 +55,7 @@ var _ query.Engine = (*File)(nil)
 type approx struct {
 	pageOrdinal uint32
 	slot        uint16
-	cell        []byte // 2d cell indices: μ₀σ₀ μ₁σ₁ ...
+	cell        []byte // 2d cell indices: μ₀σ₀ μ₁σ₁ ..., read from the cached page
 }
 
 // entrySize is the encoded approximation size for one vector.
@@ -78,31 +78,25 @@ func Build(mgr *pagefile.Manager, data *scan.File, combiner gaussian.Combiner) (
 		return nil, fmt.Errorf("vafile: page size %d too small for dimension %d", mgr.PageSize(), dim)
 	}
 
-	// Pass 1: collect per-dimension value distributions for equi-depth grids.
-	n := data.Len()
-	if n == 0 {
+	// Pass 1: collect per-dimension value distributions, then replace each by
+	// its equi-depth grid.
+	if data.Len() == 0 {
 		return f, nil
 	}
-	muVals := make([][]float64, dim)
-	sigmaVals := make([][]float64, dim)
-	for j := 0; j < dim; j++ {
-		muVals[j] = make([]float64, 0, n)
-		sigmaVals[j] = make([]float64, 0, n)
-	}
-	if err := data.ForEach(func(v pfv.Vector) error {
-		for j := 0; j < dim; j++ {
-			muVals[j] = append(muVals[j], v.Mean[j])
-			sigmaVals[j] = append(sigmaVals[j], v.Sigma[j])
+	pages := len(data.Pages())
+	f.muGrid, f.sigmaGrid = make([][]float64, dim), make([][]float64, dim)
+	for pi := 0; pi < pages; pi++ {
+		cols, err := data.PageColumns(pi, nil)
+		if err != nil {
+			return nil, err
 		}
-		return nil
-	}); err != nil {
-		return nil, err
+		for j := 0; j < dim; j++ {
+			f.muGrid[j] = append(f.muGrid[j], cols.Mean[j]...)
+			f.sigmaGrid[j] = append(f.sigmaGrid[j], cols.Sigma[j]...)
+		}
 	}
-	f.muGrid = make([][]float64, dim)
-	f.sigmaGrid = make([][]float64, dim)
 	for j := 0; j < dim; j++ {
-		f.muGrid[j] = equiDepthGrid(muVals[j])
-		f.sigmaGrid[j] = equiDepthGrid(sigmaVals[j])
+		f.muGrid[j], f.sigmaGrid[j] = equiDepthGrid(f.muGrid[j]), equiDepthGrid(f.sigmaGrid[j])
 	}
 
 	// Pass 2: emit approximations in data order.
@@ -127,20 +121,25 @@ func Build(mgr *pagefile.Manager, data *scan.File, combiner gaussian.Combiner) (
 		return nil
 	}
 	buf = make([]byte, approxHeaderSize, f.mgr.PageSize())
-	if err := data.ForEachLocated(func(v pfv.Vector, pageOrdinal, slot int) error {
-		buf = binary.LittleEndian.AppendUint32(buf, uint32(pageOrdinal))
-		buf = binary.LittleEndian.AppendUint16(buf, uint16(slot))
-		for j := 0; j < dim; j++ {
-			buf = append(buf, cellOf(f.muGrid[j], v.Mean[j]), cellOf(f.sigmaGrid[j], v.Sigma[j]))
+	for pi := 0; pi < pages; pi++ {
+		cols, err := data.PageColumns(pi, nil)
+		if err != nil {
+			return nil, err
 		}
-		pageCount++
-		f.count++
-		if pageCount == f.perPage {
-			return flush()
+		for slot := range cols.IDs {
+			buf = binary.LittleEndian.AppendUint32(buf, uint32(pi))
+			buf = binary.LittleEndian.AppendUint16(buf, uint16(slot))
+			for j := 0; j < dim; j++ {
+				buf = append(buf, cellOf(f.muGrid[j], cols.Mean[j][slot]), cellOf(f.sigmaGrid[j], cols.Sigma[j][slot]))
+			}
+			pageCount++
+			f.count++
+			if pageCount == f.perPage {
+				if err := flush(); err != nil {
+					return nil, err
+				}
+			}
 		}
-		return nil
-	}); err != nil {
-		return nil, err
 	}
 	if err := flush(); err != nil {
 		return nil, err
@@ -183,9 +182,6 @@ func (f *File) Name() string { return "va-file" }
 // Len returns the number of approximated vectors.
 func (f *File) Len() int { return f.count }
 
-// ApproxPages returns the number of approximation pages.
-func (f *File) ApproxPages() int { return len(f.pages) }
-
 // cellBounds returns the log hull/floor bounds of the joint density for an
 // approximation cell against the query.
 func (f *File) cellBounds(a approx, q pfv.Vector) (logFloor, logHull float64) {
@@ -205,7 +201,6 @@ func (f *File) cellBounds(a approx, q pfv.Vector) (logFloor, logHull float64) {
 // approximation page, charging accesses to the per-query counter and
 // counting scanned pages into stats.NodesVisited.
 func (f *File) forEachApprox(ctx context.Context, c *pagefile.Counter, stats *query.Stats, fn func(a approx) error) error {
-	cell := make([]byte, 2*f.dim)
 	esz := entrySize(f.dim)
 	for _, id := range f.pages {
 		if err := ctx.Err(); err != nil {
@@ -222,9 +217,8 @@ func (f *File) forEachApprox(ctx context.Context, c *pagefile.Counter, stats *qu
 			a := approx{
 				pageOrdinal: binary.LittleEndian.Uint32(page[off:]),
 				slot:        binary.LittleEndian.Uint16(page[off+4:]),
-				cell:        cell,
+				cell:        page[off+6 : off+6+2*f.dim],
 			}
-			copy(cell, page[off+6:off+6+2*f.dim])
 			if err := fn(a); err != nil {
 				return err
 			}
@@ -310,7 +304,8 @@ func (f *File) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 	sort.Slice(cands, func(a, b int) bool { return cands[a].logHull > cands[b].logHull })
 
 	// Phase 2: refine in descending hull order.
-	top := pqueue.NewTopK[pfv.Vector](k)
+	ev := pfv.NewJointEvaluator(f.combiner, q)
+	top := pqueue.NewTopK[query.Hit](k)
 	var exactSum gaussian.LogSum
 	for i, c := range cands {
 		if err := ctx.Err(); err != nil {
@@ -328,33 +323,42 @@ func (f *File) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 			}
 			break
 		}
-		v, err := f.data.VectorAtCounted(int(c.pageOrdinal), int(c.slot), &counter)
+		h, err := f.fetch(c, &ev, &counter)
 		if err != nil {
 			return nil, finish(top.Len()), err
 		}
-		ld := pfv.JointLogDensity(f.combiner, v, q)
 		if withProbs {
-			exactSum.Add(ld)
+			exactSum.Add(h.LogDensity)
 		}
-		top.Offer(v, ld)
+		top.Offer(h, h.LogDensity)
 		stats.VectorsScored++
 	}
 
 	denomLow := gaussian.LogAddExp(exactSum.Log(), restFloor.Log())
 	denomHigh := gaussian.LogAddExp(exactSum.Log(), restHull.Log())
 	out := make([]query.Result, 0, top.Len())
-	for _, v := range top.Sorted() {
-		ld := pfv.JointLogDensity(f.combiner, v, q)
-		r := query.Result{
-			Vector: v, LogDensity: ld,
-			Probability: math.NaN(), ProbLow: math.NaN(), ProbHigh: math.NaN(),
-		}
+	for _, h := range top.Sorted() {
+		r := h.Result(math.NaN())
 		if withProbs {
-			r = query.Certified(v, ld, denomLow, denomHigh)
+			r = query.Certified(r.Vector, h.LogDensity, denomLow, denomHigh)
 		}
 		out = append(out, r)
 	}
 	return out, finish(len(out)), nil
+}
+
+// fetch reads a candidate's data page (a random access charged to counter)
+// and scores the candidate straight from the page's columns.
+func (f *File) fetch(c cand, ev *pfv.JointEvaluator, counter *pagefile.Counter) (query.Hit, error) {
+	cols, err := f.data.PageColumns(int(c.pageOrdinal), counter)
+	if err != nil {
+		return query.Hit{}, err
+	}
+	j := int(c.slot)
+	if j >= cols.Len() {
+		return query.Hit{}, fmt.Errorf("vafile: slot %d out of range [0,%d)", j, cols.Len())
+	}
+	return query.Hit{Cols: cols, J: j, LogDensity: ev.LogDensityAt(cols, j)}, nil
 }
 
 // TIQ answers a threshold identification query: phase 1 bounds every
@@ -406,30 +410,26 @@ func (f *File) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 		}
 	}
 	var exactSum gaussian.LogSum
-	type scored struct {
-		v  pfv.Vector
-		ld float64
-	}
-	fetched := make([]scored, 0, len(cands))
+	ev := pfv.NewJointEvaluator(f.combiner, q)
+	fetched := make([]query.Hit, 0, len(cands))
 	for _, c := range cands {
 		if err := ctx.Err(); err != nil {
 			return nil, finish(len(fetched)), err
 		}
-		v, err := f.data.VectorAtCounted(int(c.pageOrdinal), int(c.slot), &counter)
+		h, err := f.fetch(c, &ev, &counter)
 		if err != nil {
 			return nil, finish(len(fetched)), err
 		}
-		ld := pfv.JointLogDensity(f.combiner, v, q)
-		exactSum.Add(ld)
-		fetched = append(fetched, scored{v, ld})
+		exactSum.Add(h.LogDensity)
+		fetched = append(fetched, h)
 		stats.VectorsScored++
 	}
 	denomLow := gaussian.LogAddExp(exactSum.Log(), restFloor.Log())
 	denomHigh := gaussian.LogAddExp(exactSum.Log(), restHull.Log())
 	var out []query.Result
-	for _, s := range fetched {
-		if r := query.Certified(s.v, s.ld, denomLow, denomHigh); r.ProbHigh >= pTheta {
-			out = append(out, r)
+	for _, h := range fetched {
+		if _, hi := query.ProbInterval(h.LogDensity, denomLow, denomHigh); hi >= pTheta {
+			out = append(out, query.Certified(h.Cols.Vector(h.J), h.LogDensity, denomLow, denomHigh))
 		}
 	}
 	query.SortByProbability(out)

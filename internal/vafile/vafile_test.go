@@ -58,9 +58,9 @@ func TestBuildShape(t *testing.T) {
 		t.Errorf("Len = %d", va.Len())
 	}
 	// The approximation file must be much smaller than the data file.
-	if va.ApproxPages() >= len(data.Pages())/2 {
+	if len(va.pages) >= len(data.Pages())/2 {
 		t.Errorf("approx pages %d vs data pages %d: approximation not compact",
-			va.ApproxPages(), len(data.Pages()))
+			len(va.pages), len(data.Pages()))
 	}
 }
 

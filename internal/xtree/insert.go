@@ -10,7 +10,7 @@ import (
 	"github.com/gauss-tree/gausstree/internal/rect"
 )
 
-// Insert adds a vector to the X-tree.
+// Insert adds a copy of a vector to the X-tree.
 func (t *Tree) Insert(v pfv.Vector) error {
 	if v.Dim() != t.dim {
 		return fmt.Errorf("%w: vector dimension %d, tree dimension %d", ErrDimension, v.Dim(), t.dim)
@@ -24,7 +24,7 @@ func (t *Tree) Insert(v pfv.Vector) error {
 		return nil
 	}
 	// Root split: grow the tree.
-	oldRoot, err := t.readNode(t.root)
+	oldRoot, err := t.readNode(t.root, nil)
 	if err != nil {
 		return err
 	}
@@ -62,15 +62,16 @@ func (t *Tree) InsertAll(vs []pfv.Vector) error {
 // It returns the node's updated MBR and, if the node was split, the entry
 // describing the new sibling.
 func (t *Tree) insertAt(id pagefile.PageID, v pfv.Vector, level int) (rect.Rect, *childEntry, error) {
-	n, err := t.readNode(id)
+	n, err := t.readNode(id, nil)
 	if err != nil {
 		return rect.Rect{}, nil, err
 	}
 	if n.leaf {
-		n.vectors = append(n.vectors, v)
-		if len(n.vectors) > t.perPageLeaf {
-			return t.splitLeaf(n)
+		vs := append(n.cols.Vectors(), v)
+		if len(vs) > t.perPageLeaf {
+			return t.splitLeaf(n, vs)
 		}
+		n.cols = pfv.ColumnsOf(vs, t.dim)
 		if err := t.writeNode(n); err != nil {
 			return rect.Rect{}, nil, err
 		}
@@ -148,12 +149,12 @@ func (t *Tree) chooseSubtree(n *node, v pfv.Vector, level int) int {
 	return best
 }
 
-// splitLeaf performs the R* topological split on an overflowing leaf. The
-// receiver keeps the left half and its pages; the new right node is
-// allocated and returned as a child entry.
-func (t *Tree) splitLeaf(n *node) (rect.Rect, *childEntry, error) {
-	boxes := make([]rect.Rect, len(n.vectors))
-	for i, v := range n.vectors {
+// splitLeaf performs the R* topological split of an overflowing leaf's
+// vectors vs. The receiver keeps the left half and its page; the new right
+// node is allocated and returned as a child entry.
+func (t *Tree) splitLeaf(n *node, vs []pfv.Vector) (rect.Rect, *childEntry, error) {
+	boxes := make([]rect.Rect, len(vs))
+	for i, v := range vs {
 		boxes[i] = t.boxOf(v)
 	}
 	axis, splitAt, order := t.topologicalSplit(boxes, t.minLeaf)
@@ -163,13 +164,13 @@ func (t *Tree) splitLeaf(n *node) (rect.Rect, *childEntry, error) {
 	leftV := make([]pfv.Vector, 0, splitAt)
 	rightV := make([]pfv.Vector, 0, len(order)-splitAt)
 	for _, i := range order[:splitAt] {
-		leftV = append(leftV, n.vectors[i])
+		leftV = append(leftV, vs[i])
 	}
 	for _, i := range order[splitAt:] {
-		rightV = append(rightV, n.vectors[i])
+		rightV = append(rightV, vs[i])
 	}
-	n.vectors = leftV
-	right.vectors = rightV
+	n.cols = pfv.ColumnsOf(leftV, t.dim)
+	right.cols = pfv.ColumnsOf(rightV, t.dim)
 
 	rightID, err := t.mgr.Allocate()
 	if err != nil {

@@ -16,7 +16,8 @@ const (
 )
 
 // nodeHeaderSize is kind (1) + entry count (2) + split history (4) +
-// continuation page (4).
+// continuation page (4). A data page's columnar body (pfv.AppendColumns,
+// without −ln∏σ terms) follows it.
 const nodeHeaderSize = 11
 
 // childEntry is one directory entry: a child page and the minimum bounding
@@ -26,20 +27,22 @@ type childEntry struct {
 	box  rect.Rect
 }
 
-// node is the in-memory form of an X-tree node, which may be a supernode
-// occupying several chained pages.
+// node is the in-memory form of an X-tree node. A data (leaf) node is always
+// one page, whose decoded columns it shares with the page cache: they are
+// never edited, a mutation builds new ones. A directory node may be a
+// supernode occupying several chained pages.
 type node struct {
 	id        pagefile.PageID
 	leaf      bool
 	splitHist uint32
 	pages     []pagefile.PageID // the chain; pages[0] == id
-	vectors   []pfv.Vector
-	children  []childEntry
+	cols      *pfv.Columns      // leaf payload
+	children  []childEntry      // directory payload
 }
 
 func (n *node) entryCount() int {
 	if n.leaf {
-		return len(n.vectors)
+		return n.cols.Len()
 	}
 	return len(n.children)
 }
@@ -67,21 +70,16 @@ type chainPage struct {
 	leaf      bool
 	splitHist uint32
 	cont      pagefile.PageID // next page of the chain, NilPage at its end
-	vectors   []pfv.Vector
+	cols      *pfv.Columns
 	children  []childEntry
 }
 
 // readNode loads a node, following supernode continuation pointers. Every
 // chained page is a logical page access, also when its decoded form is
-// cached.
-func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
-	return t.readNodeCounted(id, nil)
-}
-
-// readNodeCounted is readNode with the page accesses additionally charged to
-// a per-query counter. The node is assembled from its pages' cached forms
-// into slices of its own, so the caller may edit and rewrite it.
-func (t *Tree) readNodeCounted(id pagefile.PageID, c *pagefile.Counter) (*node, error) {
+// cached, charged to a per-query counter when c is non-nil. A directory node
+// is assembled from its pages' cached forms into slices of its own, so the
+// caller may edit and rewrite it.
+func (t *Tree) readNode(id pagefile.PageID, c *pagefile.Counter) (*node, error) {
 	n := &node{id: id}
 	for pid := id; pid != pagefile.NilPage; {
 		v, err := t.mgr.ReadDecoded(pid, c, t.decode)
@@ -89,12 +87,12 @@ func (t *Tree) readNodeCounted(id pagefile.PageID, c *pagefile.Counter) (*node, 
 			return nil, err
 		}
 		p := v.(*chainPage)
-		if pid == id {
-			n.leaf, n.splitHist = p.leaf, p.splitHist
-		} else if p.leaf != n.leaf {
-			return nil, fmt.Errorf("xtree: inconsistent chain kind at page %d", pid)
+		switch {
+		case pid == id:
+			n.leaf, n.splitHist, n.cols = p.leaf, p.splitHist, p.cols
+		case p.leaf || n.leaf:
+			return nil, fmt.Errorf("xtree: data page %d in a chain", pid)
 		}
-		n.vectors = append(n.vectors, p.vectors...)
 		n.children = append(n.children, p.children...)
 		n.pages = append(n.pages, pid)
 		pid = p.cont
@@ -113,19 +111,16 @@ func decodePage(id pagefile.PageID, buf []byte, dim int) (*chainPage, error) {
 		cont:      pagefile.PageID(binary.LittleEndian.Uint32(buf[7:])),
 	}
 	count := int(binary.LittleEndian.Uint16(buf[1:]))
-	off := nodeHeaderSize
 	if p.leaf {
-		for i := 0; i < count; i++ {
-			v, used, err := pfv.DecodeBinary(buf[off:], dim)
-			if err != nil {
-				return nil, fmt.Errorf("xtree: page %d entry %d: %w", id, i, err)
-			}
-			p.vectors = append(p.vectors, v)
-			off += used
+		cols, err := pfv.DecodeColumns(buf[nodeHeaderSize:], dim, count, false)
+		if err != nil {
+			return nil, fmt.Errorf("xtree: page %d: %w", id, err)
 		}
+		p.cols = cols
 		return p, nil
 	}
 	esz := innerEntrySize(dim)
+	off := nodeHeaderSize
 	for i := 0; i < count; i++ {
 		if off+esz > len(buf) {
 			return nil, fmt.Errorf("xtree: page %d entry %d: short page", id, i)
@@ -146,8 +141,9 @@ func decodePage(id pagefile.PageID, buf []byte, dim int) (*chainPage, error) {
 	return p, nil
 }
 
-// writeNode persists a node, growing or shrinking its page chain as needed;
-// each page's cached form is the slice of the node's entries it holds.
+// writeNode persists a node, growing or shrinking its page chain as needed
+// (a data node's is one page); each page's cached form is the slice of the
+// node's entries it holds, a data page's the node's columns.
 func (t *Tree) writeNode(n *node) error {
 	perPage := t.perPageLeaf
 	if !n.leaf {
@@ -186,10 +182,8 @@ func (t *Tree) writeNode(n *node) error {
 		binary.LittleEndian.PutUint32(buf[3:], n.splitHist)
 		binary.LittleEndian.PutUint32(buf[7:], uint32(p.cont))
 		if n.leaf {
-			p.vectors = n.vectors[lo:hi:hi]
-			for _, v := range p.vectors {
-				buf = pfv.AppendBinary(buf, v)
-			}
+			p.cols = n.cols
+			buf = pfv.AppendColumns(buf, n.cols, false)
 		} else {
 			p.children = n.children[lo:hi:hi]
 			for _, c := range p.children {
@@ -208,26 +202,35 @@ func (t *Tree) writeNode(n *node) error {
 }
 
 // computeBox returns the MBR of the node's entries (quantile boxes for
-// leaves, child MBRs for directory nodes).
+// leaves, child MBRs for directory nodes). Empty nodes (only the root may be
+// empty) return an inverted box.
 func (t *Tree) computeBox(n *node) rect.Rect {
-	if n.entryCount() == 0 {
-		lo := make([]float64, t.dim)
-		hi := make([]float64, t.dim)
-		for i := range lo {
-			lo[i], hi[i] = math.Inf(1), math.Inf(-1)
-		}
-		return rect.Rect{Lo: lo, Hi: hi}
+	b := rect.Rect{Lo: make([]float64, t.dim), Hi: make([]float64, t.dim)}
+	for i := range b.Lo {
+		b.Lo[i], b.Hi[i] = math.Inf(1), math.Inf(-1)
 	}
-	if n.leaf {
-		b := t.boxOf(n.vectors[0])
-		for _, v := range n.vectors[1:] {
-			b.ExtendInPlace(t.boxOf(v))
-		}
-		return b
-	}
-	b := n.children[0].box.Clone()
-	for _, c := range n.children[1:] {
+	for _, c := range n.children {
 		b.ExtendInPlace(c.box)
 	}
+	if n.leaf {
+		for i := range b.Lo {
+			for j, m := range n.cols.Mean[i] {
+				b.Lo[i] = min(b.Lo[i], m-t.z*n.cols.Sigma[i][j])
+				b.Hi[i] = max(b.Hi[i], m+t.z*n.cols.Sigma[i][j])
+			}
+		}
+	}
 	return b
+}
+
+// boxMeets reports whether the quantile box of vector j of cols intersects
+// r — boxOf(cols.Vector(j)).Intersects(r) — straight from the columns.
+func (t *Tree) boxMeets(cols *pfv.Columns, j int, r rect.Rect) bool {
+	for i := range r.Lo {
+		m, s := cols.Mean[i][j], cols.Sigma[i][j]
+		if r.Hi[i] < m-t.z*s || r.Lo[i] > m+t.z*s {
+			return false
+		}
+	}
+	return true
 }

@@ -17,13 +17,15 @@ func (t *Tree) Name() string { return "x-tree" }
 
 // walkIntersecting traverses every subtree whose box intersects r, checking
 // the context at each node and charging node reads to the per-query counter
-// and stats. Skipping a non-intersecting subtree is what makes the filter an
+// and stats, and emits every stored vector whose quantile box intersects r
+// as its position in a data page's columns (shared with the page cache).
+// Skipping a non-intersecting subtree is what makes the filter an
 // approximation, so it is recorded as early termination.
-func (t *Tree) walkIntersecting(ctx context.Context, c *pagefile.Counter, stats *query.Stats, id pagefile.PageID, r rect.Rect, emit func(pfv.Vector)) error {
+func (t *Tree) walkIntersecting(ctx context.Context, c *pagefile.Counter, stats *query.Stats, id pagefile.PageID, r rect.Rect, emit func(cols *pfv.Columns, j int)) error {
 	if err := ctx.Err(); err != nil {
 		return err
 	}
-	n, err := t.readNodeCounted(id, c)
+	n, err := t.readNode(id, c)
 	if err != nil {
 		return err
 	}
@@ -31,9 +33,9 @@ func (t *Tree) walkIntersecting(ctx context.Context, c *pagefile.Counter, stats 
 		stats.NodesVisited++
 	}
 	if n.leaf {
-		for _, v := range n.vectors {
-			if t.boxOf(v).Intersects(r) {
-				emit(v)
+		for j := range n.cols.IDs {
+			if t.boxMeets(n.cols, j, r) {
+				emit(n.cols, j)
 			}
 		}
 		return nil
@@ -79,10 +81,11 @@ func (t *Tree) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 	}
 	var counter pagefile.Counter
 	var stats query.Stats
-	out, err := query.ExactKMLIQ(k, withProbs, func(yield func(pfv.Vector, float64)) error {
-		return t.walkIntersecting(ctx, &counter, &stats, t.root, t.boxOf(q), func(v pfv.Vector) {
+	ev := pfv.NewJointEvaluator(t.cfg.Combiner, q)
+	out, err := query.ExactKMLIQ(k, withProbs, func(yield func(*pfv.Columns, int, float64)) error {
+		return t.walkIntersecting(ctx, &counter, &stats, t.root, t.boxOf(q), func(cols *pfv.Columns, j int) {
 			stats.VectorsScored++
-			yield(v, pfv.JointLogDensity(t.cfg.Combiner, v, q))
+			yield(cols, j, ev.LogDensityAt(cols, j))
 		})
 	})
 	stats.PageAccesses = counter.LogicalReads()
@@ -103,18 +106,19 @@ func (t *Tree) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 	var stats query.Stats
 	// The filter step collects the candidate set once; both refinement
 	// passes run over it.
-	var cands []query.Result
-	err := t.walkIntersecting(ctx, &counter, &stats, t.root, t.boxOf(q), func(v pfv.Vector) {
+	var cands []query.Hit
+	ev := pfv.NewJointEvaluator(t.cfg.Combiner, q)
+	err := t.walkIntersecting(ctx, &counter, &stats, t.root, t.boxOf(q), func(cols *pfv.Columns, j int) {
 		stats.VectorsScored++
-		cands = append(cands, query.Result{Vector: v, LogDensity: pfv.JointLogDensity(t.cfg.Combiner, v, q)})
+		cands = append(cands, query.Hit{Cols: cols, J: j, LogDensity: ev.LogDensityAt(cols, j)})
 	})
 	stats.PageAccesses = counter.LogicalReads()
 	if err != nil {
 		return nil, stats, err
 	}
-	out, err := query.ExactTIQ(pTheta, func(yield func(pfv.Vector, float64)) error {
-		for _, c := range cands {
-			yield(c.Vector, c.LogDensity)
+	out, err := query.ExactTIQ(pTheta, func(yield func(*pfv.Columns, int, float64)) error {
+		for _, h := range cands {
+			yield(h.Cols, h.J, h.LogDensity)
 		}
 		return nil
 	})

@@ -4,7 +4,6 @@ import (
 	"fmt"
 
 	"github.com/gauss-tree/gausstree/internal/pagefile"
-	"github.com/gauss-tree/gausstree/internal/pfv"
 	"github.com/gauss-tree/gausstree/internal/rect"
 )
 
@@ -16,7 +15,7 @@ func (t *Tree) CheckInvariants() error {
 	leafDepth := -1
 	var walk func(id pagefile.PageID, depth int, isRoot bool) (int, rect.Rect, error)
 	walk = func(id pagefile.PageID, depth int, isRoot bool) (int, rect.Rect, error) {
-		n, err := t.readNode(id)
+		n, err := t.readNode(id, nil)
 		if err != nil {
 			return 0, rect.Rect{}, err
 		}
@@ -26,16 +25,16 @@ func (t *Tree) CheckInvariants() error {
 			} else if depth != leafDepth {
 				return 0, rect.Rect{}, fmt.Errorf("xtree: leaf %d at depth %d, expected %d", id, depth, leafDepth)
 			}
-			if len(n.vectors) > t.perPageLeaf {
-				return 0, rect.Rect{}, fmt.Errorf("xtree: leaf %d overfull: %d > %d", id, len(n.vectors), t.perPageLeaf)
+			if n.cols.Len() > t.perPageLeaf {
+				return 0, rect.Rect{}, fmt.Errorf("xtree: leaf %d overfull: %d > %d", id, n.cols.Len(), t.perPageLeaf)
 			}
-			if !isRoot && len(n.vectors) < t.minLeaf {
-				return 0, rect.Rect{}, fmt.Errorf("xtree: leaf %d underfull: %d < %d", id, len(n.vectors), t.minLeaf)
+			if !isRoot && n.cols.Len() < t.minLeaf {
+				return 0, rect.Rect{}, fmt.Errorf("xtree: leaf %d underfull: %d < %d", id, n.cols.Len(), t.minLeaf)
 			}
 			if n.isSuper() {
 				return 0, rect.Rect{}, fmt.Errorf("xtree: leaf %d is a supernode", id)
 			}
-			return len(n.vectors), t.computeBox(n), nil
+			return n.cols.Len(), t.computeBox(n), nil
 		}
 		expectPages := pagesNeeded(len(n.children), t.perPageInner)
 		if len(n.pages) != expectPages {
@@ -72,27 +71,4 @@ func (t *Tree) CheckInvariants() error {
 		return fmt.Errorf("xtree: Len %d but subtrees hold %d", t.count, total)
 	}
 	return nil
-}
-
-// CollectAll returns every stored vector.
-func (t *Tree) CollectAll() ([]pfv.Vector, error) {
-	var out []pfv.Vector
-	var walk func(id pagefile.PageID) error
-	walk = func(id pagefile.PageID) error {
-		n, err := t.readNode(id)
-		if err != nil {
-			return err
-		}
-		if n.leaf {
-			out = append(out, n.vectors...)
-			return nil
-		}
-		for _, c := range n.children {
-			if err := walk(c.page); err != nil {
-				return err
-			}
-		}
-		return nil
-	}
-	return out, walk(t.root)
 }

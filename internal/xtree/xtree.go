@@ -12,7 +12,9 @@
 // splits, an overlap-minimal split guided by the split history when the
 // topological split overlaps too much, and supernodes (multi-page directory
 // nodes, chained through continuation pointers) when no balanced
-// overlap-minimal split exists.
+// overlap-minimal split exists. Data pages hold the Gauss-tree's columnar
+// leaf body; the filter tests quantile boxes and the refinement scores
+// survivors straight from a page's columns.
 package xtree
 
 import (
@@ -67,8 +69,9 @@ type Tree struct {
 	minInner     int
 
 	// decode is decodePage bound to the tree's dimension, in the shape the
-	// page manager's decoded reads take: every page of a chain has one cached
-	// form, and a read assembles the node from them (readNodeCounted).
+	// page manager's decoded reads take: every page has one cached form — a
+	// data page's is its columns — and a read assembles the node from them
+	// (readNode).
 	decode pagefile.DecodeFunc
 }
 
@@ -107,7 +110,7 @@ func New(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 		return nil, err
 	}
 	t.root = rootID
-	if err := t.writeNode(&node{id: rootID, leaf: true, pages: []pagefile.PageID{rootID}}); err != nil {
+	if err := t.writeNode(&node{id: rootID, leaf: true, pages: []pagefile.PageID{rootID}, cols: pfv.NewColumns(dim, 0)}); err != nil {
 		return nil, err
 	}
 	return t, nil

@@ -265,12 +265,35 @@ func TestConfigDefaults(t *testing.T) {
 	}
 }
 
+// CollectAll returns a fresh copy of every stored vector.
+func (t *Tree) CollectAll() ([]pfv.Vector, error) {
+	var out []pfv.Vector
+	var walk func(id pagefile.PageID) error
+	walk = func(id pagefile.PageID) error {
+		n, err := t.readNode(id, nil)
+		if err != nil {
+			return err
+		}
+		if n.leaf {
+			out = append(out, n.cols.Vectors()...)
+			return nil
+		}
+		for _, c := range n.children {
+			if err := walk(c.page); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	return out, walk(t.root)
+}
+
 // SupernodeCount returns the number of directory supernodes and the total
 // number of pages they span.
 func (t *Tree) SupernodeCount() (supernodes, pages int, err error) {
 	var walk func(id pagefile.PageID) error
 	walk = func(id pagefile.PageID) error {
-		n, e := t.readNode(id)
+		n, e := t.readNode(id, nil)
 		if e != nil {
 			return e
 		}
@@ -299,8 +322,8 @@ func (t *Tree) RangeSearch(r rect.Rect) ([]pfv.Vector, error) {
 		return nil, fmt.Errorf("%w: query rectangle dimension %d, tree dimension %d", ErrDimension, r.Dim(), t.dim)
 	}
 	var out []pfv.Vector
-	err := t.walkIntersecting(context.Background(), nil, nil, t.root, r, func(v pfv.Vector) {
-		out = append(out, v)
+	err := t.walkIntersecting(context.Background(), nil, nil, t.root, r, func(cols *pfv.Columns, j int) {
+		out = append(out, cols.Vector(j))
 	})
 	return out, err
 }
