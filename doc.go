@@ -85,7 +85,9 @@
 // among themselves — copy-on-write their path and publish a new root with
 // one atomic store. Freed pages are recycled only once no reader can still
 // reach them, so a long ForEach never blocks, and is never torn by,
-// concurrent mutations. SnapshotEpoch counts published commits.
+// concurrent mutations. SnapshotEpoch counts published commits. A page is
+// held once, as an immutable image that the page store, the buffer cache and
+// the cached leaves viewing it share; nothing a query returns refers to it.
 //
 // # Leaf formats
 //

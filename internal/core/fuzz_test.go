@@ -16,7 +16,7 @@ import (
 // (truncated entries, unknown kinds, garbage floats) must never panic —
 // with per-page checksums a corrupt page should normally be caught below
 // this layer, but the decoder is the last line of defense. (The columnar
-// body's block copies are fuzzed against their portable twin in pfv.)
+// body's in-place views are fuzzed against their portable twin in pfv.)
 func FuzzNodeCodec(f *testing.F) {
 	leaf := &node{leaf: true, vectors: []pfv.Vector{
 		pfv.MustNew(1, []float64{0.5, 1.5}, []float64{0.1, 0.2}),

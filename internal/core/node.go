@@ -55,7 +55,7 @@ const flagNegLnSigma = 1
 const gridCells = 256
 
 // maxNodeEntries is the largest entry count the u16 page header encodes.
-// encodeNode refuses larger nodes instead of silently truncating the count.
+// The encoders refuse larger nodes instead of silently truncating the count.
 const maxNodeEntries = math.MaxUint16
 
 // childEntry is one routing entry of an inner node: the child page, the
@@ -64,9 +64,9 @@ const maxNodeEntries = math.MaxUint16
 // parameter-space bounding box.
 //
 // logCount caches ln(count), the log-space factor of the §5.2.2 sum bounds.
-// It is derived, not encoded: the two ways a node becomes readable fill it
-// once each — decodeNode, and Tree.persistNode for a node the writer built —
-// so the best-first traversal never pays a math.Log per child per visit.
+// It is derived, not encoded: decodeNode fills it once — every readable node,
+// read back or just written, is decoded from its page image — so the
+// best-first traversal never pays a math.Log per child per visit.
 //
 // box is set on the writer's nodes only; a readable node holds all its child
 // boxes column-major in node.boxes instead.
@@ -79,19 +79,21 @@ type childEntry struct {
 
 // node is the in-memory form of one Gauss-tree page.
 //
-// A node a reader can see — decoded from its page, or handed to the page
-// cache by persistNode — is immutable and holds a leaf's payload once:
-// exact leaves (columnar and sidecar pages alike) carry cols,
-// quantized leaves carry quant (the widened parameter intervals plus the raw
-// quantized payload; their exact vectors are the cols of the sidecar page).
+// A node a reader can see is decoded from its page image (by a read miss, or
+// by the write that made the image) and is immutable. It holds a leaf's
+// payload once, as views of that image where the host allows
+// (pfv.DecodeColumns): exact leaves (columnar and sidecar pages alike) carry
+// cols, quantized leaves carry quant (the widened parameter intervals plus
+// the raw quantized payload; their exact vectors are the cols of the sidecar
+// page).
 // The row-major vectors exist only on the writer's own nodes: clone and
 // materializeLeaf build them ahead of an in-place mutation, and from then
 // until encodeLeaf rebuilds cols and quant for the next page image, vectors
 // is the authoritative payload and cols/quant describe the superseded page.
 // Inner nodes follow the same rule: a readable node holds its child boxes
-// once, in boxes (filled by decodeInnerNode and persistNode, complete before
-// the node is shared); clone materializes them into the entries of the
-// writer's copy, which has no boxes.
+// once, in boxes (filled by decodeInnerNode, complete before the node is
+// shared); clone materializes them into the entries of the writer's copy,
+// which has no boxes.
 type node struct {
 	id   pagefile.PageID
 	leaf bool
@@ -373,31 +375,6 @@ func leafEntrySize(dim int) int { return pfv.EncodedSize(dim) }
 // (4) + subtree count (4) + 4 float64 bounds per dimension.
 func innerEntrySize(dim int) int { return 8 + 32*dim }
 
-// encodeNode serializes a node into a page image, dispatching on the node's
-// stamped kind (the write path sets it from the tree's leaf format; 0
-// defaults to the exact columnar encoding). It returns an error — instead of
-// silently truncating the stored counts — when an entry or subtree count
-// does not fit its on-page field.
-func encodeNode(n *node, dim, pageSize int) ([]byte, error) {
-	if !n.leaf {
-		return encodeInnerNode(n, dim)
-	}
-	if n.kind == kindLeafF32 || n.kind == kindLeafGrid {
-		if n.quant == nil {
-			return nil, fmt.Errorf("core: encodeNode: quantized leaf %d has no quantized payload", n.id)
-		}
-		return encodeQuantLeaf(n.quant, dim)
-	}
-	cols := n.cols
-	if cols == nil || n.vectors != nil {
-		cols = pfv.ColumnsOf(n.vectors, dim)
-	}
-	if n.kind == kindSidecar {
-		return encodeColumnarLeaf(cols, kindSidecar, pageSize)
-	}
-	return encodeColumnarLeaf(cols, kindLeafCol, pageSize) // 0 (unstamped) or kindLeafCol
-}
-
 // encodeInnerNode writes the entries row-major: page, count, then the
 // child's four bounds per dimension — its value in each run of the node's
 // box columns, in run order. A writer's node, which holds the boxes in its
@@ -491,7 +468,8 @@ func encodeQuantLeaf(q *quantLeaf, dim int) ([]byte, error) {
 	return buf, nil
 }
 
-// decodeNode parses a page image into a node. The node does not alias page.
+// decodeNode parses a page image into a node, whose leaf payload may view
+// the image: page must be immutable, as every page image is.
 func decodeNode(id pagefile.PageID, page []byte, dim int) (*node, error) {
 	if len(page) < nodeHeaderSize {
 		return nil, fmt.Errorf("core: truncated node page %d", id)
@@ -541,7 +519,8 @@ func decodeInnerNode(n *node, page []byte, dim, count int) error {
 }
 
 // decodeColumnarLeaf reads the 4-byte header and leaves the body to
-// pfv.DecodeColumns: two block copies, nothing derived.
+// pfv.DecodeColumns: views of the page where the host allows, nothing
+// derived.
 func decodeColumnarLeaf(n *node, page []byte, dim, count int) error {
 	if len(page) < colHeaderSize {
 		return fmt.Errorf("core: page %d: truncated columnar header", n.id)
@@ -601,7 +580,7 @@ func decodeQuantLeaf(n *node, page []byte, dim, count int) error {
 		q.cellMean, q.cellSigma = make([][]uint8, dim), make([][]uint8, dim)
 		for _, cols := range [2][][]uint8{q.cellMean, q.cellSigma} {
 			for i := range cols {
-				cols[i] = append([]uint8(nil), page[off:off+count]...)
+				cols[i] = page[off : off+count : off+count]
 				off += count
 			}
 		}

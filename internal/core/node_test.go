@@ -1,6 +1,7 @@
 package core
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -9,6 +10,31 @@ import (
 	"github.com/gauss-tree/gausstree/internal/pagefile"
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
+
+// encodeNode serializes a node into a page image, dispatching on the node's
+// stamped kind as the write path does (persistNode: encodeLeaf or
+// encodeInnerNode; 0 defaults to the exact columnar encoding). It returns an
+// error — instead of silently truncating the stored counts — when an entry
+// or subtree count does not fit its on-page field.
+func encodeNode(n *node, dim, pageSize int) ([]byte, error) {
+	if !n.leaf {
+		return encodeInnerNode(n, dim)
+	}
+	if n.kind == kindLeafF32 || n.kind == kindLeafGrid {
+		if n.quant == nil {
+			return nil, fmt.Errorf("core: encodeNode: quantized leaf %d has no quantized payload", n.id)
+		}
+		return encodeQuantLeaf(n.quant, dim)
+	}
+	cols := n.cols
+	if cols == nil || n.vectors != nil {
+		cols = pfv.ColumnsOf(n.vectors, dim)
+	}
+	if n.kind == kindSidecar {
+		return encodeColumnarLeaf(cols, kindSidecar, pageSize)
+	}
+	return encodeColumnarLeaf(cols, kindLeafCol, pageSize) // 0 (unstamped) or kindLeafCol
+}
 
 // mustEncode encodes a node for tests that only exercise the codec round
 // trip, failing the test on encoding errors.

@@ -74,8 +74,9 @@ func BenchmarkReadNodeHot(b *testing.B) {
 
 // BenchmarkFirstTouch measures the other end of the read path: after
 // DropCache, one pass over every leaf of a file-backed DS2 tree, so each
-// read is a backend read, a CRC check and one decode (two block copies).
-// ns/page, allocs/page and B/page are per leaf touched.
+// read is a backend read, a CRC check, one copy into a fresh page image and
+// a decode that views it. ns/page, allocs/page and B/page are per leaf
+// touched: the image, the node, its columns and the cache entry.
 func BenchmarkFirstTouch(b *testing.B) {
 	tr := fileDS2Tree(b, 20000, 1024) // the cache holds the whole tree
 	leaves := leafPages(b, tr)
@@ -109,7 +110,8 @@ func BenchmarkFirstTouch(b *testing.B) {
 
 // BenchmarkDecodeLeaf is the decode slice of a first touch alone: page bytes
 // to *node for a full DS2 leaf (48 × 10) and a half-full one. Run with
-// -benchmem: B/op is what a cache miss adds to the heap.
+// -benchmem: B/op is what a cache miss adds to the heap beside the image,
+// the same at either fill because the columns view the page.
 func BenchmarkDecodeLeaf(b *testing.B) {
 	const dim = 10
 	full := (pagefile.DefaultPageSize - colHeaderSize) / leafEntrySize(dim)

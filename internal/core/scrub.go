@@ -31,9 +31,6 @@ type ScrubReport struct {
 // it is the rate-limiting hook of the serving layer's background scrubber.
 func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, error) {
 	var rep ScrubReport
-	// buf is reused across the whole walk: decoded nodes never alias the
-	// page they came from.
-	buf := make([]byte, t.mgr.PageSize())
 	verify := func(id pagefile.PageID) (*node, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
@@ -43,7 +40,7 @@ func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, e
 				return nil, err
 			}
 		}
-		n, err := t.verifyDecode(id, buf)
+		n, err := t.verifyDecode(id)
 		if err == nil {
 			rep.Pages++
 		}
@@ -63,8 +60,8 @@ func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, e
 
 // verifyDecode reads page id from the backend (bypassing the cache) and
 // decodes it, wrapping any damage as ErrCorrupt (see corrupt).
-func (t *Tree) verifyDecode(id pagefile.PageID, buf []byte) (*node, error) {
-	page, err := t.mgr.VerifyPage(id, buf)
+func (t *Tree) verifyDecode(id pagefile.PageID) (*node, error) {
+	page, err := t.mgr.VerifyPage(id)
 	if err != nil {
 		return nil, corrupt(id, err)
 	}

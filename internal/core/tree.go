@@ -3,7 +3,6 @@ package core
 import (
 	"errors"
 	"fmt"
-	"math"
 	"sync/atomic"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -296,8 +295,9 @@ func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
 // also keeps the cache's recency accurate. A page's cache entry holds the
 // decoded node in place of its bytes, so the hot path is one cache-shard
 // lock with no copy, decode or allocation; a first touch is backend read,
-// CRC verify and a decode — for a leaf two block copies, what it derives
-// waits for a reader. The node is shared with every reader: immutable.
+// CRC verify and a decode — for a leaf no copy at all where the host takes
+// views (its columns view the page image), and what it derives waits for a
+// reader. The node is shared with every reader: immutable.
 //
 // Why the node cached after a miss cannot be stale (ReadDecoded inserts it
 // once ioMu is released): every caller holds either an epoch pin taken
@@ -358,31 +358,24 @@ func (t *Tree) persistNew(n *node) error {
 }
 
 // persistNode encodes and writes the node at its current id, routing leaves
-// through the tree's leaf format, and hands the page cache the form readers
-// will share, complete before any of them can see it: a leaf's new payload
-// without the writer's row-major vectors, an inner node's entries with their
-// logCount and the child boxes as columns. Called directly it is for a
-// freshly allocated page only; nodes of the committed tree are modified
-// through rewriteNode.
+// through the tree's leaf format. The page cache's form, the one readers will
+// share, is decoded from the written page image like any read miss's, and is
+// complete before any reader can see it. Called directly it is for a freshly
+// allocated page only; nodes of the committed tree are modified through
+// rewriteNode.
 func (t *Tree) persistNode(n *node) error {
-	var shared *node
 	var buf []byte
 	var err error
 	if n.leaf {
 		buf, err = t.encodeLeaf(n)
-		shared = &node{id: n.id, leaf: true, kind: n.kind, cols: n.cols, quant: n.quant}
 	} else {
 		n.kind = kindInner
-		shared = &node{id: n.id, kind: kindInner, children: make([]childEntry, len(n.children)), boxes: boxColumnsOf(n.children, t.dim)}
-		for i, c := range n.children {
-			shared.children[i] = childEntry{page: c.page, count: c.count, logCount: math.Log(float64(c.count))}
-		}
-		buf, err = encodeNode(shared, t.dim, t.mgr.PageSize())
+		buf, err = encodeInnerNode(n, t.dim)
 	}
 	if err != nil {
 		return err
 	}
-	return t.mgr.WriteDecoded(n.id, buf, shared)
+	return t.mgr.WriteDecoded(n.id, buf, t.decode)
 }
 
 // encodeLeaf readies a leaf carrying authoritative exact vectors for
@@ -413,8 +406,7 @@ func (t *Tree) encodeLeaf(n *node) ([]byte, error) {
 		if err != nil {
 			return nil, err
 		}
-		side := &node{id: sideID, leaf: true, kind: kindSidecar, cols: n.cols}
-		if err := t.mgr.WriteDecoded(sideID, sideBuf, side); err != nil {
+		if err := t.mgr.WriteDecoded(sideID, sideBuf, t.decode); err != nil {
 			return nil, err
 		}
 		q.sidecar = sideID

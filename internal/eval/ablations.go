@@ -12,7 +12,8 @@ import (
 )
 
 // AblationRow is one variant of one design-choice comparison, measured with
-// one ranked 1-MLIQ per query from a cold buffer cache.
+// one ranked 1-MLIQ per query, the buffer cache cold-started once before the
+// first query and shared across them.
 type AblationRow struct {
 	Ablation string  // "A1-combiner", "A2-split" or "A4-engines"
 	Engine   string  // report label, as in Engines.All
@@ -94,8 +95,8 @@ func buildName(s Setup) string {
 	return "bulk"
 }
 
-// rankedOne runs one ranked 1-MLIQ per query on a cold-started engine, as
-// Figure7 does for its 1-MLIQ cells.
+// rankedOne runs one ranked 1-MLIQ per query on an engine whose cache it
+// cold-starts once, before the first, as Figure7 does for its 1-MLIQ cells.
 func rankedOne(eng NamedEngine, queries []dataset.Query) (AblationRow, error) {
 	eng.Mgr.ResetStats()
 	eng.Mgr.DropCache()

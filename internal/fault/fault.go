@@ -282,26 +282,27 @@ type backend struct {
 	inj   *Injector
 }
 
-func (b *backend) ReadPage(id pagefile.PageID, buf []byte) error {
+func (b *backend) ReadPage(id pagefile.PageID) ([]byte, error) {
 	if d := b.inj.decide(OpPageRead); d.err != nil {
-		return d.err
+		return nil, d.err
 	}
-	return b.inner.ReadPage(id, buf)
+	return b.inner.ReadPage(id)
 }
 
-func (b *backend) WritePage(id pagefile.PageID, data []byte) error {
+func (b *backend) WritePage(id pagefile.PageID, image []byte) error {
 	d := b.inj.decide(OpPageWrite)
 	if d.err == nil {
-		return b.inner.WritePage(id, data)
+		return b.inner.WritePage(id, image)
 	}
-	if d.torn && len(data) > 1 {
+	if d.torn && len(image) > 1 {
 		// A torn write: the first half of the page reaches the platter, the
 		// rest is lost mid-flight. The CRC trailer makes the page
 		// unreadable, which is exactly what the scrubber and the recovery
 		// path must detect. The half-page is padded back to a full page so
-		// backends that require exact page-sized writes accept it.
-		torn := make([]byte, len(data))
-		copy(torn, data[:len(data)/2])
+		// backends that require exact page-sized writes accept it; it is a
+		// fresh image, because the one given is immutable.
+		torn := make([]byte, len(image))
+		copy(torn, image[:len(image)/2])
 		if werr := b.inner.WritePage(id, torn); werr != nil {
 			return fmt.Errorf("%w (torn write also failed: %v)", d.err, werr)
 		}

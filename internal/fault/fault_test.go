@@ -140,9 +140,9 @@ func TestWrapBackendFaultsAndTornWrites(t *testing.T) {
 	if err := b.WritePage(0, changed); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected write fault, got %v", err)
 	}
-	got := make([]byte, 128)
 	inj.Disarm()
-	if err := b.ReadPage(0, got); err != nil {
+	got, err := b.ReadPage(0)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if got[10] != 10 {
@@ -157,8 +157,11 @@ func TestWrapBackendFaultsAndTornWrites(t *testing.T) {
 		t.Fatalf("want injected torn write fault, got %v", err)
 	}
 	inj.Disarm()
-	if err := b.ReadPage(0, got); err != nil {
+	if got, err = b.ReadPage(0); err != nil {
 		t.Fatal(err)
+	}
+	if changed[120] != 0xAA {
+		t.Fatal("the torn write wrote to the image it was given")
 	}
 	if got[10] != 0xAA || got[120] != 0 {
 		t.Fatalf("torn write should keep the first half (got[10]=%#x) and zero the rest (got[120]=%#x)", got[10], got[120])
@@ -171,7 +174,7 @@ func TestWrapBackendFaultsAndTornWrites(t *testing.T) {
 	}}); err != nil {
 		t.Fatal(err)
 	}
-	if err := b.ReadPage(0, got); !errors.Is(err, ErrInjected) {
+	if _, err := b.ReadPage(0); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected read fault, got %v", err)
 	}
 	if err := b.Sync(); !errors.Is(err, ErrInjected) {

@@ -1,12 +1,14 @@
 package pagefile
 
 import (
+	"bytes"
 	"fmt"
 	"io"
 	"os"
 )
 
-// MemBackend keeps pages in memory. It is the default substrate for tests
+// MemBackend keeps pages in memory: the page images it is given, each held
+// once and handed back to every read. It is the default substrate for tests
 // and benchmarks: physical reads and seeks are still counted by the Manager,
 // so the disk cost model applies identically, just without real I/O latency.
 // Meta commits are retained in memory, so the commit/recover protocol can be
@@ -24,32 +26,30 @@ func NewMemBackend(pageSize int) *MemBackend {
 	return &MemBackend{pageSize: pageSize}
 }
 
-// ReadPage implements Backend.
-func (b *MemBackend) ReadPage(id PageID, buf []byte) error {
+// ReadPage implements Backend: the image WritePage was given, itself.
+func (b *MemBackend) ReadPage(id PageID) ([]byte, error) {
 	if b.closed {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if int(id) >= len(b.pages) || b.pages[id] == nil {
 		// Reading a never-written page yields zeroes, like a sparse file.
-		clear(buf)
-		return nil
+		return make([]byte, b.pageSize), nil
 	}
-	copy(buf, b.pages[id])
-	return nil
+	return b.pages[id], nil
 }
 
-// WritePage implements Backend.
-func (b *MemBackend) WritePage(id PageID, data []byte) error {
+// WritePage implements Backend, keeping the image.
+func (b *MemBackend) WritePage(id PageID, image []byte) error {
 	if b.closed {
 		return ErrClosed
 	}
-	if len(data) != b.pageSize {
-		return fmt.Errorf("pagefile: mem write of %d bytes, want page size %d", len(data), b.pageSize)
+	if len(image) != b.pageSize {
+		return fmt.Errorf("pagefile: mem write of %d bytes, want page size %d", len(image), b.pageSize)
 	}
 	for int(id) >= len(b.pages) {
 		b.pages = append(b.pages, nil)
 	}
-	b.pages[id] = append([]byte(nil), data...)
+	b.pages[id] = image
 	return nil
 }
 
@@ -247,35 +247,35 @@ func (b *FileBackend) slotOffset(id PageID) int64 {
 	return int64(reservedSlots+int(id)) * int64(slotSize(b.pageSize))
 }
 
-// ReadPage implements Backend, verifying the page's CRC trailer.
-func (b *FileBackend) ReadPage(id PageID, buf []byte) error {
+// ReadPage implements Backend, verifying the page's CRC trailer: the slot is
+// read into a reused buffer and the verified page copied into a fresh image,
+// one page-sized allocation per read.
+func (b *FileBackend) ReadPage(id PageID) ([]byte, error) {
 	if b.f == nil {
-		return ErrClosed
+		return nil, ErrClosed
 	}
 	if int(id) >= b.pages {
-		clear(buf)
-		return nil
+		return make([]byte, b.pageSize), nil
 	}
 	if _, err := b.f.ReadAt(b.slot, b.slotOffset(id)); err != nil {
-		return err
+		return nil, err
 	}
 	data, err := verifyPage(b.slot, id)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	copy(buf, data)
-	return nil
+	return bytes.Clone(data), nil
 }
 
 // WritePage implements Backend, sealing the page with its CRC trailer.
-func (b *FileBackend) WritePage(id PageID, data []byte) error {
+func (b *FileBackend) WritePage(id PageID, image []byte) error {
 	if b.f == nil {
 		return ErrClosed
 	}
-	if len(data) != b.pageSize {
-		return fmt.Errorf("pagefile: file write of %d bytes, want page size %d", len(data), b.pageSize)
+	if len(image) != b.pageSize {
+		return fmt.Errorf("pagefile: file write of %d bytes, want page size %d", len(image), b.pageSize)
 	}
-	if _, err := b.f.WriteAt(sealPage(b.slot, data), b.slotOffset(id)); err != nil {
+	if _, err := b.f.WriteAt(sealPage(b.slot, image), b.slotOffset(id)); err != nil {
 		return err
 	}
 	if int(id) >= b.pages {

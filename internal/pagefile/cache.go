@@ -9,10 +9,10 @@ import "sync"
 // doubly linked recency list (no container/list allocations): a hit is a
 // map lookup plus four pointer writes under one short shard lock.
 //
-// An entry holds a page in exactly one form: its bytes or, once a client has
-// decoded them (Manager.ReadDecoded/WriteDecoded), the decoded value in
-// their place — one page of the capacity either way, replaced and dropped by
-// the same events.
+// An entry holds a page in exactly one form: its immutable image or, once a
+// client has decoded it (Manager.ReadDecoded/WriteDecoded), the decoded
+// value in its place — one page of the capacity either way, replaced and
+// dropped by the same events.
 //
 // Sharding trades exact global LRU order for concurrency: eviction is
 // least-recently-used *per shard*. Small caches (where per-shard capacities
@@ -33,8 +33,8 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	id         PageID
-	data       []byte // page bytes; nil while the entry holds the decoded form
-	decoded    any    // decoded form; nil while the entry holds the bytes
+	data       []byte // page image; nil while the entry holds the decoded form
+	decoded    any    // decoded form; nil while the entry holds the image
 	prev, next *cacheEntry
 }
 

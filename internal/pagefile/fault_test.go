@@ -67,8 +67,8 @@ func TestFaultBackendTornWrite(t *testing.T) {
 		t.Fatalf("write error = %v, want ErrInjected", err)
 	}
 	// The tear must have half-applied at the inner backend.
-	got := make([]byte, 64)
-	if err := inner.ReadPage(id, got); err != nil {
+	got, err := inner.ReadPage(id)
+	if err != nil {
 		t.Fatal(err)
 	}
 	if !bytes.Equal(got[:32], data[:32]) || got[40] != 0 {

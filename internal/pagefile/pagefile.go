@@ -6,12 +6,14 @@
 // A Manager mediates access to fixed-size pages held by a Backend (in-memory
 // for tests and benchmarks, an ordinary file for persistence) through a
 // sharded LRU buffer cache with a configurable byte budget — the paper uses a
-// 50 MB cache that is cold-started before each experiment. A cache entry holds
-// a page's bytes or, for a client that decodes its pages (ReadDecoded,
-// WriteDecoded — the Gauss-tree), the decoded value in their place: one cached
-// form per page, under the one budget, decoded from (and written out of) a
-// reused buffer that never enters the cache and is handed back on every path,
-// errors included. The Manager counts logical page accesses, cache hits,
+// 50 MB cache that is cold-started before each experiment. A page's bytes
+// live in one immutable page image, shared by the backend (a MemBackend keeps
+// the image it was written; a FileBackend reads each slot into a fresh one),
+// the cache and every reader. A cache entry holds the image or, for a client
+// that decodes its pages (ReadDecoded, WriteDecoded — every engine), the
+// decoded value in its place, which may view the image instead of copying
+// it: one cached form per page, under the one budget, and no page held
+// twice. The Manager counts logical page accesses, cache hits,
 // physical reads, writes and disk seeks (non-contiguous physical reads), and
 // converts them into an estimated I/O time under a classical seek+transfer
 // disk cost model, which is how the paper's "overall time" metric is
@@ -146,13 +148,19 @@ func (cm CostModel) IOTime(s Stats) time.Duration {
 		time.Duration(s.PhysicalReads+s.Writes)*cm.TransferTime
 }
 
-// Backend stores raw pages plus one durable meta record. Implementations
+// Backend stores page images plus one durable meta record. Implementations
 // need not be safe for concurrent use; the Manager serializes access.
+//
+// A page image is one page of bytes, exactly the page size, and it is
+// immutable from the moment a backend or the cache has it: nobody writes to
+// an image WritePage was given or ReadPage returned, so a backend may keep
+// the one and hand the same image to every read, and a client may decode a
+// page into views of its image.
 type Backend interface {
-	// ReadPage fills buf (exactly one page) with the page's content.
-	ReadPage(id PageID, buf []byte) error
-	// WritePage persists one page of data, which it must not retain.
-	WritePage(id PageID, data []byte) error
+	// ReadPage returns the page's image (zeroes for a page never written).
+	ReadPage(id PageID) ([]byte, error)
+	// WritePage persists one page image, which the backend may keep.
+	WritePage(id PageID, image []byte) error
 	// NumPages returns the number of pages ever allocated.
 	NumPages() int
 	// Sync flushes previously written pages and meta to stable storage.
@@ -183,9 +191,6 @@ type Manager struct {
 	capacity  int // cache capacity in pages; 0 disables caching
 	cache     pageCache
 	costModel CostModel
-	// pageBufs recycles the pass-through page buffers of ReadDecoded misses
-	// and WriteDecoded images.
-	pageBufs sync.Pool
 
 	closed atomic.Bool
 	next   atomic.Uint32 // allocation frontier, read lock-free by the hot path
@@ -272,10 +277,6 @@ func NewManager(backend Backend, pageSize int, opts ...Option) (*Manager, error)
 		o(m)
 	}
 	m.cache = newPageCache(m.capacity)
-	m.pageBufs.New = func() any {
-		buf := make([]byte, pageSize)
-		return &buf
-	}
 	payload, seq, err := backend.ReadMeta()
 	if err != nil {
 		return nil, err
@@ -468,12 +469,11 @@ func (m *Manager) chargeHit(c *Counter) {
 	}
 }
 
-// ReadCounted returns the content of a page, charging the access to the
+// ReadCounted returns the image of a page, charging the access to the
 // global counters and, when c is non-nil, to the per-query Counter. The
-// returned slice is owned by the cache: callers must not modify it and
-// should decode immediately (concurrent readers may share it, but no path
-// ever rewrites a cached slice in place). The hit path takes exactly one
-// cache shard lock and performs no copy or allocation.
+// image is immutable (see Backend): concurrent readers share it and nobody
+// may write to it. The hit path takes exactly one cache shard lock and
+// performs no copy or allocation.
 //
 // A page whose entry holds only a decoded form (ReadDecoded, WriteDecoded)
 // is read from the backend like a miss and its bytes take the entry over:
@@ -487,21 +487,22 @@ func (m *Manager) ReadCounted(id PageID, c *Counter) ([]byte, error) {
 		m.chargeHit(c)
 		return data, nil
 	}
-	data, _, err := m.readMiss(id, c, make([]byte, m.pageSize), true)
+	data, _, err := m.readMiss(id, c, true)
 	return data, err
 }
 
-// DecodeFunc turns the bytes of page id into a client's decoded form. page
-// is only valid during the call — the result must not alias it — and the
-// result is shared by every reader of the page, so it must be immutable.
+// DecodeFunc turns the image of page id into a client's decoded form. The
+// image is immutable and lives as long as anything refers to it, so the
+// result may hold views of it instead of copies; the result is shared by
+// every reader of the page, so it must be immutable too.
 type DecodeFunc func(id PageID, page []byte) (any, error)
 
 // ReadDecoded returns the decoded form of a page, charging counters exactly
 // like ReadCounted. A hit on an entry that holds the decoded form is one
-// cache shard lock. Otherwise the page's bytes — cached, or read from the
-// backend into a reused buffer that never enters the cache — are decoded
-// outside every manager lock and the decoded form takes the entry in place
-// of the bytes. A cache-disabled manager reads and decodes on every call.
+// cache shard lock. Otherwise the page's image — cached, or the backend's —
+// is decoded outside every manager lock and the decoded form takes the entry
+// in place of the image. A cache-disabled manager reads and decodes on every
+// call.
 //
 // The decoded form is inserted after ioMu has been released, so the caller
 // must exclude a concurrent Write of the same page, or the insert could bury
@@ -515,21 +516,16 @@ func (m *Manager) ReadDecoded(id PageID, c *Counter, decode DecodeFunc) (any, er
 	}
 	m.chargeLogical(c)
 	data, decoded, ok := m.cache.get(id)
-	var buf *[]byte
 	var err error
 	if ok {
 		m.chargeHit(c)
 	} else {
-		buf = m.pageBufs.Get().(*[]byte)
-		data, decoded, err = m.readMiss(id, c, *buf, false)
+		data, decoded, err = m.readMiss(id, c, false)
 	}
 	if err == nil && decoded == nil {
 		if decoded, err = decode(id, data); err == nil {
 			m.cache.insert(id, nil, decoded)
 		}
-	}
-	if buf != nil {
-		m.pageBufs.Put(buf) // on every path: a failed read or decode keeps no buffer
 	}
 	if err != nil {
 		return nil, err
@@ -537,19 +533,15 @@ func (m *Manager) ReadDecoded(id PageID, c *Counter, decode DecodeFunc) (any, er
 	return decoded, nil
 }
 
-// VerifyPage reads one page directly from the backend into dst (at least
-// one page long), bypassing the buffer cache so the page's on-disk image —
-// not a cached copy — is what gets checked; file backends re-verify the CRC
-// trailer on every physical read. It is the integrity scrubber's read
-// primitive: the access is deliberately not charged to the I/O counters or
-// the modeled disk arm, so a background scrub does not skew the paper's
-// page-access metrics, and the cache is not polluted (nor repaired — a
-// later Read of the same page still serves the cached copy).
-func (m *Manager) VerifyPage(id PageID, dst []byte) ([]byte, error) {
-	if len(dst) < m.pageSize {
-		return nil, fmt.Errorf("pagefile: VerifyPage buffer of %d bytes smaller than page size %d", len(dst), m.pageSize)
-	}
-	dst = dst[:m.pageSize]
+// VerifyPage returns the image of one page read directly from the backend,
+// bypassing the buffer cache so the page's on-disk image — not a cached
+// copy — is what gets checked; file backends re-verify the CRC trailer on
+// every physical read. It is the integrity scrubber's read primitive: the
+// access is deliberately not charged to the I/O counters or the modeled disk
+// arm, so a background scrub does not skew the paper's page-access metrics,
+// and the cache is not polluted (nor repaired — a later Read of the same
+// page still serves the cached copy).
+func (m *Manager) VerifyPage(id PageID) ([]byte, error) {
 	if err := m.checkRead(id); err != nil {
 		return nil, err
 	}
@@ -558,18 +550,15 @@ func (m *Manager) VerifyPage(id PageID, dst []byte) ([]byte, error) {
 	if m.closed.Load() {
 		return nil, ErrClosed
 	}
-	if err := m.backend.ReadPage(id, dst); err != nil {
-		return nil, err
-	}
-	return dst, nil
+	return m.backend.ReadPage(id)
 }
 
-// readMiss is the one miss path: it reads the page into buf under ioMu. A
-// byte reader (wantBytes) hands buf over to the cache; a decoding reader
-// keeps it and caches what it decodes from it. If a concurrent reader cached
-// the page while this one waited for ioMu, that entry's form is returned and
-// buf is unused — unless it is a decoded form and the caller wants bytes.
-func (m *Manager) readMiss(id PageID, c *Counter, buf []byte, wantBytes bool) (data []byte, decoded any, err error) {
+// readMiss is the one miss path: it reads the page's image from the backend
+// under ioMu. A byte reader (wantBytes) hands the image to the cache; a
+// decoding reader caches what it decodes from it. If a concurrent reader
+// cached the page while this one waited for ioMu, that entry's form is
+// returned — unless it is a decoded form and the caller wants bytes.
+func (m *Manager) readMiss(id PageID, c *Counter, wantBytes bool) (data []byte, decoded any, err error) {
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
 	if m.closed.Load() {
@@ -579,7 +568,8 @@ func (m *Manager) readMiss(id PageID, c *Counter, buf []byte, wantBytes bool) (d
 		m.chargeHit(c)
 		return data, decoded, nil
 	}
-	if err := m.backend.ReadPage(id, buf); err != nil {
+	data, err = m.backend.ReadPage(id)
+	if err != nil {
 		return nil, nil, err
 	}
 	m.physicalReads.Add(1)
@@ -591,9 +581,9 @@ func (m *Manager) readMiss(id PageID, c *Counter, buf []byte, wantBytes bool) (d
 	}
 	m.lastRead, m.haveLast = id, true
 	if wantBytes {
-		m.cache.insert(id, buf, nil)
+		m.cache.insert(id, data, nil)
 	}
-	return buf, nil, nil
+	return data, nil, nil
 }
 
 // Write persists a page. data must be at most one page long; shorter data is
@@ -603,12 +593,12 @@ func (m *Manager) Write(id PageID, data []byte) error {
 	return m.WriteDecoded(id, data, nil)
 }
 
-// WriteDecoded is Write for a client that holds the page's decoded form (it
-// has just encoded data from it): the cache takes decoded in place of the
-// bytes, so the next ReadDecoded of the page decodes nothing. decoded must
-// be what the client's DecodeFunc makes of data, and immutable from here on;
-// nil caches the bytes.
-func (m *Manager) WriteDecoded(id PageID, data []byte, decoded any) error {
+// WriteDecoded is Write for a client that decodes its pages: the zero-padded
+// image goes to the backend and decode, the client's DecodeFunc, makes the
+// cache's form of it, exactly as a ReadDecoded miss would — so the next
+// ReadDecoded of the page decodes nothing. A decode error fails the write
+// before the backend sees the page. A nil decode caches the image.
+func (m *Manager) WriteDecoded(id PageID, data []byte, decode DecodeFunc) error {
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
 	if m.closed.Load() {
@@ -620,22 +610,23 @@ func (m *Manager) WriteDecoded(id PageID, data []byte, decoded any) error {
 	if len(data) > m.pageSize {
 		return fmt.Errorf("pagefile: page overflow: %d bytes > page size %d", len(data), m.pageSize)
 	}
-	// The zero-padded image passes through a pooled buffer unless the cache
-	// takes the bytes: that image it owns, so it is freshly allocated.
-	buf := m.pageBufs.Get().(*[]byte)
-	page, kept := *buf, []byte(nil)
-	if decoded == nil {
-		kept = make([]byte, m.pageSize)
-		page = kept
+	image := make([]byte, m.pageSize)
+	copy(image, data)
+	var decoded any
+	if decode != nil {
+		var err error
+		if decoded, err = decode(id, image); err != nil {
+			return err
+		}
 	}
-	clear(page[copy(page, data):])
-	err := m.backend.WritePage(id, page)
-	m.pageBufs.Put(buf)
-	if err != nil {
+	if err := m.backend.WritePage(id, image); err != nil {
 		return err
 	}
 	m.writes.Add(1)
-	m.cache.insert(id, kept, decoded)
+	if decoded != nil {
+		image = nil // the decoded form takes the entry
+	}
+	m.cache.insert(id, image, decoded)
 	return nil
 }
 

@@ -14,14 +14,13 @@ import (
 // object ids plus one contiguous float64 slice per dimension for means and
 // sigmas, so batch density evaluation runs tight per-dimension loops over
 // adjacent memory instead of hopping between per-vector slices. All float64
-// columns of a batch are carved from one backing array, in the order a
-// columnar page body stores them (AppendColumns), so DecodeColumns fills
-// them with one copy.
+// columns of a batch are carved from one run, in the order a columnar page
+// body stores them (AppendColumns), so DecodeColumns reads them in place.
 //
 // Alongside the raw parameters, Columns carries two derived families. Only
 // the ranked screening path, the writer and the quantizer read them — a
 // refined query never does — so each is computed by its first reader (safe
-// on a shared batch) into slots the backing array already has:
+// on a shared batch) into a small array of its own:
 //
 //   - NegLnSigma()[j] = −ln ∏ᵢ σᵢⱼ, the σ-product term of the Definition-1
 //     density; it upper-bounds the −ln ∏ᵢ(σᵢⱼ⊕σq,ᵢ) term of any joint
@@ -29,24 +28,28 @@ import (
 //     and both the running product and math.Log are monotone, so the
 //     domination survives floating-point rounding), making it a per-vector
 //     screening ingredient that costs no logarithm at query time. A decoder
-//     whose page stores the terms loads them instead (DecodeColumns).
+//     whose page stores the terms reads them from the page instead
+//     (DecodeColumns).
 //   - SigmaRange(), the per-dimension σ extrema of the batch, from which a
 //     traversal derives batch-wide combined-σ bounds with d logarithms per
 //     leaf instead of d per vector.
 //
-// Columns are immutable once built (they back shared page-cache entries) and
-// must not be copied; build them with ColumnsOf, or NewColumns and fill.
+// Columns are immutable once built (they back shared page-cache entries, and
+// a decoded batch is a view of its page image) and must not be copied; build
+// them with ColumnsOf, or NewColumns and fill.
 type Columns struct {
 	IDs []uint64
 	// Mean[i][j] and Sigma[i][j] hold μᵢ and σᵢ of vector j (dimension-major).
 	Mean  [][]float64
 	Sigma [][]float64
 
-	// params is the backing array: Mean[i][j] is params[i·Len()+j], Sigma[i][j]
-	// is params[(Dim()+i)·Len()+j]; behind them the Len() NegLnSigma terms,
-	// valid once negLnOnce has run, then Dim() σ minima and Dim() σ maxima,
-	// valid once rangeOnce has run.
-	params               []float64
+	// params is the one run behind the columns: Mean[i][j] is
+	// params[i·Len()+j], Sigma[i][j] is params[(Dim()+i)·Len()+j].
+	params []float64
+	// negLn holds the NegLnSigma terms: the page's own when it stores them,
+	// else computed by negLnOnce. sigmaExt holds the Dim() σ minima, then the
+	// Dim() maxima, computed by rangeOnce.
+	negLn, sigmaExt      []float64
 	negLnOnce, rangeOnce sync.Once
 }
 
@@ -62,6 +65,13 @@ type inlineColumns struct {
 // NewColumns returns a batch of n vectors of the given dimensionality with
 // zero ids and parameters, for the caller to fill in place before sharing it.
 func NewColumns(dim, n int) *Columns {
+	return columnsOver(dim, make([]uint64, n), make([]float64, 2*dim*n))
+}
+
+// columnsOver returns the batch whose ids and parameter run are the given
+// slices; a run longer than 2·dim·len(ids) carries the NegLnSigma terms
+// behind the Sigma columns.
+func columnsOver(dim int, ids []uint64, params []float64) *Columns {
 	var c *Columns
 	var cols [][]float64
 	if 2*dim <= inlineHeads {
@@ -70,10 +80,15 @@ func NewColumns(dim, n int) *Columns {
 	} else {
 		c, cols = new(Columns), make([][]float64, 2*dim)
 	}
-	c.IDs, c.params = make([]uint64, n), make([]float64, (2*dim+1)*n+2*dim)
+	n := len(ids)
+	end := 2 * dim * n
+	c.IDs, c.params = ids, params[:end:end]
+	if len(params) > end {
+		c.negLn = params[end:]
+	}
 	c.Mean, c.Sigma = cols[:dim:dim], cols[dim:]
 	for i := range cols {
-		cols[i] = c.params[i*n : (i+1)*n : (i+1)*n]
+		cols[i] = params[i*n : (i+1)*n : (i+1)*n]
 	}
 	return c
 }
@@ -90,19 +105,6 @@ func ColumnsOf(vs []Vector, dim int) *Columns {
 		}
 	}
 	return c
-}
-
-// backing returns the batch's parameters as the one run a columnar page
-// stores: the Mean columns, the Sigma columns and, when withNegLn, the
-// NegLnSigma terms — which this marks present, so NegLnSigma never computes
-// them. For DecodeColumns to fill, before the batch is shared.
-func (c *Columns) backing(withNegLn bool) []float64 {
-	end := 2 * c.Dim() * c.Len()
-	if withNegLn {
-		c.negLnOnce.Do(func() {})
-		end += c.Len()
-	}
-	return c.params[:end]
 }
 
 // ColumnsSize returns the length of the columnar page body of n vectors of
@@ -124,7 +126,7 @@ func AppendColumns(dst []byte, c *Columns, withNegLn bool) []byte {
 	for _, id := range c.IDs {
 		dst = binary.LittleEndian.AppendUint64(dst, id)
 	}
-	dst = appendFloats(dst, c.backing(false))
+	dst = appendFloats(dst, c.params)
 	if withNegLn {
 		dst = appendFloats(dst, c.NegLnSigma())
 	}
@@ -140,17 +142,31 @@ func appendFloats(dst []byte, xs []float64) []byte {
 
 // DecodeColumns decodes the columnar page body of n vectors of the given
 // dimensionality at the front of src. The body stores ids and parameters in
-// the order and width Columns backs them, so this is two block copies; it
-// derives nothing — the σ extrema and NegLnSigma terms the body does not
-// carry wait for a reader — and the batch does not alias src.
+// the order and width Columns holds them, so on a host that takes views
+// (hostViews) the batch's ids, columns and stored NegLnSigma terms are views
+// of src — which must therefore be an immutable page image — and decoding
+// allocates only the batch's header; elsewhere they are copied out word by
+// word. It derives nothing: the σ extrema and NegLnSigma terms the body does
+// not carry wait for a reader.
 func DecodeColumns(src []byte, dim, n int, withNegLn bool) (*Columns, error) {
+	return decodeColumns(src, dim, n, withNegLn, hostViews)
+}
+
+// decodeColumns is DecodeColumns with the choice between views and the
+// portable copy made by the caller.
+func decodeColumns(src []byte, dim, n int, withNegLn, view bool) (*Columns, error) {
 	need := ColumnsSize(dim, n, withNegLn)
 	if len(src) < need {
 		return nil, fmt.Errorf("pfv: columnar body truncated (%d bytes, need %d)", len(src), need)
 	}
-	c := NewColumns(dim, n)
-	loadLE64(c.IDs, c.backing(withNegLn), src[:need])
-	return c, nil
+	np := need/8 - n
+	if view && n > 0 {
+		ids, params := viewLE64(src, n, np)
+		return columnsOver(dim, ids, params), nil
+	}
+	ids, params := make([]uint64, n), make([]float64, np)
+	loadLE64Portable(ids, params, src)
+	return columnsOver(dim, ids, params), nil
 }
 
 // SigmaRange returns the per-dimension σ extrema of the batch, lo[i] and
@@ -158,29 +174,33 @@ func DecodeColumns(src []byte, dim, n int, withNegLn bool) (*Columns, error) {
 // on first use (safe for concurrent readers of a shared batch).
 func (c *Columns) SigmaRange() (lo, hi []float64) {
 	dim := c.Dim()
-	lo, hi = c.params[len(c.params)-2*dim:len(c.params)-dim], c.params[len(c.params)-dim:]
 	c.rangeOnce.Do(func() {
+		ext := make([]float64, 2*dim)
+		mins, maxs := ext[:dim], ext[dim:]
 		for i, si := range c.Sigma {
-			lo[i], hi[i] = math.Inf(1), math.Inf(-1)
+			mins[i], maxs[i] = math.Inf(1), math.Inf(-1)
 			for _, s := range si {
-				lo[i], hi[i] = min(lo[i], s), max(hi[i], s)
+				mins[i], maxs[i] = min(mins[i], s), max(maxs[i], s)
 			}
 		}
+		c.sigmaExt = ext
 	})
-	return lo, hi
+	return c.sigmaExt[:dim:dim], c.sigmaExt[dim:]
 }
 
 // NegLnSigma returns the per-vector terms −ln ∏ᵢ Sigma[i][j], computing them
-// on first use (safe for concurrent readers of a shared batch). The σ
-// factors are multiplied in dimension order and one logarithm is taken of
-// the product — the canonical shape an encoder that stores the terms and
-// this computation must share, so stored and computed terms are
-// bit-identical. Vectors whose σ product leaves the float64 range fall back
-// to the per-dimension log sum.
+// on first use (safe for concurrent readers of a shared batch) unless the
+// batch's page stores them. The σ factors are multiplied in dimension order
+// and one logarithm is taken of the product — the canonical shape an encoder
+// that stores the terms and this computation must share, so stored and
+// computed terms are bit-identical. Vectors whose σ product leaves the
+// float64 range fall back to the per-dimension log sum.
 func (c *Columns) NegLnSigma() []float64 {
-	n := c.Len()
-	prod := c.params[2*c.Dim()*n:][:n:n] // doubles as the σ-product accumulator
 	c.negLnOnce.Do(func() {
+		if c.negLn != nil {
+			return // the page's own terms
+		}
+		prod := make([]float64, c.Len()) // doubles as the σ-product accumulator
 		for j := range prod {
 			prod[j] = 1
 		}
@@ -199,8 +219,9 @@ func (c *Columns) NegLnSigma() []float64 {
 			}
 			prod[j] = -ln
 		}
+		c.negLn = prod
 	})
-	return prod
+	return c.negLn
 }
 
 // Len returns the number of vectors in the batch.

@@ -5,19 +5,15 @@ import (
 	"encoding/binary"
 	"math"
 	"math/rand"
+	"reflect"
+	"runtime"
 	"testing"
 )
 
-// decodePortable is DecodeColumns with the words loaded by loadLE64Portable
-// instead of loadLE64: every check and every error is DecodeColumns' own,
-// only the two copies are redone one word at a time.
+// decodePortable is DecodeColumns on the portable word loop whatever the
+// host: every check and every error is DecodeColumns' own.
 func decodePortable(src []byte, dim, n int, withNegLn bool) (*Columns, error) {
-	if _, err := DecodeColumns(src, dim, n, withNegLn); err != nil {
-		return nil, err
-	}
-	c := NewColumns(dim, n)
-	loadLE64Portable(c.IDs, c.backing(withNegLn), src)
-	return c, nil
+	return decodeColumns(src, dim, n, withNegLn, false)
 }
 
 // sameColumns requires two batches to agree bit for bit — NaN payloads and
@@ -43,7 +39,7 @@ func sameColumns(t testing.TB, got, want *Columns) {
 			}
 		}
 	}
-	sameBits("params", got.backing(false), want.backing(false))
+	sameBits("params", got.params, want.params)
 	sameBits("NegLnSigma", got.NegLnSigma(), want.NegLnSigma())
 	gLo, gHi := got.SigmaRange()
 	wLo, wHi := want.SigmaRange()
@@ -59,11 +55,11 @@ var awkwardWords = []uint64{
 	0x7ff0000000000000, 0xfff0000000000000, 0, 0x0102030405060708,
 }
 
-// TestLoadLE64MatchesPortable holds the block copy to its portable twin on
-// raw words, from a source at every byte alignment.
+// TestLoadLE64MatchesPortable holds the in-place view to its portable twin
+// on raw words, from a source at every byte alignment.
 func TestLoadLE64MatchesPortable(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
-	for _, n := range []int{0, 1, 7, 48} {
+	for _, n := range []int{1, 7, 48} {
 		for shift := 0; shift < 8; shift++ {
 			words := make([]uint64, 3*n)
 			for i := range words {
@@ -77,32 +73,38 @@ func TestLoadLE64MatchesPortable(t *testing.T) {
 				src = binary.LittleEndian.AppendUint64(src, w)
 			}
 			src = append(src, 1, 2, 3, 4, 5)[shift:] // trailing bytes neither may read as words
-			ids, params := make([]uint64, n), make([]float64, 2*n)
 			pIDs, pParams := make([]uint64, n), make([]float64, 2*n)
-			loadLE64(ids, params, src)
 			loadLE64Portable(pIDs, pParams, src)
-			for i, w := range words {
-				fast, portable := math.Float64bits(params[max(i-n, 0)]), math.Float64bits(pParams[max(i-n, 0)])
-				if i < n {
-					fast, portable = ids[i], pIDs[i]
+			ids, params := pIDs, pParams
+			if hostViews {
+				ids, params = viewLE64(src, n, 2*n)
+				if len(params) != 2*n || cap(ids) != n || cap(params) != 2*n {
+					t.Fatalf("n=%d shift=%d: views of %d ids (cap %d) and %d params (cap %d)", n, shift, len(ids), cap(ids), len(params), cap(params))
 				}
-				if fast != w || portable != w {
-					t.Fatalf("n=%d shift=%d word %d: copy %#x, portable %#x, page %#x", n, shift, i, fast, portable, w)
+			}
+			for i, w := range words {
+				view, portable := math.Float64bits(params[max(i-n, 0)]), math.Float64bits(pParams[max(i-n, 0)])
+				if i < n {
+					view, portable = ids[i], pIDs[i]
+				}
+				if view != w || portable != w {
+					t.Fatalf("n=%d shift=%d word %d: view %#x, portable %#x, page %#x", n, shift, i, view, portable, w)
 				}
 			}
 		}
 	}
-	if !hostLittleEndian {
-		t.Log("big-endian host: loadLE64 is the portable loop")
+	if !hostViews {
+		t.Logf("%s host: decoding is the portable loop", runtime.GOARCH)
 	}
 }
 
 // TestBlockCopyDecodeMatchesPortable: a columnar body decodes to the same
-// batch through the two block copies and through the portable word loop —
-// with the stored −ln∏σ terms and without, at counts 0, 1, 5 and a full
-// 8 KiB page, over parameters that include every awkward bit pattern. The
-// lazily derived families are compared too, so first-use derivation over
-// copied and over converted columns agrees.
+// batch in place and through the portable word loop — with the stored
+// −ln∏σ terms and without, at counts 0, 1, 5 and a full 8 KiB page, over
+// parameters that include every awkward bit pattern. The lazily derived
+// families are compared too, so first-use derivation over viewed and over
+// converted columns agrees. Where the host takes views the fast decode's
+// ids and columns lie inside the body; the portable decode never aliases it.
 func TestBlockCopyDecodeMatchesPortable(t *testing.T) {
 	const dim = 3
 	rng := rand.New(rand.NewSource(29))
@@ -113,7 +115,7 @@ func TestBlockCopyDecodeMatchesPortable(t *testing.T) {
 			for j := range src.IDs {
 				src.IDs[j] = rng.Uint64()
 			}
-			raw := src.backing(false)
+			raw := src.params
 			for j := range raw {
 				raw[j] = math.Float64frombits(rng.Uint64())
 				if j%2 == 0 {
@@ -134,11 +136,27 @@ func TestBlockCopyDecodeMatchesPortable(t *testing.T) {
 			}
 			sameColumns(t, fast, portable)
 			sameColumns(t, fast, src)
-			// Neither decoded form aliases the body.
+			if count > 0 && hostViews {
+				lo := reflect.ValueOf(body).Pointer()
+				views := []any{fast.IDs, fast.Mean[0], fast.Sigma[dim-1]}
+				if stored {
+					views = append(views, fast.NegLnSigma())
+				}
+				for k, v := range views {
+					if p := reflect.ValueOf(v).Pointer(); p < lo || p >= lo+uintptr(len(body)) {
+						t.Errorf("count %d stored %v: run %d of the fast decode lies outside the body", count, stored, k)
+					}
+				}
+			}
+			// The portable decode does not alias the body: rewriting the
+			// body leaves it as encoded, while a view sees the rewrite.
 			for i := range body {
 				body[i] ^= 0xff
 			}
-			sameColumns(t, fast, src)
+			sameColumns(t, portable, src)
+			if count > 0 && hostViews && fast.IDs[0] != ^src.IDs[0] {
+				t.Errorf("count %d stored %v: a view does not see its body", count, stored)
+			}
 			if count > 0 {
 				if _, err := DecodeColumns(body[:len(body)-1], dim, count, stored); err == nil {
 					t.Errorf("count %d stored %v: a truncated body decoded", count, stored)

@@ -115,7 +115,7 @@ func (f *File) Append(v pfv.Vector) error {
 	cols := pfv.ColumnsOf(append(vs, v), f.dim)
 	page := make([]byte, pageHeaderSize, pageHeaderSize+pfv.ColumnsSize(f.dim, cols.Len(), false))
 	binary.LittleEndian.PutUint16(page, uint16(cols.Len()))
-	if err := f.mgr.WriteDecoded(f.pages[len(f.pages)-1], pfv.AppendColumns(page, cols, false), cols); err != nil {
+	if err := f.mgr.WriteDecoded(f.pages[len(f.pages)-1], pfv.AppendColumns(page, cols, false), f.decode); err != nil {
 		return err
 	}
 	f.lastUsed = cols.Len()

@@ -142,8 +142,8 @@ func decodePage(id pagefile.PageID, buf []byte, dim int) (*chainPage, error) {
 }
 
 // writeNode persists a node, growing or shrinking its page chain as needed
-// (a data node's is one page); each page's cached form is the slice of the
-// node's entries it holds, a data page's the node's columns.
+// (a data node's is one page); each page's cached form is decoded from the
+// written image, as on a read.
 func (t *Tree) writeNode(n *node) error {
 	perPage := t.perPageLeaf
 	if !n.leaf {
@@ -172,21 +172,19 @@ func (t *Tree) writeNode(n *node) error {
 	for pi := 0; pi < need; pi++ {
 		lo := pi * perPage
 		hi := min(lo+perPage, n.entryCount())
-		p := &chainPage{leaf: n.leaf, splitHist: n.splitHist, cont: pagefile.NilPage}
+		cont := pagefile.NilPage
 		if pi+1 < need {
-			p.cont = n.pages[pi+1]
+			cont = n.pages[pi+1]
 		}
 		buf := make([]byte, nodeHeaderSize, t.mgr.PageSize())
 		buf[0] = kind
 		binary.LittleEndian.PutUint16(buf[1:], uint16(hi-lo))
 		binary.LittleEndian.PutUint32(buf[3:], n.splitHist)
-		binary.LittleEndian.PutUint32(buf[7:], uint32(p.cont))
+		binary.LittleEndian.PutUint32(buf[7:], uint32(cont))
 		if n.leaf {
-			p.cols = n.cols
 			buf = pfv.AppendColumns(buf, n.cols, false)
 		} else {
-			p.children = n.children[lo:hi:hi]
-			for _, c := range p.children {
+			for _, c := range n.children[lo:hi] {
 				buf = binary.LittleEndian.AppendUint32(buf, uint32(c.page))
 				for j := 0; j < t.dim; j++ {
 					buf = binary.LittleEndian.AppendUint64(buf, math.Float64bits(c.box.Lo[j]))
@@ -194,7 +192,7 @@ func (t *Tree) writeNode(n *node) error {
 				}
 			}
 		}
-		if err := t.mgr.WriteDecoded(n.pages[pi], buf, p); err != nil {
+		if err := t.mgr.WriteDecoded(n.pages[pi], buf, t.decode); err != nil {
 			return err
 		}
 	}
