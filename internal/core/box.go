@@ -236,25 +236,16 @@ func (b *boxColumns) containsVector(j int, v pfv.Vector) bool {
 // node's queue priority; with the subtree count, hull and floor bound the
 // node's share of the Bayes denominator (n·ˇN ≤ Σ ≤ n·ˆN, §5.2.2).
 //
-// Both bounds run in product form: the σ terms of gaussian.HullTerm and
-// FloorTerm multiply across dimensions, the z² terms add, and one logarithm
-// of the product replaces d per-dimension ones (logFallback steps in for an
-// entry whose product leaves the float64 range). The loop runs dimension-
-// outer, entry-inner, and every entry accumulates in dimension order, so its
-// bounds do not depend on the batch it shares. They equal, bit for bit, what
-// gaussian.HullTerm and FloorTerm give one box at a time (the scalar
-// reference of the kernel's tests).
-//
-// The hull's seven sectors (Lemma 2) collapse, branch-free, into
-// d = max(μ̌−x, x−μ̂, 0), the distance to the μ interval, and the maximizing
-// s = min(max(d, σ̌), σ̂); the sloped sectors, where s is the distance itself,
-// come out as z = d/s = 1, which is their e^{−½} factor. Nothing in there is
-// negative, so the max and min are taken on the bit patterns (orderedBits).
+// Both bounds run in product form, one pfv.BoundsStep per dimension and one
+// logarithm of each product (logFallback steps in for a product that leaves
+// the float64 range). Every entry accumulates in dimension order, so its
+// bounds do not depend on the batch it shares: they equal, bit for bit, what
+// gaussian.HullTerm and FloorTerm give one box at a time.
 //
 // zLim screens ranked traversals: hull ≤ hullCut − ½·Σz² for any box (see
 // traversal.hullCut), so an entry whose Σz² reaches zLim = 2·(hullCut − bound)
-// provably cannot beat the admission bound; it gets hull −Inf and no
-// logarithm. +Inf screens nothing. prods is scratch of length 2·n.
+// provably cannot beat the admission bound; it gets hull −Inf. +Inf screens
+// nothing. prods is scratch of length 2·n.
 func (b *boxColumns) logBounds(c gaussian.Combiner, q pfv.Vector, zLim float64, hull, floor, prods []float64) {
 	n := b.n
 	hull = hull[:n]
@@ -262,77 +253,34 @@ func (b *boxColumns) logBounds(c gaussian.Combiner, q pfv.Vector, zLim float64, 
 	for j := range hull {
 		hull[j], hProd[j] = 0, 1
 	}
-	if floor != nil {
-		floor = floor[:n]
-		for j := range floor {
-			floor[j], fProd[j] = 0, 1
-		}
+	for j := range floor {
+		floor[j], fProd[j] = 0, 1
 	}
-	conv := c == gaussian.CombineConvolution
 	for i, x := range q.Mean {
-		qs := q.Sigma[i]
 		muLo, muHi, sgLo, sgHi := b.dim(i)
-		for j := 0; j < n; j++ {
-			csLo, csHi := sgLo[j]+qs, sgHi[j]+qs
-			if conv {
-				csLo, csHi = math.Hypot(sgLo[j], qs), math.Hypot(sgHi[j], qs)
-			}
-			below, above := muLo[j]-x, x-muHi[j] // at most one is positive
-			db := max(orderedBits(below), orderedBits(above), 0)
-			sb := min(max(db, orderedBits(csLo)), orderedBits(csHi))
-			d, s := math.Float64frombits(uint64(db)), math.Float64frombits(uint64(sb))
-			z := d / s
-			hProd[j] *= s
-			hull[j] += z * z
-			if floor == nil {
-				continue
-			}
-			// Lemma 3: the minimum sits on the farther μ border, at σ̌ while
-			// the density still grows in σ over the whole σ interval, at σ̂
-			// once it only falls, else at the lower of the two corners.
-			d = max(-below, -above)
-			s = csLo
-			if d < csHi {
-				s = csHi
-				if d > csLo {
-					za, zb := d/csLo, d/csHi
-					if -math.Log(csLo)-0.5*za*za <= -math.Log(csHi)-0.5*zb*zb {
-						s = csLo
-					}
-				}
-			}
-			z = d / s
-			fProd[j] *= s
-			floor[j] += z * z
-		}
+		pfv.BoundsStep(c, x, q.Sigma[i], muLo, muHi, sgLo, sgHi, hull, hProd, floor, fProd)
 	}
+	pfv.LogEach(prods[:n+len(floor)]) // hProd, then fProd if any
 	base := -0.5 * float64(len(q.Mean)) * gaussian.Ln2Pi
 	for j, sumZ := range hull {
 		if sumZ >= zLim {
 			hull[j] = math.Inf(-1)
 			continue
 		}
-		lnS := math.Log(hProd[j])
+		lnS := hProd[j]
 		if math.IsInf(lnS, 0) {
 			lnS, _ = b.logFallback(c, q, j)
 		}
 		hull[j] = base - lnS - 0.5*sumZ
 	}
 	for j, sumZ := range floor {
-		lnS := math.Log(fProd[j])
+		lnS := fProd[j]
 		if math.IsInf(lnS, 0) {
 			_, lnS = b.logFallback(c, q, j)
 		}
 		floor[j] = base - lnS - 0.5*sumZ
 	}
 }
-
-// orderedBits returns x's bit pattern as a signed integer. Among x ≥ +0 the
-// integer grows with x, and every negative x (−0 included) maps below zero:
-// where a maximum or minimum of floats is known not to be negative, the
-// integer one over orderedBits finds the same float in a compare and a
-// conditional move, against the float builtins' NaN- and ±0-proof sequences.
-func orderedBits(x float64) int64 { return int64(math.Float64bits(x)) }
 
 // logFallback recomputes entry j's hull and floor σ-term logarithms as
 // per-dimension sums, for a product that left the float64 range.

@@ -87,12 +87,22 @@ func sameBits(a, b float64) bool {
 // scalar reference. It returns how many entries took the fallback.
 func checkKernelAgainstScalar(t *testing.T, comb gaussian.Combiner, q pfv.Vector, boxes ...ParamBox) (fallbacks int) {
 	t.Helper()
+	return checkKernelEntry(t, comb, q, -1, boxes)
+}
+
+// checkKernelEntry is checkKernelAgainstScalar for entry at alone, or for
+// every entry when at is −1.
+func checkKernelEntry(t *testing.T, comb gaussian.Combiner, q pfv.Vector, at int, boxes []ParamBox) (fallbacks int) {
+	t.Helper()
 	cols := columnsOfBoxes(boxes)
 	n := len(boxes)
 	hulls, floors, hullOnly, prods := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, 2*n)
 	cols.logBounds(comb, q, math.Inf(1), hulls, floors, prods)
 	cols.logBounds(comb, q, math.Inf(1), hullOnly, nil, prods)
 	for j, b := range boxes {
+		if at >= 0 && j != at {
+			continue
+		}
 		wantHull, wantFloor, fellBack := scalarBounds(b, comb, q)
 		if !sameBits(hulls[j], wantHull) || !sameBits(floors[j], wantFloor) {
 			t.Fatalf("%v entry %d of %d (dim %d): kernel (%v, %v), scalar reference (%v, %v)\nbox %+v\nquery %+v",
@@ -244,6 +254,23 @@ func extremeBoxQuery(rng *rand.Rand, comb gaussian.Combiner, dim int) (ParamBox,
 	return b, pfv.MustNew(0, mean, sigma)
 }
 
+// batchSlot places a probed entry at position at of a batch of n.
+type batchSlot struct{ n, at int }
+
+// batchSlots lists every position of batches of 1…9 and 48 entries: the
+// vector bodies run blocks of four and leave the rest to a Go tail, so these
+// put a probed entry on every lane of a block, in the tail, and at both ends
+// of a full leaf-sized batch.
+func batchSlots() []batchSlot {
+	var slots []batchSlot
+	for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 48} {
+		for at := 0; at < n; at++ {
+			slots = append(slots, batchSlot{n, at})
+		}
+	}
+	return slots
+}
+
 // TestBoundsKernelMatchesScalarBitForBit is the kernel's property test: for
 // both combiners, every dimensionality from 1 to 128, σ from 1e-12 to 1e12
 // inside one box, degenerate boxes and queries exactly on the sector
@@ -252,30 +279,33 @@ func extremeBoxQuery(rng *rand.Rand, comb gaussian.Combiner, dim int) (ParamBox,
 // range, which must take the per-entry fallback.
 func TestBoundsKernelMatchesScalarBitForBit(t *testing.T) {
 	rng := rand.New(rand.NewSource(83))
+	slots := batchSlots()
 	for _, comb := range bothCombiners {
 		fallbacks, onBorder := 0, 0
 		for dim := 1; dim <= 128; dim++ {
+			others := make([]ParamBox, 48)
+			var lastQ pfv.Vector
+			for j := range others {
+				others[j], lastQ = extremeBoxQuery(rng, comb, dim)
+			}
+			// Every filler once against the reference, on the last one's borders.
+			fallbacks += checkKernelAgainstScalar(t, comb, lastQ, others...)
 			for trial := 0; trial < 40; trial++ {
-				_, q := extremeBoxQuery(rng, comb, dim)
-				boxes := make([]ParamBox, rng.Intn(5)+1)
-				for j := range boxes {
-					// The first box shares the query's borders.
-					if j == 0 {
-						boxes[j], q = extremeBoxQuery(rng, comb, dim)
-					} else {
-						boxes[j], _ = extremeBoxQuery(rng, comb, dim)
-					}
-				}
+				slot := slots[(40*dim+trial)%len(slots)]
+				// The probed box shares the query's borders.
+				probe, q := extremeBoxQuery(rng, comb, dim)
+				boxes := append([]ParamBox(nil), others[:slot.n]...)
+				boxes[slot.at] = probe
 				for i := 0; i < dim; i++ {
-					cs := comb.CombineInterval(boxes[0].Sigma[i], q.Sigma[i])
-					if d := boxes[0].Mu[i].Lo - q.Mean[i]; d == cs.Lo || d == cs.Hi {
+					cs := comb.CombineInterval(probe.Sigma[i], q.Sigma[i])
+					if d := probe.Mu[i].Lo - q.Mean[i]; d == cs.Lo || d == cs.Hi {
 						onBorder++
 					}
-					if d := q.Mean[i] - boxes[0].Mu[i].Hi; d == cs.Lo || d == cs.Hi {
+					if d := q.Mean[i] - probe.Mu[i].Hi; d == cs.Lo || d == cs.Hi {
 						onBorder++
 					}
 				}
-				fallbacks += checkKernelAgainstScalar(t, comb, q, boxes...)
+				fallbacks += checkKernelEntry(t, comb, q, slot.at, boxes)
 			}
 		}
 		if fallbacks == 0 || onBorder == 0 {
@@ -340,8 +370,9 @@ func TestBoundsKernelFallback(t *testing.T) {
 }
 
 // FuzzBoundsKernel feeds the kernel one raw box/query dimension, repeated
-// over 1…128 dimensions (so products leave the float64 range) and placed in
-// the middle of a batch, and demands the scalar reference's bits.
+// over 1…128 dimensions (so products leave the float64 range) and placed at
+// every position of batches of 1…9 and 48 boxes, and demands the scalar
+// reference's bits.
 func FuzzBoundsKernel(f *testing.F) {
 	// μ̌, μ̂, σ̌, σ̂, x, σq, dimensions.
 	f.Add(0.0, 1.0, 0.5, 2.0, 0.5, 0.1, uint8(10))              // inside the μ interval
@@ -374,10 +405,19 @@ func FuzzBoundsKernel(f *testing.F) {
 		}
 		q := pfv.Vector{Mean: mean, Sigma: sigma}
 		rng := rand.New(rand.NewSource(int64(dim)))
-		before, _ := randBoxQuery(rng, dim)
-		after, _ := randBoxQuery(rng, dim)
-		for _, comb := range bothCombiners {
-			checkKernelAgainstScalar(t, comb, q, before, b, after)
+		others := make([]ParamBox, 48)
+		for j := range others {
+			others[j], _ = randBoxQuery(rng, dim)
+		}
+		for _, slot := range batchSlots() {
+			boxes := append(append(append([]ParamBox(nil), others[:slot.at]...), b), others[slot.at+1:slot.n]...)
+			at := slot.at
+			if at == 0 {
+				at = -1 // and every filler, once per batch size
+			}
+			for _, comb := range bothCombiners {
+				checkKernelEntry(t, comb, q, at, boxes)
+			}
 		}
 	})
 }

@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"strconv"
 	"testing"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -25,15 +26,18 @@ func TestEncodeNodeRejectsOversizedCounts(t *testing.T) {
 	}
 
 	inner := &node{children: []childEntry{{
-		page:  7,
-		count: math.MaxUint32 + 1,
+		page: 7,
 		box: ParamBox{
 			Mu:    []gaussian.Interval{{Lo: 0, Hi: 1}},
 			Sigma: []gaussian.Interval{{Lo: 0.1, Hi: 0.5}},
 		},
 	}}}
-	if _, err := encodeNode(inner, 1, pagefile.DefaultPageSize); err == nil {
-		t.Fatal("inner node with subtree count beyond uint32 encoded without error")
+	if strconv.IntSize == 64 { // a count beyond uint32 needs a 64-bit int
+		over := uint64(math.MaxUint32) + 1
+		inner.children[0].count = int(over)
+		if _, err := encodeNode(inner, 1, pagefile.DefaultPageSize); err == nil {
+			t.Fatal("inner node with subtree count beyond uint32 encoded without error")
+		}
 	}
 	inner.children[0].count = -1
 	if _, err := encodeNode(inner, 1, pagefile.DefaultPageSize); err == nil {

@@ -266,6 +266,7 @@ type Fig7Cell struct {
 	Pages      float64       // mean logical page accesses per query
 	CPU        time.Duration // mean CPU time per query
 	Overall    time.Duration // CPU plus modeled I/O time (cache cold once per engine × kind)
+	Seeks      float64       // mean disk seeks per query, from the stats Overall's I/O time uses
 	AllocsPerQ float64       // mean heap allocations per query
 	PagesPct   float64       // relative to the sequential scan, in percent
 	CPUPct     float64
@@ -322,7 +323,7 @@ func Figure7(e *Engines, ds *dataset.Dataset, queries []dataset.Query) (*Fig7Rep
 			eng.Mgr.ResetStats()
 			eng.Mgr.DropCache()
 			var cpu time.Duration
-			var io time.Duration
+			var io pagefile.Stats // summed per query: the disk cost model is linear
 			var pages uint64
 			var mem0, mem1 runtime.MemStats
 			runtime.ReadMemStats(&mem0)
@@ -335,7 +336,7 @@ func Figure7(e *Engines, ds *dataset.Dataset, queries []dataset.Query) (*Fig7Rep
 				}
 				cpu += time.Since(start)
 				pages += st.PageAccesses
-				io += eng.Mgr.CostModel().IOTime(eng.Mgr.Stats().Sub(before))
+				io = io.Add(eng.Mgr.Stats().Sub(before))
 			}
 			runtime.ReadMemStats(&mem1)
 			n := time.Duration(len(queries))
@@ -344,7 +345,8 @@ func Figure7(e *Engines, ds *dataset.Dataset, queries []dataset.Query) (*Fig7Rep
 				QueryType:  kind.name,
 				Pages:      float64(pages) / float64(len(queries)),
 				CPU:        cpu / n,
-				Overall:    (cpu + io) / n,
+				Overall:    (cpu + eng.Mgr.CostModel().IOTime(io)) / n,
+				Seeks:      float64(io.Seeks) / float64(len(queries)),
 				AllocsPerQ: float64(mem1.Mallocs-mem0.Mallocs) / float64(len(queries)),
 			}
 			if eng.Label == "Seq. Scan" {
@@ -367,13 +369,13 @@ func (r *Fig7Report) Format() string {
 	var b strings.Builder
 	fmt.Fprintf(&b, "Figure 7 — %s (%d queries; cache cold-started once per engine and query kind, shared across its queries): page accesses / CPU / overall time, %% of sequential scan\n",
 		r.Dataset, r.Queries)
-	fmt.Fprintf(&b, "%-12s %-12s %10s %8s %12s %8s %12s %8s %10s\n",
-		"engine", "query", "pages", "pct", "cpu", "pct", "overall", "pct", "allocs/q")
+	fmt.Fprintf(&b, "%-12s %-12s %10s %8s %12s %8s %12s %8s %8s %10s\n",
+		"engine", "query", "pages", "pct", "cpu", "pct", "overall", "pct", "seeks/q", "allocs/q")
 	for _, c := range r.Cells {
-		fmt.Fprintf(&b, "%-12s %-12s %10.1f %7.1f%% %12s %7.1f%% %12s %7.1f%% %10.0f\n",
+		fmt.Fprintf(&b, "%-12s %-12s %10.1f %7.1f%% %12s %7.1f%% %12s %7.1f%% %8.1f %10.0f\n",
 			c.Engine, c.QueryType, c.Pages, c.PagesPct,
 			c.CPU.Round(time.Microsecond), c.CPUPct,
-			c.Overall.Round(time.Microsecond), c.OverallPct, c.AllocsPerQ)
+			c.Overall.Round(time.Microsecond), c.OverallPct, c.Seeks, c.AllocsPerQ)
 	}
 	return b.String()
 }

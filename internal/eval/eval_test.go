@@ -131,8 +131,18 @@ func TestFigure7ShapeAndBounds(t *testing.T) {
 	if sp := rep.SpeedupOver("No-Such", "1-MLIQ"); sp != 0 {
 		t.Errorf("missing engine speedup = %v, want 0", sp)
 	}
+	// Seeks come from the same stats as the modeled I/O: at most one per
+	// page read, and the scan's pages follow one another on disk.
+	for _, c := range rep.Cells {
+		if c.Seeks < 0 || c.Seeks > c.Pages {
+			t.Errorf("cell %s/%s: %v seeks per query over %v pages", c.Engine, c.QueryType, c.Seeks, c.Pages)
+		}
+	}
+	if scanMLIQ.Seeks >= treeMLIQ.Seeks {
+		t.Errorf("scan MLIQ seeks %v should undercut the Gauss-tree's %v", scanMLIQ.Seeks, treeMLIQ.Seeks)
+	}
 	out := rep.Format()
-	if !strings.Contains(out, "Gauss-Tree") || !strings.Contains(out, "TIQ(P=0.8)") {
+	if !strings.Contains(out, "Gauss-Tree") || !strings.Contains(out, "TIQ(P=0.8)") || !strings.Contains(out, "seeks/q") {
 		t.Errorf("Format output malformed:\n%s", out)
 	}
 }

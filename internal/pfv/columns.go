@@ -209,8 +209,8 @@ func (c *Columns) NegLnSigma() []float64 {
 				prod[j] *= s
 			}
 		}
-		for j := range prod {
-			ln := math.Log(prod[j])
+		LogEach(prod)
+		for j, ln := range prod {
 			if math.IsInf(ln, 0) {
 				ln = 0
 				for i := range c.Sigma {
@@ -290,17 +290,12 @@ func (e *JointEvaluator) LogDensityAt(c *Columns, j int) float64 {
 
 // ScoreColumns evaluates ln p(q|vⱼ) for every vector of the batch into
 // out[0:c.Len()], the batch form of LogDensity. The loops run dimension-outer
-// with the query's (μq,ᵢ, σq,ᵢ) hoisted to scalars and bounds checks lifted
-// out of the inner loop: the combined σ product and the squared-z sum
-// accumulate across dimensions with no transcendental call, and one final
-// pass takes a single logarithm per vector.
+// (one scoreStep per dimension): the combined σ product and the squared-z
+// sum accumulate across dimensions with no transcendental call, and one
+// final pass (LogEach) takes a single logarithm per vector.
 //
-// Results are bit-identical to calling LogDensity(c.Vector(j)): both paths
-// multiply the σ factors and sum the z² terms in dimension order (IEEE
-// arithmetic in exactly the scalar loop's order, never reassociated) and
-// assemble the identical final expression, including the log-sum fallback
-// for products outside the float64 range. The hot-path conformance tests
-// pin this.
+// Results are bit-identical to LogDensity(c.Vector(j)): the same operations
+// in the same order per vector, log-sum fallback included.
 func (e *JointEvaluator) ScoreColumns(c *Columns, out []float64) {
 	n := c.Len()
 	dim := c.Dim()
@@ -317,38 +312,17 @@ func (e *JointEvaluator) ScoreColumns(c *Columns, out []float64) {
 		out[j] = 0
 		prod[j] = 1
 	}
-	conv := e.comb == gaussian.CombineConvolution
 	for i := 0; i < dim; i++ {
-		mi := c.Mean[i][:n]
-		si := c.Sigma[i][:n]
-		qmi, qsi := qm[i], qs[i]
-		if conv {
-			for j := 0; j < n; j++ {
-				s := math.Hypot(si[j], qsi)
-				z := (qmi - mi[j]) / s
-				prod[j] *= s
-				out[j] += z * z
-			}
-			continue
-		}
-		for j := 0; j < n; j++ {
-			s := si[j] + qsi
-			z := (qmi - mi[j]) / s
-			prod[j] *= s
-			out[j] += z * z
-		}
+		scoreStep(hasAVX2, e.comb, qm[i], qs[i], c.Mean[i], c.Sigma[i], prod, out)
 	}
+	LogEach(prod)
 	base := -0.5 * float64(dim) * gaussian.Ln2Pi
 	for j := 0; j < n; j++ {
-		lnS := math.Log(prod[j])
+		lnS := prod[j]
 		if math.IsInf(lnS, 0) {
 			lnS = 0
 			for i := 0; i < dim; i++ {
-				if conv {
-					lnS += math.Log(math.Hypot(c.Sigma[i][j], qs[i]))
-				} else {
-					lnS += math.Log(c.Sigma[i][j] + qs[i])
-				}
+				lnS += math.Log(e.comb.Combine(c.Sigma[i][j], qs[i]))
 			}
 		}
 		out[j] = base - lnS - 0.5*out[j]
@@ -379,19 +353,11 @@ func (e *JointEvaluator) UpperBoundColumns(c *Columns, scratch, out []float64) {
 	if dim != len(qm) {
 		panic("pfv: UpperBoundColumns dimension mismatch")
 	}
-	conv := e.comb == gaussian.CombineConvolution
 	invS2 := scratch[:dim]
 	sigmaMin, sigmaMax := c.SigmaRange()
 	prodLo := 1.0 // ∏ᵢ(σ̌ᵢ⊕σq,ᵢ)
 	for i := 0; i < dim; i++ {
-		var sLo, sHi float64
-		if conv {
-			sLo = math.Hypot(sigmaMin[i], qs[i])
-			sHi = math.Hypot(sigmaMax[i], qs[i])
-		} else {
-			sLo = sigmaMin[i] + qs[i]
-			sHi = sigmaMax[i] + qs[i]
-		}
+		sLo, sHi := e.comb.Combine(sigmaMin[i], qs[i]), e.comb.Combine(sigmaMax[i], qs[i])
 		prodLo *= sLo
 		invS2[i] = 1 / (sHi * sHi)
 	}
@@ -399,11 +365,7 @@ func (e *JointEvaluator) UpperBoundColumns(c *Columns, scratch, out []float64) {
 	if math.IsInf(lnFloor, 0) {
 		lnFloor = 0
 		for i := 0; i < dim; i++ {
-			if conv {
-				lnFloor += math.Log(math.Hypot(sigmaMin[i], qs[i]))
-			} else {
-				lnFloor += math.Log(sigmaMin[i] + qs[i])
-			}
+			lnFloor += math.Log(e.comb.Combine(sigmaMin[i], qs[i]))
 		}
 	}
 	base := -0.5 * float64(dim) * gaussian.Ln2Pi

@@ -52,7 +52,9 @@ func TestScoreColumnsBitIdenticalToLogDensity(t *testing.T) {
 
 // TestScoreColumnsLogSumFallback drives σ products outside the float64 range
 // in both directions; the batch path must take the identical per-dimension
-// log-sum fallback the scalar path takes.
+// log-sum fallback the scalar path takes. Each such vector sits at every
+// position of batches of 1…9 and 48 vectors, so it reaches every lane of the
+// vector bodies' blocks and their Go tail.
 func TestScoreColumnsLogSumFallback(t *testing.T) {
 	dim := 20
 	mk := func(s float64) Vector {
@@ -64,17 +66,27 @@ func TestScoreColumnsLogSumFallback(t *testing.T) {
 		}
 		return MustNew(1, mean, sigma)
 	}
-	vs := []Vector{mk(1e200), mk(1e-200), mk(1)}
-	cols := ColumnsOf(vs, dim)
 	q := mk(0.5)
-	out := make([]float64, len(vs))
-	for _, comb := range []gaussian.Combiner{gaussian.CombineAdditive, gaussian.CombineConvolution} {
-		e := NewJointEvaluator(comb, q)
-		e.ScoreColumns(cols, out)
-		for j, v := range vs {
-			want := e.LogDensity(v)
-			if math.Float64bits(out[j]) != math.Float64bits(want) {
-				t.Fatalf("%v vector %d: ScoreColumns %v != LogDensity %v", comb, j, out[j], want)
+	for _, probe := range []Vector{mk(1e200), mk(1e-200)} {
+		for _, n := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 48} {
+			for at := 0; at < n; at++ {
+				vs := make([]Vector, n)
+				for j := range vs {
+					vs[j] = mk(1 + float64(j)/8)
+				}
+				vs[at] = probe
+				cols := ColumnsOf(vs, dim)
+				out := make([]float64, n)
+				for _, comb := range []gaussian.Combiner{gaussian.CombineAdditive, gaussian.CombineConvolution} {
+					e := NewJointEvaluator(comb, q)
+					e.ScoreColumns(cols, out)
+					for j, v := range vs {
+						want := e.LogDensity(v)
+						if math.Float64bits(out[j]) != math.Float64bits(want) {
+							t.Fatalf("%v vector %d of %d: ScoreColumns %v != LogDensity %v", comb, j, n, out[j], want)
+						}
+					}
+				}
 			}
 		}
 	}

@@ -7,6 +7,17 @@
 // The package provides construction and validation, multivariate log
 // densities, the joint density p(q|v) of Lemma 1 and the Bayesian posterior
 // P(v|q) used by both identification query types, plus binary and CSV codecs.
+//
+// The batch kernels — ScoreColumns, the Gauss-tree's hull/floor bound step
+// (BoundsStep) and the logarithm of their σ products (LogEach) — have a Go
+// body, the reference, and on amd64 an AVX2 body (kernels_amd64.s, four
+// entries per instruction), chosen once at init from CPUID: AVX2 and YMM
+// state enabled by the OS (XGETBV); nothing else chooses. Other hosts, CPUs
+// without AVX2 and the convolution combiner (math.Hypot) run the Go body.
+// Each lane repeats its entry's Go operations in order with no FMA, so both
+// give the same bits. A block whose floor needs Lemma 3's two-logarithm
+// corner test hands those lanes back to Go, which finishes them before the
+// next dimension. LogEach's lanes are $GOROOT/src/math/log_amd64.s.
 package pfv
 
 import (
@@ -123,11 +134,10 @@ func JointLogDensity(c gaussian.Combiner, v, q Vector) float64 {
 }
 
 // JointEvaluator is the per-query fast path of JointLogDensity: it fixes the
-// query vector and σ-combination rule once, so scoring a candidate hoists
-// the combiner dispatch out of the per-dimension loop and touches only the
-// two mean/sigma slices. A traversal scores hundreds of leaf vectors against
-// one query; constructing the evaluator once per query keeps that inner loop
-// branch-free and allocation-free.
+// query vector and σ-combination rule once, so scoring a candidate touches
+// only the two mean/sigma slices. A traversal scores hundreds of leaf vectors
+// against one query; constructing the evaluator once per query keeps that
+// inner loop allocation-free.
 //
 // Densities are evaluated in product form: the combined σ factors are
 // multiplied across dimensions and a single logarithm is taken of the
@@ -178,33 +188,18 @@ func (e *JointEvaluator) LogDensity(v Vector) float64 {
 func (e *JointEvaluator) logDensity(mean, sigma []float64, stride int) float64 {
 	qm, qs := e.q.Mean, e.q.Sigma
 	prod, sumZ := 1.0, 0.0
-	if e.comb == gaussian.CombineConvolution {
-		for i := range qm {
-			s := math.Hypot(sigma[i*stride], qs[i])
-			z := (qm[i] - mean[i*stride]) / s
-			prod *= s
-			sumZ += z * z
-		}
-	} else {
-		for i := range qm {
-			s := sigma[i*stride] + qs[i]
-			z := (qm[i] - mean[i*stride]) / s
-			prod *= s
-			sumZ += z * z
-		}
+	for i := range qm {
+		s := e.comb.Combine(sigma[i*stride], qs[i])
+		z := (qm[i] - mean[i*stride]) / s
+		prod *= s
+		sumZ += z * z
 	}
 	lnS := math.Log(prod)
 	if math.IsInf(lnS, 0) {
 		// The σ product left the float64 range; fall back to the log sum.
 		lnS = 0
-		if e.comb == gaussian.CombineConvolution {
-			for i := range qm {
-				lnS += math.Log(math.Hypot(sigma[i*stride], qs[i]))
-			}
-		} else {
-			for i := range qm {
-				lnS += math.Log(sigma[i*stride] + qs[i])
-			}
+		for i := range qm {
+			lnS += math.Log(e.comb.Combine(sigma[i*stride], qs[i]))
 		}
 	}
 	return -0.5*float64(len(qm))*gaussian.Ln2Pi - lnS - 0.5*sumZ

@@ -9,7 +9,8 @@
 #
 # Defaults: out.json = "-" (stdout), regex covers the bench-hot set (KMLIQHot
 # and KMLIQHotQuantized, TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ,
-# ReadNodeHot, FirstTouch, DecodeLeaf, ExpandInner, AblationIntegral, BulkLoad — ShardedKMLIQ/shards-1
+# ReadNodeHot, FirstTouch, DecodeLeaf, ExpandInner, AblationIntegral, BulkLoad,
+# ColumnKernels (both kernel bodies, ns/entry) — ShardedKMLIQ/shards-1
 # beside KMLIQHot/refined is what the coordinator costs a one-shard query),
 # count = 1, benchtime = the go test default (pass e.g. "5000x" — a multiple of the 50-query cycle — to make
 # pages/query comparable across snapshots). The JSON shape is
@@ -21,7 +22,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:--}"
-REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$}"
+REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|ColumnKernels}"
 COUNT="${3:-1}"
 BENCHTIME="${4:-}"
 

@@ -15,9 +15,13 @@ trap 'rm -rf "$tmp"' EXIT
 echo "# go vet ./..."
 go vet "$@" ./...
 
-# internal/pfv/le64.go is the one non-test file allowed to import unsafe.
+# internal/pfv/le64.go is the one non-test file allowed to import unsafe,
+# and internal/pfv the one package allowed assembly (its kernel bodies).
 if grep -rlE --include='*.go' --exclude='*_test.go' '^(import)?[[:space:]]+"unsafe"$' . | grep -vx './internal/pfv/le64.go'; then
 	echo "unsafe imported outside internal/pfv/le64.go" >&2; exit 1
+fi
+if find . -name '*.s' -not -path './internal/pfv/*' | grep .; then
+	echo "assembly outside internal/pfv" >&2; exit 1
 fi
 
 echo "# building gausslint"

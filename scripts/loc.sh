@@ -5,7 +5,8 @@
 # the places in internal/core where a mutation can become visible or logged
 # and where a reader can pin or load a snapshot or start a traversal (every
 # query is one core.Cursor: one newTraversal call), and the one user of the
-# row-major vector codec.
+# row-major vector codec. Assembly is counted on its own line (lint.sh keeps
+# it to internal/pfv's kernel bodies).
 # Each count has a ceiling — what the last PR that lowered it reached — and
 # the script exits non-zero when a count is above its ceiling, so CI's size
 # census only ever ratchets down. A PR that removes a knob lowers the ceiling
@@ -33,8 +34,9 @@ flags() {
 }
 
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
-census "non-test Go lines outside benchmark/" "$lines" 20665
+census "non-test Go lines outside benchmark/" "$lines" 20724
 echo "  of them internal/core + internal/shard: $(find internal/core internal/shard -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
+census "assembly lines (internal/pfv only)" "$(find . -name '*.s' -print0 | xargs -0 -r cat | wc -l)" 272
 census "Options fields" "$(fields gausstree.go Options)" 9
 census "LeafFormat values" "$(sed -n '/^const (/,/^)/p' internal/core/leafformat.go | grep -cE '^	Leaf[A-Za-z0-9]+( |$)' || true)" 3
 census "core.Config fields" "$(fields internal/core/tree.go Config)" 3
