@@ -364,7 +364,7 @@ func timeoutMS(ctx context.Context) int64 {
 func (c *Client) do(ctx context.Context, path string, makeBody func() any, dst any) error {
 	u := c.base.JoinPath(path).String()
 	for attempt := 0; ; attempt++ {
-		payload, err := json.Marshal(makeBody())
+		payload, err := wire.Append(make([]byte, 0, 1024), makeBody())
 		if err != nil {
 			return fmt.Errorf("client: encoding request: %w", err)
 		}
@@ -432,7 +432,11 @@ func (c *Client) roundTrip(req *http.Request, dst any) (int, error) {
 	if dst == nil {
 		return 0, nil
 	}
-	if err := json.NewDecoder(resp.Body).Decode(dst); err != nil {
+	body, err := io.ReadAll(resp.Body)
+	if err == nil {
+		err = wire.Decode(body, dst, false)
+	}
+	if err != nil {
 		return 0, fmt.Errorf("client: decoding response: %w", err)
 	}
 	return 0, nil

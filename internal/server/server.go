@@ -27,7 +27,6 @@ package server
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
@@ -605,27 +604,30 @@ func (s *Server) collectStats() (wire.StatsResponse, error) {
 }
 
 // decodeBody parses the JSON request body into dst, writing a 400 and
-// returning false on malformed or oversized input. Unknown fields and
-// anything after the one JSON value are rejected so client/server format
-// drift fails loudly instead of silently ignoring a parameter.
+// returning false on malformed or oversized input. Unknown fields, inside a
+// vector too, and anything after the one JSON value are rejected so
+// client/server format drift fails loudly instead of silently ignoring a
+// parameter.
 func decodeBody(w http.ResponseWriter, r *http.Request, dst any) bool {
-	dec := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(dst); err != nil {
-		writeError(w, wire.Error{Code: wire.ErrCodeInvalid, Error: "decoding request: " + err.Error()})
-		return false
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
+	if err == nil {
+		err = wire.Decode(body, dst, true)
 	}
-	if _, err := dec.Token(); err != io.EOF {
-		writeError(w, wire.Error{Code: wire.ErrCodeInvalid, Error: "decoding request: data after the JSON value"})
+	if err != nil {
+		writeError(w, wire.Error{Code: wire.ErrCodeInvalid, Error: "decoding request: " + err.Error()})
 		return false
 	}
 	return true
 }
 
+// writeJSON answers with body's JSON and the newline json.Encoder ends it
+// with. A body that does not encode leaves the response empty.
 func writeJSON(w http.ResponseWriter, status int, body any) {
 	w.Header().Set("Content-Type", "application/json")
 	w.WriteHeader(status)
-	json.NewEncoder(w).Encode(body)
+	if b, err := wire.Append(make([]byte, 0, 4096), body); err == nil {
+		w.Write(append(b, '\n'))
+	}
 }
 
 // errorBody is the wire form of an engine error: its text under the code of

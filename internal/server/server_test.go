@@ -602,9 +602,10 @@ func TestDeadlinePropagation(t *testing.T) {
 }
 
 // TestTrailingBodyBytesRefused: every POST endpoint serves its well-formed
-// body and refuses the same body followed by a second JSON value or by junk
-// with 400 invalid_query — like an unknown field, bytes the server would
-// otherwise ignore are a format drift that must fail loudly.
+// body and refuses the same body followed by a second JSON value or by junk,
+// or with an unknown key inside its vector, with 400 invalid_query — like an
+// unknown field, bytes the server would otherwise ignore are a format drift
+// that must fail loudly.
 func TestTrailingBodyBytesRefused(t *testing.T) {
 	s, vs := newShardedIndex(t, 200, 3)
 	srv := server.New(server.ShardedIndex(s), server.Config{})
@@ -637,15 +638,16 @@ func TestTrailingBodyBytesRefused(t *testing.T) {
 			t.Fatal(err)
 		}
 		for _, tc := range []struct {
-			name, tail string
+			name, body string
 			status     int
 		}{
-			{"well-formed", "", http.StatusOK},
-			{"trailing whitespace", " \n", http.StatusOK},
-			{"second value", `{"k":9}`, http.StatusBadRequest},
-			{"junk", " junk", http.StatusBadRequest},
+			{"well-formed", string(good), http.StatusOK},
+			{"trailing whitespace", string(good) + " \n", http.StatusOK},
+			{"second value", string(good) + `{"k":9}`, http.StatusBadRequest},
+			{"junk", string(good) + " junk", http.StatusBadRequest},
+			{"unknown key inside a vector", strings.Replace(string(good), `"sigma":`, `"bogus":7,"sigma":`, 1), http.StatusBadRequest},
 		} {
-			resp, err := http.Post(hs.URL+ep.path, "application/json", strings.NewReader(string(good)+tc.tail))
+			resp, err := http.Post(hs.URL+ep.path, "application/json", strings.NewReader(tc.body))
 			if err != nil {
 				t.Fatalf("%s %s: %v", ep.path, tc.name, err)
 			}

@@ -24,6 +24,20 @@
 // Errors are reported with a non-2xx status and an Error body whose Code is
 // one of the ErrCode* constants, so clients can map them back to the typed
 // sentinel errors of the gausstree package.
+//
+// # Who writes the bytes
+//
+// The four messages of the query path — QueryRequest, QueryResponse,
+// BatchRequest and BatchResponse, with the vectors and matches inside them —
+// are written by an appender and read by a scanner (pfv.JSONScanner), one
+// pass each; Append and Decode are what the server and the client call, and
+// the messages' MarshalJSON/UnmarshalJSON go the same way. The appender
+// writes exactly the bytes json.Marshal writes. The scanner takes only that
+// canonical form (lowercase keys in any order, any white space, strings
+// without escapes, no repeated keys) and declines everything else, which
+// encoding/json then decodes from the same bytes, field by field: it decides
+// every input the scanner declines, errors included, and it is the oracle
+// the tests hold both to. Every other message is plain encoding/json.
 package wire
 
 import (

@@ -10,8 +10,9 @@
 # Defaults: out.json = "-" (stdout), regex covers the bench-hot set (KMLIQHot
 # and KMLIQHotQuantized, TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ,
 # ReadNodeHot, FirstTouch, DecodeLeaf, ExpandInner, AblationIntegral, BulkLoad,
-# ColumnKernels (both kernel bodies, ns/entry) — ShardedKMLIQ/shards-1
-# beside KMLIQHot/refined is what the coordinator costs a one-shard query),
+# ColumnKernels (both kernel bodies, ns/entry), WireCodec (encode plus decode
+# of the served path's messages) — ShardedKMLIQ/shards-1 beside
+# KMLIQHot/refined is what the coordinator costs a one-shard query),
 # count = 1, benchtime = the go test default (pass e.g. "5000x" — a multiple of the 50-query cycle — to make
 # pages/query comparable across snapshots). The JSON shape is
 #   {"goos": ..., "goarch": ..., "benchmarks": [{"name": ..., "iterations": N,
@@ -22,7 +23,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:--}"
-REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|ColumnKernels}"
+REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|ColumnKernels|WireCodec}"
 COUNT="${3:-1}"
 BENCHTIME="${4:-}"
 
