@@ -2,9 +2,11 @@ package pagefile
 
 import (
 	"bytes"
+	"encoding/binary"
 	"fmt"
 	"io"
 	"os"
+	"runtime/debug"
 )
 
 // MemBackend keeps pages in memory: the page images it is given, each held
@@ -95,15 +97,26 @@ func (b *MemBackend) Close() error {
 // FileBackend stores pages in an ordinary file using the versioned durable
 // format of format.go: a checksummed header, a double-buffered meta page,
 // and per-page CRC trailers. Data page id lives at slot reservedSlots+id.
+//
+// A miss reads without a syscall on 64-bit Linux: ReadPage copies the slot
+// out of a read-only shared mapping of the file into a fresh image and
+// checks the CRC on that copy. The first read maps the file, a read past the
+// mapping remaps it at twice the length it needs, Close unmaps, and a fault
+// during the copy is an error naming the page. Other systems, 32-bit hosts
+// and a file the kernel refuses to map read with ReadAt; writes use WriteAt.
 type FileBackend struct {
 	f        *os.File
 	pageSize int
 	pages    int // data pages present
 	meta     []byte
 	metaSeq  uint64
-	// slot is the slot image ReadPage reads into and WritePage seals into,
+	// slot is the slot image ReadAt reads into and WritePage seals into,
 	// reused across calls (backend calls are serialized by contract).
 	slot []byte
+	// view is the file's read-only mapping, nil until the first mapped
+	// read; unmappable is set once the kernel refuses to map the file.
+	view       []byte
+	unmappable bool
 }
 
 // CreateFile creates a fresh page file at path, writing (and syncing) the
@@ -247,24 +260,80 @@ func (b *FileBackend) slotOffset(id PageID) int64 {
 	return int64(reservedSlots+int(id)) * int64(slotSize(b.pageSize))
 }
 
-// ReadPage implements Backend, verifying the page's CRC trailer: the slot is
-// read into a reused buffer and the verified page copied into a fresh image,
-// one page-sized allocation per read.
-func (b *FileBackend) ReadPage(id PageID) ([]byte, error) {
+// ReadPage implements Backend, verifying the page's CRC trailer: one fresh
+// page-sized image per read, copied out of the file's mapping where there
+// is one and read with ReadAt elsewhere.
+func (b *FileBackend) ReadPage(id PageID) ([]byte, error) { return b.read(id, true) }
+
+// read is ReadPage with its body chosen: mapped asks for the mapping, which
+// only a 64-bit Linux host grants (mmap_linux.go); otherwise, or if the
+// kernel refuses, the slot is read with ReadAt.
+func (b *FileBackend) read(id PageID, mapped bool) ([]byte, error) {
 	if b.f == nil {
 		return nil, ErrClosed
 	}
 	if int(id) >= b.pages {
 		return make([]byte, b.pageSize), nil
 	}
-	if _, err := b.f.ReadAt(b.slot, b.slotOffset(id)); err != nil {
-		return nil, err
+	off := b.slotOffset(id)
+	end := off + int64(len(b.slot))
+	if mapped && b.mapTo(end) {
+		return b.readMapped(id, off, end)
+	}
+	if _, err := b.f.ReadAt(b.slot, off); err != nil {
+		return nil, readErr(id, err)
 	}
 	data, err := verifyPage(b.slot, id)
 	if err != nil {
 		return nil, err
 	}
 	return bytes.Clone(data), nil
+}
+
+// readMapped copies the page bytes of the slot at [off, end) out of the
+// mapping into a fresh image and checks the stored CRC against the copy.
+func (b *FileBackend) readMapped(id PageID, off, end int64) ([]byte, error) {
+	image, stored, err := copySlot(b.view[off:end])
+	if err == nil {
+		if err = checkPage(image, stored, id); err == nil {
+			return image, nil
+		}
+	} else {
+		err = readErr(id, err)
+	}
+	// A slot the file no longer holds whole fails as it does under ReadAt,
+	// whether the mapping faulted or read the zeroes past the end.
+	if info, serr := b.f.Stat(); serr == nil && info.Size() < end {
+		err = readErr(id, io.ErrUnexpectedEOF)
+	}
+	return nil, err
+}
+
+// copySlot copies a slot's page bytes into a fresh image and returns it
+// with the stored CRC. A fault while reading the mapping panics under
+// SetPanicOnFault; the panic is recovered here and returned as an error.
+func copySlot(slot []byte) (image []byte, stored uint32, err error) {
+	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
+	defer func() {
+		if r := recover(); r != nil {
+			fault, ok := r.(interface{ Addr() uintptr })
+			if !ok {
+				panic(r)
+			}
+			err = fmt.Errorf("fault at address %#x in the file's mapping: %v", fault.Addr(), r)
+		}
+	}()
+	n := len(slot) - pageTrailerLen
+	return bytes.Clone(slot[:n]), binary.LittleEndian.Uint32(slot[n:]), nil
+}
+
+// readErr names the page a failed read was for; a slot cut short by the
+// end of the file reads as io.ErrUnexpectedEOF on either body.
+func readErr(id PageID, err error) error {
+	if err == io.EOF {
+		err = io.ErrUnexpectedEOF
+	}
+	return fmt.Errorf("pagefile: reading page %d: %w", id, err)
 }
 
 // WritePage implements Backend, sealing the page with its CRC trailer.
@@ -331,6 +400,7 @@ func (b *FileBackend) Close() error {
 	if b.f == nil {
 		return nil
 	}
+	b.unmap()
 	err := b.f.Close()
 	b.f = nil
 	return err

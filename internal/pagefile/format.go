@@ -151,10 +151,13 @@ func sealPage(slot, data []byte) []byte {
 // verifyPage checks a slot image's CRC trailer and returns the page data.
 func verifyPage(slot []byte, id PageID) ([]byte, error) {
 	data := slot[:len(slot)-pageTrailerLen]
-	got := crc32.Checksum(data, castagnoli)
-	want := binary.LittleEndian.Uint32(slot[len(data):])
-	if got != want {
-		return nil, fmt.Errorf("%w: page %d CRC %08x, stored %08x", ErrChecksum, id, got, want)
+	return data, checkPage(data, binary.LittleEndian.Uint32(slot[len(data):]), id)
+}
+
+// checkPage checks page data against the CRC its trailer stored.
+func checkPage(data []byte, stored uint32, id PageID) error {
+	if got := crc32.Checksum(data, castagnoli); got != stored {
+		return fmt.Errorf("%w: page %d CRC %08x, stored %08x", ErrChecksum, id, got, stored)
 	}
-	return data, nil
+	return nil
 }

@@ -8,7 +8,7 @@
 // sharded LRU buffer cache with a configurable byte budget — the paper uses a
 // 50 MB cache that is cold-started before each experiment. A page's bytes
 // live in one immutable page image, shared by the backend (a MemBackend keeps
-// the image it was written; a FileBackend reads each slot into a fresh one),
+// the image it was written; a FileBackend copies each slot into a fresh one),
 // the cache and every reader. A cache entry holds the image or, for a client
 // that decodes its pages (ReadDecoded, WriteDecoded — every engine), the
 // decoded value in its place, which may view the image instead of copying
@@ -32,6 +32,19 @@
 // internal/query — goes through Counter: each query carries its own Counter
 // down the read path via ReadCounted, and the global Stats remain the
 // whole-manager aggregate.
+//
+// A FileBackend miss on 64-bit Linux is a memcpy, not a syscall: the file is
+// mapped read-only and shared (MADV_RANDOM), the slot's page bytes are
+// copied out of the mapping into a fresh image and the CRC is checked on
+// that copy. The first read maps the file; a read past the mapping maps it
+// again, twice as long as that read needs, and unmaps the old mapping at
+// once (no view of it ever leaves the backend); Close unmaps. Both run under
+// the I/O mutex. A fault during the copy (the file truncated underneath, a
+// device error) is recovered through debug.SetPanicOnFault and returned as
+// an error naming the page. Writes use WriteAt everywhere; other operating
+// systems, 32-bit hosts and a file the kernel refuses to map read each slot
+// with ReadAt. The benchmark's file workloads keep the OS page cache hot, so
+// what they measure is this copy, not a device-cold read.
 package pagefile
 
 import (

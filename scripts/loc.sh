@@ -34,7 +34,7 @@ flags() {
 }
 
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
-census "non-test Go lines outside benchmark/" "$lines" 21340
+census "non-test Go lines outside benchmark/" "$lines" 21476
 echo "  of them internal/core + internal/shard: $(find internal/core internal/shard -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 census "assembly lines (internal/pfv only)" "$(find . -name '*.s' -print0 | xargs -0 -r cat | wc -l)" 272
 census "Options fields" "$(fields gausstree.go Options)" 9

@@ -3,12 +3,16 @@ package gausstree_test
 import (
 	"context"
 	"errors"
+	"fmt"
+	"io"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
 	"github.com/gauss-tree/gausstree"
+	"github.com/gauss-tree/gausstree/internal/pagefile"
 )
 
 // flipBytes corrupts one byte per stride across the back half of a file —
@@ -200,5 +204,88 @@ func TestScrubThrottleHonorsContext(t *testing.T) {
 	}
 	if elapsed := time.Since(start); elapsed > 2*time.Second {
 		t.Fatalf("throttled scrub took %v to notice its expired context", elapsed)
+	}
+}
+
+// TestDamagedPageFileUnderAnOpenIndex damages the page file under an open
+// index whose cache holds no page (CacheBytes below one page), so every
+// read is a miss. Cut short, the file fails the queries that reach past the
+// cut with an error naming a page there, and nothing crashes; scribbled
+// over, it fails the next misses with pagefile.ErrChecksum.
+func TestDamagedPageFileUnderAnOpenIndex(t *testing.T) {
+	// A page file's data page id is slot 3+id, each pageSize+8 bytes long.
+	const pageSize, slot = 1024, 1024 + 8
+	for _, damage := range []string{"cut", "scribble"} {
+		t.Run(damage, func(t *testing.T) {
+			path := filepath.Join(t.TempDir(), damage+".gtree")
+			tree, err := gausstree.New(2, gausstree.Options{Path: path, PageSize: pageSize})
+			if err != nil {
+				t.Fatal(err)
+			}
+			const n = 600
+			vs := make([]gausstree.Vector, n)
+			for i := range vs {
+				vs[i] = seqVector(i)
+			}
+			if err := tree.BulkLoad(vs); err != nil {
+				t.Fatal(err)
+			}
+			if err := tree.Close(); err != nil {
+				t.Fatal(err)
+			}
+			if tree, err = gausstree.Open(path, gausstree.Options{CacheBytes: 1}); err != nil {
+				t.Fatal(err)
+			}
+			defer tree.Close()
+			queryAll := func() (failed int, first error) {
+				for _, v := range vs {
+					if _, err := tree.KMostLikely(v, 1); err != nil {
+						if first == nil {
+							first = err
+						}
+						failed++
+					}
+				}
+				return failed, first
+			}
+			if failed, err := queryAll(); failed > 0 {
+				t.Fatalf("%d queries failed on the intact file: %v", failed, err)
+			}
+			info, err := os.Stat(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			cut := info.Size() / 2
+			if damage == "cut" {
+				err = os.Truncate(path, cut)
+			} else {
+				flipBytes(t, path, pageSize)
+			}
+			if err != nil {
+				t.Fatal(err)
+			}
+			failed, err := queryAll()
+			if failed == 0 {
+				t.Fatal("no query failed on the damaged file")
+			}
+			t.Logf("%d of %d queries failed; the first: %v", failed, n, err)
+			if damage == "scribble" {
+				if !errors.Is(err, pagefile.ErrChecksum) {
+					t.Fatalf("query over a scribbled slot: %v, want pagefile.ErrChecksum", err)
+				}
+				return
+			}
+			var id int64
+			at := strings.Index(err.Error(), "reading page ")
+			if at < 0 {
+				t.Fatalf("query past the cut: error %q names no page", err)
+			}
+			if _, serr := fmt.Sscanf(err.Error()[at:], "reading page %d", &id); serr != nil {
+				t.Fatal(serr)
+			}
+			if !errors.Is(err, io.ErrUnexpectedEOF) || (3+id+1)*slot <= cut {
+				t.Fatalf("query past the cut at %d bytes: %v, want io.ErrUnexpectedEOF on a page past it", cut, err)
+			}
+		})
 	}
 }
