@@ -151,28 +151,14 @@ func (b ParamBox) MarginEnlargement(v pfv.Vector) float64 {
 	return grown - b.Margin()
 }
 
-// boxColumns holds n parameter boxes column-major in one backing array: for
-// every feature dimension the four runs μ̌, μ̂, σ̌, σ̂, each n long — run
-// 4·i+b is bound b of dimension i, the order the bounds have in an inner
-// page's entry, so the node codec transposes by run index. It is the form
-// the query path reads — a decoded inner node's child boxes and a quantized
-// leaf's per-vector intervals — because the bound kernel runs dimension-
-// outer, entry-inner over exactly these runs. The writer and the validators
-// work on ParamBox values (box materializes one).
-type boxColumns struct {
-	n    int
-	data []float64 // 4·dim runs of n
-}
-
-func newBoxColumns(dim, n int) boxColumns {
-	return boxColumns{n: n, data: make([]float64, 4*dim*n)}
-}
-
-// boxColumnsOf transposes the child boxes of a writer's inner node.
-func boxColumnsOf(children []childEntry, dim int) boxColumns {
-	b := newBoxColumns(dim, len(children))
+// boxColumnsOf transposes the child boxes of a writer's inner node into the
+// block the bound kernel reads (pfv.Boxes); the node codec writes and reads
+// that block, and the writer and the validators work on ParamBox values
+// (entryBox materializes one).
+func boxColumnsOf(children []childEntry, dim int) pfv.Boxes {
+	b := pfv.NewBoxes(dim, len(children))
 	for i := 0; i < dim; i++ {
-		muLo, muHi, sgLo, sgHi := b.dim(i)
+		muLo, muHi, sgLo, sgHi := b.Dim(i)
 		for j := range children {
 			mu, sg := children[j].box.Mu[i], children[j].box.Sigma[i]
 			muLo[j], muHi[j], sgLo[j], sgHi[j] = mu.Lo, mu.Hi, sg.Lo, sg.Hi
@@ -181,120 +167,44 @@ func boxColumnsOf(children []childEntry, dim int) boxColumns {
 	return b
 }
 
-// union returns the one box that bounds all n ≥ 1 of them.
-func (b *boxColumns) union(dim int) boxColumns {
-	u := newBoxColumns(dim, 1)
+// union returns the one box that bounds all N ≥ 1 of b's.
+func union(b *pfv.Boxes, dim int) pfv.Boxes {
+	u := pfv.NewBoxes(dim, 1)
 	for i := 0; i < dim; i++ {
-		muLo, muHi, sgLo, sgHi := b.dim(i)
-		u.data[4*i], u.data[4*i+1] = slices.Min(muLo), slices.Max(muHi)
-		u.data[4*i+2], u.data[4*i+3] = slices.Min(sgLo), slices.Max(sgHi)
+		muLo, muHi, sgLo, sgHi := b.Dim(i)
+		u.Data[4*i], u.Data[4*i+1] = slices.Min(muLo), slices.Max(muHi)
+		u.Data[4*i+2], u.Data[4*i+3] = slices.Min(sgLo), slices.Max(sgHi)
 	}
 	return u
 }
 
-// dim returns the four interval-bound runs of feature dimension i.
-func (b *boxColumns) dim(i int) (muLo, muHi, sgLo, sgHi []float64) {
-	n := b.n
-	r := b.data[4*i*n : 4*(i+1)*n : 4*(i+1)*n]
-	return r[:n:n], r[n : 2*n : 2*n], r[2*n : 3*n : 3*n], r[3*n:]
-}
-
-// box materializes entry j as a ParamBox of the given dimension.
-func (b *boxColumns) box(j, dim int) ParamBox {
+// entryBox materializes entry j of b as a ParamBox of the given dimension.
+func entryBox(b *pfv.Boxes, j, dim int) ParamBox {
 	ivs := make([]gaussian.Interval, 2*dim)
 	out := ParamBox{Mu: ivs[:dim:dim], Sigma: ivs[dim:]}
-	b.boxInto(j, out)
+	boxInto(b, j, out)
 	return out
 }
 
-// boxInto overwrites dst, a box of the columns' dimension, with entry j.
-func (b *boxColumns) boxInto(j int, dst ParamBox) {
+// boxInto overwrites dst, a box of b's dimension, with entry j.
+func boxInto(b *pfv.Boxes, j int, dst ParamBox) {
 	for i := range dst.Mu {
-		muLo, muHi, sgLo, sgHi := b.dim(i)
+		muLo, muHi, sgLo, sgHi := b.Dim(i)
 		dst.Mu[i] = gaussian.Interval{Lo: muLo[j], Hi: muHi[j]}
 		dst.Sigma[i] = gaussian.Interval{Lo: sgLo[j], Hi: sgHi[j]}
 	}
 }
 
-// containsVector is ParamBox.ContainsVector of entry j.
-func (b *boxColumns) containsVector(j int, v pfv.Vector) bool {
+// containsVector is ParamBox.ContainsVector of entry j of b.
+func containsVector(b *pfv.Boxes, j int, v pfv.Vector) bool {
 	for i := range v.Mean {
-		muLo, muHi, sgLo, sgHi := b.dim(i)
+		muLo, muHi, sgLo, sgHi := b.Dim(i)
 		m, sg := v.Mean[i], v.Sigma[i]
 		if !(muLo[j] <= m && m <= muHi[j] && sgLo[j] <= sg && sg <= sgHi[j]) {
 			return false
 		}
 	}
 	return true
-}
-
-// logBounds is the batch bound kernel of the best-first traversal (§5.2): it
-// writes ln ˆN(q) of every box into hull and, unless floor is nil, ln ˇN(q)
-// into floor — the maximum and minimum joint log density any pfv inside the
-// box could have against the probabilistic query vector, with the σ intervals
-// shifted by the query's uncertainty ("ˆN_{μ̌,μ̂,σ̌+σq,σ̂+σq}(μq)"). hull is a
-// node's queue priority; with the subtree count, hull and floor bound the
-// node's share of the Bayes denominator (n·ˇN ≤ Σ ≤ n·ˆN, §5.2.2).
-//
-// Both bounds run in product form, one pfv.BoundsStep per dimension and one
-// logarithm of each product (logFallback steps in for a product that leaves
-// the float64 range). Every entry accumulates in dimension order, so its
-// bounds do not depend on the batch it shares: they equal, bit for bit, what
-// gaussian.HullTerm and FloorTerm give one box at a time.
-//
-// zLim screens ranked traversals: hull ≤ hullCut − ½·Σz² for any box (see
-// traversal.hullCut), so an entry whose Σz² reaches zLim = 2·(hullCut − bound)
-// provably cannot beat the admission bound; it gets hull −Inf. +Inf screens
-// nothing. prods is scratch of length 2·n.
-func (b *boxColumns) logBounds(c gaussian.Combiner, q pfv.Vector, zLim float64, hull, floor, prods []float64) {
-	n := b.n
-	hull = hull[:n]
-	hProd, fProd := prods[:n], prods[n:2*n]
-	for j := range hull {
-		hull[j], hProd[j] = 0, 1
-	}
-	for j := range floor {
-		floor[j], fProd[j] = 0, 1
-	}
-	for i, x := range q.Mean {
-		muLo, muHi, sgLo, sgHi := b.dim(i)
-		pfv.BoundsStep(c, x, q.Sigma[i], muLo, muHi, sgLo, sgHi, hull, hProd, floor, fProd)
-	}
-	pfv.LogEach(prods[:n+len(floor)]) // hProd, then fProd if any
-	base := -0.5 * float64(len(q.Mean)) * gaussian.Ln2Pi
-	for j, sumZ := range hull {
-		if sumZ >= zLim {
-			hull[j] = math.Inf(-1)
-			continue
-		}
-		lnS := hProd[j]
-		if math.IsInf(lnS, 0) {
-			lnS, _ = b.logFallback(c, q, j)
-		}
-		hull[j] = base - lnS - 0.5*sumZ
-	}
-	for j, sumZ := range floor {
-		lnS := fProd[j]
-		if math.IsInf(lnS, 0) {
-			_, lnS = b.logFallback(c, q, j)
-		}
-		floor[j] = base - lnS - 0.5*sumZ
-	}
-}
-
-// logFallback recomputes entry j's hull and floor σ-term logarithms as
-// per-dimension sums, for a product that left the float64 range.
-func (b *boxColumns) logFallback(c gaussian.Combiner, q pfv.Vector, j int) (hLn, fLn float64) {
-	for i, x := range q.Mean {
-		muLo, muHi, sgLo, sgHi := b.dim(i)
-		mu := gaussian.Interval{Lo: muLo[j], Hi: muHi[j]}
-		cs := c.CombineInterval(gaussian.Interval{Lo: sgLo[j], Hi: sgHi[j]}, q.Sigma[i])
-		hs, _, _ := gaussian.HullTerm(mu, cs, x)
-		hLn += math.Log(hs)
-		fs, _ := gaussian.FloorTerm(mu, cs, x)
-		fLn += math.Log(fs)
-	}
-	return hLn, fLn
 }
 
 // LogAccessCost returns the log of the box's access cost, the split objective

@@ -27,7 +27,7 @@ func randBoxQuery(rng *rand.Rand, dim int) (ParamBox, pfv.Vector) {
 }
 
 // columnsOfBoxes packs boxes the way persistNode packs a node's child boxes.
-func columnsOfBoxes(boxes []ParamBox) boxColumns {
+func columnsOfBoxes(boxes []ParamBox) pfv.Boxes {
 	entries := make([]childEntry, len(boxes))
 	for j, b := range boxes {
 		entries[j].box = b
@@ -40,7 +40,7 @@ func kernelBounds(comb gaussian.Combiner, q pfv.Vector, boxes ...ParamBox) (hull
 	cols := columnsOfBoxes(boxes)
 	n := len(boxes)
 	hulls, floors = make([]float64, n), make([]float64, n)
-	cols.logBounds(comb, q, math.Inf(1), hulls, floors, make([]float64, 2*n))
+	cols.LogBounds(comb, q, math.Inf(1), hulls, floors, make([]float64, 2*n))
 	return hulls, floors
 }
 
@@ -97,8 +97,8 @@ func checkKernelEntry(t *testing.T, comb gaussian.Combiner, q pfv.Vector, at int
 	cols := columnsOfBoxes(boxes)
 	n := len(boxes)
 	hulls, floors, hullOnly, prods := make([]float64, n), make([]float64, n), make([]float64, n), make([]float64, 2*n)
-	cols.logBounds(comb, q, math.Inf(1), hulls, floors, prods)
-	cols.logBounds(comb, q, math.Inf(1), hullOnly, nil, prods)
+	cols.LogBounds(comb, q, math.Inf(1), hulls, floors, prods)
+	cols.LogBounds(comb, q, math.Inf(1), hullOnly, nil, prods)
 	for j, b := range boxes {
 		if at >= 0 && j != at {
 			continue
@@ -201,7 +201,7 @@ func TestLogHullAtScreenedSound(t *testing.T) {
 			// Bounds straddling the true hull: below it (must keep),
 			// above it (may drop, and then the drop must be justified).
 			for _, bound := range []float64{hull - 1e-6, hull - 2, hull + 1e-6, hull + 2, hullCut} {
-				cols.logBounds(comb, q, 2*(hullCut-bound), got, nil, prods)
+				cols.LogBounds(comb, q, 2*(hullCut-bound), got, nil, prods)
 				if !math.IsInf(got[0], -1) {
 					if !sameBits(got[0], hull) {
 						t.Fatalf("%v trial %d: screened hull %v != unscreened %v", comb, trial, got[0], hull)

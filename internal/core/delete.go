@@ -145,7 +145,7 @@ func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
 			return append(path, pathStep{node: n, childIdx: -1}), true, nil
 		}
 		for i, c := range n.children {
-			if !n.boxes.containsVector(i, v) {
+			if !containsVector(&n.boxes, i, v) {
 				continue
 			}
 			child, err := t.readNode(c.page)

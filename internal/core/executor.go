@@ -59,7 +59,7 @@ type traversal struct {
 	// hullCut = −d/2·ln2π − ln ∏ᵢ σq,ᵢ upper-bounds every hull priority with
 	// the z² term dropped: σᵢ⊕σq,ᵢ ≥ σq,ᵢ factor-wise, so
 	// hull ≤ hullCut − ½·Σz² for any box. Ranked expansions use it to derive
-	// the z²-sum screen of boxColumns.logBounds.
+	// the z²-sum screen of pfv.Boxes.LogBounds.
 	hullCut float64
 
 	// scores and dimBuf are reusable batch-scoring scratch buffers; their
@@ -251,14 +251,14 @@ func (tr *traversal) expand(a activeNode) error {
 // logBounds runs the batch bound kernel over the boxes into the traversal's
 // scratch: every box's log hull and, when the query tracks the denominator,
 // its log floor (nil otherwise). Both are valid until the scratch's next use.
-func (tr *traversal) logBounds(boxes *boxColumns, zLim float64) (hulls, floors []float64) {
-	n := boxes.n
+func (tr *traversal) logBounds(boxes *pfv.Boxes, zLim float64) (hulls, floors []float64) {
+	n := boxes.N
 	tr.scores = growFloats(tr.scores, 4*n)
 	hulls = tr.scores[:n]
 	if tr.trackDenom {
 		floors = tr.scores[n : 2*n]
 	}
-	boxes.logBounds(tr.tree.cfg.Combiner, tr.q, zLim, hulls, floors, tr.scores[2*n:])
+	boxes.LogBounds(tr.tree.cfg.Combiner, tr.q, zLim, hulls, floors, tr.scores[2*n:])
 	return hulls, floors
 }
 

@@ -125,7 +125,7 @@ func FuzzQuantLeafWidening(f *testing.F) {
 			}
 			for j := range vs {
 				mu, sg := cols.Mean[0][j], cols.Sigma[0][j]
-				box := q.iv.box(j, 1)
+				box := entryBox(&q.iv, j, 1)
 				if !box.Mu[0].Contains(mu) {
 					t.Fatalf("%v: μ=%v outside %v", format, mu, box.Mu[0])
 				}
@@ -142,7 +142,7 @@ func FuzzQuantLeafWidening(f *testing.F) {
 				t.Fatalf("%v: decode: %v", format, err)
 			}
 			for j := range vs {
-				if !dec.quant.iv.box(j, 1).Equal(q.iv.box(j, 1)) {
+				if !entryBox(&dec.quant.iv, j, 1).Equal(entryBox(&q.iv, j, 1)) {
 					t.Fatalf("%v: decoded intervals differ at %d", format, j)
 				}
 			}

@@ -145,7 +145,7 @@ func (t *Tree) choosePath(v pfv.Vector) ([]pathStep, error) {
 func (t *Tree) chooseChild(n *node, v pfv.Vector) (int, error) {
 	containing := make([]int, 0, 4)
 	for i := range n.children {
-		if n.boxes.containsVector(i, v) {
+		if containsVector(&n.boxes, i, v) {
 			containing = append(containing, i)
 		}
 	}
@@ -162,7 +162,7 @@ func (t *Tree) chooseChild(n *node, v pfv.Vector) (int, error) {
 		box := NewParamBox(t.dim)
 		costs := make([]float64, len(n.children))
 		for _, i := range containing {
-			n.boxes.boxInto(i, box)
+			boxInto(&n.boxes, i, box)
 			costs[i] = box.LogAccessCost()
 		}
 		sort.Slice(containing, func(a, b int) bool {
@@ -209,7 +209,7 @@ func (t *Tree) leastEnlargementChild(n *node, v pfv.Vector) int {
 	best, least := 0, enlargement{math.Inf(1), math.Inf(1), math.Inf(1)}
 	box := NewParamBox(t.dim)
 	for i := range n.children {
-		n.boxes.boxInto(i, box)
+		boxInto(&n.boxes, i, box)
 		if e := enlargementOf(box, v); e.less(least) {
 			best, least = i, e
 		}

@@ -100,7 +100,7 @@ func TestBuildQuantLeafWidening(t *testing.T) {
 				t.Fatalf("%v trial %d: buildQuantLeaf declined a coverable batch", format, trial)
 			}
 			for j := 0; j < n; j++ {
-				box := q.iv.box(j, dim)
+				box := entryBox(&q.iv, j, dim)
 				for i := 0; i < dim; i++ {
 					mu, sg := cols.Mean[i][j], cols.Sigma[i][j]
 					if !box.Mu[i].Contains(mu) {
@@ -123,7 +123,7 @@ func TestBuildQuantLeafWidening(t *testing.T) {
 				t.Fatalf("%v: decode: %v", format, err)
 			}
 			for j := 0; j < n; j++ {
-				if !dec.quant.iv.box(j, dim).Equal(q.iv.box(j, dim)) {
+				if !entryBox(&dec.quant.iv, j, dim).Equal(entryBox(&q.iv, j, dim)) {
 					t.Fatalf("%v: decoded intervals differ at vector %d", format, j)
 				}
 			}

@@ -105,7 +105,7 @@ type node struct {
 	cols     *pfv.Columns // leaf payload (columnar), exact leaves only
 	quant    *quantLeaf   // quantized leaf payload
 	children []childEntry // inner payload
-	boxes    boxColumns   // inner payload: the child boxes, readable nodes only
+	boxes    pfv.Boxes    // inner payload: the child boxes, readable nodes only
 }
 
 // quantGrid is the per-dimension descriptor of a grid-quantized leaf: the
@@ -132,7 +132,7 @@ type quantLeaf struct {
 	cellMean, cellSigma [][]uint8   // kindLeafGrid raw payload, dimension-major
 
 	// iv holds the derived conservative intervals, one box per vector.
-	iv boxColumns
+	iv pfv.Boxes
 }
 
 func (q *quantLeaf) len() int { return len(q.ids) }
@@ -213,9 +213,9 @@ func gridFit(min, max, x float64, sigma bool) (uint8, bool) {
 // exactly the intervals the encoder verified containment for.
 func (q *quantLeaf) deriveIntervals(dim int) {
 	n := q.len()
-	q.iv = newBoxColumns(dim, n)
+	q.iv = pfv.NewBoxes(dim, n)
 	for i := 0; i < dim; i++ {
-		muLo, muHi, sgLo, sgHi := q.iv.dim(i)
+		muLo, muHi, sgLo, sgHi := q.iv.Dim(i)
 		switch q.kind {
 		case kindLeafF32:
 			fm, fs := q.f32Mean[i], q.f32Sigma[i]
@@ -294,7 +294,7 @@ func buildQuantLeaf(format LeafFormat, c *pfv.Columns, pageSize int) *quantLeaf 
 	}
 	q.deriveIntervals(dim)
 	for i := 0; i < dim; i++ {
-		muLo, muHi, sgLo, sgHi := q.iv.dim(i)
+		muLo, muHi, sgLo, sgHi := q.iv.Dim(i)
 		for j := 0; j < n; j++ {
 			if !(muLo[j] <= c.Mean[i][j] && c.Mean[i][j] <= muHi[j]) {
 				return nil
@@ -381,7 +381,7 @@ func innerEntrySize(dim int) int { return 8 + 32*dim }
 // entries, is transposed first.
 func encodeInnerNode(n *node, dim int) ([]byte, error) {
 	boxes := n.boxes
-	if boxes.data == nil {
+	if boxes.Data == nil {
 		boxes = boxColumnsOf(n.children, dim)
 	}
 	if len(n.children) > maxNodeEntries {
@@ -397,7 +397,7 @@ func encodeInnerNode(n *node, dim int) ([]byte, error) {
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.page))
 		buf = binary.LittleEndian.AppendUint32(buf, uint32(c.count))
 		for k := 0; k < 4*dim; k++ {
-			buf = appendFloat(buf, boxes.data[k*boxes.n+j])
+			buf = appendFloat(buf, boxes.Data[k*boxes.N+j])
 		}
 	}
 	return buf, nil
@@ -503,7 +503,7 @@ func decodeInnerNode(n *node, page []byte, dim, count int) error {
 		return fmt.Errorf("core: page %d: inner node truncated (%d bytes, need %d)", n.id, len(page), need)
 	}
 	n.children = make([]childEntry, count)
-	n.boxes = newBoxColumns(dim, count)
+	n.boxes = pfv.NewBoxes(dim, count)
 	off := nodeHeaderSize
 	for j := range n.children {
 		c := &n.children[j]
@@ -511,7 +511,7 @@ func decodeInnerNode(n *node, page []byte, dim, count int) error {
 		c.count = int(binary.LittleEndian.Uint32(page[off+4:]))
 		c.logCount = math.Log(float64(c.count))
 		for k, p := 0, off+8; k < 4*dim; k, p = k+1, p+8 {
-			n.boxes.data[k*count+j] = readFloat(page[p:])
+			n.boxes.Data[k*count+j] = readFloat(page[p:])
 		}
 		off += esz
 	}

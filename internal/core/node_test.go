@@ -103,7 +103,7 @@ func TestInnerNodeCodecRoundTrip(t *testing.T) {
 	for i := range n.children {
 		if got.children[i].page != n.children[i].page ||
 			got.children[i].count != n.children[i].count ||
-			got.children[i].box.Mu != nil || !got.boxes.box(i, dim).Equal(n.children[i].box) {
+			got.children[i].box.Mu != nil || !entryBox(&got.boxes, i, dim).Equal(n.children[i].box) {
 			t.Errorf("child %d mismatch", i)
 		}
 	}

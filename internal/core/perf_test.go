@@ -204,7 +204,7 @@ func BenchmarkExpandInner(b *testing.B) {
 		q := qs[i%len(qs)]
 		for _, n := range inners {
 			nc := len(n.children)
-			n.boxes.logBounds(tr.cfg.Combiner, q, math.Inf(1), scratch[:nc], scratch[nc:2*nc], scratch[2*nc:])
+			n.boxes.LogBounds(tr.cfg.Combiner, q, math.Inf(1), scratch[:nc], scratch[nc:2*nc], scratch[2*nc:])
 		}
 	}
 	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*children), "ns/child")

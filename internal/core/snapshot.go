@@ -34,13 +34,13 @@ type treeSnap struct {
 	// box is the root's parameter box as a one-entry batch for the bound
 	// kernel, filled in by the first caller of rootBox: like root and count it
 	// describes the snapshot, and reading it is no query's page access.
-	box atomic.Pointer[boxColumns]
+	box atomic.Pointer[pfv.Boxes]
 }
 
 // rootBox returns the minimum bounding box of everything the snapshot stores,
 // nil if that is nothing. The caller holds an epoch pin on s. The box of one
 // snapshot never changes, so racing first callers store equal values.
-func (t *Tree) rootBox(s *treeSnap) (*boxColumns, error) {
+func (t *Tree) rootBox(s *treeSnap) (*pfv.Boxes, error) {
 	if b := s.box.Load(); b != nil || s.count == 0 {
 		return b, nil
 	}
@@ -48,7 +48,7 @@ func (t *Tree) rootBox(s *treeSnap) (*boxColumns, error) {
 	if err != nil {
 		return nil, err
 	}
-	var b boxColumns
+	var b pfv.Boxes
 	if n.leaf {
 		cols, err := t.exactColumns(n)
 		if err != nil {
@@ -56,7 +56,7 @@ func (t *Tree) rootBox(s *treeSnap) (*boxColumns, error) {
 		}
 		b = boxColumnsOf([]childEntry{{box: BoxOfColumns(cols)}}, t.dim)
 	} else {
-		b = n.boxes.union(t.dim)
+		b = union(&n.boxes, t.dim)
 	}
 	s.box.Store(&b)
 	return &b, nil
@@ -72,7 +72,7 @@ func (t *Tree) RootBox() (ParamBox, int, error) {
 	if b == nil {
 		return ParamBox{}, snap.count, err
 	}
-	return b.box(0, t.dim), snap.count, nil
+	return entryBox(b, 0, t.dim), snap.count, nil
 }
 
 // publish makes the writer's current state visible to new readers and
@@ -122,7 +122,7 @@ func (n *node) clone(dim int) *node {
 		for j := range c.children {
 			box := ParamBox{Mu: ivs[:dim:dim], Sigma: ivs[dim : 2*dim : 2*dim]}
 			ivs = ivs[2*dim:]
-			n.boxes.boxInto(j, box)
+			boxInto(&n.boxes, j, box)
 			c.children[j].box = box
 		}
 	}

@@ -106,7 +106,7 @@ func (t *Tree) CheckInvariants() error {
 			if c.logCount != math.Log(float64(c.count)) {
 				return 0, ParamBox{}, fmt.Errorf("%w: inner %d entry %d stale derived logCount %v for count %d", ErrCorrupt, n.id, i, c.logCount, c.count)
 			}
-			if !cbox.Equal(n.boxes.box(i, t.dim)) {
+			if !cbox.Equal(entryBox(&n.boxes, i, t.dim)) {
 				return 0, ParamBox{}, fmt.Errorf("%w: inner %d entry %d box not tight", ErrCorrupt, n.id, i)
 			}
 			total += cnt
@@ -147,7 +147,7 @@ func checkQuantLeaf(n *node, exact *pfv.Columns, dim int) error {
 		}
 		for i := 0; i < dim; i++ {
 			mu, sg := exact.Mean[i][j], exact.Sigma[i][j]
-			muLo, muHi, sgLo, sgHi := q.iv.dim(i)
+			muLo, muHi, sgLo, sgHi := q.iv.Dim(i)
 			if !(muLo[j] <= mu && mu <= muHi[j]) {
 				return fmt.Errorf("%w: quantized leaf %d entry %d dim %d: μ=%v outside widened [%v,%v]", ErrCorrupt,
 					n.id, j, i, mu, muLo[j], muHi[j])

@@ -15,7 +15,10 @@ type LogSum struct {
 	n   int
 }
 
-// Add accumulates one log-space term.
+// Add accumulates one log-space term. A term more than 40 below the running
+// maximum is counted without its Exp: the sum is ≥ 1 once begun and
+// e^−40 < 2⁻⁵⁷ is under half its ulp, so adding it would round straight back
+// to the same bits (core's scaledAccum skips by the same rule).
 func (s *LogSum) Add(logX float64) {
 	if math.IsInf(logX, -1) {
 		return // exp(−Inf) = 0 contributes nothing
@@ -27,8 +30,8 @@ func (s *LogSum) Add(logX float64) {
 			s.sum = s.sum*math.Exp(s.max-logX) + 1
 		}
 		s.max = logX
-	} else {
-		s.sum += math.Exp(logX - s.max)
+	} else if d := logX - s.max; !(d < -40) { // a NaN d still poisons the sum
+		s.sum += math.Exp(d)
 	}
 	s.n++
 }

@@ -198,3 +198,90 @@ func TestNormalizeLogPosteriorIntuition(t *testing.T) {
 		}
 	}
 }
+
+// addUnskipped is LogSum.Add without the skip of far terms: one Exp per
+// term, the reference the skipping Add must reproduce bit for bit.
+func (s *LogSum) addUnskipped(logX float64) {
+	if math.IsInf(logX, -1) {
+		return
+	}
+	if s.n == 0 || logX > s.max {
+		if s.n == 0 {
+			s.sum = 1
+		} else {
+			s.sum = s.sum*math.Exp(s.max-logX) + 1
+		}
+		s.max = logX
+	} else {
+		s.sum += math.Exp(logX - s.max)
+	}
+	s.n++
+}
+
+// TestLogSumSkipIsBitIdentical holds Add to the unskipped loop over random
+// sequences — far and near terms, rebases, terms at max − 40 and one ulp to
+// either side, ±Inf and NaN — state by state and in Log's bits.
+func TestLogSumSkipIsBitIdentical(t *testing.T) {
+	rng := rand.New(rand.NewSource(12))
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	skipped := 0
+	for trial := 0; trial < 20000; trial++ {
+		var got, want LogSum
+		for i, n := 0, rng.Intn(60)+1; i < n; i++ {
+			ref := want.max
+			if want.n == 0 {
+				ref = rng.NormFloat64() * 100
+			}
+			var x float64
+			switch r := rng.Intn(20); {
+			case r < 6: // far below: the skip
+				x = ref - 40 - rng.ExpFloat64()*30
+			case r < 10: // near: the Exp
+				x = ref - rng.Float64()*40
+			case r < 12: // above: a rebase
+				x = ref + rng.ExpFloat64()*20
+			case r == 12:
+				x = ref - 40
+			case r == 13:
+				x = math.Nextafter(ref-40, math.Inf(1))
+			case r == 14:
+				x = math.Nextafter(ref-40, math.Inf(-1))
+			case r == 15:
+				x = ref - 41
+			case r == 16:
+				x = ref - 39
+			case r == 17:
+				x = math.Inf(-1)
+			case r == 18:
+				if rng.Intn(8) == 0 {
+					x = math.Inf(1)
+				} else {
+					x = ref - 40 + rng.NormFloat64()*1e-13
+				}
+			default:
+				if rng.Intn(8) == 0 {
+					x = math.NaN()
+				} else {
+					x = ref - 40 - rng.Float64()*1e-12
+				}
+			}
+			if want.n > 0 && x-want.max < -40 {
+				skipped++
+			}
+			got.Add(x)
+			want.addUnskipped(x)
+			if !same(got.max, want.max) || !same(got.sum, want.sum) || got.n != want.n {
+				t.Fatalf("trial %d term %d (%v): state (%v, %v, %d), unskipped (%v, %v, %d)",
+					trial, i, x, got.max, got.sum, got.n, want.max, want.sum, want.n)
+			}
+		}
+		if !same(got.Log(), want.Log()) {
+			t.Fatalf("trial %d: Log %v, unskipped %v", trial, got.Log(), want.Log())
+		}
+	}
+	if skipped == 0 {
+		t.Fatal("no term took the skip")
+	}
+}

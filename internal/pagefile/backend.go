@@ -111,7 +111,7 @@ type FileBackend struct {
 	meta     []byte
 	metaSeq  uint64
 	// slot is the slot image ReadAt reads into and WritePage seals into,
-	// reused across calls (backend calls are serialized by contract).
+	// reused across calls (reads and writes are serialized by contract).
 	slot []byte
 	// view is the file's read-only mapping, nil until the first mapped
 	// read; unmappable is set once the kernel refuses to map the file.

@@ -6,6 +6,7 @@ import (
 	"os"
 	"path/filepath"
 	"testing"
+	"time"
 )
 
 // reopen closes nothing: it attaches a fresh Manager to the same path, as a
@@ -447,5 +448,71 @@ func TestMetaFreelistOverflowTruncates(t *testing.T) {
 		if id, _ := m.Allocate(); int(id) >= 40 {
 			t.Fatalf("allocation %d did not come from the freelist: %d", i, id)
 		}
+	}
+}
+
+// gatedSyncBackend holds every Sync until release is closed, announcing it
+// on entered first.
+type gatedSyncBackend struct {
+	Backend
+	entered chan struct{}
+	release chan struct{}
+}
+
+func (b *gatedSyncBackend) Sync() error {
+	b.entered <- struct{}{}
+	<-b.release
+	return b.Backend.Sync()
+}
+
+// TestCheckpointDoesNotStallReaders: while a CommitMeta waits in a durability
+// barrier, a cache miss, a page verification and a Meta read on other
+// goroutines must still return — the barriers run outside the I/O lock.
+func TestCheckpointDoesNotStallReaders(t *testing.T) {
+	// entered holds one send per Sync the test causes: the commit's two and Close's.
+	gb := &gatedSyncBackend{Backend: NewMemBackend(64), entered: make(chan struct{}, 3), release: make(chan struct{})}
+	m, err := NewManager(gb, 64, WithCacheBytes(0)) // every read is a miss
+	if err != nil {
+		t.Fatal(err)
+	}
+	id, _ := m.Allocate()
+	if err := m.Write(id, []byte("page")); err != nil {
+		t.Fatal(err)
+	}
+	committed := make(chan error, 1)
+	go func() { committed <- m.CommitMeta([]byte("meta")) }()
+	<-gb.entered // the commit is blocked in its first Sync
+
+	read := make(chan error, 1)
+	go func() {
+		got, err := m.ReadDecoded(id, nil, func(_ PageID, page []byte) (any, error) { return page, nil })
+		if err == nil && !bytes.HasPrefix(got.([]byte), []byte("page")) {
+			err = errors.New("wrong page image")
+		}
+		if err == nil {
+			_, err = m.VerifyPage(id)
+		}
+		if err == nil && m.Meta() != nil {
+			err = errors.New("Meta shows an uncommitted record")
+		}
+		read <- err
+	}()
+	select {
+	case err := <-read:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a read of an uncached page waited for the checkpoint's Sync")
+	}
+	close(gb.release)
+	if err := <-committed; err != nil {
+		t.Fatal(err)
+	}
+	if got := string(m.Meta()); got != "meta" {
+		t.Errorf("Meta after the commit = %q, want \"meta\"", got)
+	}
+	if err := m.Close(); err != nil {
+		t.Fatal(err)
 	}
 }

@@ -210,9 +210,9 @@ func TestTruncatedFileReadsFail(t *testing.T) {
 
 // TestMappedReadsBesideAWriter reads through an uncached Manager on two
 // goroutines while a third allocates and writes pages, growing the file
-// across remaps; run it under -race. Every page read must be the one
-// written, and the file must have been read through its mapping where the
-// host maps.
+// across remaps, and commits every 64 pages (the commit's Syncs run beside
+// the reads); run it under -race. Every page read must be the one written,
+// and the file must have been read through its mapping where the host maps.
 func TestMappedReadsBesideAWriter(t *testing.T) {
 	const pageSize = 512
 	const pages = 600
@@ -241,6 +241,9 @@ func TestMappedReadsBesideAWriter(t *testing.T) {
 			if err == nil {
 				err = m.Write(id, image(id))
 			}
+			if err == nil && i%64 == 63 {
+				err = m.CommitMeta(nil)
+			}
 			if err != nil {
 				errs <- err
 				return
@@ -255,8 +258,12 @@ func TestMappedReadsBesideAWriter(t *testing.T) {
 			rng := rand.New(rand.NewSource(seed))
 			for i := 0; i < 4*pages; i++ {
 				n := written.Load()
-				if n == 0 {
+				if n == 0 { // no page yet: wait (unless the writer failed), spending no read
+					if len(errs) > 0 {
+						return
+					}
 					runtime.Gosched()
+					i--
 					continue
 				}
 				id := PageID(rng.Int63n(n))

@@ -27,11 +27,11 @@
 // deferred frees) lives under its own small mutex, so cold accessors like
 // NumPages and Allocate never contend with the read path. Backend I/O is
 // serialized by a separate I/O mutex (the Backend contract), which also
-// keeps the modeled disk-arm position consistent. Per-query attribution of
-// page accesses — the foundation of the query-engine statistics in
-// internal/query — goes through Counter: each query carries its own Counter
-// down the read path via ReadCounted, and the global Stats remain the
-// whole-manager aggregate.
+// keeps the modeled disk-arm position consistent; a checkpoint's Syncs run
+// outside it. Per-query attribution of page accesses — the foundation of the
+// query-engine statistics in internal/query — goes through Counter: each
+// query carries its own Counter down the read path via ReadCounted, and the
+// global Stats remain the whole-manager aggregate.
 //
 // A FileBackend miss on 64-bit Linux is a memcpy, not a syscall: the file is
 // mapped read-only and shared (MADV_RANDOM), the slot's page bytes are
@@ -176,7 +176,9 @@ type Backend interface {
 	WritePage(id PageID, image []byte) error
 	// NumPages returns the number of pages ever allocated.
 	NumPages() int
-	// Sync flushes previously written pages and meta to stable storage.
+	// Sync flushes previously written pages and meta to stable storage. It
+	// may run beside ReadPage, WritePage and NumPages; no two Syncs overlap,
+	// and none overlaps WriteMeta or Close.
 	Sync() error
 	// ReadMeta returns the last committed meta payload and its sequence
 	// number; (nil, 0, nil) when nothing has been committed yet.
@@ -196,8 +198,9 @@ type Backend interface {
 // reclamation state (publish epoch, reader pins, freed-page limbo — see
 // epoch.go), ioMu serializes backend access (the Backend contract) together
 // with the disk-arm model and meta state, and each cache shard has its own
-// lock. When locks nest the order is ioMu before epochMu before allocMu
-// before a shard lock; shard locks never nest with each other.
+// lock; commitMu serializes CommitMeta, Sync and Close. When locks nest the
+// order is commitMu before ioMu before epochMu before allocMu before a shard
+// lock; shard locks never nest with each other.
 type Manager struct {
 	backend   Backend
 	pageSize  int
@@ -236,8 +239,11 @@ type Manager struct {
 	// limbo holds epoch-stamped frees awaiting reclamation.
 	limbo []limboPage
 
-	// ioMu serializes backend access, the modeled disk-arm position and the
-	// committed meta state.
+	// commitMu serializes CommitMeta, Sync and Close. Backend Syncs run
+	// under it alone, so readers' misses go on beside a checkpoint.
+	commitMu sync.Mutex
+	// ioMu serializes every other backend call, the modeled disk-arm
+	// position and the committed meta state.
 	ioMu     sync.Mutex
 	lastRead PageID
 	haveLast bool
@@ -690,8 +696,8 @@ func (m *Manager) CachedPages() int {
 // overflowing tail is dropped from the persisted copy (those pages leak on
 // the next reopen); correctness is never traded for space.
 func (m *Manager) CommitMeta(user []byte) error {
-	m.ioMu.Lock()
-	defer m.ioMu.Unlock()
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	// Snapshot the pages free as of this commit: the live freelist plus
 	// every freed page still parked in the epoch limbo. The committed
 	// state references none of them, so all must appear in the persisted
@@ -731,14 +737,19 @@ func (m *Manager) CommitMeta(user []byte) error {
 	if err := m.backend.Sync(); err != nil {
 		return err
 	}
-	if err := m.backend.WriteMeta(payload, m.metaSeq.Load()+1); err != nil {
+	m.ioMu.Lock()
+	err := m.backend.WriteMeta(payload, m.metaSeq.Load()+1)
+	m.ioMu.Unlock()
+	if err != nil {
 		return err
 	}
 	if err := m.backend.Sync(); err != nil {
 		return err
 	}
+	m.ioMu.Lock()
 	m.metaSeq.Add(1)
 	m.userMeta = append(make([]byte, 0, len(user)), user...)
+	m.ioMu.Unlock()
 	m.allocMu.Lock()
 	// Every page is now potentially referenced by the committed state;
 	// clearing is conservative for pages allocated during the commit I/O
@@ -774,8 +785,8 @@ func (m *Manager) MetaSeq() uint64 {
 
 // Sync flushes all written pages to stable storage.
 func (m *Manager) Sync() error {
-	m.ioMu.Lock()
-	defer m.ioMu.Unlock()
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	if m.closed.Load() {
 		return ErrClosed
 	}
@@ -786,6 +797,8 @@ func (m *Manager) Sync() error {
 // written through the Manager are never lost to a missing final sync.
 // Subsequent operations fail with ErrClosed.
 func (m *Manager) Close() error {
+	m.commitMu.Lock()
+	defer m.commitMu.Unlock()
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
 	if m.closed.Swap(true) {

@@ -8,16 +8,18 @@
 // densities, the joint density p(q|v) of Lemma 1 and the Bayesian posterior
 // P(v|q) used by both identification query types, plus binary and CSV codecs.
 //
-// The batch kernels — ScoreColumns, the Gauss-tree's hull/floor bound step
-// (BoundsStep) and the logarithm of their σ products (LogEach) — have a Go
-// body, the reference, and on amd64 an AVX2 body (kernels_amd64.s, four
-// entries per instruction), chosen once at init from CPUID: AVX2 and YMM
-// state enabled by the OS (XGETBV); nothing else chooses. Other hosts, CPUs
-// without AVX2 and the convolution combiner (math.Hypot) run the Go body.
-// Each lane repeats its entry's Go operations in order with no FMA, so both
-// give the same bits. A block whose floor needs Lemma 3's two-logarithm
-// corner test hands those lanes back to Go, which finishes them before the
-// next dimension. LogEach's lanes are $GOROOT/src/math/log_amd64.s.
+// Boxes.LogBounds bounds every filter's parameter boxes (Lemmas 2 and 3).
+//
+// The batch kernels — ScoreColumns, the hull/floor bound step (BoundsStep)
+// and the logarithm of their σ products (LogEach) — have a Go body, the
+// reference, and on amd64 an AVX2 body (kernels_amd64.s, four entries per
+// instruction), chosen once at init from CPUID: AVX2 and YMM state enabled
+// by the OS (XGETBV); nothing else chooses. Other hosts, CPUs without AVX2
+// and the convolution combiner (math.Hypot) run the Go body. Each lane
+// repeats its entry's Go operations in order with no FMA, so both give the
+// same bits. A block whose floor needs Lemma 3's two-logarithm corner test
+// hands those lanes back to Go, which finishes them before the next
+// dimension. LogEach's lanes are $GOROOT/src/math/log_amd64.s.
 package pfv
 
 import (

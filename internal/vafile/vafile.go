@@ -6,9 +6,11 @@
 //
 // Every stored pfv is approximated by the grid cell of its 2d parameters
 // (equi-depth quantization, one byte per parameter). A cell is a small
-// parameter-space rectangle, so the Gauss-tree's hull and floor machinery
-// (Lemmas 2 and 3) bounds the joint density of the exact object from the
-// approximation alone. Queries scan the compact approximation file
+// parameter-space rectangle, so the Gauss-tree's hull and floor bounds
+// (Lemmas 2 and 3) bound the joint density of the exact object from the
+// approximation alone: each approximation page's cells form one block of
+// boxes for pfv's batch kernel (Boxes.LogBounds), the kernel that bounds the
+// tree's child boxes. Queries scan the compact approximation file
 // sequentially (a fraction of the data size), prune with the cell bounds,
 // and fetch only surviving candidates from the full data file — the
 // VA-SSA-style two-phase algorithm adapted to identification queries.
@@ -50,13 +52,6 @@ type File struct {
 }
 
 var _ query.Engine = (*File)(nil)
-
-// approx is the decoded approximation of one vector.
-type approx struct {
-	pageOrdinal uint32
-	slot        uint16
-	cell        []byte // 2d cell indices: μ₀σ₀ μ₁σ₁ ..., read from the cached page
-}
 
 // entrySize is the encoded approximation size for one vector.
 func entrySize(dim int) int { return 6 + 2*dim }
@@ -182,26 +177,15 @@ func (f *File) Name() string { return "va-file" }
 // Len returns the number of approximated vectors.
 func (f *File) Len() int { return f.count }
 
-// cellBounds returns the log hull/floor bounds of the joint density for an
-// approximation cell against the query.
-func (f *File) cellBounds(a approx, q pfv.Vector) (logFloor, logHull float64) {
-	for j := 0; j < f.dim; j++ {
-		muCell := int(a.cell[2*j])
-		sigCell := int(a.cell[2*j+1])
-		mu := gaussian.Interval{Lo: f.muGrid[j][muCell], Hi: f.muGrid[j][muCell+1]}
-		sig := gaussian.Interval{Lo: f.sigmaGrid[j][sigCell], Hi: f.sigmaGrid[j][sigCell+1]}
-		shifted := f.combiner.CombineInterval(sig, q.Sigma[j])
-		logHull += gaussian.LogHull(mu, shifted, q.Mean[j])
-		logFloor += gaussian.LogFloor(mu, shifted, q.Mean[j])
-	}
-	return logFloor, logHull
-}
-
-// forEachApprox scans the approximation file, checking the context once per
+// filter scans the approximation file, checking the context once per
 // approximation page, charging accesses to the per-query counter and
-// counting scanned pages into stats.NodesVisited.
-func (f *File) forEachApprox(ctx context.Context, c *pagefile.Counter, stats *query.Stats, fn func(a approx) error) error {
-	esz := entrySize(f.dim)
+// counting scanned pages into stats.NodesVisited. Each page's cells are
+// parameter boxes (cell c of dimension j is [grid[j][c], grid[j][c+1]] in μ
+// and in σ), bounded in one call of the batch kernel; fn receives every
+// object with its cell's log floor and hull.
+func (f *File) filter(ctx context.Context, q pfv.Vector, c *pagefile.Counter, stats *query.Stats, fn func(cand)) error {
+	esz, per := entrySize(f.dim), f.perPage
+	buf := make([]float64, 4*(f.dim+1)*per) // the page's boxes, then hull, floor and the kernel's scratch
 	for _, id := range f.pages {
 		if err := ctx.Err(); err != nil {
 			return err
@@ -212,17 +196,19 @@ func (f *File) forEachApprox(ctx context.Context, c *pagefile.Counter, stats *qu
 		}
 		stats.NodesVisited++
 		n := int(binary.LittleEndian.Uint16(page))
-		off := approxHeaderSize
-		for i := 0; i < n; i++ {
-			a := approx{
-				pageOrdinal: binary.LittleEndian.Uint32(page[off:]),
-				slot:        binary.LittleEndian.Uint16(page[off+4:]),
-				cell:        page[off+6 : off+6+2*f.dim],
+		boxes := pfv.Boxes{N: n, Data: buf}
+		for j := 0; j < f.dim; j++ {
+			muLo, muHi, sgLo, sgHi := boxes.Dim(j)
+			mg, sg := f.muGrid[j], f.sigmaGrid[j]
+			for e, off := 0, approxHeaderSize+6+2*j; e < n; e, off = e+1, off+esz {
+				mc, sc := int(page[off]), int(page[off+1])
+				muLo[e], muHi[e], sgLo[e], sgHi[e] = mg[mc], mg[mc+1], sg[sc], sg[sc+1]
 			}
-			if err := fn(a); err != nil {
-				return err
-			}
-			off += esz
+		}
+		hull, floor := buf[4*f.dim*per:][:n], buf[(4*f.dim+1)*per:][:n]
+		boxes.LogBounds(f.combiner, q, math.Inf(1), hull, floor, buf[(4*f.dim+2)*per:])
+		for e, off := 0, approxHeaderSize; e < n; e, off = e+1, off+esz {
+			fn(cand{binary.LittleEndian.Uint32(page[off:]), binary.LittleEndian.Uint16(page[off+4:]), floor[e], hull[e]})
 		}
 	}
 	return nil
@@ -279,11 +265,9 @@ func (f *File) kmliq(ctx context.Context, q pfv.Vector, k int, withProbs bool) (
 	// Phase 1: filter.
 	floorTop := pqueue.NewTopK[struct{}](k)
 	all := make([]cand, 0, f.count)
-	if err := f.forEachApprox(ctx, &counter, &stats, func(a approx) error {
-		lf, lh := f.cellBounds(a, q)
-		floorTop.Offer(struct{}{}, lf)
-		all = append(all, cand{a.pageOrdinal, a.slot, lf, lh})
-		return nil
+	if err := f.filter(ctx, q, &counter, &stats, func(c cand) {
+		floorTop.Offer(struct{}{}, c.logFloor)
+		all = append(all, c)
 	}); err != nil {
 		return nil, finish(0), err
 	}
@@ -386,11 +370,9 @@ func (f *File) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, _ float64)
 	}
 	var all []cand
 	var floorSum gaussian.LogSum
-	if err := f.forEachApprox(ctx, &counter, &stats, func(a approx) error {
-		lf, lh := f.cellBounds(a, q)
-		floorSum.Add(lf)
-		all = append(all, cand{a.pageOrdinal, a.slot, lf, lh})
-		return nil
+	if err := f.filter(ctx, q, &counter, &stats, func(c cand) {
+		floorSum.Add(c.logFloor)
+		all = append(all, c)
 	}); err != nil {
 		return nil, finish(0), err
 	}

@@ -34,21 +34,7 @@ func buildWorld(t *testing.T, n, dim int, seed int64) (*File, *scan.File, []pfv.
 		}
 		vs[i] = pfv.MustNew(uint64(i+1), mean, sigma)
 	}
-	mgr, err := pagefile.NewManager(pagefile.NewMemBackend(2048), 2048)
-	if err != nil {
-		t.Fatal(err)
-	}
-	data, err := scan.Create(mgr, dim, gaussian.CombineAdditive)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if err := data.AppendAll(vs); err != nil {
-		t.Fatal(err)
-	}
-	va, err := Build(mgr, data, gaussian.CombineAdditive)
-	if err != nil {
-		t.Fatal(err)
-	}
+	va, data, mgr := buildOver(t, vs, gaussian.CombineAdditive, 2048)
 	return va, data, vs, mgr
 }
 

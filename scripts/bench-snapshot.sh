@@ -11,7 +11,8 @@
 # and KMLIQHotQuantized, TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ,
 # ReadNodeHot, FirstTouch, DecodeLeaf, ExpandInner, AblationIntegral, BulkLoad,
 # ColumnKernels (both kernel bodies, ns/entry), WireCodec (encode plus decode
-# of the served path's messages) — ShardedKMLIQ/shards-1 beside
+# of the served path's messages), VAFilePhase1 (the VA-file's cell bounds,
+# ns/approx at d = 10 and 27) — ShardedKMLIQ/shards-1 beside
 # KMLIQHot/refined is what the coordinator costs a one-shard query),
 # count = 1, benchtime = the go test default (pass e.g. "5000x" — a multiple of the 50-query cycle — to make
 # pages/query comparable across snapshots). The JSON shape is
@@ -23,7 +24,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:--}"
-REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|ColumnKernels|WireCodec}"
+REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|ColumnKernels|WireCodec|VAFilePhase1}"
 COUNT="${3:-1}"
 BENCHTIME="${4:-}"
 

@@ -34,7 +34,7 @@ flags() {
 }
 
 lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -print0 | xargs -0 cat | wc -l)
-census "non-test Go lines outside benchmark/" "$lines" 21476
+census "non-test Go lines outside benchmark/" "$lines" 21490
 echo "  of them internal/core + internal/shard: $(find internal/core internal/shard -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 census "assembly lines (internal/pfv only)" "$(find . -name '*.s' -print0 | xargs -0 -r cat | wc -l)" 272
 census "Options fields" "$(fields gausstree.go Options)" 9
@@ -60,4 +60,7 @@ census "core t.snap.Load() call sites" "$(core 't\.snap\.Load\(\)')" 2
 census "core newTraversal( call sites" "$(core 't\.newTraversal\(')" 1
 # Pages of every engine hold pfv's columnar body; the row codec is the WAL's.
 census "pfv.DecodeBinary call sites outside internal/pfv" "$(find . -name '*.go' -not -name '*_test.go' -not -path './internal/pfv/*' -print0 | xargs -0 cat | grep -c 'pfv\.DecodeBinary(' || true)" 1
+# One bound kernel for every filter (pfv.Boxes.LogBounds): the scalar pair is
+# the tests' reference only.
+census "production calls of gaussian.LogHull/LogFloor outside internal/gaussian" "$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -not -path './internal/gaussian/*' -print0 | xargs -0 cat | grep -cE 'gaussian\.Log(Hull|Floor)\(' || true)" 0
 exit $fail
