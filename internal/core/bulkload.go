@@ -1,7 +1,6 @@
 package core
 
 import (
-	"cmp"
 	"fmt"
 	"runtime"
 	"slices"
@@ -16,7 +15,15 @@ import (
 // pieces fit into single leaves of capLeaf·(bulkLeafSlack−1)/bulkLeafSlack
 // vectors (~96%: the first inserts need no split); upper levels are packed
 // full by grouping consecutive partitions, preserving the recursive locality,
-// at a fraction of Insert's build time. The tree must be empty. Only the
+// at a fraction of Insert's build time. The tree must be empty.
+//
+// A part of more than 2·sampleDiv−1 vectors chooses its axis on a sample and
+// is radix-sorted along it. A smaller part is its own sample: it is sorted
+// once along every axis, and from then on each of its parts holds its entries'
+// order along each of the 2·d axes — their ids in (key, id) order, equal keys
+// in id order as the sort-based reference has them — so a median cut is a
+// position in an order, a half's extent is the end of one, and the halves
+// inherit the orders instead of being sorted again (medianCut). Only the
 // partition is parallel (medianCut.runs), a pure function of the set: pages
 // are allocated and written after it, run by run on the calling goroutine, so
 // their ids and bytes do not depend on how many processors cut.
@@ -71,40 +78,48 @@ const (
 	spawnFloor = 4096
 )
 
-// cut is the bulk loader's partition step: it sorts part in place along the
-// axis the evaluator picks on the sample and returns the proportional cut for
-// k pieces: part[:at] takes k1 = k/2 of them, part[at:] the other k−k1. Cutting
-// by target piece count (instead of plain medians) keeps every leaf at
-// ~n/k ≈ the bulk fill rather than the ~62% a pure halving recursion converges
-// to. The full sort orders a part's vectors: the next sample, every leaf page.
+// cutAt is the proportional cut of n vectors into k pieces: the first at of
+// them take k1 = k/2 pieces, the rest the other k−k1. Cutting by target piece
+// count (instead of plain medians) keeps every leaf at ~n/k ≈ the bulk fill
+// rather than the ~62% a pure halving recursion converges to. The product is
+// taken in 64 bits: n·(k/2) passes 2³¹ at n ≈ 445 000 vectors of d = 10.
+func cutAt(n, k int) (at, k1 int) { return int(int64(n) * int64(k/2) / int64(k)), k / 2 }
+
+// cut is the bulk loader's partition step for a part whose orders nobody
+// holds: it sorts part in place along the axis the evaluator picks on the
+// sample and returns cutAt's cut. The sort — the radix sort the per-axis orders
+// use, over the whole part — orders the part's vectors: the next sample, and
+// every leaf page of a part that is cut no further.
 func (e *medianCut) cut(part []pfv.Vector, k int) (at, k1 int) {
 	if len(part) > 1 {
 		e.gatherVectors(part, max(1, len(part)/sampleDiv))
-		axis, keys, order := e.best(), e.sel[:len(part)], e.order[:len(part)]
+		axis, bits := e.best(), e.bits[0][:len(part)]
 		for i, v := range part {
-			keys[i] = v.Mean[axis/2]
 			if axis%2 == 1 {
-				keys[i] = v.Sigma[axis/2]
+				bits[i] = sortBits(v.Sigma[axis/2])
+			} else {
+				bits[i] = sortBits(v.Mean[axis/2])
 			}
 		}
-		keyOrder(keys, order)
-		e.sorted = slices.Grow(e.sorted[:0], len(part))[:len(part)]
-		for i, j := range order {
-			e.sorted[i] = part[j]
-		}
-		copy(part, e.sorted)
+		e.reorder(part, e.radixOrder(len(part)))
 	}
-	return len(part) * (k / 2) / k, k / 2
+	return cutAt(len(part), k)
 }
 
 // runs is the partition recursion: it cuts part, in place, into k consecutive
-// runs (one where k ≤ 1 or the part fits) and returns them in order. A cut's
+// runs (one where k ≤ 1 or the part fits) and returns them in order. A part
+// that is its own sample is gathered and sorted along every axis once, and
+// everything below it is cut from those orders (divide, ownRuns). A cut's
 // halves are disjoint subslices, and a half's runs depend on nothing but its
 // vectors and its k: while spare has room — a slot per processor beyond the
 // caller's — a large part's left half is cut on a goroutine and scratch of its own.
 func (e *medianCut) runs(part []pfv.Vector, k, fit int, spare chan struct{}) [][]pfv.Vector {
 	if k <= 1 || len(part) <= fit {
 		return [][]pfv.Vector{part}
+	}
+	if len(part) < 2*sampleDiv {
+		e.gatherVectors(part, 1)
+		return e.ownRuns(part, 0, k, fit)
 	}
 	at, k1 := e.cut(part, k)
 	if len(part) < spawnFloor {
@@ -122,6 +137,15 @@ func (e *medianCut) runs(part []pfv.Vector, k, fit int, spare chan struct{}) [][
 	}
 	upper := e.runs(part[at:], k-k1, fit, spare)
 	return append(<-lower, upper...)
+}
+
+// ownRuns is runs for a part whose orders the evaluator holds at base.
+func (e *medianCut) ownRuns(part []pfv.Vector, base, k, fit int) [][]pfv.Vector {
+	if k <= 1 || len(part) <= fit {
+		return [][]pfv.Vector{part}
+	}
+	at, k1 := e.divide(part, base, k, fit)
+	return append(e.ownRuns(part[:at], base, k1, fit), e.ownRuns(part[at:], base+at, k-k1, fit)...)
 }
 
 func (t *Tree) bulkLoad(work []pfv.Vector) error {
@@ -168,21 +192,6 @@ func (t *Tree) bulkLoad(work []pfv.Vector) error {
 	}
 	t.publish()
 	return nil
-}
-
-// keyOrder fills order with the stable ascending order of keys: the index of
-// the i-th smallest key at position i, equal keys in index order. The index
-// tie-break makes the order unique, so an unstable sort finds it.
-func keyOrder(keys []float64, order []int) {
-	for i := range order {
-		order[i] = i
-	}
-	slices.SortFunc(order, func(a, b int) int {
-		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
-			return c
-		}
-		return a - b
-	})
 }
 
 // chunkEntries groups a level's entries into inner-node-sized chunks,

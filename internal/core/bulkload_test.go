@@ -154,19 +154,23 @@ func TestBulkLoadedTreeSupportsMutation(t *testing.T) {
 	}
 }
 
-// pagesHash is the SHA-256 over every page of the tree's store, in id order,
-// with the page count: what a golden of the parent commit pins.
-func pagesHash(tb testing.TB, tr *Tree) string {
+// pagesHash is the SHA-256 over every page of the trees' stores, tree after
+// tree and each in id order, with the page count: what a golden of the parent
+// commit pins.
+func pagesHash(tb testing.TB, trs ...*Tree) string {
 	tb.Helper()
-	h := sha256.New()
-	for id := 0; id < tr.mgr.NumPages(); id++ {
-		page, err := tr.mgr.Read(pagefile.PageID(id))
-		if err != nil {
-			tb.Fatal(err)
+	h, pages := sha256.New(), 0
+	for _, tr := range trs {
+		for id := 0; id < tr.mgr.NumPages(); id++ {
+			page, err := tr.mgr.Read(pagefile.PageID(id))
+			if err != nil {
+				tb.Fatal(err)
+			}
+			h.Write(page)
 		}
-		h.Write(page)
+		pages += tr.mgr.NumPages()
 	}
-	return fmt.Sprintf("%d pages %x", tr.mgr.NumPages(), h.Sum(nil))
+	return fmt.Sprintf("%d pages %x", pages, h.Sum(nil))
 }
 
 // Goldens of the loader and split: DS1 (d = 27, 17 of 18 vectors a leaf)
@@ -182,6 +186,16 @@ const (
 	insertBuiltGolden       = "167 pages 6526253547cac3b69eec239149d725eec1c090560b5dd8a37cae46a908c76c96"
 )
 
+// Goldens recorded at commit eebd74b, before the evaluator kept per-axis
+// orders: DS1 under the default objective (its histograms' many equal zeros
+// are the tie-heavy case) and DS2 at N = 20 000 cut into four groups by Cuts,
+// each group bulk-loaded into a tree of its own (the sharded path; the four
+// stores hashed in group order).
+const (
+	bulkLoadDS1Golden     = "729 pages ff3af8971f042675ebe09fd5212a5db1913b41ba54ea69a81e380633af364043"
+	bulkLoadDS2CutsGolden = "464 pages 0ed6da51b72fcb23ec4783cf3dfbf2085ed57a2f2eed034b51b98c95719e959f"
+)
+
 // TestBulkLoadSameAcrossProcs: the partition runs on as many goroutines as
 // there are processors, and the pages are the recorded ones however many that is.
 func TestBulkLoadSameAcrossProcs(t *testing.T) {
@@ -189,19 +203,41 @@ func TestBulkLoadSameAcrossProcs(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	p := dataset.DefaultSyntheticParams()
+	p.N = 20000
+	ds2, err := dataset.Synthetic(p)
+	if err != nil {
+		t.Fatal(err)
+	}
 	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(0))
 	for _, procs := range []int{1, 2, 8} {
 		runtime.GOMAXPROCS(procs)
-		ds2, _ := ds2Tree(t, 20000, 1, 1)
-		if got := pagesHash(t, ds2); got != "456 pages "+bulkLoadGoldenHash {
+		tr, _ := ds2Tree(t, 20000, 1, 1)
+		if got := pagesHash(t, tr); got != "456 pages "+bulkLoadGoldenHash {
 			t.Errorf("GOMAXPROCS %d: DS2 bulk load built %s", procs, got)
 		}
-		tr := newTree(t, ds1.Dim, pagefile.DefaultPageSize, Config{Split: SplitVolume})
-		if err := tr.BulkLoad(ds1.Vectors); err != nil {
-			t.Fatal(err)
+		for _, tc := range []struct {
+			split  SplitObjective
+			golden string
+		}{{SplitVolume, bulkLoadDS1VolumeGolden}, {SplitHullIntegral, bulkLoadDS1Golden}} {
+			tr := newTree(t, ds1.Dim, pagefile.DefaultPageSize, Config{Split: tc.split})
+			if err := tr.BulkLoad(ds1.Vectors); err != nil {
+				t.Fatal(err)
+			}
+			if got := pagesHash(t, tr); got != tc.golden {
+				t.Errorf("GOMAXPROCS %d: DS1 bulk load (split %d) built %s, recorded %s", procs, tc.split, got, tc.golden)
+			}
 		}
-		if got := pagesHash(t, tr); got != bulkLoadDS1VolumeGolden {
-			t.Errorf("GOMAXPROCS %d: DS1 bulk load built %s, recorded %s", procs, got, bulkLoadDS1VolumeGolden)
+		groups := newTree(t, ds2.Dim, pagefile.DefaultPageSize, Config{}).Cuts(ds2.Vectors, 4)
+		shards := make([]*Tree, len(groups))
+		for i, g := range groups {
+			shards[i] = newTree(t, ds2.Dim, pagefile.DefaultPageSize, Config{})
+			if err := shards[i].BulkLoadOwned(g); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if got := pagesHash(t, shards...); got != bulkLoadDS2CutsGolden {
+			t.Errorf("GOMAXPROCS %d: DS2 cut into four and bulk-loaded built %s, recorded %s", procs, got, bulkLoadDS2CutsGolden)
 		}
 	}
 }

@@ -277,8 +277,7 @@ func (t *Tree) splitNode(n *node) (*childEntry, error) {
 	} else {
 		eval.gatherChildren(n.children)
 	}
-	order, mid := eval.order, count/2
-	keyOrder(eval.col(4*t.dim+eval.best()), order)
+	order, mid := eval.order(eval.best()), count/2
 	right := &node{leaf: n.leaf}
 	if n.leaf {
 		n.vectors, right.vectors = pick(n.vectors, order[:mid]), pick(n.vectors, order[mid:])
@@ -304,7 +303,7 @@ func (t *Tree) splitNode(n *node) (*childEntry, error) {
 }
 
 // pick returns the entries of xs at the given positions, in that order.
-func pick[T any](xs []T, at []int) []T {
+func pick[T any](xs []T, at []int32) []T {
 	out := make([]T, len(at))
 	for i, j := range at {
 		out[i] = xs[j]

@@ -1,9 +1,10 @@
 package core
 
 import (
+	"cmp"
 	"math"
 	"math/rand"
-	"sort"
+	"slices"
 	"testing"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -45,6 +46,21 @@ func refBoxOfEntries(n *node, idxs []int) ParamBox {
 		}
 	}
 	return b
+}
+
+// keyOrder fills order with the stable ascending order of keys: the index of
+// the i-th smallest key at position i, equal keys in index order. The index
+// tie-break makes the order unique, so an unstable sort finds it.
+func keyOrder(keys []float64, order []int) {
+	for i := range order {
+		order[i] = i
+	}
+	slices.SortFunc(order, func(a, b int) int {
+		if c := cmp.Compare(keys[a], keys[b]); c != 0 {
+			return c
+		}
+		return a - b
+	})
 }
 
 // refCut sorts the entries along an axis, halves them at the median and costs
@@ -196,18 +212,92 @@ func FuzzMedianCut(f *testing.F) {
 	})
 }
 
-func TestSelectRank(t *testing.T) {
-	rng := rand.New(rand.NewSource(26))
-	for trial := 0; trial < 2000; trial++ {
-		s := make([]float64, 1+rng.Intn(200))
-		for i := range s {
-			s[i] = float64(rng.Intn(1 + trial%50))
+// TestRadixOrderIsKeyOrder: the radix sort returns exactly keyOrder's
+// permutation — both zeros tie and keep index order, NaNs tie below −Inf — on
+// short sets (insertion sort), long ones, runs of equal keys and keys over many
+// binades.
+func TestRadixOrderIsKeyOrder(t *testing.T) {
+	rng := rand.New(rand.NewSource(27))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -5e-324, math.MaxFloat64, -math.MaxFloat64}
+	for trial := 0; trial < 300; trial++ {
+		n := []int{0, 1, 2, 5, insertionMax, insertionMax + 1, 100, 1023, 5000, 70000}[trial%10]
+		keys := make([]float64, n)
+		for i := range keys {
+			switch trial / 10 % 5 {
+			case 0:
+				keys[i] = rng.NormFloat64()
+			case 1: // few levels: long runs of equal keys
+				keys[i] = float64(rng.Intn(3)) - 1
+			case 2:
+				keys[i] = specials[rng.Intn(len(specials))]
+			case 3: // σ over 24 decades
+				keys[i] = math.Pow(10, -12+24*rng.Float64())
+			default: // keys that share their upper 32 bits
+				keys[i] = math.Float64frombits(math.Float64bits(1.5) + uint64(rng.Intn(4096)))
+			}
 		}
-		sorted := append([]float64(nil), s...)
-		sort.Float64s(sorted)
-		k := rng.Intn(len(s))
-		if got := selectRank(s, k); got != sorted[k] {
-			t.Fatalf("rank %d of %d: %v, sorted has %v", k, len(s), got, sorted[k])
+		want := make([]int, n)
+		keyOrder(keys, want)
+		e := newMedianCut(1, SplitHullIntegral, 1, n)
+		for i, x := range keys {
+			e.bits[0][i] = sortBits(x)
+		}
+		got, sorted := e.radixOrder(n), e.bits[0]
+		for i := range want {
+			if int(got[i]) != want[i] || sorted[i] != sortBits(keys[want[i]]) {
+				t.Fatalf("trial %d (n %d): position %d holds %d, keyOrder %d", trial, n, i, got[i], want[i])
+			}
+		}
+	}
+}
+
+// TestDivideHandsDownFreshOrders: after a cut from held orders, every half
+// that is cut again holds, at its own place, exactly the keys and orders a
+// fresh gather of its vectors would — runs of equal keys and zeros of either
+// sign included.
+func TestDivideHandsDownFreshOrders(t *testing.T) {
+	rng := rand.New(rand.NewSource(28))
+	for trial := 0; trial < 200; trial++ {
+		m, dim, levels := 2+rng.Intn(2*sampleDiv-2), 1+rng.Intn(6), rng.Intn(4)
+		part := cutNode(rng, m, dim, levels, levels == 0 && trial%2 == 1, false).vectors
+		e := newMedianCut(dim, SplitObjective(trial%3), m, m)
+		e.gatherVectors(part, 1)
+		k, fit := 2+rng.Intn(7), rng.Intn(3)-1
+		at, k1 := e.divide(part, 0, k, fit)
+		for _, half := range []struct{ base, n, k int }{{0, at, k1}, {at, m - at, k - k1}} {
+			if half.k <= 1 || half.n <= fit || half.n < 2 {
+				continue
+			}
+			fresh := newMedianCut(dim, e.split, half.n, half.n)
+			fresh.gatherVectors(part[half.base:][:half.n], 1)
+			e.base, e.m = half.base, half.n
+			for axis := 0; axis < 2*dim; axis++ {
+				if !slices.Equal(e.order(axis), fresh.order(axis)) || !slices.EqualFunc(e.axisKeys(axis), fresh.axisKeys(axis), func(a, b float64) bool {
+					return math.Float64bits(a) == math.Float64bits(b)
+				}) {
+					t.Fatalf("trial %d (m %d, k %d, levels %d): half at %d of %d, axis %d: inherited %v %v, fresh %v %v", trial, m, k, levels,
+						half.base, half.n, axis, e.order(axis), e.axisKeys(axis), fresh.order(axis), fresh.axisKeys(axis))
+				}
+			}
+		}
+	}
+}
+
+// TestCutPositionIn64Bits: the proportional cut position n·(k/2)/k is taken in
+// 64 bits, so it holds where the product passes 2³¹ — on a 32-bit host (run it
+// with GOARCH=386) a top cut of 500 000 vectors at d = 10 into 10 870 leaves,
+// here reached with a large k on a part that fits its sample and on one that
+// is sampled.
+func TestCutPositionIn64Bits(t *testing.T) {
+	for _, tc := range []struct{ n, k int }{{1000, 1 << 23}, {4096, 1 << 21}} {
+		v := pfv.Vector{Mean: []float64{1}, Sigma: []float64{1}}
+		part := make([]pfv.Vector, tc.n)
+		for i := range part {
+			part[i] = v
+		}
+		at, k1 := newMedianCut(1, SplitHullIntegral, min(tc.n, 2*sampleDiv-1), tc.n).cut(part, tc.k)
+		if at != tc.n/2 || k1 != tc.k/2 {
+			t.Errorf("%d vectors into %d pieces: cut at %d for %d pieces, want %d for %d", tc.n, tc.k, at, k1, tc.n/2, tc.k/2)
 		}
 	}
 }

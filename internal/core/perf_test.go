@@ -132,33 +132,92 @@ func BenchmarkDecodeLeaf(b *testing.B) {
 	}
 }
 
-// BenchmarkBulkLoad is the loader alone, DS2 at N = 20 000 into memory:
-// procs-1 pins the single-goroutine kernel (the median-cut evaluator and the
-// one full sort per cut), procs-default adds the halves cut in parallel.
+// BenchmarkBulkLoad is the loader alone, DS2 into memory at N = 20 000 and at
+// the benchmark of record's N = 100 000, where the large parts' full sorts
+// weigh what they do there: procs-1 pins the single-goroutine kernel (the
+// median-cut evaluator, the per-axis orders and the large parts' sorts),
+// procs-default adds the halves cut in parallel.
 func BenchmarkBulkLoad(b *testing.B) {
+	for _, n := range []int{20000, 100000} {
+		p := dataset.DefaultSyntheticParams()
+		p.N = n
+		ds, err := dataset.Synthetic(p)
+		if err != nil {
+			b.Fatal(err)
+		}
+		for _, procs := range []int{1, 0} {
+			name := fmt.Sprintf("n-%d/procs-default", n)
+			if procs > 0 {
+				name = fmt.Sprintf("n-%d/procs-%d", n, procs)
+			}
+			b.Run(name, func(b *testing.B) {
+				if procs > 0 {
+					defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+				}
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if err := newTree(b, ds.Dim, pagefile.DefaultPageSize, Config{}).BulkLoad(ds.Vectors); err != nil {
+						b.Fatal(err)
+					}
+				}
+				b.ReportMetric(float64(b.N*len(ds.Vectors))/b.Elapsed().Seconds(), "vectors/s")
+			})
+		}
+	}
+}
+
+// BenchmarkMedianCut times the §5.3 evaluator on m DS2 entries (d = 10, 20
+// axes) — leaf vectors, and inner entries whose boxes each cover four
+// consecutive vectors. evaluate is one gather, its per-axis sorts and the
+// median cut of every axis, in ns per (entry, axis); position is one more cut
+// position costed on an axis whose order is held (what scoring a further rank
+// would add), in ns per axis.
+func BenchmarkMedianCut(b *testing.B) {
 	p := dataset.DefaultSyntheticParams()
-	p.N = 20000
+	p.N = 4 * 1023
 	ds, err := dataset.Synthetic(p)
 	if err != nil {
 		b.Fatal(err)
 	}
-	for _, procs := range []int{1, 0} {
-		name := "procs-default"
-		if procs > 0 {
-			name = fmt.Sprintf("procs-%d", procs)
+	children := make([]childEntry, 1023)
+	for i := range children {
+		box := BoxOf(ds.Vectors[4*i])
+		for _, v := range ds.Vectors[4*i+1 : 4*i+4] {
+			box.ExtendVector(v)
 		}
-		b.Run(name, func(b *testing.B) {
-			if procs > 0 {
-				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(procs))
+		children[i] = childEntry{count: 4, box: box}
+	}
+	axes := 2 * ds.Dim
+	for _, inner := range []bool{false, true} {
+		for _, m := range []int{49, 220, 1023} {
+			kind := "vectors"
+			if inner {
+				kind = "inner"
 			}
-			b.ReportAllocs()
-			for i := 0; i < b.N; i++ {
-				if err := newTree(b, ds.Dim, pagefile.DefaultPageSize, Config{}).BulkLoad(ds.Vectors); err != nil {
-					b.Fatal(err)
+			e := newMedianCut(ds.Dim, SplitHullIntegral, m, m)
+			gather := func() {
+				if inner {
+					e.gatherChildren(children[:m])
+				} else {
+					e.gatherVectors(ds.Vectors[:m], 1)
 				}
 			}
-			b.ReportMetric(float64(b.N*len(ds.Vectors))/b.Elapsed().Seconds(), "vectors/s")
-		})
+			b.Run(fmt.Sprintf("%s/m-%d/evaluate", kind, m), func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					gather()
+					e.best()
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*m*axes), "ns/entry-axis")
+			})
+			b.Run(fmt.Sprintf("%s/m-%d/position", kind, m), func(b *testing.B) {
+				gather()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					e.cost(i % axes)
+				}
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N), "ns/axis")
+			})
+		}
 	}
 }
 
