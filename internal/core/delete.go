@@ -82,7 +82,7 @@ func (t *Tree) delete(v pfv.Vector) (bool, error) {
 	t.root = root.id
 	for !root.leaf && len(root.children) == 1 {
 		oldID := root.id
-		next, err := t.readNode(root.children[0].page)
+		next, err := t.readNode(root.children[0].page, t.wpin)
 		if err != nil {
 			return false, err
 		}
@@ -131,14 +131,14 @@ func (t *Tree) minEntries(n *node) int {
 // findPath locates the exact vector, returning the root-to-leaf path whose
 // final leaf holds it. The descent explores only containment paths.
 func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
-	root, err := t.readNode(t.root)
+	root, err := t.readNode(t.root, t.wpin)
 	if err != nil {
 		return nil, false, err
 	}
 	var dfs func(n *node, path []pathStep) ([]pathStep, bool, error)
 	dfs = func(n *node, path []pathStep) ([]pathStep, bool, error) {
 		if n.leaf {
-			cols, err := t.exactColumns(n)
+			cols, err := t.exactColumns(n, t.wpin)
 			if err != nil || cols.Index(v) < 0 {
 				return nil, false, err
 			}
@@ -148,7 +148,7 @@ func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
 			if !containsVector(&n.boxes, i, v) {
 				continue
 			}
-			child, err := t.readNode(c.page)
+			child, err := t.readNode(c.page, t.wpin)
 			if err != nil {
 				return nil, false, err
 			}
@@ -166,11 +166,11 @@ func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
 // subtree; n may be one of the writer's own nodes.
 func (t *Tree) collectVectors(n *node) ([]pfv.Vector, error) {
 	var out []pfv.Vector
-	err := walk(n, 0, t.readNode, func(n *node, _ int) error {
+	err := walk(n, 0, t.writerRead, func(n *node, _ int) error {
 		if n.vectors != nil {
 			out = append(out, n.vectors...)
 		} else if n.leaf {
-			cols, err := t.exactColumns(n)
+			cols, err := t.exactColumns(n, t.wpin)
 			if err != nil {
 				return err
 			}
@@ -188,7 +188,7 @@ func (t *Tree) collectVectors(n *node) ([]pfv.Vector, error) {
 // condensation re-inserts) would overwrite state still being read. Cache
 // entries stay — see rewriteNode.
 func (t *Tree) freeNodeSubtree(n *node) error {
-	return walk(n, 0, t.readNode, func(n *node, _ int) error {
+	return walk(n, 0, t.writerRead, func(n *node, _ int) error {
 		if n.quant != nil {
 			if err := t.mgr.FreeDeferred(n.quant.sidecar); err != nil {
 				return err

@@ -30,12 +30,12 @@ var _ query.Engine = (*Tree)(nil)
 // counter), so a steady-state hot query performs no traversal allocations.
 type traversal struct {
 	tree *Tree
-	// snap is the immutable tree state this traversal reads; pinEpoch is
-	// the page-reclamation pin protecting its pages (released on release).
+	// snap is the immutable tree state this traversal reads; pin protects
+	// its pages and the images its nodes view (released on release).
 	// Queries therefore run entirely against the snapshot published when
 	// they started, concurrent mutations notwithstanding.
 	snap       *treeSnap
-	pinEpoch   uint64
+	pin        pagefile.Pin
 	ctx        context.Context
 	q          pfv.Vector
 	eval       pfv.JointEvaluator // per-query fast path of JointLogDensity
@@ -90,7 +90,7 @@ var traversalPool = sync.Pool{
 func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, col collector) *traversal {
 	tr := traversalPool.Get().(*traversal)
 	tr.tree = t
-	tr.snap, tr.pinEpoch = t.pinSnap()
+	tr.snap, tr.pin = t.pinSnap()
 	tr.ctx = ctx
 	tr.q = q
 	tr.eval.Reset(t.cfg.Combiner, q)
@@ -119,11 +119,11 @@ func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, 
 // traversal afterwards.
 func (tr *traversal) release() {
 	if tr.tree != nil {
-		tr.tree.mgr.UnpinEpoch(tr.pinEpoch)
+		tr.tree.mgr.UnpinEpoch(tr.pin)
 	}
 	tr.tree = nil
 	tr.snap = nil
-	tr.pinEpoch = 0
+	tr.pin = pagefile.Pin{}
 	tr.ctx = nil
 	tr.q = pfv.Vector{}
 	tr.eval.Reset(0, pfv.Vector{})
@@ -184,7 +184,7 @@ func (tr *traversal) run(done func() bool) error {
 // the child entry of a parent node would put it there, and no page is read.
 func (tr *traversal) queueRoot() error {
 	tr.started = true
-	box, err := tr.tree.rootBox(tr.snap)
+	box, err := tr.tree.rootBox(tr.snap, tr.pin)
 	if box == nil {
 		return err // or nil: nothing stored, nothing to queue
 	}
@@ -211,7 +211,7 @@ func (tr *traversal) expand(a activeNode) error {
 	if err := tr.ctx.Err(); err != nil {
 		return err
 	}
-	n, err := tr.tree.readNodeCounted(a.page, &tr.counter)
+	n, err := tr.tree.readNodeCounted(a.page, &tr.counter, tr.pin)
 	if err != nil {
 		return err
 	}
@@ -333,7 +333,7 @@ func (tr *traversal) expandQuantLeaf(n *node) error {
 			return nil
 		}
 	}
-	side, err := t.readNodeCounted(q.sidecar, &tr.counter)
+	side, err := t.readNodeCounted(q.sidecar, &tr.counter, tr.pin)
 	if err != nil {
 		return err
 	}

@@ -123,7 +123,7 @@ func (t *Tree) insert(v pfv.Vector) error {
 
 // choosePath selects the root-to-leaf insertion path.
 func (t *Tree) choosePath(v pfv.Vector) ([]pathStep, error) {
-	n, err := t.readNode(t.root)
+	n, err := t.readNode(t.root, t.wpin)
 	if err != nil {
 		return nil, err
 	}
@@ -134,7 +134,7 @@ func (t *Tree) choosePath(v pfv.Vector) ([]pathStep, error) {
 			return nil, err
 		}
 		path = append(path, pathStep{node: n, childIdx: idx})
-		if n, err = t.readNode(n.children[idx].page); err != nil {
+		if n, err = t.readNode(n.children[idx].page, t.wpin); err != nil {
 			return nil, err
 		}
 	}
@@ -239,12 +239,12 @@ func LeastEnlargement(boxes []ParamBox, counts []int, v pfv.Vector) int {
 // returns the (objective enlargement, objective) of the leaf the descent
 // would reach: enlargement 0 when the vector fits exactly.
 func (t *Tree) probeLeafCost(page pagefile.PageID, v pfv.Vector) (enl, cost float64, err error) {
-	n, err := t.readNode(page)
+	n, err := t.readNode(page, t.wpin)
 	if err != nil {
 		return 0, 0, err
 	}
 	if n.leaf {
-		cols, err := t.exactColumns(n)
+		cols, err := t.exactColumns(n, t.wpin)
 		if err != nil {
 			return 0, 0, err
 		}

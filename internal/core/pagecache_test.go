@@ -157,7 +157,7 @@ func leafPages(t testing.TB, tr *Tree) []pagefile.PageID {
 	var ids []pagefile.PageID
 	var walk func(id pagefile.PageID)
 	walk = func(id pagefile.PageID) {
-		n, err := tr.readNode(id)
+		n, err := tr.readNode(id, pagefile.Pin{})
 		if err != nil {
 			t.Fatal(err)
 		}

@@ -31,7 +31,7 @@ type ScrubReport struct {
 // it is the rate-limiting hook of the serving layer's background scrubber.
 func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, error) {
 	var rep ScrubReport
-	verify := func(id pagefile.PageID) (*node, error) {
+	verify := func(id pagefile.PageID, _ pagefile.Pin) (*node, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -46,13 +46,13 @@ func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, e
 		}
 		return n, err
 	}
-	err := t.walkSnap(verify, func(n *node, _ int) error {
+	err := t.walkSnap(verify, func(n *node, pin pagefile.Pin) error {
 		if n.quant == nil || n.quant.sidecar == pagefile.NilPage {
 			return nil
 		}
 		// A quantized leaf owns the exact sidecar page its certification
 		// falls back to; verify it like any other page.
-		_, err := verify(n.quant.sidecar)
+		_, err := verify(n.quant.sidecar, pin)
 		return err
 	})
 	return rep, err

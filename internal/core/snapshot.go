@@ -38,19 +38,20 @@ type treeSnap struct {
 }
 
 // rootBox returns the minimum bounding box of everything the snapshot stores,
-// nil if that is nothing. The caller holds an epoch pin on s. The box of one
-// snapshot never changes, so racing first callers store equal values.
-func (t *Tree) rootBox(s *treeSnap) (*pfv.Boxes, error) {
+// nil if that is nothing. The caller holds pin, taken before it loaded s; the
+// box is a copy, kept with s. The box of one snapshot never changes, so
+// racing first callers store equal values.
+func (t *Tree) rootBox(s *treeSnap, pin pagefile.Pin) (*pfv.Boxes, error) {
 	if b := s.box.Load(); b != nil || s.count == 0 {
 		return b, nil
 	}
-	n, err := t.readNode(s.root)
+	n, err := t.readNode(s.root, pin)
 	if err != nil {
 		return nil, err
 	}
 	var b pfv.Boxes
 	if n.leaf {
-		cols, err := t.exactColumns(n)
+		cols, err := t.exactColumns(n, pin)
 		if err != nil {
 			return nil, err
 		}
@@ -66,9 +67,9 @@ func (t *Tree) rootBox(s *treeSnap) (*pfv.Boxes, error) {
 // it is empty, their minimum bounding box: what a partitioned database routes
 // a mutation by (LeastEnlargement, ParamBox.ContainsVector).
 func (t *Tree) RootBox() (ParamBox, int, error) {
-	snap, epoch := t.pinSnap()
-	defer t.mgr.UnpinEpoch(epoch)
-	b, err := t.rootBox(snap)
+	snap, pin := t.pinSnap()
+	defer t.mgr.UnpinEpoch(pin)
+	b, err := t.rootBox(snap, pin)
 	if b == nil {
 		return ParamBox{}, snap.count, err
 	}
@@ -92,10 +93,16 @@ func (t *Tree) snapshot() *treeSnap {
 
 // pinSnap pins the current reclamation epoch and then loads the published
 // snapshot — in that order, which is what makes the snapshot's pages safe
-// to read. Release with t.mgr.UnpinEpoch(epoch).
-func (t *Tree) pinSnap() (*treeSnap, uint64) {
-	epoch := t.mgr.PinEpoch()
-	return t.snap.Load(), epoch
+// to read. Release with t.mgr.UnpinEpoch(pin).
+func (t *Tree) pinSnap() (*treeSnap, pagefile.Pin) {
+	pin := t.pin()
+	return t.snap.Load(), pin
+}
+
+// pin takes a pin on the page manager: core's one PinEpoch call, for the
+// readers (pinSnap) and the writer (apply).
+func (t *Tree) pin() pagefile.Pin {
+	return t.mgr.PinEpoch()
 }
 
 // SnapshotEpoch returns the current publish epoch (diagnostics/stats).
@@ -217,8 +224,14 @@ func (t *Tree) mutate(typ wal.RecordType, vectors ...pfv.Vector) (bool, error) {
 // committed nor published. Live mutations (mutate) and recovery
 // (ApplyWALTail) both come through here, so replay re-runs exactly the code
 // that produced the state it reconstructs. found is false, with the tree
-// untouched, when the vector a delete or replace names is not stored.
+// untouched, when the vector a delete or replace names is not stored. The
+// writer holds its pin (wpin) for the length of apply.
 func (t *Tree) apply(typ wal.RecordType, vectors []pfv.Vector) (found bool, err error) {
+	t.wpin = t.pin()
+	defer func() {
+		t.mgr.UnpinEpoch(t.wpin)
+		t.wpin = pagefile.Pin{}
+	}()
 	switch typ {
 	case wal.RecInsert:
 		return true, t.insert(vectors[0])

@@ -122,6 +122,12 @@ type Tree struct {
 	// page manager's decoded reads take (built once, so a read allocates no
 	// closure).
 	decode pagefile.DecodeFunc
+
+	// wpin is the writer's pin, held for the length of apply and guarded by
+	// the writer lock: the nodes a mutation reads view page images that are
+	// not recycled before it is released. Outside apply it is the zero Pin,
+	// and what the writer reads escapes (pagefile's escape rule).
+	wpin pagefile.Pin
 }
 
 // ErrDimension is returned when a vector's dimensionality does not match
@@ -204,9 +210,13 @@ func prepare(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 	// ones.)
 	capLeaf := (mgr.PageSize() - colHeaderSize) / leafEntrySize(dim)
 	capInner := (mgr.PageSize() - nodeHeaderSize) / innerEntrySize(dim)
-	if capLeaf < 2 || capInner < 2 {
-		return nil, fmt.Errorf("core: page size %d too small for dimension %d (leaf capacity %d, inner capacity %d)",
-			mgr.PageSize(), dim, capLeaf, capInner)
+	minInner := max(2, capInner*minFillPercent/100)
+	// A split must leave two halves of at least the minimum fill out of
+	// capInner + 1 entries, which takes an inner capacity of 3.
+	if capLeaf < 2 || 2*minInner > capInner+1 {
+		smallest := max(colHeaderSize+2*leafEntrySize(dim), nodeHeaderSize+3*innerEntrySize(dim))
+		return nil, fmt.Errorf("%w: page size %d too small for dimension %d (leaf capacity %d, inner capacity %d); the smallest that works is %d bytes",
+			ErrInvalidArg, mgr.PageSize(), dim, capLeaf, capInner, smallest)
 	}
 	return &Tree{
 		mgr:      mgr,
@@ -215,7 +225,7 @@ func prepare(mgr *pagefile.Manager, dim int, cfg Config) (*Tree, error) {
 		capLeaf:  capLeaf,
 		minLeaf:  max(1, capLeaf*minFillPercent/100),
 		capInner: capInner,
-		minInner: max(2, capInner*minFillPercent/100),
+		minInner: minInner,
 		decode: func(id pagefile.PageID, page []byte) (any, error) {
 			n, err := decodeNode(id, page, dim)
 			if err != nil {
@@ -286,8 +296,13 @@ func (t *Tree) LeafCapacity() int { return t.capLeaf }
 // Manager exposes the underlying page manager (for statistics).
 func (t *Tree) Manager() *pagefile.Manager { return t.mgr }
 
-func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
-	return t.readNodeCounted(id, nil)
+func (t *Tree) readNode(id pagefile.PageID, pin pagefile.Pin) (*node, error) {
+	return t.readNodeCounted(id, nil, pin)
+}
+
+// writerRead is readNode under the writer's pin, in the shape walk takes.
+func (t *Tree) writerRead(id pagefile.PageID) (*node, error) {
+	return t.readNode(id, t.wpin)
 }
 
 // readNodeCounted loads a node, charging the logical page access to the
@@ -308,8 +323,13 @@ func (t *Tree) readNode(id pagefile.PageID) (*node, error) {
 // the pin is gone — so no write can land on id between this read's backend
 // access and its cache insert. Scrub does not come through here: it decodes
 // what VerifyPage read and caches nothing.
-func (t *Tree) readNodeCounted(id pagefile.PageID, c *pagefile.Counter) (*node, error) {
-	v, err := t.mgr.ReadDecoded(id, c, t.decode)
+//
+// pin is the one the caller holds (a reader's from pinSnap, the writer's
+// wpin) and the caller uses the node only while it holds it: the images a
+// node views are recycled once no pin that could see them is left
+// (pagefile's epoch.go). The zero Pin reads a node the caller may keep.
+func (t *Tree) readNodeCounted(id pagefile.PageID, c *pagefile.Counter, pin pagefile.Pin) (*node, error) {
+	v, err := t.mgr.ReadPinned(id, c, pin, t.decode)
 	if err != nil {
 		return nil, err
 	}
@@ -420,13 +440,14 @@ func (t *Tree) encodeLeaf(n *node) ([]byte, error) {
 // exactColumns returns a leaf's exact payload as its readers see it: the
 // leaf's own columns, or a quantized leaf's sidecar columns (charged as a
 // regular page access). Validation, ForEach, the exact-vector lookup and the
-// bounding-box helpers all read leaves through it. It is not for the
-// writer's materialized nodes, whose vectors supersede both.
-func (t *Tree) exactColumns(n *node) (*pfv.Columns, error) {
+// bounding-box helpers all read leaves through it, under the caller's pin.
+// It is not for the writer's materialized nodes, whose vectors supersede
+// both.
+func (t *Tree) exactColumns(n *node, pin pagefile.Pin) (*pfv.Columns, error) {
 	if n.quant == nil {
 		return n.cols, nil
 	}
-	side, err := t.readNode(n.quant.sidecar)
+	side, err := t.readNode(n.quant.sidecar, pin)
 	if err != nil {
 		return nil, err
 	}
@@ -449,7 +470,7 @@ func (t *Tree) materializeLeaf(n *node) error {
 	if n.vectors != nil {
 		return nil
 	}
-	cols, err := t.exactColumns(n)
+	cols, err := t.exactColumns(n, t.wpin)
 	if err != nil {
 		return err
 	}
@@ -460,8 +481,8 @@ func (t *Tree) materializeLeaf(n *node) error {
 // walk visits n and then, in pre-order, every node beneath it, depth counting
 // levels down from n. It is the one recursion over the tree's structure:
 // ForEach, WalkLeafBoxes, Scrub and the delete path's collect and
-// free are its visitors. read loads a child page — readNode under an epoch pin
-// or the writer lock, or the scrubber's throttled verifyDecode. A quantized
+// free are its visitors. read loads a child page — readNode under a reader's
+// pin or the writer's, or the scrubber's throttled verifyDecode. A quantized
 // leaf's sidecar is not a child: visitors reach it through exactColumns (or,
 // to verify or free it, by its page id).
 func walk(n *node, depth int, read func(pagefile.PageID) (*node, error), visit func(n *node, depth int) error) error {
@@ -482,13 +503,15 @@ func walk(n *node, depth int, read func(pagefile.PageID) (*node, error), visit f
 
 // walkSnap walks the published snapshot from its root under an epoch pin,
 // exactly like a query: concurrent mutations neither block the walk nor leak
-// into it, and none of its pages can be reclaimed under it.
-func (t *Tree) walkSnap(read func(pagefile.PageID) (*node, error), visit func(n *node, depth int) error) error {
-	snap, epoch := t.pinSnap()
-	defer t.mgr.UnpinEpoch(epoch)
-	root, err := read(snap.root)
+// into it, and none of its pages can be reclaimed under it. read is given
+// the walk's pin, which visit may use too (pin).
+func (t *Tree) walkSnap(read func(pagefile.PageID, pagefile.Pin) (*node, error), visit func(n *node, pin pagefile.Pin) error) error {
+	snap, pin := t.pinSnap()
+	defer t.mgr.UnpinEpoch(pin)
+	readPinned := func(id pagefile.PageID) (*node, error) { return read(id, pin) }
+	root, err := readPinned(snap.root)
 	if err != nil {
 		return err
 	}
-	return walk(root, 0, read, visit)
+	return walk(root, 0, readPinned, func(n *node, _ int) error { return visit(n, pin) })
 }

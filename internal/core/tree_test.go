@@ -2,8 +2,11 @@ package core
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math/rand"
 	"sort"
+	"strings"
 	"testing"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
@@ -54,6 +57,37 @@ func TestNewValidation(t *testing.T) {
 	// 256-byte pages cannot hold 27-dim entries.
 	if _, err := New(mgr, 27, Config{}); err == nil {
 		t.Error("tiny pages should fail")
+	}
+}
+
+// TestInnerCapacityOfThree: a split of an inner node must leave two halves
+// of the minimum fill out of capInner + 1 entries, which an inner capacity
+// of 2 cannot (DS1's 27 dimensions at 2 KB pages: 1 000 inserts used to
+// leave inner nodes of one entry). New refuses such a page with
+// ErrInvalidArg naming the smallest page that works, and at that size 2 000
+// inserts keep every invariant.
+func TestInnerCapacityOfThree(t *testing.T) {
+	const dim = 27
+	smallest := nodeHeaderSize + 3*innerEntrySize(dim)
+	for _, pageSize := range []int{2048, smallest - 1} {
+		mgr, _ := pagefile.NewManager(pagefile.NewMemBackend(pageSize), pageSize)
+		_, err := New(mgr, dim, Config{})
+		if !errors.Is(err, ErrInvalidArg) || !strings.Contains(err.Error(), fmt.Sprintf("smallest that works is %d bytes", smallest)) {
+			t.Errorf("page size %d: New error %v, want ErrInvalidArg naming %d bytes", pageSize, err, smallest)
+		}
+	}
+	tr := newTree(t, dim, smallest, Config{})
+	if tr.capInner != 3 {
+		t.Fatalf("inner capacity %d at %d-byte pages, want 3", tr.capInner, smallest)
+	}
+	rng := rand.New(rand.NewSource(27))
+	for i := 0; i < 2000; i++ {
+		if err := tr.Insert(randomVec(rng, uint64(i+1), dim)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := tr.CheckInvariants(); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -348,7 +382,7 @@ func TestHighDimensionalTree(t *testing.T) {
 
 // NodeCounts returns the number of leaf and inner pages of the tree.
 func (t *Tree) NodeCounts() (leaves, inners int, err error) {
-	err = t.walkSnap(t.readNode, func(n *node, _ int) error {
+	err = t.walkSnap(t.readNode, func(n *node, _ pagefile.Pin) error {
 		if n.leaf {
 			leaves++
 		} else {

@@ -35,10 +35,10 @@ var ErrCorrupt = errors.New("core: invariant violation")
 // pinned published snapshot, so it is safe (and consistent) concurrently
 // with a writer.
 func (t *Tree) CheckInvariants() error {
-	snap, epoch := t.pinSnap()
-	defer t.mgr.UnpinEpoch(epoch)
+	snap, pin := t.pinSnap()
+	defer t.mgr.UnpinEpoch(pin)
 	read := func(id pagefile.PageID) (*node, error) {
-		n, err := t.readNode(id)
+		n, err := t.readNode(id, pin)
 		return n, corrupt(id, err)
 	}
 	root, err := read(snap.root)
@@ -57,7 +57,7 @@ func (t *Tree) CheckInvariants() error {
 			if depth+1 != snap.height {
 				return 0, ParamBox{}, fmt.Errorf("%w: leaf depth %d inconsistent with height %d", ErrCorrupt, depth, snap.height)
 			}
-			cols, err := t.exactColumns(n)
+			cols, err := t.exactColumns(n, pin)
 			if err != nil {
 				return 0, ParamBox{}, corrupt(n.quant.sidecar, err) // only a sidecar read fails
 			}
@@ -166,11 +166,11 @@ func checkQuantLeaf(n *node, exact *pfv.Columns, dim int) error {
 // concurrent mutations neither block it nor leak into it — the visited set
 // is exactly one commit-consistent tree state.
 func (t *Tree) ForEach(fn func(pfv.Vector) error) error {
-	return t.walkSnap(t.readNode, func(n *node, _ int) error {
+	return t.walkSnap(t.readNode, func(n *node, pin pagefile.Pin) error {
 		if !n.leaf {
 			return nil
 		}
-		cols, err := t.exactColumns(n)
+		cols, err := t.exactColumns(n, pin)
 		if err != nil {
 			return err
 		}
@@ -197,11 +197,11 @@ func (t *Tree) CollectAll() ([]pfv.Vector, error) {
 // an introspection hook for diagnosing clustering quality and bound
 // tightness.
 func (t *Tree) WalkLeafBoxes(fn func(box ParamBox, count int)) error {
-	return t.walkSnap(t.readNode, func(n *node, _ int) error {
+	return t.walkSnap(t.readNode, func(n *node, pin pagefile.Pin) error {
 		if !n.leaf {
 			return nil
 		}
-		cols, err := t.exactColumns(n)
+		cols, err := t.exactColumns(n, pin)
 		if err == nil && cols.Len() > 0 {
 			fn(BoxOfColumns(cols), cols.Len())
 		}

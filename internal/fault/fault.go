@@ -268,12 +268,17 @@ func (inj *Injector) BeforeWALSync() error { return inj.decide(OpWALSync).err }
 
 // WrapBackend interposes the injector between the page manager and its
 // backend. A nil injector returns the backend unwrapped, so an index opened
-// without fault injection pays nothing.
+// without fault injection pays nothing. The wrapper forwards the read-into
+// method (pagefile.ImageReader) exactly when the inner backend has it.
 func WrapBackend(inner pagefile.Backend, inj *Injector) pagefile.Backend {
 	if inj == nil {
 		return inner
 	}
-	return &backend{inner: inner, inj: inj}
+	b := &backend{inner: inner, inj: inj}
+	if r, ok := inner.(pagefile.ImageReader); ok {
+		return imageBackend{b, r}
+	}
+	return b
 }
 
 // backend is the fault-injecting pagefile.Backend decorator.
@@ -282,11 +287,24 @@ type backend struct {
 	inj   *Injector
 }
 
+// imageBackend is backend over an inner pagefile.ImageReader.
+type imageBackend struct {
+	*backend
+	reader pagefile.ImageReader
+}
+
 func (b *backend) ReadPage(id pagefile.PageID) ([]byte, error) {
 	if d := b.inj.decide(OpPageRead); d.err != nil {
 		return nil, d.err
 	}
 	return b.inner.ReadPage(id)
+}
+
+func (b imageBackend) ReadPageInto(id pagefile.PageID, image []byte) ([]byte, error) {
+	if d := b.inj.decide(OpPageRead); d.err != nil {
+		return nil, d.err
+	}
+	return b.reader.ReadPageInto(id, image)
 }
 
 func (b *backend) WritePage(id pagefile.PageID, image []byte) error {

@@ -1,7 +1,9 @@
 package fault
 
 import (
+	"bytes"
 	"errors"
+	"path/filepath"
 	"testing"
 	"time"
 
@@ -179,5 +181,40 @@ func TestWrapBackendFaultsAndTornWrites(t *testing.T) {
 	}
 	if err := b.Sync(); !errors.Is(err, ErrInjected) {
 		t.Fatalf("want injected sync fault, got %v", err)
+	}
+}
+
+// TestWrapBackendForwardsReadInto: the wrapper has the read-into method
+// exactly when the inner backend has it, reads into the image it is given,
+// and fails it on a page-read fault as it fails ReadPage.
+func TestWrapBackendForwardsReadInto(t *testing.T) {
+	inj := New()
+	if _, ok := WrapBackend(pagefile.NewMemBackend(128), inj).(pagefile.ImageReader); ok {
+		t.Error("the wrapper of a backend without the read-into method has it")
+	}
+	fb, err := pagefile.CreateFile(filepath.Join(t.TempDir(), "pages"), 128)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer fb.Close()
+	b := WrapBackend(fb, inj)
+	r, ok := b.(pagefile.ImageReader)
+	if !ok {
+		t.Fatal("the wrapper of a file backend does not read into images")
+	}
+	page := bytes.Repeat([]byte{7}, 128)
+	if err := b.WritePage(0, page); err != nil {
+		t.Fatal(err)
+	}
+	into := make([]byte, 128)
+	got, err := r.ReadPageInto(0, into)
+	if err != nil || !bytes.Equal(got, page) || &got[0] != &into[0] {
+		t.Fatalf("read into an image: %v, same bytes %v, into the image given %v", err, bytes.Equal(got, page), err == nil && &got[0] == &into[0])
+	}
+	if err := inj.Arm(Schedule{Seed: 1, Ops: map[Op]Rule{OpPageRead: {Prob: 1}}}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := r.ReadPageInto(0, into); !errors.Is(err, ErrInjected) {
+		t.Fatalf("want injected read fault, got %v", err)
 	}
 }

@@ -99,11 +99,12 @@ func (b *MemBackend) Close() error {
 // and per-page CRC trailers. Data page id lives at slot reservedSlots+id.
 //
 // A miss reads without a syscall on 64-bit Linux: ReadPage copies the slot
-// out of a read-only shared mapping of the file into a fresh image and
-// checks the CRC on that copy. The first read maps the file, a read past the
-// mapping remaps it at twice the length it needs, Close unmaps, and a fault
-// during the copy is an error naming the page. Other systems, 32-bit hosts
-// and a file the kernel refuses to map read with ReadAt; writes use WriteAt.
+// out of a read-only shared mapping of the file into a fresh image, and
+// ReadPageInto into the caller's, and checks the CRC on that copy. The first
+// read maps the file, a read past the mapping remaps it at twice the length
+// it needs, Close unmaps, and a fault during the copy is an error naming the
+// page. Other systems, 32-bit hosts and a file the kernel refuses to map read
+// with ReadAt; writes use WriteAt.
 type FileBackend struct {
 	f        *os.File
 	pageSize int
@@ -263,22 +264,31 @@ func (b *FileBackend) slotOffset(id PageID) int64 {
 // ReadPage implements Backend, verifying the page's CRC trailer: one fresh
 // page-sized image per read, copied out of the file's mapping where there
 // is one and read with ReadAt elsewhere.
-func (b *FileBackend) ReadPage(id PageID) ([]byte, error) { return b.read(id, true) }
+func (b *FileBackend) ReadPage(id PageID) ([]byte, error) { return b.read(id, nil, true) }
 
-// read is ReadPage with its body chosen: mapped asks for the mapping, which
-// only a 64-bit Linux host grants (mmap_linux.go); otherwise, or if the
-// kernel refuses, the slot is read with ReadAt.
-func (b *FileBackend) read(id PageID, mapped bool) ([]byte, error) {
+// ReadPageInto implements ImageReader: ReadPage into image unless it is nil.
+func (b *FileBackend) ReadPageInto(id PageID, image []byte) ([]byte, error) {
+	return b.read(id, image, true)
+}
+
+// read is ReadPageInto with its body chosen: mapped asks for the mapping,
+// which only a 64-bit Linux host grants (mmap_linux.go); otherwise, or if
+// the kernel refuses, the slot is read with ReadAt.
+func (b *FileBackend) read(id PageID, image []byte, mapped bool) ([]byte, error) {
 	if b.f == nil {
 		return nil, ErrClosed
 	}
 	if int(id) >= b.pages {
-		return make([]byte, b.pageSize), nil
+		if image == nil {
+			return make([]byte, b.pageSize), nil
+		}
+		clear(image)
+		return image, nil
 	}
 	off := b.slotOffset(id)
 	end := off + int64(len(b.slot))
 	if mapped && b.mapTo(end) {
-		return b.readMapped(id, off, end)
+		return b.readMapped(id, image, off, end)
 	}
 	if _, err := b.f.ReadAt(b.slot, off); err != nil {
 		return nil, readErr(id, err)
@@ -287,13 +297,24 @@ func (b *FileBackend) read(id PageID, mapped bool) ([]byte, error) {
 	if err != nil {
 		return nil, err
 	}
-	return bytes.Clone(data), nil
+	return fill(image, data), nil
+}
+
+// fill copies a page's bytes into image, or into a fresh one when image is
+// nil (bytes.Clone: nothing is zeroed first).
+func fill(image, page []byte) []byte {
+	if image == nil {
+		return bytes.Clone(page)
+	}
+	copy(image, page)
+	return image
 }
 
 // readMapped copies the page bytes of the slot at [off, end) out of the
-// mapping into a fresh image and checks the stored CRC against the copy.
-func (b *FileBackend) readMapped(id PageID, off, end int64) ([]byte, error) {
-	image, stored, err := copySlot(b.view[off:end])
+// mapping into image (fresh if nil) and checks the stored CRC against the
+// copy.
+func (b *FileBackend) readMapped(id PageID, image []byte, off, end int64) ([]byte, error) {
+	image, stored, err := copySlot(b.view[off:end], image)
 	if err == nil {
 		if err = checkPage(image, stored, id); err == nil {
 			return image, nil
@@ -309,10 +330,10 @@ func (b *FileBackend) readMapped(id PageID, off, end int64) ([]byte, error) {
 	return nil, err
 }
 
-// copySlot copies a slot's page bytes into a fresh image and returns it
-// with the stored CRC. A fault while reading the mapping panics under
+// copySlot copies a slot's page bytes into image (fresh if nil) and returns
+// it with the stored CRC. A fault while reading the mapping panics under
 // SetPanicOnFault; the panic is recovered here and returned as an error.
-func copySlot(slot []byte) (image []byte, stored uint32, err error) {
+func copySlot(slot, into []byte) (image []byte, stored uint32, err error) {
 	defer debug.SetPanicOnFault(debug.SetPanicOnFault(true))
 	defer func() {
 		if r := recover(); r != nil {
@@ -324,7 +345,7 @@ func copySlot(slot []byte) (image []byte, stored uint32, err error) {
 		}
 	}()
 	n := len(slot) - pageTrailerLen
-	return bytes.Clone(slot[:n]), binary.LittleEndian.Uint32(slot[n:]), nil
+	return fill(into, slot[:n]), binary.LittleEndian.Uint32(slot[n:]), nil
 }
 
 // readErr names the page a failed read was for; a slot cut short by the

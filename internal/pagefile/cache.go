@@ -12,7 +12,9 @@ import "sync"
 // An entry holds a page in exactly one form: its immutable image or, once a
 // client has decoded it (Manager.ReadDecoded/WriteDecoded), the decoded
 // value in its place — one page of the capacity either way, replaced and
-// dropped by the same events.
+// dropped by the same events. An entry whose decoded form views a page image
+// the manager owns remembers that image and retires it when the entry
+// leaves or its form is replaced (see epoch.go).
 //
 // Sharding trades exact global LRU order for concurrency: eviction is
 // least-recently-used *per shard*. Small caches (where per-shard capacities
@@ -21,6 +23,9 @@ import "sync"
 type pageCache struct {
 	shards []cacheShard
 	mask   uint32
+	// gens takes the owned images of entries that leave; nil when the
+	// manager owns none.
+	gens *imageGens
 }
 
 type cacheShard struct {
@@ -33,8 +38,9 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	id         PageID
-	data       []byte // page image; nil while the entry holds the decoded form
-	decoded    any    // decoded form; nil while the entry holds the image
+	data       []byte  // page image; nil while the entry holds the decoded form
+	decoded    any     // decoded form; nil while the entry holds the image
+	image      *[]byte // owned image the decoded form views; nil if none or escaped
 	prev, next *cacheEntry
 }
 
@@ -64,13 +70,14 @@ func cacheShardsFor(capacity int) int {
 }
 
 // newPageCache builds a cache of the given total page capacity split over
-// the resolved shard count. capacity <= 0 disables caching entirely.
-func newPageCache(capacity int) pageCache {
+// the resolved shard count. capacity <= 0 disables caching entirely. gens
+// takes the owned images of leaving entries (nil: the manager owns none).
+func newPageCache(capacity int, gens *imageGens) pageCache {
 	n := cacheShardsFor(capacity)
 	if n == 0 {
 		return pageCache{}
 	}
-	c := pageCache{shards: make([]cacheShard, n), mask: uint32(n - 1)}
+	c := pageCache{shards: make([]cacheShard, n), mask: uint32(n - 1), gens: gens}
 	for i := range c.shards {
 		per := capacity / n
 		if i < capacity%n {
@@ -94,8 +101,9 @@ func (c *pageCache) shardOf(id PageID) *cacheShard {
 
 // get returns the cached form of a page — its bytes or its decoded value,
 // whichever the entry holds — and refreshes its recency. Both are owned by
-// the cache (see Manager.ReadCounted).
-func (c *pageCache) get(id PageID) (data []byte, decoded any, ok bool) {
+// the cache (see Manager.ReadCounted). escape marks the entry's image
+// escaped: the caller may keep the decoded form beyond any pin.
+func (c *pageCache) get(id PageID, escape bool) (data []byte, decoded any, ok bool) {
 	if !c.enabled() {
 		return nil, nil, false
 	}
@@ -108,39 +116,50 @@ func (c *pageCache) get(id PageID) (data []byte, decoded any, ok bool) {
 	}
 	s.moveToFront(e)
 	data, decoded = e.data, e.decoded
+	if escape && e.image != nil {
+		e.image = nil
+	}
 	s.mu.Unlock()
 	return data, decoded, true
 }
 
 // insert adds a page or replaces its cached form, evicting the shard's least
-// recently used entries as needed. Exactly one of data and decoded is set;
-// its ownership transfers to the cache.
-func (c *pageCache) insert(id PageID, data []byte, decoded any) {
+// recently used entry when it is full. Exactly one of data and decoded is
+// set; its ownership transfers to the cache, with image, the owned image a
+// decoded form views (nil: none). Every shard holds at least one page.
+func (c *pageCache) insert(id PageID, data []byte, decoded any, image *[]byte) {
 	if !c.enabled() {
 		return
 	}
 	s := c.shardOf(id)
 	s.mu.Lock()
-	if e, ok := s.entries[id]; ok {
-		e.data, e.decoded = data, decoded
-		s.moveToFront(e)
-		s.mu.Unlock()
-		return
-	}
-	for len(s.entries) >= s.capacity {
-		oldest := s.tail
-		if oldest == nil {
-			break // capacity 0 shard: nothing can be cached
-		}
-		s.unlink(oldest)
-		delete(s.entries, oldest.id)
-	}
-	if s.capacity > 0 {
-		e := &cacheEntry{id: id, data: data, decoded: decoded}
+	e, ok := s.entries[id]
+	switch {
+	case ok:
+		s.unlink(e)
+		c.retire(e.image)
+	case len(s.entries) >= s.capacity:
+		// The evicted entry becomes the new one: entries never leave the
+		// shard lock, so nothing else can hold it.
+		e = s.tail
+		s.unlink(e)
+		delete(s.entries, e.id)
+		c.retire(e.image)
 		s.entries[id] = e
-		s.pushFront(e)
+	default:
+		e = &cacheEntry{}
+		s.entries[id] = e
 	}
+	e.id, e.data, e.decoded, e.image = id, data, decoded, image
+	s.pushFront(e)
 	s.mu.Unlock()
+}
+
+// retire hands an owned image of a leaving entry to its grace period.
+func (c *pageCache) retire(image *[]byte) {
+	if image != nil {
+		c.gens.retire(image)
+	}
 }
 
 // remove drops a page from the cache (page freed or invalidated).
@@ -153,6 +172,7 @@ func (c *pageCache) remove(id PageID) {
 	if e, ok := s.entries[id]; ok {
 		s.unlink(e)
 		delete(s.entries, id)
+		c.retire(e.image)
 	}
 	s.mu.Unlock()
 }
@@ -162,7 +182,10 @@ func (c *pageCache) clear() {
 	for i := range c.shards {
 		s := &c.shards[i]
 		s.mu.Lock()
-		s.entries = make(map[PageID]*cacheEntry, s.capacity)
+		for e := s.head; e != nil; e = e.next {
+			c.retire(e.image)
+		}
+		clear(s.entries)
 		s.head, s.tail = nil, nil
 		s.mu.Unlock()
 	}

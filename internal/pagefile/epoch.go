@@ -1,5 +1,7 @@
 package pagefile
 
+import "sync"
+
 // Epoch-based page reclamation.
 //
 // Shadow paging (FreeDeferred + CommitMeta) protects the committed on-disk
@@ -24,6 +26,122 @@ package pagefile
 // captures epoch P, the currently published snapshot has epoch >= P, and
 // every page referenced by any snapshot with epoch >= P is freed no earlier
 // than epoch P and therefore held in limbo until the pin drops.
+//
+// Page image recycling.
+//
+// A manager over a backend that reads into its caller's images (ImageReader:
+// FileBackend) owns the image of every page a pinned reader misses on
+// (ReadPinned): the image comes from a package-level pool, one sync.Pool per
+// page size that the GC drains, and the backend copies the slot into it and
+// checks the CRC there (a fresh image when the pool is empty). The page's
+// cache entry remembers the image its decoded form views. When the entry
+// leaves the cache — evicted, removed by a free or a reclaim, its form
+// replaced, DropCache or Close — the image is retired into the current
+// reader generation, and it returns to the pool once every pin taken before
+// it was retired has been released. The lifetime rule that makes this safe:
+// a pinned reader uses what it read only while it holds its pin, so once
+// those pins are gone nobody can still see the image (an epoch-style grace
+// period, as in Fraser's "Practical lock-freedom", 2004). Images awaiting
+// their grace never exceed the cache's page budget; one retired beyond it is
+// left to the GC.
+//
+// The escape rule keeps every other reader's images immutable for good: a
+// byte read (ReadCounted), a VerifyPage and a miss without a pin get a fresh
+// image that is never recycled, a decoded read without a pin (ReadDecoded)
+// marks the entry's image escaped — the entry forgets it, so it is never
+// retired nor handed out again — and an image the backend keeps (MemBackend)
+// is never owned.
+//
+// The reader generations are two pin counters (imageGens). A pin counts in
+// the current one; images retire into the current one's list. Once the
+// other generation holds no pin, its images are free, and if the current
+// one has retired any it hands over: new pins count in the other counter,
+// so the images it retired wait only for the pins it already holds. The
+// counters sit beside the publish epoch in every Pin, under a lock of their
+// own that is a leaf: retiring runs under a cache shard lock, which Free's
+// eviction takes under allocMu.
+
+// Pin is a reader's hold on a Manager, taken by PinEpoch and released by
+// UnpinEpoch: on the publish epoch it was taken at, so no page that epoch's
+// snapshot references is reused under it, and, on a manager that owns its
+// page images, on every image retired while it is held. The zero Pin holds
+// nothing.
+type Pin struct {
+	epoch uint64
+	// gen is 1 + the reader generation the pin counts in; 0 when the
+	// manager owns no images.
+	gen uint8
+}
+
+// imageGens is the grace-period state of a manager's owned page images.
+type imageGens struct {
+	mu      sync.Mutex
+	cur     uint8
+	pins    [2]int
+	retired [2][]*[]byte
+	// limit caps the images awaiting their grace at the cache's capacity.
+	limit int
+	pool  *sync.Pool
+}
+
+// imagePools holds the pool of recycled page images of each page size
+// (int → *sync.Pool), shared by every Manager of that size.
+var imagePools sync.Map
+
+// pin counts a new pin in the current generation and returns the Pin's gen.
+// A nil imageGens (no owned images) counts nothing.
+func (g *imageGens) pin() uint8 {
+	if g == nil {
+		return 0
+	}
+	g.mu.Lock()
+	c := g.cur
+	g.pins[c]++
+	g.mu.Unlock()
+	return c + 1
+}
+
+// unpin releases a pin's count and frees what it was the last to hold back.
+func (g *imageGens) unpin(gen uint8) {
+	if gen == 0 {
+		return
+	}
+	g.mu.Lock()
+	g.pins[gen-1]--
+	g.advanceLocked()
+	g.mu.Unlock()
+}
+
+// retire hands in an owned image that left the cache.
+func (g *imageGens) retire(image *[]byte) {
+	g.mu.Lock()
+	if len(g.retired[0])+len(g.retired[1]) < g.limit {
+		g.retired[g.cur] = append(g.retired[g.cur], image)
+		g.advanceLocked()
+	}
+	g.mu.Unlock()
+}
+
+// advanceLocked returns the other generation's images to the pool once it
+// holds no pin and then, if the current generation has retired images, makes
+// the other one current. Caller holds g.mu.
+func (g *imageGens) advanceLocked() {
+	for {
+		other := g.cur ^ 1
+		if g.pins[other] != 0 {
+			return
+		}
+		for _, image := range g.retired[other] {
+			g.pool.Put(image)
+		}
+		clear(g.retired[other])
+		g.retired[other] = g.retired[other][:0]
+		if len(g.retired[g.cur]) == 0 {
+			return
+		}
+		g.cur = other
+	}
+}
 
 // limboPage is one freed page awaiting reclamation.
 type limboPage struct {
@@ -40,11 +158,12 @@ type limboPage struct {
 	fresh bool
 }
 
-// PinEpoch registers a reader pin at the current publish epoch and returns
-// that epoch. Pages freed at or after this epoch are not reused until the
-// pin is released with UnpinEpoch. Pinning never blocks and never fails;
-// the caller must load the published tree snapshot only AFTER pinning.
-func (m *Manager) PinEpoch() uint64 {
+// PinEpoch registers a reader pin at the current publish epoch. Pages freed
+// at or after this epoch are not reused, and page images retired after it
+// are not recycled, until the pin is released with UnpinEpoch. Pinning never
+// blocks and never fails; the caller must load the published tree snapshot
+// only AFTER pinning.
+func (m *Manager) PinEpoch() Pin {
 	m.epochMu.Lock()
 	e := m.curEpoch
 	if m.pins == nil {
@@ -52,12 +171,15 @@ func (m *Manager) PinEpoch() uint64 {
 	}
 	m.pins[e]++
 	m.epochMu.Unlock()
-	return e
+	return Pin{epoch: e, gen: m.gens.pin()}
 }
 
-// UnpinEpoch releases a pin taken with PinEpoch and reclaims any limbo
-// pages the departing pin was the last to protect.
-func (m *Manager) UnpinEpoch(e uint64) {
+// UnpinEpoch releases a pin taken with PinEpoch, recycles the page images it
+// was the last to hold back and reclaims any limbo pages the departing pin
+// was the last to protect.
+func (m *Manager) UnpinEpoch(p Pin) {
+	m.gens.unpin(p.gen)
+	e := p.epoch
 	m.epochMu.Lock()
 	if n := m.pins[e]; n > 1 {
 		m.pins[e] = n - 1

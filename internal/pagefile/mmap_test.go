@@ -38,17 +38,26 @@ func errClass(err error) string {
 	return "other: " + err.Error()
 }
 
-// sameRead reads page id with the mapped body and with the ReadAt body and
-// fails unless both give the same image or the same class of error.
+// sameRead reads page id with the mapped body and with the ReadAt body, each
+// into a fresh image and into a scribbled one the caller owns, and fails
+// unless all four give the same image (the caller's, when it gave one) or
+// the same class of error.
 func sameRead(t *testing.T, b *FileBackend, id PageID) ([]byte, error) {
 	t.Helper()
-	mapped, merr := b.read(id, true)
-	plain, perr := b.read(id, false)
-	if errClass(merr) != errClass(perr) {
-		t.Fatalf("page %d: mapped read error %v, ReadAt error %v", id, merr, perr)
-	}
-	if !bytes.Equal(mapped, plain) {
-		t.Fatalf("page %d: mapped and ReadAt images differ", id)
+	mapped, merr := b.read(id, nil, true)
+	for _, body := range []bool{true, false} {
+		for _, into := range [][]byte{nil, bytes.Repeat([]byte{0xA5}, b.pageSize)} {
+			got, err := b.read(id, into, body)
+			if errClass(err) != errClass(merr) {
+				t.Fatalf("page %d: mapped read error %v, read (mapped %v, into an image %v) error %v", id, merr, body, into != nil, err)
+			}
+			if !bytes.Equal(got, mapped) {
+				t.Fatalf("page %d: images differ (mapped %v, into an image %v)", id, body, into != nil)
+			}
+			if err == nil && into != nil && &got[0] != &into[0] {
+				t.Fatalf("page %d: not read into the image given (mapped %v)", id, body)
+			}
+		}
 	}
 	return mapped, merr
 }
@@ -203,7 +212,7 @@ func TestTruncatedFileReadsFail(t *testing.T) {
 		t.Fatal("no mapping after mapped reads")
 	}
 	off := b.slotOffset(pages - 1)
-	if _, _, err := copySlot(b.view[off : off+int64(slotSize(pageSize))]); err == nil || !strings.Contains(err.Error(), "fault") {
+	if _, _, err := copySlot(b.view[off:off+int64(slotSize(pageSize))], nil); err == nil || !strings.Contains(err.Error(), "fault") {
 		t.Fatalf("copy past the cut: error %v, want a recovered fault", err)
 	}
 }

@@ -8,12 +8,12 @@
 // sharded LRU buffer cache with a configurable byte budget — the paper uses a
 // 50 MB cache that is cold-started before each experiment. A page's bytes
 // live in one immutable page image, shared by the backend (a MemBackend keeps
-// the image it was written; a FileBackend copies each slot into a fresh one),
-// the cache and every reader. A cache entry holds the image or, for a client
-// that decodes its pages (ReadDecoded, WriteDecoded — every engine), the
-// decoded value in its place, which may view the image instead of copying
-// it: one cached form per page, under the one budget, and no page held
-// twice. The Manager counts logical page accesses, cache hits,
+// the image it was written; a FileBackend copies each slot into a fresh or a
+// recycled one), the cache and every reader. A cache entry holds the image
+// or, for a client that decodes its pages (ReadDecoded, WriteDecoded — every
+// engine), the decoded value in its place, which may view the image instead
+// of copying it: one cached form per page, under the one budget, and no page
+// held twice. The Manager counts logical page accesses, cache hits,
 // physical reads, writes and disk seeks (non-contiguous physical reads), and
 // converts them into an estimated I/O time under a classical seek+transfer
 // disk cost model, which is how the paper's "overall time" metric is
@@ -45,6 +45,13 @@
 // systems, 32-bit hosts and a file the kernel refuses to map read each slot
 // with ReadAt. The benchmark's file workloads keep the OS page cache hot, so
 // what they measure is this copy, not a device-cold read.
+//
+// The images a FileBackend miss copies into are recycled: the Manager owns
+// the image of each page a pinned reader (ReadPinned) decodes, and when the
+// page's entry leaves the cache the image goes back to a per-page-size pool
+// once every pin taken before it left has been released. A reader without a
+// pin keeps what it reads for good: its reads mark the image escaped, and it
+// is never handed out again. epoch.go states both rules.
 package pagefile
 
 import (
@@ -168,7 +175,9 @@ func (cm CostModel) IOTime(s Stats) time.Duration {
 // immutable from the moment a backend or the cache has it: nobody writes to
 // an image WritePage was given or ReadPage returned, so a backend may keep
 // the one and hand the same image to every read, and a client may decode a
-// page into views of its image.
+// page into views of its image. A backend that copies each page into a new
+// image instead (FileBackend) may also implement ImageReader, the read-into
+// method, through which the Manager reads images it owns and recycles.
 type Backend interface {
 	// ReadPage returns the page's image (zeroes for a page never written).
 	ReadPage(id PageID) ([]byte, error)
@@ -190,6 +199,16 @@ type Backend interface {
 	Close() error
 }
 
+// ImageReader is the read-into method of a Backend that keeps no image it
+// reads (FileBackend; fault.WrapBackend forwards it). ReadPageInto is
+// ReadPage into image, which is nil or one page long and is the caller's: it
+// returns image holding the page, or a fresh image when image is nil, and
+// checks whatever ReadPage checks on the copy. A Manager over an ImageReader
+// owns the images it reads this way and recycles them (see epoch.go).
+type ImageReader interface {
+	ReadPageInto(id PageID, image []byte) ([]byte, error)
+}
+
 // Manager is a buffer-managed page store, safe for concurrent use. The hot
 // read path is lock-light: closed state and the allocation frontier are
 // atomics, counters are atomics, and a cache hit touches exactly one cache
@@ -200,13 +219,19 @@ type Backend interface {
 // with the disk-arm model and meta state, and each cache shard has its own
 // lock; commitMu serializes CommitMeta, Sync and Close. When locks nest the
 // order is commitMu before ioMu before epochMu before allocMu before a shard
-// lock; shard locks never nest with each other.
+// lock before the image generations' lock (epoch.go), a leaf; shard locks
+// never nest with each other.
 type Manager struct {
 	backend   Backend
 	pageSize  int
 	capacity  int // cache capacity in pages; 0 disables caching
 	cache     pageCache
 	costModel CostModel
+	// reader and gens are set when the backend is an ImageReader: the
+	// Manager then owns the images pinned misses read, and gens holds them
+	// through their grace period (epoch.go). Both are nil otherwise.
+	reader ImageReader
+	gens   *imageGens
 
 	closed atomic.Bool
 	next   atomic.Uint32 // allocation frontier, read lock-free by the hot path
@@ -295,7 +320,12 @@ func NewManager(backend Backend, pageSize int, opts ...Option) (*Manager, error)
 	for _, o := range opts {
 		o(m)
 	}
-	m.cache = newPageCache(m.capacity)
+	if r, ok := backend.(ImageReader); ok && m.capacity > 0 {
+		m.reader = r
+		pool, _ := imagePools.LoadOrStore(pageSize, new(sync.Pool))
+		m.gens = &imageGens{limit: m.capacity, pool: pool.(*sync.Pool)}
+	}
+	m.cache = newPageCache(m.capacity, m.gens)
 	payload, seq, err := backend.ReadMeta()
 	if err != nil {
 		return nil, err
@@ -502,11 +532,11 @@ func (m *Manager) ReadCounted(id PageID, c *Counter) ([]byte, error) {
 		return nil, err
 	}
 	m.chargeLogical(c)
-	if data, _, ok := m.cache.get(id); ok && data != nil {
+	if data, _, ok := m.cache.get(id, false); ok && data != nil {
 		m.chargeHit(c)
 		return data, nil
 	}
-	data, _, err := m.readMiss(id, c, true)
+	data, _, _, err := m.readMiss(id, c, Pin{}, true)
 	return data, err
 }
 
@@ -516,12 +546,25 @@ func (m *Manager) ReadCounted(id PageID, c *Counter) ([]byte, error) {
 // every reader of the page, so it must be immutable too.
 type DecodeFunc func(id PageID, page []byte) (any, error)
 
-// ReadDecoded returns the decoded form of a page, charging counters exactly
+// ReadDecoded returns the decoded form of a page to a reader that holds no
+// pin: it is ReadPinned with the zero Pin, so the decoded form and the image
+// it views stay valid for good (the escape rule, epoch.go).
+func (m *Manager) ReadDecoded(id PageID, c *Counter, decode DecodeFunc) (any, error) {
+	return m.ReadPinned(id, c, Pin{}, decode)
+}
+
+// ReadPinned returns the decoded form of a page, charging counters exactly
 // like ReadCounted. A hit on an entry that holds the decoded form is one
 // cache shard lock. Otherwise the page's image — cached, or the backend's —
 // is decoded outside every manager lock and the decoded form takes the entry
 // in place of the image. A cache-disabled manager reads and decodes on every
 // call.
+//
+// pin is the caller's, and the caller uses the decoded form only while it
+// holds it: on a manager that owns its images, a miss then reads into a
+// recycled image, which is recycled again once the entry has left the cache
+// and every pin that could see it is gone (epoch.go). With the zero Pin the
+// read is ReadDecoded's.
 //
 // The decoded form is inserted after ioMu has been released, so the caller
 // must exclude a concurrent Write of the same page, or the insert could bury
@@ -529,21 +572,22 @@ type DecodeFunc func(id PageID, page []byte) (any, error)
 // from a pinned epoch (see epoch.go) get that for free: such a page is not
 // allocatable, so nobody writes it, and once it has been recycled the
 // reclamation dropped its entry before the id could be written again.
-func (m *Manager) ReadDecoded(id PageID, c *Counter, decode DecodeFunc) (any, error) {
+func (m *Manager) ReadPinned(id PageID, c *Counter, pin Pin, decode DecodeFunc) (any, error) {
 	if err := m.checkRead(id); err != nil {
 		return nil, err
 	}
 	m.chargeLogical(c)
-	data, decoded, ok := m.cache.get(id)
+	data, decoded, ok := m.cache.get(id, pin.gen == 0)
+	var image *[]byte
 	var err error
 	if ok {
 		m.chargeHit(c)
 	} else {
-		data, decoded, err = m.readMiss(id, c, false)
+		data, decoded, image, err = m.readMiss(id, c, pin, false)
 	}
 	if err == nil && decoded == nil {
 		if decoded, err = decode(id, data); err == nil {
-			m.cache.insert(id, nil, decoded)
+			m.cache.insert(id, nil, decoded, image)
 		}
 	}
 	if err != nil {
@@ -576,20 +620,29 @@ func (m *Manager) VerifyPage(id PageID) ([]byte, error) {
 // under ioMu. A byte reader (wantBytes) hands the image to the cache; a
 // decoding reader caches what it decodes from it. If a concurrent reader
 // cached the page while this one waited for ioMu, that entry's form is
-// returned — unless it is a decoded form and the caller wants bytes.
-func (m *Manager) readMiss(id PageID, c *Counter, wantBytes bool) (data []byte, decoded any, err error) {
+// returned — unless it is a decoded form and the caller wants bytes. A
+// decoding reader's pin decides whose image it is: with a generation (the
+// manager owns its images) it reads into an owned one, returned as image.
+func (m *Manager) readMiss(id PageID, c *Counter, pin Pin, wantBytes bool) (data []byte, decoded any, image *[]byte, err error) {
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
 	if m.closed.Load() {
-		return nil, nil, ErrClosed
+		return nil, nil, nil, ErrClosed
 	}
-	if data, decoded, ok := m.cache.get(id); ok && (data != nil || !wantBytes) {
+	if data, decoded, ok := m.cache.get(id, !wantBytes && pin.gen == 0); ok && (data != nil || !wantBytes) {
 		m.chargeHit(c)
-		return data, decoded, nil
+		return data, decoded, nil, nil
 	}
-	data, err = m.backend.ReadPage(id)
+	if pin.gen != 0 {
+		image, err = m.readOwned(id)
+		if image != nil {
+			data = *image
+		}
+	} else {
+		data, err = m.backend.ReadPage(id)
+	}
 	if err != nil {
-		return nil, nil, err
+		return nil, nil, nil, err
 	}
 	m.physicalReads.Add(1)
 	if c != nil {
@@ -600,9 +653,28 @@ func (m *Manager) readMiss(id PageID, c *Counter, wantBytes bool) (data []byte, 
 	}
 	m.lastRead, m.haveLast = id, true
 	if wantBytes {
-		m.cache.insert(id, data, nil)
+		m.cache.insert(id, data, nil, nil)
 	}
-	return data, nil, nil
+	return data, nil, image, nil
+}
+
+// readOwned reads page id into an image from the pool, or into a fresh one
+// when the pool is empty; the manager owns the image (epoch.go). Caller
+// holds ioMu.
+func (m *Manager) readOwned(id PageID) (*[]byte, error) {
+	image, _ := m.gens.pool.Get().(*[]byte)
+	if image == nil {
+		image = new([]byte)
+	}
+	data, err := m.reader.ReadPageInto(id, *image)
+	if err == nil {
+		*image = data
+		return image, nil
+	}
+	if *image != nil {
+		m.gens.pool.Put(image)
+	}
+	return nil, err
 }
 
 // Write persists a page. data must be at most one page long; shorter data is
@@ -645,7 +717,7 @@ func (m *Manager) WriteDecoded(id PageID, data []byte, decode DecodeFunc) error 
 	if decoded != nil {
 		image = nil // the decoded form takes the entry
 	}
-	m.cache.insert(id, image, decoded)
+	m.cache.insert(id, image, decoded, nil)
 	return nil
 }
 
@@ -803,6 +875,11 @@ func (m *Manager) Close() error {
 	defer m.ioMu.Unlock()
 	if m.closed.Swap(true) {
 		return nil
+	}
+	if m.gens != nil {
+		// The owned images go back to circulation, at once if no pin is
+		// held, or else when the last one that could see them is released.
+		m.cache.clear()
 	}
 	syncErr := m.backend.Sync()
 	if err := m.backend.Close(); err != nil {

@@ -36,10 +36,11 @@ func queriesOf[S any](
 }
 
 // TestEveryReadReleasesItsPin: a read pins a reclamation epoch before it
-// loads the published snapshot — core's pinSnap holds the only PinEpoch
-// call, which scripts/loc.sh counts — and must unpin on every path,
-// answered, cancelled or failed, or every page freed after that epoch stays
-// out of the allocator for good. With a cache of four pages, so reads reach
+// loads the published snapshot, and a mutation for the length of its apply —
+// core's pin helper holds the only PinEpoch call, which scripts/loc.sh
+// counts — and each must unpin on every path, answered, cancelled or failed,
+// or every page freed after that epoch stays out of the allocator and every
+// page image retired after it out of circulation for good. With a cache of four pages, so reads reach
 // the backend, every read below is followed by PinnedReaders() == 0 and
 // OldestPinnedEpoch() == SnapshotEpoch(). A cancelled or failing shard
 // closes its cursor after a failed Refine and cancels its siblings
@@ -126,6 +127,64 @@ func TestEveryReadReleasesItsPin(t *testing.T) {
 			return contextQueries(idx)["ranked"](context.Background(), q)
 		})
 		inj.Disarm()
+
+		// The writer pins too, for the length of each mutation's apply. Every
+		// mutation is checked answered, slowed and failed by a page-write
+		// fault inside its apply, on an index of its own, since the failure
+		// poisons it. Replace is a Tree's merge-ingest path (Options.Ingest).
+		mutations := map[string]func(x anyIndex, i int) error{
+			"Insert":    func(x anyIndex, i int) error { return x.Insert(seqVector(6000 + i)) },
+			"Delete":    func(x anyIndex, i int) error { _, err := x.Delete(seqVector(i)); return err },
+			"InsertAll": func(x anyIndex, i int) error { _, err := x.InsertAll(batchOf(6000+10*i, 3)); return err },
+		}
+		if l.name == "tree" {
+			mutations["Replace"] = func(x anyIndex, i int) error {
+				v := seqVector(i)
+				v.ID = uint64(7000 + i)
+				return x.Insert(v) // a duplicate of a stored vector: merged into it
+			}
+		}
+		for name, mutate := range mutations {
+			inj := gausstree.NewFaultInjector()
+			o := contractOptions(t, file)
+			o.CacheBytes, o.Fault = 4*o.PageSize, inj
+			if name == "Replace" {
+				o.Ingest = &gausstree.IngestOptions{MergeDistance: 0.5}
+			}
+			x, err := l.create(2, o)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer x.Close()
+			if err := x.BulkLoad(batchOf(0, 500)); err != nil {
+				t.Fatal(err)
+			}
+			for i, c := range []struct {
+				how  string
+				op   gausstree.FaultOp
+				rule gausstree.FaultRule
+				want error
+			}{
+				{"answered", gausstree.FaultOpPageRead, gausstree.FaultRule{}, nil},
+				{"slowed", gausstree.FaultOpPageRead, gausstree.FaultRule{LatencyMS: 1}, nil},
+				{"failed", gausstree.FaultOpPageWrite, gausstree.FaultRule{Prob: 1}, gausstree.ErrInjected},
+			} {
+				if err := inj.Arm(gausstree.FaultSchedule{Ops: map[gausstree.FaultOp]gausstree.FaultRule{c.op: c.rule}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := mutate(x, i); !errors.Is(err, c.want) {
+					t.Errorf("%s %s: err = %v, want %v", c.how, name, err, c.want)
+				}
+				if n, oldest, epoch := x.PinnedReaders(), x.OldestPinnedEpoch(), x.SnapshotEpoch(); n != 0 || oldest != epoch {
+					t.Errorf("after %s %s: %d pins held, oldest pinned epoch %d, snapshot epoch %d", c.how, name, n, oldest, epoch)
+				}
+			}
+			if tr, ok := x.(*gausstree.Tree); ok && name == "Replace" {
+				if st, _ := tr.IngestStats(); st.Merged != 2 {
+					t.Errorf("%d of the 2 answered inserts merged into a stored vector", st.Merged)
+				}
+			}
+		}
 
 		// Over pages corrupted on disk.
 		if !file {

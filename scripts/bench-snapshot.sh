@@ -9,7 +9,9 @@
 #
 # Defaults: out.json = "-" (stdout), regex covers the bench-hot set (KMLIQHot
 # and KMLIQHotQuantized, TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ,
-# ReadNodeHot, FirstTouch, DecodeLeaf, ExpandInner, AblationIntegral, BulkLoad
+# ReadNodeHot, FirstTouch, MissRecycled (certified 3-MLIQs on a file-backed
+# tree that caches a quarter of its pages: misses into recycled page images),
+# DecodeLeaf, ExpandInner, AblationIntegral, BulkLoad
 # (DS2 at N = 20 000 and 100 000), MedianCut (the §5.3 evaluator, ns per
 # (entry, axis) and per extra cut position, at m = 49, 220 and 1 023),
 # ColumnKernels (both kernel bodies, ns/entry), WireCodec (encode plus decode
@@ -26,7 +28,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:--}"
-REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|MedianCut|ColumnKernels|WireCodec|VAFilePhase1}"
+REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|MissRecycled|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|MedianCut|ColumnKernels|WireCodec|VAFilePhase1}"
 COUNT="${3:-1}"
 BENCHTIME="${4:-}"
 
