@@ -83,9 +83,12 @@
 // and take no lock: a query pins an immutable root snapshot and traverses
 // the tree version committed when it started, while writers — exclusive
 // among themselves — copy-on-write their path and publish a new root with
-// one atomic store. Freed pages are recycled only once no reader can still
-// reach them, so a long ForEach never blocks, and is never torn by,
-// concurrent mutations. SnapshotEpoch counts published commits. A page is
+// one atomic store. Freed pages, like the page images a file-backed index
+// recycles, are reused only once every reader that could still reach them
+// has finished (one grace period for both), so a long ForEach never blocks,
+// and is never torn by, concurrent mutations. SnapshotEpoch counts published
+// commits; OldestPinnedEpoch is a lower bound on the oldest pinned reader's
+// epoch. A page is
 // held once, as an immutable image that the page store, the buffer cache and
 // the cached leaves viewing it share; nothing a query returns refers to it.
 //

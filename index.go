@@ -336,11 +336,13 @@ func (x *index) PinnedReaders() int {
 	return n
 }
 
-// OldestPinnedEpoch returns the reclamation epoch of the longest-running
-// pinned reader, or the current epoch when no reader is pinned, summed over
-// all shards like SnapshotEpoch. The gap to SnapshotEpoch measures how far
-// page reclamation lags behind publishing — a stuck or leaked cursor shows
-// up as a growing gap (0 when no reader lags anywhere).
+// OldestPinnedEpoch returns a lower bound on the reclamation epoch of the
+// longest-running pinned reader — the epoch at which the oldest reader
+// generation still holding a pin began — or the current epoch when no
+// reader is pinned, summed over all shards like SnapshotEpoch. The gap to
+// SnapshotEpoch bounds how far page reclamation lags behind publishing — a
+// stuck or leaked cursor shows up as a growing gap (0 when nothing is
+// pinned anywhere).
 func (x *index) OldestPinnedEpoch() uint64 {
 	var sum uint64
 	for _, u := range x.units() {
@@ -349,8 +351,8 @@ func (x *index) OldestPinnedEpoch() uint64 {
 	return sum
 }
 
-// LimboPages returns the number of freed pages awaiting epoch-safe
-// reclamation, summed over all shards.
+// LimboPages returns the number of freed pages awaiting reclamation, summed
+// over all shards.
 func (x *index) LimboPages() int {
 	n := 0
 	for _, u := range x.units() {

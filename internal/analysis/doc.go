@@ -49,8 +49,8 @@
 //   - epochorder (pin before loading a snapshot, release on every path):
 //     census "core PinEpoch() call sites" 1 and "core t.snap.Load() call
 //     sites" 2 (pinSnap and snapshot), and TestEveryReadReleasesItsPin.
-//   - lockorder (pagefile.Manager's ioMu < epochMu < allocMu < cache shard
-//     locks): pagefile's TestShardedCacheConcurrentHammer, which runs every
+//   - lockorder (pagefile.Manager's ioMu < allocMu < cache shard locks <
+//     the reader generations' lock): pagefile's TestShardedCacheConcurrentHammer, which runs every
 //     method that nests them, under -race in CI — it checks the paths it
 //     exercises, not every path.
 //   - waldurable (a WAL append or meta commit before each publish): census

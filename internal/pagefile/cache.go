@@ -23,9 +23,8 @@ import "sync"
 type pageCache struct {
 	shards []cacheShard
 	mask   uint32
-	// gens takes the owned images of entries that leave; nil when the
-	// manager owns none.
-	gens *imageGens
+	// gens takes the owned images of entries that leave.
+	gens *generations
 }
 
 type cacheShard struct {
@@ -71,8 +70,8 @@ func cacheShardsFor(capacity int) int {
 
 // newPageCache builds a cache of the given total page capacity split over
 // the resolved shard count. capacity <= 0 disables caching entirely. gens
-// takes the owned images of leaving entries (nil: the manager owns none).
-func newPageCache(capacity int, gens *imageGens) pageCache {
+// takes the owned images of leaving entries.
+func newPageCache(capacity int, gens *generations) pageCache {
 	n := cacheShardsFor(capacity)
 	if n == 0 {
 		return pageCache{}

@@ -262,10 +262,10 @@ func TestReadCountedHotNoAlloc(t *testing.T) {
 
 // TestShardedCacheConcurrentHammer drives the Manager from many goroutines:
 // hot and decoded reads, writes, allocation, both frees, cold accessors and
-// cache drops, and every method that nests locks — CommitMeta (ioMu →
-// epochMu → allocMu, and recycle's cache shard locks), FreeDeferred (allocMu
-// → cache shard), PinEpoch/UnpinEpoch/AdvanceEpoch (epochMu, then the
-// reclaimed pages' cache shards and allocMu), ReadDecoded/WriteDecoded,
+// cache drops, and every method that nests locks — CommitMeta (allocMu →
+// the generations' lock, ioMu, and reclaim's allocMu → cache shard →
+// generations), FreeDeferred (allocMu → cache shard), PinEpoch/UnpinEpoch/
+// AdvanceEpoch (the generations' lock, then reclaim's), ReadDecoded/WriteDecoded,
 // VerifyPage and DropCache (ioMu → cache shards). Two paths taking a pair of
 // locks in opposite orders deadlock here sooner or later, and the test then
 // fails with every goroutine's stack after a deadline instead of hanging;

@@ -1,49 +1,55 @@
 package pagefile
 
-import "sync"
+import (
+	"sync"
+	"sync/atomic"
+)
 
-// Epoch-based page reclamation.
+// Reclamation: one grace period for pages and page images.
 //
 // Shadow paging (FreeDeferred + CommitMeta) protects the committed on-disk
 // state from premature page reuse, but snapshot-isolated readers add a
 // second constraint: a page may still be referenced by a published
 // *in-memory* tree snapshot that some reader is traversing without any
-// lock. The Manager therefore tracks a monotonically increasing publish
-// epoch. A writer calls AdvanceEpoch after publishing each new tree state;
-// a reader brackets its traversal with PinEpoch/UnpinEpoch. A freed page
-// enters a limbo list stamped with the last epoch that referenced it, and
-// only re-enters the allocator once
+// lock, and a page image a pinned reader decoded may still be viewed by it.
+// One rule covers both: nothing a pinned reader can still see is reused.
 //
-//   - the publish epoch has moved past that epoch and no reader pin at or
-//     below it remains (snapshot safety), and
-//   - the page was either allocated after the last commit ("fresh", so the
-//     committed state provably never referenced it) or a commit has landed
-//     since the free (crash safety, the classic shadow-paging condition).
+// A reader brackets its traversal with PinEpoch/UnpinEpoch; a writer calls
+// AdvanceEpoch after publishing each new tree state. The pins count in two
+// reader generations (generations): a pin counts in the current one, and
+// what leaves the readers' reach retires into the current one's lists — the
+// pages FreeDeferred staged since the previous advance, moved there by
+// AdvanceEpoch, and the owned page images leaving the cache. Once the other
+// generation holds no pin, what it retired has passed its grace, and if the
+// current one has retired anything it hands over: new pins count in the
+// other counter, so what it retired waits only for the pins it already
+// holds (the grace period of epoch-based reclamation: Fraser, "Practical
+// lock-freedom", 2004; Hart et al., JPDC 2007). An image that passed its
+// grace returns to the pool at once. A page becomes ready, and joins the
+// freelist once it is also crash-safe: it was allocated after the last
+// commit ("fresh", so the committed state never referenced it) or a commit
+// has landed since its free. Until then it waits for the next commit.
 //
-// The protocol is deadlock- and race-free by ordering: a reader pins first
-// and loads the published snapshot second, while a writer publishes the new
-// snapshot first and advances the epoch second. At the moment a pin
-// captures epoch P, the currently published snapshot has epoch >= P, and
-// every page referenced by any snapshot with epoch >= P is freed no earlier
-// than epoch P and therefore held in limbo until the pin drops.
+// The order that makes a page's grace enough: a reader pins first and loads
+// the published snapshot second, while a writer publishes the new snapshot
+// first and advances second. A page a mutation freed retires only at the
+// advance after the publish, so every reader that can hold a snapshot
+// referencing it pinned before it retired, and the page waits for that pin.
+// A commit, which lands before the publish, moves no page into the grace
+// period: the published snapshot still references what it freed.
 //
-// Page image recycling.
-//
-// A manager over a backend that reads into its caller's images (ImageReader:
-// FileBackend) owns the image of every page a pinned reader misses on
-// (ReadPinned): the image comes from a package-level pool, one sync.Pool per
-// page size that the GC drains, and the backend copies the slot into it and
-// checks the CRC there (a fresh image when the pool is empty). The page's
-// cache entry remembers the image its decoded form views. When the entry
-// leaves the cache — evicted, removed by a free or a reclaim, its form
-// replaced, DropCache or Close — the image is retired into the current
-// reader generation, and it returns to the pool once every pin taken before
-// it was retired has been released. The lifetime rule that makes this safe:
-// a pinned reader uses what it read only while it holds its pin, so once
-// those pins are gone nobody can still see the image (an epoch-style grace
-// period, as in Fraser's "Practical lock-freedom", 2004). Images awaiting
-// their grace never exceed the cache's page budget; one retired beyond it is
-// left to the GC.
+// Page image recycling. A manager over a backend that reads into its
+// caller's images (ImageReader: FileBackend) owns the image of every page a
+// pinned reader misses on (ReadPinned): the image comes from a package-level
+// pool, one sync.Pool per page size that the GC drains, and the backend
+// copies the slot into it and checks the CRC there (a fresh image when the
+// pool is empty). The page's cache entry remembers the image its decoded
+// form views; when the entry leaves the cache — evicted, removed by a free
+// or a reclaim, its form replaced, DropCache or Close — the image retires.
+// A pinned reader uses what it read only while it holds its pin, so once
+// the pins that could see it are gone nobody can. Images awaiting their
+// grace never exceed the cache's page budget; one retired beyond it is left
+// to the GC. Pages are never dropped.
 //
 // The escape rule keeps every other reader's images immutable for good: a
 // byte read (ReadCounted), a VerifyPage and a miss without a pin get a fresh
@@ -52,33 +58,39 @@ import "sync"
 // retired nor handed out again — and an image the backend keeps (MemBackend)
 // is never owned.
 //
-// The reader generations are two pin counters (imageGens). A pin counts in
-// the current one; images retire into the current one's list. Once the
-// other generation holds no pin, its images are free, and if the current
-// one has retired any it hands over: new pins count in the other counter,
-// so the images it retired wait only for the pins it already holds. The
-// counters sit beside the publish epoch in every Pin, under a lock of their
-// own that is a leaf: retiring runs under a cache shard lock, which Free's
-// eviction takes under allocMu.
+// The generations' lock is a leaf: an image retires under a cache shard
+// lock, which Free's eviction takes under allocMu. A generation may therefore
+// pass its grace where no other lock may be taken, so moving its ready pages
+// out of the cache and onto the freelist waits for the next UnpinEpoch,
+// AdvanceEpoch or CommitMeta.
 
 // Pin is a reader's hold on a Manager, taken by PinEpoch and released by
-// UnpinEpoch: on the publish epoch it was taken at, so no page that epoch's
-// snapshot references is reused under it, and, on a manager that owns its
-// page images, on every image retired while it is held. The zero Pin holds
-// nothing.
+// UnpinEpoch: no page freed and no page image retired while it is held is
+// reused before it is released. The zero Pin holds nothing.
 type Pin struct {
-	epoch uint64
-	// gen is 1 + the reader generation the pin counts in; 0 when the
-	// manager owns no images.
+	// gen is 1 + the reader generation the pin counts in.
 	gen uint8
 }
 
-// imageGens is the grace-period state of a manager's owned page images.
-type imageGens struct {
-	mu      sync.Mutex
-	cur     uint8
-	pins    [2]int
+// generations is a manager's grace-period state.
+type generations struct {
+	mu   sync.Mutex
+	cur  uint8
+	pins [2]int
+	// since is the publish epoch at which each generation became current.
+	since [2]uint64
+	// retired and pages are the owned images and the freed pages each
+	// generation retired.
 	retired [2][]*[]byte
+	pages   [2][]limboPage
+	// staged holds the pages freed since the last advance; ready the pages
+	// that passed their grace, for the freelist; waiting those of them that
+	// await a commit.
+	staged  []limboPage
+	ready   []limboPage
+	waiting []limboPage
+	// epoch is the publish epoch, advanced under mu and read lock-free.
+	epoch atomic.Uint64
 	// limit caps the images awaiting their grace at the cache's capacity.
 	limit int
 	pool  *sync.Pool
@@ -88,32 +100,8 @@ type imageGens struct {
 // (int → *sync.Pool), shared by every Manager of that size.
 var imagePools sync.Map
 
-// pin counts a new pin in the current generation and returns the Pin's gen.
-// A nil imageGens (no owned images) counts nothing.
-func (g *imageGens) pin() uint8 {
-	if g == nil {
-		return 0
-	}
-	g.mu.Lock()
-	c := g.cur
-	g.pins[c]++
-	g.mu.Unlock()
-	return c + 1
-}
-
-// unpin releases a pin's count and frees what it was the last to hold back.
-func (g *imageGens) unpin(gen uint8) {
-	if gen == 0 {
-		return
-	}
-	g.mu.Lock()
-	g.pins[gen-1]--
-	g.advanceLocked()
-	g.mu.Unlock()
-}
-
 // retire hands in an owned image that left the cache.
-func (g *imageGens) retire(image *[]byte) {
+func (g *generations) retire(image *[]byte) {
 	g.mu.Lock()
 	if len(g.retired[0])+len(g.retired[1]) < g.limit {
 		g.retired[g.cur] = append(g.retired[g.cur], image)
@@ -122,10 +110,11 @@ func (g *imageGens) retire(image *[]byte) {
 	g.mu.Unlock()
 }
 
-// advanceLocked returns the other generation's images to the pool once it
-// holds no pin and then, if the current generation has retired images, makes
-// the other one current. Caller holds g.mu.
-func (g *imageGens) advanceLocked() {
+// advanceLocked ends the other generation's grace once it holds no pin — its
+// images return to the pool, its pages become ready — and then, if the
+// current generation has retired anything, makes the other one current.
+// Caller holds g.mu.
+func (g *generations) advanceLocked() {
 	for {
 		other := g.cur ^ 1
 		if g.pins[other] != 0 {
@@ -136,20 +125,19 @@ func (g *imageGens) advanceLocked() {
 		}
 		clear(g.retired[other])
 		g.retired[other] = g.retired[other][:0]
-		if len(g.retired[g.cur]) == 0 {
+		g.ready = append(g.ready, g.pages[other]...)
+		g.pages[other] = g.pages[other][:0]
+		if len(g.retired[g.cur]) == 0 && len(g.pages[g.cur]) == 0 {
 			return
 		}
 		g.cur = other
+		g.since[other] = g.epoch.Load()
 	}
 }
 
 // limboPage is one freed page awaiting reclamation.
 type limboPage struct {
 	id PageID
-	// epoch is the last publish epoch whose tree state may reference the
-	// page. Stamped when the free is folded into an epoch advance or a
-	// commit; until then the entry sits in the staged list.
-	epoch uint64
 	// seq is the meta sequence number at free time; the crash-safety
 	// condition is metaSeq > seq (a commit landed after the free).
 	seq uint64
@@ -158,167 +146,122 @@ type limboPage struct {
 	fresh bool
 }
 
-// PinEpoch registers a reader pin at the current publish epoch. Pages freed
-// at or after this epoch are not reused, and page images retired after it
-// are not recycled, until the pin is released with UnpinEpoch. Pinning never
+// PinEpoch registers a reader pin. Pages freed and page images retired after
+// it are not reused until the pin is released with UnpinEpoch. Pinning never
 // blocks and never fails; the caller must load the published tree snapshot
 // only AFTER pinning.
 func (m *Manager) PinEpoch() Pin {
-	m.epochMu.Lock()
-	e := m.curEpoch
-	if m.pins == nil {
-		m.pins = make(map[uint64]int)
-	}
-	m.pins[e]++
-	m.epochMu.Unlock()
-	return Pin{epoch: e, gen: m.gens.pin()}
+	g := &m.gens
+	g.mu.Lock()
+	c := g.cur
+	g.pins[c]++
+	g.mu.Unlock()
+	return Pin{gen: c + 1}
 }
 
-// UnpinEpoch releases a pin taken with PinEpoch, recycles the page images it
-// was the last to hold back and reclaims any limbo pages the departing pin
-// was the last to protect.
+// UnpinEpoch releases a pin taken with PinEpoch and reclaims the pages and
+// page images it was the last to hold back. Releasing the zero Pin does
+// nothing.
 func (m *Manager) UnpinEpoch(p Pin) {
-	m.gens.unpin(p.gen)
-	e := p.epoch
-	m.epochMu.Lock()
-	if n := m.pins[e]; n > 1 {
-		m.pins[e] = n - 1
-		m.epochMu.Unlock()
+	if p.gen == 0 {
 		return
 	}
-	delete(m.pins, e)
-	freed := m.reclaimLocked()
-	m.epochMu.Unlock()
-	m.recycle(freed)
+	g := &m.gens
+	g.mu.Lock()
+	g.pins[p.gen-1]--
+	g.advanceLocked()
+	ready := len(g.ready) != 0
+	g.mu.Unlock()
+	if ready {
+		m.reclaim()
+	}
 }
 
-// AdvanceEpoch folds the pages freed since the previous advance into the
-// limbo list (stamped with the epoch that is ending), bumps the publish
-// epoch, and reclaims whatever has become safe. The writer must call it
-// AFTER publishing the new tree snapshot, so that a concurrent reader that
-// pinned the old epoch can still observe the new snapshot safely (see the
-// ordering argument at the top of this file). Returns the new epoch.
+// AdvanceEpoch retires the pages freed since the previous advance into the
+// current reader generation, bumps the publish epoch, and reclaims whatever
+// has become safe. The writer must call it AFTER publishing the new tree
+// snapshot (see the ordering argument at the top of this file). Returns the
+// new epoch.
 func (m *Manager) AdvanceEpoch() uint64 {
-	m.epochMu.Lock()
-	m.stampStagedLocked()
-	m.curEpoch++
-	e := m.curEpoch
-	freed := m.reclaimLocked()
-	m.epochMu.Unlock()
+	g := &m.gens
+	g.mu.Lock()
+	g.pages[g.cur] = append(g.pages[g.cur], g.staged...)
+	g.staged = g.staged[:0]
+	e := g.epoch.Add(1)
+	g.advanceLocked()
+	ready := len(g.ready) != 0
+	g.mu.Unlock()
 	// Pages allocated before this advance are now (potentially) part of a
 	// published snapshot and lose the immediate-recycle fast path.
 	m.allocMu.Lock()
 	m.newPages = nil
 	m.allocMu.Unlock()
-	m.recycle(freed)
+	if ready {
+		m.reclaim()
+	}
 	return e
 }
 
 // Epoch returns the current publish epoch.
-func (m *Manager) Epoch() uint64 {
-	m.epochMu.Lock()
-	defer m.epochMu.Unlock()
-	return m.curEpoch
-}
+func (m *Manager) Epoch() uint64 { return m.gens.epoch.Load() }
 
-// PinnedReaders returns the number of outstanding epoch pins.
+// PinnedReaders returns the number of outstanding pins.
 func (m *Manager) PinnedReaders() int {
-	m.epochMu.Lock()
-	defer m.epochMu.Unlock()
-	n := 0
-	for _, c := range m.pins {
-		n += c
-	}
-	return n
+	g := &m.gens
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return g.pins[0] + g.pins[1]
 }
 
-// OldestPin returns the smallest pinned reader epoch — the publish epoch
-// the longest-running snapshot reader still observes — or the current
-// epoch when no reader is pinned. The gap Epoch()−OldestPin() is how far
-// page reclamation lags behind publishing.
+// OldestPin returns the publish epoch at which the oldest reader generation
+// that still holds a pin became current — a lower bound on the epoch the
+// longest-running pinned reader observes — or the current epoch when no
+// reader is pinned. The gap Epoch()−OldestPin() bounds how far reclamation
+// lags behind publishing.
 func (m *Manager) OldestPin() uint64 {
-	m.epochMu.Lock()
-	defer m.epochMu.Unlock()
-	if min := m.minPinLocked(); min != ^uint64(0) {
-		return min
+	g := &m.gens
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	for _, c := range [2]uint8{g.cur ^ 1, g.cur} {
+		if g.pins[c] != 0 {
+			return g.since[c]
+		}
 	}
-	return m.curEpoch
+	return g.epoch.Load()
 }
 
-// LimboPages returns the number of freed pages awaiting reclamation
-// (staged and epoch-stamped).
+// LimboPages returns the number of freed pages awaiting reclamation: staged,
+// in their grace period, or past it and not yet on the freelist.
 func (m *Manager) LimboPages() int {
-	m.epochMu.Lock()
-	defer m.epochMu.Unlock()
-	return len(m.staged) + len(m.limbo)
+	g := &m.gens
+	g.mu.Lock()
+	defer g.mu.Unlock()
+	return len(g.staged) + len(g.pages[0]) + len(g.pages[1]) + len(g.ready) + len(g.waiting)
 }
 
-// stampStagedLocked moves staged frees into limbo under the current epoch.
-// Caller holds epochMu.
-func (m *Manager) stampStagedLocked() {
-	for _, p := range m.staged {
-		p.epoch = m.curEpoch
-		m.limbo = append(m.limbo, p)
-	}
-	m.staged = m.staged[:0]
-}
-
-// minPinLocked returns the smallest pinned epoch, or ^uint64(0) when no
-// reader is pinned. Caller holds epochMu.
-func (m *Manager) minPinLocked() uint64 {
-	min := ^uint64(0)
-	for e := range m.pins {
-		if e < min {
-			min = e
-		}
-	}
-	return min
-}
-
-// reclaimLocked removes every limbo entry that is safe to reuse and returns
-// the page ids. Caller holds epochMu; the returned pages must then be
-// handed to recycle outside epochMu.
-//
-// An entry stamped with the CURRENT epoch is never safe, pinned readers or
-// not: CommitMeta stamps the frees of a mutation that is committed but not
-// yet published, the published snapshot still references those pages, and a
-// reader can pin the current epoch and load that snapshot at any moment
-// until AdvanceEpoch moves on; the next mutation would overwrite the pages
-// under it (TestCommitDoesNotReclaimPublishedPages).
-func (m *Manager) reclaimLocked() []PageID {
-	if len(m.limbo) == 0 {
-		return nil
-	}
-	// No pin at or below horizon−1 exists or can still be taken.
-	horizon := min(m.minPinLocked(), m.curEpoch)
+// reclaim moves the ready pages that are crash-safe onto the freelist and
+// the others to the waiting list, dropping the cached copies of the freed
+// ones before anyone can allocate them. Deferring the cache eviction to this
+// point (rather than evicting at FreeDeferred time, as immediate Free does)
+// keeps hot interior nodes cached for the snapshot readers still traversing
+// them.
+func (m *Manager) reclaim() {
+	m.allocMu.Lock()
+	defer m.allocMu.Unlock()
+	g := &m.gens
+	g.mu.Lock()
 	seq := m.metaSeq.Load()
-	var freed []PageID
-	kept := m.limbo[:0]
-	for _, p := range m.limbo {
-		if horizon > p.epoch && (p.fresh || seq > p.seq) {
-			freed = append(freed, p.id)
+	n := len(m.freelist)
+	for _, p := range g.ready {
+		if p.fresh || seq > p.seq {
+			m.freelist = append(m.freelist, p.id)
 		} else {
-			kept = append(kept, p)
+			g.waiting = append(g.waiting, p)
 		}
 	}
-	m.limbo = kept
-	return freed
-}
-
-// recycle drops the cached copies of reclaimed pages and returns them to
-// the live freelist. Deferring the cache eviction to this point (rather
-// than evicting at FreeDeferred time, as immediate Free does) keeps hot
-// interior nodes cached for the snapshot readers still traversing them.
-func (m *Manager) recycle(ids []PageID) {
-	if len(ids) == 0 {
-		return
-	}
-	for _, id := range ids {
+	g.ready = g.ready[:0]
+	g.mu.Unlock()
+	for _, id := range m.freelist[n:] {
 		m.cache.remove(id)
 	}
-	m.allocMu.Lock()
-	if !m.closed.Load() {
-		m.freelist = append(m.freelist, ids...)
-	}
-	m.allocMu.Unlock()
 }

@@ -46,12 +46,16 @@
 // with ReadAt. The benchmark's file workloads keep the OS page cache hot, so
 // what they measure is this copy, not a device-cold read.
 //
-// The images a FileBackend miss copies into are recycled: the Manager owns
-// the image of each page a pinned reader (ReadPinned) decodes, and when the
-// page's entry leaves the cache the image goes back to a per-page-size pool
-// once every pin taken before it left has been released. A reader without a
-// pin keeps what it reads for good: its reads mark the image escaped, and it
-// is never handed out again. epoch.go states both rules.
+// Nothing a pinned reader can still see is reused, and one grace period
+// holds both what it can see: a page freed under FreeDeferred and the page
+// image a pinned reader (ReadPinned) decoded from a FileBackend miss, which
+// the Manager owns and recycles through a per-page-size pool. Each waits
+// until every pin taken before it left the readers' reach — the page at the
+// epoch advance after its free, the image when its cache entry left — has
+// been released; a page also waits for a commit unless the committed state
+// never referenced it. A reader without a pin keeps what it reads for good:
+// its reads mark the image escaped, and it is never handed out again.
+// epoch.go states both rules.
 package pagefile
 
 import (
@@ -212,26 +216,26 @@ type ImageReader interface {
 // Manager is a buffer-managed page store, safe for concurrent use. The hot
 // read path is lock-light: closed state and the allocation frontier are
 // atomics, counters are atomics, and a cache hit touches exactly one cache
-// shard lock. Four coarser locks split the cold paths: allocMu guards the
-// allocator (freelist, fresh-page set), epochMu guards the snapshot
-// reclamation state (publish epoch, reader pins, freed-page limbo — see
-// epoch.go), ioMu serializes backend access (the Backend contract) together
-// with the disk-arm model and meta state, and each cache shard has its own
-// lock; commitMu serializes CommitMeta, Sync and Close. When locks nest the
-// order is commitMu before ioMu before epochMu before allocMu before a shard
-// lock before the image generations' lock (epoch.go), a leaf; shard locks
-// never nest with each other.
+// shard lock. Coarser locks split the cold paths: allocMu guards the
+// allocator (freelist, fresh-page set), ioMu serializes backend access (the
+// Backend contract) together with the disk-arm model and meta state, each
+// cache shard has its own lock, commitMu serializes CommitMeta, Sync and
+// Close, and the reader generations' lock guards the reclamation state
+// (reader pins, freed pages, retired images — see epoch.go). When locks nest
+// the order is commitMu before ioMu before allocMu before a shard lock before
+// the generations' lock, a leaf; shard locks never nest with each other.
 type Manager struct {
 	backend   Backend
 	pageSize  int
 	capacity  int // cache capacity in pages; 0 disables caching
 	cache     pageCache
 	costModel CostModel
-	// reader and gens are set when the backend is an ImageReader: the
-	// Manager then owns the images pinned misses read, and gens holds them
-	// through their grace period (epoch.go). Both are nil otherwise.
+	// reader is set when the backend is an ImageReader: the Manager then
+	// owns the images pinned misses read (epoch.go). Nil otherwise.
 	reader ImageReader
-	gens   *imageGens
+	// gens is the reclamation state: reader pins, the publish epoch, and the
+	// freed pages and retired images awaiting their grace (epoch.go).
+	gens generations
 
 	closed atomic.Bool
 	next   atomic.Uint32 // allocation frontier, read lock-free by the hot path
@@ -242,27 +246,15 @@ type Manager struct {
 	freelist []PageID
 	// freshPages tracks pages allocated since the last commit. Such a page
 	// is provably not referenced by the committed state, so its release
-	// skips the commit-before-reuse condition of the epoch limbo (see
+	// skips the commit-before-reuse condition of reclamation (see
 	// epoch.go) — without this, large batched mutations (one commit at the
 	// end) would grow the file by every intermediate page version.
 	freshPages map[PageID]struct{}
 	// newPages tracks pages allocated since the last epoch advance. Such a
 	// page has never been part of a *published* tree snapshot either, so a
-	// page that is both new and fresh bypasses the limbo entirely and is
+	// page that is both new and fresh bypasses the grace period and is
 	// recycled immediately — the within-mutation rewrite-churn fast path.
 	newPages map[PageID]struct{}
-
-	// epochMu guards the snapshot-reclamation state (epoch.go): the publish
-	// epoch, reader pins, and the staged/limbo lists of freed pages. When
-	// locks nest the order is ioMu before epochMu before allocMu.
-	epochMu  sync.Mutex
-	curEpoch uint64
-	pins     map[uint64]int
-	// staged holds pages released with FreeDeferred since the last epoch
-	// advance or commit; they are stamped into limbo by either event.
-	staged []limboPage
-	// limbo holds epoch-stamped frees awaiting reclamation.
-	limbo []limboPage
 
 	// commitMu serializes CommitMeta, Sync and Close. Backend Syncs run
 	// under it alone, so readers' misses go on beside a checkpoint.
@@ -323,9 +315,9 @@ func NewManager(backend Backend, pageSize int, opts ...Option) (*Manager, error)
 	if r, ok := backend.(ImageReader); ok && m.capacity > 0 {
 		m.reader = r
 		pool, _ := imagePools.LoadOrStore(pageSize, new(sync.Pool))
-		m.gens = &imageGens{limit: m.capacity, pool: pool.(*sync.Pool)}
+		m.gens.limit, m.gens.pool = m.capacity, pool.(*sync.Pool)
 	}
-	m.cache = newPageCache(m.capacity, m.gens)
+	m.cache = newPageCache(m.capacity, &m.gens)
 	payload, seq, err := backend.ReadMeta()
 	if err != nil {
 		return nil, err
@@ -442,12 +434,12 @@ func (m *Manager) Free(id PageID) error {
 }
 
 // FreeDeferred releases a page under the shadow-paging discipline extended
-// with snapshot isolation: the page enters the epoch limbo (see epoch.go)
-// and becomes allocatable only once (a) no reader pin can still reach a
-// tree snapshot referencing it and (b) either the page was allocated after
-// the last commit ("fresh") or a CommitMeta has landed since the free — the
-// first moment the committed on-disk state provably no longer references
-// it, so a crash at any point recovers the previous commit intact.
+// with snapshot isolation: the page is staged until the next AdvanceEpoch
+// (see epoch.go) and becomes allocatable only once (a) no reader pin can
+// still reach a tree snapshot referencing it and (b) either the page was
+// allocated after the last commit ("fresh") or a CommitMeta has landed since
+// the free — the first moment the committed on-disk state provably no longer
+// references it, so a crash at any point recovers the previous commit intact.
 //
 // The cached copy of the page is deliberately NOT evicted here: concurrent
 // snapshot readers may still be traversing it. Eviction happens when the
@@ -479,9 +471,9 @@ func (m *Manager) FreeDeferred(id PageID) error {
 		return nil
 	}
 	m.allocMu.Unlock()
-	m.epochMu.Lock()
-	m.staged = append(m.staged, limboPage{id: id, seq: m.freeBarrier.Load(), fresh: fresh})
-	m.epochMu.Unlock()
+	m.gens.mu.Lock()
+	m.gens.staged = append(m.gens.staged, limboPage{id: id, seq: m.freeBarrier.Load(), fresh: fresh})
+	m.gens.mu.Unlock()
 	return nil
 }
 
@@ -569,9 +561,10 @@ func (m *Manager) ReadDecoded(id PageID, c *Counter, decode DecodeFunc) (any, er
 // The decoded form is inserted after ioMu has been released, so the caller
 // must exclude a concurrent Write of the same page, or the insert could bury
 // the written form under a stale one. Clients that only read pages reachable
-// from a pinned epoch (see epoch.go) get that for free: such a page is not
-// allocatable, so nobody writes it, and once it has been recycled the
-// reclamation dropped its entry before the id could be written again.
+// from a snapshot loaded under their pin (see epoch.go) get that for free:
+// such a page is not allocatable, so nobody writes it, and once it has been
+// recycled the reclamation dropped its entry before the id could be written
+// again.
 func (m *Manager) ReadPinned(id PageID, c *Counter, pin Pin, decode DecodeFunc) (any, error) {
 	if err := m.checkRead(id); err != nil {
 		return nil, err
@@ -621,8 +614,8 @@ func (m *Manager) VerifyPage(id PageID) ([]byte, error) {
 // decoding reader caches what it decodes from it. If a concurrent reader
 // cached the page while this one waited for ioMu, that entry's form is
 // returned — unless it is a decoded form and the caller wants bytes. A
-// decoding reader's pin decides whose image it is: with a generation (the
-// manager owns its images) it reads into an owned one, returned as image.
+// pinned decoding reader of a manager that owns its images reads into an
+// owned one, returned as image.
 func (m *Manager) readMiss(id PageID, c *Counter, pin Pin, wantBytes bool) (data []byte, decoded any, image *[]byte, err error) {
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
@@ -633,7 +626,7 @@ func (m *Manager) readMiss(id PageID, c *Counter, pin Pin, wantBytes bool) (data
 		m.chargeHit(c)
 		return data, decoded, nil, nil
 	}
-	if pin.gen != 0 {
+	if pin.gen != 0 && m.reader != nil {
 		image, err = m.readOwned(id)
 		if image != nil {
 			data = *image
@@ -771,31 +764,30 @@ func (m *Manager) CommitMeta(user []byte) error {
 	m.commitMu.Lock()
 	defer m.commitMu.Unlock()
 	// Snapshot the pages free as of this commit: the live freelist plus
-	// every freed page still parked in the epoch limbo. The committed
-	// state references none of them, so all must appear in the persisted
-	// freelist — a limbo page held only by an in-memory reader pin would
-	// otherwise leak on the next reopen.
-	m.epochMu.Lock()
-	// Raise the free barrier first: a FreeDeferred racing this commit will
-	// miss the freelist snapshot below, so it must not be covered by this
-	// commit's sequence number either.
-	m.freeBarrier.Store(m.metaSeq.Load() + 1)
-	inLimbo := make([]PageID, 0, len(m.staged)+len(m.limbo))
-	for _, p := range m.staged {
-		inLimbo = append(inLimbo, p.id)
-	}
-	for _, p := range m.limbo {
-		inLimbo = append(inLimbo, p.id)
-	}
-	m.epochMu.Unlock()
+	// every freed page awaiting reclamation, in one critical section so
+	// that a page reclaim moves onto the freelist meanwhile is counted
+	// once. The committed state references none of them, so all must
+	// appear in the persisted freelist — a page held only by an in-memory
+	// reader pin would otherwise leak on the next reopen.
 	m.allocMu.Lock()
 	if m.closed.Load() {
 		m.allocMu.Unlock()
 		return ErrClosed
 	}
 	next := PageID(m.next.Load())
-	merged := make([]PageID, 0, len(m.freelist)+len(inLimbo))
-	merged = append(append(merged, m.freelist...), inLimbo...)
+	merged := append([]PageID(nil), m.freelist...)
+	g := &m.gens
+	g.mu.Lock()
+	// Raise the free barrier with the snapshot: a FreeDeferred racing this
+	// commit misses the snapshot, so it must not be covered by this
+	// commit's sequence number either.
+	m.freeBarrier.Store(m.metaSeq.Load() + 1)
+	for _, list := range [][]limboPage{g.staged, g.pages[0], g.pages[1], g.ready, g.waiting} {
+		for _, p := range list {
+			merged = append(merged, p.id)
+		}
+	}
+	g.mu.Unlock()
 	m.allocMu.Unlock()
 
 	persisted := merged
@@ -825,16 +817,16 @@ func (m *Manager) CommitMeta(user []byte) error {
 	m.allocMu.Lock()
 	// Every page is now potentially referenced by the committed state;
 	// clearing is conservative for pages allocated during the commit I/O
-	// (they merely lose the fresh fast path through the limbo).
+	// (they merely lose the fresh fast path).
 	m.freshPages = nil
 	m.allocMu.Unlock()
-	// The commit satisfies the crash-safety condition for every limbo entry
-	// staged before it; stamp and reclaim whatever reader pins allow.
-	m.epochMu.Lock()
-	m.stampStagedLocked()
-	freed := m.reclaimLocked()
-	m.epochMu.Unlock()
-	m.recycle(freed)
+	// The commit satisfies the crash-safety condition of every page freed
+	// before it: those that passed their grace and waited for it go.
+	g.mu.Lock()
+	g.ready = append(g.ready, g.waiting...)
+	g.waiting = g.waiting[:0]
+	g.mu.Unlock()
+	m.reclaim()
 	return nil
 }
 
@@ -876,7 +868,7 @@ func (m *Manager) Close() error {
 	if m.closed.Swap(true) {
 		return nil
 	}
-	if m.gens != nil {
+	if m.reader != nil {
 		// The owned images go back to circulation, at once if no pin is
 		// held, or else when the last one that could see them is released.
 		m.cache.clear()

@@ -24,7 +24,7 @@ func recyclingManager(t *testing.T, pageSize, pages, cachePages int) *Manager {
 		t.Fatal(err)
 	}
 	t.Cleanup(func() { m.Close() })
-	if m.gens == nil {
+	if m.reader == nil {
 		t.Fatal("a manager over a file backend owns no images")
 	}
 	for i := 0; i < pages; i++ {

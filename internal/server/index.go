@@ -65,9 +65,10 @@ type shared interface {
 	// PinnedReaders is the number of snapshot readers currently pinning a
 	// reclamation epoch (summed across shards).
 	PinnedReaders() int
-	// OldestPinnedEpoch is the oldest epoch a pinned reader still observes
-	// (summed across shards, matching SnapshotEpoch's convention); the gap
-	// SnapshotEpoch−OldestPinnedEpoch is the total reclamation lag.
+	// OldestPinnedEpoch is a lower bound on the oldest epoch a pinned reader
+	// still observes (summed across shards, matching SnapshotEpoch's
+	// convention); the gap SnapshotEpoch−OldestPinnedEpoch bounds the total
+	// reclamation lag.
 	OldestPinnedEpoch() uint64
 	// LimboPages is the number of freed pages awaiting epoch reclamation.
 	LimboPages() int

@@ -112,13 +112,13 @@ func (s *Server) registerMetrics(reg *obs.Registry) {
 		"Published snapshot epoch — committed mutations, summed across shards.",
 		func() float64 { return float64(s.index().SnapshotEpoch()) })
 	reg.GaugeFunc("gausstree_oldest_pinned_epoch",
-		"Oldest epoch a pinned snapshot reader still observes (summed across shards); gausstree_snapshot_epoch minus this is the reclamation lag.",
+		"Lower bound on the oldest epoch a pinned snapshot reader still observes (summed across shards); gausstree_snapshot_epoch minus this bounds the reclamation lag.",
 		func() float64 { return float64(s.index().OldestPinnedEpoch()) })
 	reg.GaugeFunc("gausstree_pinned_readers",
 		"Snapshot readers currently pinning a reclamation epoch.",
 		func() float64 { return float64(s.index().PinnedReaders()) })
 	reg.GaugeFunc("gausstree_limbo_pages",
-		"Freed pages awaiting epoch-safe reclamation.",
+		"Freed pages awaiting reclamation.",
 		func() float64 { return float64(s.index().LimboPages()) })
 
 	reg.GaugeFunc("gaussd_serving_state",
