@@ -84,8 +84,8 @@ type Options struct {
 	// and this field is ignored.
 	PageSize int
 	// CacheBytes is the page cache budget (default 50 MB). It bounds the
-	// decoded nodes the index keeps as well: a cached page is held as its
-	// decoded node in place of its bytes, one page of the budget either way.
+	// decoded nodes the index keeps as well: a cached page is its image with
+	// its decoded node beside it, one page of the budget.
 	CacheBytes int
 	// Combiner is the σ-combination rule (default CombineAdditive). It is
 	// persisted in the index meta record; Open restores the combiner the

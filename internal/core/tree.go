@@ -308,28 +308,21 @@ func (t *Tree) writerRead(id pagefile.PageID) (*node, error) {
 // readNodeCounted loads a node, charging the logical page access to the
 // manager and, when c is non-nil, to the per-query counter — always, which
 // also keeps the cache's recency accurate. A page's cache entry holds the
-// decoded node in place of its bytes, so the hot path is one cache-shard
-// lock with no copy, decode or allocation; a first touch is backend read,
-// CRC verify and a decode — for a leaf no copy at all where the host takes
-// views (its columns view the page image), and what it derives waits for a
-// reader. The node is shared with every reader: immutable.
-//
-// Why the node cached after a miss cannot be stale (ReadDecoded inserts it
-// once ioMu is released): every caller holds either an epoch pin taken
-// before it loaded the snapshot it walks (queries, CheckInvariants, ForEach
-// and the other read-only walkers) or the writer lock (the mutation paths).
-// The writer writes only pages outside the published tree (copy-on-write),
-// and a page reachable from a pinned snapshot is not handed out again until
-// the pin is gone — so no write can land on id between this read's backend
-// access and its cache insert. Scrub does not come through here: it decodes
-// what VerifyPage read and caches nothing.
+// decoded node beside its image, so the hot path is one cache-shard lock
+// with no copy, decode or allocation; a first touch is backend read, CRC
+// verify and a decode — for a leaf no copy at all where the host takes views
+// (its columns view the page image), and what it derives waits for a reader.
+// The node is shared with every reader: immutable. The cache attaches a node
+// only to the image it was decoded from, so a write racing the decode keeps
+// its own entry. Scrub does not come through here: it decodes what
+// VerifyPage read and caches nothing.
 //
 // pin is the one the caller holds (a reader's from pinSnap, the writer's
 // wpin) and the caller uses the node only while it holds it: the images a
 // node views are recycled once no pin that could see them is left
 // (pagefile's epoch.go). The zero Pin reads a node the caller may keep.
 func (t *Tree) readNodeCounted(id pagefile.PageID, c *pagefile.Counter, pin pagefile.Pin) (*node, error) {
-	v, err := t.mgr.ReadPinned(id, c, pin, t.decode)
+	v, err := t.mgr.ReadDecoded(id, c, pin, t.decode)
 	if err != nil {
 		return nil, err
 	}

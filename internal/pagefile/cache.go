@@ -9,12 +9,13 @@ import "sync"
 // doubly linked recency list (no container/list allocations): a hit is a
 // map lookup plus four pointer writes under one short shard lock.
 //
-// An entry holds a page in exactly one form: its immutable image or, once a
-// client has decoded it (Manager.ReadDecoded/WriteDecoded), the decoded
-// value in its place — one page of the capacity either way, replaced and
-// dropped by the same events. An entry whose decoded form views a page image
-// the manager owns remembers that image and retires it when the entry
-// leaves or its form is replaced (see epoch.go).
+// An entry holds a page's immutable image and, once a client has decoded it
+// (Manager.ReadDecoded/WriteDecoded), the decoded form beside it — one page
+// of the capacity, replaced and dropped with its image. A reader decodes
+// outside every lock and attaches what it decoded only to the image it
+// decoded it from, so a write that replaced the image meanwhile keeps its
+// entry. An entry whose image the manager owns remembers it and retires it
+// when the entry leaves or its image is replaced (see epoch.go).
 //
 // Sharding trades exact global LRU order for concurrency: eviction is
 // least-recently-used *per shard*. Small caches (where per-shard capacities
@@ -37,9 +38,9 @@ type cacheShard struct {
 
 type cacheEntry struct {
 	id         PageID
-	data       []byte  // page image; nil while the entry holds the decoded form
-	decoded    any     // decoded form; nil while the entry holds the image
-	image      *[]byte // owned image the decoded form views; nil if none or escaped
+	data       []byte  // page image
+	decoded    any     // decoded form of data; nil until a client attaches one
+	image      *[]byte // data, when the manager owns it; nil if not or escaped
 	prev, next *cacheEntry
 }
 
@@ -98,10 +99,10 @@ func (c *pageCache) shardOf(id PageID) *cacheShard {
 	return &c.shards[(h>>16)&c.mask]
 }
 
-// get returns the cached form of a page — its bytes or its decoded value,
-// whichever the entry holds — and refreshes its recency. Both are owned by
-// the cache (see Manager.ReadCounted). escape marks the entry's image
-// escaped: the caller may keep the decoded form beyond any pin.
+// get returns a page's image and its decoded form (nil if none is attached)
+// and refreshes its recency. Both are owned by the cache (see
+// Manager.ReadCounted). escape marks the entry's image escaped: the caller
+// may keep it, or a form that views it, beyond any pin.
 func (c *pageCache) get(id PageID, escape bool) (data []byte, decoded any, ok bool) {
 	if !c.enabled() {
 		return nil, nil, false
@@ -115,17 +116,17 @@ func (c *pageCache) get(id PageID, escape bool) (data []byte, decoded any, ok bo
 	}
 	s.moveToFront(e)
 	data, decoded = e.data, e.decoded
-	if escape && e.image != nil {
+	if escape {
 		e.image = nil
 	}
 	s.mu.Unlock()
 	return data, decoded, true
 }
 
-// insert adds a page or replaces its cached form, evicting the shard's least
-// recently used entry when it is full. Exactly one of data and decoded is
-// set; its ownership transfers to the cache, with image, the owned image a
-// decoded form views (nil: none). Every shard holds at least one page.
+// insert caches a page's image, with its decoded form (nil: none yet),
+// replacing the page's entry or evicting the shard's least recently used one
+// when it is full. Ownership of both transfers to the cache, with image, the
+// owned image data is (nil: none). Every shard holds at least one page.
 func (c *pageCache) insert(id PageID, data []byte, decoded any, image *[]byte) {
 	if !c.enabled() {
 		return
@@ -141,9 +142,7 @@ func (c *pageCache) insert(id PageID, data []byte, decoded any, image *[]byte) {
 		// The evicted entry becomes the new one: entries never leave the
 		// shard lock, so nothing else can hold it.
 		e = s.tail
-		s.unlink(e)
-		delete(s.entries, e.id)
-		c.retire(e.image)
+		c.drop(s, e)
 		s.entries[id] = e
 	default:
 		e = &cacheEntry{}
@@ -152,6 +151,35 @@ func (c *pageCache) insert(id PageID, data []byte, decoded any, image *[]byte) {
 	e.id, e.data, e.decoded, e.image = id, data, decoded, image
 	s.pushFront(e)
 	s.mu.Unlock()
+}
+
+// attach sets the decoded form of a page, decoded from data, or drops the
+// page's entry when decoded is nil (the decode failed) — in either case only
+// if the entry still holds data. An image is never recycled while a reader
+// that may attach to it holds its pin, and an image no pin protects is never
+// recycled, so the same address is the same image.
+func (c *pageCache) attach(id PageID, data []byte, decoded any) {
+	if !c.enabled() {
+		return
+	}
+	s := c.shardOf(id)
+	s.mu.Lock()
+	if e, ok := s.entries[id]; ok && &e.data[0] == &data[0] {
+		if decoded != nil {
+			e.decoded = decoded
+		} else {
+			c.drop(s, e)
+		}
+	}
+	s.mu.Unlock()
+}
+
+// drop unlinks an entry from its shard and retires its owned image. Caller
+// holds s.mu.
+func (c *pageCache) drop(s *cacheShard, e *cacheEntry) {
+	s.unlink(e)
+	delete(s.entries, e.id)
+	c.retire(e.image)
 }
 
 // retire hands an owned image of a leaving entry to its grace period.
@@ -169,9 +197,7 @@ func (c *pageCache) remove(id PageID) {
 	s := c.shardOf(id)
 	s.mu.Lock()
 	if e, ok := s.entries[id]; ok {
-		s.unlink(e)
-		delete(s.entries, id)
-		c.retire(e.image)
+		c.drop(s, e)
 	}
 	s.mu.Unlock()
 }

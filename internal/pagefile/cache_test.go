@@ -7,6 +7,7 @@ import (
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 )
@@ -94,7 +95,7 @@ func countingDecode(decodes *int) DecodeFunc {
 
 func mustDecoded(t *testing.T, m *Manager, id PageID, decode DecodeFunc) *decodedPage {
 	t.Helper()
-	v, err := m.ReadDecoded(id, nil, decode)
+	v, err := m.ReadDecoded(id, nil, Pin{}, decode)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -102,10 +103,10 @@ func mustDecoded(t *testing.T, m *Manager, id PageID, decode DecodeFunc) *decode
 }
 
 // TestDecodedFormLifecycle: an entry's decoded form is replaced or dropped
-// by exactly the events that replace or drop its bytes — Write, Free,
+// by exactly the events that replace or drop its image — Write, a free,
 // recycling after epoch reclamation, DropCache — so a stale decoded form is
-// never served; a byte read of a decoded-only entry fetches the bytes, which
-// take the entry over.
+// never served; a byte read of a decoded entry hits its image, and the
+// decoded form survives it.
 func TestDecodedFormLifecycle(t *testing.T) {
 	m := newMemManager(t, 64)
 	decodes := 0
@@ -126,7 +127,7 @@ func TestDecodedFormLifecycle(t *testing.T) {
 		t.Fatalf("decoding cached bytes must cost no I/O and no second entry: %+v, %d cached", s, m.CachedPages())
 	}
 
-	// A byte read of the decoded-only entry reads the backend; later ones hit.
+	// Byte reads of the decoded entry hit its image and keep its decoded form.
 	m.ResetStats()
 	for i := 0; i < 2; i++ {
 		data, err := m.Read(id)
@@ -134,11 +135,11 @@ func TestDecodedFormLifecycle(t *testing.T) {
 			t.Fatalf("byte read %d = %q, %v", i, data, err)
 		}
 	}
-	if s := m.Stats(); s.PhysicalReads != 1 || s.CacheHits != 1 {
-		t.Fatalf("byte reads of a decoded-only entry: %+v, want 1 physical then 1 hit", s)
+	if s := m.Stats(); s.PhysicalReads != 0 || s.CacheHits != 2 {
+		t.Fatalf("byte reads of a decoded entry: %+v, want 2 hits, 0 physical", s)
 	}
-	if mustDecoded(t, m, id, decode); decodes != 2 {
-		t.Fatalf("bytes took the entry over, so the next decoded read decodes: %d decodes", decodes)
+	if again := mustDecoded(t, m, id, decode); again != first || decodes != 1 {
+		t.Fatalf("byte reads dropped the decoded form: %d decodes", decodes)
 	}
 
 	// Write replaces the decoded form; WriteDecoded installs one.
@@ -159,18 +160,18 @@ func TestDecodedFormLifecycle(t *testing.T) {
 		t.Fatalf("WriteDecoded did not reach the backend: %q", data)
 	}
 
-	// DropCache and Free drop it.
+	// DropCache and the free of a page nothing published drop it.
 	mustDecoded(t, m, id, decode)
 	m.DropCache()
 	if m.CachedPages() != 0 {
 		t.Fatal("DropCache left a decoded entry")
 	}
 	mustDecoded(t, m, id, decode)
-	if err := m.Free(id); err != nil {
+	if err := m.FreeDeferred(id); err != nil {
 		t.Fatal(err)
 	}
 	if m.CachedPages() != 0 {
-		t.Fatal("Free left a decoded entry")
+		t.Fatal("FreeDeferred of a fresh, new page left a decoded entry")
 	}
 
 	// Epoch reclamation: the entry outlives FreeDeferred (readers may still
@@ -200,6 +201,54 @@ func TestDecodedFormLifecycle(t *testing.T) {
 	m.Write(id, []byte("new"))
 	if got := mustDecoded(t, m, id, decode); got.text != "new" {
 		t.Fatalf("recycled page served %q", got.text)
+	}
+}
+
+// TestDecodeRacingWriteKeepsTheWrite: a reader decodes outside every lock,
+// so a Write or WriteDecoded can land while it decodes the page's old image.
+// Its decoded form belongs to that image and must not take the written
+// page's entry: every later decoded read serves the write.
+func TestDecodeRacingWriteKeepsTheWrite(t *testing.T) {
+	for _, decodedWrite := range []bool{false, true} {
+		m := newMemManager(t, 64)
+		id, _ := m.Allocate()
+		if err := m.Write(id, []byte("v1")); err != nil {
+			t.Fatal(err)
+		}
+		m.DropCache()
+		decoding, release := make(chan struct{}), make(chan struct{})
+		var first atomic.Bool
+		decode := func(id PageID, page []byte) (any, error) {
+			if first.CompareAndSwap(false, true) {
+				close(decoding)
+				<-release
+			}
+			return &decodedPage{string(bytes.TrimRight(page, "\x00"))}, nil
+		}
+		read := make(chan error, 1)
+		go func() {
+			_, err := m.ReadDecoded(id, nil, Pin{}, decode)
+			read <- err
+		}()
+		<-decoding // the reader has read "v1" and decodes it
+		var err error
+		if decodedWrite {
+			err = m.WriteDecoded(id, []byte("v2"), decode)
+		} else {
+			err = m.Write(id, []byte("v2"))
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		close(release)
+		if err := <-read; err != nil {
+			t.Fatal(err)
+		}
+		for i := 0; i < 3; i++ {
+			if got := mustDecoded(t, m, id, decode); got.text != "v2" {
+				t.Fatalf("WriteDecoded %v: decoded read %d serves %q after the write of v2", decodedWrite, i, got.text)
+			}
+		}
 	}
 }
 
@@ -261,7 +310,7 @@ func TestReadCountedHotNoAlloc(t *testing.T) {
 }
 
 // TestShardedCacheConcurrentHammer drives the Manager from many goroutines:
-// hot and decoded reads, writes, allocation, both frees, cold accessors and
+// hot and decoded reads, writes, allocation, frees, cold accessors and
 // cache drops, and every method that nests locks — CommitMeta (allocMu →
 // the generations' lock, ioMu, and reclaim's allocMu → cache shard →
 // generations), FreeDeferred (allocMu → cache shard), PinEpoch/UnpinEpoch/
@@ -307,12 +356,12 @@ func TestShardedCacheConcurrentHammer(t *testing.T) {
 			for i := 0; i < 10000; i++ {
 				id := ids[rng.Intn(len(ids))]
 				var err error
-				switch op := rng.Intn(14); op {
+				switch rng.Intn(14) {
 				case 0:
 					err = m.Write(id, []byte{byte(i)})
 				case 1:
 					pin := m.PinEpoch()
-					_, err = m.ReadDecoded(id, &c, decode)
+					_, err = m.ReadDecoded(id, &c, pin, decode)
 					m.UnpinEpoch(pin)
 				case 2:
 					if m.NumPages() < seedPages {
@@ -330,12 +379,8 @@ func TestShardedCacheConcurrentHammer(t *testing.T) {
 					if p, err = m.Allocate(); err == nil {
 						err = m.Write(p, []byte{1})
 					}
-					free := m.Free
-					if op == 4 {
-						free = m.FreeDeferred
-					}
 					if err == nil {
-						err = free(p)
+						err = m.FreeDeferred(p)
 					}
 				case 5:
 					if rng.Intn(50) == 0 {
@@ -382,6 +427,22 @@ func TestShardedCacheConcurrentHammer(t *testing.T) {
 	if s.LogicalReads != s.CacheHits+s.PhysicalReads {
 		t.Errorf("hit accounting drifted: logical=%d hits=%d physical=%d", s.LogicalReads, s.CacheHits, s.PhysicalReads)
 	}
+	// Cases 0 and 8 write the pages case 1 decodes: whatever form the cache
+	// serves must decode what the backend holds.
+	decode := func(_ PageID, page []byte) (any, error) { return &decodedPage{string(page[:1])}, nil }
+	for _, id := range ids {
+		v, err := m.ReadDecoded(id, nil, Pin{}, decode)
+		if err != nil {
+			t.Fatal(err)
+		}
+		page, err := m.VerifyPage(id)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got, want := v.(*decodedPage).text, string(page[:1]); got != want {
+			t.Errorf("page %d: the cache serves % x, the backend holds % x", id, got, want)
+		}
+	}
 }
 
 // failingReads fails every ReadPage while fail is set.
@@ -420,13 +481,13 @@ func TestReadDecodedKeepsNoBufferOnError(t *testing.T) {
 	const faults = 20
 	be.fail = true
 	for i := 0; i < faults; i++ {
-		if _, err := m.ReadDecoded(id, nil, failingDecode); !errors.Is(err, errReadFault) {
+		if _, err := m.ReadDecoded(id, nil, Pin{}, failingDecode); !errors.Is(err, errReadFault) {
 			t.Fatalf("read %d: error %v, want the read fault", i, err)
 		}
 	}
 	be.fail = false
 	for i := 0; i < faults; i++ {
-		if _, err := m.ReadDecoded(id, nil, failingDecode); !errors.Is(err, errDecode) {
+		if _, err := m.ReadDecoded(id, nil, Pin{}, failingDecode); !errors.Is(err, errDecode) {
 			t.Fatalf("read %d: error %v, want the decode fault", i, err)
 		}
 	}

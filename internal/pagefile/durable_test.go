@@ -485,7 +485,7 @@ func TestCheckpointDoesNotStallReaders(t *testing.T) {
 
 	read := make(chan error, 1)
 	go func() {
-		got, err := m.ReadDecoded(id, nil, func(_ PageID, page []byte) (any, error) { return page, nil })
+		got, err := m.ReadDecoded(id, nil, Pin{}, func(_ PageID, page []byte) (any, error) { return page, nil })
 		if err == nil && !bytes.HasPrefix(got.([]byte), []byte("page")) {
 			err = errors.New("wrong page image")
 		}

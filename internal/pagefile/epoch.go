@@ -40,29 +40,30 @@ import (
 //
 // Page image recycling. A manager over a backend that reads into its
 // caller's images (ImageReader: FileBackend) owns the image of every page a
-// pinned reader misses on (ReadPinned): the image comes from a package-level
-// pool, one sync.Pool per page size that the GC drains, and the backend
-// copies the slot into it and checks the CRC there (a fresh image when the
-// pool is empty). The page's cache entry remembers the image its decoded
-// form views; when the entry leaves the cache — evicted, removed by a free
-// or a reclaim, its form replaced, DropCache or Close — the image retires.
-// A pinned reader uses what it read only while it holds its pin, so once
-// the pins that could see it are gone nobody can. Images awaiting their
-// grace never exceed the cache's page budget; one retired beyond it is left
-// to the GC. Pages are never dropped.
+// pinned reader misses on (ReadDecoded with a Pin): the image comes from a
+// package-level pool, one sync.Pool per page size that the GC drains, and the
+// backend copies the slot into it and checks the CRC there (a fresh image
+// when the pool is empty). The page's cache entry holds the image, and the
+// decoded form attached to it may view it; when the entry leaves the cache —
+// evicted, removed by a free or a failed decode, its image replaced by a
+// write, DropCache or Close — the image retires. A pinned reader uses what
+// it read only while it holds its pin, so once the pins that could see it
+// are gone nobody can. Images awaiting their grace never exceed the cache's
+// page budget; one retired beyond it is left to the GC. Pages are never
+// dropped.
 //
 // The escape rule keeps every other reader's images immutable for good: a
-// byte read (ReadCounted), a VerifyPage and a miss without a pin get a fresh
-// image that is never recycled, a decoded read without a pin (ReadDecoded)
-// marks the entry's image escaped — the entry forgets it, so it is never
+// VerifyPage and a miss without a pin get a fresh image that is never
+// recycled, a read without a pin (ReadCounted, ReadDecoded with the zero
+// Pin) marks the entry's image escaped — the entry forgets it, so it is never
 // retired nor handed out again — and an image the backend keeps (MemBackend)
 // is never owned.
 //
 // The generations' lock is a leaf: an image retires under a cache shard
-// lock, which Free's eviction takes under allocMu. A generation may therefore
-// pass its grace where no other lock may be taken, so moving its ready pages
-// out of the cache and onto the freelist waits for the next UnpinEpoch,
-// AdvanceEpoch or CommitMeta.
+// lock, which reclaim and FreeDeferred's immediate recycling take under
+// allocMu. A generation may therefore pass its grace where no other lock may
+// be taken, so moving its ready pages out of the cache and onto the freelist
+// waits for the next UnpinEpoch, AdvanceEpoch or CommitMeta.
 
 // Pin is a reader's hold on a Manager, taken by PinEpoch and released by
 // UnpinEpoch: no page freed and no page image retired while it is held is
@@ -242,9 +243,8 @@ func (m *Manager) LimboPages() int {
 // reclaim moves the ready pages that are crash-safe onto the freelist and
 // the others to the waiting list, dropping the cached copies of the freed
 // ones before anyone can allocate them. Deferring the cache eviction to this
-// point (rather than evicting at FreeDeferred time, as immediate Free does)
-// keeps hot interior nodes cached for the snapshot readers still traversing
-// them.
+// point (rather than evicting at FreeDeferred time) keeps hot interior nodes
+// cached for the snapshot readers still traversing them.
 func (m *Manager) reclaim() {
 	m.allocMu.Lock()
 	defer m.allocMu.Unlock()

@@ -9,11 +9,11 @@
 // 50 MB cache that is cold-started before each experiment. A page's bytes
 // live in one immutable page image, shared by the backend (a MemBackend keeps
 // the image it was written; a FileBackend copies each slot into a fresh or a
-// recycled one), the cache and every reader. A cache entry holds the image
-// or, for a client that decodes its pages (ReadDecoded, WriteDecoded — every
-// engine), the decoded value in its place, which may view the image instead
-// of copying it: one cached form per page, under the one budget, and no page
-// held twice. The Manager counts logical page accesses, cache hits,
+// recycled one), the cache and every reader. A cache entry is a page's
+// image, and for a client that decodes its pages (ReadDecoded, WriteDecoded —
+// every engine) the decoded form beside it, which may view the image instead
+// of copying it: one entry per page, under the one budget, and no page held
+// twice. The Manager counts logical page accesses, cache hits,
 // physical reads, writes and disk seeks (non-contiguous physical reads), and
 // converts them into an estimated I/O time under a classical seek+transfer
 // disk cost model, which is how the paper's "overall time" metric is
@@ -48,8 +48,8 @@
 //
 // Nothing a pinned reader can still see is reused, and one grace period
 // holds both what it can see: a page freed under FreeDeferred and the page
-// image a pinned reader (ReadPinned) decoded from a FileBackend miss, which
-// the Manager owns and recycles through a per-page-size pool. Each waits
+// image a pinned reader (ReadDecoded with a Pin) read on a FileBackend miss,
+// which the Manager owns and recycles through a per-page-size pool. Each waits
 // until every pin taken before it left the readers' reach — the page at the
 // epoch advance after its free, the image when its cache entry left — has
 // been released; a page also waits for a commit unless the committed state
@@ -415,24 +415,6 @@ func (m *Manager) Allocate() (PageID, error) {
 	return id, nil
 }
 
-// Free returns a page to the allocator for immediate reuse. The page's
-// content becomes invalid. Clients that commit meta states (and need crash
-// safety) must use FreeDeferred instead, because an immediately reused page
-// may still be referenced by the last committed state. Like every other
-// operation it reports ErrClosed on a closed manager.
-func (m *Manager) Free(id PageID) error {
-	// Drop the cached copy before the page becomes allocatable, so a
-	// reallocation can never race an older cached image.
-	m.cache.remove(id)
-	m.allocMu.Lock()
-	defer m.allocMu.Unlock()
-	if m.closed.Load() {
-		return ErrClosed
-	}
-	m.freelist = append(m.freelist, id)
-	return nil
-}
-
 // FreeDeferred releases a page under the shadow-paging discipline extended
 // with snapshot isolation: the page is staged until the next AdvanceEpoch
 // (see epoch.go) and becomes allocatable only once (a) no reader pin can
@@ -441,9 +423,9 @@ func (m *Manager) Free(id PageID) error {
 // the free — the first moment the committed on-disk state provably no longer
 // references it, so a crash at any point recovers the previous commit intact.
 //
-// The cached copy of the page is deliberately NOT evicted here: concurrent
-// snapshot readers may still be traversing it. Eviction happens when the
-// page is actually reclaimed.
+// A page allocated since both the last commit and the last epoch advance is
+// recycled at once, its cached copy dropped. Any other page's cached copy
+// stays while snapshot readers may still traverse it, until its reclaim.
 //
 // Like every other operation it reports ErrClosed on a closed manager.
 func (m *Manager) FreeDeferred(id PageID) error {
@@ -514,21 +496,10 @@ func (m *Manager) chargeHit(c *Counter) {
 // global counters and, when c is non-nil, to the per-query Counter. The
 // image is immutable (see Backend): concurrent readers share it and nobody
 // may write to it. The hit path takes exactly one cache shard lock and
-// performs no copy or allocation.
-//
-// A page whose entry holds only a decoded form (ReadDecoded, WriteDecoded)
-// is read from the backend like a miss and its bytes take the entry over:
-// later byte reads hit, and the next ReadDecoded decodes them again.
+// performs no copy or allocation. A byte reader holds no pin, so the image
+// escapes (epoch.go).
 func (m *Manager) ReadCounted(id PageID, c *Counter) ([]byte, error) {
-	if err := m.checkRead(id); err != nil {
-		return nil, err
-	}
-	m.chargeLogical(c)
-	if data, _, ok := m.cache.get(id, false); ok && data != nil {
-		m.chargeHit(c)
-		return data, nil
-	}
-	data, _, _, err := m.readMiss(id, c, Pin{}, true)
+	data, _, err := m.read(id, c, Pin{})
 	return data, err
 }
 
@@ -538,55 +509,43 @@ func (m *Manager) ReadCounted(id PageID, c *Counter) ([]byte, error) {
 // every reader of the page, so it must be immutable too.
 type DecodeFunc func(id PageID, page []byte) (any, error)
 
-// ReadDecoded returns the decoded form of a page to a reader that holds no
-// pin: it is ReadPinned with the zero Pin, so the decoded form and the image
-// it views stay valid for good (the escape rule, epoch.go).
-func (m *Manager) ReadDecoded(id PageID, c *Counter, decode DecodeFunc) (any, error) {
-	return m.ReadPinned(id, c, Pin{}, decode)
-}
-
-// ReadPinned returns the decoded form of a page, charging counters exactly
-// like ReadCounted. A hit on an entry that holds the decoded form is one
-// cache shard lock. Otherwise the page's image — cached, or the backend's —
-// is decoded outside every manager lock and the decoded form takes the entry
-// in place of the image. A cache-disabled manager reads and decodes on every
-// call.
+// ReadDecoded returns the decoded form of a page, charging counters exactly
+// like ReadCounted. A hit on an entry with a decoded form is one cache shard
+// lock. Otherwise the entry's image — cached, or read by the miss — is
+// decoded outside every manager lock and the decoded form is attached to
+// that image, so a Write that replaced it meanwhile keeps its own entry. A
+// cache-disabled manager reads and decodes on every call.
 //
 // pin is the caller's, and the caller uses the decoded form only while it
 // holds it: on a manager that owns its images, a miss then reads into a
 // recycled image, which is recycled again once the entry has left the cache
 // and every pin that could see it is gone (epoch.go). With the zero Pin the
-// read is ReadDecoded's.
-//
-// The decoded form is inserted after ioMu has been released, so the caller
-// must exclude a concurrent Write of the same page, or the insert could bury
-// the written form under a stale one. Clients that only read pages reachable
-// from a snapshot loaded under their pin (see epoch.go) get that for free:
-// such a page is not allocatable, so nobody writes it, and once it has been
-// recycled the reclamation dropped its entry before the id could be written
-// again.
-func (m *Manager) ReadPinned(id PageID, c *Counter, pin Pin, decode DecodeFunc) (any, error) {
+// image escapes, and the decoded form and the image it views stay valid for
+// good.
+func (m *Manager) ReadDecoded(id PageID, c *Counter, pin Pin, decode DecodeFunc) (any, error) {
+	data, decoded, err := m.read(id, c, pin)
+	if err != nil || decoded != nil {
+		return decoded, err
+	}
+	if decoded, err = decode(id, data); err != nil {
+		decoded = nil
+	}
+	m.cache.attach(id, data, decoded)
+	return decoded, err
+}
+
+// read returns a page's image and its decoded form (nil if none), from the
+// cache or from readMiss, charging the access.
+func (m *Manager) read(id PageID, c *Counter, pin Pin) ([]byte, any, error) {
 	if err := m.checkRead(id); err != nil {
-		return nil, err
+		return nil, nil, err
 	}
 	m.chargeLogical(c)
-	data, decoded, ok := m.cache.get(id, pin.gen == 0)
-	var image *[]byte
-	var err error
-	if ok {
+	if data, decoded, ok := m.cache.get(id, pin.gen == 0); ok {
 		m.chargeHit(c)
-	} else {
-		data, decoded, image, err = m.readMiss(id, c, pin, false)
+		return data, decoded, nil
 	}
-	if err == nil && decoded == nil {
-		if decoded, err = decode(id, data); err == nil {
-			m.cache.insert(id, nil, decoded, image)
-		}
-	}
-	if err != nil {
-		return nil, err
-	}
-	return decoded, nil
+	return m.readMiss(id, c, pin)
 }
 
 // VerifyPage returns the image of one page read directly from the backend,
@@ -609,33 +568,31 @@ func (m *Manager) VerifyPage(id PageID) ([]byte, error) {
 	return m.backend.ReadPage(id)
 }
 
-// readMiss is the one miss path: it reads the page's image from the backend
-// under ioMu. A byte reader (wantBytes) hands the image to the cache; a
-// decoding reader caches what it decodes from it. If a concurrent reader
-// cached the page while this one waited for ioMu, that entry's form is
-// returned — unless it is a decoded form and the caller wants bytes. A
-// pinned decoding reader of a manager that owns its images reads into an
-// owned one, returned as image.
-func (m *Manager) readMiss(id PageID, c *Counter, pin Pin, wantBytes bool) (data []byte, decoded any, image *[]byte, err error) {
+// readMiss is the one miss path: under ioMu it reads the page's image from
+// the backend and caches it, as Write caches what it writes. If a concurrent
+// reader cached the page while this one waited for ioMu, that entry's image
+// and decoded form are returned instead. A pinned reader of a manager that
+// owns its images reads into an owned one.
+func (m *Manager) readMiss(id PageID, c *Counter, pin Pin) (data []byte, decoded any, err error) {
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
 	if m.closed.Load() {
-		return nil, nil, nil, ErrClosed
+		return nil, nil, ErrClosed
 	}
-	if data, decoded, ok := m.cache.get(id, !wantBytes && pin.gen == 0); ok && (data != nil || !wantBytes) {
+	if data, decoded, ok := m.cache.get(id, pin.gen == 0); ok {
 		m.chargeHit(c)
-		return data, decoded, nil, nil
+		return data, decoded, nil
 	}
+	var image *[]byte
 	if pin.gen != 0 && m.reader != nil {
-		image, err = m.readOwned(id)
-		if image != nil {
+		if image, err = m.readOwned(id); err == nil {
 			data = *image
 		}
 	} else {
 		data, err = m.backend.ReadPage(id)
 	}
 	if err != nil {
-		return nil, nil, nil, err
+		return nil, nil, err
 	}
 	m.physicalReads.Add(1)
 	if c != nil {
@@ -645,10 +602,8 @@ func (m *Manager) readMiss(id PageID, c *Counter, pin Pin, wantBytes bool) (data
 		m.seeks.Add(1)
 	}
 	m.lastRead, m.haveLast = id, true
-	if wantBytes {
-		m.cache.insert(id, data, nil, nil)
-	}
-	return data, nil, image, nil
+	m.cache.insert(id, data, nil, image)
+	return data, nil, nil
 }
 
 // readOwned reads page id into an image from the pool, or into a fresh one
@@ -678,10 +633,11 @@ func (m *Manager) Write(id PageID, data []byte) error {
 }
 
 // WriteDecoded is Write for a client that decodes its pages: the zero-padded
-// image goes to the backend and decode, the client's DecodeFunc, makes the
-// cache's form of it, exactly as a ReadDecoded miss would — so the next
-// ReadDecoded of the page decodes nothing. A decode error fails the write
-// before the backend sees the page. A nil decode caches the image.
+// image goes to the backend and the cache, and decode, the client's
+// DecodeFunc, makes the decoded form attached to it, exactly as a
+// ReadDecoded would — so the next ReadDecoded of the page decodes nothing. A
+// decode error fails the write before the backend sees the page. A nil
+// decode attaches nothing.
 func (m *Manager) WriteDecoded(id PageID, data []byte, decode DecodeFunc) error {
 	m.ioMu.Lock()
 	defer m.ioMu.Unlock()
@@ -707,9 +663,6 @@ func (m *Manager) WriteDecoded(id PageID, data []byte, decode DecodeFunc) error 
 		return err
 	}
 	m.writes.Add(1)
-	if decoded != nil {
-		image = nil // the decoded form takes the entry
-	}
 	m.cache.insert(id, image, decoded, nil)
 	return nil
 }

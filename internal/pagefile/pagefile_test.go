@@ -74,7 +74,7 @@ func TestFreelistReuse(t *testing.T) {
 	m := newMemManager(t, 64)
 	a, _ := m.Allocate()
 	b, _ := m.Allocate()
-	m.Free(a)
+	m.FreeDeferred(a)
 	c, _ := m.Allocate()
 	if c != a {
 		t.Errorf("freed page not reused: got %d, want %d", c, a)
@@ -279,14 +279,11 @@ func TestClosedManager(t *testing.T) {
 	if _, err := m.Allocate(); err == nil {
 		t.Error("allocate after close should fail")
 	}
-	if err := m.Free(id); !errors.Is(err, ErrClosed) {
-		t.Errorf("Free after close = %v, want ErrClosed", err)
-	}
 	if err := m.FreeDeferred(id); !errors.Is(err, ErrClosed) {
 		t.Errorf("FreeDeferred after close = %v, want ErrClosed", err)
 	}
 	if _, err := m.Allocate(); err == nil {
-		t.Error("a closed-manager Free must not repopulate the freelist")
+		t.Error("a closed-manager FreeDeferred must not repopulate the freelist")
 	}
 	if err := m.Close(); err != nil {
 		t.Error("double close should be a no-op")

@@ -162,8 +162,8 @@ func (r *reclaimModel) step() error {
 		}
 		slices.Sort(ids)
 		id := ids[r.rng.Intn(len(ids))]
-		r.ops = append(r.ops, fmt.Sprintf("ReadPinned %d (pin %d)", id, i))
-		v, err := m.ReadPinned(id, nil, p.pin, viewDecode)
+		r.ops = append(r.ops, fmt.Sprintf("ReadDecoded %d (pin %d)", id, i))
+		v, err := m.ReadDecoded(id, nil, p.pin, viewDecode)
 		if err != nil {
 			return err
 		}
@@ -322,7 +322,7 @@ func runReclamation(t *testing.T, file bool, seed int64, steps int) (ops []strin
 
 // TestReclamationModel runs seeded random programs of Allocate, Write,
 // FreeDeferred, CommitMeta, publish + AdvanceEpoch, PinEpoch/UnpinEpoch and
-// pinned ReadPinned views on a memory manager and on a file manager whose
+// pinned ReadDecoded views on a memory manager and on a file manager whose
 // cache holds 4 pages, against a model of the pages each snapshot
 // references. After every step: Allocate never returns a live page, a page of
 // the published snapshot, of the committed state or of a held pin's

@@ -45,7 +45,7 @@ func viewDecode(_ PageID, page []byte) (any, error) { return page, nil }
 
 // readView reads page id under pin and checks it reads as written.
 func readView(m *Manager, id PageID, pin Pin) ([]byte, error) {
-	v, err := m.ReadPinned(id, nil, pin, viewDecode)
+	v, err := m.ReadDecoded(id, nil, pin, viewDecode)
 	if err != nil {
 		return nil, err
 	}
@@ -203,7 +203,7 @@ func TestMissAllocations(t *testing.T) {
 		next := 0
 		miss := func() {
 			pin := m.PinEpoch()
-			if _, err := m.ReadPinned(PageID(next%pages), nil, pin, decode); err != nil {
+			if _, err := m.ReadDecoded(PageID(next%pages), nil, pin, decode); err != nil {
 				t.Fatal(err)
 			}
 			m.UnpinEpoch(pin)

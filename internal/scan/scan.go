@@ -42,8 +42,8 @@ type File struct {
 	// to start a new one.
 	lastUsed int
 	// decode turns a page into its *pfv.Columns, in the shape the page
-	// manager's decoded reads take: a page's columns are its one cached form,
-	// dropped with the page cache like the index structures' nodes.
+	// manager's decoded reads take: a page's columns are cached beside its
+	// image and dropped with it, like the index structures' nodes.
 	decode pagefile.DecodeFunc
 }
 
@@ -127,7 +127,7 @@ func (f *File) Append(v pfv.Vector) error {
 // cache and immutable, charging the logical page access (to the per-query
 // counter too, when non-nil).
 func (f *File) readPage(id pagefile.PageID, c *pagefile.Counter) (*pfv.Columns, error) {
-	cols, err := f.mgr.ReadDecoded(id, c, f.decode)
+	cols, err := f.mgr.ReadDecoded(id, c, pagefile.Pin{}, f.decode)
 	if err != nil {
 		return nil, err
 	}

@@ -64,8 +64,8 @@ func pagesNeeded(entries, perPage int) int {
 	return (entries + perPage - 1) / perPage
 }
 
-// chainPage is the decoded form of one page of a node's chain, the page
-// cache's one entry for it: shared by every reader, immutable.
+// chainPage is the decoded form of one page of a node's chain, cached beside
+// the page's image: shared by every reader, immutable.
 type chainPage struct {
 	leaf      bool
 	splitHist uint32
@@ -77,12 +77,12 @@ type chainPage struct {
 // readNode loads a node, following supernode continuation pointers. Every
 // chained page is a logical page access, also when its decoded form is
 // cached, charged to a per-query counter when c is non-nil. A directory node
-// is assembled from its pages' cached forms into slices of its own, so the
+// is assembled from its pages' decoded forms into slices of its own, so the
 // caller may edit and rewrite it.
 func (t *Tree) readNode(id pagefile.PageID, c *pagefile.Counter) (*node, error) {
 	n := &node{id: id}
 	for pid := id; pid != pagefile.NilPage; {
-		v, err := t.mgr.ReadDecoded(pid, c, t.decode)
+		v, err := t.mgr.ReadDecoded(pid, c, pagefile.Pin{}, t.decode)
 		if err != nil {
 			return nil, err
 		}
@@ -142,8 +142,10 @@ func decodePage(id pagefile.PageID, buf []byte, dim int) (*chainPage, error) {
 }
 
 // writeNode persists a node, growing or shrinking its page chain as needed
-// (a data node's is one page); each page's cached form is decoded from the
-// written image, as on a read.
+// (a data node's is one page); each page's decoded form is cached with the
+// written image, as on a read. The tree's manager never commits nor advances
+// an epoch, so every page is fresh and new, and a page the chain sheds is
+// recycled at once.
 func (t *Tree) writeNode(n *node) error {
 	perPage := t.perPageLeaf
 	if !n.leaf {
@@ -159,7 +161,7 @@ func (t *Tree) writeNode(n *node) error {
 	}
 	for len(n.pages) > need {
 		last := n.pages[len(n.pages)-1]
-		if err := t.mgr.Free(last); err != nil {
+		if err := t.mgr.FreeDeferred(last); err != nil {
 			return err
 		}
 		n.pages = n.pages[:len(n.pages)-1]

@@ -69,9 +69,9 @@ type Tree struct {
 	minInner     int
 
 	// decode is decodePage bound to the tree's dimension, in the shape the
-	// page manager's decoded reads take: every page has one cached form — a
-	// data page's is its columns — and a read assembles the node from them
-	// (readNode).
+	// page manager's decoded reads take: every page's decoded form — a data
+	// page's is its columns — is cached beside its image, and a read
+	// assembles the node from them (readNode).
 	decode pagefile.DecodeFunc
 }
 

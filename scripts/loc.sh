@@ -40,8 +40,11 @@ lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -p
 # and the fault wrapper, the manager's pinned read, and core's readers and
 # writer passing the pins they hold. Freed pages waiting in those same
 # generations took 60 back: epochMu, the per-epoch pin map, the limbo's
-# epoch stamps and horizon, and CommitMeta's stamping pass.
-census "non-test Go lines outside benchmark/" "$lines" 21907
+# epoch stamps and horizon, and CommitMeta's stamping pass. One cache entry
+# per page image, its decoded form attached beside it, took 26 more: Free,
+# ReadPinned, the byte-read fork of the miss path and the one-form rule's
+# re-read.
+census "non-test Go lines outside benchmark/" "$lines" 21881
 echo "  of them internal/core + internal/shard: $(find internal/core internal/shard -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)"
 census "assembly lines (internal/pfv only)" "$(find . -name '*.s' -print0 | xargs -0 -r cat | wc -l)" 272
 census "Options fields" "$(fields gausstree.go Options)" 9
@@ -52,6 +55,8 @@ census "server.Config fields" "$(fields internal/server/server.go Config)" 13
 census "eval.Setup fields" "$(fields internal/eval/eval.go Setup)" 4
 # Freed pages and recycled page images share one grace period (epoch.go).
 census "pagefile mutexes" "$(find internal/pagefile -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | grep -cE '^	[A-Za-z]+ +sync\.Mutex' || true)" 5
+# One decoded read (ReadDecoded, pinned or not) and one way out (FreeDeferred).
+census "pagefile Manager read/write/free methods" "$(find internal/pagefile -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | grep -cE '^func \(m \*Manager\) (Read|Write|Free)[A-Za-z]*\(' || true)" 6
 census "pagefile options" "$(cat internal/pagefile/*.go | grep -cE '^func With[A-Za-z]+\(.*\) Option \{' || true)" 1
 census "gaussd flags" "$(flags cmd/gaussd/main.go fs)" 15
 census "gaussbench flags" "$(flags cmd/gaussbench/main.go fs)" 2
