@@ -138,8 +138,10 @@
 // further writes instead of leaving it half-applied: mutations return errors
 // wrapping ErrPoisoned while reads keep serving the last committed snapshot,
 // and closing and reopening the file replays the WAL — the same path, and
-// the same resulting state, as recovery from a crash. Scrub re-verifies
-// every reachable page and the durable WAL prefix; findings wrap ErrCorrupt.
+// the same resulting state, as recovery from a crash. Scrub re-reads every
+// reachable page past the cache and runs CheckInvariants' structural check
+// over what it read, then re-verifies the durable WAL prefix; findings wrap
+// ErrCorrupt.
 // Options.Fault interposes an armable fault-injection layer whose errors
 // wrap ErrInjected.
 //

@@ -55,14 +55,11 @@ func (t *Tree) delete(v pfv.Vector) (bool, error) {
 		if child.entryCount() < t.minEntries(child) {
 			// Underflow: orphan the whole subtree and schedule its objects
 			// for re-insertion.
-			vs, err := t.collectVectors(child)
+			vs, err := t.orphan(child)
 			if err != nil {
 				return false, err
 			}
 			reinsert = append(reinsert, vs...)
-			if err := t.freeNodeSubtree(child); err != nil {
-				return false, err
-			}
 			parent.children = append(parent.children[:idx], parent.children[idx+1:]...)
 		} else {
 			if err := t.rewriteNode(child); err != nil {
@@ -162,11 +159,16 @@ func (t *Tree) findPath(v pfv.Vector) ([]pathStep, bool, error) {
 	return dfs(root, nil)
 }
 
-// collectVectors gathers every pfv stored in the (already loaded) node's
-// subtree; n may be one of the writer's own nodes.
-func (t *Tree) collectVectors(n *node) ([]pfv.Vector, error) {
+// orphan walks an underfull (already loaded) node's subtree once: it gathers
+// every vector stored there, for re-insertion, and frees each node's page and
+// a quantized leaf's sidecar page, deferred — the pages belong to the last
+// committed tree (and possibly to pinned reader snapshots), so reusing them
+// before the next commit (e.g. for this delete's condensation re-inserts)
+// would overwrite state still being read. Cache entries stay — see
+// rewriteNode.
+func (t *Tree) orphan(n *node) ([]pfv.Vector, error) {
 	var out []pfv.Vector
-	err := walk(n, 0, t.writerRead, func(n *node, _ int) error {
+	err := walk(n, nil, -1, 0, t.writerRead, func(n, _ *node, _, _ int) error {
 		if n.vectors != nil {
 			out = append(out, n.vectors...)
 		} else if n.leaf {
@@ -176,19 +178,6 @@ func (t *Tree) collectVectors(n *node) ([]pfv.Vector, error) {
 			}
 			out = append(out, cols.Vectors()...)
 		}
-		return nil
-	})
-	return out, err
-}
-
-// freeNodeSubtree frees the pages of an already loaded node and all its
-// descendants (quantized leaves' sidecar pages included), deferred: the
-// pages belong to the last committed tree (and possibly to pinned reader
-// snapshots), so reusing them before the next commit (e.g. for this delete's
-// condensation re-inserts) would overwrite state still being read. Cache
-// entries stay — see rewriteNode.
-func (t *Tree) freeNodeSubtree(n *node) error {
-	return walk(n, 0, t.writerRead, func(n *node, _ int) error {
 		if n.quant != nil {
 			if err := t.mgr.FreeDeferred(n.quant.sidecar); err != nil {
 				return err
@@ -196,4 +185,5 @@ func (t *Tree) freeNodeSubtree(n *node) error {
 		}
 		return t.mgr.FreeDeferred(n.id)
 	})
+	return out, err
 }

@@ -15,13 +15,13 @@ type ScrubReport struct {
 	Pages int
 }
 
-// Scrub walks every page reachable from the published snapshot and verifies
-// it end to end: the raw page is re-read from the backend past the buffer
-// cache (file backends re-verify the CRC trailer on the physical read) and
-// then decoded as a node, so both bit rot and structural damage surface.
-// Detected corruption is reported wrapping ErrCorrupt (the same sentinel
-// CheckInvariants uses — Scrub checks the physical layer, CheckInvariants
-// the logical one); the scan aborts on the first damaged page.
+// Scrub runs check over the published snapshot with every page — nodes and
+// sidecars — re-read from the backend past the buffer cache (file backends
+// re-verify the CRC trailer on the physical read) and decoded afresh, so bit
+// rot, pages that no longer decode and logical damage under a valid trailer
+// (a routing box or count that disagrees with its node) all surface. Damage is
+// reported wrapping ErrCorrupt, the same sentinel CheckInvariants uses; the
+// scan aborts on the first damaged page.
 //
 // The walk pins the snapshot's reclamation epoch exactly like a query, so
 // it is safe concurrently with mutations — it sees one consistent tree and
@@ -31,7 +31,9 @@ type ScrubReport struct {
 // it is the rate-limiting hook of the serving layer's background scrubber.
 func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, error) {
 	var rep ScrubReport
-	verify := func(id pagefile.PageID, _ pagefile.Pin) (*node, error) {
+	snap, pin := t.pinSnap()
+	defer t.mgr.UnpinEpoch(pin)
+	err := t.check(snap, func(id pagefile.PageID) (*node, error) {
 		if err := ctx.Err(); err != nil {
 			return nil, err
 		}
@@ -45,15 +47,6 @@ func (t *Tree) Scrub(ctx context.Context, throttle func() error) (ScrubReport, e
 			rep.Pages++
 		}
 		return n, err
-	}
-	err := t.walkSnap(verify, func(n *node, pin pagefile.Pin) error {
-		if n.quant == nil || n.quant.sidecar == pagefile.NilPage {
-			return nil
-		}
-		// A quantized leaf owns the exact sidecar page its certification
-		// falls back to; verify it like any other page.
-		_, err := verify(n.quant.sidecar, pin)
-		return err
 	})
 	return rep, err
 }

@@ -432,8 +432,9 @@ func (t *Tree) encodeLeaf(n *node) ([]byte, error) {
 
 // exactColumns returns a leaf's exact payload as its readers see it: the
 // leaf's own columns, or a quantized leaf's sidecar columns (charged as a
-// regular page access). Validation, ForEach, the exact-vector lookup and the
-// bounding-box helpers all read leaves through it, under the caller's pin.
+// regular page access). ForEach, the exact-vector lookup, the delete path
+// and the bounding-box helpers read leaves through it, under the caller's
+// pin; check reads a sidecar with its own read, which may bypass the cache.
 // It is not for the writer's materialized nodes, whose vectors supersede
 // both.
 func (t *Tree) exactColumns(n *node, pin pagefile.Pin) (*pfv.Columns, error) {
@@ -471,23 +472,25 @@ func (t *Tree) materializeLeaf(n *node) error {
 	return nil
 }
 
-// walk visits n and then, in pre-order, every node beneath it, depth counting
-// levels down from n. It is the one recursion over the tree's structure:
-// ForEach, WalkLeafBoxes, Scrub and the delete path's collect and
-// free are its visitors. read loads a child page — readNode under a reader's
-// pin or the writer's, or the scrubber's throttled verifyDecode. A quantized
-// leaf's sidecar is not a child: visitors reach it through exactColumns (or,
-// to verify or free it, by its page id).
-func walk(n *node, depth int, read func(pagefile.PageID) (*node, error), visit func(n *node, depth int) error) error {
-	if err := visit(n, depth); err != nil {
+// walk visits n and then, in pre-order, every node beneath it. It is the one
+// recursion over the tree's structure: check (CheckInvariants and Scrub),
+// ForEach, WalkLeafBoxes and the delete path's orphan walk are its visitors.
+// visit is given the node's parent and the index of the parent's entry that
+// routes to it (nil and -1 for n itself) and its depth, counting levels down
+// from n. read loads a child page — readNode under a reader's pin or the
+// writer's, or the scrubber's throttled verifyDecode. A quantized leaf's
+// sidecar is not a child: visitors reach it by its page id (check reads it
+// with read, the others through exactColumns).
+func walk(n, parent *node, i, depth int, read func(pagefile.PageID) (*node, error), visit func(n, parent *node, i, depth int) error) error {
+	if err := visit(n, parent, i, depth); err != nil {
 		return err
 	}
-	for _, c := range n.children {
+	for j, c := range n.children {
 		child, err := read(c.page)
 		if err != nil {
 			return err
 		}
-		if err := walk(child, depth+1, read, visit); err != nil {
+		if err := walk(child, n, j, depth+1, read, visit); err != nil {
 			return err
 		}
 	}
@@ -506,5 +509,5 @@ func (t *Tree) walkSnap(read func(pagefile.PageID, pagefile.Pin) (*node, error),
 	if err != nil {
 		return err
 	}
-	return walk(root, 0, readPinned, func(n *node, _ int) error { return visit(n, pin) })
+	return walk(root, nil, -1, 0, readPinned, func(n, _ *node, _, _ int) error { return visit(n, pin) })
 }

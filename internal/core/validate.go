@@ -9,123 +9,122 @@ import (
 	"github.com/gauss-tree/gausstree/internal/pfv"
 )
 
-// ErrCorrupt is wrapped by every structural-invariant violation that
-// CheckInvariants (and the quantization cross-checks) report, so recovery
-// and fuzz harnesses can distinguish "the tree is damaged" from I/O and
-// argument errors with errors.Is.
+// ErrCorrupt is wrapped by every violation that CheckInvariants and Scrub
+// report — a page that cannot be read or decoded, a broken structural
+// invariant, a quantized leaf its sidecar contradicts — so recovery and fuzz
+// harnesses can distinguish "the tree is damaged" from I/O and argument
+// errors with errors.Is.
 var ErrCorrupt = errors.New("core: invariant violation")
 
-// CheckInvariants walks the whole tree and verifies the structural
-// guarantees of Definition 4 plus the bookkeeping the query algorithms rely
-// on. It returns the first violation found:
-//
-//   - all leaves are at the same level;
-//   - non-root leaves hold minLeaf…capLeaf vectors, non-root inner nodes
-//     minInner…capInner entries (40 % minimum: files written at 50 % pass);
-//     the root is a leaf or an inner node with ≥ 1 entry (≥ 2 when it has
-//     children of its own, since a 1-child root would have been collapsed);
-//   - every routing entry's box is exactly the minimum bounding box of its
-//     child (tightness), its count is exactly the child's subtree count, and
-//     its derived logCount (precomputed for the §5.2.2 sum bounds) is fresh;
-//   - the tree's Len matches the root's subtree count;
-//   - every stored vector has the tree's dimensionality and valid sigmas.
-//
-// A page that cannot be read or decoded is damage too and wraps ErrCorrupt
-// as well as its cause (see corrupt). Like queries, the walk runs against the
-// pinned published snapshot, so it is safe (and consistent) concurrently
-// with a writer.
+// CheckInvariants verifies the published snapshot's structure (see check)
+// over the pinned, cached reads queries take; a page that cannot be read or
+// decoded is damage too and wraps ErrCorrupt as well as its cause (see
+// corrupt). Like a query, it is safe (and consistent) concurrently with a
+// writer.
 func (t *Tree) CheckInvariants() error {
 	snap, pin := t.pinSnap()
 	defer t.mgr.UnpinEpoch(pin)
-	read := func(id pagefile.PageID) (*node, error) {
+	return t.check(snap, func(id pagefile.PageID) (*node, error) {
 		n, err := t.readNode(id, pin)
 		return n, corrupt(id, err)
-	}
+	})
+}
+
+// check walks snap's tree once, in pre-order, and verifies the structural
+// guarantees of Definition 4 plus the bookkeeping the query algorithms rely
+// on. It returns the first violation found, wrapping ErrCorrupt:
+//
+//   - every leaf is at depth height−1;
+//   - non-root leaves hold minLeaf…capLeaf vectors, non-root inner nodes
+//     minInner…capInner entries (40 % minimum: files written at 50 % pass);
+//     the root is a leaf or an inner node with ≥ 2 entries (a 1-child root
+//     would have been collapsed);
+//   - every routing entry's count is the count of the node it routes to, its
+//     derived logCount (precomputed for the §5.2.2 sum bounds) is fresh, and
+//     its box is exactly that node's box — the minimum bounding box of the
+//     leaf's vectors or of the inner node's entry boxes, so, level by level,
+//     of the subtree (tightness);
+//   - the root's count is the tree's Len;
+//   - every stored vector has valid sigmas, and each quantized leaf's
+//     intervals contain its sidecar's exact values (checkQuantLeaf).
+//
+// read loads every page the walk needs, sidecars included, and reports a
+// page it cannot load as ErrCorrupt; the caller holds the pin snap needs.
+func (t *Tree) check(snap *treeSnap, read func(pagefile.PageID) (*node, error)) error {
 	root, err := read(snap.root)
 	if err != nil {
 		return err
 	}
-	leafDepth := -1
-	var walk func(n *node, depth int, isRoot bool) (int, ParamBox, error)
-	walk = func(n *node, depth int, isRoot bool) (int, ParamBox, error) {
-		if n.leaf {
-			if leafDepth == -1 {
-				leafDepth = depth
-			} else if depth != leafDepth {
-				return 0, ParamBox{}, fmt.Errorf("%w: leaf %d at depth %d, expected %d", ErrCorrupt, n.id, depth, leafDepth)
-			}
-			if depth+1 != snap.height {
-				return 0, ParamBox{}, fmt.Errorf("%w: leaf depth %d inconsistent with height %d", ErrCorrupt, depth, snap.height)
-			}
-			cols, err := t.exactColumns(n, pin)
-			if err != nil {
-				return 0, ParamBox{}, corrupt(n.quant.sidecar, err) // only a sidecar read fails
-			}
-			count := cols.Len()
-			if !isRoot && (count < t.minLeaf || count > t.capLeaf) {
-				return 0, ParamBox{}, fmt.Errorf("%w: leaf %d fill %d outside [%d,%d]", ErrCorrupt, n.id, count, t.minLeaf, t.capLeaf)
-			}
-			if isRoot && count > t.capLeaf {
-				return 0, ParamBox{}, fmt.Errorf("%w: root leaf overfull: %d > %d", ErrCorrupt, count, t.capLeaf)
-			}
-			for j := 0; j < count; j++ {
-				v := cols.Vector(j)
-				if _, err := pfv.New(v.ID, v.Mean, v.Sigma); err != nil {
-					return 0, ParamBox{}, fmt.Errorf("%w: vector %d invalid: %w", ErrCorrupt, v.ID, err)
-				}
-			}
-			if err := checkQuantLeaf(n, cols, t.dim); err != nil {
-				return 0, ParamBox{}, err
-			}
-			box := NewParamBox(t.dim)
-			if count > 0 {
-				box = BoxOfColumns(cols)
-			}
-			return count, box, nil
-		}
-		if !isRoot && (len(n.children) < t.minInner || len(n.children) > t.capInner) {
-			return 0, ParamBox{}, fmt.Errorf("%w: inner %d fill %d outside [%d,%d]", ErrCorrupt, n.id, len(n.children), t.minInner, t.capInner)
-		}
-		if isRoot && (len(n.children) < 2 || len(n.children) > t.capInner) {
-			return 0, ParamBox{}, fmt.Errorf("%w: inner root fill %d outside [2,%d]", ErrCorrupt, len(n.children), t.capInner)
-		}
-		total := 0
-		var box ParamBox
-		for i, c := range n.children {
-			child, err := read(c.page)
-			if err != nil {
-				return 0, ParamBox{}, err
-			}
-			cnt, cbox, err := walk(child, depth+1, false)
-			if err != nil {
-				return 0, ParamBox{}, err
-			}
-			if cnt != c.count {
-				return 0, ParamBox{}, fmt.Errorf("%w: inner %d entry %d count %d, subtree has %d", ErrCorrupt, n.id, i, c.count, cnt)
-			}
-			if c.logCount != math.Log(float64(c.count)) {
-				return 0, ParamBox{}, fmt.Errorf("%w: inner %d entry %d stale derived logCount %v for count %d", ErrCorrupt, n.id, i, c.logCount, c.count)
-			}
-			if !cbox.Equal(entryBox(&n.boxes, i, t.dim)) {
-				return 0, ParamBox{}, fmt.Errorf("%w: inner %d entry %d box not tight", ErrCorrupt, n.id, i)
-			}
-			total += cnt
-			if i == 0 {
-				box = cbox.Clone()
-			} else {
-				box.ExtendBox(cbox)
-			}
-		}
-		return total, box, nil
+	if count := root.subtreeCount(); count != snap.count {
+		return fmt.Errorf("%w: tree Len %d, but the root holds %d vectors", ErrCorrupt, snap.count, count)
 	}
-	total, _, err := walk(root, 0, true)
-	if err != nil {
-		return err
+	return walk(root, nil, -1, 0, read, func(n, parent *node, i, depth int) error {
+		count, box, err := t.checkNode(n, parent == nil, depth, snap.height, read)
+		if err != nil || parent == nil {
+			return err
+		}
+		e := parent.children[i]
+		if count != e.count {
+			return fmt.Errorf("%w: inner %d entry %d count %d, node %d holds %d", ErrCorrupt, parent.id, i, e.count, n.id, count)
+		}
+		if e.logCount != math.Log(float64(e.count)) {
+			return fmt.Errorf("%w: inner %d entry %d stale derived logCount %v for count %d", ErrCorrupt, parent.id, i, e.logCount, e.count)
+		}
+		if !box.Equal(entryBox(&parent.boxes, i, t.dim)) {
+			return fmt.Errorf("%w: inner %d entry %d box is not node %d's box", ErrCorrupt, parent.id, i, n.id)
+		}
+		return nil
+	})
+}
+
+// checkNode verifies one node on its own — its depth if a leaf, its fill,
+// its vectors and a quantized leaf's sidecar — and returns the count and
+// box its parent's entry must hold.
+func (t *Tree) checkNode(n *node, isRoot bool, depth, height int, read func(pagefile.PageID) (*node, error)) (int, ParamBox, error) {
+	if !n.leaf {
+		lo := t.minInner
+		if isRoot {
+			lo = 2
+		}
+		if len(n.children) < lo || len(n.children) > t.capInner {
+			return 0, ParamBox{}, fmt.Errorf("%w: inner %d fill %d outside [%d,%d]", ErrCorrupt, n.id, len(n.children), lo, t.capInner)
+		}
+		u := union(&n.boxes, t.dim)
+		return n.subtreeCount(), entryBox(&u, 0, t.dim), nil
 	}
-	if total != snap.count {
-		return fmt.Errorf("%w: tree Len %d, but subtrees hold %d vectors", ErrCorrupt, snap.count, total)
+	if depth+1 != height {
+		return 0, ParamBox{}, fmt.Errorf("%w: leaf %d at depth %d, height %d", ErrCorrupt, n.id, depth, height)
 	}
-	return nil
+	cols := n.cols
+	if n.quant != nil {
+		side, err := read(n.quant.sidecar)
+		if err != nil {
+			return 0, ParamBox{}, err
+		}
+		if cols = side.cols; cols == nil {
+			return 0, ParamBox{}, fmt.Errorf("%w: page %d referenced as sidecar is not an exact leaf", ErrCorrupt, n.quant.sidecar)
+		}
+	}
+	count, lo := cols.Len(), t.minLeaf
+	if isRoot {
+		lo = 0
+	}
+	if count < lo || count > t.capLeaf {
+		return 0, ParamBox{}, fmt.Errorf("%w: leaf %d fill %d outside [%d,%d]", ErrCorrupt, n.id, count, lo, t.capLeaf)
+	}
+	for j := 0; j < count; j++ {
+		v := cols.Vector(j)
+		if _, err := pfv.New(v.ID, v.Mean, v.Sigma); err != nil {
+			return 0, ParamBox{}, fmt.Errorf("%w: vector %d invalid: %w", ErrCorrupt, v.ID, err)
+		}
+	}
+	if err := checkQuantLeaf(n, cols, t.dim); err != nil {
+		return 0, ParamBox{}, err
+	}
+	if count == 0 {
+		return 0, NewParamBox(t.dim), nil
+	}
+	return count, BoxOfColumns(cols), nil
 }
 
 // checkQuantLeaf verifies the conservative-widening invariant of a

@@ -71,9 +71,9 @@ type Engine struct {
 	name  string
 }
 
-// Partitioner is the empty value New's signature carries — there is one
-// routing, by parameter space — and HashByID, named when a hash of the object
-// id routed, returns it.
+// Partitioner is the empty value New's signature carries: there is one
+// routing, by parameter space. HashByID returns it; the name is kept for
+// callers that still pass it.
 type Partitioner struct{}
 
 func HashByID() Partitioner { return Partitioner{} }
@@ -200,8 +200,7 @@ func (e *Engine) BulkLoad(vs []pfv.Vector) error {
 }
 
 // Delete removes one stored copy of the exact vector: it probes the shards
-// whose root box contains it, in order, up to the first that finds it — every
-// shard, at worst, of an index built while a hash of the id routed.
+// whose root box contains it, in order, up to the first that finds it.
 func (e *Engine) Delete(v pfv.Vector) (bool, error) {
 	if err := e.checkDims(v); err != nil {
 		return false, err

@@ -13,9 +13,10 @@ import (
 
 // ErrCorrupt is wrapped by Scrub and CheckInvariants when the index's
 // persisted state is damaged: a page whose CRC trailer no longer matches
-// (bit rot, torn write), a page that no longer decodes as a node, a
-// write-ahead-log frame corrupted below its durable horizon, or a violated
-// structural invariant. Test with errors.Is.
+// (bit rot, torn write), a page that no longer decodes as a node, a violated
+// structural invariant (a routing box or count that disagrees with its node,
+// a fill bound, a leaf depth, an invalid vector, Len), or a write-ahead-log
+// frame corrupted below its durable horizon. Test with errors.Is.
 var ErrCorrupt = core.ErrCorrupt
 
 // ScrubOptions tune one integrity pass.
@@ -28,7 +29,8 @@ type ScrubOptions struct {
 // ScrubReport summarizes one integrity pass.
 type ScrubReport struct {
 	// Pages is the number of index pages read from the backend and verified
-	// (CRC trailer plus node decode), summed across shards for Sharded.
+	// (CRC trailer, node decode and the structural check), summed across
+	// shards for Sharded.
 	Pages int
 	// WALRecords is the number of durable write-ahead-log records whose
 	// checksums were verified (0 for memory-backed indexes).
@@ -40,9 +42,11 @@ type ScrubReport struct {
 // Scrub verifies the index's persisted state end to end: every page
 // reachable from the current published snapshot is re-read from the storage
 // backend — bypassing the buffer cache, so file backends re-verify the CRC
-// trailer on a physical read — and decoded as a node, and the durable
-// prefix of the write-ahead log is re-checksummed. Damage is reported
-// wrapping ErrCorrupt and the pass aborts on the first damaged page.
+// trailer on a physical read — and decoded as a node, the tree those pages
+// form is checked as CheckInvariants checks it (routing boxes and counts,
+// fill, depth, vectors, Len), and the durable prefix of the write-ahead log
+// is re-checksummed. Damage is reported wrapping ErrCorrupt and the pass
+// aborts on the first damaged page.
 //
 // The walk pins a snapshot exactly like a query: it runs concurrently with
 // mutations, takes no tree lock and charges nothing to the I/O counters.

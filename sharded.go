@@ -28,17 +28,12 @@ type shardedManifest struct {
 
 const shardedManifestName = "shards.json"
 
-// A manifest names how its shards were cut. New directories are cut by
-// parameter space (internal/shard): each shard is a subtree, and a query
-// skips those whose root box cannot matter. A hash-id directory, routed by a
-// hash of the object id until PR 22, opens with the same code: its root boxes
-// all span everything, so no query skips a shard and a Delete may probe them
-// all until the index is rebuilt (ForEach into a fresh NewSharded, BulkLoad);
-// inserts go by parameter space from now on. Round-robin stays refused.
-const (
-	partitionParamSpace = "param-space"
-	partitionHashID     = "hash-id"
-)
+// A manifest names how its shards were cut. Directories are cut by parameter
+// space (internal/shard): each shard is a subtree, and a query skips those
+// whose root box cannot matter. The earlier routings — by a hash of the object
+// id ("hash-id") and round-robin — are refused with rebuild advice: their
+// root boxes all span everything, so no query could skip a shard.
+const partitionParamSpace = "param-space"
 
 // shardFiles is the sharded layout: shard i's page file and write-ahead
 // log inside dir; an empty dir is a memory-backed shard.
@@ -163,8 +158,8 @@ func NewSharded(dim, n int, opts ...Options) (*Sharded, error) {
 // OpenSharded reattaches a sharded Gauss-tree previously persisted in dir:
 // the manifest restores the shard count, and each shard's page file restores
 // its own page size, σ-combiner and tree geometry. A manifest naming a
-// partition other than param-space or hash-id (see partitionParamSpace) is
-// refused before a shard file is touched. Recovery is crash-safe per shard
+// partition other than param-space (see partitionParamSpace) is refused
+// before a shard file is touched. Recovery is crash-safe per shard
 // exactly as with Open: each shard replays its own write-ahead-log tail over
 // its last committed checkpoint. Options may tune the cache budget and
 // probability accuracy; Options.Ingest is rejected as by NewSharded.
@@ -189,8 +184,8 @@ func OpenSharded(dir string, opts ...Options) (*Sharded, error) {
 	if m.Shards <= 0 {
 		return nil, fmt.Errorf("gausstree: sharded manifest names %d shards", m.Shards)
 	}
-	if m.Partition != partitionParamSpace && m.Partition != partitionHashID {
-		return nil, fmt.Errorf("gausstree: sharded manifest names partition policy %q, only %q and %q are supported: rebuild the index by loading its vectors into a fresh NewSharded directory (the release that wrote it reads them out with ForEach)", m.Partition, partitionParamSpace, partitionHashID)
+	if m.Partition != partitionParamSpace {
+		return nil, fmt.Errorf("gausstree: sharded manifest names partition policy %q, only %q is supported: rebuild the index by loading its vectors into a fresh NewSharded directory (the release that wrote it reads them out with ForEach)", m.Partition, partitionParamSpace)
 	}
 
 	units := make([]unit, 0, m.Shards)

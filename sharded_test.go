@@ -2,7 +2,6 @@ package gausstree_test
 
 import (
 	"context"
-	"fmt"
 	"math"
 	"math/rand"
 	"os"
@@ -176,9 +175,9 @@ func TestShardedOpenRejectsGarbage(t *testing.T) {
 
 // TestShardedManifestBytesAndRetiredRouting pins the manifest of a 4-shard
 // index byte for byte — new directories name the partition by parameter
-// space — and checks that a manifest naming the retired round-robin routing
-// is refused with the rebuild advice before any shard file is opened or
-// changed.
+// space — and checks that a manifest naming a retired routing, round-robin
+// or a hash of the object id, is refused with the rebuild advice before any
+// shard file is opened or changed.
 func TestShardedManifestBytesAndRetiredRouting(t *testing.T) {
 	dir := t.TempDir()
 	st, err := gausstree.NewSharded(2, 4, gausstree.Options{Path: dir, PageSize: 1024})
@@ -216,20 +215,22 @@ func TestShardedManifestBytesAndRetiredRouting(t *testing.T) {
 		}
 		return out
 	}
-	if err := os.WriteFile(manifest, []byte(`{"Version":1,"Shards":4,"Partition":"round-robin"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	before := files()
-	s, err := gausstree.OpenSharded(dir)
-	if err == nil {
-		s.Close()
-		t.Fatal("OpenSharded accepted a round-robin manifest")
-	}
-	if msg := err.Error(); !strings.Contains(msg, `"round-robin"`) || !strings.Contains(msg, "rebuild") {
-		t.Errorf("refusal %q does not name the policy and the way out", msg)
-	}
-	if after := files(); !reflect.DeepEqual(after, before) {
-		t.Error("the refused OpenSharded changed the index directory")
+	for _, policy := range []string{"round-robin", "hash-id"} {
+		if err := os.WriteFile(manifest, []byte(`{"Version":1,"Shards":4,"Partition":"`+policy+`"}`), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		before := files()
+		s, err := gausstree.OpenSharded(dir)
+		if err == nil {
+			s.Close()
+			t.Fatalf("OpenSharded accepted a %s manifest", policy)
+		}
+		if msg := err.Error(); !strings.Contains(msg, `"`+policy+`"`) || !strings.Contains(msg, "rebuild") {
+			t.Errorf("refusal %q does not name the policy and the way out", msg)
+		}
+		if after := files(); !reflect.DeepEqual(after, before) {
+			t.Errorf("the refused OpenSharded of a %s manifest changed the index directory", policy)
+		}
 	}
 
 	if err := os.WriteFile(manifest, intact, 0o644); err != nil {
@@ -245,85 +246,6 @@ func TestShardedManifestBytesAndRetiredRouting(t *testing.T) {
 	}
 }
 
-// TestOpenShardedHashIDDirectory: a directory written while mutations were
-// routed by a hash of the object id — built here by hand, three trees at the
-// shard file names holding ids 0, 1, 2 mod 3, and a manifest naming hash-id —
-// opens with the same code. Every root box spans the whole set, so queries
-// read every shard and still answer as the one tree does; Delete finds a
-// vector on whichever shard holds it, inserts join by parameter space, and a
-// vector inserted after the reopen is found again.
-func TestOpenShardedHashIDDirectory(t *testing.T) {
-	const shards = 3
-	dir := t.TempDir()
-	vs := randomWorld(rand.New(rand.NewSource(31)), 240, 2)
-	for i := 0; i < shards; i++ {
-		tr, err := gausstree.New(2, gausstree.Options{Path: filepath.Join(dir, fmt.Sprintf("shard-%04d.gtree", i)), PageSize: 1024})
-		if err != nil {
-			t.Fatal(err)
-		}
-		for _, v := range vs {
-			if int(v.ID)%shards == i {
-				if err := tr.Insert(v); err != nil {
-					t.Fatal(err)
-				}
-			}
-		}
-		if err := tr.Close(); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := os.WriteFile(filepath.Join(dir, "shards.json"), []byte(`{"Version":1,"Shards":3,"Partition":"hash-id"}`), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	sh, err := gausstree.OpenSharded(dir)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer sh.Close()
-	one, err := gausstree.New(2, gausstree.Options{PageSize: 1024})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer one.Close()
-	if err := one.BulkLoad(vs); err != nil {
-		t.Fatal(err)
-	}
-	q := gausstree.MustVector(0, vs[7].Mean, vs[7].Sigma)
-	got, st, err := sh.KMLIQContext(context.Background(), q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	want, err := one.KMostLikely(q, 4)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := range want {
-		if got[i].Vector.ID != want[i].Vector.ID || got[i].ProbLow > want[i].ProbHigh || want[i].ProbLow > got[i].ProbHigh {
-			t.Errorf("rank %d: id %d in [%v, %v], the one tree id %d in [%v, %v]", i, got[i].Vector.ID, got[i].ProbLow, got[i].ProbHigh, want[i].Vector.ID, want[i].ProbLow, want[i].ProbHigh)
-		}
-	}
-	for i, ps := range st.PerShard {
-		if ps.PageAccesses == 0 {
-			t.Errorf("shard %d of a hash-id index was skipped: its root box spans everything", i)
-		}
-	}
-	extra := gausstree.MustVector(9001, []float64{0.5, 0.5}, []float64{0.2, 0.2})
-	if err := sh.Insert(extra); err != nil {
-		t.Fatal(err)
-	}
-	for _, v := range append([]gausstree.Vector{extra}, vs...) {
-		if found, err := sh.Delete(v); err != nil || !found {
-			t.Fatalf("delete %d from the hash-id index: found=%v err=%v", v.ID, found, err)
-		}
-	}
-	if sh.Len() != 0 {
-		t.Fatalf("%d vectors left after deleting all", sh.Len())
-	}
-	if err := sh.CheckInvariants(); err != nil {
-		t.Fatal(err)
-	}
-}
-
 // openFDs counts this process's open file descriptors via /proc; -1 when the
 // platform does not expose them (the leak assertion is then skipped).
 func openFDs(t *testing.T) int {
@@ -336,7 +258,8 @@ func openFDs(t *testing.T) int {
 }
 
 // TestOpenShardedCorruptManifest: every way shards.json can rot — truncated,
-// garbage, naming more shards than exist, naming a nonsensical count — must
+// garbage, naming more shards than exist, naming a nonsensical count or a
+// retired partition — must
 // fail OpenSharded with a clean error and leak nothing: shards opened before
 // the failure was detected must all be closed again (verified by the
 // process's file-descriptor count).
@@ -369,10 +292,13 @@ func TestOpenShardedCorruptManifest(t *testing.T) {
 		{"garbage", []byte("\x00\xffnot a manifest at all\x1b")},
 		// Valid JSON claiming more shards than exist: shards 0-2 open
 		// successfully, shard 3 fails — the three opened ones must close.
-		{"wrong shard count", []byte(`{"Version":1,"Shards":5,"Partition":"hash-id"}`)},
-		{"zero shards", []byte(`{"Version":1,"Shards":0,"Partition":"hash-id"}`)},
-		{"negative shards", []byte(`{"Version":1,"Shards":-4,"Partition":"hash-id"}`)},
-		{"unsupported version", []byte(`{"Version":99,"Shards":3,"Partition":"hash-id"}`)},
+		{"wrong shard count", []byte(`{"Version":1,"Shards":5,"Partition":"param-space"}`)},
+		{"zero shards", []byte(`{"Version":1,"Shards":0,"Partition":"param-space"}`)},
+		{"negative shards", []byte(`{"Version":1,"Shards":-4,"Partition":"param-space"}`)},
+		{"unsupported version", []byte(`{"Version":99,"Shards":3,"Partition":"param-space"}`)},
+		// The retired routing by a hash of the object id is refused
+		// before any shard file is opened.
+		{"hash-id partition", []byte(`{"Version":1,"Shards":3,"Partition":"hash-id"}`)},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

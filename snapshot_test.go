@@ -1,6 +1,7 @@
 package gausstree_test
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"path/filepath"
@@ -116,8 +117,9 @@ func TestSnapshotIsolatedReaders(t *testing.T) {
 		}(int64(g))
 	}
 
-	// Invariant checker racing the writer: validation walks a pinned
-	// snapshot, so it must always pass mid-write.
+	// Invariant checker racing the writer: both checks walk a pinned
+	// snapshot, the scrub past the cache, so they must always pass
+	// mid-write.
 	wg.Add(1)
 	go func() {
 		defer wg.Done()
@@ -128,6 +130,10 @@ func TestSnapshotIsolatedReaders(t *testing.T) {
 			default:
 			}
 			if err := tree.CheckInvariants(); err != nil {
+				errs <- err
+				return
+			}
+			if _, err := tree.Scrub(context.Background(), gausstree.ScrubOptions{}); err != nil {
 				errs <- err
 				return
 			}
@@ -148,8 +154,9 @@ func TestSnapshotIsolatedReaders(t *testing.T) {
 }
 
 // TestSnapshotReadersWithDeletes mixes deletes into the write stream; the
-// per-snapshot consistency contract (no duplicates, structural validity,
-// stable query answers) must hold through shrinks and root collapses.
+// per-snapshot consistency contract (no duplicates, structural validity
+// over cached pages and past the cache, stable query answers) must hold
+// through shrinks and root collapses.
 func TestSnapshotReadersWithDeletes(t *testing.T) {
 	const n = 300
 	tree, err := gausstree.New(2, gausstree.Options{PageSize: 1024})
@@ -200,6 +207,10 @@ func TestSnapshotReadersWithDeletes(t *testing.T) {
 					return
 				}
 				if err := tree.CheckInvariants(); err != nil {
+					errs <- err
+					return
+				}
+				if _, err := tree.Scrub(context.Background(), gausstree.ScrubOptions{}); err != nil {
 					errs <- err
 					return
 				}
