@@ -52,6 +52,7 @@ import (
 	"flag"
 	"fmt"
 	"io"
+	"math"
 	"net"
 	"net/http"
 	"net/http/pprof"
@@ -115,9 +116,11 @@ func parseFlags(args []string, stderr io.Writer) (config, error) {
 		{*queue < 0, "-queue must not be negative"},
 		{*timeout <= 0, "-timeout must be positive"},
 		{*commitLt < 0, "-commit-latency must not be negative"},
-		{*cacheMB < 1, "-cache-mb must be at least 1"},
+		// Above its bound, the byte count would overflow into "default".
+		{*cacheMB < 1 || *cacheMB > math.MaxInt>>20, fmt.Sprintf("-cache-mb must be in [1, %d]", math.MaxInt>>20)},
 		{!(*traceSmp >= 0 && *traceSmp <= 1), "-trace-sample must be in [0,1]"}, // NaN included
-		{*slowMS < 0, "-slow-query-ms must not be negative"},
+		// Above its bound, the threshold would overflow into "off".
+		{*slowMS < 0 || *slowMS > math.MaxInt64/int64(time.Millisecond), fmt.Sprintf("-slow-query-ms must be in [0, %d]", math.MaxInt64/int64(time.Millisecond))},
 		{*scrubInt < 0, "-scrub-interval must not be negative"},
 		{*scrubPPS < -1 || *scrubPPS == 0, "-scrub-rate must be positive, or -1 for unthrottled"},
 		// Chaos without an ops listener would be unarmable dead weight, and

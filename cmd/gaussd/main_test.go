@@ -1,7 +1,9 @@
 package main
 
 import (
+	"fmt"
 	"io"
+	"math"
 	"strings"
 	"testing"
 	"time"
@@ -26,11 +28,15 @@ func TestParseFlags(t *testing.T) {
 		{"-index x -commit-latency 0", ""},
 		{"-index x -cache-mb -1", "-cache-mb"},
 		{"-index x -cache-mb 0", "-cache-mb"},
+		{fmt.Sprint("-index x -cache-mb ", math.MaxInt>>20), ""},
+		{fmt.Sprint("-index x -cache-mb ", math.MaxInt>>20+1), "-cache-mb"}, // 2048 on 386: its bytes overflow an int
 		{"-index x -trace-sample -0.1", "-trace-sample"},
 		{"-index x -trace-sample 1.5", "-trace-sample"},
 		{"-index x -trace-sample NaN", "-trace-sample"},
 		{"-index x -trace-sample 1", ""},
 		{"-index x -slow-query-ms -1", "-slow-query-ms"},
+		{fmt.Sprint("-index x -slow-query-ms ", math.MaxInt64/int64(time.Millisecond)), ""},
+		{fmt.Sprint("-index x -slow-query-ms ", math.MaxInt64/int64(time.Millisecond)+1), "-slow-query-ms"}, // overflows a Duration
 		{"-index x -scrub-interval -1s", "-scrub-interval"},
 		{"-index x -scrub-rate -7", "-scrub-rate"},
 		{"-index x -scrub-rate 0", "-scrub-rate"},

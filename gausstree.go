@@ -150,9 +150,10 @@ func resolveOptions(opts []Options) Options {
 // documentation).
 //
 // A Tree is the one-partition layout of the index implementation it shares
-// with Sharded: one page file plus "<path>.wal". Its queries are the
-// coordinator's at one shard, which is the paper's algorithm on that one
-// tree (see "Sharding" in the package documentation).
+// with Sharded: one page file plus "<path>.wal". Its queries are its core
+// tree's own stand-alone queries, the paper's algorithm on that one tree; the
+// coordinator runs only at two shards or more (see "Sharding" in the package
+// documentation).
 type Tree struct {
 	index
 }

@@ -247,7 +247,7 @@ func (x *index) Threshold(q Vector, pTheta float64) ([]Match, error) {
 }
 
 // kmliq, ranked and tiq are the one query path: argument checks, then the
-// coordinator over however many shards the index has.
+// engine over however many shards the index has (one: the tree's own query).
 func (x *index) kmliq(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
 	st, err := x.queryState(q, checkK(k))
 	if err != nil {

@@ -79,12 +79,6 @@ type Interval struct {
 	Lo, Hi float64
 }
 
-// Valid reports whether the interval is ordered and finite.
-func (iv Interval) Valid() bool {
-	return iv.Lo <= iv.Hi && !math.IsInf(iv.Lo, 0) && !math.IsInf(iv.Hi, 0) &&
-		!math.IsNaN(iv.Lo) && !math.IsNaN(iv.Hi)
-}
-
 // Contains reports whether x lies in [Lo, Hi].
 func (iv Interval) Contains(x float64) bool { return iv.Lo <= x && x <= iv.Hi }
 

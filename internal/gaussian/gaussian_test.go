@@ -108,17 +108,6 @@ func TestStdQuantileRoundTrip(t *testing.T) {
 	}
 }
 
-func TestStdCDFPoly5Accuracy(t *testing.T) {
-	// Zelen & Severo 26.2.17 promises |error| < 7.5e-8.
-	for z := -6.0; z <= 6.0; z += 0.01 {
-		exact := StdCDF(z)
-		approx := StdCDFPoly5(z)
-		if math.Abs(exact-approx) > 7.5e-8 {
-			t.Fatalf("poly5 error at z=%v: exact %v approx %v", z, exact, approx)
-		}
-	}
-}
-
 func TestValidateSigma(t *testing.T) {
 	for _, bad := range []float64{0, -1, math.Inf(1), math.NaN()} {
 		if err := ValidateSigma(bad); err == nil {
@@ -134,9 +123,6 @@ func TestValidateSigma(t *testing.T) {
 
 func TestIntervalBasics(t *testing.T) {
 	iv := Interval{Lo: 1, Hi: 3}
-	if !iv.Valid() {
-		t.Fatal("interval should be valid")
-	}
 	if iv.Width() != 2 {
 		t.Errorf("Width = %v", iv.Width())
 	}
@@ -157,12 +143,6 @@ func TestIntervalBasics(t *testing.T) {
 	u := Interval{Lo: 2, Hi: 7}.Union(Interval{Lo: -1, Hi: 4})
 	if u.Lo != -1 || u.Hi != 7 {
 		t.Errorf("Union = %v", u)
-	}
-	if (Interval{Lo: 2, Hi: 1}).Valid() {
-		t.Error("reversed interval should be invalid")
-	}
-	if (Interval{Lo: math.NaN(), Hi: 1}).Valid() {
-		t.Error("NaN interval should be invalid")
 	}
 }
 

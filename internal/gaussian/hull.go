@@ -149,82 +149,3 @@ func HullIntegral(mu, sigma Interval) float64 {
 		mu.Width()*InvSqrt2Pi/sigma.Lo +
 		2*math.Log(sigma.Hi/sigma.Lo)*InvSqrt2PiE
 }
-
-// HullIntegralOn returns ∫_a^b ˆN_{μ̌,μ̂,σ̌,σ̂}(x) dx for an arbitrary finite
-// interval [a, b], assembled from the sector-wise antiderivatives. cdf is the
-// standard normal CDF to use: StdCDF for the erf-exact result or StdCDFPoly5
-// for the degree-5 polynomial sigmoid approximation the paper applies.
-func HullIntegralOn(mu, sigma Interval, a, b float64, cdf func(float64) float64) float64 {
-	if b <= a {
-		return 0
-	}
-	// Sector boundaries from left to right.
-	cuts := [6]float64{
-		mu.Lo - sigma.Hi,
-		mu.Lo - sigma.Lo,
-		mu.Lo,
-		mu.Hi,
-		mu.Hi + sigma.Lo,
-		mu.Hi + sigma.Hi,
-	}
-	total := 0.0
-	lo := a
-	for i := 0; i <= len(cuts); i++ {
-		hi := b
-		if i < len(cuts) && cuts[i] < b {
-			hi = cuts[i]
-		}
-		if hi > lo {
-			total += hullSectorIntegral(mu, sigma, i, lo, hi, cdf)
-			lo = hi
-		}
-		if lo >= b {
-			break
-		}
-	}
-	return total
-}
-
-// hullSectorIntegral integrates the sector-i piece of the hull over [lo, hi],
-// where [lo, hi] is fully contained in sector i (0-based: sector 0 = (I)).
-func hullSectorIntegral(mu, sigma Interval, sector int, lo, hi float64, cdf func(float64) float64) float64 {
-	gauss := func(m, s float64) float64 {
-		return cdf((hi-m)/s) - cdf((lo-m)/s)
-	}
-	switch sector {
-	case 0: // (I): Gaussian N(μ̌, σ̂)
-		return gauss(mu.Lo, sigma.Hi)
-	case 1: // (II): ∫ 1/(√(2πe)(μ̌−x)) dx = ln((μ̌−lo)/(μ̌−hi))/√(2πe)
-		return InvSqrt2PiE * math.Log((mu.Lo-lo)/(mu.Lo-hi))
-	case 2: // (III): Gaussian N(μ̌, σ̌)
-		return gauss(mu.Lo, sigma.Lo)
-	case 3: // (IV): constant plateau
-		return (hi - lo) * InvSqrt2Pi / sigma.Lo
-	case 4: // (V): Gaussian N(μ̂, σ̌)
-		return gauss(mu.Hi, sigma.Lo)
-	case 5: // (VI): ∫ 1/(√(2πe)(x−μ̂)) dx
-		return InvSqrt2PiE * math.Log((hi-mu.Hi)/(lo-mu.Hi))
-	default: // (VII): Gaussian N(μ̂, σ̂)
-		return gauss(mu.Hi, sigma.Hi)
-	}
-}
-
-// StdCDFPoly5 approximates the standard normal CDF with the degree-5
-// polynomial sigmoid approximation of Zelen & Severo (Abramowitz & Stegun,
-// formula 26.2.17; absolute error < 7.5e-8). The paper applies exactly this
-// family of approximations when integrating the hull during splits; it is
-// exposed so the split-quality ablation can compare it against the
-// erf-exact StdCDF.
-func StdCDFPoly5(z float64) float64 {
-	neg := z < 0
-	if neg {
-		z = -z
-	}
-	t := 1 / (1 + 0.2316419*z)
-	poly := t * (0.319381530 + t*(-0.356563782+t*(1.781477937+t*(-1.821255978+t*1.330274429))))
-	p := 1 - InvSqrt2Pi*math.Exp(-0.5*z*z)*poly
-	if neg {
-		return 1 - p
-	}
-	return p
-}

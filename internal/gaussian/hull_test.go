@@ -193,45 +193,6 @@ func TestHullIntegralAtLeastOne(t *testing.T) {
 	}
 }
 
-func TestHullIntegralOnPartitionsToFull(t *testing.T) {
-	mu := Interval{Lo: -1, Hi: 2}
-	sigma := Interval{Lo: 0.3, Hi: 1.7}
-	lo := mu.Lo - sigma.Hi - 14
-	hi := mu.Hi + sigma.Hi + 14
-	// Split [lo,hi] at arbitrary interior points; pieces must sum to the whole.
-	full := HullIntegralOn(mu, sigma, lo, hi, StdCDF)
-	cuts := []float64{-3.2, -1, 0.1, 0.9, 2, 2.6, 5}
-	sum := 0.0
-	prev := lo
-	for _, c := range append(cuts, hi) {
-		sum += HullIntegralOn(mu, sigma, prev, c, StdCDF)
-		prev = c
-	}
-	if !almostEqual(sum, full, 1e-10) {
-		t.Errorf("piecewise sum %v vs full %v", sum, full)
-	}
-	// And the full-line closed form should match the wide interval.
-	if want := HullIntegral(mu, sigma); !almostEqual(full, want, 1e-6) {
-		t.Errorf("interval integral %v vs closed form %v", full, want)
-	}
-}
-
-func TestHullIntegralOnEmptyAndPoly5(t *testing.T) {
-	mu := Interval{Lo: 0, Hi: 1}
-	sigma := Interval{Lo: 0.5, Hi: 1}
-	if got := HullIntegralOn(mu, sigma, 2, 2, StdCDF); got != 0 {
-		t.Errorf("empty interval integral = %v", got)
-	}
-	if got := HullIntegralOn(mu, sigma, 3, 1, StdCDF); got != 0 {
-		t.Errorf("reversed interval integral = %v", got)
-	}
-	exact := HullIntegralOn(mu, sigma, -5, 5, StdCDF)
-	approx := HullIntegralOn(mu, sigma, -5, 5, StdCDFPoly5)
-	if !almostEqual(exact, approx, 1e-5) {
-		t.Errorf("poly5 integral %v vs exact %v", approx, exact)
-	}
-}
-
 func TestHullShiftedByQueryUncertainty(t *testing.T) {
 	// §5.2: ˆN over a node for a probabilistic query (μq, σq) equals the hull
 	// with the σ interval shifted by σq, evaluated at μq. Verify dominance

@@ -36,23 +36,6 @@ func (s *LogSum) Add(logX float64) {
 	s.n++
 }
 
-// AddScaled accumulates count·exp(logX), i.e. the same log-space term
-// repeated count times (used for node-granularity sum bounds n·ˇN, n·ˆN).
-func (s *LogSum) AddScaled(logX float64, count int) {
-	if count <= 0 || math.IsInf(logX, -1) {
-		return
-	}
-	s.Add(logX + math.Log(float64(count)))
-}
-
-// Merge adds the contents of another accumulator.
-func (s *LogSum) Merge(other LogSum) {
-	if other.n == 0 {
-		return
-	}
-	s.Add(other.Log())
-}
-
 // Log returns ln Σ exp(xᵢ), or −Inf if nothing was added.
 func (s *LogSum) Log() float64 {
 	if s.n == 0 {
@@ -60,9 +43,6 @@ func (s *LogSum) Log() float64 {
 	}
 	return s.max + math.Log(s.sum)
 }
-
-// Terms returns the number of accumulated terms.
-func (s *LogSum) Terms() int { return s.n }
 
 // Reset empties the accumulator.
 func (s *LogSum) Reset() { *s = LogSum{} }

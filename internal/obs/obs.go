@@ -238,23 +238,6 @@ func (r *Registry) register(name, help, kind string, buckets []float64, fn func(
 	return s
 }
 
-// Unregister removes a metric family by name, mainly so tests can rebuild
-// collectors over a fresh index; unknown names are ignored.
-func (r *Registry) Unregister(name string) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.byNam[name] == nil {
-		return
-	}
-	delete(r.byNam, name)
-	for i, f := range r.fams {
-		if f.name == name {
-			r.fams = append(r.fams[:i], r.fams[i+1:]...)
-			break
-		}
-	}
-}
-
 // WritePrometheus renders every registered family in the Prometheus text
 // exposition format, families in registration order, series in
 // registration order within a family.

@@ -219,19 +219,3 @@ func TestHistogramBucketing(t *testing.T) {
 		}
 	}
 }
-
-func TestUnregister(t *testing.T) {
-	r := NewRegistry()
-	r.Counter("gone_total", "g")
-	r.Unregister("gone_total")
-	r.Unregister("never_was") // must not panic
-	var b strings.Builder
-	if err := r.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if b.Len() != 0 {
-		t.Errorf("unregistered family still rendered: %q", b.String())
-	}
-	// The name is reusable, even with a different kind.
-	r.Gauge("gone_total", "g").Set(1)
-}

@@ -158,17 +158,14 @@ func TestInterleavedPushPop(t *testing.T) {
 
 func TestTopKBasics(t *testing.T) {
 	tk := NewTopK[string](3)
-	if tk.Full() {
-		t.Error("new TopK should not be full")
-	}
 	if _, ok := tk.Bound(); ok {
 		t.Error("Bound must be unavailable until full")
 	}
 	tk.Offer("a", 1)
 	tk.Offer("b", 5)
 	tk.Offer("c", 3)
-	if !tk.Full() || tk.Len() != 3 {
-		t.Fatalf("Full=%v Len=%d", tk.Full(), tk.Len())
+	if tk.Len() != 3 {
+		t.Fatalf("Len=%d", tk.Len())
 	}
 	if b, ok := tk.Bound(); !ok || b != 1 {
 		t.Errorf("Bound = %v,%v want 1", b, ok)

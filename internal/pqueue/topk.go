@@ -50,9 +50,6 @@ func (t *TopK[T]) Offer(value T, prio float64) bool {
 	return false
 }
 
-// Full reports whether k elements have been collected.
-func (t *TopK[T]) Full() bool { return t.heap.Len() >= t.k }
-
 // Len returns the number of collected elements (≤ k).
 func (t *TopK[T]) Len() int { return t.heap.Len() }
 

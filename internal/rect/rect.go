@@ -12,7 +12,7 @@ import (
 
 // Rect is a closed axis-aligned box [Lo[i], Hi[i]] per dimension. Lo and Hi
 // always have equal length. The zero value is an invalid rectangle; use New
-// or FromPoint.
+// or MustNew.
 type Rect struct {
 	Lo, Hi []float64
 }
@@ -45,11 +45,6 @@ func MustNew(lo, hi []float64) Rect {
 	return r
 }
 
-// FromPoint returns the degenerate rectangle covering exactly one point.
-func FromPoint(p []float64) Rect {
-	return Rect{Lo: append([]float64(nil), p...), Hi: append([]float64(nil), p...)}
-}
-
 // Dim returns the dimensionality.
 func (r Rect) Dim() int { return len(r.Lo) }
 
@@ -65,16 +60,6 @@ func (r Rect) Equal(s Rect) bool {
 	}
 	for i := range r.Lo {
 		if r.Lo[i] != s.Lo[i] || r.Hi[i] != s.Hi[i] {
-			return false
-		}
-	}
-	return true
-}
-
-// ContainsPoint reports whether p lies inside the closed box.
-func (r Rect) ContainsPoint(p []float64) bool {
-	for i := range r.Lo {
-		if p[i] < r.Lo[i] || p[i] > r.Hi[i] {
 			return false
 		}
 	}
@@ -183,16 +168,4 @@ func (r Rect) Enlargement(s Rect) float64 {
 		grown *= hi - lo
 	}
 	return grown - r.Area()
-}
-
-// Center writes the box center into dst (allocating if needed) and returns it.
-func (r Rect) Center(dst []float64) []float64 {
-	if cap(dst) < len(r.Lo) {
-		dst = make([]float64, len(r.Lo))
-	}
-	dst = dst[:len(r.Lo)]
-	for i := range r.Lo {
-		dst[i] = (r.Lo[i] + r.Hi[i]) / 2
-	}
-	return dst
 }

@@ -34,21 +34,6 @@ func TestMustNewPanics(t *testing.T) {
 	MustNew([]float64{1}, []float64{0})
 }
 
-func TestFromPointAndPredicates(t *testing.T) {
-	p := []float64{1, 2, 3}
-	r := FromPoint(p)
-	if r.Dim() != 3 || r.Area() != 0 {
-		t.Errorf("point rect: dim %d area %v", r.Dim(), r.Area())
-	}
-	if !r.ContainsPoint(p) {
-		t.Error("point rect should contain its point")
-	}
-	p[0] = 99 // FromPoint must copy
-	if r.Lo[0] == 99 {
-		t.Error("FromPoint aliased input slice")
-	}
-}
-
 func TestContainsIntersects(t *testing.T) {
 	outer := MustNew([]float64{0, 0}, []float64{10, 10})
 	inner := MustNew([]float64{2, 2}, []float64{5, 5})
@@ -67,9 +52,6 @@ func TestContainsIntersects(t *testing.T) {
 	}
 	if !outer.Intersects(touching) {
 		t.Error("boundary-touching boxes are closed: must intersect")
-	}
-	if !outer.ContainsPoint([]float64{0, 10}) || outer.ContainsPoint([]float64{-0.001, 5}) {
-		t.Error("ContainsPoint boundary behavior wrong")
 	}
 }
 
@@ -106,19 +88,6 @@ func TestExtendInPlace(t *testing.T) {
 	r.ExtendInPlace(MustNew([]float64{-1, 0.5}, []float64{0.5, 3}))
 	if !r.Equal(MustNew([]float64{-1, 0}, []float64{1, 3})) {
 		t.Errorf("ExtendInPlace = %+v", r)
-	}
-}
-
-func TestCenter(t *testing.T) {
-	r := MustNew([]float64{0, 2}, []float64{4, 4})
-	c := r.Center(nil)
-	if c[0] != 2 || c[1] != 3 {
-		t.Errorf("Center = %v", c)
-	}
-	buf := make([]float64, 2)
-	c2 := r.Center(buf)
-	if &c2[0] != &buf[0] {
-		t.Error("Center should reuse buffer")
 	}
 }
 

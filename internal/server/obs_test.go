@@ -453,7 +453,8 @@ func TestStatsDeadlineBounds(t *testing.T) {
 }
 
 // TestStatsTimeoutParam checks /v1/stats now takes a deadline like every
-// other handler: a malformed timeout_ms is a 400, a generous one succeeds.
+// other handler: a malformed timeout_ms is a 400, a generous one succeeds —
+// also one too large for a time.Duration, which the server's ceiling bounds.
 func TestStatsTimeoutParam(t *testing.T) {
 	s, _ := newShardedIndex(t, 100, 3)
 	_, base := startServerMux(t, server.ShardedIndex(s), server.Config{})
@@ -467,21 +468,25 @@ func TestStatsTimeoutParam(t *testing.T) {
 		t.Errorf("malformed timeout_ms: got status %d, want 400", resp.StatusCode)
 	}
 
-	resp, err = http.Get(base + "/v1/stats?timeout_ms=5000")
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Errorf("valid timeout_ms: got status %d, want 200", resp.StatusCode)
-	}
-	var st struct {
-		Backend string `json:"backend"`
-	}
-	if err := json.NewDecoder(resp.Body).Decode(&st); err != nil {
-		t.Fatal(err)
-	}
-	if st.Backend != "sharded" {
-		t.Errorf("backend = %q, want sharded", st.Backend)
+	for _, ms := range []string{"5000", "4611686018427387904", "9223372036854775807"} {
+		resp, err := http.Get(base + "/v1/stats?timeout_ms=" + ms)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var st struct {
+			Backend string `json:"backend"`
+		}
+		err = json.NewDecoder(resp.Body).Decode(&st)
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("timeout_ms=%s: got status %d, want 200", ms, resp.StatusCode)
+			continue
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		if st.Backend != "sharded" {
+			t.Errorf("backend = %q, want sharded", st.Backend)
+		}
 	}
 }

@@ -328,13 +328,12 @@ func (s *Server) release(endpoint string) {
 }
 
 // deadline derives the request context: the server ceiling bounds every
-// request, a positive client timeout_ms may only shorten it.
+// request, a positive client timeout_ms may only shorten it (compared in
+// milliseconds: a huge timeout_ms would overflow a Duration into the past).
 func (s *Server) deadline(r *http.Request, timeoutMS int64) (context.Context, context.CancelFunc) {
 	d := s.cfg.Timeout
-	if timeoutMS > 0 {
-		if c := time.Duration(timeoutMS) * time.Millisecond; c < d {
-			d = c
-		}
+	if timeoutMS > 0 && timeoutMS <= d.Milliseconds() {
+		d = time.Duration(timeoutMS) * time.Millisecond
 	}
 	return context.WithTimeout(r.Context(), d)
 }

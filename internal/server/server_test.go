@@ -601,6 +601,30 @@ func TestDeadlinePropagation(t *testing.T) {
 	close(gated.release)
 }
 
+// TestHugeTimeoutMSIsNoShorterThanTheCeiling: a timeout_ms too large for a
+// time.Duration asks for more than the server's ceiling, so the ceiling
+// bounds the query; it must not overflow into a deadline already past.
+func TestHugeTimeoutMSIsNoShorterThanTheCeiling(t *testing.T) {
+	s, vs := newShardedIndex(t, 200, 3)
+	_, base := startServerMux(t, server.ShardedIndex(s), server.Config{})
+	q := vs[0].Clone()
+	q.ID = 0
+	for _, ms := range []int64{5000, 1 << 62, math.MaxInt64} {
+		body, err := json.Marshal(wire.QueryRequest{Query: q, K: 1, TimeoutMS: ms})
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp, err := http.Post(base+"/v1/kmliq", "application/json", strings.NewReader(string(body)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusOK {
+			t.Errorf("timeout_ms %d: got status %d, want 200", ms, resp.StatusCode)
+		}
+	}
+}
+
 // TestTrailingBodyBytesRefused: every POST endpoint serves its well-formed
 // body and refuses the same body followed by a second JSON value or by junk,
 // or with an unknown key inside its vector, with 400 invalid_query — like an

@@ -26,9 +26,10 @@ import (
 // traversal counters and the certified intervals of TIQ and k-MLIQ on the
 // paper's data set 2. testdata/certified_stop_golden.txt is a table written
 // by `go test ./internal/shard -run TestCertifiedStopGolden -update-golden`.
-// It has no rows for the 1-shard engine: one shard is the stand-alone query,
-// so each of its rows must equal the tree's row of the same seed, op and
-// block.
+// It has no rows for the 1-shard engine: a one-shard engine answers with its
+// tree's own stand-alone query, so each of its rows must equal the tree's row
+// of the same seed, op and block — which pins that delegation, statistics
+// included.
 //
 // The tree rows were first written by the parent of the kernel change with one
 // thing added: the accumulator fix that rebuilds the queue bounds when a pop

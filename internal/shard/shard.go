@@ -1,8 +1,8 @@
 // Package shard is the query coordinator: an Engine partitions probabilistic
 // feature vectors across N independent core trees and answers every
 // identification query over their cursors, context-aware, first error cancels
-// the siblings. A single tree is the engine at N = 1: no goroutine, no peers,
-// one round, page for page the paper's algorithm.
+// the siblings. At N = 1 there is nothing to coordinate: the engine answers
+// with its tree's own stand-alone query, and the coordinator starts at two.
 //
 // A shard is a subtree. The partition is by parameter space — BulkLoad cuts
 // the set with the bulk loader's own first cuts, Insert goes where the tree's
@@ -303,13 +303,9 @@ type shardState struct {
 // mergeParts combines per-shard denominator components by log-sum-exp. All
 // three components are additive across disjoint data partitions, so the
 // merged parts bound the global Bayes denominator exactly as one tree over
-// the union of the data would; the parts of one shard are the merge. buf is
-// scratch for 3·len(shards) terms.
+// the union of the data would. buf is scratch for 3·len(shards) terms.
 func mergeParts(shards []shardState, buf []float64) core.DenomParts {
 	n := len(shards)
-	if n == 1 {
-		return shards[0].parts
-	}
 	ex, fl, hu := buf[:n], buf[n:2*n], buf[2*n:3*n]
 	for i, sh := range shards {
 		ex[i], fl[i], hu[i] = sh.parts.LogExact, sh.parts.LogFloor, sh.parts.LogHull
@@ -322,7 +318,7 @@ func mergeParts(shards []shardState, buf []float64) core.DenomParts {
 }
 
 // peerLowOf returns the log-sum-exp of every shard's certified denominator
-// lower bound except shard i's own (−Inf at one shard: no peers, no mass).
+// lower bound except shard i's own.
 func peerLowOf(shards []shardState, i int, buf []float64) float64 {
 	lows := buf[:0]
 	for j, sh := range shards {
@@ -331,6 +327,12 @@ func peerLowOf(shards []shardState, i int, buf []float64) float64 {
 		}
 	}
 	return gaussian.LogSumExpSlice(lows)
+}
+
+// alone is a one-shard engine's answer: its tree's stand-alone query, the
+// tree's statistics as its one shard's, in one round.
+func alone(res []query.Result, st query.Stats, err error) ([]query.Result, Stats, error) {
+	return res, Stats{Stats: st, PerShard: []query.Stats{st}, MergeRounds: 1}, err
 }
 
 // collectStats aggregates the per-shard statistics.
@@ -355,9 +357,12 @@ func (e *Engine) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.
 // shards taken in descending order of their root hull ˆN(q) (Cursor.Bound),
 // each refined against the k-th best density gathered before it
 // (core.Peers.LogKth), and the first whose hull cannot beat that ends the
-// query — it and every shard after it stay unread. One shard is read whatever
-// its hull: its cursor is the tree's.
+// query — it and every shard after it stay unread. One shard is the tree's
+// own ranked query.
 func (e *Engine) KMLIQRankedDetail(ctx context.Context, q pfv.Vector, k int) ([]query.Result, Stats, error) {
+	if len(e.trees) == 1 {
+		return alone(e.trees[0].KMLIQRanked(ctx, q, k))
+	}
 	n := len(e.trees)
 	curs, order := make([]*core.Cursor, n), make([]int, n)
 	defer func() {
@@ -382,10 +387,8 @@ func (e *Engine) KMLIQRankedDetail(ctx context.Context, q pfv.Vector, k int) ([]
 			return nil, stats(), err
 		}
 		curs[i], order[i] = c, i
-		if n > 1 {
-			if err := c.AsShard(i); err != nil {
-				return nil, stats(), err
-			}
+		if err := c.AsShard(i); err != nil {
+			return nil, stats(), err
 		}
 	}
 	slices.SortStableFunc(order, func(a, b int) int { return cmp.Compare(curs[b].Bound(), curs[a].Bound()) })
@@ -434,6 +437,9 @@ func (e *Engine) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float6
 
 // KMLIQDetail is KMLIQ with per-shard statistics and merge-round counts.
 func (e *Engine) KMLIQDetail(ctx context.Context, q pfv.Vector, k int, accuracy float64) ([]query.Result, Stats, error) {
+	if len(e.trees) == 1 {
+		return alone(e.trees[0].KMLIQ(ctx, q, k, accuracy))
+	}
 	open := func(ctx context.Context, t *core.Tree) (*core.Cursor, error) { return t.OpenKMLIQ(ctx, q, k, accuracy) }
 	// The merged top-k are the answer; it is certified once every interval
 	// is within accuracy. The densest candidate has the widest interval, so
@@ -473,6 +479,9 @@ func (e *Engine) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy
 
 // TIQDetail is TIQ with per-shard statistics and merge-round counts.
 func (e *Engine) TIQDetail(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) ([]query.Result, Stats, error) {
+	if len(e.trees) == 1 {
+		return alone(e.trees[0].TIQ(ctx, q, pTheta, accuracy))
+	}
 	open := func(ctx context.Context, t *core.Tree) (*core.Cursor, error) {
 		return t.OpenTIQ(ctx, q, pTheta, accuracy)
 	}
@@ -498,13 +507,13 @@ func (e *Engine) TIQDetail(ctx context.Context, q pfv.Vector, pTheta float64, ac
 	return e.coordinate(ctx, accuracy, open, decide)
 }
 
-// coordinate is the one query loop behind KMLIQ and TIQ. It opens a cursor
-// per shard (open) — each with its root queued, so before anything is read a
-// shard's denominator parts are the bounds of its root box — and then, round
-// by round, resumes the shards that can still matter, merges all shards'
-// parts, lets the query type decide its candidates against the merged
-// interval (decide, see verdict), and — while some decision is still open —
-// goes on with a smaller unexplored-mass budget.
+// coordinate is the one query loop behind KMLIQ and TIQ over two or more
+// shards. It opens a cursor per shard (open) — each with its root queued, so
+// before anything is read a shard's denominator parts are the bounds of its
+// root box — and then, round by round, resumes the shards that can still
+// matter, merges all shards' parts, lets the query type decide its candidates
+// against the merged interval (decide, see verdict), and — while a decision
+// is still open — goes on with a smaller unexplored-mass budget.
 //
 // Which shards a round resumes is §5.2's pruning one level up. The first
 // takes only those holding at least half of the largest root hull mass, where
@@ -515,21 +524,13 @@ func (e *Engine) TIQDetail(ctx context.Context, q pfv.Vector, pTheta float64, ac
 // is neither runs on no goroutine, and one never resumed is never read: its
 // root bounds stay in the merge, which is why the answer stands only once
 // every shard is settled — a skipped shard ran no stop test of its own.
-//
-// At one shard the round is the query: the cursor is no shard's, its root is
-// expanded as a tree's is, its stop test is the paper's (core.Cursor), the
-// merged parts are its parts, and what it certified decides every candidate
-// in round one — a one-shard engine is the stand-alone query, page for page.
 func (e *Engine) coordinate(
 	ctx context.Context, accuracy float64,
 	open func(context.Context, *core.Tree) (*core.Cursor, error),
 	decide func([]core.Candidate, core.DenomParts) verdict,
 ) ([]query.Result, Stats, error) {
 	n := len(e.trees)
-	cancel := context.CancelFunc(func() {}) // stops a failing shard's siblings; one shard has none
-	if n > 1 {
-		ctx, cancel = context.WithCancel(ctx)
-	}
+	ctx, cancel := context.WithCancel(ctx) // stops a failing shard's siblings
 	defer cancel()
 	shards := make([]shardState, n)
 	// Cursors hold pooled traversal state and a snapshot pin; hand both back
@@ -549,13 +550,11 @@ func (e *Engine) coordinate(
 			return nil, Stats{}, err
 		}
 		shards[i] = shardState{cur: c, peers: core.NoPeers()}
-		if n > 1 {
-			if err := c.AsShard(i); err != nil {
-				return nil, Stats{}, err
-			}
-			shards[i].parts = c.DenomParts()
-			maxHull = max(maxHull, shards[i].parts.LogHull)
+		if err := c.AsShard(i); err != nil {
+			return nil, Stats{}, err
 		}
+		shards[i].parts = c.DenomParts()
+		maxHull = max(maxHull, shards[i].parts.LogHull)
 	}
 	stats := func(rounds int) Stats {
 		per := make([]query.Stats, n)
@@ -571,28 +570,21 @@ func (e *Engine) coordinate(
 		}
 		return
 	}
-	// With peers, a traced query gets one merge_round span per round (the
-	// aggregated fan-out + merge work) over the per-shard *_refine spans of
-	// the cursors resumed in it; alone, the cursor's span is the query's.
-	var tr *obs.Trace
-	if n > 1 {
-		tr = obs.TraceFrom(ctx)
-	}
+	// A traced query gets one merge_round span per round (the aggregated
+	// fan-out + merge work) over the per-shard *_refine spans of the cursors
+	// resumed in it.
+	tr := obs.TraceFrom(ctx)
 
 	budget := math.Inf(1)
 	var cands []core.Candidate
 	var resumed []int
-	var scratch []float64 // of mergeParts and peerLowOf
-	if n > 1 {
-		scratch = make([]float64, 3*n)
-	}
+	scratch := make([]float64, 3*n) // of mergeParts and peerLowOf
 	visited := int64(-1)
 	for rounds := 1; ; rounds++ {
 		resumed = resumed[:0]
 		for i := range shards {
 			sh := &shards[i]
 			switch {
-			case n == 1:
 			case rounds == 1:
 				if sh.parts.LogHull < maxHull-math.Ln2 {
 					continue

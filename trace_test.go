@@ -22,9 +22,9 @@ func traced(t *testing.T, query func(ctx context.Context) error) []obs.Span {
 
 // TestTreeQuerySpanNames pins the span names a traced Tree query emits —
 // the benchmark ledger's obs.span.kmliq_us row and the daemon's slow-query
-// log read them by name. A Tree is the coordinator at one shard: its cursor
-// has no shard label, so the one span it records carries the query's name,
-// is attributed to no shard and no round, and accounts for every page.
+// log read them by name. A Tree answers through its core tree's own cursor,
+// which has no shard label, so the one span it records carries the query's
+// name, is attributed to no shard and no round, and accounts for every page.
 func TestTreeQuerySpanNames(t *testing.T) {
 	tree, err := gausstree.New(3, gausstree.Options{PageSize: 1024})
 	if err != nil {
