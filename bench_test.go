@@ -1,6 +1,6 @@
 // The CPU-kernel benchmarks of the cached read path — the bench-hot set that
-// scripts/bench-snapshot.sh records per revision: KMLIQHot, KMLIQHotQuantized,
-// TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ and AblationIntegral here,
+// scripts/bench-snapshot.sh records per revision: KMLIQHot, KMLIQRankedHot,
+// KMLIQHotQuantized, TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ and AblationIntegral here,
 // ReadNodeHot, FirstTouch, DecodeLeaf and ExpandInner in internal/core.
 // Everything else has one driver elsewhere: the paper's tables (Fig. 1/6/7, ablations A1, A2,
 // A4) are computed by internal/eval and printed by cmd/gaussbench; build,
@@ -113,6 +113,43 @@ func BenchmarkKMLIQHot(b *testing.B) {
 			var pages uint64
 			for i := 0; i < b.N; i++ {
 				st, err := bc.run(w.qs[i%len(w.qs)].Vector)
+				if err != nil {
+					b.Fatal(err)
+				}
+				pages += st.PageAccesses
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(pages)/float64(b.N), "pages/query")
+		})
+	}
+}
+
+// BenchmarkKMLIQRankedHot is the ranked k-MLIQ through the public Tree at
+// k = 1, 3 and 10, fully cached: the core traversal plus what the façade adds
+// (argument checks, the one-shard engine, the statistics it returns).
+func BenchmarkKMLIQRankedHot(b *testing.B) {
+	w := benchDS2(b)
+	tr, err := gausstree.New(w.ds.Dim)
+	if err != nil {
+		b.Fatal(err)
+	}
+	defer tr.Close()
+	if err := tr.BulkLoad(w.ds.Vectors); err != nil {
+		b.Fatal(err)
+	}
+	ctx := context.Background()
+	for _, k := range []int{1, 3, 10} {
+		b.Run(fmt.Sprintf("k-%d", k), func(b *testing.B) {
+			for _, q := range w.qs {
+				if _, _, err := tr.KMLIQRankedContext(ctx, q.Vector, k); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportAllocs()
+			b.ResetTimer()
+			var pages uint64
+			for i := 0; i < b.N; i++ {
+				_, st, err := tr.KMLIQRankedContext(ctx, w.qs[i%len(w.qs)].Vector, k)
 				if err != nil {
 					b.Fatal(err)
 				}

@@ -246,21 +246,18 @@ func (t *Tree) InsertContext(ctx context.Context, v Vector) error {
 // query pins the snapshot published by the last committed mutation and
 // never takes the tree lock.
 func (t *Tree) KMLIQContext(ctx context.Context, q Vector, k int) ([]Match, QueryStats, error) {
-	ms, st, err := t.kmliq(ctx, q, k)
-	return ms, st.Stats, err
+	return t.kmliq(ctx, q, k)
 }
 
 // KMLIQRankedContext is KMostLikelyRanked with cancellation and per-query
 // statistics.
 func (t *Tree) KMLIQRankedContext(ctx context.Context, q Vector, k int) ([]Match, QueryStats, error) {
-	ms, st, err := t.ranked(ctx, q, k)
-	return ms, st.Stats, err
+	return t.ranked(ctx, q, k)
 }
 
 // TIQContext is Threshold with cancellation and per-query statistics.
 func (t *Tree) TIQContext(ctx context.Context, q Vector, pTheta float64) ([]Match, QueryStats, error) {
-	ms, st, err := t.tiq(ctx, q, pTheta)
-	return ms, st.Stats, err
+	return t.tiq(ctx, q, pTheta)
 }
 
 // Posterior computes the exact identification probabilities P(vᵢ|q) of a

@@ -248,28 +248,31 @@ func (x *index) Threshold(q Vector, pTheta float64) ([]Match, error) {
 
 // kmliq, ranked and tiq are the one query path: argument checks, then the
 // engine over however many shards the index has (one: the tree's own query).
-func (x *index) kmliq(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
+// They return the query's statistics; Sharded's Context methods ask the
+// engine for the per-shard breakdown instead (shard.Engine's Detail
+// queries), which a Tree does without.
+func (x *index) kmliq(ctx context.Context, q Vector, k int) ([]Match, QueryStats, error) {
 	st, err := x.queryState(q, checkK(k))
 	if err != nil {
-		return nil, ShardedQueryStats{}, err
+		return nil, QueryStats{}, err
 	}
-	return st.eng.KMLIQDetail(ctx, q, k, x.opts.Accuracy)
+	return st.eng.KMLIQ(ctx, q, k, x.opts.Accuracy)
 }
 
-func (x *index) ranked(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
+func (x *index) ranked(ctx context.Context, q Vector, k int) ([]Match, QueryStats, error) {
 	st, err := x.queryState(q, checkK(k))
 	if err != nil {
-		return nil, ShardedQueryStats{}, err
+		return nil, QueryStats{}, err
 	}
-	return st.eng.KMLIQRankedDetail(ctx, q, k)
+	return st.eng.KMLIQRanked(ctx, q, k)
 }
 
-func (x *index) tiq(ctx context.Context, q Vector, pTheta float64) ([]Match, ShardedQueryStats, error) {
+func (x *index) tiq(ctx context.Context, q Vector, pTheta float64) ([]Match, QueryStats, error) {
 	st, err := x.queryState(q, checkPTheta(pTheta))
 	if err != nil {
-		return nil, ShardedQueryStats{}, err
+		return nil, QueryStats{}, err
 	}
-	return st.eng.TIQDetail(ctx, q, pTheta, x.opts.Accuracy)
+	return st.eng.TIQ(ctx, q, pTheta, x.opts.Accuracy)
 }
 
 // Dim returns the feature dimensionality of the index (0 after Close).

@@ -4,72 +4,80 @@ import (
 	"math"
 
 	"github.com/gauss-tree/gausstree/internal/gaussian"
-	"github.com/gauss-tree/gausstree/internal/pagefile"
-	"github.com/gauss-tree/gausstree/internal/pqueue"
 	"github.com/gauss-tree/gausstree/internal/query"
 )
 
-// activeNode is one unexplored subtree in the best-first priority queue.
-// logFloorN and logHullN are the log-space lower and upper bounds of the
-// subtree's total contribution to the Bayes denominator: ln(n·ˇN(q)) and
-// ln(n·ˆN(q)) respectively (§5.2.2).
-type activeNode struct {
-	page                pagefile.PageID
-	count               int
-	logFloorN, logHullN float64
+// expSum is a sum of exponentials held in log space: Σ exp(xᵢ) =
+// exp(ref)·sum. It is what a scaledAccum holds, and what a queued block keeps
+// of its waiting children's mass (activeQueue).
+type expSum struct{ ref, sum float64 }
+
+// at returns the sum scaled to the reference ref: Σ exp(xᵢ − ref).
+func (m expSum) at(ref float64) float64 {
+	if m.sum <= 0 {
+		return 0
+	}
+	return m.sum * math.Exp(m.ref-ref)
 }
 
 // scaledAccum maintains Σ exp(xᵢ) over a dynamic multiset of log-space terms
-// with O(1) add and remove, staying accurate across the enormous dynamic
-// range of multi-dimensional Gaussian densities by carrying an explicit
-// log-space reference exponent, the largest term added since the last reset
-// (so the sum never rounds below it). A removal that cancels the sum down to
-// rounding residue — losing every term the removed one had absorbed — marks
-// the accumulator cancelled; the owner rebuilds it from the live terms (see
-// denomTracker.maybeRebuild).
+// and sums with O(1) add and swap, staying accurate across the enormous
+// dynamic range of multi-dimensional Gaussian densities by carrying an
+// explicit log-space reference exponent, the largest term added since the
+// last reset (so the sum never rounds below it). A swap that cancels the sum
+// down to rounding residue — losing every term the removed one had absorbed
+// — marks the accumulator cancelled; the owner rebuilds it from the live
+// terms (see denomTracker.maybeRebuild).
 type scaledAccum struct {
-	ref       float64 // log-space reference; contributions are exp(x − ref)
-	sum       float64 // Σ exp(xᵢ − ref)
-	peak      float64 // largest sum a removal has met since the last reset
-	cancelled bool    // a removal left under cancelRatio of peak
+	expSum            // ref: the log-space reference; sum: Σ exp(xᵢ − ref)
+	peak      float64 // largest sum a swap has met since the last reset
+	cancelled bool    // a swap left under cancelRatio of peak
 }
 
 // cancelRatio is the share of its peak below which a sum that has seen
-// removals is taken for rounding residue: terms were rounded to 2⁻⁵³·peak
-// when added, so under 2⁻²⁰·peak at most 33 bits are left. On DS2 3-MLIQ:
-// 5.5 rebuilds a query, 1e-9 nats worst drift (2⁻³⁰: 4.5 rebuilds, 1e-6).
+// swaps is taken for rounding residue: terms were rounded to 2⁻⁵³·peak when
+// added, so under 2⁻²⁰·peak at most 33 bits are left. On DS2 3-MLIQ: 5.5
+// rebuilds a query, 1e-9 nats worst drift (2⁻³⁰: 4.5 rebuilds, 1e-6).
 const cancelRatio = 1.0 / (1 << 20)
 
-func (a *scaledAccum) add(x float64) {
-	if math.IsInf(x, -1) {
+// add adds one term exp(x).
+func (a *scaledAccum) add(x float64) { a.addSum(expSum{x, 1}) }
+
+// addSum adds a sum held against its own reference.
+func (a *scaledAccum) addSum(m expSum) {
+	if m.sum <= 0 || math.IsInf(m.ref, -1) {
 		return
 	}
 	if a.sum <= 0 {
-		a.ref, a.sum, a.peak = x, 1, 0
+		a.expSum, a.peak = m, 0
 		return
 	}
-	switch d := x - a.ref; {
+	switch d := m.ref - a.ref; {
 	case d > 0:
-		// Rebase: summed against a far lower reference, x − ref rounds at its
+		// Rebase: summed against a far lower reference, m − ref rounds at its
 		// scale and the sum can fall under its largest term (a [1, 1] posterior).
 		f := math.Exp(-d)
-		a.sum, a.peak, a.ref = a.sum*f+1, a.peak*f, x
-	case d < -40 && a.sum >= 1:
-		// e^d < 2⁻⁵⁷ ≤ half an ulp of the sum: adding it would round straight
-		// back to the same bits, so the Exp is skipped.
+		a.sum, a.peak, a.ref = a.sum*f+m.sum, a.peak*f, m.ref
+	case d < -40 && a.sum >= m.sum:
+		// e^d·m < 2⁻⁵⁷·sum ≤ half an ulp of the sum: adding it would round
+		// straight back to the same bits, so the Exp is skipped.
 	default:
-		a.sum += math.Exp(d)
+		a.sum += m.sum * math.Exp(d)
 	}
 }
 
-func (a *scaledAccum) remove(x float64) {
-	if math.IsInf(x, -1) || a.sum <= 0 {
+// swap replaces old, a sum the accumulator holds, by new in one step: a
+// block's mass moving from one suffix to the next (activeQueue.pop). Neither
+// may exceed the reference, which every sum added since the last reset
+// bounds.
+func (a *scaledAccum) swap(old, new expSum) {
+	if a.sum <= 0 {
 		return
 	}
 	if a.sum > a.peak {
-		a.peak = a.sum // sums only grow between removals: this is the true peak
+		a.peak = a.sum // sums only grow between swaps: this is the true peak
 	}
-	a.sum -= math.Exp(x - a.ref)
+	a.sum += new.at(a.ref) - old.at(a.ref)
 	if a.sum < a.peak*cancelRatio {
 		a.cancelled = true
 		if a.sum < 0 {
@@ -90,10 +98,10 @@ func (a *scaledAccum) reset() { *a = scaledAccum{} }
 // denomTracker maintains the certified interval around the Bayes denominator
 // Σ_w p(q|w) during a best-first traversal: the exact log-sum of all scored
 // leaf objects plus, per §5.2.2, the floor/hull sum bounds of every subtree
-// still waiting in the priority queue. Bounds are updated whenever a node is
-// pushed or popped. Stop tests read the interval through fold, which is
-// memoised: however many tests an expansion runs, the five accumulators are
-// folded into log space once.
+// still waiting in the priority queue. Bounds are updated whenever a block
+// is queued or popped from. Stop tests read the interval through fold, which
+// is memoised: however many tests an expansion runs, the five accumulators
+// are folded into log space once.
 type denomTracker struct {
 	exact   scaledAccum // Σ p(q|v) over individually scored objects; ref: the densest
 	floorPQ scaledAccum // Σ n·ˇN over queued subtrees
@@ -134,15 +142,18 @@ func (d *denomTracker) addResidual(logFloor, logHull float64) {
 	d.folded = false
 }
 
-func (d *denomTracker) push(a activeNode) {
-	d.floorPQ.add(a.logFloorN)
-	d.hullPQ.add(a.logHullN)
+// enter registers a new block's mass, the suffix of its best child.
+func (d *denomTracker) enter(s suffix) {
+	d.floorPQ.addSum(s.floor)
+	d.hullPQ.addSum(s.hull)
 	d.folded = false
 }
 
-func (d *denomTracker) pop(a activeNode) {
-	d.floorPQ.remove(a.logFloorN)
-	d.hullPQ.remove(a.logHullN)
+// advance moves a block's mass from the suffix of its popped child to the
+// suffix after it (zero: the block is spent).
+func (d *denomTracker) advance(old, new suffix) {
+	d.floorPQ.swap(old.floor, new.floor)
+	d.hullPQ.swap(old.hull, new.hull)
 	d.folded = false
 }
 
@@ -156,12 +167,12 @@ func (d *denomTracker) clearQueueBounds() {
 	d.folded = false
 }
 
-// maybeRebuild recomputes a queue-bound accumulator from the live queue when
-// a pop cancelled it (see scaledAccum): best-first pops the dominant hull
-// first, and the certified upper bound must not sink below the mass still
-// queued. The traversal calls it after every expansion, before the next
-// stop test.
-func (d *denomTracker) maybeRebuild(active *pqueue.Queue[activeNode]) {
+// maybeRebuild recomputes a queue-bound accumulator from the live blocks'
+// suffixes when a pop cancelled it (see scaledAccum): best-first pops the
+// dominant hull first, and the certified upper bound must not sink below the
+// mass still queued. The traversal calls it after every expansion, before
+// the next stop test.
+func (d *denomTracker) maybeRebuild(q *activeQueue) {
 	floor, hull := d.floorPQ.cancelled, d.hullPQ.cancelled
 	if !floor && !hull {
 		return
@@ -172,12 +183,13 @@ func (d *denomTracker) maybeRebuild(active *pqueue.Queue[activeNode]) {
 	if hull {
 		d.hullPQ.reset()
 	}
-	active.Items(func(a activeNode, _ float64) {
+	q.heap.Items(func(b int32, _ float64) {
+		s := q.mass[q.blocks[b].next]
 		if floor {
-			d.floorPQ.add(a.logFloorN)
+			d.floorPQ.addSum(s.floor)
 		}
 		if hull {
-			d.hullPQ.add(a.logHullN)
+			d.hullPQ.addSum(s.hull)
 		}
 	})
 	d.folded = false

@@ -8,6 +8,9 @@ import (
 	"github.com/gauss-tree/gausstree/internal/query"
 )
 
+// removeTerm takes one term exp(x) back out of a: a swap for nothing.
+func removeTerm(a *scaledAccum, x float64) { a.swap(expSum{x, 1}, expSum{}) }
+
 func TestScaledAccumBasics(t *testing.T) {
 	var a scaledAccum
 	if !math.IsInf(a.log(), -1) {
@@ -18,11 +21,11 @@ func TestScaledAccumBasics(t *testing.T) {
 	if math.Abs(a.log()-math.Log(7)) > 1e-12 {
 		t.Errorf("log = %v, want ln 7", a.log())
 	}
-	a.remove(math.Log(3))
+	removeTerm(&a, math.Log(3))
 	if math.Abs(a.log()-math.Log(4)) > 1e-12 {
 		t.Errorf("after remove log = %v, want ln 4", a.log())
 	}
-	a.remove(math.Log(100)) // over-removal clamps to zero, never negative
+	removeTerm(&a, math.Log(100)) // over-removal clamps to zero, never negative
 	if !math.IsInf(a.log(), -1) {
 		t.Errorf("clamped accumulator log = %v", a.log())
 	}
@@ -38,7 +41,7 @@ func TestScaledAccumExtremeRange(t *testing.T) {
 	if math.Abs(a.log()-want) > 1e-9 {
 		t.Errorf("log = %v, want %v", a.log(), want)
 	}
-	a.remove(2000)
+	removeTerm(&a, 2000)
 	if math.Abs(a.log()-1999) > 1e-6 {
 		t.Errorf("after removing dominant: log = %v, want 1999", a.log())
 	}
@@ -51,7 +54,7 @@ func TestScaledAccumNegInfIgnored(t *testing.T) {
 		t.Error("-Inf must contribute nothing")
 	}
 	a.add(1)
-	a.remove(math.Inf(-1))
+	removeTerm(&a, math.Inf(-1))
 	if math.Abs(a.log()-1) > 1e-12 {
 		t.Errorf("log = %v", a.log())
 	}
@@ -68,7 +71,7 @@ func TestScaledAccumRandomizedAgainstDirect(t *testing.T) {
 			members = append(members, x)
 		} else {
 			i := rng.Intn(len(members))
-			a.remove(members[i])
+			removeTerm(&a, members[i])
 			members = append(members[:i], members[i+1:]...)
 		}
 	}
@@ -110,12 +113,12 @@ func TestLogAddExp(t *testing.T) {
 }
 
 func TestDenomTrackerIntervalContainsExact(t *testing.T) {
-	// Pushing node bounds and replacing them with exact members must always
+	// Queueing node bounds and replacing them with exact members must always
 	// keep the certified interval around the true denominator.
 	rng := rand.New(rand.NewSource(42))
 	var d denomTracker
 	type nodeSim struct {
-		a      activeNode
+		s      suffix    // a block of one: the node's n·ˇN and n·ˆN
 		values []float64 // exact member log densities within [floor, hull]
 	}
 	var pending []nodeSim
@@ -126,10 +129,9 @@ func TestDenomTrackerIntervalContainsExact(t *testing.T) {
 		n := rng.Intn(5) + 1
 		hull := floor + width
 		sim := nodeSim{
-			a: activeNode{
-				count:     n,
-				logFloorN: floor + math.Log(float64(n)),
-				logHullN:  hull + math.Log(float64(n)),
+			s: suffix{
+				floor: expSum{floor + math.Log(float64(n)), 1},
+				hull:  expSum{hull + math.Log(float64(n)), 1},
 			},
 		}
 		for j := 0; j < n; j++ {
@@ -138,7 +140,7 @@ func TestDenomTrackerIntervalContainsExact(t *testing.T) {
 			trueDenom = logAddExp(trueDenom, v)
 		}
 		pending = append(pending, sim)
-		d.push(sim.a)
+		d.enter(sim.s)
 	}
 	check := func(step int) {
 		lo, hi := d.fold().logLow, d.fold().logHigh
@@ -148,7 +150,7 @@ func TestDenomTrackerIntervalContainsExact(t *testing.T) {
 	}
 	check(-1)
 	for i, sim := range pending {
-		d.pop(sim.a)
+		d.advance(sim.s, suffix{})
 		for _, v := range sim.values {
 			d.addExact(v)
 		}

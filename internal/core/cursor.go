@@ -280,15 +280,15 @@ func (c *Cursor) DenomParts() DenomParts { return c.tr.denom.fold().parts }
 // of a shard's cursor before its first Refine, its root — which no object
 // the cursor has yet to score exceeds; −Inf when nothing is queued.
 func (c *Cursor) Bound() float64 {
-	if _, prio, ok := c.tr.active.Peek(); ok {
-		return prio
+	if next, ok := c.tr.active.peek(); ok {
+		return next.prio
 	}
 	return math.Inf(-1)
 }
 
 // Exhausted reports whether the traversal has explored the whole tree (the
 // denominator contribution is then exact and Refine can tighten no further).
-func (c *Cursor) Exhausted() bool { return c.tr.started && c.tr.active.Len() == 0 }
+func (c *Cursor) Exhausted() bool { return c.tr.started && c.tr.active.len() == 0 }
 
 // Stats returns the query statistics accumulated over all Refine calls.
 func (c *Cursor) Stats() query.Stats { return c.tr.finish(c.col.len()) }

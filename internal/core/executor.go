@@ -17,7 +17,7 @@ import (
 var _ query.Engine = (*Tree)(nil)
 
 // traversal is the reusable best-first executor shared by every Gauss-tree
-// query (§5.2): an active-node max-queue ordered by the hull priority ˆN(q),
+// query (§5.2): an active queue ordered by the hull priority ˆN(q),
 // node reads charged to a per-query counter, leaf/inner dispatch into a
 // candidate collector, optional Bayes-denominator interval tracking
 // (§5.2.2), and a pluggable stop condition. Every query is a Cursor
@@ -26,7 +26,7 @@ var _ query.Engine = (*Tree)(nil)
 // differs: what it keeps, what it admits and when it stops.
 //
 // Traversals are pooled: newTraversal acquires and release returns the state
-// (the active queue's backing array, the denominator accumulators, the page
+// (the active queue's backing arrays, the denominator accumulators, the page
 // counter), so a steady-state hot query performs no traversal allocations.
 type traversal struct {
 	tree *Tree
@@ -39,7 +39,7 @@ type traversal struct {
 	ctx        context.Context
 	q          pfv.Vector
 	eval       pfv.JointEvaluator // per-query fast path of JointLogDensity
-	active     *pqueue.Queue[activeNode]
+	active     activeQueue
 	denom      denomTracker
 	trackDenom bool
 	counter    pagefile.Counter
@@ -62,11 +62,9 @@ type traversal struct {
 	// the z²-sum screen of pfv.Boxes.LogBounds.
 	hullCut float64
 
-	// scores and dimBuf are reusable batch-scoring scratch buffers; their
-	// capacity survives release so steady-state hot queries stay
-	// allocation-free.
+	// scores is the reusable batch-scoring scratch buffer; its capacity
+	// survives release so steady-state hot queries stay allocation-free.
 	scores []float64
-	dimBuf []float64
 }
 
 // vecRef names a stored vector by its position in a decoded leaf's columns.
@@ -83,7 +81,7 @@ func (r vecRef) vector() pfv.Vector { return r.cols.Vector(r.j) }
 
 var traversalPool = sync.Pool{
 	New: func() any {
-		return &traversal{active: pqueue.NewMax[activeNode]()}
+		return &traversal{active: activeQueue{heap: pqueue.NewMax[int32]()}}
 	},
 }
 
@@ -95,6 +93,9 @@ func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, 
 	tr.q = q
 	tr.eval.Reset(t.cfg.Combiner, q)
 	tr.trackDenom = trackDenom
+	if trackDenom {
+		tr.active.denom = &tr.denom
+	}
 	tr.col = col
 	tr.peers = NoPeers()
 	tr.trace = obs.TraceFrom(ctx)
@@ -151,37 +152,34 @@ func (tr *traversal) run(done func() bool) error {
 	if !tr.started {
 		tr.started = true
 		if tr.snap.count > 0 { // an empty tree answers without reading its root
-			if err := tr.expand(activeNode{page: tr.snap.root, count: tr.snap.count}); err != nil {
+			if err := tr.expand(tr.snap.root); err != nil {
 				return err
 			}
 		}
 	}
-	for tr.active.Len() > 0 && !done() {
-		a, _, _ := tr.active.Pop()
-		if tr.trackDenom {
-			tr.denom.pop(a)
-		}
-		if err := tr.expand(a); err != nil {
+	for tr.active.len() > 0 && !done() {
+		if err := tr.expand(tr.active.pop().page); err != nil {
 			return err
 		}
 		if tr.trackDenom {
-			tr.denom.maybeRebuild(tr.active)
+			tr.denom.maybeRebuild(&tr.active)
 		}
 	}
-	if tr.trackDenom && tr.active.Len() == 0 {
+	if tr.trackDenom && tr.active.len() == 0 {
 		// The tree is exhausted: the denominator is exactly the sum of the
 		// scored densities. Drop the accumulators' cancellation residue so
 		// the certified interval collapses to a point.
 		tr.denom.clearQueueBounds()
 	}
-	tr.stats.EarlyTermination = tr.active.Len() > 0
+	tr.stats.EarlyTermination = tr.active.len() > 0
 	return nil
 }
 
 // queueRoot starts the traversal one step short of run's: the root goes on
-// the queue under the hull priority — and, when the denominator is tracked,
-// the n·ˇN/n·ˆN sum bounds — of the snapshot's root box (treeSnap.box), as
-// the child entry of a parent node would put it there, and no page is read.
+// the queue as a block of one under the hull priority — and, when the
+// denominator is tracked, the n·ˇN/n·ˆN sum bounds — of the snapshot's root
+// box (treeSnap.box), as the child entry of a parent node would put it
+// there, and no page is read.
 func (tr *traversal) queueRoot() error {
 	tr.started = true
 	box, err := tr.tree.rootBox(tr.snap, tr.pin)
@@ -189,29 +187,24 @@ func (tr *traversal) queueRoot() error {
 		return err // or nil: nothing stored, nothing to queue
 	}
 	hulls, floors := tr.logBounds(box, math.Inf(1))
-	root := activeNode{page: tr.snap.root, count: tr.snap.count}
-	if tr.trackDenom {
-		logCount := math.Log(float64(tr.snap.count))
-		root.logFloorN, root.logHullN = floors[0]+logCount, hulls[0]+logCount
-		tr.denom.push(root)
-	}
-	tr.active.Push(root, hulls[0])
+	root := [1]childEntry{{page: tr.snap.root, count: tr.snap.count, logCount: math.Log(float64(tr.snap.count))}}
+	tr.active.push(root[:], hulls, floors, false)
 	return nil
 }
 
 // expand loads one queued subtree root. Leaf objects are scored exactly
 // (feeding both the candidate collector and the exact denominator part);
-// inner children are pushed with their hull priorities and registered with
-// the denominator tracker. The hot path is allocation-free: node reads hit
-// the page cache's decoded forms, densities go through the per-query
-// evaluator, one kernel call bounds all children of a node into the
-// traversal's scratch, and the subtree-count logarithms of the §5.2.2 sum
-// bounds are precomputed on the node (childEntry.logCount).
-func (tr *traversal) expand(a activeNode) error {
+// inner children are queued as one block under their hull priorities, which
+// registers their sum bounds with the denominator tracker. The hot path is
+// allocation-free: node reads hit the page cache's decoded forms, densities
+// go through the per-query evaluator, one kernel call bounds all children of
+// a node into the traversal's scratch, and the subtree-count logarithms of
+// the §5.2.2 sum bounds are precomputed on the node (childEntry.logCount).
+func (tr *traversal) expand(page pagefile.PageID) error {
 	if err := tr.ctx.Err(); err != nil {
 		return err
 	}
-	n, err := tr.tree.readNodeCounted(a.page, &tr.counter, tr.pin)
+	n, err := tr.tree.readNodeCounted(page, &tr.counter, tr.pin)
 	if err != nil {
 		return err
 	}
@@ -233,18 +226,7 @@ func (tr *traversal) expand(a activeNode) error {
 		}
 	}
 	hulls, floors := tr.logBounds(&n.boxes, zLim)
-	for i := range n.children {
-		c := &n.children[i]
-		child := activeNode{page: c.page, count: c.count}
-		if tr.trackDenom {
-			child.logFloorN = floors[i] + c.logCount
-			child.logHullN = hulls[i] + c.logCount
-			tr.denom.push(child)
-		} else if screened && math.IsInf(hulls[i], -1) {
-			continue
-		}
-		tr.active.Push(child, hulls[i])
-	}
+	tr.active.push(n.children, hulls, floors, screened)
 	return nil
 }
 
@@ -262,39 +244,16 @@ func (tr *traversal) logBounds(boxes *pfv.Boxes, zLim float64) (hulls, floors []
 	return hulls, floors
 }
 
-// scoreExactLeaf scores one exact leaf through the columnar batch evaluator.
-// Without screening, every vector's density is computed by ScoreColumns —
-// bit-identical, in the same order, to the scalar per-vector loop this
-// replaces — and fed to the denominator and collector exactly as before.
-// With an admission bound on a ranked traversal (once the heap is full, or
-// the peers' k-th is known), a cheap logarithm-free per-vector upper bound
-// is computed first and only vectors that could still enter the top-k are
-// scored exactly, straight from the columns. The bound is monotone
-// non-decreasing over the query, which makes the skip final-safe.
+// scoreExactLeaf scores every vector of one exact leaf through the columnar
+// batch evaluator, ScoreColumns — bit-identical, in the same order, to the
+// scalar per-vector loop — and feeds each density to the denominator and
+// the collector. Ranked queries score the whole leaf too: screening vectors
+// by a per-vector upper bound first and scoring the survivors one at a time
+// cost more than it spared.
 func (tr *traversal) scoreExactLeaf(n *node) {
 	cols := n.cols
 	nv := cols.Len()
 	tr.scores = growFloats(tr.scores, nv)
-	if !tr.trackDenom {
-		if bound, ok := tr.col.admission(tr.peers); ok {
-			tr.dimBuf = growFloats(tr.dimBuf, tr.tree.dim)
-			tr.eval.UpperBoundColumns(cols, tr.dimBuf, tr.scores)
-			for j, ub := range tr.scores[:nv] {
-				// ub ≤ bound means the exact density cannot displace the
-				// current k-th candidate (admission requires strictly more).
-				if ub <= bound {
-					continue
-				}
-				ld := tr.eval.LogDensityAt(cols, j)
-				tr.stats.VectorsScored++
-				tr.col.offer(vecRef{cols, j}, ld)
-				if b, ok := tr.col.admission(tr.peers); ok {
-					bound = b
-				}
-			}
-			return
-		}
-	}
 	tr.eval.ScoreColumns(cols, tr.scores)
 	tr.stats.VectorsScored += nv
 	for j, ld := range tr.scores[:nv] {

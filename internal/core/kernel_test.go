@@ -68,95 +68,237 @@ func ds2Observations(tb testing.TB, n, count int, seed int64) []pfv.Vector {
 	return out
 }
 
-// TestTrackerAgreesWithLiveQueue runs real best-first traversals and, at
-// every stop test, recomputes the queue-bound sums from the live queue: the
-// O(1)-remove accumulators must agree with them however the dominant hulls
-// were popped. Before the cancellation-triggered rebuild they drifted by
-// whole orders of magnitude between the every-256-mutations rebuilds.
+// childEntries maps every page of tr to the entry its parent holds for it —
+// the root's built from the root box — so a test can bound any queued
+// subtree on its own.
+func childEntries(tb testing.TB, tr *Tree) map[pagefile.PageID]childEntry {
+	tb.Helper()
+	box, count, err := tr.RootBox()
+	if err != nil {
+		tb.Fatal(err)
+	}
+	out := map[pagefile.PageID]childEntry{tr.root: {page: tr.root, count: count, box: box}}
+	for _, n := range innerNodes(tb, tr) {
+		for j, c := range n.children {
+			c.box = entryBox(&n.boxes, j, tr.dim) // a reader's node keeps its boxes columnar
+			out[c.page] = c
+		}
+	}
+	return out
+}
+
+// stopTest is Refine's stop test against no peers with check run before it.
+func stopTest(c *Cursor, alone bool, maxLogUnexplored float64, check func()) func() bool {
+	return func() bool {
+		check()
+		return c.col.done(c.tr, c.accuracy, NoPeers(), alone) && c.tr.denom.fold().parts.LogHull <= maxLogUnexplored
+	}
+}
+
+// TestTrackerAgreesWithLiveQueue runs real queries — a stand-alone 3-MLIQ
+// and TIQ, and a 3-MLIQ shard cursor refined round by round — and at every
+// stop test recomputes the queue-bound sums independently: each live
+// block's remaining children bounded one box at a time by the scalar
+// gaussian.HullTerm/FloorTerm reference (scalarBounds), weighted by their
+// counts and summed. The block suffix sums, traded on every pop and rebuilt
+// from the live blocks when a pop cancels a total, must agree with them
+// however the dominant hulls were popped.
 func TestTrackerAgreesWithLiveQueue(t *testing.T) {
 	tr, qs := ds2Tree(t, 20000, 40, 5)
-	worst := 0.0
-	for _, q := range qs {
-		trav := tr.newTraversal(context.Background(), q, true, mliqCollector{acquireTopK(1)})
-		steps := 0
-		err := trav.run(func() bool {
-			steps++
-			floor, hull := math.Inf(-1), math.Inf(-1)
-			trav.active.Items(func(a activeNode, _ float64) {
-				floor = logAddExp(floor, a.logFloorN)
-				hull = logAddExp(hull, a.logHullN)
-			})
-			p := trav.denom.fold().parts
-			for _, c := range [][2]float64{{p.LogFloor, floor}, {p.LogHull, hull}} {
-				if math.IsInf(c[1], -1) && math.IsInf(c[0], -1) {
-					continue
-				}
-				if d := math.Abs(c[0] - c[1]); d > worst || math.IsNaN(d) {
-					worst = d
-				}
+	entries := childEntries(t, tr)
+	worst, tests := 0.0, 0
+	check := func(trav *traversal) {
+		tests++
+		floor, hull := math.Inf(-1), math.Inf(-1)
+		q := &trav.active
+		q.heap.Items(func(b int32, _ float64) {
+			for _, c := range q.kids[q.blocks[b].next:q.blocks[b].end] {
+				e := entries[c.page]
+				h, f, _ := scalarBounds(e.box, tr.cfg.Combiner, trav.q)
+				lc := math.Log(float64(e.count))
+				floor, hull = logAddExp(floor, f+lc), logAddExp(hull, h+lc)
 			}
-			return false // exhaust the tree
 		})
+		p := trav.denom.fold().parts
+		for _, c := range [][2]float64{{p.LogFloor, floor}, {p.LogHull, hull}} {
+			if math.IsInf(c[1], -1) && math.IsInf(c[0], -1) {
+				continue
+			}
+			d := math.Abs(c[0] - c[1])
+			if math.IsNaN(d) {
+				t.Fatalf("tracked %v, recomputed %v", c[0], c[1])
+			}
+			worst = max(worst, d)
+		}
+	}
+	ctx := context.Background()
+	for _, q := range qs {
+		kmliq, err := tr.OpenKMLIQ(ctx, q, 3, 1e-6)
 		if err != nil {
 			t.Fatal(err)
 		}
-		trav.release()
-		if steps < 10 {
-			t.Fatalf("traversal made only %d stop tests", steps)
+		tiq, err := tr.OpenTIQ(ctx, q, 0.5, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, c := range []*Cursor{kmliq, tiq} {
+			if err := c.tr.run(stopTest(c, true, math.Inf(1), func() { check(c.tr) })); err != nil {
+				t.Fatal(err)
+			}
+			c.Close()
+		}
+		shard, err := tr.OpenKMLIQ(ctx, q, 3, 1e-6)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := shard.AsShard(0); err != nil {
+			t.Fatal(err)
+		}
+		for budget := math.Inf(1); !shard.Exhausted() && budget > -1e300; budget = shard.DenomParts().LogHull - 3 {
+			if err := shard.tr.run(stopTest(shard, false, budget, func() { check(shard.tr) })); err != nil {
+				t.Fatal(err)
+			}
+		}
+		shard.Close()
+	}
+	if tests < 40*20 {
+		t.Fatalf("only %d stop tests over %d queries", tests, len(qs))
+	}
+	t.Logf("%d stop tests, worst drift %.3g nats", tests, worst)
+	if worst > 1e-8 {
+		t.Errorf("tracked queue bounds drift from the recomputed ones by up to %v nats", worst)
+	}
+}
+
+// TestBlocksPopInHeapOrder pins that queueing one block per expanded node
+// changes no pop: for stand-alone 3-MLIQ, TIQ and ranked queries, the pages
+// each query pops, in order, are those a best-first over a plain heap of
+// children pops, every child under its scalar hull bound.
+func TestBlocksPopInHeapOrder(t *testing.T) {
+	tr, qs := ds2Tree(t, 20000, 40, 6)
+	ctx := context.Background()
+	ops := []struct {
+		name string
+		open func(q pfv.Vector) (*Cursor, error)
+	}{
+		{"kmliq", func(q pfv.Vector) (*Cursor, error) { return tr.OpenKMLIQ(ctx, q, 3, 1e-6) }},
+		{"tiq", func(q pfv.Vector) (*Cursor, error) { return tr.OpenTIQ(ctx, q, 0.5, 1e-6) }},
+		{"ranked", func(q pfv.Vector) (*Cursor, error) { return tr.OpenKMLIQRanked(ctx, q, 3) }},
+	}
+	for _, op := range ops {
+		pops := 0
+		for qi, q := range qs {
+			c, err := op.open(q)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var popped []pagefile.PageID
+			err = c.tr.run(func() bool {
+				if c.col.done(c.tr, c.accuracy, NoPeers(), true) {
+					return true
+				}
+				next, _ := c.tr.active.peek()
+				popped = append(popped, next.page)
+				return false
+			})
+			c.Close()
+			if err != nil {
+				t.Fatal(err)
+			}
+			ref := pqueue.NewMax[pagefile.PageID]()
+			expand := func(page pagefile.PageID) {
+				n, err := tr.readNode(page, pagefile.Pin{})
+				if err != nil {
+					t.Fatal(err)
+				}
+				for j, ch := range n.children {
+					h, _, _ := scalarBounds(entryBox(&n.boxes, j, tr.dim), tr.cfg.Combiner, q)
+					ref.Push(ch.page, h)
+				}
+			}
+			expand(tr.root)
+			for i, got := range popped {
+				want, _, ok := ref.Pop()
+				if !ok || got != want {
+					t.Fatalf("%s query %d pop %d: page %d, a heap of children pops %d (ok %v)", op.name, qi, i, got, want, ok)
+				}
+				expand(want)
+			}
+			pops += len(popped)
+		}
+		if pops < 10*len(qs) {
+			t.Fatalf("%s: only %d pops over %d queries", op.name, pops, len(qs))
 		}
 	}
-	if worst > 1e-8 {
-		t.Errorf("accumulated queue bounds drift from the live queue by up to %v nats", worst)
+}
+
+// testQueue returns an empty block queue whose suffix sums go to d.
+func testQueue(d *denomTracker) *activeQueue {
+	return &activeQueue{heap: pqueue.NewMax[int32](), denom: d}
+}
+
+// pushTestBlock queues one block of single-object children under the given
+// bounds, numbering their pages from first.
+func pushTestBlock(q *activeQueue, first int, floors, hulls []float64) {
+	children := make([]childEntry, len(hulls))
+	for i := range children {
+		children[i] = childEntry{page: pagefile.PageID(first + i), count: 1}
 	}
+	q.push(children, hulls, floors, false)
 }
 
 // TestScaledAccumKeepsAbsorbedTerms is the soundness regression: a term
-// absorbed by rounding must reappear once the dominant term is removed.
+// absorbed by rounding must reappear once the dominant term is popped,
+// whether the two wait in one block or in two.
 func TestScaledAccumKeepsAbsorbedTerms(t *testing.T) {
-	var d denomTracker
-	q := pqueue.NewMax[activeNode]()
-	big, small := activeNode{page: 1, logHullN: 0, logFloorN: 0}, activeNode{page: 2, logHullN: -100, logFloorN: -100}
-	for _, a := range []activeNode{big, small} {
-		q.Push(a, a.logHullN)
-		d.push(a)
-	}
-	a, _, _ := q.Pop() // best-first pops the dominant subtree
-	d.pop(a)
-	d.maybeRebuild(q)
-	if p := d.fold().parts; math.Abs(p.LogHull+100) > 1e-9 || math.Abs(p.LogFloor+100) > 1e-9 {
-		t.Errorf("after popping the dominant term: hull %v floor %v, want -100 (a subtree of mass e^-100 is still queued)", p.LogHull, p.LogFloor)
+	for _, blocks := range [][][]float64{{{0, -100}}, {{0}, {-100}}} {
+		var d denomTracker
+		q := testQueue(&d)
+		for i, b := range blocks {
+			pushTestBlock(q, 2*i, b, b)
+		}
+		q.pop() // best-first pops the dominant subtree
+		d.maybeRebuild(q)
+		if p := d.fold().parts; math.Abs(p.LogHull+100) > 1e-9 || math.Abs(p.LogFloor+100) > 1e-9 {
+			t.Errorf("blocks %v, after popping the dominant term: hull %v floor %v, want -100 (a subtree of mass e^-100 is still queued)", blocks, p.LogHull, p.LogFloor)
+		}
 	}
 }
 
-// TestTrackerRandomizedWideRange drives the tracker with a best-first-like
-// mix of pushes and max-pops over terms spanning ±700 nats and checks the
-// folded queue bounds against direct summation at every step.
+// TestTrackerRandomizedWideRange drives the tracker with a best-first mix of
+// blocks pushed and children popped over terms spanning ±700 nats and checks
+// the folded queue bounds against direct summation at every step.
 func TestTrackerRandomizedWideRange(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for round := 0; round < 50; round++ {
 		var d denomTracker
-		q := pqueue.NewMax[activeNode]()
+		q := testQueue(&d)
+		live := map[pagefile.PageID][2]float64{} // floor and hull of each queued child
+		page := 0
 		for step := 0; step < 400; step++ {
-			if q.Len() == 0 || rng.Float64() < 0.55 {
-				hull := rng.Float64()*1400 - 700
-				a := activeNode{page: pagefile.PageID(step), logHullN: hull, logFloorN: hull - rng.Float64()*50}
-				q.Push(a, a.logHullN)
-				d.push(a)
+			if q.len() == 0 || rng.Float64() < 0.2 {
+				n := rng.Intn(8) + 1
+				floors, hulls := make([]float64, n), make([]float64, n)
+				for i := range hulls {
+					hulls[i] = rng.Float64()*1400 - 700
+					floors[i] = hulls[i] - rng.Float64()*50
+					live[pagefile.PageID(page+i)] = [2]float64{floors[i], hulls[i]}
+				}
+				pushTestBlock(q, page, floors, hulls)
+				page += n
 			} else {
-				a, _, _ := q.Pop()
-				d.pop(a)
+				delete(live, q.pop().page)
 			}
 			d.maybeRebuild(q)
-			floor, hull := math.Inf(-1), math.Inf(-1)
-			q.Items(func(a activeNode, _ float64) {
-				floor = logAddExp(floor, a.logFloorN)
-				hull = logAddExp(hull, a.logHullN)
-			})
-			p := d.fold().parts
-			if q.Len() == 0 {
+			if q.len() == 0 {
 				d.clearQueueBounds()
 				continue
 			}
+			floor, hull := math.Inf(-1), math.Inf(-1)
+			for _, b := range live {
+				floor, hull = logAddExp(floor, b[0]), logAddExp(hull, b[1])
+			}
+			p := d.fold().parts
 			if math.Abs(p.LogHull-hull) > 1e-6 || math.Abs(p.LogFloor-floor) > 1e-6 {
 				t.Fatalf("round %d step %d: folded hull %v floor %v, direct %v %v", round, step, p.LogHull, p.LogFloor, hull, floor)
 			}
@@ -167,30 +309,26 @@ func TestTrackerRandomizedWideRange(t *testing.T) {
 // TestFoldMemoInvalidation: a stale memo is the one failure mode the
 // memoised fold adds, so every mutating method must invalidate it.
 func TestFoldMemoInvalidation(t *testing.T) {
-	a := activeNode{page: 1, logFloorN: -3, logHullN: -1}
-	b := activeNode{page: 2, logFloorN: -4, logHullN: -2}
-	queue := func(items ...activeNode) *pqueue.Queue[activeNode] {
-		q := pqueue.NewMax[activeNode]()
-		for _, it := range items {
-			q.Push(it, it.logHullN)
-		}
-		return q
-	}
+	a := suffix{expSum{-3, 1}, expSum{-1, 1}}
+	b := suffix{expSum{-4, 1}, expSum{-2, 1}}
+	var other denomTracker
+	live := testQueue(&other) // b alone: not what the tracker was given
+	pushTestBlock(live, 2, []float64{-4}, []float64{-2})
 	mutators := map[string]func(d *denomTracker){
 		"addExact":    func(d *denomTracker) { d.addExact(-0.5) },
 		"addResidual": func(d *denomTracker) { d.addResidual(-6, -5) },
-		"push":        func(d *denomTracker) { d.push(b) },
-		"pop":         func(d *denomTracker) { d.pop(a) },
+		"enter":       func(d *denomTracker) { d.enter(b) },
+		"advance":     func(d *denomTracker) { d.advance(a, suffix{}) },
 		"maybeRebuild": func(d *denomTracker) {
 			d.hullPQ.cancelled = true
-			d.maybeRebuild(queue(b)) // the live queue differs from what was pushed
+			d.maybeRebuild(live)
 		},
 		"clearQueueBounds": func(d *denomTracker) { d.clearQueueBounds() },
 	}
 	for name, mutate := range mutators {
 		var d denomTracker
 		d.addExact(-2)
-		d.push(a)
+		d.enter(a)
 		before := *d.fold()
 		if !d.folded {
 			t.Fatalf("%s: fold did not memoise", name)

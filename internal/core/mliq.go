@@ -117,9 +117,9 @@ func (c mliqCollector) admission(p Peers) (float64, bool) {
 // settled: the k best are determined as far as this tree is concerned — no
 // queued subtree's hull beats the admission bound.
 func (c mliqCollector) settled(tr *traversal, p Peers) bool {
-	_, topPrio, queued := tr.active.Peek()
+	next, queued := tr.active.peek()
 	bound, ok := c.admission(p)
-	return !queued || ok && bound >= topPrio
+	return !queued || ok && bound >= next.prio
 }
 
 // done is the two-part §5.2.2 stop condition against the traversal's pinned

@@ -239,17 +239,20 @@ func TestLazyNegLnSigmaBitIdentical(t *testing.T) {
 // after fillLeaves(1000). The parent of the one-cache change (commit 80de430)
 // recorded 4463 pages, 78943 scored, hash 0xd2b7a6bcb5dad3c0 over the tree
 // as bulk-loaded, when a bulk-loaded leaf was full (through commit 4ee00dd).
+// Until ranked queries scored every vector of a leaf they read (commit
+// 6b3cdad), the same pages scored 80138 vectors, hash 0xaf12d040c5e95ca7,
+// with the same ids and densities.
 const (
 	rankedGoldenPages  = 6751
-	rankedGoldenScored = 80138
-	rankedGoldenHash   = 0xaf12d040c5e95ca7
+	rankedGoldenScored = 128472
+	rankedGoldenHash   = 0x4dc363dfaae8a52b
 )
 
-// TestRankedOnFullLeavesMatchesParent runs the screened ranked path — the
-// one reader of the lazily computed NegLnSigma terms — over a tree whose
-// inserts filled half its leaves and requires the recorded answers to the
-// bit: ids, densities, page and scored-vector counts per query. Every answer
-// is also checked against a scan of the stored vectors.
+// TestRankedOnFullLeavesMatchesParent runs the ranked path over a tree whose
+// inserts filled half its leaves — leaves both with and without stored
+// NegLnSigma terms — and requires the recorded answers to the bit: ids,
+// densities, page and scored-vector counts per query. Every answer is also
+// checked against a scan of the stored vectors.
 func TestRankedOnFullLeavesMatchesParent(t *testing.T) {
 	tr, qs := ds2Tree(t, 20000, 200, 9)
 	fillLeaves(t, tr, 1000)

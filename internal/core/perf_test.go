@@ -280,11 +280,12 @@ func innerNodes(tb testing.TB, tr *Tree) []*node {
 	return out
 }
 
-// BenchmarkExpandInner is the batch bound kernel's own number: one op
-// computes ˆN and ˇN for every child of every inner node of a DS2-20k tree
-// against one query, into warm scratch — what traversal.expand pays per
-// inner node, without the queue. ns/child is per child box; allocs/op must
-// be 0.
+// BenchmarkExpandInner is what traversal.expand pays per queued child of
+// an inner node, over every inner node of a DS2-20k tree against one query,
+// into warm scratch; ns/child is per child box and allocs/op must be 0.
+// kernel is the batch bound kernel alone (ˆN and ˇN of every child);
+// kernel+block adds the block the active queue keeps of them: the children
+// ordered by hull and, the denominator tracked, their suffix sums.
 func BenchmarkExpandInner(b *testing.B) {
 	tr, qs := ds2Tree(b, 20000, 64, 9)
 	inners := innerNodes(b, tr)
@@ -294,14 +295,35 @@ func BenchmarkExpandInner(b *testing.B) {
 		widest = max(widest, len(n.children))
 	}
 	scratch := make([]float64, 4*widest)
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		q := qs[i%len(qs)]
-		for _, n := range inners {
-			nc := len(n.children)
-			n.boxes.LogBounds(tr.cfg.Combiner, q, math.Inf(1), scratch[:nc], scratch[nc:2*nc], scratch[2*nc:])
-		}
+	bounds := func(n *node, q pfv.Vector) (hulls, floors []float64) {
+		nc := len(n.children)
+		hulls, floors = scratch[:nc], scratch[nc:2*nc]
+		n.boxes.LogBounds(tr.cfg.Combiner, q, math.Inf(1), hulls, floors, scratch[2*nc:])
+		return hulls, floors
 	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*children), "ns/child")
+	b.Run("kernel", func(b *testing.B) {
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			q := qs[i%len(qs)]
+			for _, n := range inners {
+				bounds(n, q)
+			}
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*children), "ns/child")
+	})
+	b.Run("kernel+block", func(b *testing.B) {
+		var d denomTracker
+		q := testQueue(&d)
+		b.ReportAllocs()
+		for i := 0; i < b.N; i++ {
+			query := qs[i%len(qs)]
+			for _, n := range inners {
+				hulls, floors := bounds(n, query)
+				q.push(n.children, hulls, floors, false)
+			}
+			q.Clear()
+			d, q.denom = denomTracker{}, &d
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*children), "ns/child")
+	})
 }

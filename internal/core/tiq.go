@@ -71,8 +71,8 @@ func (c *tiqCollector) prune(logLow float64) {
 func (c *tiqCollector) settled(tr *traversal, p Peers) bool {
 	logLow := logAddExp(tr.denom.fold().logLow, p.LogLow)
 	c.prune(logLow)
-	_, topPrio, ok := tr.active.Peek()
-	return !ok || !c.th.reaches(topPrio, logLow)
+	next, ok := tr.active.peek()
+	return !ok || !c.th.reaches(next.prio, logLow)
 }
 
 // done is Figure 5's stop test. With peers, whose mass is missing from

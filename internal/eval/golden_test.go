@@ -26,6 +26,10 @@ var updateGolden = flag.Bool("update-golden", false, "rewrite testdata/fig7_work
 
 const workGoldenHeader = `# Written at commit acb809c, before the sequential scan's pages and the X-tree's data pages
 # became columnar (row-major pages decoded one vector at a time and scored by the scalar density).
+# The gauss-tree rows were re-recorded after commit 6b3cdad, when the active queue began holding one
+# block of children per expanded node: the same pages, nodes, ids and log densities; certified
+# probabilities moved by at most 6.9e-11 (the queue's sum bounds are added in another order), and
+# ranked(1) scores every vector of each leaf it reads.
 # set engine kind | pages nodes scored results hash(counters, ids, log-density and probability bits)
 `
 

@@ -341,9 +341,10 @@ func (e *JointEvaluator) ScoreColumns(c *Columns, out []float64) {
 // under rounding) and the batch σ extrema σ̌ᵢ/σ̂ᵢ for the remaining terms.
 // The bound costs one logarithm and d divisions per batch plus two
 // multiplications per vector-dimension (plus, once per batch lifetime, the σ
-// extrema and the NegLnSigma terms a batch did not come with), and lets a
-// ranked traversal skip the exact scoring of every vector that provably
-// cannot enter the current top-k.
+// extrema and the NegLnSigma terms a batch did not come with). The
+// benchmark's per-layer ledger times it; no query screens by it any more:
+// scoring a whole leaf with ScoreColumns costs less than bounding it and
+// scoring the survivors one at a time.
 //
 // scratch must have capacity ≥ c.Dim(); it is overwritten.
 func (e *JointEvaluator) UpperBoundColumns(c *Columns, scratch, out []float64) {

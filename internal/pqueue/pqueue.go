@@ -59,6 +59,14 @@ func (q *Queue[T]) Pop() (value T, prio float64, ok bool) {
 	return top.value, top.prio, true
 }
 
+// FixTop sets the priority of the next element to prio and restores the
+// heap order: a re-keyed element moves without a Pop and a Push. The queue
+// must not be empty.
+func (q *Queue[T]) FixTop(prio float64) {
+	q.items[0].prio = prio
+	q.siftDown(0)
+}
+
 // Clear empties the queue, retaining allocated capacity.
 func (q *Queue[T]) Clear() {
 	for i := range q.items {

@@ -14,8 +14,8 @@ import (
 // TestOneShardIsItsTree pins that a one-shard engine answers with its tree's
 // own stand-alone query and runs no coordinator: the tree's results to the
 // bit, the tree's statistics as its one shard's in one merge round, the
-// tree's trace spans and no merge_round, and at most one allocation more
-// than the tree's query (the PerShard slice).
+// tree's trace spans and no merge_round, and — asked without the per-shard
+// breakdown, as a Tree asks — no allocation beyond the tree's query.
 func TestOneShardIsItsTree(t *testing.T) {
 	rng := rand.New(rand.NewSource(52))
 	vs := clustered(rng, 800, 3, 5)
@@ -24,24 +24,28 @@ func TestOneShardIsItsTree(t *testing.T) {
 	tree := e.trees[0]
 	q := reobserved(rng, vs[11])
 	for _, op := range []struct {
-		name string
-		tree func(context.Context) ([]query.Result, query.Stats, error)
-		eng  func(context.Context) ([]query.Result, Stats, error)
+		name  string
+		tree  func(context.Context) ([]query.Result, query.Stats, error)
+		eng   func(context.Context) ([]query.Result, Stats, error)
+		plain func(context.Context) ([]query.Result, query.Stats, error)
 	}{
 		{
 			"ranked",
 			func(ctx context.Context) ([]query.Result, query.Stats, error) { return tree.KMLIQRanked(ctx, q, 5) },
 			func(ctx context.Context) ([]query.Result, Stats, error) { return e.KMLIQRankedDetail(ctx, q, 5) },
+			func(ctx context.Context) ([]query.Result, query.Stats, error) { return e.KMLIQRanked(ctx, q, 5) },
 		},
 		{
 			"kmliq",
 			func(ctx context.Context) ([]query.Result, query.Stats, error) { return tree.KMLIQ(ctx, q, 5, 1e-6) },
 			func(ctx context.Context) ([]query.Result, Stats, error) { return e.KMLIQDetail(ctx, q, 5, 1e-6) },
+			func(ctx context.Context) ([]query.Result, query.Stats, error) { return e.KMLIQ(ctx, q, 5, 1e-6) },
 		},
 		{
 			"tiq",
 			func(ctx context.Context) ([]query.Result, query.Stats, error) { return tree.TIQ(ctx, q, 0.01, 1e-6) },
 			func(ctx context.Context) ([]query.Result, Stats, error) { return e.TIQDetail(ctx, q, 0.01, 1e-6) },
+			func(ctx context.Context) ([]query.Result, query.Stats, error) { return e.TIQ(ctx, q, 0.01, 1e-6) },
 		},
 	} {
 		t.Run(op.name, func(t *testing.T) {
@@ -62,6 +66,13 @@ func TestOneShardIsItsTree(t *testing.T) {
 			}
 			if gotSt.Stats != wantSt || len(gotSt.PerShard) != 1 || gotSt.PerShard[0] != wantSt || gotSt.MergeRounds != 1 {
 				t.Errorf("stats %+v, want the tree's %+v as its one shard's in one round", gotSt, wantSt)
+			}
+			plain, plainSt, err := op.plain(ctx)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !slices.EqualFunc(plain, want, sameResult) || plainSt != wantSt {
+				t.Errorf("without the breakdown: stats %+v, want the tree's %+v (results equal: %v)", plainSt, wantSt, slices.EqualFunc(plain, want, sameResult))
 			}
 
 			gotSp, wantSp := tracedSpans(t, func(ctx context.Context) error {
@@ -84,10 +95,10 @@ func TestOneShardIsItsTree(t *testing.T) {
 				t.Skip("allocation counts: sync.Pool drops Puts at random under -race")
 			}
 			treeAllocs := testing.AllocsPerRun(200, func() { op.tree(ctx) })
-			engAllocs := testing.AllocsPerRun(200, func() { op.eng(ctx) })
+			engAllocs := testing.AllocsPerRun(200, func() { op.plain(ctx) })
 			t.Logf("%.1f allocations per one-shard query, the tree's own %.1f", engAllocs, treeAllocs)
-			if engAllocs > treeAllocs+1 {
-				t.Errorf("%.1f allocations per one-shard query, the tree's own %.1f: want at most one more", engAllocs, treeAllocs)
+			if engAllocs > treeAllocs {
+				t.Errorf("%.1f allocations per one-shard query, the tree's own %.1f: want no more", engAllocs, treeAllocs)
 			}
 		})
 	}

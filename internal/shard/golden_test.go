@@ -56,7 +56,9 @@ const goldenHeader = `# All rows: written after commit 4ee00dd by the change tha
 # largest term (internal/core/bounds.go; alone, on 4ee00dd's tree, it moves no row); every sharded
 # answer matched the tree's. Before it: tree rows of commit 37388d4 plus the scaledAccum
 # cancellation-rebuild fix, shards-4 rows of the first partition by parameter space, ranked rows
-# of commit 41762e0, before the ranked query became a core.Cursor.
+# of commit 41762e0, before the ranked query became a core.Cursor. The ranked rows were
+# re-recorded when ranked queries began scoring every vector of a leaf they read (pages, ids and
+# densities unchanged; scored, and the hash that includes it, rose).
 # ranked rows hash each result's id and log-density bits; their interval sums are 0.
 # engine seed op block | pages nodes scored hash(ids+counters per query) results sumProbLow sumProbHigh
 `

@@ -329,8 +329,10 @@ func peerLowOf(shards []shardState, i int, buf []float64) float64 {
 	return gaussian.LogSumExpSlice(lows)
 }
 
-// alone is a one-shard engine's answer: its tree's stand-alone query, the
-// tree's statistics as its one shard's, in one round.
+// alone is a one-shard engine's detailed answer: its tree's stand-alone
+// query, the tree's statistics as its one shard's, in one round. Only the
+// Detail queries build that breakdown; KMLIQ, KMLIQRanked and TIQ return the
+// tree's own statistics.
 func alone(res []query.Result, st query.Stats, err error) ([]query.Result, Stats, error) {
 	return res, Stats{Stats: st, PerShard: []query.Stats{st}, MergeRounds: 1}, err
 }
@@ -348,6 +350,9 @@ func collectStats(per []query.Stats, rounds int) Stats {
 // top-k lists by log density — the global top-k is always contained in the
 // union of the per-shard top-k sets, so no denominator work is needed.
 func (e *Engine) KMLIQRanked(ctx context.Context, q pfv.Vector, k int) ([]query.Result, query.Stats, error) {
+	if len(e.trees) == 1 {
+		return e.trees[0].KMLIQRanked(ctx, q, k)
+	}
 	res, st, err := e.KMLIQRankedDetail(ctx, q, k)
 	return res, st.Stats, err
 }
@@ -431,6 +436,9 @@ type verdict struct {
 // resumes shard cursors with an unexplored-mass budget computed from exactly
 // the certification that is missing (see coordinate).
 func (e *Engine) KMLIQ(ctx context.Context, q pfv.Vector, k int, accuracy float64) ([]query.Result, query.Stats, error) {
+	if len(e.trees) == 1 {
+		return e.trees[0].KMLIQ(ctx, q, k, accuracy)
+	}
 	res, st, err := e.KMLIQDetail(ctx, q, k, accuracy)
 	return res, st.Stats, err
 }
@@ -473,6 +481,9 @@ func (e *Engine) KMLIQDetail(ctx context.Context, q pfv.Vector, k int, accuracy 
 // shard's unexplored part can still reach it, or when every shard is
 // exhausted and the denominator is exact.
 func (e *Engine) TIQ(ctx context.Context, q pfv.Vector, pTheta float64, accuracy float64) ([]query.Result, query.Stats, error) {
+	if len(e.trees) == 1 {
+		return e.trees[0].TIQ(ctx, q, pTheta, accuracy)
+	}
 	res, st, err := e.TIQDetail(ctx, q, pTheta, accuracy)
 	return res, st.Stats, err
 }

@@ -8,10 +8,12 @@
 #   scripts/bench-snapshot.sh [out.json] [bench regex] [count] [benchtime]
 #
 # Defaults: out.json = "-" (stdout), regex covers the bench-hot set (KMLIQHot
-# and KMLIQHotQuantized, TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ,
+# and KMLIQHotQuantized, KMLIQRankedHot (the public Tree's ranked query at
+# k = 1, 3, 10), TIQHot, BatchExecutor, ShardedKMLIQ, ShardedTIQ,
 # ReadNodeHot, FirstTouch, MissRecycled (certified 3-MLIQs on a file-backed
 # tree that caches a quarter of its pages: misses into recycled page images),
-# DecodeLeaf, ExpandInner, AblationIntegral, BulkLoad
+# DecodeLeaf, ExpandInner (the bound kernel per child, alone and with the
+# active queue's block build), AblationIntegral, BulkLoad
 # (DS2 at N = 20 000 and 100 000), MedianCut (the §5.3 evaluator, ns per
 # (entry, axis) and per extra cut position, at m = 49, 220 and 1 023),
 # ColumnKernels (both kernel bodies, ns/entry), WireCodec (encode plus decode
@@ -28,7 +30,7 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 OUT="${1:--}"
-REGEX="${2:-KMLIQHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|MissRecycled|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|MedianCut|ColumnKernels|WireCodec|VAFilePhase1}"
+REGEX="${2:-KMLIQHot|KMLIQRankedHot|TIQHot|BatchExecutor|ShardedKMLIQ|ShardedTIQ|ReadNodeHot|FirstTouch|MissRecycled|DecodeLeaf|ExpandInner|AblationIntegral|BulkLoad$|MedianCut|ColumnKernels|WireCodec|VAFilePhase1}"
 COUNT="${3:-1}"
 BENCHTIME="${4:-}"
 

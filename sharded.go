@@ -216,16 +216,28 @@ func (s *Sharded) NumShards() int {
 // Like every query it runs lock-free against pinned per-shard snapshots,
 // concurrently with mutations.
 func (s *Sharded) KMLIQContext(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
-	return s.kmliq(ctx, q, k)
+	st, err := s.queryState(q, checkK(k))
+	if err != nil {
+		return nil, ShardedQueryStats{}, err
+	}
+	return st.eng.KMLIQDetail(ctx, q, k, s.opts.Accuracy)
 }
 
 // KMLIQRankedContext is KMostLikelyRanked with cancellation and per-shard
 // statistics.
 func (s *Sharded) KMLIQRankedContext(ctx context.Context, q Vector, k int) ([]Match, ShardedQueryStats, error) {
-	return s.ranked(ctx, q, k)
+	st, err := s.queryState(q, checkK(k))
+	if err != nil {
+		return nil, ShardedQueryStats{}, err
+	}
+	return st.eng.KMLIQRankedDetail(ctx, q, k)
 }
 
 // TIQContext is Threshold with cancellation and per-shard statistics.
 func (s *Sharded) TIQContext(ctx context.Context, q Vector, pTheta float64) ([]Match, ShardedQueryStats, error) {
-	return s.tiq(ctx, q, pTheta)
+	st, err := s.queryState(q, checkPTheta(pTheta))
+	if err != nil {
+		return nil, ShardedQueryStats{}, err
+	}
+	return st.eng.TIQDetail(ctx, q, pTheta, s.opts.Accuracy)
 }
