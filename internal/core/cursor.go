@@ -248,7 +248,7 @@ func (c *Cursor) Refine(round int, maxLogUnexplored float64, p Peers) error {
 	sp := c.tr.traceBegin()
 	c.err = c.tr.run(func() bool {
 		// fold is memoised, and put off until a test needs the bounds.
-		return c.col.done(c.tr, c.accuracy, p, alone) && c.tr.denom.fold().parts.LogHull <= maxLogUnexplored
+		return c.col.done(c.tr, c.accuracy, p, alone) && c.tr.bounds().parts.LogHull <= maxLogUnexplored
 	})
 	if alone {
 		round = -1
@@ -269,12 +269,12 @@ func (c *Cursor) Settled(p Peers) bool { return c.col.settled(c.tr, p) }
 // pruning against the final bounds). The cursor remains usable — the
 // candidate set is read, not drained.
 func (c *Cursor) Candidates(dst []Candidate, logPeerLow float64) []Candidate {
-	c.col.prune(logAddExp(c.tr.denom.fold().logLow, logPeerLow))
+	c.col.prune(logAddExp(c.tr.bounds().logLow, logPeerLow))
 	return c.col.appendTo(slices.Grow(dst, c.col.len()))
 }
 
 // DenomParts returns the tree's current certified denominator components.
-func (c *Cursor) DenomParts() DenomParts { return c.tr.denom.fold().parts }
+func (c *Cursor) DenomParts() DenomParts { return c.tr.bounds().parts }
 
 // Bound returns the hull priority ln ˆN(q) of the best unexplored subtree —
 // of a shard's cursor before its first Refine, its root — which no object

@@ -94,7 +94,7 @@ func (t *Tree) newTraversal(ctx context.Context, q pfv.Vector, trackDenom bool, 
 	tr.eval.Reset(t.cfg.Combiner, q)
 	tr.trackDenom = trackDenom
 	if trackDenom {
-		tr.active.denom = &tr.denom
+		tr.active.denom, tr.active.deferred = &tr.denom, true
 	}
 	tr.col = col
 	tr.peers = NoPeers()
@@ -228,6 +228,16 @@ func (tr *traversal) expand(page pagefile.PageID) error {
 	hulls, floors := tr.logBounds(&n.boxes, zLim)
 	tr.active.push(n.children, hulls, floors, screened)
 	return nil
+}
+
+// bounds returns the certified denominator bounds (denomTracker.fold),
+// first building the queue sums the active queue deferred until a test read
+// them: a k-MLIQ settles its k best before it asks.
+func (tr *traversal) bounds() *denomBounds {
+	if tr.active.deferred {
+		tr.active.settle()
+	}
+	return tr.denom.fold()
 }
 
 // logBounds runs the batch bound kernel over the boxes into the traversal's

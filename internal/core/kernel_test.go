@@ -91,7 +91,7 @@ func childEntries(tb testing.TB, tr *Tree) map[pagefile.PageID]childEntry {
 func stopTest(c *Cursor, alone bool, maxLogUnexplored float64, check func()) func() bool {
 	return func() bool {
 		check()
-		return c.col.done(c.tr, c.accuracy, NoPeers(), alone) && c.tr.denom.fold().parts.LogHull <= maxLogUnexplored
+		return c.col.done(c.tr, c.accuracy, NoPeers(), alone) && c.tr.bounds().parts.LogHull <= maxLogUnexplored
 	}
 }
 
@@ -100,14 +100,18 @@ func stopTest(c *Cursor, alone bool, maxLogUnexplored float64, check func()) fun
 // stop test recomputes the queue-bound sums independently: each live
 // block's remaining children bounded one box at a time by the scalar
 // gaussian.HullTerm/FloorTerm reference (scalarBounds), weighted by their
-// counts and summed. The block suffix sums, traded on every pop and rebuilt
-// from the live blocks when a pop cancels a total, must agree with them
-// however the dominant hulls were popped.
+// counts and summed. The block suffix sums — deferred until a stop test
+// first reads the bounds, then traded on every pop and rebuilt from the live
+// blocks when a pop cancels a total — must agree with them however the
+// dominant hulls were popped.
 func TestTrackerAgreesWithLiveQueue(t *testing.T) {
 	tr, qs := ds2Tree(t, 20000, 40, 5)
 	entries := childEntries(t, tr)
 	worst, tests := 0.0, 0
 	check := func(trav *traversal) {
+		if trav.active.deferred {
+			return // no sums kept yet: the first test that reads them settles the queue
+		}
 		tests++
 		floor, hull := math.Inf(-1), math.Inf(-1)
 		q := &trav.active

@@ -136,7 +136,7 @@ func (c mliqCollector) done(tr *traversal, accuracy float64, p Peers, _ bool) bo
 	if tr.denom.exact.sum > 0 {
 		maxLd = max(maxLd, tr.denom.exact.ref)
 	}
-	return !tr.denom.fold().tooWide(maxLd, accuracy, p.LogLow)
+	return !tr.bounds().tooWide(maxLd, accuracy, p.LogLow)
 }
 
 func (t *Tree) checkQuery(q pfv.Vector, k int) error {

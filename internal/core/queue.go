@@ -28,6 +28,11 @@ type activeQueue struct {
 	mass   []suffix      // mass[i] is kids[i]'s suffix; empty without denom
 	order  []int32       // scratch: one node's surviving children, best first
 	denom  *denomTracker
+	// deferred says no test has read the denominator yet: mass holds each
+	// waiting child's own ln n·ˇN and ln n·ˆN (in floor.ref and hull.ref),
+	// and neither the suffix sums nor the totals are kept. settle builds
+	// both for the blocks still live, sparing the children popped before.
+	deferred bool
 }
 
 // block is what one expanded node still has waiting: kids[next:end].
@@ -81,14 +86,14 @@ func (q *activeQueue) push(children []childEntry, hulls, floors []float64, scree
 	}
 	if q.denom != nil {
 		q.mass = slices.Grow(q.mass, len(order))[:len(q.kids)]
-		var f, h scaledAccum
-		for j := len(order) - 1; j >= 0; j-- {
-			i := order[j]
-			f.add(floors[i] + children[i].logCount)
-			h.add(hulls[i] + children[i].logCount)
-			q.mass[start+j] = suffix{f.expSum, h.expSum}
+		for j, i := range order {
+			lc := children[i].logCount
+			q.mass[start+j] = suffix{expSum{floors[i] + lc, 0}, expSum{hulls[i] + lc, 0}}
 		}
-		q.denom.enter(q.mass[start])
+		if !q.deferred {
+			q.sumSuffixes(start, len(q.kids))
+			q.denom.enter(q.mass[start])
+		}
 	}
 	q.heap.Push(int32(len(q.blocks)), hulls[order[0]])
 	q.blocks = append(q.blocks, block{int32(start), int32(len(q.kids))})
@@ -100,7 +105,7 @@ func (q *activeQueue) pop() queuedChild {
 	b := &q.blocks[bi]
 	i := b.next
 	b.next++
-	if q.denom != nil {
+	if q.denom != nil && !q.deferred {
 		var next suffix
 		if b.next < b.end {
 			next = q.mass[b.next]
@@ -115,10 +120,31 @@ func (q *activeQueue) pop() queuedChild {
 	return q.kids[i]
 }
 
+// sumSuffixes turns mass[from:end], the own terms of one block's waiting
+// children, into their suffix sums, back to front.
+func (q *activeQueue) sumSuffixes(from, end int) {
+	var f, h scaledAccum
+	for j := end - 1; j >= from; j-- {
+		f.add(q.mass[j].floor.ref)
+		h.add(q.mass[j].hull.ref)
+		q.mass[j] = suffix{f.expSum, h.expSum}
+	}
+}
+
+// settle ends the deferral: the suffix sums of every live block, each
+// entered into the totals.
+func (q *activeQueue) settle() {
+	q.deferred = false
+	q.heap.Items(func(b int32, _ float64) {
+		q.sumSuffixes(int(q.blocks[b].next), int(q.blocks[b].end))
+		q.denom.enter(q.mass[q.blocks[b].next])
+	})
+}
+
 // Clear empties the queue, keeping its capacity, and detaches it from the
 // denominator tracker.
 func (q *activeQueue) Clear() {
 	q.heap.Clear()
 	q.blocks, q.kids, q.mass, q.order = q.blocks[:0], q.kids[:0], q.mass[:0], q.order[:0]
-	q.denom = nil
+	q.denom, q.deferred = nil, false
 }

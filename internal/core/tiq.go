@@ -69,7 +69,7 @@ func (c *tiqCollector) prune(logLow float64) {
 // peers and reports whether no unexplored subtree of tr could still hold an
 // object that reaches the threshold against it.
 func (c *tiqCollector) settled(tr *traversal, p Peers) bool {
-	logLow := logAddExp(tr.denom.fold().logLow, p.LogLow)
+	logLow := logAddExp(tr.bounds().logLow, p.LogLow)
 	c.prune(logLow)
 	next, ok := tr.active.peek()
 	return !ok || !c.th.reaches(next.prio, logLow)
@@ -88,7 +88,7 @@ func (c *tiqCollector) done(tr *traversal, accuracy float64, p Peers, alone bool
 		return true
 	}
 	if _, minLd, ok := c.candidates.Peek(); ok {
-		b := tr.denom.fold()
+		b := tr.bounds()
 		return c.th.reaches(minLd, b.logHigh) && !b.tooWide(tr.denom.exact.ref, accuracy, math.Inf(-1))
 	}
 	return true

@@ -52,10 +52,10 @@ lines=$(find . -name '*.go' -not -name '*_test.go' -not -path './benchmark/*' -p
 # rect helpers, Registry.Unregister, TopK.Full) took it to 21709, with
 # gaussd's two flag bounds and the deadline fix already in. One queue entry
 # per expanded node (core/queue.go: a block of children best first with
-# suffix sums of their mass) moved it by its net +127, a ranked query
-# scoring whole leaves and Tree queries skipping the per-shard breakdown
-# included.
-census "non-test Go lines outside benchmark/" "$lines" 21836
+# suffix sums of their mass, put off until a test first reads them) moved
+# it by its net +163, a ranked query scoring whole leaves and Tree queries
+# skipping the per-shard breakdown included.
+census "non-test Go lines outside benchmark/" "$lines" 21872
 # The benchmark of record is counted on its own line: its files change only
 # with the benchmark (BENCHMARK.json), never beside a change it measures.
 census "non-test Go lines in benchmark/" "$(find benchmark -name '*.go' -not -name '*_test.go' -print0 | xargs -0 cat | wc -l)" 3813
